@@ -46,6 +46,7 @@ from ..plans import physical as P
 from ..schema.ddl import Table
 from ..schema.keys import (
     decode_key,
+    decode_value,
     encode_key,
     encode_value,
     prefix_upper_bound,
@@ -555,22 +556,22 @@ def _bound_sort_keys(
     ]
 
 
-def _sort_component_slice(
+def _decodable_sort_components(
     op: P.PhysicalSortedIndexJoin, table: Table
-) -> Optional[Tuple[int, int]]:
-    """Key-component positions of the join's sort columns, if decodable.
+) -> Optional[int]:
+    """How many sort columns can be decoded from an entry key, if all can.
 
     Both for a primary-index join (entry key = primary key) and for a
     secondary index built by the optimizer, the sort columns sit directly
-    after the join-prefix columns, so their encoded values start at
-    component ``len(op.prefix)``.  Returns ``None`` when the layout does
-    not match (e.g. a tokenized component), which disables entry-order
+    after the join-prefix columns, so their encoded values start at the
+    byte where the encoded prefix ends.  Returns ``None`` when the layout
+    does not match (e.g. a tokenized component), which disables entry-order
     selection but not round fusion.
     """
     start = len(op.prefix)
     names = [name for name, _ in op.sort_keys]
     if not names:
-        return (start, 0)
+        return 0
     if op.index.primary:
         layout = list(table.primary_key)
         if layout[start : start + len(names)] != names:
@@ -584,7 +585,7 @@ def _sort_component_slice(
             return None
         if any(c.tokenized for c in definition.columns[start : start + len(names)]):
             return None
-    return (start, len(names))
+    return len(names)
 
 
 def _execute_sorted_index_join(
@@ -625,7 +626,10 @@ def _execute_sorted_index_join(
     stop = _resolve_count(op.stop_count, context) if op.stop_count is not None else None
 
     if _fused(context):
-        return _fused_sorted_join(op, table, child_rows, per_child_entries, stop, context)
+        prefix_lengths = [len(prefix_bytes) for prefix_bytes, _, _, _ in ranges]
+        return _fused_sorted_join(
+            op, table, child_rows, per_child_entries, prefix_lengths, stop, context
+        )
 
     # Unfused path: materialize every joined row (one dereference round per
     # child), then order and truncate locally.
@@ -656,6 +660,7 @@ def _fused_sorted_join(
     table: Table,
     child_rows: List[InternalRow],
     per_child_entries: List[KeyValuePairs],
+    prefix_lengths: List[int],
     stop: Optional[int],
     context: ExecutionContext,
 ) -> List[InternalRow]:
@@ -674,8 +679,8 @@ def _fused_sorted_join(
     if total_entries == 0:
         return []
 
-    component_slice = _sort_component_slice(op, table)
-    if component_slice is None:
+    components = _decodable_sort_components(op, table)
+    if components is None:
         # Sort order not recoverable from the entry keys: still fuse the
         # dereference into one bulk round, then order locally.
         joined: List[InternalRow] = []
@@ -703,9 +708,8 @@ def _fused_sorted_join(
             joined = sort_rows(joined, keys)
         return joined[:stop] if stop is not None else joined
 
-    start, components = component_slice
     ordered = _entries_in_output_order(
-        op, per_child_entries, start, components
+        op, per_child_entries, prefix_lengths, components
     )
     needed = stop if stop is not None else total_entries
 
@@ -757,16 +761,19 @@ def _fused_sorted_join(
 def _entries_in_output_order(
     op: P.PhysicalSortedIndexJoin,
     per_child_entries: List[KeyValuePairs],
-    start: int,
+    prefix_lengths: List[int],
     components: int,
 ) -> Iterator[Tuple[int, int, bytes]]:
     """Yield ``(child index, entry index, entry value)`` in final output order.
 
     With no sort keys the output order is simply child order then index
-    order.  With sort keys, each entry's sort values are decoded from its
-    key and a heap yields entries lazily in the exact order the unfused
-    executor's stable sort would produce (position is the tiebreaker), so a
-    stop consumes O(total + stop log total) work instead of a full sort.
+    order.  With sort keys, the order is the one the unfused executor's
+    stable sort produces — sort values under their directions, position as
+    the tiebreaker — reached by a k-way merge of the per-child streams.
+    Each child's sort values are decoded from its entry keys, starting at
+    the byte where that child's join prefix ends.  When every sort direction
+    is the scan direction the entries already arrive in output order, so the
+    merge decodes lazily: about stop + children entries, not all of them.
     """
     if components == 0:
         for child_index, entries in enumerate(per_child_entries):
@@ -774,19 +781,30 @@ def _entries_in_output_order(
                 yield (child_index, entry_index, value)
         return
     directions = [ascending for _, ascending in op.sort_keys]
-    decorated = []
-    for child_index, entries in enumerate(per_child_entries):
-        for entry_index, (key, value) in enumerate(entries):
-            sort_values = decode_key(key, count=start + components)[start:]
-            decorated.append((
-                ordering_key(sort_values, directions) + (child_index, entry_index),
+
+    def decorated(child_index: int) -> Iterator[Tuple[tuple, int, int, bytes]]:
+        prefix_length = prefix_lengths[child_index]
+        for entry_index, (key, value) in enumerate(per_child_entries[child_index]):
+            sort_values = []
+            offset = prefix_length
+            for _ in range(components):
+                sort_value, offset = decode_value(key, offset)
+                sort_values.append(sort_value)
+            yield (
+                ordering_key(sort_values, directions),
                 child_index,
                 entry_index,
                 value,
-            ))
-    heapq.heapify(decorated)
-    while decorated:
-        _, child_index, entry_index, value = heapq.heappop(decorated)
+            )
+
+    # Scanned in every sort direction, a child is already in output order;
+    # otherwise it is ordered here, before the merge.
+    presorted = all(ascending == op.ascending for ascending in directions)
+    streams = [
+        decorated(child_index) if presorted else sorted(decorated(child_index))
+        for child_index in range(len(per_child_entries))
+    ]
+    for _, child_index, entry_index, value in heapq.merge(*streams):
         yield (child_index, entry_index, value)
 
 

@@ -124,7 +124,9 @@ class ClientStats:
         )
         self.samples_seen = samples_seen
         self.reservoir_capacity = reservoir_capacity
-        self._rng = random.Random(0x5EED)
+        # Created on the first eviction: snapshot()/delta() copies are made
+        # per query and almost never see one.
+        self._rng: Optional[random.Random] = None
 
     def record_latency(self, seconds: float) -> None:
         """Offer one latency observation to the bounded reservoir."""
@@ -132,6 +134,8 @@ class ClientStats:
         if len(self.latency_samples) < self.reservoir_capacity:
             self.latency_samples.append(seconds)
             return
+        if self._rng is None:
+            self._rng = random.Random(0x5EED)
         slot = self._rng.randrange(self.samples_seen)
         if slot < self.reservoir_capacity:
             self.latency_samples[slot] = seconds

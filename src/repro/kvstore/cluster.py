@@ -1306,18 +1306,41 @@ class KeyValueCluster:
         partial = self._range_may_be_partial(
             allow_partial, available=len(up_ids)
         )
+        return self._range_over(
+            namespace, up_ids, partial, start, end, limit, ascending,
+            sim_time, record_filter,
+        )
+
+    def _range_over(
+        self,
+        namespace: str,
+        up_ids: List[int],
+        partial: bool,
+        start: Optional[bytes],
+        end: Optional[bytes],
+        limit: Optional[int],
+        ascending: bool,
+        sim_time: float,
+        record_filter: Optional[RecordFilter] = None,
+    ) -> OpResult:
+        """One range request over an already-resolved serving set.
+
+        :meth:`get_range` resolves the serving nodes and the partial-result
+        rule per request, :meth:`multi_get_range` once per batch.
+        """
         triples = self.replication.merged_range(
             namespace, up_ids, start, end, limit, ascending
         )
         last_examined = triples[-1][0] if triples else None
+        pairs: List[KeyValue] = []
         examined: Dict[int, int] = {}
-        if record_filter is not None:
-            for _, _, node_id in triples:
-                examined[node_id] = examined.get(node_id, 0) + 1
-            triples = [t for t in triples if record_filter(t[0], t[1])]
-        pairs: List[KeyValue] = [(key, value) for key, value, _ in triples]
         served: Dict[int, Tuple[int, int]] = {}
-        for _, value, node_id in triples:
+        for key, value, node_id in triples:
+            if record_filter is not None:
+                examined[node_id] = examined.get(node_id, 0) + 1
+                if not record_filter(key, value):
+                    continue
+            pairs.append((key, value))
             count, nbytes = served.get(node_id, (0, 0))
             served[node_id] = (count + 1, nbytes + len(value))
 
@@ -1397,20 +1420,24 @@ class KeyValueCluster:
         per tuple of its child.  With ``parallel=True`` the overall latency
         is the max over the individual requests, otherwise the sum.
         """
+        if not ranges:
+            return OpResult([], 0.0, -1, keys_touched=0)
+        self._require(namespace)
+        up_ids = self._serving_ids()
+        partial = self._range_may_be_partial(False, available=len(up_ids))
         results: List[List[KeyValue]] = []
         latencies: List[float] = []
         keys_touched = 0
         payload_bytes = 0
         for start, end, limit, ascending in ranges:
-            result = self.get_range(
-                namespace, start, end, limit, ascending, sim_time=sim_time
+            result = self._range_over(
+                namespace, up_ids, partial, start, end, limit, ascending,
+                sim_time,
             )
             results.append(result.value)  # type: ignore[arg-type]
             latencies.append(result.latency_seconds)
             keys_touched += result.keys_touched
             payload_bytes += result.payload_bytes
-        if not latencies:
-            return OpResult([], 0.0, -1, keys_touched=0)
         latency = max(latencies) if parallel else sum(latencies)
         return OpResult(
             results, latency, -1, keys_touched=keys_touched,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,9 @@ class LatencyModel:
         self.params = params or LatencyParameters()
         self._seed = seed
         self._rng = random.Random(seed)
+        #: Weather multipliers by ``(seed, interval, sigma)`` — everything
+        #: the draw depends on, so ``reseed`` and a ``params`` change miss.
+        self._weather_memo: Dict[Tuple[int, int, float], float] = {}
 
     def reseed(self, seed: int) -> None:
         """Reset the model's random stream (used between experiments)."""
@@ -104,8 +107,15 @@ class LatencyModel:
         if p.weather_sigma <= 0:
             return 1.0
         interval = int(sim_time // p.weather_interval_seconds)
-        interval_rng = random.Random((self._seed * 1_000_003) ^ (interval * 7919))
-        return math.exp(interval_rng.gauss(0.0, p.weather_sigma))
+        memo_key = (self._seed, interval, p.weather_sigma)
+        multiplier = self._weather_memo.get(memo_key)
+        if multiplier is None:
+            interval_rng = random.Random(
+                (self._seed * 1_000_003) ^ (interval * 7919)
+            )
+            multiplier = math.exp(interval_rng.gauss(0.0, p.weather_sigma))
+            self._weather_memo[memo_key] = multiplier
+        return multiplier
 
     # ------------------------------------------------------------------
     # Sampling

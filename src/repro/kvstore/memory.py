@@ -102,16 +102,22 @@ class OrderedKVMap:
         keys = self._sorted_keys
         lo = 0 if start is None else bisect.bisect_left(keys, start)
         hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        if limit is not None:
+            if limit < 0:
+                raise ValueError("limit must be non-negative")
+            # Bound the slice, not the copy: a descending read keeps the
+            # *top* ``limit`` keys of the range.
+            if ascending:
+                hi = min(hi, lo + limit)
+            else:
+                lo = max(lo, hi - limit)
         if lo >= hi:
             return []
         selected = keys[lo:hi]
         if not ascending:
-            selected = list(reversed(selected))
-        if limit is not None:
-            if limit < 0:
-                raise ValueError("limit must be non-negative")
-            selected = selected[:limit]
-        return [(k, self._data[k]) for k in selected]
+            selected.reverse()
+        data = self._data
+        return [(k, data[k]) for k in selected]
 
     def iter_range(
         self,

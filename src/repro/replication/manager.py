@@ -21,6 +21,7 @@ up and charges the simulated cost of the work the manager reports.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -229,56 +230,69 @@ class ReplicationManager:
         """Newest live ``(key, value, serving_node)`` triples in a range.
 
         Each node contributes its replica's slice; per key the newest record
-        wins and tombstones suppress the key entirely.  ``serving_node`` is
-        the node whose copy supplied the winning record — the cluster
-        charges that node's latency model for returning it.
+        wins and tombstones suppress the key entirely.
 
-        The per-replica iterators are merged lazily in key order and the
-        merge stops as soon as ``limit`` *live* keys have been produced, so
-        a LIMIT-honouring caller (the Lazy executor fetches one row at a
-        time) does O(limit x replication) work instead of scanning every
-        replica's whole slice.  Applying the limit after conflict
-        resolution — never per replica — is what keeps a slice that leads
-        with tombstones from starving the result.
+        Chunked slice-and-resolve: every replica returns at most ``limit``
+        records, the copies are resolved newest-wins in one pass, and keys
+        are emitted up to the *horizon* — the least-advanced last key among
+        the replicas that filled their chunk, past which some replica has
+        not been heard.  The limit applies after conflict resolution, never
+        per replica: when tombstones leave a pass short, the next one
+        resumes just past the horizon with the remaining limit, so a slice
+        that leads with tombstones cannot starve the result.
         """
-        streams = [
-            (
-                (key, record, node_id)
-                for key, record in self.stores[node_id].iter_range_records(
-                    namespace, start, end, ascending
-                )
-            )
-            for node_id in node_ids
-        ]
-        merged = heapq.merge(
-            *streams, key=lambda entry: entry[0], reverse=not ascending
-        )
+        # Known defect, pinned by tests/replication/test_merged_range.py:
+        # every triple names the *last* listed node, so the cluster charges
+        # all range work to it.  Naming the replica that supplied each
+        # winning record moves the simulated latencies and needs re-baselined
+        # results (see ROADMAP, "Attack the contracts").
+        serving_node = node_ids[-1] if node_ids else -1
+        stores = [self.stores[node_id] for node_id in node_ids]
         results: List[Tuple[bytes, bytes, int]] = []
-        current_key: Optional[bytes] = None
-        best_seq = MISSING_SEQ
-        best_record: Optional[bytes] = None
-        best_node = -1
-
-        def flush() -> bool:
-            """Emit the resolved current key; return True when limit is hit."""
-            if current_key is None or best_record is None:
-                return False
-            value = decode_record(best_record)[1]
-            if value is None:
-                return False  # tombstone
-            results.append((current_key, value, best_node))
-            return limit is not None and len(results) >= limit
-
-        for key, record, node_id in merged:
-            if key != current_key:
-                if flush():
-                    return results
-                current_key = key
-                best_seq, best_record, best_node = MISSING_SEQ, None, -1
-            seq = record_seq(record)
-            if seq > best_seq:
-                best_seq, best_record, best_node = seq, record, node_id
-        flush()
+        remaining = limit
+        while remaining is None or remaining > 0:
+            newest: Dict[bytes, bytes] = {}
+            horizon: Optional[bytes] = None
+            for store in stores:
+                chunk = store.range_records(
+                    namespace, start, end, remaining, ascending
+                )
+                for key, record in chunk:
+                    held = newest.get(key)
+                    # Equal bytes are the same write: nothing to unpack.
+                    if held is None or (
+                        held != record and record_seq(record) > record_seq(held)
+                    ):
+                        newest[key] = record
+                if len(chunk) == remaining:
+                    last = chunk[-1][0]
+                    if horizon is None or (
+                        last < horizon if ascending else last > horizon
+                    ):
+                        horizon = last
+            keys = sorted(newest)
+            if horizon is not None:
+                # A key past the horizon may have a newer copy on a replica
+                # whose chunk stopped short of it.
+                if ascending:
+                    del keys[bisect.bisect_right(keys, horizon):]
+                else:
+                    del keys[: bisect.bisect_left(keys, horizon)]
+            if not ascending:
+                keys.reverse()
+            for key in keys:
+                value = decode_record(newest[key])[1]
+                if value is not None:
+                    results.append((key, value, serving_node))
+                    if len(results) == limit:
+                        return results
+            if horizon is None:
+                break  # every replica's slice ended inside its chunk
+            remaining = limit - len(results)
+            if ascending:
+                start = _key_after(horizon)
+            else:
+                end = horizon
         return results
 
     def live_key_count(self, namespace: str, node_ids: Sequence[int]) -> int:

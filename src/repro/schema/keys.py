@@ -113,20 +113,13 @@ def successor(key: bytes) -> bytes:
 # ----------------------------------------------------------------------
 def _decode_terminated(data: bytes, offset: int) -> Tuple[bytes, int]:
     """Decode an escaped, NUL-terminated byte sequence starting at ``offset``."""
-    out = bytearray()
-    i = offset
-    n = len(data)
-    while i < n:
-        byte = data[i]
-        if byte == 0x00:
-            if i + 1 < n and data[i + 1] == 0xFF:
-                out.append(0x00)
-                i += 2
-                continue
-            return bytes(out), i + 1
-        out.append(byte)
-        i += 1
-    raise KeyEncodingError("unterminated string in encoded key")
+    end = data.find(_STRING_TERMINATOR, offset)
+    # A NUL followed by 0xff is an escaped NUL, not the terminator.
+    while end >= 0 and data[end + 1 : end + 2] == b"\xff":
+        end = data.find(_STRING_TERMINATOR, end + 2)
+    if end < 0:
+        raise KeyEncodingError("unterminated string in encoded key")
+    return data[offset:end].replace(_STRING_ESCAPE, _STRING_TERMINATOR), end + 1
 
 
 def decode_value(data: bytes, offset: int = 0) -> Tuple[Any, int]:

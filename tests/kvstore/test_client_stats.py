@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import ClusterConfig, PiqlDatabase
@@ -79,6 +81,23 @@ class TestLatencyReservoir:
             stats.record_latency(i * 0.001)
         assert len(stats.latency_samples) == 16
         assert stats.samples_seen == 1000
+
+    def test_eviction_stream_is_the_fixed_seed_stream(self):
+        """The RNG is built on the first eviction, not per instance — and
+        still replays algorithm R over ``Random(0x5EED)`` exactly."""
+        stats = ClientStats(reservoir_capacity=8)
+        for i in range(8):
+            stats.record_latency(float(i))
+        assert stats._rng is None
+        assert stats.snapshot()._rng is None
+        expected = [float(i) for i in range(8)]
+        rng = random.Random(0x5EED)
+        for seen in range(9, 209):
+            stats.record_latency(float(seen))
+            slot = rng.randrange(seen)
+            if slot < 8:
+                expected[slot] = float(seen)
+        assert stats.latency_samples == expected
 
     def test_reservoir_remains_representative(self):
         stats = ClientStats(reservoir_capacity=128)

@@ -87,6 +87,28 @@ class TestLatencyModel:
         assert w0 != w1
         assert LatencyModel(seed=9).weather(10.0) == pytest.approx(w0)
 
+    def test_memoised_weather_equals_a_fresh_draw(self):
+        model = LatencyModel(seed=9)
+        interval = model.params.weather_interval_seconds
+
+        def fresh(seed, sim_time, params=None):
+            return LatencyModel(params, seed=seed).weather(sim_time)
+
+        # Either side of an interval boundary, asked repeatedly and out of
+        # order, so every answer after the first comes from the memo.
+        for sim_time in (interval - 1.0, interval, interval - 1.0, 0.0, 2 * interval):
+            assert model.weather(sim_time) == fresh(9, sim_time)
+        model.reseed(10)
+        assert model.weather(interval - 1.0) == fresh(10, interval - 1.0)
+        assert model.weather(interval - 1.0) != fresh(9, interval - 1.0)
+        model.params = LatencyParameters(weather_sigma=0.4)
+        assert model.weather(interval - 1.0) == fresh(
+            10, interval - 1.0, LatencyParameters(weather_sigma=0.4)
+        )
+        model.reseed(9)
+        model.params = LatencyParameters()
+        assert model.weather(0.0) == fresh(9, 0.0)
+
     def test_weather_disabled_when_sigma_zero(self):
         model = LatencyModel(LatencyParameters(weather_sigma=0.0), seed=1)
         assert model.weather(0) == 1.0

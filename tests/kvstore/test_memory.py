@@ -85,6 +85,31 @@ class TestRangeOperations:
         pairs = populated.range(b"key00", b"key09", limit=3, ascending=False)
         assert [k for k, _ in pairs] == [b"key08", b"key07", b"key06"]
 
+    @pytest.mark.parametrize(
+        "start, end, limit, expected",
+        [
+            # The limit binds at the top of the range ...
+            (b"key02", b"key07", 2, [b"key06", b"key05"]),
+            (None, None, 1, [b"key09"]),
+            # ... is exactly the range, or is wider than it (bottom end).
+            (b"key02", b"key05", 3, [b"key04", b"key03", b"key02"]),
+            (b"key00", b"key02", 5, [b"key01", b"key00"]),
+            (None, b"key01", 5, [b"key00"]),
+            (b"key02", b"key07", 0, []),
+        ],
+    )
+    def test_descending_limit_keeps_the_top_of_the_range(
+        self, populated, start, end, limit, expected
+    ):
+        pairs = populated.range(start, end, limit=limit, ascending=False)
+        assert [k for k, _ in pairs] == expected
+        unlimited = populated.range(start, end, ascending=False)
+        assert pairs == unlimited[:limit]
+
+    def test_zero_limit_is_empty(self, populated):
+        assert populated.range(limit=0) == []
+        assert populated.range(b"key02", b"key07", limit=0) == []
+
     def test_empty_range(self, populated):
         assert populated.range(b"x", b"y") == []
 

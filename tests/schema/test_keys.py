@@ -59,6 +59,15 @@ class TestEncodeDecode:
         with pytest.raises(KeyEncodingError):
             decode_value(b"\x05abc")
 
+    @pytest.mark.parametrize(
+        "tail", [b"", b"abc", b"\x00\xff", b"a\x00\xff\x00\xff", b"\x00\xff\xff"]
+    )
+    def test_unterminated_tail_after_escapes(self, tail):
+        # An escaped NUL is not a terminator, wherever the data stops.
+        for tag in (b"\x05", b"\x06"):
+            with pytest.raises(KeyEncodingError):
+                decode_value(tag + tail)
+
 
 class TestOrdering:
     @pytest.mark.parametrize(
@@ -107,6 +116,39 @@ class TestOrdering:
             assert decoded == 0.0
         else:
             assert decoded == value
+
+
+    # Byte strings dense in NULs and 0xff: embedded NULs, runs of the escape
+    # pair itself, and values ending in either byte.
+    nul_heavy = st.lists(
+        st.sampled_from([b"\x00", b"\xff", b"\x00\xff", b"\xff\x00", b"a"]),
+        max_size=12,
+    ).map(b"".join)
+
+    @given(st.lists(nul_heavy, min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_nul_heavy_bytes_roundtrip_inside_a_key(self, values):
+        encoded = encode_key(values)
+        assert decode_key(encoded) == values
+        # Each component ends where the next begins.
+        offset = 0
+        for value in values:
+            decoded, offset = decode_value(encoded, offset)
+            assert decoded == value
+        assert offset == len(encoded)
+        # Dropping the last terminator leaves an unterminated tail.
+        with pytest.raises(KeyEncodingError):
+            decode_key(encoded[:-1])
+
+    @given(nul_heavy, nul_heavy)
+    def test_nul_heavy_bytes_order_preserved(self, a, b):
+        assert (encode_value(a) < encode_value(b)) == (a < b)
+
+    @given(st.text(alphabet="\x00a\xff", max_size=12))
+    def test_nul_heavy_text_roundtrip(self, value):
+        decoded, offset = decode_value(encode_value(value))
+        assert decoded == value
+        assert offset == len(encode_value(value))
 
 
 class TestPrefixRanges:
