@@ -33,7 +33,7 @@ from ..kvstore.simtime import SimClock
 from ..obs.audit import BoundAuditor
 from ..obs.trace import Tracer
 from ..optimizer.assistant import PerformanceInsightAssistant, QueryDiagnosis
-from ..optimizer.optimizer import PiqlOptimizer
+from ..optimizer.optimizer import OptimizedQuery, PiqlOptimizer
 from ..schema.catalog import Catalog
 from ..schema.ddl import IndexColumn, IndexDefinition, Table
 from ..sql import ast
@@ -85,6 +85,11 @@ class PiqlDatabase:
         self.assistant = PerformanceInsightAssistant(self.catalog)
         self.telemetry = None
         self._prepared_cache: Dict[str, Tuple[int, PreparedQuery]] = {}
+        #: Compiled plans by SQL text, stamped with the catalog version they
+        #: were compiled under; one dict per logical database, shared by
+        #: every ``new_client`` view (a plan binds no view state — the
+        #: :class:`PreparedQuery` wrapping it does, so that stays per view).
+        self._compiled_cache: Dict[str, Tuple[int, OptimizedQuery]] = {}
         self._default_session: Optional[Session] = None
         #: The view's resilience policy, or ``None`` for the legacy
         #: immediate-retry behaviour.  ``resilience=None``/``True`` attach
@@ -173,6 +178,7 @@ class PiqlDatabase:
         if self.client.tracer is not None:
             clone.client.enable_tracing()
         clone._prepared_cache = {}
+        clone._compiled_cache = self._compiled_cache
         clone._default_session = None
         clone.unavailable_retries = self.unavailable_retries
         # Each view gets its own policy instance (per-client budget,
@@ -359,10 +365,15 @@ class PiqlDatabase:
         cached = self._prepared_cache.get(sql)
         if cached is not None and cached[0] == self.catalog.version:
             return cached[1]
-        optimized = self.optimizer.optimize(sql)
-        for index in optimized.required_indexes:
-            if not self.catalog.has_index(index.name):
-                self.create_index(index, auto_created=True)
+        compiled = self._compiled_cache.get(sql)
+        if compiled is not None and compiled[0] == self.catalog.version:
+            optimized = compiled[1]
+        else:
+            optimized = self.optimizer.optimize(sql)
+            for index in optimized.required_indexes:
+                if not self.catalog.has_index(index.name):
+                    self.create_index(index, auto_created=True)
+            self._compiled_cache[sql] = (self.catalog.version, optimized)
         prepared = PreparedQuery(optimized, self.executor, session=self.default_session)
         self._prepared_cache[sql] = (self.catalog.version, prepared)
         return prepared

@@ -75,7 +75,9 @@ class QueryExecutor:
     ) -> QueryResult:
         """Execute a compiled query (or the next page of a paginated one)."""
         strategy = strategy or self.config.strategy
-        fingerprint = self._fingerprint(query)
+        # Only pagination reads the fingerprint: it binds a page's cursor to
+        # the query and plan that issued it.
+        fingerprint = self._fingerprint(query) if query.is_paginated else ""
         resume_positions: Dict[str, bytes] = {}
         previous = maybe_deserialize(cursor)
         if previous is not None:
@@ -97,7 +99,9 @@ class QueryExecutor:
         tracer = self.client.tracer
         context.tracer = tracer
 
-        stats_before = self.client.stats.snapshot()
+        counters = self.client.stats.metrics.live_counters
+        operations_before = counters.get("client.operations", 0)
+        rpcs_before = counters.get("client.rpcs", 0)
         time_before = self.client.clock.now
         root_span = None
         if tracer is not None:
@@ -129,13 +133,13 @@ class QueryExecutor:
             raise
         if root_span is not None:
             tracer.end_span(root_span)
-        stats_after = self.client.stats.snapshot()
-        delta = stats_after.delta(stats_before)
+        operations = counters.get("client.operations", 0) - operations_before
+        rpcs = counters.get("client.rpcs", 0) - rpcs_before
         latency = self.client.clock.now - time_before
         if root_span is not None:
             attributes = root_span.attributes
-            attributes["operations"] = delta.operations
-            attributes["rpcs"] = delta.rpcs
+            attributes["operations"] = operations
+            attributes["rpcs"] = rpcs
             attributes["latency_seconds"] = latency
             attributes["rows"] = len(rows)
             if query.bound is not None:
@@ -150,7 +154,7 @@ class QueryExecutor:
         elif auditor is not None:
             auditor.observe_query(
                 query,
-                delta.operations,
+                operations,
                 latency,
                 span=root_span,
                 enforce=self.config.enforce_bounds,
@@ -158,10 +162,10 @@ class QueryExecutor:
         elif (
             self.config.enforce_bounds
             and query.bound is not None
-            and delta.operations > query.bound.max_operations
+            and operations > query.bound.max_operations
         ):
             raise BoundViolationError(
-                delta.operations, query.bound.max_operations, query.sql
+                operations, query.bound.max_operations, query.sql
             )
 
         next_cursor: Optional[str] = None
@@ -180,8 +184,8 @@ class QueryExecutor:
         return QueryResult(
             rows=rows,
             latency_seconds=latency,
-            operations=delta.operations,
-            rpcs=delta.rpcs,
+            operations=operations,
+            rpcs=rpcs,
             cursor=next_cursor,
             has_more=has_more,
         )
@@ -226,15 +230,16 @@ class QueryExecutor:
             fused=self.config.fused,
             tracer=self.client.tracer,
         )
-        stats_before = self.client.stats.snapshot()
+        counters = self.client.stats.metrics.live_counters
+        operations_before = counters.get("client.operations", 0)
+        rpcs_before = counters.get("client.rpcs", 0)
         time_before = self.client.clock.now
         rows = execute_output(plan, context)
-        delta = self.client.stats.snapshot().delta(stats_before)
         return QueryResult(
             rows=rows,
             latency_seconds=self.client.clock.now - time_before,
-            operations=delta.operations,
-            rpcs=delta.rpcs,
+            operations=counters.get("client.operations", 0) - operations_before,
+            rpcs=counters.get("client.rpcs", 0) - rpcs_before,
         )
 
     # ------------------------------------------------------------------

@@ -914,26 +914,34 @@ def _aggregate_value(spec: L.AggregateSpec, rows: List[InternalRow]) -> Any:
 def _project_row(
     items: Tuple[L.ProjectionItem, ...], row: InternalRow
 ) -> Dict[str, Any]:
+    """Flatten an internal row into the user-visible one.
+
+    Collision rule: a column name seen again with an equal value stays one
+    column; with a different value the later one is emitted as
+    ``alias.column``.
+    """
     output: Dict[str, Any] = {}
-
-    def add(name: str, value: Any, qualifier: str) -> None:
-        if name in output and output[name] != value:
-            output[f"{qualifier}.{name}"] = value
-        else:
-            output[name] = value
-
     for item in items:
-        if isinstance(item, L.StarItem):
+        kind = type(item)
+        if kind is L.BoundColumn:
+            name = item.column
+            value = column_value(row, item)
+            if name in output and output[name] != value:
+                output[f"{item.relation}.{name}"] = value
+            else:
+                output[name] = value
+        elif kind is L.StarItem:
             relations = (
-                [item.relation] if item.relation is not None else
+                (item.relation,) if item.relation is not None else
                 [alias for alias in row if alias != "__agg__"]
             )
             for alias in relations:
-                for column, value in row.get(alias, {}).items():
-                    add(column, value, alias)
-        elif isinstance(item, L.BoundColumn):
-            add(item.column, column_value(row, item), item.relation)
-        elif isinstance(item, L.AggregateSpec):
+                for name, value in row.get(alias, {}).items():
+                    if name in output and output[name] != value:
+                        output[f"{alias}.{name}"] = value
+                    else:
+                        output[name] = value
+        elif kind is L.AggregateSpec:
             output[item.output_name] = row.get("__agg__", {}).get(item.output_name)
         else:  # pragma: no cover
             raise ExecutionError(f"unsupported projection item {item!r}")

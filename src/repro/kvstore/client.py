@@ -236,21 +236,32 @@ class StorageClient:
         rpcs: int = 1,
         op: str = "rpc",
         namespace: str = "",
+        saved_reads: Optional[int] = None,
     ) -> Optional[Span]:
+        """Account one completed RPC: clock, counters (one registry call),
+        latency reservoir, breakers, span.
+
+        ``saved_reads`` (batched reads only) counts logical reads the batch
+        served without a physical fetch; they still count as keys touched.
+        """
         started = self.clock.now
         latency = result.latency_seconds
         self.clock.advance(latency)
-        metrics = self.stats.metrics
-        metrics.add("client.operations", operations)
-        metrics.add("client.keys_touched", result.keys_touched)
-        metrics.add("client.rpcs", rpcs)
+        counts = [
+            ("client.operations", operations),
+            ("client.keys_touched", result.keys_touched + (saved_reads or 0)),
+            ("client.rpcs", rpcs),
+        ]
         if result.partial:
-            metrics.add("client.partial_results", 1)
+            counts.append(("client.partial_results", 1))
         if result.hinted:
-            metrics.add("client.hinted_writes", result.hinted)
+            counts.append(("client.hinted_writes", result.hinted))
         if result.repaired:
-            metrics.add("client.read_repairs", result.repaired)
-        metrics.add("client.total_latency_seconds", latency)
+            counts.append(("client.read_repairs", result.repaired))
+        counts.append(("client.total_latency_seconds", latency))
+        if saved_reads is not None:
+            counts.append(("client.saved_reads", saved_reads))
+        self.stats.metrics.add_many(counts)
         self.stats.record_latency(latency)
         if self.breakers is not None:
             if result.node_id >= 0:
@@ -476,10 +487,11 @@ class StorageClient:
             hit = cache.get((namespace, key))
             if hit is not None:
                 value, ready_at = hit
-                metrics = self.stats.metrics
-                metrics.add("client.operations", 1)
-                metrics.add("client.keys_touched", 1)
-                metrics.add("client.coalesced_reads", 1)
+                self.stats.metrics.add_many((
+                    ("client.operations", 1),
+                    ("client.keys_touched", 1),
+                    ("client.coalesced_reads", 1),
+                ))
                 started = self.clock.now
                 self._coalesced_wait(ready_at)
                 if self.tracer is not None:
@@ -570,10 +582,11 @@ class StorageClient:
         """
         if count <= 0:
             return
-        metrics = self.stats.metrics
-        metrics.add("client.operations", count)
-        metrics.add("client.keys_touched", count)
-        metrics.add("client.saved_reads", count)
+        self.stats.metrics.add_many((
+            ("client.operations", count),
+            ("client.keys_touched", count),
+            ("client.saved_reads", count),
+        ))
 
     def multi_get(
         self,
@@ -598,7 +611,6 @@ class StorageClient:
         """
         logical = len(keys) if logical_operations is None else logical_operations
         cache = self._gather_cache
-        metrics = self.stats.metrics
         if cache is None or not parallel:
             try:
                 result = self.cluster.multi_get(
@@ -612,9 +624,8 @@ class StorageClient:
             self._record(
                 result, operations=logical, rpcs=1 if parallel else len(keys),
                 op="multi_get", namespace=namespace,
+                saved_reads=logical - len(keys),
             )
-            metrics.add("client.keys_touched", logical - len(keys))
-            metrics.add("client.saved_reads", logical - len(keys))
             return result.value  # type: ignore[return-value]
         values: List[Optional[bytes]] = [None] * len(keys)
         miss_keys: List[bytes] = []
@@ -622,6 +633,7 @@ class StorageClient:
         started = self.clock.now
         ready_at = started
         hits: List[bytes] = []
+        counts: List[Tuple[str, float]] = []
         for slot, key in enumerate(keys):
             hit = cache.get((namespace, key))
             if hit is None:
@@ -662,15 +674,20 @@ class StorageClient:
                     self._attach_logical_read(rpc_span, key)
                     self._gather_spans[(namespace, key)] = rpc_span
             ready_at = max(ready_at, done_at)
-            metrics.add("client.rpcs", 1)
+            counts.append(("client.rpcs", 1))
             if result.repaired:
-                metrics.add("client.read_repairs", result.repaired)
-            metrics.add("client.total_latency_seconds", result.latency_seconds)
+                counts.append(("client.read_repairs", result.repaired))
+            counts.append(
+                ("client.total_latency_seconds", result.latency_seconds)
+            )
             self.stats.record_latency(result.latency_seconds)
-        metrics.add("client.operations", logical)
-        metrics.add("client.keys_touched", logical)
-        metrics.add("client.saved_reads", logical - len(keys))
-        metrics.add("client.coalesced_reads", len(hits))
+        counts += [
+            ("client.operations", logical),
+            ("client.keys_touched", logical),
+            ("client.saved_reads", logical - len(keys)),
+            ("client.coalesced_reads", len(hits)),
+        ]
+        self.stats.metrics.add_many(counts)
         self._coalesced_wait(ready_at)
         if self.tracer is not None:
             for key in hits:

@@ -19,9 +19,13 @@ scatter-gather:
 * writes go to every up replica and acknowledge once the ``W`` fastest have
   answered; replicas that are down get **hinted handoff** (the coordinator
   buffers the write and replays it at recovery);
-* reads consult ``R`` replicas (chosen deterministically per key so
-  interleaved clients route identically), resolve conflicts newest-sequence-
-  wins, and **read-repair** stale replicas in the background;
+* reads consult ``R`` replicas, resolve conflicts newest-sequence-wins, and
+  **read-repair** stale replicas in the background.  A key's read order is
+  a pure function of ``(key, replica_seed, topology)`` kept in the
+  replication manager's placement cache, so interleaved clients route
+  identically; which of those replicas can serve is decided once per
+  request — one serving set for a whole ``multi_get`` batch — and each
+  observed record is unpacked once;
 * range requests merge every up node's slice of the range and charge the
   replicas that actually served winning records;
 * topology changes (node added / removed / recovered) trigger
@@ -44,9 +48,8 @@ from __future__ import annotations
 
 import os
 import tempfile
-import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     ExecutionError,
@@ -60,7 +63,6 @@ from ..replication.store import (
     MISSING_SEQ,
     decode_record,
     encode_record,
-    record_seq,
 )
 from .engine import create_engine
 from .engine.base import EngineRecovery, StorageEngine
@@ -155,9 +157,14 @@ class ClusterConfig:
         return self.replication if self.write_quorum is None else self.write_quorum
 
 
-@dataclass(frozen=True)
+@dataclass
 class OpResult:
     """Result of a single cluster operation.
+
+    A value object — nothing mutates one after the cluster returns it.  Not
+    declared frozen because a frozen dataclass pays ``object.__setattr__``
+    per field on construction, which at twelve fields was ~1.5 us of every
+    RPC.
 
     Attributes
     ----------
@@ -326,20 +333,15 @@ class KeyValueCluster:
     def up_node_ids(self) -> List[int]:
         return [node.node_id for node in self.nodes if node.up]
 
-    def _available(self, node_id: int) -> bool:
-        """Up *and* reachable from the client — what serving paths require.
+    def _serving_ids(self) -> List[int]:
+        """Node ids that can serve client traffic right now: up *and*
+        reachable from the client.
 
         A partitioned-away node is indistinguishable from a crashed one to
         the coordinator, so both are treated the same on the request path;
         they differ only in recovery (a partitioned node needs no hint
         replay for writes it already applied).
         """
-        return self.nodes[node_id].up and self.network.reachable(
-            CLIENT, node_id
-        )
-
-    def _serving_ids(self) -> List[int]:
-        """Node ids that can serve client traffic right now."""
         if not self.network.active:
             return self.up_node_ids()
         return [
@@ -347,6 +349,11 @@ class KeyValueCluster:
             for node in self.nodes
             if node.up and self.network.reachable(CLIENT, node.node_id)
         ]
+
+    def _serving_set(self) -> Set[int]:
+        """:meth:`_serving_ids` for membership tests.  Request paths take it
+        once per request; replica choice is then a set lookup per replica."""
+        return set(self._serving_ids())
 
     def crash_node(self, node_id: int) -> StorageNode:
         """Take a node down; its replicas stop serving until recovery.
@@ -480,59 +487,57 @@ class KeyValueCluster:
     def _preference_list(self, namespace: str, key: bytes) -> List[int]:
         return self.replication.preference_list(namespace, key)
 
-    def _rotated_preference(self, namespace: str, key: bytes) -> List[int]:
-        """Preference list rotated by a per-key salt.
-
-        The rotation spreads *read* traffic over a key's replicas while
-        staying a pure function of ``(key, replica_seed)`` — no shared
-        mutable state, so interleaved clients route identically run to run.
-        """
-        prefs = self._preference_list(namespace, key)
-        if len(prefs) <= 1:
-            return prefs
-        digest = zlib.crc32(namespace.encode("utf-8") + b"\x00" + key)
-        seed = self.config.effective_replica_seed & 0xFFFFFFFF
-        offset = zlib.crc32(key, digest ^ seed) % len(prefs)
-        return prefs[offset:] + prefs[:offset]
-
     def _read_replicas(
         self,
         namespace: str,
         key: bytes,
+        serving: Set[int],
         suspects: Optional[Set[int]] = None,
     ) -> Tuple[List[int], Tuple[int, ...]]:
-        """The ``R`` available replicas that serve a read of ``key``.
+        """The ``R`` replicas that serve a read of ``key``.
 
-        Returns ``(chosen, unavailable)``: the quorum actually used plus
-        the preference-list replicas skipped as down/unreachable — the
-        caller surfaces the latter so the client's breakers can fence
-        nodes its own traffic keeps observing unavailable.
+        ``serving`` is the request's serving set (:meth:`_serving_set`),
+        resolved once however many keys the request carries.  Returns
+        ``(chosen, unavailable)``: the quorum actually used plus the
+        preference-list replicas skipped as down/unreachable — the caller
+        surfaces the latter so the client's breakers can fence nodes its
+        own traffic keeps observing unavailable.
 
         Raises :class:`QuorumNotMetError` when fewer than ``R`` replicas of
-        the key are up and reachable.  ``suspects`` (nodes whose circuit
-        breaker is open at the calling client) are deprioritised: they are
-        only chosen when the quorum cannot be met from healthy replicas.
+        the key are serving.  ``suspects`` (nodes whose circuit breaker is
+        open at the calling client) are deprioritised: they are only chosen
+        when the quorum cannot be met from healthy replicas.
         """
         needed = self.config.effective_read_quorum
-        chosen: List[int] = []
-        unavailable: List[int] = []
-        for node_id in self._rotated_preference(namespace, key):
-            if self._available(node_id):
-                chosen.append(node_id)
-            else:
-                unavailable.append(node_id)
+        chosen = self.replication.read_preference(namespace, key)
+        unavailable: Tuple[int, ...] = ()
+        if not serving.issuperset(chosen):
+            unavailable = tuple(
+                node_id for node_id in chosen if node_id not in serving
+            )
+            chosen = [node_id for node_id in chosen if node_id in serving]
         if suspects and len(chosen) > needed:
             healthy = [nid for nid in chosen if nid not in suspects]
             if len(healthy) >= needed:
                 chosen = healthy + [nid for nid in chosen if nid in suspects]
         if len(chosen) < needed:
             raise QuorumNotMetError("read", namespace, needed, len(chosen))
-        return chosen[:needed], tuple(unavailable)
+        return chosen[:needed], unavailable
 
-    def route(self, namespace: str, key: bytes) -> StorageNode:
-        """The node that serves a (single-replica) read for ``key``."""
-        for node_id in self._rotated_preference(namespace, key):
-            if self._available(node_id):
+    def route(
+        self,
+        namespace: str,
+        key: bytes,
+        serving: Optional[Collection[int]] = None,
+    ) -> StorageNode:
+        """The node that serves a (single-replica) read for ``key``.
+
+        Request paths that already resolved their serving nodes pass them.
+        """
+        if serving is None:
+            serving = self._serving_set()
+        for node_id in self.replication.read_preference(namespace, key):
+            if node_id in serving:
                 return self.nodes[node_id]
         raise QuorumNotMetError("read", namespace, 1, 0)
 
@@ -827,11 +832,13 @@ class KeyValueCluster:
         value: Optional[bytes],
         sim_time: float,
         operation: str,
+        serving: Set[int],
         suspects: Optional[Set[int]] = None,
     ) -> Tuple[float, int, int, Tuple[int, ...]]:
         """Write a record (or tombstone) to a key's replicas.
 
-        Sends to every available replica (down or unreachable replicas get
+        Sends to every replica in ``serving``, the request's serving set
+        (:meth:`_serving_set`; down or unreachable replicas get
         hints), charges each destination, and returns ``(ack latency,
         primary node id, hints, unavailable replicas observed)`` where the
         ack latency is the ``W``-th fastest replica's — the coordinator
@@ -856,7 +863,7 @@ class KeyValueCluster:
         """
         prefs = self._preference_list(namespace, key)
         needed = self.config.effective_write_quorum
-        available = [nid for nid in prefs if self._available(nid)]
+        available = [nid for nid in prefs if nid in serving]
         if len(available) < needed:
             raise QuorumNotMetError(operation, namespace, needed, len(available))
         skip: Set[int] = set()
@@ -871,7 +878,7 @@ class KeyValueCluster:
         unavailable: List[int] = []
         network = self.network
         for node_id in prefs:
-            if not self._available(node_id) or node_id in skip:
+            if node_id not in serving or node_id in skip:
                 if node_id not in skip:
                     unavailable.append(node_id)
                 self.replication.add_hint(node_id, namespace, key, record)
@@ -900,45 +907,53 @@ class KeyValueCluster:
 
     def _resolve_newest(
         self, namespace: str, key: bytes, chosen: Sequence[int]
-    ) -> Tuple[Optional[bytes], List[int], List[Tuple[int, Optional[bytes]]]]:
+    ) -> Tuple[Optional[bytes], Optional[bytes], List[int], List[int]]:
         """Resolve a key across ``chosen`` replicas in one pass.
 
-        Returns ``(newest record, stale replica ids, observed records)``
-        where ``observed`` is each chosen replica's own ``(node_id,
-        record)`` — callers size their RPC charges from it without touching
-        the stores again.  Shared by the single-key and batched read paths
-        so conflict resolution can never diverge between them.
+        Returns ``(newest record, its live value, stale replica ids,
+        payload sizes)``: the value is ``None`` for a tombstone or a key no
+        replica has heard of, and ``sizes[i]`` is the payload ``chosen[i]``
+        itself shipped — what its read RPC is charged for.  Each observed
+        record is unpacked once (a copy equal to the newest so far not at
+        all).  Shared by the single-key and batched read paths so conflict
+        resolution can never diverge between them.
         """
+        stores = self.replication.stores
         best_seq = MISSING_SEQ
         best_record: Optional[bytes] = None
-        observed: List[Tuple[int, Optional[bytes]]] = []
+        best_size = 0
+        value: Optional[bytes] = None
+        seqs: List[int] = []
+        sizes: List[int] = []
         for node_id in chosen:
-            record = self.replication.stores[node_id].get_record(namespace, key)
-            observed.append((node_id, record))
-            seq = record_seq(record)
-            if seq > best_seq:
-                best_seq, best_record = seq, record
-        if best_record is None:
-            return None, [], observed
-        stale = [
-            node_id
-            for node_id, record in observed
-            if record_seq(record) < best_seq
-        ]
-        return best_record, stale, observed
-
-    @staticmethod
-    def _payload_size(record: Optional[bytes]) -> int:
-        if record is None:
-            return 0
-        value = decode_record(record)[1]
-        return len(value) if value is not None else 0
+            record = stores[node_id].get_record(namespace, key)
+            if record is None:
+                seq, size = MISSING_SEQ, 0
+            elif record == best_record:
+                seq, size = best_seq, best_size
+            else:
+                seq, payload = decode_record(record)
+                size = len(payload) if payload is not None else 0
+                if seq > best_seq:
+                    best_seq, best_record, best_size, value = (
+                        seq, record, size, payload,
+                    )
+            seqs.append(seq)
+            sizes.append(size)
+        # Replicas agree far more often than not; ``min`` is the cheap test.
+        stale = (
+            [node_id for node_id, seq in zip(chosen, seqs) if seq < best_seq]
+            if min(seqs) < best_seq
+            else []
+        )
+        return best_record, value, stale, sizes
 
     def _read_one(
         self,
         namespace: str,
         key: bytes,
         sim_time: float,
+        serving: Set[int],
         suspects: Optional[Set[int]] = None,
     ) -> Tuple[Optional[bytes], float, int, int, float, Tuple[int, ...]]:
         """Quorum read of one key: ``(live value, latency, serving node,
@@ -955,23 +970,23 @@ class KeyValueCluster:
         charge or repair is applied — a lost reply means the coordinator
         learned nothing.
         """
-        chosen, unavailable = self._read_replicas(namespace, key, suspects)
+        chosen, unavailable = self._read_replicas(
+            namespace, key, serving, suspects
+        )
         network = self.network
         if network.active:
             for node_id in chosen:
                 if not network.delivers(CLIENT, node_id):
                     self.metrics.add("network.dropped", 1)
                     raise RpcTimeoutError("get", namespace, node_id)
-        best_record, stale, observed = self._resolve_newest(
+        best_record, value, stale, sizes = self._resolve_newest(
             namespace, key, chosen
         )
         latency = 0.0
         queue_wait = 0.0
-        for node_id, record in observed:
+        for node_id, size in zip(chosen, sizes):
             node = self.nodes[node_id]
-            rpc = node.charge_read(
-                1, self._payload_size(record), sim_time
-            )
+            rpc = node.charge_read(1, size, sim_time)
             if network.active:
                 rpc += network.delay_seconds(CLIENT, node_id)
             if rpc >= latency:
@@ -980,18 +995,16 @@ class KeyValueCluster:
                 queue_wait = node.last_queue_wait_seconds
             latency = max(latency, rpc)
         repaired = 0
-        if best_record is not None:
-            for node_id in stale:
-                if self.replication.stores[node_id].apply_record(
-                    namespace, key, best_record
-                ):
-                    self.nodes[node_id].charge_write(
-                        1, len(best_record), sim_time
-                    )
-                    repaired += 1
+        for node_id in stale:
+            if self.replication.stores[node_id].apply_record(
+                namespace, key, best_record
+            ):
+                self.nodes[node_id].charge_write(
+                    1, len(best_record), sim_time
+                )
+                repaired += 1
         if repaired:
             self.metrics.add("replication.read_repairs", repaired)
-        value = decode_record(best_record)[1] if best_record is not None else None
         return value, latency, chosen[0], repaired, queue_wait, unavailable
 
     # ------------------------------------------------------------------
@@ -1016,8 +1029,9 @@ class KeyValueCluster:
         by the nodes; the client layer accounts it as a saved read.
         """
         self._require(namespace)
+        serving = self._serving_set()
         value, latency, node_id, repaired, queue_wait, unavailable = (
-            self._read_one(namespace, key, sim_time, suspects)
+            self._read_one(namespace, key, sim_time, serving, suspects)
         )
         hedged = False
         if (
@@ -1027,7 +1041,7 @@ class KeyValueCluster:
             hedged = True
             try:
                 h_value, h_latency, h_node, h_repaired, h_wait, _ = (
-                    self._read_one(namespace, key, sim_time, suspects)
+                    self._read_one(namespace, key, sim_time, serving, suspects)
                 )
             except UnavailableError:
                 # The hedge itself hit a drop — keep the primary response.
@@ -1058,7 +1072,8 @@ class KeyValueCluster:
         """Write one key to its replica set; acks at the write quorum."""
         self._require(namespace)
         latency, primary, hints, unavailable = self._quorum_write(
-            namespace, key, value, sim_time, operation="put", suspects=suspects
+            namespace, key, value, sim_time, "put", self._serving_set(),
+            suspects,
         )
         return OpResult(
             True, latency, primary, keys_touched=1, hinted=hints,
@@ -1074,18 +1089,18 @@ class KeyValueCluster:
     ) -> OpResult:
         """Delete one key (a replicated tombstone); ``value`` is whether it existed."""
         self._require(namespace)
+        serving = self._serving_set()
         available_prefs = [
             nid
             for nid in self._preference_list(namespace, key)
-            if self._available(nid)
+            if nid in serving
         ]
         _, newest = self.replication.newest_record(
             namespace, key, available_prefs
         )
         existed = newest is not None and decode_record(newest)[1] is not None
         latency, primary, hints, unavailable = self._quorum_write(
-            namespace, key, None, sim_time, operation="delete",
-            suspects=suspects,
+            namespace, key, None, sim_time, "delete", serving, suspects
         )
         return OpResult(
             existed, latency, primary, keys_touched=1, hinted=hints,
@@ -1108,8 +1123,9 @@ class KeyValueCluster:
         so the charged latency is their sum.
         """
         self._require(namespace)
+        serving = self._serving_set()
         current, read_latency, node_id, repaired, _, unavailable = (
-            self._read_one(namespace, key, sim_time, suspects)
+            self._read_one(namespace, key, sim_time, serving, suspects)
         )
         if current != expected:
             return OpResult(
@@ -1117,8 +1133,8 @@ class KeyValueCluster:
                 repaired=repaired, unavailable_nodes=unavailable,
             )
         write_latency, primary, hints, w_unavailable = self._quorum_write(
-            namespace, key, new_value, sim_time, operation="test_and_set",
-            suspects=suspects,
+            namespace, key, new_value, sim_time, "test_and_set", serving,
+            suspects,
         )
         return OpResult(
             True, read_latency + write_latency, primary, keys_touched=1,
@@ -1139,7 +1155,9 @@ class KeyValueCluster:
     ) -> OpResult:
         """Read many keys in one logical request.
 
-        When ``parallel`` is true the per-key replica reads are grouped by
+        The serving set is resolved once for the batch; every key then
+        picks its ``R`` replicas from it exactly as a single :meth:`get`
+        would.  When ``parallel`` is true the replica reads are grouped by
         serving node, each group is charged a single RPC, and the overall
         latency is the maximum over groups (requests issued concurrently).
         When false the keys are fetched one at a time and latencies add up —
@@ -1148,14 +1166,15 @@ class KeyValueCluster:
         self._require(namespace)
         if not keys:
             return OpResult([], 0.0, 0, keys_touched=0)
+        serving = self._serving_set()
+        values: List[Optional[bytes]] = []
+        repaired = 0
+        unavailable_seen: Dict[int, None] = {}
         if not parallel:
-            values: List[Optional[bytes]] = []
             latency = 0.0
-            repaired = 0
-            unavailable_seen: Dict[int, None] = {}
             for key in keys:
                 value, key_latency, _, key_repairs, _, key_unavail = (
-                    self._read_one(namespace, key, sim_time, suspects)
+                    self._read_one(namespace, key, sim_time, serving, suspects)
                 )
                 values.append(value)
                 latency += key_latency
@@ -1170,20 +1189,21 @@ class KeyValueCluster:
         # Parallel: every key's R replica reads happen concurrently, one
         # batched RPC per involved node.  Each key is resolved in a single
         # pass over its replicas; the per-node RPC charges are sized from
-        # the records observed during that pass.
+        # the payloads observed during that pass.
         stores = self.replication.stores
         network = self.network
-        values: List[Optional[bytes]] = []
+        faults = network.active
         group_keys: Dict[int, int] = {}
         group_bytes: Dict[int, int] = {}
         repairs: Dict[int, List[Tuple[bytes, bytes]]] = {}
         dropped_nodes: Set[int] = set()
-        unavailable_seen: Dict[int, None] = {}
         for key in keys:
-            chosen, key_unavail = self._read_replicas(namespace, key, suspects)
+            chosen, key_unavail = self._read_replicas(
+                namespace, key, serving, suspects
+            )
             for nid in key_unavail:
                 unavailable_seen[nid] = None
-            if network.active:
+            if faults:
                 # One batched RPC per node: draw each node's delivery once.
                 for node_id in chosen:
                     if node_id in group_keys or node_id in dropped_nodes:
@@ -1195,33 +1215,25 @@ class KeyValueCluster:
                     raise RpcTimeoutError(
                         "multi_get", namespace, next(iter(dropped_nodes))
                     )
-            best_record, stale, observed = self._resolve_newest(
+            best_record, value, stale, sizes = self._resolve_newest(
                 namespace, key, chosen
             )
-            for node_id, record in observed:
+            for node_id, size in zip(chosen, sizes):
                 group_keys[node_id] = group_keys.get(node_id, 0) + 1
-                group_bytes[node_id] = (
-                    group_bytes.get(node_id, 0) + self._payload_size(record)
-                )
-            if best_record is not None:
-                for node_id in stale:
-                    repairs.setdefault(node_id, []).append((key, best_record))
-            values.append(
-                decode_record(best_record)[1] if best_record is not None else None
-            )
+                group_bytes[node_id] = group_bytes.get(node_id, 0) + size
+            for node_id in stale:
+                repairs.setdefault(node_id, []).append((key, best_record))
+            values.append(value)
         latency = 0.0
         queue_wait = 0.0
         for node_id, count in group_keys.items():
             node = self.nodes[node_id]
-            rpc = node.charge_read(
-                count, group_bytes.get(node_id, 0), sim_time
-            )
-            if network.active:
+            rpc = node.charge_read(count, group_bytes[node_id], sim_time)
+            if faults:
                 rpc += network.delay_seconds(CLIENT, node_id)
             if rpc >= latency:
                 queue_wait = node.last_queue_wait_seconds
             latency = max(latency, rpc)
-        repaired = 0
         for node_id, stale_records in repairs.items():
             applied = 0
             nbytes = 0
@@ -1377,7 +1389,7 @@ class KeyValueCluster:
                 # the anchor key's whole replica set may be down too — any
                 # surviving node can host the probe then.
                 try:
-                    probe = self.route(namespace, start)
+                    probe = self.route(namespace, start, up_ids)
                 except QuorumNotMetError:
                     if not partial:
                         raise
@@ -1464,7 +1476,7 @@ class KeyValueCluster:
             self.replication.merged_range(namespace, serving, start, end)
         )
         anchor = start if start is not None else b""
-        node = self.route(namespace, anchor)
+        node = self.route(namespace, anchor, serving)
         if self.network.active and not self.network.delivers(
             CLIENT, node.node_id
         ):

@@ -157,12 +157,18 @@ class LatencyModel:
             Simulated time at which the request is issued; selects the
             weather interval.
         """
+        # :meth:`median_ms`, :meth:`queueing_factor` and the sigma test of
+        # :meth:`weather`, inline — this runs once per charged RPC.
         p = self.params
-        median = self.median_ms(num_keys, num_bytes)
-        noise = math.exp(self._rng.gauss(0.0, p.lognormal_sigma))
-        latency_ms = median * noise
-        if self._rng.random() < p.straggler_probability:
+        rng = self._rng
+        latency_ms = (
+            p.base_rpc_ms
+            + p.per_key_ms * max(0, num_keys)
+            + p.per_kilobyte_ms * max(0, num_bytes) / 1024.0
+        ) * math.exp(rng.gauss(0.0, p.lognormal_sigma))
+        if rng.random() < p.straggler_probability:
             latency_ms *= p.straggler_multiplier
-        latency_ms *= self.queueing_factor(utilization)
-        latency_ms *= self.weather(sim_time)
+        latency_ms *= 1.0 / (1.0 - min(max(utilization, 0.0), p.max_utilization))
+        if p.weather_sigma > 0:
+            latency_ms *= self.weather(sim_time)
         return latency_ms / 1000.0

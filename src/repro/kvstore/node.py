@@ -159,47 +159,55 @@ class StorageNode:
         """Clear a slow-node degradation."""
         self.speed_factor = 1.0
 
-    def _queue_wait(self, sim_time: float, service_seconds: float) -> float:
-        """Waiting time behind in-flight requests (zero without a queue)."""
+    def _charge(
+        self,
+        rpc_counter: str,
+        keys_counter: str,
+        num_keys: int,
+        num_bytes: int,
+        sim_time: float,
+        filtered: Optional[int] = None,
+    ) -> float:
+        """Charge one RPC: sample, queue, count; return its latency (s).
+
+        ``num_keys`` is what the latency model is charged for and what
+        ``keys_counter`` grows by.  With a request queue installed the RPC
+        also waits behind in-flight requests; ``node.queue_wait_seconds``
+        exists only then, ``node.keys_filtered`` only after a filtered range.
+        """
+        latency = self.latency_model.sample_seconds(
+            num_keys, num_bytes, self.utilization, sim_time
+        )
+        latency *= self.speed_factor
         if self.request_queue is None:
             self.last_queue_wait_seconds = 0.0
-            return 0.0
-        wait = self.request_queue.on_request(sim_time, service_seconds)
-        self.last_queue_wait_seconds = wait
-        self.stats.metrics.add("node.queue_wait_seconds", wait)
-        return wait
+            counts = [(rpc_counter, 1), (keys_counter, num_keys)]
+        else:
+            wait = self.request_queue.on_request(sim_time, latency)
+            self.last_queue_wait_seconds = wait
+            latency += wait
+            counts = [
+                ("node.queue_wait_seconds", wait),
+                (rpc_counter, 1),
+                (keys_counter, num_keys),
+            ]
+        if filtered is not None:
+            counts.append(("node.keys_filtered", filtered))
+        counts.append(("node.total_latency_seconds", latency))
+        self.stats.metrics.add_many(counts)
+        return latency
 
     def charge_read(self, num_keys: int, num_bytes: int, sim_time: float) -> float:
         """Charge one read RPC touching ``num_keys`` keys; return latency (s)."""
-        latency = self.latency_model.sample_seconds(
-            num_keys=num_keys,
-            num_bytes=num_bytes,
-            utilization=self.utilization,
-            sim_time=sim_time,
+        return self._charge(
+            "node.gets", "node.keys_read", num_keys, num_bytes, sim_time
         )
-        latency *= self.speed_factor
-        latency += self._queue_wait(sim_time, latency)
-        metrics = self.stats.metrics
-        metrics.add("node.gets", 1)
-        metrics.add("node.keys_read", num_keys)
-        metrics.add("node.total_latency_seconds", latency)
-        return latency
 
     def charge_range(self, num_keys: int, num_bytes: int, sim_time: float) -> float:
         """Charge one range RPC returning ``num_keys`` keys; return latency (s)."""
-        latency = self.latency_model.sample_seconds(
-            num_keys=num_keys,
-            num_bytes=num_bytes,
-            utilization=self.utilization,
-            sim_time=sim_time,
+        return self._charge(
+            "node.range_requests", "node.keys_read", num_keys, num_bytes, sim_time
         )
-        latency *= self.speed_factor
-        latency += self._queue_wait(sim_time, latency)
-        metrics = self.stats.metrics
-        metrics.add("node.range_requests", 1)
-        metrics.add("node.keys_read", num_keys)
-        metrics.add("node.total_latency_seconds", latency)
-        return latency
 
     def charge_filtered_range(
         self,
@@ -215,33 +223,13 @@ class StorageNode:
         bytes it actually *ships* — that asymmetry is the whole point of
         predicate pushdown.
         """
-        latency = self.latency_model.sample_seconds(
-            num_keys=examined_keys,
-            num_bytes=shipped_bytes,
-            utilization=self.utilization,
-            sim_time=sim_time,
+        return self._charge(
+            "node.range_requests", "node.keys_read", examined_keys,
+            shipped_bytes, sim_time, filtered=examined_keys - shipped_keys,
         )
-        latency *= self.speed_factor
-        latency += self._queue_wait(sim_time, latency)
-        metrics = self.stats.metrics
-        metrics.add("node.range_requests", 1)
-        metrics.add("node.keys_read", examined_keys)
-        metrics.add("node.keys_filtered", examined_keys - shipped_keys)
-        metrics.add("node.total_latency_seconds", latency)
-        return latency
 
     def charge_write(self, num_keys: int, num_bytes: int, sim_time: float) -> float:
         """Charge one write RPC writing ``num_keys`` keys; return latency (s)."""
-        latency = self.latency_model.sample_seconds(
-            num_keys=num_keys,
-            num_bytes=num_bytes,
-            utilization=self.utilization,
-            sim_time=sim_time,
+        return self._charge(
+            "node.puts", "node.keys_written", num_keys, num_bytes, sim_time
         )
-        latency *= self.speed_factor
-        latency += self._queue_wait(sim_time, latency)
-        metrics = self.stats.metrics
-        metrics.add("node.puts", 1)
-        metrics.add("node.keys_written", num_keys)
-        metrics.add("node.total_latency_seconds", latency)
-        return latency

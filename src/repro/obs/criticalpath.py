@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .trace import Span
@@ -82,8 +83,14 @@ def query_class_of(span: Span) -> str:
     """
     sql = span.attributes.get("sql")
     if isinstance(sql, str):
-        return " ".join(sql.split())
+        return _normalised_sql(sql)
     return span.name
+
+
+@lru_cache(maxsize=1024)
+def _normalised_sql(sql: str) -> str:
+    """Whitespace-normalised SQL; one entry per prepared statement text."""
+    return " ".join(sql.split())
 
 
 @dataclass(frozen=True)
@@ -161,6 +168,15 @@ def _split_rpc(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> 
         return
     scale = window / duration if duration > 0.0 else 0.0
     attrs = span.attributes
+    if (
+        "queue_wait_seconds" not in attrs
+        and "hedged" not in attrs
+        and "compaction_stall_seconds" not in attrs
+    ):
+        # Nothing carved out (the common shape outside serving mode): the
+        # general path below would add exactly this, and zeros elsewhere.
+        segments[_RPC] += duration * scale
+        return
     queue = attrs.get("queue_wait_seconds")
     queue = float(queue) if isinstance(queue, (int, float)) else 0.0
     queue = min(max(queue, 0.0), duration)
@@ -228,12 +244,13 @@ def _attribute(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> 
     # every pipeline of operators and by far the hot-path common case.
     # A linear cursor walk attributes each child and the gaps between
     # them without building the elementary-interval sweep below.
-    intervals.sort(key=lambda interval: interval[0])
     disjoint = True
-    for previous, current in zip(intervals, intervals[1:]):
-        if current[0] < previous[1]:
-            disjoint = False
-            break
+    if len(intervals) > 1:
+        intervals.sort(key=lambda interval: interval[0])
+        for previous, current in zip(intervals, intervals[1:]):
+            if current[0] < previous[1]:
+                disjoint = False
+                break
     if disjoint:
         cursor = lo
         for start, end, child in intervals:

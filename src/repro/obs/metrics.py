@@ -20,7 +20,7 @@ observations intended for percentile reporting.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import HistogramMergeError
 from ..stats import nearest_rank_percentile
@@ -155,6 +155,17 @@ class MetricsRegistry:
     def add(self, name: str, amount: float = 1) -> None:
         """Increment a counter (created at zero on first touch)."""
         self._counters[name] = self._counters.get(name, 0) + amount
+
+    def add_many(self, amounts: Iterable[Tuple[str, float]]) -> None:
+        """Increment several counters in one call (one RPC's worth of bumps).
+
+        Exactly :meth:`add` per pair, zero amounts included: a counter
+        touched with 0 exists afterwards, because scrapes and reports
+        enumerate names.
+        """
+        counters = self._counters
+        for name, amount in amounts:
+            counters[name] = counters.get(name, 0) + amount
 
     def set_counter(self, name: str, value: float) -> None:
         """Set a counter outright (used by backward-compatible setters)."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..kvstore.engine.base import StorageEngine
-from .ring import HashRing, placement_token
+from .ring import HashRing, placement_token, read_rotation
 from .store import (
     MISSING_SEQ,
     ReplicaStore,
@@ -45,6 +45,10 @@ SCAN_CHUNK_KEYS = 1024
 def _key_after(key: bytes) -> bytes:
     """The smallest byte string strictly greater than ``key``."""
     return key + b"\x00"
+
+
+#: One placement-cache entry: ``(preference list, read rotation or None)``.
+_Placement = Tuple[List[int], Optional[List[int]]]
 
 
 @dataclass
@@ -113,7 +117,14 @@ class ReplicationManager:
         self.stores: Dict[int, ReplicaStore] = {}
         self._hints: Dict[int, Dict[Tuple[str, bytes], bytes]] = {}
         self._seq = 0
-        self._preference_cache: Dict[Tuple[str, bytes], List[int]] = {}
+        self._read_salt = seed & 0xFFFFFFFF
+        #: Placement cache: key -> ``(preference list, read rotation)``, the
+        #: rotation ``None`` until the key is first read.  Keys with the same
+        #: placement and offset share one entry (``_placements``), so a
+        #: cached key costs a dict slot, not two lists.  Both are dropped
+        #: when the ring's epoch moves.
+        self._preference_cache: Dict[Tuple[str, bytes], _Placement] = {}
+        self._placements: Dict[Tuple[Tuple[int, ...], Optional[int]], _Placement] = {}
         self._cache_epoch = -1
 
     # ------------------------------------------------------------------
@@ -161,23 +172,49 @@ class ReplicationManager:
         self._seq += 1
         return self._seq
 
-    def preference_list(self, namespace: str, key: bytes) -> List[int]:
-        """The ``replication`` node ids that own ``key``, primary first.
-
-        Cached per key; the cache is dropped whenever the ring's topology
-        epoch moves (nodes added/removed).
-        """
+    def _placement(self, namespace: str, key: bytes) -> _Placement:
         if self._cache_epoch != self.ring.epoch:
             self._preference_cache = {}
+            self._placements = {}
             self._cache_epoch = self.ring.epoch
         cache_key = (namespace, key)
         cached = self._preference_cache.get(cache_key)
         if cached is None:
-            cached = self.ring.preference_list(
+            prefs = self.ring.preference_list(
                 placement_token(namespace, key), self.replication
+            )
+            cached = self._placements.setdefault(
+                (tuple(prefs), None), (prefs, None)
             )
             self._preference_cache[cache_key] = cached
         return cached
+
+    def preference_list(self, namespace: str, key: bytes) -> List[int]:
+        """The ``replication`` node ids that own ``key``, primary first.
+
+        Cached per key; the cache is dropped whenever the ring's topology
+        epoch moves (nodes added/removed).  The list is shared between keys
+        with the same placement: do not mutate it.
+        """
+        return self._placement(namespace, key)[0]
+
+    def read_preference(self, namespace: str, key: bytes) -> List[int]:
+        """The preference list in the order reads try its replicas.
+
+        :func:`read_rotation` of the preference list, computed on the key's
+        first read and then served from the placement cache entry.  Shared
+        between keys like :meth:`preference_list`: do not mutate it.
+        """
+        entry = self._placement(namespace, key)
+        if entry[1] is None:
+            prefs = entry[0]
+            offset = read_rotation(namespace, key, self._read_salt, len(prefs))
+            entry = self._placements.setdefault(
+                (tuple(prefs), offset),
+                (prefs, prefs[offset:] + prefs[:offset] if offset else prefs),
+            )
+            self._preference_cache[(namespace, key)] = entry
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Hinted handoff

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import zlib
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -105,11 +106,9 @@ class HashRing:
         start = bisect.bisect_right(self._tokens, stable_hash64(token_bytes))
         total = len(self._owners)
         chosen: List[int] = []
-        seen = set()
         for step in range(total):
             owner = self._owners[(start + step) % total]
-            if owner not in seen:
-                seen.add(owner)
+            if owner not in chosen:
                 chosen.append(owner)
                 if len(chosen) == n:
                     break
@@ -137,6 +136,19 @@ def placement_token(namespace: str, key: bytes) -> bytes:
     namespaces (e.g. a record and its index entry) over different replicas.
     """
     return namespace.encode("utf-8") + b"\x00" + key
+
+
+def read_rotation(namespace: str, key: bytes, salt: int, replicas: int) -> int:
+    """How far a key's preference list is rotated for reads.
+
+    The rotation spreads *read* traffic over a key's replicas while staying
+    a pure function of ``(key, salt)`` — no shared mutable state, so
+    interleaved clients route identically run to run.
+    """
+    if replicas <= 1:
+        return 0
+    digest = zlib.crc32(placement_token(namespace, key))
+    return zlib.crc32(key, digest ^ salt) % replicas
 
 
 def moved_keys(

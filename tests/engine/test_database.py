@@ -125,6 +125,57 @@ class TestClientViews:
         view.execute("SELECT * FROM users WHERE username = <u>", {"u": "bob"})
         assert clock.now > 5.0
 
+    def test_views_share_one_compilation(self, scadr_db, thoughtstream_sql,
+                                         monkeypatch):
+        from repro.optimizer.optimizer import PiqlOptimizer
+
+        compiles = []
+        optimize = PiqlOptimizer.optimize
+
+        def counting(self, sql):
+            compiles.append(sql)
+            return optimize(self, sql)
+
+        monkeypatch.setattr(PiqlOptimizer, "optimize", counting)
+        root_operations = scadr_db.client.stats.operations
+        views = [scadr_db.new_client() for _ in range(5)]
+        prepared = [view.prepare(thoughtstream_sql) for view in views]
+        assert len(compiles) == 1
+        # One plan, but a prepared query per view: it binds that view's
+        # executor and session.
+        assert len({id(p.optimized) for p in prepared}) == 1
+        assert len({id(p) for p in prepared}) == len(views)
+        for view, query in zip(views, prepared):
+            before = view.client.stats.operations
+            assert len(query.execute(uname="alice").rows) == 10
+            assert view.client.stats.operations > before
+        assert scadr_db.client.stats.operations == root_operations
+
+    def test_ddl_through_a_sibling_view_recompiles_everywhere(
+        self, scadr_db, thoughtstream_sql
+    ):
+        first, second = scadr_db.new_client(), scadr_db.new_client()
+        stale = first.prepare(thoughtstream_sql)
+        assert second.prepare(thoughtstream_sql).optimized is stale.optimized
+        second.execute_ddl("CREATE TABLE extra (id INT, PRIMARY KEY (id))")
+        fresh = first.prepare(thoughtstream_sql)
+        assert fresh is not stale
+        assert fresh.optimized is not stale.optimized
+        # ... once: the sibling picks the recompiled plan up.
+        assert second.prepare(thoughtstream_sql).optimized is fresh.optimized
+        assert scadr_db.prepare(thoughtstream_sql).optimized is fresh.optimized
+
+    def test_auto_created_index_serves_every_view(self, scadr_db):
+        sql = "SELECT * FROM users WHERE hometown LIKE [1: town] LIMIT 5"
+        first, second = scadr_db.new_client(), scadr_db.new_client()
+        before = len(scadr_db.catalog.indexes())
+        prepared = first.prepare(sql)
+        assert len(scadr_db.catalog.indexes()) == before + 1
+        assert second.prepare(sql).optimized is prepared.optimized
+        assert len(scadr_db.catalog.indexes()) == before + 1
+        rows = second.execute(sql, {"town": "berkeley"}).rows
+        assert {row["username"] for row in rows} == {"alice", "carol"}
+
     def test_reset_measurements(self, scadr_db):
         scadr_db.execute("SELECT * FROM users WHERE username = <u>", {"u": "bob"})
         assert scadr_db.client.clock.now > 0

@@ -197,6 +197,25 @@ class TestPagination:
         with pytest.raises(CursorError):
             prepared.execute({"u": "carol"}, cursor=cursor)
 
+    def test_only_paginated_queries_render_a_fingerprint(self, scadr_db,
+                                                         monkeypatch):
+        from repro.execution import executor
+
+        rendered = []
+        render = executor.plan_to_string
+
+        def counting(plan):
+            rendered.append(plan)
+            return render(plan)
+
+        monkeypatch.setattr(executor, "plan_to_string", counting)
+        result = scadr_db.execute(
+            "SELECT * FROM users WHERE username = <u>", {"u": "bob"}
+        )
+        assert result.cursor is None and not rendered
+        page = scadr_db.prepare(self.PAGINATED).execute(u="carol")
+        assert page.cursor is not None and len(rendered) == 1
+
     def test_corrupt_cursor_rejected(self, scadr_db):
         prepared = scadr_db.prepare(self.PAGINATED)
         with pytest.raises(CursorError):
@@ -209,6 +228,19 @@ class TestPagination:
 
 
 class TestResultMetadata:
+    def test_operations_and_rpcs_are_this_querys_share_of_the_client_counters(
+        self, scadr_db, thoughtstream_sql
+    ):
+        stats = scadr_db.client.stats
+        for sql, parameters in [
+            (thoughtstream_sql, {"uname": "alice"}),
+            ("SELECT * FROM users WHERE username = <u>", {"u": "bob"}),
+        ]:
+            operations, rpcs = stats.operations, stats.rpcs
+            result = scadr_db.execute(sql, parameters)
+            assert result.operations == stats.operations - operations > 0
+            assert result.rpcs == stats.rpcs - rpcs > 0
+
     def test_latency_and_operations_reported(self, scadr_db, thoughtstream_sql):
         result = scadr_db.execute(thoughtstream_sql, {"uname": "alice"})
         assert result.latency_seconds > 0
@@ -217,3 +249,49 @@ class TestResultMetadata:
         assert result.rpcs >= 2
         assert len(result) == len(result.rows)
         assert list(iter(result)) == result.rows
+
+
+class TestProjectionCollisionRule:
+    """``_project_row`` flattens ``alias -> column -> value`` rows."""
+
+    @staticmethod
+    def project(items, row):
+        from repro.execution.operators import _project_row
+
+        return _project_row(tuple(items), row)
+
+    def test_same_name_equal_value_is_one_column(self):
+        from repro.plans import logical as L
+
+        row = {"s": {"owner": "bob", "target": "carol"},
+               "t": {"owner": "bob", "text": "hi"}}
+        assert self.project([L.StarItem(None)], row) == {
+            "owner": "bob", "target": "carol", "text": "hi",
+        }
+
+    def test_same_name_different_value_is_qualified(self):
+        from repro.plans import logical as L
+
+        row = {"s": {"owner": "alice", "target": "bob"},
+               "t": {"owner": "bob", "text": "hi"}}
+        assert self.project([L.StarItem(None)], row) == {
+            "owner": "alice", "target": "bob", "t.owner": "bob", "text": "hi",
+        }
+        columns = [
+            L.BoundColumn("t", "thoughts", "owner"),
+            L.BoundColumn("s", "subscriptions", "owner"),
+        ]
+        assert self.project(columns, row) == {"owner": "bob", "s.owner": "alice"}
+
+    def test_star_skips_aggregates_and_specs_read_them(self):
+        from repro.plans import logical as L
+
+        row = {"t": {"owner": "bob"}, "__agg__": {"n": 3}}
+        assert self.project([L.StarItem(None)], row) == {"owner": "bob"}
+        assert self.project([L.StarItem("t")], row) == {"owner": "bob"}
+        count = L.AggregateSpec("COUNT", None, "n")
+        missing = L.AggregateSpec("MAX", None, "m")
+        assert self.project([L.StarItem(None), count, missing], row) == {
+            "owner": "bob", "n": 3, "m": None,
+        }
+        assert self.project([count], {"t": {"owner": "bob"}}) == {"n": None}

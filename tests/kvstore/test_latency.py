@@ -70,6 +70,31 @@ class TestLatencyModel:
         # Utilisation is clamped so the factor never explodes.
         assert model.queueing_factor(5.0) == model.queueing_factor(0.99)
 
+    @pytest.mark.parametrize("weather_sigma", [0.10, 0.0])
+    def test_sample_is_the_product_of_its_documented_parts(self, weather_sigma):
+        import math
+        import random
+
+        params = LatencyParameters(
+            weather_sigma=weather_sigma, straggler_probability=0.3
+        )
+        model = LatencyModel(params, seed=21)
+        twin = random.Random(21)
+        for keys, nbytes, utilization, sim_time in [
+            (1, 0, 0.0, 0.0), (7, 2500, 0.4, 30.0), (0, 0, 0.99, 700.0),
+            (-3, -10, -0.5, 1300.0), (40, 100_000, 0.91, 1300.0),
+        ] * 8:
+            expected = model.median_ms(keys, nbytes) * math.exp(
+                twin.gauss(0.0, params.lognormal_sigma)
+            )
+            if twin.random() < params.straggler_probability:
+                expected *= params.straggler_multiplier
+            expected *= model.queueing_factor(utilization)
+            expected *= model.weather(sim_time)
+            assert model.sample_seconds(
+                keys, nbytes, utilization, sim_time
+            ) == expected / 1000.0
+
     def test_mean_latency_grows_with_utilization(self):
         low = LatencyModel(seed=3)
         high = LatencyModel(seed=3)

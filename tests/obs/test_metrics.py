@@ -16,6 +16,20 @@ class TestCounters:
         registry.add("client.operations", 4)
         assert registry.value("client.operations") == 5
 
+    def test_add_many_is_add_per_pair_zeros_included(self):
+        batched, single = MetricsRegistry(), MetricsRegistry()
+        pairs = [("node.gets", 1), ("node.keys_filtered", 0),
+                 ("node.total_latency_seconds", 0.25), ("node.gets", 2)]
+        batched.add_many(pairs)
+        for name, amount in pairs:
+            single.add(name, amount)
+        assert batched.counters() == single.counters()
+        # A counter touched with 0 exists afterwards (reports enumerate
+        # names), in first-touch order.
+        assert list(batched.counters()) == [
+            "node.gets", "node.keys_filtered", "node.total_latency_seconds"
+        ]
+
     def test_set_counter(self):
         registry = MetricsRegistry()
         registry.set_counter("client.rpcs", 7)
