@@ -691,16 +691,7 @@ class KeyValueCluster:
         likewise bulk load their data before measuring (Section 8.4).
         Replicas that happen to be down receive hints like any other write.
         """
-        self._require(namespace)
-        record = encode_record(self.replication.next_seq(), value)
-        for node_id in self._preference_list(namespace, key):
-            if self.nodes[node_id].up:
-                self.replication.stores[node_id].apply_record(
-                    namespace, key, record
-                )
-            else:
-                self.replication.add_hint(node_id, namespace, key, record)
-                self.metrics.add("replication.hints_added", 1)
+        self._load_record(namespace, key, value)
 
     def load_delete(self, namespace: str, key: bytes) -> None:
         """Tombstone a key on every replica without charging any latency.
@@ -709,11 +700,17 @@ class KeyValueCluster:
         backfill paths of view maintenance, whose bounded top-k indexes must
         evict entries while data is being loaded.
         """
+        self._load_record(namespace, key, None)
+
+    def _load_record(
+        self, namespace: str, key: bytes, value: Optional[bytes]
+    ) -> None:
         self._require(namespace)
-        record = encode_record(self.replication.next_seq(), None)
+        record = encode_record(self.replication.next_seq(), value)
         for node_id in self._preference_list(namespace, key):
             if self.nodes[node_id].up:
-                self.replication.stores[node_id].apply_record(
+                # Sequenced on the line above: newer than anything stored.
+                self.replication.stores[node_id].write_fresh(
                     namespace, key, record
                 )
             else:
@@ -893,7 +890,9 @@ class KeyValueCluster:
                 self.metrics.add("replication.hints_added", 1)
                 hints += 1
                 continue
-            self.replication.stores[node_id].apply_record(
+            # ``record`` was sequenced by this call: newer than anything
+            # the replica holds, so it is stored without the checked read.
+            self.replication.stores[node_id].write_fresh(
                 namespace, key, record
             )
             latency = self.nodes[node_id].charge_write(1, nbytes, sim_time)

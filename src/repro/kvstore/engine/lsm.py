@@ -14,10 +14,20 @@ a new segment file and the WAL is reset — so at any instant
 ``segments + WAL`` covers the full acknowledged history, which is the
 invariant crash recovery relies on.
 
-Reads merge the memtable with the segment stack newest-first; range scans
-are streaming ``heapq.merge`` passes that dedupe per key (newest wins) and
-skip delete markers, so memory is bounded by the segment count, never the
-range size.
+A point read asks the memtable, then the segment stack newest-first; the
+key's two filter hashes are computed once and handed to every segment, and
+a segment reads a block only when the key is inside its bounds and passes
+its filter (:meth:`Segment.get`).  A *limited* range — what every serving
+read is — is a chunked slice-and-resolve, the shape
+``ReplicationManager.merged_range`` has one layer up: each segment and the
+memtable contribute at most ``limit`` entries, a dict updated oldest to
+newest resolves newest-wins, live keys are emitted up to the *horizon* (the
+least-advanced last key among the runs that filled their chunk — past it
+some run has not been heard), and when delete markers leave the result
+short a further pass resumes just past the horizon.  Memory is bounded by
+``limit`` times the run count.  Unlimited iteration (compaction, anti-entropy,
+``len``) streams through :meth:`LsmTree.iter_merged`, a ``heapq.merge`` that
+dedupes per key and holds one entry per run.
 
 **Size-tiered compaction** merges *age-contiguous* runs of ``fanout`` or
 more segments in the same size tier.  Age contiguity is a correctness
@@ -46,11 +56,12 @@ import heapq
 import os
 import re
 import shutil
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .base import EngineRecovery, StorageEngine
 from .external import SpillingSorter
-from .segment import Segment, SegmentError, write_segment
+from .segment import Segment, SegmentError, filter_hashes, write_segment
 from .wal import OP_DELETE, OP_DROP_NAMESPACE, OP_PUT, WriteAheadLog
 
 #: Rough per-entry memtable overhead (dict slot + key/value objects).
@@ -88,10 +99,12 @@ class LsmTree:
     def get(self, key: bytes) -> Optional[bytes]:
         if key in self._mem:
             return self._mem[key]
-        for segment in reversed(self.segments):
-            found, value = segment.get(key)
-            if found:
-                return value
+        if self.segments:
+            hashes = filter_hashes(key)
+            for segment in reversed(self.segments):
+                found, value = segment.get(key, hashes)
+                if found:
+                    return value
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -132,22 +145,33 @@ class LsmTree:
     def _entry_bytes(self, key: bytes, value: Optional[bytes]) -> int:
         return len(key) + (0 if value is None else len(value)) + _MEM_ENTRY_OVERHEAD
 
+    def _account(self, delta: int) -> None:
+        """Move this memtable's size and the engine's running total together."""
+        self.mem_bytes += delta
+        self._engine._memtable_bytes += delta
+
     def _apply_put(self, key: bytes, value: Optional[bytes]) -> None:
+        delta = self._entry_bytes(key, value)
         if key in self._mem:
-            self.mem_bytes -= self._entry_bytes(key, self._mem[key])
+            delta -= self._entry_bytes(key, self._mem[key])
         else:
             self._dirty = True
         self._mem[key] = value
-        self.mem_bytes += self._entry_bytes(key, value)
+        self._account(delta)
 
     def _apply_delete(self, key: bytes) -> None:
         if self.segments:
             # A marker must shadow whatever older segments hold.
             self._apply_put(key, None)
         elif key in self._mem:
-            self.mem_bytes -= self._entry_bytes(key, self._mem[key])
-            del self._mem[key]
+            self._account(-self._entry_bytes(key, self._mem.pop(key)))
             self._dirty = True
+
+    def _reset_memtable(self) -> None:
+        self._mem.clear()
+        self._sorted = []
+        self._dirty = False
+        self._account(-self.mem_bytes)
 
     def _ensure_sorted(self) -> None:
         if self._dirty or len(self._sorted) != len(self._mem):
@@ -214,13 +238,59 @@ class LsmTree:
         limit: Optional[int] = None,
         ascending: bool = True,
     ) -> List[Tuple[bytes, bytes]]:
-        if limit is not None and limit < 0:
+        """Live ``(key, value)`` pairs in a range, newest write per key winning.
+
+        With a ``limit`` this is the chunked slice-and-resolve the module
+        docstring describes; the limit applies after resolution, so runs
+        that lead with delete markers cannot starve the result.
+        """
+        if limit is None:
+            return list(self.iter_merged(start, end, ascending))
+        if limit < 0:
             raise ValueError("limit must be non-negative")
         out: List[Tuple[bytes, bytes]] = []
-        for pair in self.iter_merged(start, end, ascending):
-            out.append(pair)
-            if limit is not None and len(out) >= limit:
-                break
+        remaining = limit
+        while remaining > 0:
+            newest: Dict[bytes, Optional[bytes]] = {}
+            horizon: Optional[bytes] = None
+            # Oldest run first, memtable last: a later update overwrites.
+            runs = [
+                segment.iter_range(start, end, ascending)
+                for segment in self.segments
+            ]
+            runs.append(self._mem_iter(start, end, ascending))
+            for run in runs:
+                chunk = list(islice(run, remaining))
+                newest.update(chunk)
+                if len(chunk) == remaining:
+                    last = chunk[-1][0]
+                    if horizon is None or (
+                        last < horizon if ascending else last > horizon
+                    ):
+                        horizon = last
+            keys = sorted(newest)
+            if horizon is not None:
+                # Past the horizon a truncated run may hold a newer write
+                # (or a delete marker) it has not shown yet.
+                if ascending:
+                    del keys[bisect.bisect_right(keys, horizon):]
+                else:
+                    del keys[: bisect.bisect_left(keys, horizon)]
+            if not ascending:
+                keys.reverse()
+            for key in keys:
+                value = newest[key]
+                if value is not None:
+                    out.append((key, value))
+                    if len(out) == limit:
+                        return out
+            if horizon is None:
+                break  # every run ended inside its chunk
+            remaining = limit - len(out)
+            if ascending:
+                start = horizon + b"\x00"
+            else:
+                end = horizon
         return out
 
     def iter_range(
@@ -268,6 +338,8 @@ class LsmEngine(StorageEngine):
         self.hard_segment_cap = fanout * 4
         os.makedirs(data_dir, exist_ok=True)
         self._trees: Dict[str, LsmTree] = {}
+        #: Sum of every tree's ``mem_bytes``, kept by ``LsmTree._account``.
+        self._memtable_bytes = 0
         self._next_gen = 0
         self._crashed = False
         # Lifetime counters (monotonic; exported as gauges).
@@ -315,6 +387,7 @@ class LsmEngine(StorageEngine):
         tree = self._trees.pop(namespace, None)
         if tree is None:
             return
+        self._memtable_bytes -= tree.mem_bytes
         self.wal.append_drop_namespace(namespace)
         for segment in tree.segments:
             segment.close()
@@ -332,10 +405,7 @@ class LsmEngine(StorageEngine):
             except OSError:
                 pass
         tree.segments = []
-        tree._mem.clear()
-        tree._sorted = []
-        tree._dirty = False
-        tree.mem_bytes = 0
+        tree._reset_memtable()
 
     # ------------------------------------------------------------------
     # WAL hooks (called by trees before mutating their memtables)
@@ -347,11 +417,12 @@ class LsmEngine(StorageEngine):
         self.wal.append_delete(namespace, key)
 
     def _after_mutation(self) -> None:
-        if self.memtable_bytes() > self.memtable_budget_bytes:
+        if self._memtable_bytes > self.memtable_budget_bytes:
             self.flush()
 
     def memtable_bytes(self) -> int:
-        return sum(tree.mem_bytes for tree in self._trees.values())
+        """Bytes held by every tree's memtable (a running total)."""
+        return self._memtable_bytes
 
     # ------------------------------------------------------------------
     # Flushing
@@ -388,10 +459,7 @@ class LsmEngine(StorageEngine):
             else:
                 segment.close()
                 os.remove(path)
-            tree._mem.clear()
-            tree._sorted = []
-            tree._dirty = False
-            tree.mem_bytes = 0
+            tree._reset_memtable()
             self.flushes += 1
             flushed.append(tree)
         # Disk segments now cover every acknowledged write.
@@ -548,6 +616,7 @@ class LsmEngine(StorageEngine):
             for segment in tree.segments:
                 segment.close()
         self._trees.clear()
+        self._memtable_bytes = 0
         self.wal.close()
         self._crashed = True
 
@@ -586,10 +655,7 @@ class LsmEngine(StorageEngine):
             elif op == OP_DELETE:
                 tree._apply_delete(key)
             elif op == OP_DROP_NAMESPACE:
-                tree._mem.clear()
-                tree._sorted = []
-                tree._dirty = False
-                tree.mem_bytes = 0
+                tree._reset_memtable()
         self.wal.records_appended = len(replay.ops)
         info.wal_records_replayed = len(replay.ops)
         info.torn_tail_bytes_dropped = replay.torn_bytes

@@ -22,16 +22,28 @@ file: a partially written segment (the crash hit mid-flush) fails
 validation, is discarded by recovery, and its contents are re-read from the
 WAL — which is reset only after a flush completes.
 
-Point lookups consult a bloom-style key filter (k salted CRC32 probes over
-a bit array) to skip segments that cannot hold the key, then binary-search
-the sparse index (one anchor every ``sparse_every`` entries) and scan at
-most one block.  Range scans seek the block containing ``start`` and stream
-forward; descending scans walk blocks in reverse, materialising one block
-at a time so memory stays bounded by the block size, never the range size.
+Reads never decode a block into Python objects they will not return.  The
+file is opened unbuffered and every read is one positioned ``os.pread`` of
+exactly the bytes wanted — the footer once at open, then one sparse block
+(``sparse_every`` entries) at a time through :meth:`Segment._read_block` —
+so a read costs its own bytes, not a buffered reader's refill on top.
+
+A point lookup first checks ``[min_key, max_key]``, then the bloom-style key
+filter (k probes derived from two CRC32s of the key, which the caller may
+compute once and share across every segment it asks), and only then reads
+the one block the sparse index names.  It walks that block's raw bytes with
+``unpack_from``, comparing key slices where they lie, stops at the first key
+not below the wanted one, and slices out a value only on a match.  Range
+scans skip a segment whose key bounds miss the range, seek the block
+containing ``start`` and walk forward the same way, so entries before
+``start`` never become tuples; descending scans walk blocks in reverse,
+materialising one block's in-range entries at a time, so memory stays
+bounded by the block size, never the range size.
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 import struct
 import zlib
@@ -44,6 +56,7 @@ _U64 = struct.Struct(">Q")
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 _ENTRY = struct.Struct(">II")
+_ENTRY_SIZE = _ENTRY.size
 
 #: ``val_len`` sentinel marking an engine-level delete.
 _DELETE_LEN = 0xFFFFFFFF
@@ -60,11 +73,22 @@ class SegmentError(Exception):
     """A segment file is missing, truncated, or fails validation."""
 
 
-def _bloom_probes(key: bytes, nbits: int, hashes: int) -> Iterator[int]:
-    h1 = zlib.crc32(key)
-    h2 = zlib.crc32(key, 0x9E3779B9) | 1
-    for i in range(hashes):
-        yield (h1 + i * h2) % nbits
+def filter_hashes(key: bytes) -> Tuple[int, int]:
+    """The two hashes every key-filter probe of ``key`` derives from.
+
+    They depend on the key alone, so a lookup that asks several segments
+    computes them once (:meth:`Segment.get`).
+    """
+    return zlib.crc32(key), zlib.crc32(key, 0x9E3779B9) | 1
+
+
+def _filter_probes(h1: int, h2: int, hashes: int) -> range:
+    """A key's probe values; a filter of ``nbits`` bits uses each ``% nbits``.
+
+    The one definition of the probe sequence: the builder sets these bits
+    and the reader tests them.
+    """
+    return range(h1, h1 + hashes * h2, h2)
 
 
 class _BloomBuilder:
@@ -74,8 +98,11 @@ class _BloomBuilder:
         self.bits = bytearray((self.nbits + 7) // 8)
 
     def add(self, key: bytes) -> None:
-        for probe in _bloom_probes(key, self.nbits, self.hashes):
-            self.bits[probe >> 3] |= 1 << (probe & 7)
+        h1, h2 = filter_hashes(key)
+        bits, nbits = self.bits, self.nbits
+        for probe in _filter_probes(h1, h2, self.hashes):
+            probe %= nbits
+            bits[probe >> 3] |= 1 << (probe & 7)
 
 
 def write_segment(
@@ -117,6 +144,9 @@ def write_segment(
                 bloom.add(key)
             else:
                 grow_bloom.append(key)
+            # Three writes, not one concatenated: the buffered writer
+            # flushes when the next piece does not fit, so the pieces it is
+            # handed decide where its write syscalls fall (and how many).
             val_len = _DELETE_LEN if value is None else len(value)
             handle.write(_ENTRY.pack(len(key), val_len))
             handle.write(key)
@@ -156,13 +186,40 @@ def write_segment(
     return entries
 
 
+def _scan_block(
+    data: bytes, start: Optional[bytes], end: Optional[bytes]
+) -> Iterator[Tuple[bytes, Optional[bytes]]]:
+    """Walk one block's raw bytes, yielding entries with ``start <= key < end``.
+
+    Entries below ``start`` are stepped over by their lengths alone: only
+    the key is sliced (to compare it), never the value.
+    """
+    unpack_lengths = _ENTRY.unpack_from
+    pos, size = 0, len(data)
+    while pos < size:
+        key_len, val_len = unpack_lengths(data, pos)
+        key_at = pos + _ENTRY_SIZE
+        val_at = key_at + key_len
+        pos = val_at if val_len == _DELETE_LEN else val_at + val_len
+        key = data[key_at:val_at]
+        if start is not None:
+            if key < start:
+                continue
+            start = None  # keys ascend: every later one passes too
+        if end is not None and key >= end:
+            return
+        yield key, (None if val_len == _DELETE_LEN else data[val_at:pos])
+
+
 class Segment:
     """A validated, opened segment file serving reads."""
 
     def __init__(self, path: str):
         self.path = path
         try:
-            self._file = open(path, "rb")
+            # Unbuffered: every read below is one explicit pread of exactly
+            # the bytes wanted, so a buffer would only read (and copy) more.
+            self._file = open(path, "rb", buffering=0)
         except OSError as exc:
             raise SegmentError(f"cannot open segment {path}: {exc}") from exc
         try:
@@ -174,25 +231,34 @@ class Segment:
             self._file.close()
             raise SegmentError(f"corrupt segment {path}: {exc}") from exc
 
+    def _pread(self, offset: int, length: int) -> bytes:
+        """``length`` bytes at ``offset`` (a closed segment raises ``ValueError``)."""
+        fd = self._file.fileno()
+        data = os.pread(fd, length, offset)
+        while len(data) < length:
+            more = os.pread(fd, length - len(data), offset + len(data))
+            if not more:
+                raise SegmentError(
+                    f"segment {self.path} ends inside a read at {offset}+{length}"
+                )
+            data += more
+        return data
+
     def _load_footer(self) -> None:
-        handle = self._file
-        size = os.path.getsize(self.path)
+        size = os.fstat(self._file.fileno()).st_size
         if size < len(_HEADER) + _TRAILER.size:
             raise SegmentError(f"segment {self.path} is truncated ({size} bytes)")
-        handle.seek(0)
-        if handle.read(len(_HEADER)) != _HEADER:
+        if self._pread(0, len(_HEADER)) != _HEADER:
             raise SegmentError(f"segment {self.path} has a bad header")
-        handle.seek(size - _TRAILER.size)
         footer_offset, footer_crc, magic = _TRAILER.unpack(
-            handle.read(_TRAILER.size)
+            self._pread(size - _TRAILER.size, _TRAILER.size)
         )
         if magic != _TRAILER_MAGIC:
             raise SegmentError(f"segment {self.path} has no trailer (torn write)")
         footer_len = size - _TRAILER.size - footer_offset
         if footer_len < 0:
             raise SegmentError(f"segment {self.path} footer offset out of range")
-        handle.seek(footer_offset)
-        footer = handle.read(footer_len)
+        footer = self._pread(footer_offset, footer_len)
         if zlib.crc32(footer) != footer_crc:
             raise SegmentError(f"segment {self.path} footer fails its CRC")
         view = memoryview(footer)
@@ -239,22 +305,22 @@ class Segment:
     # ------------------------------------------------------------------
     # Filters / index
     # ------------------------------------------------------------------
-    def maybe_contains(self, key: bytes) -> bool:
-        """False means definitely absent; True means "check the file"."""
-        if self.entry_count == 0:
-            return False
-        if key < self.min_key or key > self.max_key:
-            return False
-        bits = self._bloom_bits
-        for probe in _bloom_probes(key, self._bloom_nbits, self._bloom_hashes):
+    def _filter_admits(self, h1: int, h2: int) -> bool:
+        bits, nbits = self._bloom_bits, self._bloom_nbits
+        for probe in _filter_probes(h1, h2, self._bloom_hashes):
+            probe %= nbits
             if not bits[probe >> 3] & (1 << (probe & 7)):
                 return False
         return True
 
+    def maybe_contains(self, key: bytes) -> bool:
+        """False means definitely absent; True means "check the file"."""
+        if not self.entry_count or key < self.min_key or key > self.max_key:
+            return False
+        return self._filter_admits(*filter_hashes(key))
+
     def _block_for(self, key: bytes) -> int:
         """Index of the sparse block that could hold ``key`` (-1 if before)."""
-        import bisect
-
         return bisect.bisect_right(self._index_keys, key) - 1
 
     def _block_bounds(self, block: int) -> Tuple[int, int]:
@@ -266,39 +332,43 @@ class Segment:
         )
         return start, end
 
-    def _read_block(self, block: int) -> List[Tuple[bytes, Optional[bytes]]]:
+    def _read_block(self, block: int) -> bytes:
+        """One block's raw entry bytes: the engine's only data-path disk read."""
         start, end = self._block_bounds(block)
-        self._file.seek(start)
-        data = self._file.read(end - start)
-        entries: List[Tuple[bytes, Optional[bytes]]] = []
-        pos = 0
-        while pos < len(data):
-            key_len, val_len = _ENTRY.unpack_from(data, pos)
-            pos += _ENTRY.size
-            key = data[pos : pos + key_len]
-            pos += key_len
-            if val_len == _DELETE_LEN:
-                entries.append((key, None))
-            else:
-                entries.append((key, data[pos : pos + val_len]))
-                pos += val_len
-        return entries
+        return self._pread(start, end - start)
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def get(self, key: bytes) -> Tuple[bool, Optional[bytes]]:
-        """``(found, value)``; a found delete marker is ``(True, None)``."""
-        if not self.maybe_contains(key):
+    def get(
+        self, key: bytes, hashes: Optional[Tuple[int, int]] = None
+    ) -> Tuple[bool, Optional[bytes]]:
+        """``(found, value)``; a found delete marker is ``(True, None)``.
+
+        ``hashes`` is :func:`filter_hashes` of ``key`` when the caller has
+        it already.  Nothing is read from disk unless the key lies inside
+        the segment's bounds and passes its filter.
+        """
+        if not self.entry_count or key < self.min_key or key > self.max_key:
             return False, None
-        block = self._block_for(key)
-        if block < 0:
+        if not self._filter_admits(*(hashes or filter_hashes(key))):
             return False, None
-        for entry_key, value in self._read_block(block):
-            if entry_key == key:
-                return True, value
-            if entry_key > key:
-                break
+        # min_key is the first anchor, so a key inside the bounds has a block.
+        data = self._read_block(self._block_for(key))
+        unpack_lengths = _ENTRY.unpack_from
+        pos, size = 0, len(data)
+        while pos < size:
+            key_len, val_len = unpack_lengths(data, pos)
+            key_at = pos + _ENTRY_SIZE
+            val_at = key_at + key_len
+            entry_key = data[key_at:val_at]
+            if entry_key >= key:
+                if entry_key != key:
+                    break
+                if val_len == _DELETE_LEN:
+                    return True, None
+                return True, data[val_at : val_at + val_len]
+            pos = val_at if val_len == _DELETE_LEN else val_at + val_len
         return False, None
 
     def iter_range(
@@ -310,40 +380,35 @@ class Segment:
         """Yield ``(key, value_or_None)`` with ``start <= key < end``.
 
         Delete markers are yielded (value ``None``) — the LSM merge layer
-        needs them to shadow older segments.
+        needs them to shadow older segments.  A segment whose key bounds
+        miss the range yields nothing without reading anything.
         """
-        if self.entry_count == 0:
+        if (
+            not self.entry_count
+            or (start is not None and start > self.max_key)
+            or (end is not None and end <= self.min_key)
+        ):
             return
-        blocks = len(self._index_keys)
+        anchors = self._index_keys
+        first = 0 if start is None else max(0, self._block_for(start))
+        # The last block whose anchor lies below ``end``; ``end`` is above
+        # min_key here, so there is one.
+        last = len(anchors) - 1 if end is None else bisect.bisect_left(anchors, end) - 1
         if ascending:
-            first = 0 if start is None else max(0, self._block_for(start))
-            for block in range(first, blocks):
-                block_start = self._index_keys[block]
-                if end is not None and block_start >= end:
-                    break
-                for key, value in self._read_block(block):
-                    if start is not None and key < start:
-                        continue
-                    if end is not None and key >= end:
-                        return
-                    yield key, value
+            for block in range(first, last + 1):
+                yield from _scan_block(self._read_block(block), start, end)
+                start = None  # later blocks begin above it
         else:
-            if end is None:
-                last = blocks - 1
-            else:
-                last = self._block_for(end)
-                if last < 0:
-                    return
-            for block in range(last, -1, -1):
-                entries = self._read_block(block)
-                if start is not None and entries and entries[-1][0] < start:
-                    return
-                for key, value in reversed(entries):
-                    if end is not None and key >= end:
-                        continue
-                    if start is not None and key < start:
-                        return
-                    yield key, value
+            for block in range(last, first - 1, -1):
+                yield from reversed(
+                    list(
+                        _scan_block(
+                            self._read_block(block),
+                            start if block == first else None,
+                            end if block == last else None,
+                        )
+                    )
+                )
 
     def close(self) -> None:
         if not self._file.closed:

@@ -133,12 +133,16 @@ class ReplicationManager:
     def attach_node(
         self, node_id: int, engine: Optional[StorageEngine] = None
     ) -> ReplicaStore:
-        """Register a node: empty replica store + ring membership.
+        """Register a node: replica store + ring membership.
 
         ``engine`` selects the node's physical storage (default: the
-        in-memory dict engine).
+        in-memory dict engine).  A durable engine opened over an existing
+        directory comes up holding records: the write sequence is raised
+        past the highest of them, so the next write is newer than anything
+        stored (what :meth:`ReplicaStore.write_fresh` relies on).
         """
         store = ReplicaStore(engine)
+        self._seq = max(self._seq, store.highest_seq())
         self.stores[node_id] = store
         self._hints.setdefault(node_id, {})
         self.ring.add_node(node_id)

@@ -15,6 +15,21 @@ are tombstones (flag bit set, empty payload) rather than physical removals,
 so a delete can propagate to replicas that missed it exactly like any other
 write.
 
+A replica takes a record in through one of two doors.
+:meth:`ReplicaStore.apply_record` is the **checked** write: it reads what
+the replica holds and stores the incoming record only if it is newer.  Read
+repair, hint replay, anti-entropy and rebalance go through it, because what
+they carry was sequenced some time ago and the replica may have moved on.
+:meth:`ReplicaStore.write_fresh` is the **fresh** write: it stores without
+reading.  That is licensed by one invariant — sequence numbers come from a
+single monotone counter per cluster
+(:meth:`~repro.replication.manager.ReplicationManager.next_seq`), so a
+record the coordinator sequenced for *this* write is newer than every
+record any replica holds; the counter is raised past whatever a reopened
+engine already stores when its node is attached.  Only the coordinator's
+own write sites (quorum writes and the latency-free loads) may use it, and
+only for the record they have just sequenced.
+
 The *physical* side — how those per-namespace ordered maps are actually
 held — is delegated to a pluggable
 :class:`~repro.kvstore.engine.base.StorageEngine` (the in-memory dict
@@ -101,6 +116,28 @@ class ReplicaStore:
             return False
         self.map(namespace).put(key, record)
         return True
+
+    def write_fresh(self, namespace: str, key: bytes, record: bytes) -> None:
+        """Store a record the coordinator has just sequenced, unread.
+
+        Newer than anything stored by construction (module docstring), so
+        the engine read :meth:`apply_record` pays is skipped.  Never hand it
+        a record that has been anywhere else first — a hint, a repair, a
+        copy from another replica.
+        """
+        self.engine.map(namespace).put(key, record)
+
+    def highest_seq(self) -> int:
+        """Highest sequence number stored in any namespace (``MISSING_SEQ``
+        when empty): what a reopened engine tells the write sequence."""
+        return max(
+            (
+                record_seq(record)
+                for namespace in self.engine.namespaces()
+                for _key, record in self.iter_records(namespace)
+            ),
+            default=MISSING_SEQ,
+        )
 
     def discard(self, namespace: str, key: bytes) -> bool:
         """Physically remove a key (the node is no longer a replica for it)."""

@@ -129,3 +129,148 @@ class TestValidation:
             handle.write(b"NOPE")
         with pytest.raises(SegmentError):
             Segment(path)
+
+
+class _PreadCounter:
+    """Stands in for ``os.pread``: counts calls and bytes, then really reads."""
+
+    def __init__(self, real, at_most=None):
+        self._real = real
+        self._at_most = at_most
+        self.calls = 0
+        self.bytes = 0
+
+    def __call__(self, fd, length, offset):
+        if self._at_most is not None:
+            length = min(length, self._at_most)
+        data = self._real(fd, length, offset)
+        self.calls += 1
+        self.bytes += len(data)
+        return data
+
+
+@pytest.fixture
+def preads(monkeypatch):
+    counter = _PreadCounter(os.pread)
+    monkeypatch.setattr(os, "pread", counter)
+    return counter
+
+
+class TestReadsOnlyWhatItMust:
+    """Disk reads are counted at the syscall: a rejected lookup costs none."""
+
+    def _filter_rejected_key(self, segment) -> bytes:
+        for index in range(200):
+            key = f"k{index:04d}x".encode()
+            if not segment.maybe_contains(key):
+                return key
+        raise AssertionError("the filter admitted 200 absent keys")
+
+    def test_get_outside_the_key_bounds_reads_nothing(self, segment, preads):
+        assert segment.get(b"a") == (False, None)
+        assert segment.get(b"k0200") == (False, None)
+        assert segment.get(b"") == (False, None)
+        assert preads.calls == 0
+
+    def test_get_rejected_by_the_filter_reads_nothing(self, segment, preads):
+        key = self._filter_rejected_key(segment)
+        assert segment.min_key < key < segment.max_key
+        assert segment.get(key) == (False, None)
+        assert preads.calls == 0
+
+    def test_hit_reads_exactly_one_block(self, segment, preads):
+        start, end = segment._block_bounds(segment._block_for(b"k0101"))
+        assert segment.get(b"k0101") == (True, b"v101")
+        assert (preads.calls, preads.bytes) == (1, end - start)
+
+    def test_range_over_a_disjoint_segment_reads_nothing(self, segment, preads):
+        for ascending in (True, False):
+            assert list(segment.iter_range(b"x", b"z", ascending)) == []
+            assert list(segment.iter_range(None, b"k0000", ascending)) == []
+            assert list(segment.iter_range(b"k0199\x00", None, ascending)) == []
+            assert list(segment.iter_range(b"a", b"b", ascending)) == []
+        assert preads.calls == 0
+
+    def test_bounded_range_reads_only_the_blocks_it_covers(self, segment, preads):
+        # sparse_every=8: k0010..k0014 lie in the block anchored at k0008.
+        rows = list(segment.iter_range(b"k0010", b"k0015"))
+        assert len(rows) == 5 and preads.calls == 1
+        rows = list(segment.iter_range(b"k0010", b"k0015", ascending=False))
+        assert len(rows) == 5 and preads.calls == 2
+
+    def test_tree_hashes_a_key_once_for_all_its_segments(self, tmp_path, monkeypatch):
+        from repro.kvstore.engine import lsm, segment as segment_module
+
+        engine = lsm.LsmEngine(str(tmp_path / "node"), memtable_budget_bytes=1 << 20)
+        try:
+            tree = engine.map("data")
+            for generation in range(3):
+                for index in range(generation, 30, 3):
+                    tree.put(f"k{index:04d}".encode(), b"v%d" % generation)
+                engine.flush()
+            assert len(tree.segments) == 3
+            hashed = []
+            real = lsm.filter_hashes
+            monkeypatch.setattr(
+                lsm, "filter_hashes", lambda key: hashed.append(key) or real(key)
+            )
+
+            def never(key):
+                raise AssertionError("a segment hashed the key itself")
+
+            monkeypatch.setattr(segment_module, "filter_hashes", never)
+            assert tree.get(b"k0000") == b"v0"  # the oldest run: all three asked
+            assert tree.get(b"k0031") is None
+            assert hashed == [b"k0000", b"k0031"]
+        finally:
+            engine.close()
+
+    def test_tree_range_leaves_a_disjoint_run_unread(self, tmp_path, preads):
+        from repro.kvstore.engine.lsm import LsmEngine
+
+        engine = LsmEngine(str(tmp_path / "node"), memtable_budget_bytes=1 << 20)
+        try:
+            tree = engine.map("data")
+            for prefix in (b"a", b"m"):
+                for index in range(40):
+                    tree.put(prefix + b"%03d" % index, b"v")
+                engine.flush()
+            before = preads.calls
+            assert len(tree.range(b"m", b"n", 5)) == 5
+            assert len(tree.range(b"m", b"n", 5, ascending=False)) == 5
+            assert preads.calls - before == 2  # one block of the "m" run each
+        finally:
+            engine.close()
+
+
+class TestShortReads:
+    def test_short_reads_are_completed(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "seg-00000007.seg")
+        write_segment(path, "data", _items(100), sparse_every=8)
+        dribble = _PreadCounter(os.pread, at_most=7)
+        monkeypatch.setattr(os, "pread", dribble)
+        seg = Segment(path)
+        try:
+            assert seg.entry_count == 100
+            assert seg.get(b"k0042") == (True, b"v42")
+            assert list(seg.iter_range()) == _items(100)
+        finally:
+            seg.close()
+        assert dribble.calls > 100
+
+    def test_file_cut_short_under_an_open_segment_raises(self, tmp_path):
+        path = str(tmp_path / "seg-00000008.seg")
+        write_segment(path, "data", _items(100), sparse_every=8)
+        seg = Segment(path)
+        try:
+            with open(path, "r+b") as handle:
+                handle.truncate(40)
+            with pytest.raises(SegmentError):
+                seg.get(b"k0042")
+        finally:
+            seg.close()
+
+    def test_closed_segment_refuses_reads(self, segment):
+        segment.close()
+        with pytest.raises(ValueError):
+            segment.get(b"k0042")
