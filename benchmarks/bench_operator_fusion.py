@@ -31,7 +31,8 @@ def test_operator_fusion(run_once):
     # Fusion must not change the work done — identical per-query operation
     # counts and static bounds in both arms — and must collapse the
     # dereference rounds of multi-child sorted-index joins by at least 2x.
-    # check_result also applies the coarse wall-clock regression guard.
+    # check_result also applies the coarse wall-clock regression guard and
+    # the per-query cost budgets of tracing and forensics.
     check_result(result)
 
     # The fused arm's round structure is strictly better on the replay mix:
@@ -62,15 +63,8 @@ def test_operator_fusion(run_once):
         >= 0.95 * serial_loop["completed_per_wall_second"]
     )
 
-    # Observability budget: recording a full span tree per interaction must
-    # not change the work done, and its wall-clock cost must stay in the
-    # single digits against the most adversarial denominator there is — a
-    # bare replay loop of sub-millisecond simulated queries with no client
-    # think time.  The design target is 5%; the guard adds headroom for the
-    # measured noise floor of shared CI runners (the chunk-paired median
-    # tames drift, but ±2-3% process-to-process variance remains).
-    overhead = result.tracing_overhead
-    assert overhead["operations_identical"] == 1.0
-    assert overhead["overhead_ratio"] <= 1.12, (
-        f"tracing cost {(overhead['overhead_ratio'] - 1) * 100:.1f}% wall clock"
-    )
+    # Observability budget: check_result above also holds what tracing and
+    # forensics cost per query to an absolute budget in host microseconds
+    # (scaled to this box by a calibration kernel) — not to a ratio over the
+    # bare replay loop, which every host-side speed-up of that loop would
+    # push up.  The ratios are still printed.

@@ -26,15 +26,16 @@ Three phases:
   event kernel against each arm; the measured wall-clock throughput
   (interactions completed per wall second) shows the end-to-end effect.
 * **tracing overhead** — the fused replay is repeated with the query-trace
-  subsystem off and on (chunk-paired arms, median per-chunk ratio):
-  recording a full span tree per interaction must stay within single-digit
-  percent of the untraced wall clock, the budget the observability tier
-  promises.
+  subsystem off and on (chunk-paired arms): recording a full span tree per
+  interaction must cost no more than ``TRACING_BUDGET_US_PER_QUERY`` host
+  microseconds per query (median per-chunk difference, scaled to the box
+  by a pure-Python calibration kernel); the per-chunk ratio is printed too.
 * **forensics overhead** — the traced fused replay is repeated with the
   latency-forensics hot path attached (flight recorder + critical-path
-  analysis on every finished query): the chunk-paired median ratio against
-  the tracing-only arm must stay <= 1.10x and the recorder's retained-trace
-  memory must stay inside its configured budget.
+  analysis on every finished query): at most
+  ``FORENSICS_BUDGET_US_PER_QUERY`` microseconds per query over the
+  tracing-only arm, and the recorder's retained-trace memory must stay
+  inside its configured budget.
 
 Run with ``PYTHONPATH=src python -m repro.bench.bench_operator_fusion``
 (add ``--quick`` for the CI-sized configuration, which also acts as the
@@ -48,6 +49,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from ..engine.database import PiqlDatabase
@@ -63,6 +65,19 @@ from .reporting import format_table, percentile, save_results
 
 ARMS = ("serial", "fused")
 
+#: What observing may cost, in host microseconds per query on the box the
+#: budgets were set on (see :func:`calibration_seconds`); ``check_result``
+#: scales them by how much slower or faster this interpreter runs the
+#: calibration kernel.  Stated in absolute cost, not as a ratio over the
+#: unobserved replay, so that making the replay cheaper cannot fail them.
+TRACING_BUDGET_US_PER_QUERY = 30.0
+FORENSICS_BUDGET_US_PER_QUERY = 18.0
+#: The ``--quick`` chunks last a few milliseconds each; their medians
+#: scatter more, so the CI-sized guards are this much looser.
+QUICK_BUDGET_FACTOR = 1.5
+#: ``calibration_seconds()`` where the budgets above were measured.
+CALIBRATION_REFERENCE_SECONDS = 0.0034
+
 #: Queries of the per-query microbench: (workload, query name).  The TPC-W
 #: search-by-author query is the multi-child sorted-index-join class this
 #: PR is about (one secondary range per matching author, each entry
@@ -73,6 +88,41 @@ MICRO_QUERIES = (
     ("tpcw", "new_products_wi"),
     ("scadr", "thoughtstream"),
 )
+
+
+@lru_cache(maxsize=None)
+def calibration_seconds() -> float:
+    """Best-of-seven seconds for a fixed pure-Python kernel, once a process.
+
+    The kernel does what the observers do — calls, dict and list traffic,
+    float arithmetic — so its time moves with the interpreter and the
+    machine the way theirs does.
+    """
+
+    def kernel() -> float:
+        table: Dict[int, float] = {}
+        trail: List[Tuple[int, float]] = []
+        total = 0.0
+        for index in range(20_000):
+            key = index % 97
+            value = table.get(key, 0.0) + index * 0.5
+            table[key] = value
+            if index % 3 == 0:
+                trail.append((key, value))
+            total += value
+        return total + len(trail)
+
+    best = float("inf")
+    for _ in range(7):
+        started = time.perf_counter()
+        kernel()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _median(values: List[float], default: float) -> float:
+    ordered = sorted(values)
+    return ordered[len(ordered) // 2] if ordered else default
 
 
 @dataclass(frozen=True)
@@ -431,45 +481,38 @@ class OperatorFusionExperiment:
         return aggregated
 
     # ------------------------------------------------------------------
-    # Phase 4: tracing overhead
+    # Phases 4 and 5: what observing costs
     # ------------------------------------------------------------------
-    def run_tracing_overhead(self) -> Dict[str, float]:
-        """Paired tracing-off/on replay on the fused executor.
+    def _paired_overhead(
+        self,
+        databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]],
+        seed: int,
+    ) -> Dict[str, float]:
+        """Chunk-paired replay of two arms; the second arm observes more.
 
-        Both arms replay the identical deterministic interaction sequence on
-        identically seeded databases; the traced arm additionally records a
-        full span tree per interaction (bounded root retention, so memory
-        stays flat).  The replay is split into small chunks whose two arms
-        run back to back; the reported ``overhead_ratio`` is the *median*
-        of the per-chunk paired ratios, which is robust against both
-        machine-load drift (each pair is adjacent in time) and load spikes
-        (the median discards them).
+        Both arms replay the identical deterministic interaction sequence
+        on identically seeded databases.  The replay is split into small
+        chunks whose two arms run back to back (alternating which goes
+        first), so machine-load drift hits both equally.  Each chunk yields
+        one paired ratio and one paired cost difference per query; the
+        medians over all chunks are reported, which a load spike cannot
+        move the way it moves a total-wall comparison.
         """
         config = self.config
-        arms = ("untraced", "traced")
-        databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]] = {}
-        rngs: Dict[str, random.Random] = {}
-        for arm in arms:
-            db, workload = self._tpcw_database(fused=True)
-            db.reset_measurements()
-            if arm == "traced":
-                db.enable_tracing()
-            databases[arm] = (db, workload)
-            rngs[arm] = random.Random(config.seed + 4)
-        walls: Dict[str, float] = {arm: 0.0 for arm in arms}
+        base, observed = databases
+        rngs = {arm: random.Random(seed) for arm in databases}
+        walls: Dict[str, float] = {arm: 0.0 for arm in databases}
         ratios: List[float] = []
+        costs_us: List[float] = []
         chunk = 10
         chunks, remainder = divmod(config.replay_interactions, chunk)
         sizes = [chunk] * chunks + ([remainder] if remainder else [])
+        auditor = databases[base][0].auditor
         for _ in range(max(1, config.tracing_repetitions)):
             for index, size in enumerate(sizes):
-                # The two arms of a chunk run back to back (alternating which
-                # goes first), so machine-load drift hits both equally; each
-                # chunk yields one paired overhead ratio and the median over
-                # all chunks is immune to load spikes that a total-wall
-                # comparison would absorb into one arm.
-                ordered = arms if index % 2 == 0 else arms[::-1]
+                ordered = (base, observed) if index % 2 == 0 else (observed, base)
                 elapsed = {}
+                queries_before = auditor.audited
                 for arm in ordered:
                     db, workload = databases[arm]
                     rng = rngs[arm]
@@ -479,32 +522,51 @@ class OperatorFusionExperiment:
                         workload.run_plan(db, plan)
                     elapsed[arm] = time.perf_counter() - started
                     walls[arm] += elapsed[arm]
-                if elapsed["untraced"] > 0:
-                    ratios.append(elapsed["traced"] / elapsed["untraced"])
-        untraced = walls["untraced"]
-        traced = walls["traced"]
-        ratios.sort()
-        median_ratio = ratios[len(ratios) // 2] if ratios else 1.0
-        # Tracing must observe the work, never change it: both arms end with
+                queries = auditor.audited - queries_before
+                if elapsed[base] > 0:
+                    ratios.append(elapsed[observed] / elapsed[base])
+                if queries:
+                    costs_us.append(
+                        (elapsed[observed] - elapsed[base]) * 1e6 / queries
+                    )
+        # Observing must never change the work: both arms end with
         # identical operation counts on their deterministic twins.
         operations = {
-            arm: databases[arm][0].client.stats.operations for arm in arms
+            arm: databases[arm][0].client.stats.operations for arm in databases
         }
+        calibration = calibration_seconds()
         return {
             "interactions": float(config.replay_interactions),
             "repetitions": float(max(1, config.tracing_repetitions)),
-            "untraced_wall_seconds": untraced,
-            "traced_wall_seconds": traced,
-            "overhead_ratio": median_ratio,
-            "total_wall_ratio": traced / untraced if untraced > 0 else 1.0,
+            f"{base}_wall_seconds": walls[base],
+            f"{observed}_wall_seconds": walls[observed],
+            "overhead_ratio": _median(ratios, default=1.0),
+            "total_wall_ratio": (
+                walls[observed] / walls[base] if walls[base] > 0 else 1.0
+            ),
+            "overhead_us_per_query": _median(costs_us, default=0.0),
+            "calibration_seconds": calibration,
+            "calibration_scale": calibration / CALIBRATION_REFERENCE_SECONDS,
             "operations_identical": float(
-                operations["untraced"] == operations["traced"]
+                operations[base] == operations[observed]
             ),
         }
 
-    # ------------------------------------------------------------------
-    # Phase 5: forensics overhead
-    # ------------------------------------------------------------------
+    def run_tracing_overhead(self) -> Dict[str, float]:
+        """Paired tracing-off/on replay on the fused executor.
+
+        The traced arm additionally records a full span tree per
+        interaction (bounded root retention, so memory stays flat).
+        """
+        databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]] = {}
+        for arm in ("untraced", "traced"):
+            db, workload = self._tpcw_database(fused=True)
+            db.reset_measurements()
+            if arm == "traced":
+                db.enable_tracing()
+            databases[arm] = (db, workload)
+        return self._paired_overhead(databases, self.config.seed + 4)
+
     def run_forensics_overhead(self) -> Dict[str, float]:
         """Paired tracing-only versus tracing-plus-forensics fused replay.
 
@@ -512,71 +574,27 @@ class OperatorFusionExperiment:
         attaches a :class:`~repro.obs.flightrec.FlightRecorder` (with its
         critical-path aggregator) as the bound auditor's recorder hook, so
         every finished query is critical-path-analysed and considered for
-        retention — the full latency-forensics hot path.  Chunk-paired
-        like the tracing phase; the reported ``overhead_ratio`` is the
-        median per-chunk forensics/traced ratio.
+        retention — the full latency-forensics hot path.
         """
-        config = self.config
-        arms = ("traced", "forensics")
         databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]] = {}
-        rngs: Dict[str, random.Random] = {}
-        recorder: Optional[FlightRecorder] = None
-        for arm in arms:
+        recorder = FlightRecorder(
+            ForensicsConfig(), aggregator=CriticalPathAggregator()
+        )
+        for arm in ("traced", "forensics"):
             db, workload = self._tpcw_database(fused=True)
             db.reset_measurements()
             db.enable_tracing()
             if arm == "forensics":
-                recorder = FlightRecorder(
-                    ForensicsConfig(),
-                    aggregator=CriticalPathAggregator(),
-                )
                 db.auditor.recorder = recorder
             databases[arm] = (db, workload)
-            rngs[arm] = random.Random(config.seed + 5)
-        walls: Dict[str, float] = {arm: 0.0 for arm in arms}
-        ratios: List[float] = []
-        chunk = 10
-        chunks, remainder = divmod(config.replay_interactions, chunk)
-        sizes = [chunk] * chunks + ([remainder] if remainder else [])
-        for _ in range(max(1, config.tracing_repetitions)):
-            for index, size in enumerate(sizes):
-                ordered = arms if index % 2 == 0 else arms[::-1]
-                elapsed = {}
-                for arm in ordered:
-                    db, workload = databases[arm]
-                    rng = rngs[arm]
-                    started = time.perf_counter()
-                    for _ in range(size):
-                        plan = workload.interaction_plan(db, rng)
-                        workload.run_plan(db, plan)
-                    elapsed[arm] = time.perf_counter() - started
-                    walls[arm] += elapsed[arm]
-                if elapsed["traced"] > 0:
-                    ratios.append(elapsed["forensics"] / elapsed["traced"])
-        ratios.sort()
-        median_ratio = ratios[len(ratios) // 2] if ratios else 1.0
-        operations = {
-            arm: databases[arm][0].client.stats.operations for arm in arms
-        }
-        assert recorder is not None
-        return {
-            "interactions": float(config.replay_interactions),
-            "repetitions": float(max(1, config.tracing_repetitions)),
-            "traced_wall_seconds": walls["traced"],
-            "forensics_wall_seconds": walls["forensics"],
-            "overhead_ratio": median_ratio,
-            "total_wall_ratio": (
-                walls["forensics"] / walls["traced"]
-                if walls["traced"] > 0 else 1.0
-            ),
-            "operations_identical": float(
-                operations["traced"] == operations["forensics"]
-            ),
-            "traces_seen": float(recorder.seen),
-            "retained_traces": float(len(recorder.traces)),
-            "memory_bytes": float(recorder.memory_bytes),
-            "memory_budget_bytes": float(recorder.config.memory_budget_bytes),
-        }
+        overhead = self._paired_overhead(databases, self.config.seed + 5)
+        overhead.update(
+            traces_seen=float(recorder.seen),
+            retained_traces=float(len(recorder.traces)),
+            memory_bytes=float(recorder.memory_bytes),
+            memory_budget_bytes=float(recorder.config.memory_budget_bytes),
+        )
+        return overhead
 
     # ------------------------------------------------------------------
     # Whole experiment
@@ -644,36 +662,32 @@ def check_result(result: OperatorFusionResult, quick: bool = False) -> None:
         f"fused replay took {fused_wall:.2f}s versus serial {serial_wall:.2f}s "
         f"(tolerance {tolerance}x)"
     )
-    # Tracing observes the work without changing it, and the span recording
-    # stays within the observability tier's wall-clock budget.  The target
-    # is <= 5% overhead; the guard is looser (the chunk-paired median tames
-    # but does not eliminate shared-runner noise on sub-second quick arms).
-    if result.tracing_overhead:
-        assert result.tracing_overhead["operations_identical"] == 1.0, (
-            "tracing changed the operation count of the replay"
+    # Observing must not change the work, and must cost no more host time
+    # per query than its budget (scaled to this box by the calibration
+    # kernel).  The chunk-paired ratios are printed beside the costs; they
+    # are not guarded, because every PR that makes the unobserved replay
+    # cheaper raises them without the observers having changed.
+    budget_factor = QUICK_BUDGET_FACTOR if quick else 1.0
+    for label, overhead, budget_us in (
+        ("tracing", result.tracing_overhead, TRACING_BUDGET_US_PER_QUERY),
+        ("forensics", result.forensics_overhead, FORENSICS_BUDGET_US_PER_QUERY),
+    ):
+        if not overhead:
+            continue
+        assert overhead["operations_identical"] == 1.0, (
+            f"{label} changed the operation count of the replay"
         )
-        ratio = result.tracing_overhead["overhead_ratio"]
-        budget = 1.25 if quick else 1.15
-        assert ratio <= budget, (
-            f"tracing overhead was {ratio:.3f}x untraced wall clock "
-            f"(budget {budget}x)"
+        cost = overhead["overhead_us_per_query"]
+        budget = budget_us * budget_factor * overhead["calibration_scale"]
+        assert cost <= budget, (
+            f"{label} cost {cost:.2f} us per query (budget {budget:.2f} us = "
+            f"{budget_us} x {budget_factor} x calibration scale "
+            f"{overhead['calibration_scale']:.2f}; chunk-median ratio "
+            f"{overhead['overhead_ratio']:.3f}x)"
         )
-    # The latency-forensics hot path (critical-path analysis + retention
-    # decision per finished query) must stay within 10% of the tracing-only
-    # wall clock (the quick guard is slightly looser for the same
-    # sub-second-chunk noise reason as the tracing budget above), and the
-    # recorder's retained memory inside its budget.
+    # The recorder's retained memory must stay inside its budget.
     if result.forensics_overhead:
         overhead = result.forensics_overhead
-        assert overhead["operations_identical"] == 1.0, (
-            "the flight recorder changed the operation count of the replay"
-        )
-        ratio = overhead["overhead_ratio"]
-        budget = 1.15 if quick else 1.10
-        assert ratio <= budget, (
-            f"forensics overhead was {ratio:.3f}x the tracing-only wall "
-            f"clock (budget {budget}x)"
-        )
         assert overhead["memory_bytes"] <= overhead["memory_budget_bytes"], (
             f"flight recorder held {overhead['memory_bytes']:.0f} bytes, "
             f"budget {overhead['memory_budget_bytes']:.0f}"
@@ -768,6 +782,9 @@ def print_result(result: OperatorFusionResult) -> None:
             f"{overhead['traced_wall_seconds']:.3f}s over "
             f"{overhead['interactions']:.0f} interactions x "
             f"{overhead['repetitions']:.0f} chunk-paired passes: "
+            f"{overhead['overhead_us_per_query']:.2f} us per query "
+            f"(full-size budget {TRACING_BUDGET_US_PER_QUERY} us x calibration scale "
+            f"{overhead['calibration_scale']:.2f}), "
             f"{(overhead['overhead_ratio'] - 1.0) * 100.0:+.1f}% wall clock "
             f"(chunk-median; total-wall ratio "
             f"{overhead['total_wall_ratio']:.3f}x)"
@@ -779,6 +796,9 @@ def print_result(result: OperatorFusionResult) -> None:
         print(
             f"traced {overhead['traced_wall_seconds']:.3f}s, forensics "
             f"{overhead['forensics_wall_seconds']:.3f}s: "
+            f"{overhead['overhead_us_per_query']:.2f} us per query "
+            f"(full-size budget {FORENSICS_BUDGET_US_PER_QUERY} us x calibration scale "
+            f"{overhead['calibration_scale']:.2f}), "
             f"{(overhead['overhead_ratio'] - 1.0) * 100.0:+.1f}% wall clock "
             f"(chunk-median; total-wall ratio "
             f"{overhead['total_wall_ratio']:.3f}x); recorder retained "

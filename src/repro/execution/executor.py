@@ -113,9 +113,7 @@ class QueryExecutor:
         except Exception as exc:
             # Errored executions never reach the auditor, so the flight
             # recorder would miss exactly the traces it exists to keep —
-            # close the root span, mark it, and offer it directly.  Each
-            # path ends the span exactly once: end_span on an already
-            # closed span drains the whole stack.
+            # close the root span, mark it, and offer it directly.
             if root_span is not None:
                 tracer.end_span(root_span)
                 root_span.attributes["error"] = type(exc).__name__

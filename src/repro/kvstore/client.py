@@ -215,16 +215,14 @@ class StorageClient:
     #: resilience policy when breakers are enabled; ``None`` otherwise.
     breakers: Optional[object] = field(default=None, repr=False, compare=False)
     #: Coalescing buffer of point reads completed during an open gather
-    #: window: ``(namespace, key) -> (value, ready_at_seconds)``.  ``None``
-    #: outside a window.
-    _gather_cache: Optional[Dict[Tuple[str, bytes], Tuple[Optional[bytes], float]]] = \
-        field(default=None, repr=False, compare=False)
+    #: window: ``(namespace, key) -> (value, ready_at_seconds, rpc span)``.
+    #: The span (``None`` untraced) is the physical request that fetched
+    #: the key, so later logical reads join its ``logical_reads``.  The
+    #: buffer is ``None`` outside a window.
+    _gather_cache: Optional[
+        Dict[Tuple[str, bytes], Tuple[Optional[bytes], float, Optional[Span]]]
+    ] = field(default=None, repr=False, compare=False)
     _gather_depth: int = field(default=0, repr=False, compare=False)
-    #: Tracing side-table of a gather window: the RPC span that fetched each
-    #: coalesced key, so later logical reads attach as children of the one
-    #: physical request.
-    _gather_spans: Optional[Dict[Tuple[str, bytes], Span]] = \
-        field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -401,38 +399,25 @@ class StorageClient:
         self.tracer = None
 
     def _trace_coalesced(
-        self, op: str, namespace: str, key: bytes, started: float
+        self, namespace: str, keys: Sequence[bytes], started: float
     ) -> None:
-        """Attribute one coalesced logical read to the RPC that fetched it."""
-        rpc_span = (
-            self._gather_spans.get((namespace, key))
-            if self._gather_spans is not None
-            else None
-        )
+        """Attribute coalesced logical reads to the RPCs that fetched them
+        (called inside the gather window that served them)."""
+        cache = self._gather_cache
+        assert cache is not None and self.tracer is not None
         ended = self.clock.now
-        if rpc_span is not None:
-            child = Span(op, "logical-op", started)
-            child.end = ended
-            # Raw key bytes: repr() is hot-path cost; the exporter makes
-            # bytes attributes JSON-safe at export time.
-            child.attributes["key"] = key
-            child.attributes["coalesced"] = True
-            rpc_span.children.append(child)
-        else:
-            assert self.tracer is not None
-            self.tracer.record(
-                op, "coalesced", started, ended,
-                namespace=namespace, key=key, coalesced=True,
-            )
-
-    @staticmethod
-    def _attach_logical_read(rpc_span: Span, key: bytes) -> None:
-        """Record the requesting logical read under a fresh RPC span."""
-        child = Span("get", "logical-op", rpc_span.start)
-        child.end = rpc_span.end
-        child.attributes["key"] = key
-        child.attributes["coalesced"] = False
-        rpc_span.children.append(child)
+        for key in keys:
+            rpc_span = cache[(namespace, key)][2]
+            if rpc_span is not None:
+                rpc_span.logical_reads.append(  # type: ignore[union-attr]
+                    (key, started, ended)
+                )
+            else:
+                # Fetched before tracing was switched on: no span to join.
+                self.tracer.record(
+                    "get", "coalesced", started, ended,
+                    namespace=namespace, key=key, coalesced=True,
+                )
 
     # ------------------------------------------------------------------
     # Gather windows (cross-query read coalescing)
@@ -454,8 +439,6 @@ class StorageClient:
         self._gather_depth += 1
         if self._gather_cache is None:
             self._gather_cache = {}
-            if self.tracer is not None:
-                self._gather_spans = {}
 
     def end_gather_window(self) -> None:
         """Close the window opened by :meth:`begin_gather_window`."""
@@ -464,13 +447,10 @@ class StorageClient:
         self._gather_depth -= 1
         if self._gather_depth == 0:
             self._gather_cache = None
-            self._gather_spans = None
 
     def _invalidate(self, namespace: str, key: bytes) -> None:
         if self._gather_cache is not None:
             self._gather_cache.pop((namespace, key), None)
-            if self._gather_spans is not None:
-                self._gather_spans.pop((namespace, key), None)
 
     def _coalesced_wait(self, ready_at: float) -> None:
         """Wait (in simulated time) for the shared fetch's reply to arrive."""
@@ -486,7 +466,7 @@ class StorageClient:
         if cache is not None:
             hit = cache.get((namespace, key))
             if hit is not None:
-                value, ready_at = hit
+                value, ready_at, _ = hit
                 self.stats.metrics.add_many((
                     ("client.operations", 1),
                     ("client.keys_touched", 1),
@@ -495,7 +475,7 @@ class StorageClient:
                 started = self.clock.now
                 self._coalesced_wait(ready_at)
                 if self.tracer is not None:
-                    self._trace_coalesced("get", namespace, key, started)
+                    self._trace_coalesced(namespace, (key,), started)
                 return value
         try:
             result = self.cluster.get(
@@ -516,10 +496,9 @@ class StorageClient:
             metrics.add("resilience.hedged_reads", 1)
             metrics.add("client.saved_reads", 1)
         if cache is not None:
-            cache[(namespace, key)] = (result.value, self.clock.now)  # type: ignore[arg-type]
-            if span is not None and self._gather_spans is not None:
-                self._attach_logical_read(span, key)
-                self._gather_spans[(namespace, key)] = span
+            cache[(namespace, key)] = (result.value, self.clock.now, span)  # type: ignore[arg-type]
+            if span is not None:
+                span.logical_reads = [key]
         return result.value  # type: ignore[return-value]
 
     def put(self, namespace: str, key: bytes, value: bytes) -> None:
@@ -667,12 +646,10 @@ class StorageClient:
                     node_id=result.node_id,
                     repaired=result.repaired,
                 )
+                rpc_span.logical_reads = list(miss_keys)
             for slot, key, value in zip(miss_slots, miss_keys, fetched):
                 values[slot] = value
-                cache[(namespace, key)] = (value, done_at)
-                if rpc_span is not None and self._gather_spans is not None:
-                    self._attach_logical_read(rpc_span, key)
-                    self._gather_spans[(namespace, key)] = rpc_span
+                cache[(namespace, key)] = (value, done_at, rpc_span)
             ready_at = max(ready_at, done_at)
             counts.append(("client.rpcs", 1))
             if result.repaired:
@@ -689,9 +666,8 @@ class StorageClient:
         ]
         self.stats.metrics.add_many(counts)
         self._coalesced_wait(ready_at)
-        if self.tracer is not None:
-            for key in hits:
-                self._trace_coalesced("get", namespace, key, started)
+        if hits and self.tracer is not None:
+            self._trace_coalesced(namespace, hits, started)
         return values
 
     def get_range(

@@ -30,9 +30,10 @@ non-dominant sibling is overlapped slack: it consumed no wall clock, so it
 contributes nothing.  The result is an exact partition — segment seconds
 sum to the root duration, and shares to 1.0, up to float addition error.
 
-``logical-op`` spans (per-key accounting inside a coalesced RPC) describe
-work, not wall time, and are excluded from the sweep: one RPC span with
-forty logical children is still one RPC's worth of service time.
+The per-key accounting inside a coalesced RPC (``Span.logical_reads``,
+exported as ``logical-op`` spans) describes work, not wall time; it rides
+on the ``rpc`` span, not among anyone's children, so the walk never meets
+it: one RPC span with forty logical reads is one RPC's worth of service.
 
 :class:`CriticalPathAggregator` folds breakdowns into per-query-class
 profiles — time-weighted mean shares plus a top-k-slowest tail profile,
@@ -70,9 +71,6 @@ _VIEW = "view_maintenance"
 _COMPACTION = "compaction_interference"
 _CLIENT = "client_compute"
 
-#: Span kinds that are pure accounting (no wall time of their own).
-_NON_WALL_KINDS = frozenset({"logical-op"})
-
 
 def query_class_of(span: Span) -> str:
     """The query class a root span belongs to.
@@ -93,9 +91,14 @@ def _normalised_sql(sql: str) -> str:
     return " ".join(sql.split())
 
 
-@dataclass(frozen=True)
+@dataclass
 class CriticalPathBreakdown:
-    """One trace's end-to-end latency, partitioned into segment classes."""
+    """One trace's end-to-end latency, partitioned into segment classes.
+
+    Treated as immutable, but not declared frozen: one is built for every
+    finished query, and a frozen dataclass pays ``object.__setattr__`` per
+    field.
+    """
 
     query_class: str
     root_name: str
@@ -163,9 +166,9 @@ def _split_rpc(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> 
     are a property of the whole RPC, not of where it was cut.
     """
     window = hi - lo
-    duration = span.duration
     if window <= 0.0:
         return
+    duration = span.end - span.start if span.end is not None else 0.0
     scale = window / duration if duration > 0.0 else 0.0
     attrs = span.attributes
     if (
@@ -203,64 +206,97 @@ def _split_rpc(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> 
     segments[_RPC] += (duration - queue - hedge - stall) * scale
 
 
+#: Leaf kinds whose whole window goes to one segment class.
+_LEAF_SEGMENT = {
+    # The whole subtree is the write's maintenance bill: its inner RPCs are
+    # *caused by* the view, and that cause is what the operator reading the
+    # breakdown needs to see.
+    "view-maintenance": _VIEW,
+    # Waiting out a deadline, or waiting on a sibling branch's in-flight
+    # read: either way the time went to the storage tier.
+    "rpc-timeout": _RPC,
+    "coalesced": _RPC,
+    "resilience": _RETRY,
+}
+
+_NEVER = float("-inf")
+
+
 def _attribute(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> None:
     """Attribute the wall-time window ``[lo, hi]`` owned by ``span``."""
     if hi <= lo:
         return
     kind = span.kind
-    if kind == "view-maintenance":
-        # The whole subtree is the write's maintenance bill: its inner RPCs
-        # are *caused by* the view, and that cause is what the operator
-        # reading the breakdown needs to see.
-        segments[_VIEW] += hi - lo
-        return
     if kind == "rpc":
         _split_rpc(span, lo, hi, segments)
         return
-    if kind in ("rpc-timeout", "coalesced"):
-        # Waiting out a deadline, or waiting on a sibling branch's
-        # in-flight read: either way the time went to the storage tier.
-        segments[_RPC] += hi - lo
-        return
-    if kind == "resilience":
-        segments[_RETRY] += hi - lo
+    leaf = _LEAF_SEGMENT.get(kind)
+    if leaf is not None:
+        segments[leaf] += hi - lo
         return
 
     # Structural span (query/write root, operator, gather, branch, unknown
-    # kinds): sweep its children, attribute gaps to client compute.
+    # kinds): its children own their windows, the gaps are client compute.
+    children = span.children
+    if not children:
+        segments[_CLIENT] += hi - lo
+        return
+
+    # The dominant shape — children already in start order, none
+    # overlapping: every pipeline of operators.  One look over the children
+    # confirms it (nothing may be attributed before that: a later sibling
+    # that overlaps can take time from an earlier one), one walk attributes
+    # each child and the gaps between them.
+    if len(children) > 1:
+        covered = _NEVER
+        for child in children:
+            end = child.end
+            if end is None:
+                continue
+            if child.start < covered:
+                _sweep(children, lo, hi, segments)
+                return
+            if end > covered:
+                covered = end
+    cursor = lo
+    for child in children:
+        end = child.end
+        if end is None:
+            continue
+        start = child.start
+        if start < lo:
+            start = lo
+        if end > hi:
+            end = hi
+        if end <= start:
+            continue
+        if start > cursor:
+            segments[_CLIENT] += start - cursor
+        if child.kind == "rpc":
+            # Half of all children: split here, not one call further down.
+            _split_rpc(child, start, end, segments)
+        else:
+            _attribute(child, start, end, segments)
+        cursor = end
+    if hi > cursor:
+        segments[_CLIENT] += hi - cursor
+
+
+def _sweep(
+    children: List[Span], lo: float, hi: float, segments: Dict[str, float]
+) -> None:
+    """Attribute ``[lo, hi]`` among children that overlap (gather branches,
+    a hedge twin): each elementary interval goes to the child extending
+    furthest, the uncovered ones to client compute."""
     intervals: List[Tuple[float, float, Span]] = []
-    for child in span.children:
-        if child.kind in _NON_WALL_KINDS or child.end is None:
+    for child in children:
+        if child.end is None:
             continue
         start = child.start if child.start > lo else lo
         end = child.end if child.end < hi else hi
         if end > start:
             intervals.append((start, end, child))
-    if not intervals:
-        segments[_CLIENT] += hi - lo
-        return
-
-    # Fast path: sequential (non-overlapping) children — the shape of
-    # every pipeline of operators and by far the hot-path common case.
-    # A linear cursor walk attributes each child and the gaps between
-    # them without building the elementary-interval sweep below.
-    disjoint = True
-    if len(intervals) > 1:
-        intervals.sort(key=lambda interval: interval[0])
-        for previous, current in zip(intervals, intervals[1:]):
-            if current[0] < previous[1]:
-                disjoint = False
-                break
-    if disjoint:
-        cursor = lo
-        for start, end, child in intervals:
-            if start > cursor:
-                segments[_CLIENT] += start - cursor
-            _attribute(child, start, end, segments)
-            cursor = end
-        if hi > cursor:
-            segments[_CLIENT] += hi - cursor
-        return
+    intervals.sort(key=lambda interval: interval[0])
 
     bounds = {lo, hi}
     for start, end, _ in intervals:
@@ -301,7 +337,7 @@ def analyze_trace(
     """
     if root.end is None:
         raise ValueError(f"span {root.name!r} is still open")
-    segments = {cls: 0.0 for cls in SEGMENT_CLASSES}
+    segments = dict.fromkeys(SEGMENT_CLASSES, 0.0)
     if root.end > root.start:
         _attribute(root, root.start, root.end, segments)
     return CriticalPathBreakdown(
@@ -370,7 +406,7 @@ class _ClassAccumulator:
         self.max_seconds = 0.0
         self.segment_totals = {cls: 0.0 for cls in SEGMENT_CLASSES}
         #: Min-heap of (duration, seq, segments) keeping the top-k slowest.
-        self.slowest: List[Tuple[float, int, Dict[str, float], float]] = []
+        self.slowest: List[Tuple[float, int, Dict[str, float]]] = []
         self._seq = 0
 
 
@@ -401,38 +437,48 @@ class CriticalPathAggregator:
                 return
             state = _ClassAccumulator()
             self._classes[breakdown.query_class] = state
-        duration = breakdown.duration_seconds
+        duration = breakdown.end - breakdown.start
         state.count += 1
         state.total_seconds += duration
         if duration > state.max_seconds:
             state.max_seconds = duration
-        for cls in SEGMENT_CLASSES:
-            state.segment_totals[cls] += breakdown.segments[cls]
+        totals = state.segment_totals
+        for cls, seconds in breakdown.segments.items():
+            if seconds:
+                totals[cls] += seconds
         state._seq += 1
-        entry = (duration, state._seq, dict(breakdown.segments), duration)
-        if len(state.slowest) < self.tail_k:
-            heapq.heappush(state.slowest, entry)
-        elif duration > state.slowest[0][0]:
-            heapq.heapreplace(state.slowest, entry)
+        slowest = state.slowest
+        if len(slowest) < self.tail_k:
+            keep = heapq.heappush
+        elif duration > slowest[0][0]:
+            keep = heapq.heapreplace
+        else:
+            return
+        # The segment dict is copied only for an entry the tail keeps.
+        keep(slowest, (duration, state._seq, dict(breakdown.segments)))
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    @staticmethod
+    def _mean_shares(state: _ClassAccumulator) -> Dict[str, float]:
+        """Time-weighted mean share per segment class."""
+        total = state.total_seconds
+        if total > 0.0:
+            return {
+                cls: state.segment_totals[cls] / total
+                for cls in SEGMENT_CLASSES
+            }
+        return {
+            cls: (1.0 if cls == _CLIENT else 0.0) for cls in SEGMENT_CLASSES
+        }
+
     def profiles(self) -> List[BreakdownProfile]:
         profiles: List[BreakdownProfile] = []
         for query_class in sorted(self._classes):
             state = self._classes[query_class]
             total = state.total_seconds
-            if total > 0.0:
-                mean = {
-                    cls: state.segment_totals[cls] / total
-                    for cls in SEGMENT_CLASSES
-                }
-            else:
-                mean = {
-                    cls: (1.0 if cls == _CLIENT else 0.0)
-                    for cls in SEGMENT_CLASSES
-                }
+            mean = self._mean_shares(state)
             tail_total = sum(entry[0] for entry in state.slowest)
             if tail_total > 0.0:
                 tail = {
@@ -481,15 +527,16 @@ class CriticalPathAggregator:
         (time-weighted running mean) — the feed behind the dashboard's
         LATENCY BREAKDOWN section.
         """
-        for profile in self.profiles():
-            for cls in SEGMENT_CLASSES:
-                share = profile.mean_shares[cls]
+        # Mean shares only: the tail profile is a report-time question.
+        for query_class in sorted(self._classes):
+            shares = self._mean_shares(self._classes[query_class])
+            for cls, share in shares.items():
                 if share <= 0.0:
                     continue
                 store.record(
                     "forensics.segment_share",
                     share,
                     now,
-                    {"query_class": profile.query_class, "segment": cls},
+                    {"query_class": query_class, "segment": cls},
                 )
         store.record("forensics.traces_analyzed", float(self.observed), now)

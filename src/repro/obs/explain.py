@@ -129,5 +129,5 @@ def _render_span(span: Span, depth: int, lines: List[str]) -> None:
     if details:
         parts.append("(" + ", ".join(details) + ")")
     lines.append("  " * depth + " ".join(parts))
-    for child in span.children:
+    for child in span.expanded_children():
         _render_span(child, depth + 1, lines)

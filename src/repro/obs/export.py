@@ -49,7 +49,9 @@ def span_to_dict(span: Span) -> Dict[str, object]:
         "attributes": {
             key: _json_safe(value) for key, value in span.attributes.items()
         },
-        "children": [span_to_dict(child) for child in span.children],
+        "children": [
+            span_to_dict(child) for child in span.expanded_children()
+        ],
     }
 
 

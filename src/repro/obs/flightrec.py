@@ -38,6 +38,7 @@ windows so traces overlapping an open breaker are retained.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -180,8 +181,11 @@ class FlightRecorder:
         self._retained: "OrderedDict[str, RetainedTrace]" = OrderedDict()
         self._retained_bytes = 0
         self._next_id = 0
-        #: Closed retention windows: (start, end, label).
+        #: Closed retention windows: (start, end, label), in noting order.
         self.windows: List[Tuple[float, float, str]] = []
+        # The same windows as (end, noting order, start, label), sorted, so
+        # a lookup can skip every window that ended before the trace began.
+        self._windows_by_end: List[Tuple[float, int, float, str]] = []
         #: Open-ended windows (breaker currently open): key -> (start, label).
         self._open_windows: Dict[object, Tuple[float, str]] = {}
         #: Window labels that already pinned their first trace.
@@ -204,6 +208,7 @@ class FlightRecorder:
         """Register a closed retention window (e.g. an injected fault)."""
         if end < start:
             raise ValueError("window end before start")
+        insort(self._windows_by_end, (end, len(self.windows), start, label))
         self.windows.append((start, end, label))
 
     def begin_window(self, key: object, start: float, label: str) -> None:
@@ -215,12 +220,20 @@ class FlightRecorder:
         entry = self._open_windows.pop(key, None)
         if entry is not None:
             start, label = entry
-            self.windows.append((start, max(start, end), label))
+            self.note_window(start, max(start, end), label)
 
     def _overlapping_window(self, start: float, end: float) -> Optional[str]:
-        for w_start, w_end, label in self.windows:
-            if start < w_end and end > w_start:
-                return label
+        """Label of the earliest-noted window overlapping ``(start, end)``."""
+        by_end = self._windows_by_end
+        found: Optional[Tuple[int, str]] = None
+        # Windows with ``w_end <= start`` sort before this point.
+        first = bisect_right(by_end, (start, len(by_end)))
+        for index in range(first, len(by_end)):
+            _, noted, w_start, label = by_end[index]
+            if end > w_start and (found is None or noted < found[0]):
+                found = (noted, label)
+        if found is not None:
+            return found[1]
         for w_start, label in self._open_windows.values():
             if end > w_start:
                 return label
@@ -245,17 +258,10 @@ class FlightRecorder:
         if span.end is None:
             return None
         self.seen += 1
-        breakdown: Optional[CriticalPathBreakdown] = None
-        try:
-            breakdown = analyze_trace(span)
-        except ValueError:  # pragma: no cover - guarded by span.end above
-            breakdown = None
-        if breakdown is not None and self.aggregator is not None:
+        breakdown = analyze_trace(span)
+        if self.aggregator is not None:
             self.aggregator.observe(breakdown)
-        query_class = (
-            breakdown.query_class if breakdown is not None
-            else query_class_of(span)
-        )
+        query_class = breakdown.query_class
         band = (query_class, _band_upper_ms(latency_seconds * 1000.0))
         self.histogram[band] = self.histogram.get(band, 0) + 1
 
@@ -266,14 +272,22 @@ class FlightRecorder:
             pinned = True
         if span.attributes.get("error"):
             reasons.append("error")
-        envelope = self._envelope(query)
-        if (
-            envelope is not None
-            and latency_seconds
-            > envelope.p_high_seconds * self.config.slow_grace_factor
-        ):
-            reasons.append("slow")
-        label = self._overlapping_window(span.start, span.end)
+        # The calls below are skipped when they have nothing to consult:
+        # on this path a call into code not run since the last query costs
+        # more than the work it does.
+        if self.drift is not None:
+            envelope = self._envelope(query)
+            if (
+                envelope is not None
+                and latency_seconds
+                > envelope.p_high_seconds * self.config.slow_grace_factor
+            ):
+                reasons.append("slow")
+        label = (
+            self._overlapping_window(span.start, span.end)
+            if self._windows_by_end or self._open_windows
+            else None
+        )
         if label is not None:
             reasons.append(f"window:{label}")
             if label not in self._pinned_windows:
@@ -293,15 +307,10 @@ class FlightRecorder:
         if span.end is None:
             return None
         self.seen += 1
-        breakdown: Optional[CriticalPathBreakdown] = None
-        if span.end is not None:
-            breakdown = analyze_trace(span)
-            if self.aggregator is not None:
-                self.aggregator.observe(breakdown)
-        query_class = (
-            breakdown.query_class if breakdown is not None
-            else query_class_of(span)
-        )
+        breakdown = analyze_trace(span)
+        if self.aggregator is not None:
+            self.aggregator.observe(breakdown)
+        query_class = breakdown.query_class
         latency = span.duration
         band = (query_class, _band_upper_ms(latency * 1000.0))
         self.histogram[band] = self.histogram.get(band, 0) + 1

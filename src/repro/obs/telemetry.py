@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .metrics import MetricsRegistry
-from .timeseries import TimeSeriesStore
+from .timeseries import TimeSeriesStore, make_labels
 
 #: Cumulative SLO counters the collector writes and the alerter reads.
 SLO_TOTAL_METRIC = "serving.slo.total"
@@ -109,7 +109,8 @@ class TelemetryCollector:
                 record(name, value, now)
             replication = getattr(cluster, "replication", None)
             for node in cluster.nodes:
-                labels = {"node": node.node_id}
+                # Canonical form once per node, not once per sample.
+                labels = make_labels({"node": node.node_id})
                 record("node.up", 1.0 if node.up else 0.0, now, labels)
                 record("node.utilization", node.utilization, now, labels)
                 queue = getattr(node, "request_queue", None)
@@ -138,7 +139,7 @@ class TelemetryCollector:
                     gauges = engine.gauges()
                     if not gauges:
                         continue
-                    labels = {"node": node_id}
+                    labels = make_labels({"node": node_id})
                     for name, value in gauges.items():
                         record(f"engine.{name}", float(value), now, labels)
         if self.breakers_fn is not None and cluster is not None:

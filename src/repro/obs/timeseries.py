@@ -23,17 +23,24 @@ samples older than the ring's horizon are dropped and counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 #: Label sets are stored as sorted ``(key, value)`` tuples so equal label
 #: dicts always produce the same series key.
 Labels = Tuple[Tuple[str, str], ...]
 
 
-def make_labels(labels: Optional[Dict[str, object]] = None) -> Labels:
-    """Normalise a label dict into the canonical tuple form."""
+def make_labels(labels: Union[None, Labels, Dict[str, object]] = None) -> Labels:
+    """Normalise a label dict into the canonical tuple form.
+
+    A tuple is taken to be canonical already (the result of an earlier
+    call), so a caller recording many samples under one label set can
+    normalise it once.
+    """
     if not labels:
         return ()
+    if isinstance(labels, tuple):
+        return labels
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -59,9 +66,14 @@ class TimeSeriesPoint:
 
 
 class _Ring:
-    """One resolution level: ``capacity`` tumbling buckets in a ring."""
+    """One resolution level: ``capacity`` tumbling buckets in a ring.
 
-    __slots__ = ("width", "capacity", "bucket_ids", "aggs")
+    A slot keeps the newest bucket that ever mapped to it, so after a gap
+    in the samples a slot can still hold a bucket more than ``capacity``
+    buckets behind :attr:`newest`; the indexed lookups below allow for it.
+    """
+
+    __slots__ = ("width", "capacity", "bucket_ids", "aggs", "newest", "_oldest")
 
     _EMPTY = -1
 
@@ -72,6 +84,11 @@ class _Ring:
         self.bucket_ids: List[int] = [self._EMPTY] * capacity
         # (count, sum, min, max, last) per slot.
         self.aggs: List[Optional[List[float]]] = [None] * capacity
+        #: Largest bucket index held (-1 while the ring is empty).
+        self.newest = self._EMPTY
+        # Smallest bucket index held; ``None`` once an eviction may have
+        # removed it (recomputed by the next :meth:`oldest`).
+        self._oldest: Optional[int] = None
 
     def bucket_of(self, t: float) -> int:
         return int(t // self.width)
@@ -85,7 +102,7 @@ class _Ring:
         the sample is older than the ring's horizon (the slot it maps to
         already holds a *newer* bucket).
         """
-        bucket = self.bucket_of(t)
+        bucket = int(t // self.width)
         slot = bucket % self.capacity
         held = self.bucket_ids[slot]
         evicted: Optional[Tuple[int, List[float]]] = None
@@ -96,9 +113,68 @@ class _Ring:
             return False, None  # older than everything this ring remembers
         if held != self._EMPTY:
             evicted = (held, self.aggs[slot])  # type: ignore[arg-type]
+            self._oldest = None
+        elif self.newest == self._EMPTY:
+            self._oldest = bucket
+        elif self._oldest is not None and bucket < self._oldest:
+            self._oldest = bucket
+        if bucket > self.newest:
+            self.newest = bucket
         self.bucket_ids[slot] = bucket
-        self.aggs[slot] = [agg[0], agg[1], agg[2], agg[3], agg[4]]
+        self.aggs[slot] = list(agg)
         return True, evicted
+
+    def oldest(self) -> int:
+        """Smallest bucket index held (the ring must not be empty)."""
+        if self._oldest is None:
+            self._oldest = min(
+                bucket for bucket in self.bucket_ids if bucket != self._EMPTY
+            )
+        return self._oldest
+
+    def last_at_or_before(
+        self, t: float, horizon: Optional[float] = None
+    ) -> Optional[List[float]]:
+        """Aggregate of the newest bucket starting at or before ``t``.
+
+        With ``horizon`` the bucket must also end at or before it — the
+        rule by which :meth:`_Series.points` lets a coarser level speak
+        only for the time before the finer levels' data.  The comparisons
+        are the ones ``points()`` makes on ``start_seconds`` and
+        ``end_seconds``, so the two agree bucket for bucket.
+        """
+        width = self.width
+        bucket = self.bucket_of(t)
+        while (bucket + 1) * width <= t:
+            bucket += 1
+        while bucket * width > t:
+            bucket -= 1
+        if horizon is not None:
+            limit = self.bucket_of(horizon) - 1
+            while (limit + 1) * width + width <= horizon:
+                limit += 1
+            while limit * width + width > horizon:
+                limit -= 1
+            if limit < bucket:
+                bucket = limit
+        if bucket > self.newest:
+            bucket = self.newest
+        capacity = self.capacity
+        bucket_ids = self.bucket_ids
+        # Walk back over gaps: every slot is passed once, and the first one
+        # holding exactly the bucket asked of it holds the answer, because a
+        # slot passed without a match holds either a newer bucket or one
+        # more than ``capacity`` behind the bucket asked of it.
+        for candidate in range(bucket, max(bucket - capacity, self._EMPTY), -1):
+            slot = candidate % capacity
+            if bucket_ids[slot] == candidate:
+                return self.aggs[slot]
+        # Only a bucket left behind by a gap can remain.
+        stale = max(
+            (held for held in bucket_ids if self._EMPTY < held <= bucket),
+            default=self._EMPTY,
+        )
+        return self.aggs[stale % capacity] if stale != self._EMPTY else None
 
     @staticmethod
     def _merge(into: Optional[List[float]], agg: Sequence[float]) -> None:
@@ -143,22 +219,19 @@ class _Series:
             for level in range(levels)
         ]
 
-    def record(self, t: float, value: float) -> bool:
-        agg = (1.0, value, value, value, value)
-        return self._offer(0, t, agg)
-
-    def _offer(self, level: int, t: float, agg: Sequence[float]) -> bool:
+    def offer(self, level: int, t: float, agg: Sequence[float]) -> bool:
+        """Fold ``agg`` into ``level`` (a fresh sample enters at level 0)."""
         if level >= len(self.rings):
             return False  # fell off the coarsest level: history truly expired
         accepted, evicted = self.rings[level].offer(t, agg)
         if evicted is not None:
             bucket_id, old_agg = evicted
-            self._offer(
+            self.offer(
                 level + 1, bucket_id * self.rings[level].width, old_agg
             )
         if not accepted:
             # Too old for this ring — maybe a coarser level still covers it.
-            return self._offer(level + 1, t, agg)
+            return self.offer(level + 1, t, agg)
         return True
 
     def points(
@@ -202,6 +275,39 @@ class _Series:
             if ring_points:
                 return ring_points[-1]
         return None
+
+    # The two lookups below answer from the rings' indexes what
+    # ``points()`` would answer from a sorted copy of every bucket: the
+    # levels hold disjoint stretches of time, finest newest, and a coarser
+    # bucket counts only if it ends by the start of all finer data.
+    def last_at_or_before(self, t: float) -> Optional[float]:
+        """``last`` of the newest bucket of ``points()`` starting by ``t``."""
+        horizon: Optional[float] = None
+        for ring in self.rings:
+            if ring.newest == ring._EMPTY:
+                continue
+            agg = ring.last_at_or_before(t, horizon)
+            if agg is not None:
+                return agg[4]
+            level_start = ring.oldest() * ring.width
+            if horizon is None or level_start < horizon:
+                horizon = level_start
+        return None
+
+    def first(self) -> Optional[float]:
+        """``last`` of the oldest bucket of ``points()``."""
+        horizon: Optional[float] = None
+        value: Optional[float] = None
+        for ring in self.rings:
+            if ring.newest == ring._EMPTY:
+                continue
+            oldest = ring.oldest()
+            level_start = oldest * ring.width
+            if horizon is None or level_start + ring.width <= horizon:
+                value = ring.aggs[oldest % ring.capacity][4]  # type: ignore[index]
+            if horizon is None or level_start < horizon:
+                horizon = level_start
+        return value
 
 
 class TimeSeriesStore:
@@ -259,10 +365,10 @@ class TimeSeriesStore:
         name: str,
         value: float,
         t: float,
-        labels: Optional[Dict[str, object]] = None,
+        labels: Union[None, Labels, Dict[str, object]] = None,
     ) -> bool:
         """Record one sample; returns False when it was dropped."""
-        key = (name, make_labels(labels))
+        key = (name, labels if type(labels) is tuple else make_labels(labels))
         series = self._series.get(key)
         if series is None:
             if len(self._series) >= self.max_series:
@@ -275,7 +381,7 @@ class TimeSeriesStore:
                 self.downsample_factor,
             )
             self._series[key] = series
-        if not series.record(t, value):
+        if not series.offer(0, t, (1.0, value, value, value, value)):
             self.dropped_samples += 1
             return False
         return True
@@ -336,31 +442,19 @@ class TimeSeriesStore:
         (zero when the window precedes all data).  Robust to empty windows:
         a window with no scrape inside it reports zero increase.
         """
-        value_end = self._last_at_or_before(name, labels, end)
+        series = self._series.get((name, make_labels(labels)))
+        if series is None:
+            return 0.0
+        value_end = series.last_at_or_before(end)
         if value_end is None:
             return 0.0
-        value_start = self._last_at_or_before(name, labels, start)
+        value_start = series.last_at_or_before(start)
         if value_start is None:
             # Window opens before the first scrape: treat the series as
             # starting from its earliest observed value, not from zero, so
             # pre-existing totals are not misread as fresh burn.
-            first = self._first_point(name, labels)
-            value_start = first.last if first is not None else 0.0
+            value_start = series.first()
         return max(0.0, value_end - value_start)
-
-    def _last_at_or_before(
-        self, name: str, labels: Optional[Dict[str, object]], t: float
-    ) -> Optional[float]:
-        candidates = [
-            p for p in self.points(name, labels) if p.start_seconds <= t
-        ]
-        return candidates[-1].last if candidates else None
-
-    def _first_point(
-        self, name: str, labels: Optional[Dict[str, object]]
-    ) -> Optional[TimeSeriesPoint]:
-        all_points = self.points(name, labels)
-        return all_points[0] if all_points else None
 
     # ------------------------------------------------------------------
     # Introspection

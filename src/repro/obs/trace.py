@@ -25,16 +25,31 @@ cannot grow memory without bound.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterator, List, Optional
+from typing import (
+    Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 #: Default number of finished root spans retained per tracer.
 DEFAULT_KEEP_ROOTS = 64
+
+#: One logical point read served by an ``rpc`` span inside a gather window.
+#: A read the RPC was issued for is just its key: it spans the RPC itself
+#: and is not coalesced.  A later read that joined the reply in flight is
+#: ``(key, start, end)``: when it asked, and when it had the value.
+LogicalRead = Union[bytes, Tuple[bytes, float, float]]
+
+#: ``children`` of every span :meth:`Tracer.record` makes: such a span is
+#: complete when made and never on the stack, so nothing is ever put under
+#: it, and a shared empty tuple saves one list per RPC.
+_LEAF: Tuple["Span", ...] = ()
 
 
 class Span:
     """One node of a trace tree over simulated time."""
 
-    __slots__ = ("name", "kind", "start", "end", "attributes", "children")
+    __slots__ = (
+        "name", "kind", "start", "end", "attributes", "children", "logical_reads",
+    )
 
     def __init__(
         self,
@@ -50,17 +65,45 @@ class Span:
         self.attributes: Dict[str, object] = (
             attributes if attributes is not None else {}
         )
-        self.children: List["Span"] = []
+        self.children: Sequence["Span"] = []
+        #: Per-key accounting of a gather-window ``rpc`` span, kept as keys
+        #: and plain tuples on the hot path; :meth:`expanded_children` turns
+        #: them into the ``logical-op`` spans every reader and export sees.
+        self.logical_reads: Optional[List[LogicalRead]] = None
 
     @property
     def duration(self) -> float:
         """Simulated seconds spanned (zero while still open)."""
         return (self.end - self.start) if self.end is not None else 0.0
 
+    def expanded_children(self) -> Sequence["Span"]:
+        """Child spans, the logical reads after them as ``logical-op`` spans.
+
+        Logical reads describe work, not wall time (forty of them on one
+        RPC are still one RPC's worth of service time), which is why they
+        are not children and the critical-path walk never meets them.
+        """
+        reads = self.logical_reads
+        if not reads:
+            return self.children
+        expanded = list(self.children)
+        for read in reads:
+            # Raw key bytes; the exporter makes them JSON-safe.
+            if type(read) is tuple:
+                key, start, end = read
+                attributes = {"key": key, "coalesced": True}
+            else:
+                start, end = self.start, self.end
+                attributes = {"key": read, "coalesced": False}
+            child = Span("get", "logical-op", start, attributes)
+            child.end = end
+            expanded.append(child)
+        return expanded
+
     def walk(self) -> Iterator["Span"]:
         """Yield this span and every descendant, depth-first."""
         yield self
-        for child in self.children:
+        for child in self.expanded_children():
             yield from child.walk()
 
     def find(self, kind: str) -> List["Span"]:
@@ -121,6 +164,7 @@ class Tracer:
         span.end = None
         span.attributes = attributes
         span.children = []
+        span.logical_reads = None
         if stack:
             stack[-1].children.append(span)
         else:
@@ -132,12 +176,17 @@ class Tracer:
         return span
 
     def end_span(self, span: Span) -> None:
-        """Close ``span`` (and, defensively, anything left open inside it)."""
+        """Close ``span`` (and, defensively, anything left open inside it).
+
+        Closing an already-closed span is a no-op: it left the stack when
+        it was closed, and whatever is open now is not inside it.
+        """
+        if span.end is not None:
+            return
         stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
-            if span.end is None:
-                span.end = self._now()
+            span.end = self._now()
             return
         while stack:
             top = stack.pop()
@@ -145,7 +194,6 @@ class Tracer:
                 top.end = self._now()
             if top is span:
                 return
-        # Span was not on the stack (already closed): leave its end as set.
 
     # ------------------------------------------------------------------
     # Completed spans (the storage hot path)
@@ -161,7 +209,8 @@ class Tracer:
         span.start = start
         span.end = end
         span.attributes = attributes
-        span.children = []
+        span.children = _LEAF
+        span.logical_reads = None
         if stack:
             stack[-1].children.append(span)
         else:

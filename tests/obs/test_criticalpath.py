@@ -122,16 +122,15 @@ class TestOverlapResolution:
         assert_exact_partition(breakdown)
 
     def test_coalesced_point_reads_exclude_logical_children(self):
-        # One RPC span carrying many per-key logical-op children is still
-        # one RPC's worth of wall time: the accounting children describe
-        # work, not time, and must not inflate (or re-partition) the span.
+        # One RPC span carrying many per-key logical reads is still one
+        # RPC's worth of wall time: the accounting describes work, not
+        # time, and must not inflate (or re-partition) the span.
         root = span("query", "query", 0.0, 1.0)
         rpc = span(
             "multi_get", "rpc", 0.0, 1.0, parent=root,
             queue_wait_seconds=0.2,
         )
-        for index in range(40):
-            span(f"key-{index}", "logical-op", 0.0, 1.0, parent=rpc)
+        rpc.logical_reads = [b"key-%d" % index for index in range(40)]
         breakdown = analyze_trace(root)
         assert breakdown.segments["queue_wait"] == pytest.approx(0.2)
         assert breakdown.segments["rpc_service"] == pytest.approx(0.8)

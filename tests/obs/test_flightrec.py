@@ -87,6 +87,53 @@ class TestRetentionReasons:
         assert second.reasons == ("window:crash node 1",) and not second.pinned
         assert outside is None
 
+    def test_window_lookup_skips_the_windows_already_over(self):
+        class CountingList(list):
+            touched = 0
+
+            def __getitem__(self, index):
+                CountingList.touched += 1
+                return super().__getitem__(index)
+
+        rec = recorder()
+        # 1000 one-second windows, noted out of time order, two of them
+        # overlapping each other at the end of the timeline.
+        order = list(range(1000))
+        order[10], order[990] = order[990], order[10]
+        for i in order:
+            rec.note_window(2.0 * i, 2.0 * i + 1.0, f"fault {i}")
+        rec.note_window(1998.5, 1999.5, "late twin")
+        rec.begin_window("breaker", 2100.0, "breaker-open node 3")
+
+        def linear(start, end):
+            for w_start, w_end, label in rec.windows:
+                if start < w_end and end > w_start:
+                    return label
+            for w_start, label in rec._open_windows.values():
+                if end > w_start:
+                    return label
+            return None
+
+        rec._windows_by_end = CountingList(rec._windows_by_end)
+        probes = [
+            (1996.2, 1996.4), (1997.5, 1997.9), (1998.6, 1998.9),
+            (1999.2, 1999.4), (1999.6, 1999.9), (1995.0, 1996.0),
+            (1997.0, 1998.0), (2050.0, 2051.0), (2099.0, 2100.5),
+            (20.1, 20.2), (1980.3, 1980.4),
+        ]
+        for start, end in probes:
+            CountingList.touched = 0
+            assert rec._overlapping_window(start, end) == linear(start, end)
+            if start > 1990.0:
+                # ~10 bisection steps plus the few windows not yet over.
+                assert CountingList.touched <= 20
+        assert rec._overlapping_window(1998.6, 1998.9) == "fault 999"
+        assert rec._overlapping_window(1999.2, 1999.4) == "late twin"
+        assert rec._overlapping_window(2099.0, 2100.5) == "breaker-open node 3"
+        # Export order is noting order, whatever the lookup index does.
+        assert [label for _, _, label in rec.windows[:2]] == ["fault 0", "fault 1"]
+        assert rec.payload()["windows"][10]["label"] == "fault 990"
+
     def test_reservoir_keeps_every_nth_healthy_trace(self):
         rec = recorder(reservoir_interval=3)
         kept = [

@@ -1,6 +1,19 @@
-"""Unit tests for multi-window SLO burn-rate alerting."""
+"""Unit tests for multi-window SLO burn-rate alerting.
+
+``fixtures/slo_burn_timeline.json`` pins the alert timeline of one scripted
+run (see :func:`scripted_timeline`); regenerate it only when a change is
+*meant* to move when alerts fire::
+
+    PYTHONPATH=src python tests/obs/test_slo_burn.py
+"""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+from typing import Dict
 
 import pytest
 
@@ -208,3 +221,89 @@ class TestRules:
         )
         text = alert.describe()
         assert "ACTIVE" in text and "burn[2s/6s]x2" in text
+
+
+TIMELINE_PATH = Path(__file__).with_name("fixtures") / "slo_burn_timeline.json"
+
+#: (from, to, share of the tick's requests that miss the SLO).
+_INCIDENTS = (
+    (30.0, 45.0, 0.5),     # sharp and sustained: both rules
+    (100.0, 140.0, 0.06),  # low-grade: the slow pair only, flapping
+    (200.0, 201.5, 1.0),   # three ticks of total failure
+    (230.0, 260.0, 0.9),   # straddles the silence below
+)
+#: No scrape at all in here (the collector's kernel was stalled).
+_SILENCE = (240.0, 252.0)
+
+
+def scripted_timeline() -> Dict[str, object]:
+    """300 simulated seconds of scrapes every 0.5 s, evaluated every tick.
+
+    The fine ring holds 16 s, so the 25 s window reads the 8x-coarser
+    level from t=16 on; the run has healthy traffic, four incidents of
+    different shapes, an idle stretch and a stretch with no scrapes.
+    """
+    rng = random.Random(7)
+    store = TimeSeriesStore(resolution_seconds=0.5, capacity=32)
+    alerter = BurnRateAlerter(store, make_slo(0.99), min_events=10)
+    digest = hashlib.sha256()
+    total = good = 0
+    for tick in range(1, 601):
+        now = tick * 0.5
+        if _SILENCE[0] <= now < _SILENCE[1]:
+            continue
+        requests = 0 if 160.0 <= now < 175.0 else rng.randint(20, 40)
+        bad_share = max(
+            (share for lo, hi, share in _INCIDENTS if lo <= now < hi),
+            default=0.002,
+        )
+        bad = sum(1 for _ in range(requests) if rng.random() < bad_share)
+        total += requests
+        good += requests - bad
+        scrape(store, now, total, good)
+        alerter.evaluate(now)
+        for rule in alerter.rules:
+            digest.update(
+                repr(
+                    (
+                        now,
+                        alerter.burn_rate(now, rule.fast_seconds),
+                        alerter.burn_rate(now, rule.slow_seconds),
+                    )
+                ).encode()
+            )
+    return {
+        "alerts": [
+            {
+                "rule": alert.rule.name,
+                "fired_at": alert.fired_at,
+                "cleared_at": alert.cleared_at,
+                "fast_burn": alert.fast_burn,
+                "slow_burn": alert.slow_burn,
+                "peak_fast_burn": alert.peak_fast_burn,
+            }
+            for alert in alerter.alerts
+        ],
+        "burn_rates_sha256": digest.hexdigest(),
+    }
+
+
+class TestScriptedTimeline:
+    def test_same_alerts_at_the_same_times(self):
+        expected = json.loads(TIMELINE_PATH.read_text())
+        observed = scripted_timeline()
+        assert observed["alerts"] == expected["alerts"]
+        assert observed["burn_rates_sha256"] == expected["burn_rates_sha256"]
+
+    def test_timeline_exercises_both_rules_and_clears(self):
+        alerts = json.loads(TIMELINE_PATH.read_text())["alerts"]
+        assert {alert["rule"] for alert in alerts} == {
+            rule.name for rule in DEFAULT_RULES
+        }
+        assert sum(alert["cleared_at"] is not None for alert in alerts) >= 3
+
+
+if __name__ == "__main__":
+    TIMELINE_PATH.parent.mkdir(exist_ok=True)
+    TIMELINE_PATH.write_text(json.dumps(scripted_timeline(), indent=1) + "\n")
+    print(f"wrote {TIMELINE_PATH}")

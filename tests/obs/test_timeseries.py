@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from typing import List, Optional, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.timeseries import TimeSeriesStore, make_labels
 
@@ -218,3 +222,97 @@ class TestValidation:
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TimeSeriesStore(**kwargs)
+
+
+def reference_counter_delta(store: TimeSeriesStore, name: str, start: float, end: float) -> float:
+    """``counter_delta`` read off ``points()``: the definition the
+    ring-indexed lookups must agree with."""
+    points = store.points(name)
+
+    def last_at_or_before(t: float) -> Optional[float]:
+        candidates = [p for p in points if p.start_seconds <= t]
+        return candidates[-1].last if candidates else None
+
+    value_end = last_at_or_before(end)
+    if value_end is None:
+        return 0.0
+    value_start = last_at_or_before(start)
+    if value_start is None:
+        value_start = points[0].last
+    return max(0.0, value_end - value_start)
+
+
+#: A history is a list of (time step, value step) pairs: the clock mostly
+#: creeps forward by less than a bucket, sometimes jumps over many buckets
+#: (a gap, or far enough to wrap the ring into the coarser levels), and
+#: sometimes steps back (a sample from a slower client clock).
+_time_step = st.one_of(
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=2.0, max_value=40.0),
+    st.floats(min_value=-12.0, max_value=0.0),
+    st.sampled_from([0.0, 1.0, 0.5, 4.0, 8.0, 64.0, 300.0]),
+)
+_history = st.lists(
+    st.tuples(_time_step, st.integers(min_value=0, max_value=9)),
+    min_size=1,
+    max_size=120,
+)
+
+
+class TestCounterDeltaAgainstPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        history=_history,
+        resolution=st.sampled_from([1.0, 0.5, 0.1, 0.3]),
+        capacity=st.integers(min_value=2, max_value=6),
+        levels=st.integers(min_value=1, max_value=3),
+        factor=st.sampled_from([2, 3, 8]),
+        windows=st.lists(
+            st.tuples(
+                st.floats(min_value=-5.0, max_value=400.0),
+                st.floats(min_value=0.0, max_value=80.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_ring_lookup_equals_reference(
+        self, history, resolution, capacity, levels, factor, windows
+    ):
+        store = TimeSeriesStore(
+            resolution_seconds=resolution,
+            capacity=capacity,
+            levels=levels,
+            downsample_factor=factor,
+        )
+        t, value = 0.0, 0.0
+        probes: List[Tuple[float, float]] = list(windows)
+        for time_step, value_step in history:
+            t = max(0.0, t + time_step)
+            value += value_step
+            store.record("total", value, t=t)
+            # Trailing windows at the sample, as the burn-rate alerter asks,
+            # and an ``end`` beyond the newest bucket.
+            probes.append((t - 3.0 * resolution, 3.0 * resolution))
+            probes.append((t - 50.0, 50.0 + 7.0 * resolution))
+            for start, length in probes[-10:]:
+                assert store.counter_delta(
+                    "total", start, start + length
+                ) == reference_counter_delta(store, "total", start, start + length)
+        for start, length in probes:
+            assert store.counter_delta(
+                "total", start, start + length
+            ) == reference_counter_delta(store, "total", start, start + length)
+
+    def test_bucket_left_behind_by_a_gap_is_still_found(self):
+        # Buckets 0..3 fill a 4-slot ring, then bucket 9 takes slot 1 only:
+        # 0, 2 and 3 stay, more than a ring's length behind the newest.
+        store = TimeSeriesStore(resolution_seconds=1.0, capacity=4, levels=1)
+        for t in range(4):
+            store.record("total", float(10 * t), t=float(t))
+        store.record("total", 100.0, t=9.0)
+        assert [p.start_seconds for p in store.points("total")] == [0.0, 2.0, 3.0, 9.0]
+        assert store.counter_delta("total", 1.5, 8.0) == 30.0  # 30 at t=3 minus 0 at t=0
+        assert store.counter_delta("total", 8.0, 9.0) == 70.0
+        assert store.counter_delta("total", -1.0, 9.0) == 100.0

@@ -67,6 +67,50 @@ class TestSpans:
         assert root.end == 1.0
         assert tracer.active is None
 
+    def test_end_span_on_a_closed_span_is_a_no_op(self):
+        # A second end_span(child) used to drain the whole stack: the open
+        # root got stamped with the wrong end and the next span became a
+        # second root.
+        clock, tracer = make_tracer()
+        root = tracer.start_span("query", "query")
+        child = tracer.start_span("operator", "operator")
+        clock.advance(1.0)
+        tracer.end_span(child)
+        clock.advance(1.0)
+        tracer.end_span(child)
+        assert child.end == 1.0
+        assert root.end is None
+        assert tracer.active is root
+        sibling = tracer.start_span("operator", "operator")
+        tracer.end_span(sibling)
+        clock.advance(1.0)
+        tracer.end_span(root)
+        assert root.children == [child, sibling]
+        assert root.end == 3.0
+        assert list(tracer.roots) == [root]
+
+    def test_logical_reads_expand_into_logical_op_spans(self):
+        _, tracer = make_tracer()
+        root = tracer.start_span("query", "query")
+        rpc = tracer.record("multi_get", "rpc", 0.0, 0.5)
+        assert rpc.logical_reads is None and not rpc.expanded_children()
+        # The read the RPC was issued for, then one that joined its reply.
+        rpc.logical_reads = [b"k1", (b"k2", 0.1, 0.5)]
+        tracer.end_span(root)
+        assert not rpc.children
+        first, second = rpc.expanded_children()
+        assert (first.name, first.kind, first.start, first.end) == (
+            "get", "logical-op", 0.0, 0.5
+        )
+        assert first.attributes == {"key": b"k1", "coalesced": False}
+        assert list(first.attributes) == ["key", "coalesced"]
+        assert second.attributes == {"key": b"k2", "coalesced": True}
+        assert (second.start, second.end) == (0.1, 0.5)
+        assert [s.kind for s in root.walk()] == [
+            "query", "rpc", "logical-op", "logical-op"
+        ]
+        assert len(root.find("logical-op")) == 2
+
     def test_walk_find_first(self):
         _, tracer = make_tracer()
         root = tracer.start_span("query", "query")

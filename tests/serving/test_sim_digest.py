@@ -24,6 +24,7 @@ from typing import Dict
 import pytest
 
 from repro import ClusterConfig, PiqlDatabase
+from repro.obs.flightrec import ForensicsConfig
 from repro.serving.simulator import ServingConfig, ServingSimulation
 from repro.workloads import ScadrWorkload, TpcwWorkload, WorkloadScale
 
@@ -43,7 +44,8 @@ SCENARIOS = {
 }
 
 
-def observe(name: str) -> Dict[str, object]:
+def serve(name: str, seconds: float, **observers):
+    """One closed-loop run of a scenario: ``(simulation, report)``."""
     factory, scale, clients, think = SCENARIOS[name]
     db = PiqlDatabase.simulated(
         ClusterConfig(storage_nodes=4, seed=SEED), fused=True
@@ -57,12 +59,17 @@ def observe(name: str) -> Dict[str, object]:
             mode="closed",
             clients=clients,
             think_time_seconds=think,
-            duration_seconds=SIMULATED_SECONDS,
+            duration_seconds=seconds,
             pipelined=True,
             seed=SEED,
+            **observers,
         ),
     )
-    report = simulation.run()
+    return simulation, simulation.run()
+
+
+def observe(name: str) -> Dict[str, object]:
+    simulation, report = serve(name, SIMULATED_SECONDS)
     rpcs = sum(
         int(server.db.client.stats.rpcs) for server in simulation.driver.servers
     )
@@ -86,6 +93,28 @@ def observe(name: str) -> Dict[str, object]:
 def test_closed_loop_run_reproduces_the_pinned_digest(name):
     expected = json.loads(DIGEST_PATH.read_text())[name]
     assert observe(name) == expected
+
+
+def test_observing_a_run_does_not_change_it():
+    """Telemetry scrapes, tracing and the flight recorder watch the same
+    two simulated seconds a plain run serves: every interaction has the
+    same name, operation count and response time."""
+
+    def interactions(report):
+        return [
+            (record.name, record.operations, record.response_seconds)
+            for record in report.log.records
+        ]
+
+    _, plain = serve("tpcw_closed", 2.0)
+    _, observed = serve(
+        "tpcw_closed", 2.0,
+        telemetry_enabled=True, forensics=ForensicsConfig(),
+    )
+    assert observed.telemetry.collector.scrapes > 0
+    assert observed.forensics.recorder.seen > 0
+    assert interactions(observed) == interactions(plain)
+    assert len(interactions(plain)) > 100
 
 
 if __name__ == "__main__":
