@@ -157,14 +157,6 @@ class Descending:
         return isinstance(other, Descending) and other.key == self.key
 
 
-def ordering_key(values: Sequence[Any], directions: Sequence[bool]):
-    """Comparable tuple for values under per-column ascending flags."""
-    return tuple(
-        _null_safe_key(value) if ascending else Descending(_null_safe_key(value))
-        for value, ascending in zip(values, directions)
-    )
-
-
 def top_k_rows(
     rows: List[InternalRow],
     keys: Sequence[tuple],
@@ -181,12 +173,14 @@ def top_k_rows(
     """
     if count >= len(rows):
         return sort_rows(rows, keys)
-    directions = [ascending for _, ascending in keys]
 
     def selection_key(indexed):
         position, row = indexed
-        values = [column_value(row, column) for column, _ in keys]
-        return ordering_key(values, directions) + (position,)
+        parts = []
+        for column, ascending in keys:
+            value = _null_safe_key(column_value(row, column))
+            parts.append(value if ascending else Descending(value))
+        return (*parts, position)
 
     selected = heapq.nsmallest(count, enumerate(rows), key=selection_key)
     return [row for _, row in selected]

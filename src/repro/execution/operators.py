@@ -46,9 +46,9 @@ from ..plans import physical as P
 from ..schema.ddl import Table
 from ..schema.keys import (
     decode_key,
-    decode_value,
     encode_key,
     encode_value,
+    ordering_bytes,
     prefix_upper_bound,
     successor,
 )
@@ -65,7 +65,6 @@ from .context import ExecutionContext, ExecutionStrategy, InternalRow
 from .evaluate import (
     column_value,
     evaluate_all,
-    ordering_key,
     resolve_in_list,
     resolve_key_part,
     resolve_value,
@@ -556,36 +555,29 @@ def _bound_sort_keys(
     ]
 
 
-def _decodable_sort_components(
+def _sort_columns_follow_prefix(
     op: P.PhysicalSortedIndexJoin, table: Table
-) -> Optional[int]:
-    """How many sort columns can be decoded from an entry key, if all can.
+) -> bool:
+    """Whether every sort column's bytes can be cut out of an entry key.
 
     Both for a primary-index join (entry key = primary key) and for a
     secondary index built by the optimizer, the sort columns sit directly
     after the join-prefix columns, so their encoded values start at the
-    byte where the encoded prefix ends.  Returns ``None`` when the layout
-    does not match (e.g. a tokenized component), which disables entry-order
+    byte where the encoded prefix ends.  ``False`` when the layout does not
+    match (e.g. a tokenized component), which disables entry-order
     selection but not round fusion.
     """
     start = len(op.prefix)
     names = [name for name, _ in op.sort_keys]
-    if not names:
-        return 0
     if op.index.primary:
-        layout = list(table.primary_key)
-        if layout[start : start + len(names)] != names:
-            return None
-    else:
-        definition = op.index.definition
-        if definition is None:
-            return None
-        layout = [column.name for column in definition.columns]
-        if layout[start : start + len(names)] != names:
-            return None
-        if any(c.tokenized for c in definition.columns[start : start + len(names)]):
-            return None
-    return len(names)
+        return list(table.primary_key)[start : start + len(names)] == names
+    definition = op.index.definition
+    if definition is None:
+        return not names
+    columns = definition.columns[start : start + len(names)]
+    return [column.name for column in columns] == names and not any(
+        column.tokenized for column in columns
+    )
 
 
 def _execute_sorted_index_join(
@@ -667,7 +659,7 @@ def _fused_sorted_join(
     """Batch-at-a-time sorted index join.
 
     Orders the fetched index entries into the final output order *first*
-    (decoding sort values from the entry keys, with the (child, entry)
+    (on the sort columns' bytes in the entry keys, with the (child, entry)
     position as the stable tiebreaker — the exact order the unfused
     sort-then-truncate produces), then materializes base records lazily:
     primary-index payloads are deserialised only as needed, and secondary
@@ -679,8 +671,7 @@ def _fused_sorted_join(
     if total_entries == 0:
         return []
 
-    components = _decodable_sort_components(op, table)
-    if components is None:
+    if not _sort_columns_follow_prefix(op, table):
         # Sort order not recoverable from the entry keys: still fuse the
         # dereference into one bulk round, then order locally.
         joined: List[InternalRow] = []
@@ -708,9 +699,7 @@ def _fused_sorted_join(
             joined = sort_rows(joined, keys)
         return joined[:stop] if stop is not None else joined
 
-    ordered = _entries_in_output_order(
-        op, per_child_entries, prefix_lengths, components
-    )
+    ordered = _entries_in_output_order(op, per_child_entries, prefix_lengths)
     needed = stop if stop is not None else total_entries
 
     joined = []
@@ -762,7 +751,6 @@ def _entries_in_output_order(
     op: P.PhysicalSortedIndexJoin,
     per_child_entries: List[KeyValuePairs],
     prefix_lengths: List[int],
-    components: int,
 ) -> Iterator[Tuple[int, int, bytes]]:
     """Yield ``(child index, entry index, entry value)`` in final output order.
 
@@ -770,28 +758,25 @@ def _entries_in_output_order(
     order.  With sort keys, the order is the one the unfused executor's
     stable sort produces — sort values under their directions, position as
     the tiebreaker — reached by a k-way merge of the per-child streams.
-    Each child's sort values are decoded from its entry keys, starting at
-    the byte where that child's join prefix ends.  When every sort direction
-    is the scan direction the entries already arrive in output order, so the
-    merge decodes lazily: about stop + children entries, not all of them.
+    Nothing is decoded: the key encoding is order-preserving, so the merge
+    compares each entry key's sort columns as bytes (``ordering_bytes``),
+    starting at the byte where that child's join prefix ends.  When every
+    sort direction is the scan direction the entries already arrive in
+    output order, so the merge is lazy: it looks at about stop + children
+    entries, not all of them.
     """
-    if components == 0:
+    if not op.sort_keys:
         for child_index, entries in enumerate(per_child_entries):
             for entry_index, (_, value) in enumerate(entries):
                 yield (child_index, entry_index, value)
         return
     directions = [ascending for _, ascending in op.sort_keys]
 
-    def decorated(child_index: int) -> Iterator[Tuple[tuple, int, int, bytes]]:
+    def keyed(child_index: int) -> Iterator[Tuple[bytes, int, int, bytes]]:
         prefix_length = prefix_lengths[child_index]
         for entry_index, (key, value) in enumerate(per_child_entries[child_index]):
-            sort_values = []
-            offset = prefix_length
-            for _ in range(components):
-                sort_value, offset = decode_value(key, offset)
-                sort_values.append(sort_value)
             yield (
-                ordering_key(sort_values, directions),
+                ordering_bytes(key, prefix_length, directions),
                 child_index,
                 entry_index,
                 value,
@@ -801,7 +786,7 @@ def _entries_in_output_order(
     # otherwise it is ordered here, before the merge.
     presorted = all(ascending == op.ascending for ascending in directions)
     streams = [
-        decorated(child_index) if presorted else sorted(decorated(child_index))
+        keyed(child_index) if presorted else sorted(keyed(child_index))
         for child_index in range(len(per_child_entries))
     ]
     for _, child_index, entry_index, value in heapq.merge(*streams):

@@ -26,7 +26,10 @@ class DictEngine(StorageEngine):
         self._maps: Dict[str, OrderedKVMap] = {}
 
     def map(self, namespace: str) -> OrderedKVMap:
-        return self._maps.setdefault(namespace, OrderedKVMap())
+        found = self._maps.get(namespace)
+        if found is None:
+            found = self._maps[namespace] = OrderedKVMap()
+        return found
 
     def peek(self, namespace: str) -> Optional[OrderedKVMap]:
         return self._maps.get(namespace)

@@ -7,10 +7,13 @@ One :class:`LsmEngine` owns one node's directory::
         seg-<gen>.seg      immutable sorted runs (gen = age order)
         spill/             scratch runs for budgeted bulk loads
 
-Writes land in a per-namespace **memtable** (a dict whose ``None`` values
-are engine-level delete markers) after being framed into the WAL.  When the
-engine-wide memtable budget is exceeded, every dirty memtable is flushed to
-a new segment file and the WAL is reset — so at any instant
+Writes land in a per-namespace **memtable** after being framed into the
+WAL: a dict whose ``None`` values are engine-level delete markers, beside
+the :class:`~repro.kvstore.memory.SortedKeys` index the dict engine's map
+uses too, which keeps the keys in byte order as they arrive — a range after
+a write bisects it, and a flush walks it, without sorting anything.  When
+the engine-wide memtable budget is exceeded, every dirty memtable is flushed
+to a new segment file and the WAL is reset — so at any instant
 ``segments + WAL`` covers the full acknowledged history, which is the
 invariant crash recovery relies on.
 
@@ -59,6 +62,7 @@ import shutil
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..memory import SortedKeys
 from .base import EngineRecovery, StorageEngine
 from .external import SpillingSorter
 from .segment import Segment, SegmentError, filter_hashes, write_segment
@@ -87,8 +91,7 @@ class LsmTree:
         self.namespace = namespace
         self._engine = engine
         self._mem: Dict[bytes, Optional[bytes]] = {}
-        self._sorted: List[bytes] = []
-        self._dirty = False
+        self._mem_keys = SortedKeys()
         self.mem_bytes = 0
         #: Oldest -> newest; the memtable is newer than all of them.
         self.segments: List[Segment] = []
@@ -155,7 +158,7 @@ class LsmTree:
         if key in self._mem:
             delta -= self._entry_bytes(key, self._mem[key])
         else:
-            self._dirty = True
+            self._mem_keys.add(key)
         self._mem[key] = value
         self._account(delta)
 
@@ -165,18 +168,12 @@ class LsmTree:
             self._apply_put(key, None)
         elif key in self._mem:
             self._account(-self._entry_bytes(key, self._mem.pop(key)))
-            self._dirty = True
+            self._mem_keys.remove(key)
 
     def _reset_memtable(self) -> None:
         self._mem.clear()
-        self._sorted = []
-        self._dirty = False
+        self._mem_keys.clear()
         self._account(-self.mem_bytes)
-
-    def _ensure_sorted(self) -> None:
-        if self._dirty or len(self._sorted) != len(self._mem):
-            self._sorted = sorted(self._mem)
-            self._dirty = False
 
     def _mem_iter(
         self,
@@ -184,10 +181,7 @@ class LsmTree:
         end: Optional[bytes],
         ascending: bool,
     ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        self._ensure_sorted()
-        keys = self._sorted
-        lo = 0 if start is None else bisect.bisect_left(keys, start)
-        hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        keys, lo, hi = self._mem_keys.span(start, end)
         indices = range(lo, hi) if ascending else range(hi - 1, lo - 1, -1)
         for index in indices:
             key = keys[index]
@@ -433,16 +427,10 @@ class LsmEngine(StorageEngine):
         for tree in self._trees.values():
             if not tree._mem:
                 continue
-            tree._ensure_sorted()
-            if tree.segments:
-                items = ((key, tree._mem[key]) for key in tree._sorted)
-            else:
+            items = tree._mem_iter(None, None, True)
+            if not tree.segments:
                 # Nothing beneath to shadow: drop markers at the bottom.
-                items = (
-                    (key, tree._mem[key])
-                    for key in tree._sorted
-                    if tree._mem[key] is not None
-                )
+                items = (item for item in items if item[1] is not None)
             gen = self._next_gen
             self._next_gen += 1
             path = self._segment_path(gen)

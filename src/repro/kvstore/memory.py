@@ -11,16 +11,68 @@ from the underlying key/value store (Section 3 of the paper):
 * ``count_range``, used by the cardinality-constraint insertion protocol
   (Section 7.2).
 
-The implementation keeps a plain ``dict`` for point operations and a sorted
-list of keys that is rebuilt lazily before the first range operation after
-a mutation.  This makes bulk loading (millions of puts followed by reads)
-O(n log n) instead of O(n^2), while point reads stay O(1).
+The implementation keeps a plain ``dict`` for point operations beside a
+:class:`SortedKeys` index that stays sorted as keys come and go: a new key
+waits in a buffer that the next range operation folds in — one ``insort``
+per key, or one sort when the buffer is large against the list (a bulk
+load).  A write followed by a range therefore costs a bisect and a memmove,
+not a pass over every key, bulk loading stays O(n log n), and point reads
+stay O(1).
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, insort
 from typing import Dict, Iterator, List, Optional, Tuple
+
+
+class SortedKeys:
+    """Distinct byte keys, kept in byte order as they are added and removed.
+
+    Callers own membership (a dict beside the index): ``add`` takes only keys
+    that are absent, ``remove`` only keys that are present.  ``add`` is the
+    ``append`` of a buffer that the next read folds into the sorted list, so
+    a bulk load pays one C call per key and then one sort.
+    """
+
+    __slots__ = ("_keys", "_pending", "add")
+
+    def __init__(self) -> None:
+        self._keys: List[bytes] = []
+        self._pending: List[bytes] = []
+        self.add = self._pending.append
+
+    def remove(self, key: bytes) -> None:
+        keys, at, _ = self.span(key, None)
+        del keys[at]
+
+    def span(
+        self, start: Optional[bytes], end: Optional[bytes]
+    ) -> Tuple[List[bytes], int, int]:
+        """``(keys, lo, hi)``: every key in order, ``keys[lo:hi]`` in ``[start, end)``."""
+        keys, pending = self._keys, self._pending
+        if pending:
+            if len(pending) ** 2 <= len(keys):
+                # Few against many: a bisect and a memmove per key.
+                for key in pending:
+                    insort(keys, key)
+            else:
+                # A bulk load: one sort, under sqrt(n) compares per key.
+                keys.extend(pending)
+                keys.sort()
+            pending.clear()
+        lo = 0 if start is None else bisect_left(keys, start)
+        hi = len(keys) if end is None else bisect_left(keys, end)
+        return keys, lo, hi
+
+    def clear(self) -> None:
+        self._keys.clear()
+        self._pending.clear()
+
+
+def _hashable(key: bytes) -> bytes:
+    """A ``bytearray`` key as the ``bytes`` it is stored under."""
+    return bytes(key) if isinstance(key, bytearray) else key
 
 
 class OrderedKVMap:
@@ -28,8 +80,7 @@ class OrderedKVMap:
 
     def __init__(self) -> None:
         self._data: Dict[bytes, bytes] = {}
-        self._sorted_keys: List[bytes] = []
-        self._dirty = False
+        self._index = SortedKeys()
 
     # ------------------------------------------------------------------
     # Point operations
@@ -44,15 +95,17 @@ class OrderedKVMap:
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"values must be bytes, got {type(value).__name__}")
+        key = bytes(key)
         if key not in self._data:
-            self._dirty = True
-        self._data[bytes(key)] = bytes(value)
+            self._index.add(key)
+        self._data[key] = bytes(value)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; return ``True`` if it existed."""
+        key = _hashable(key)
         if key in self._data:
             del self._data[key]
-            self._dirty = True
+            self._index.remove(key)
             return True
         return False
 
@@ -64,14 +117,14 @@ class OrderedKVMap:
         ``expected=None`` means "the key must not exist" (insert-if-absent).
         Returns ``True`` on success.
         """
-        current = self._data.get(key)
-        if current != expected:
+        key = _hashable(key)
+        if self._data.get(key) != expected:
             return False
         self.put(key, new_value)
         return True
 
     def __contains__(self, key: bytes) -> bool:
-        return key in self._data
+        return _hashable(key) in self._data
 
     def __len__(self) -> int:
         return len(self._data)
@@ -79,11 +132,6 @@ class OrderedKVMap:
     # ------------------------------------------------------------------
     # Range operations
     # ------------------------------------------------------------------
-    def _ensure_sorted(self) -> None:
-        if self._dirty or len(self._sorted_keys) != len(self._data):
-            self._sorted_keys = sorted(self._data.keys())
-            self._dirty = False
-
     def range(
         self,
         start: Optional[bytes] = None,
@@ -98,10 +146,7 @@ class OrderedKVMap:
         descending key order (the *end* of the range first), which the
         execution engine uses for ``ORDER BY ... DESC`` index scans.
         """
-        self._ensure_sorted()
-        keys = self._sorted_keys
-        lo = 0 if start is None else bisect.bisect_left(keys, start)
-        hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        keys, lo, hi = self._index.span(start, end)
         if limit is not None:
             if limit < 0:
                 raise ValueError("limit must be non-negative")
@@ -131,10 +176,7 @@ class OrderedKVMap:
         stops early (a merge honouring a LIMIT) does O(consumed) work.  The
         map must not be mutated while the iterator is live.
         """
-        self._ensure_sorted()
-        keys = self._sorted_keys
-        lo = 0 if start is None else bisect.bisect_left(keys, start)
-        hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        keys, lo, hi = self._index.span(start, end)
         indices = range(lo, hi) if ascending else range(hi - 1, lo - 1, -1)
         for index in indices:
             key = keys[index]
@@ -144,20 +186,14 @@ class OrderedKVMap:
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> int:
         """Return the number of keys with ``start <= key < end``."""
-        self._ensure_sorted()
-        keys = self._sorted_keys
-        lo = 0 if start is None else bisect.bisect_left(keys, start)
-        hi = len(keys) if end is None else bisect.bisect_left(keys, end)
+        _, lo, hi = self._index.span(start, end)
         return max(0, hi - lo)
 
     def iter_items(self) -> Iterator[Tuple[bytes, bytes]]:
         """Iterate all items in key order (used by tests and bulk export)."""
-        self._ensure_sorted()
-        for key in self._sorted_keys:
-            yield key, self._data[key]
+        return self.iter_range()
 
     def clear(self) -> None:
         """Remove every entry."""
         self._data.clear()
-        self._sorted_keys = []
-        self._dirty = False
+        self._index.clear()

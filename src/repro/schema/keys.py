@@ -19,6 +19,9 @@ by property-based tests):
 * **Prefix ranges** — all keys whose first components equal a prefix ``p``
   fall in ``[encode_key(p), prefix_upper_bound(encode_key(p)))``, which is
   exactly the range an IndexScan issues for its equality predicates.
+
+Order lives in the bytes, so a consumer that only *orders* entries never
+decodes them: see :func:`skip_value` and :func:`ordering_bytes`.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ _INT_BIAS = 1 << 63
 _STRING_TERMINATOR = b"\x00"
 _STRING_ESCAPE = b"\x00\xff"
 
+#: Encoded width, tag included, of the fixed-width types.
+_FIXED_WIDTH = {_TAG_NULL: 1, _TAG_FALSE: 1, _TAG_TRUE: 1, _TAG_INT: 9, _TAG_FLOAT: 9}
+#: ``bytes.translate`` table: every byte to its complement, reversing order.
+_COMPLEMENT = bytes(range(255, -1, -1))
+
 
 class KeyEncodingError(PiqlError):
     """Raised when a value cannot be encoded into (or decoded from) a key."""
@@ -62,7 +70,8 @@ def encode_value(value: Any) -> bytes:
             raise KeyEncodingError(f"integer out of 64-bit range: {value}")
         return bytes([_TAG_INT]) + biased.to_bytes(8, "big")
     if isinstance(value, float):
-        packed = struct.pack(">d", value)
+        # ``+ 0.0`` folds -0.0 into 0.0: equal values, equal bytes.
+        packed = struct.pack(">d", value + 0.0)
         if packed[0] & 0x80:
             # Negative: flip every bit so that more-negative sorts first.
             flipped = bytes(b ^ 0xFF for b in packed)
@@ -111,14 +120,20 @@ def successor(key: bytes) -> bytes:
 # ----------------------------------------------------------------------
 # Decoding
 # ----------------------------------------------------------------------
-def _decode_terminated(data: bytes, offset: int) -> Tuple[bytes, int]:
-    """Decode an escaped, NUL-terminated byte sequence starting at ``offset``."""
+def _terminator_index(data: bytes, offset: int) -> int:
+    """Index of the NUL ending the escaped sequence that starts at ``offset``."""
     end = data.find(_STRING_TERMINATOR, offset)
     # A NUL followed by 0xff is an escaped NUL, not the terminator.
     while end >= 0 and data[end + 1 : end + 2] == b"\xff":
         end = data.find(_STRING_TERMINATOR, end + 2)
     if end < 0:
         raise KeyEncodingError("unterminated string in encoded key")
+    return end
+
+
+def _decode_terminated(data: bytes, offset: int) -> Tuple[bytes, int]:
+    """Decode an escaped, NUL-terminated byte sequence starting at ``offset``."""
+    end = _terminator_index(data, offset)
     return data[offset:end].replace(_STRING_ESCAPE, _STRING_TERMINATOR), end + 1
 
 
@@ -167,3 +182,41 @@ def decode_key(data: bytes, count: Optional[int] = None) -> List[Any]:
         value, offset = decode_value(data, offset)
         values.append(value)
     return values
+
+
+# ----------------------------------------------------------------------
+# Ordering without decoding
+# ----------------------------------------------------------------------
+def skip_value(data: bytes, offset: int = 0) -> int:
+    """Offset just past the value at ``offset``: ``decode_value(...)[1]``, undecoded."""
+    if offset >= len(data):
+        raise KeyEncodingError("unexpected end of encoded key")
+    tag = data[offset]
+    width = _FIXED_WIDTH.get(tag)
+    if width is None:
+        if tag != _TAG_STRING and tag != _TAG_BYTES:
+            raise KeyEncodingError(f"unknown type tag: {tag:#x}")
+        return _terminator_index(data, offset + 1) + 1
+    if offset + width > len(data):
+        raise KeyEncodingError("truncated number in encoded key")
+    return offset + width
+
+
+def ordering_bytes(data: bytes, offset: int, directions: Sequence[bool]) -> bytes:
+    """Bytes that order like the values at ``offset`` under ``directions``.
+
+    One value per direction (``True`` = ascending) is cut out of ``data``, a
+    descending one complemented.  Each then gets a sentinel (``00`` / ``ff``):
+    ``"a"`` encodes to a prefix of ``"a\\x00b"`` and sorts first only because
+    the next tag is never ``ff`` — which a complemented neighbour, or the end
+    of the cut, no longer guarantees.
+    """
+    parts = []
+    for ascending in directions:
+        end = skip_value(data, offset)
+        part = data[offset:end]
+        parts.append(
+            part + b"\x00" if ascending else part.translate(_COMPLEMENT) + b"\xff"
+        )
+        offset = end
+    return b"".join(parts)

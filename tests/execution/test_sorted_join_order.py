@@ -5,6 +5,11 @@ rows; the contract is the order ``sort_rows`` gives the joined rows (stable,
 NULLs first on ascending keys), truncated at the stop.  The entries here
 are laid out the way the two index kinds lay them out — join prefix, sort
 columns, then the rest of the key — and arrive per child in scan order.
+
+The merge never decodes: it compares the sort columns' bytes, complemented
+for DESC.  So each value domain below is one way byte order could part from
+value order — sign, -0.0, a string that prefixes another or holds a NUL —
+under DESC, mixed directions and NULLs.
 """
 
 from __future__ import annotations
@@ -81,9 +86,7 @@ def _check(children, directions, scan_ascending, prefix_arity, suffix_arity, sto
     per_child_entries, prefix_lengths, records = _fetch(
         children, prefix_arity, suffix_arity, scan_ascending
     )
-    ordered = _entries_in_output_order(
-        op, per_child_entries, prefix_lengths, len(directions)
-    )
+    ordered = _entries_in_output_order(op, per_child_entries, prefix_lengths)
     got = list(islice(ordered, stop))
     assert [(c, e) for c, e, _ in got] == _expected(op, records, stop)
     assert all(per_child_entries[c][e][1] == value for c, e, value in got)
@@ -141,7 +144,75 @@ def test_presorted_children_are_decoded_lazily():
     good = [(prefix + encode_key([ts, 0]), b"v") for ts in (9, 8, 7)]
     poison = [(prefix + b"\xfe", b"never decoded")]
     per_child_entries = [good + poison, good + poison]
-    ordered = _entries_in_output_order(op, per_child_entries, [len(prefix)] * 2, 1)
+    ordered = _entries_in_output_order(op, per_child_entries, [len(prefix)] * 2)
     assert [(c, e) for c, e, _ in islice(ordered, 4)] == [
         (0, 0), (1, 0), (0, 1), (1, 1),
     ]
+
+
+#: One column type each (a key position holds one type, or NULL).
+_DOMAINS = {
+    "ints": [-(2**62), -(2**40), -256, -1, 0, 1, 255, 256, 2**40, 2**62],
+    "floats": [float("-inf"), -1e300, -1.5, -5e-324, -0.0, 0.0, 5e-324, 1.5, float("inf")],
+    "strings": ["", "a", "a\x00", "a\x00\x00", "a\x00b", "a\x01", "ab", "b", "\xff", "é"],
+    "bools": [False, True],
+}
+
+
+@st.composite
+def _typed_cases(draw):
+    domains = draw(
+        st.lists(st.sampled_from(sorted(_DOMAINS)), min_size=1, max_size=3)
+    )
+    sort_tuple = st.tuples(
+        *[st.none() | st.sampled_from(_DOMAINS[name]) for name in domains]
+    )
+    directions = draw(st.tuples(*[st.booleans()] * len(domains)))
+    children = draw(
+        st.lists(st.lists(sort_tuple, max_size=6), min_size=1, max_size=4)
+    )
+    total = sum(len(child) for child in children)
+    stop = draw(st.none() | st.integers(min_value=0, max_value=total + 1))
+    return children, directions, draw(st.booleans()), stop
+
+
+@settings(max_examples=150, deadline=None)
+@given(_typed_cases())
+def test_byte_order_is_value_order_for_every_type(case):
+    children, directions, scan_ascending, stop = case
+    _check(children, directions, scan_ascending, 1, 1, stop)
+
+
+@pytest.mark.parametrize("scan_ascending", [True, False])
+@pytest.mark.parametrize(
+    "directions, children",
+    [
+        # A DESC string last in the cut: "a" must not lead "a\x00b" just
+        # because its complemented bytes are a prefix of the other's.
+        ((False,), [[("a",)], [("a\x00b",)], [("a\x00",), ("",)]]),
+        # ... nor when a NULL (ASC tag 00 / DESC tag ff) follows it.
+        ((False, True), [[("a", None)], [("a\x00b", None)], [("a\x00", 1)]]),
+        # ... nor ASC "a" ahead of a DESC NULL: its ff must not read as an escape.
+        (
+            (True, False, True),
+            [[("a", None, 1)], [("a\x00", None, 1)], [("a\x00b", 0, 1), ("a", None, 0)]],
+        ),
+        # -0.0 and 0.0 are equal values: a tie, broken by position.
+        ((True,), [[(0.0,)], [(-0.0,)], [(-5e-324,), (0.0,)]]),
+        ((False,), [[(-0.0,)], [(0.0,)], [(5e-324,), (-0.0,)]]),
+        # Infinities and NULL at both ends, mixed with an int column.
+        (
+            (False, True),
+            [
+                [(float("inf"), -1), (None, 0)],
+                [(float("-inf"), 1), (float("inf"), -(2**40))],
+                [(None, -1), (1.5, 2**40)],
+            ],
+        ),
+        ((False, False), [[(True, False)], [(False, True), (None, True)], [(True, None)]]),
+    ],
+)
+def test_spelled_out_byte_order_cases(directions, children, scan_ascending):
+    total = sum(len(child) for child in children)
+    for stop in (None, 1, 2, total):
+        _check(children, directions, scan_ascending, 1, 1, stop)

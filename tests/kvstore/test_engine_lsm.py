@@ -126,6 +126,31 @@ class TestFlushAndCompaction:
         assert tree.get(b"k") is None
         assert list(tree.iter_items()) == []
 
+    def test_delete_with_no_segments_pops_the_key(self, engine):
+        """Nothing beneath the memtable to shadow: no marker, the key goes —
+        out of the dict, the sorted index and the byte count alike."""
+        tree = engine.map("data")
+        for key in (b"m", b"z", b"c", b"a"):  # out of order
+            tree.put(key, b"v")
+        assert tree.range(limit=2) == [(b"a", b"v"), (b"c", b"v")]
+        before = engine.memtable_bytes()
+        assert tree.delete(b"c") and tree.delete(b"z")
+        assert not tree.delete(b"c")
+        assert engine.memtable_bytes() < before
+        tree.put(b"b", b"v")
+        live = [(b"a", b"v"), (b"b", b"v"), (b"m", b"v")]
+        for ascending in (True, False):
+            expected = live if ascending else live[::-1]
+            assert tree.range(ascending=ascending) == expected
+            assert tree.range(limit=2, ascending=ascending) == expected[:2]
+        assert len(tree) == 3
+        engine.crash()
+        engine.recover()  # WAL replay pops the same keys, segment-free still
+        tree = engine.map("data")
+        assert list(tree.iter_items()) == live
+        engine.flush()  # and no marker was left behind to write
+        assert tree.segments[0].entry_count == 3
+
     def test_maintenance_compacts_segment_runs(self, engine):
         tree = engine.map("data")
         # Rounds small enough to stay under the memtable budget, so each

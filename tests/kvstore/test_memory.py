@@ -1,6 +1,10 @@
 """Unit tests for the in-memory ordered key/value map."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kvstore.memory import OrderedKVMap
 
@@ -43,6 +47,18 @@ class TestPointOperations:
             store.put("string", b"x")
         with pytest.raises(TypeError):
             store.put(b"x", 42)
+
+    def test_bytearray_keys_are_stored_as_bytes(self):
+        store = OrderedKVMap()
+        store.put(bytearray(b"k1"), bytearray(b"v1"))
+        assert store.test_and_set(bytearray(b"k2"), None, b"v2") is True
+        assert store.test_and_set(bytearray(b"k2"), None, b"again") is False
+        assert bytearray(b"k1") in store and bytearray(b"zz") not in store
+        assert store.range() == [(b"k1", b"v1"), (b"k2", b"v2")]
+        assert all(type(k) is bytes and type(v) is bytes for k, v in store.range())
+        assert store.delete(bytearray(b"k1")) is True
+        assert store.delete(bytearray(b"k1")) is False
+        assert store.range() == [(b"k2", b"v2")]
 
 
 class TestTestAndSet:
@@ -135,3 +151,124 @@ class TestRangeOperations:
         populated.clear()
         assert len(populated) == 0
         assert populated.range() == []
+
+
+# ----------------------------------------------------------------------
+# The sorted index against a dict plus ``sorted()``
+# ----------------------------------------------------------------------
+_ALPHABET = (b"\x00", b"a", b"b", b"\xff")
+_KEYS = [
+    b"".join(letters)
+    for length in (1, 2, 3)
+    for letters in itertools.product(_ALPHABET, repeat=length)
+]
+#: Bounds on, between and beyond the keys: a history reads one drawn pair at
+#: a time from the long list, and ends by reading every pair of the short one.
+_BETWEEN = [None, b"", b"a\x01", b"ab\x00\x00", b"b~", b"\xff\xff\xff\xff"]
+_BOUNDS = _BETWEEN + _KEYS
+_FINAL_BOUNDS = _BETWEEN + [b"a", b"ab", b"b\xff"]
+_LIMITS = (None, 0, 1, 3, 100)
+
+
+def _assert_reads_match(store: OrderedKVMap, model: dict, bounds=_FINAL_BOUNDS) -> None:
+    ordered = sorted(model.items())
+    assert len(store) == len(ordered)
+    assert list(store.iter_items()) == ordered
+    for start, end in itertools.product(bounds, repeat=2):
+        inside = [
+            (k, v)
+            for k, v in ordered
+            if (start is None or k >= start) and (end is None or k < end)
+        ]
+        assert store.count_range(start, end) == len(inside)
+        for ascending in (True, False):
+            expected = inside if ascending else inside[::-1]
+            assert list(store.iter_range(start, end, ascending)) == expected
+            for limit in _LIMITS:
+                assert store.range(start, end, limit, ascending) == expected[:limit]
+
+
+_key = st.sampled_from(_KEYS)
+_value = st.binary(max_size=3)
+_step = st.one_of(
+    st.tuples(st.just("put"), _key, _value),
+    st.tuples(st.just("put"), _key, _value),
+    st.tuples(st.just("delete"), _key),
+    st.tuples(st.just("test_and_set"), _key, st.none() | _value, _value),
+    st.tuples(st.just("clear")),
+    # A read between writes folds the buffer at that point in the history.
+    st.tuples(st.just("read"), st.sampled_from(_BOUNDS), st.sampled_from(_BOUNDS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_step, max_size=60))
+def test_history_matches_dict_and_sorted(steps):
+    store, model = OrderedKVMap(), {}
+    for step in steps:
+        kind = step[0]
+        if kind == "put":
+            store.put(step[1], step[2])
+            model[step[1]] = step[2]
+        elif kind == "delete":
+            assert store.delete(step[1]) is (model.pop(step[1], None) is not None)
+        elif kind == "test_and_set":
+            _, key, expected, new_value = step
+            swapped = model.get(key) == expected
+            assert store.test_and_set(key, expected, new_value) is swapped
+            if swapped:
+                model[key] = new_value
+        elif kind == "clear":
+            store.clear()
+            model.clear()
+        else:
+            _assert_reads_match(store, model, bounds=step[1:])
+    _assert_reads_match(store, model)
+
+
+class TestIndexStaysSorted:
+    """The buffer's corner cases, spelled out."""
+
+    def test_delete_of_a_key_still_buffered(self):
+        store, model = OrderedKVMap(), {}
+        for key in (b"m", b"z", b"c", b"a"):  # nothing read yet: all still buffered
+            store.put(key, key)
+            model[key] = key
+        assert store.delete(b"c") is True
+        del model[b"c"]
+        _assert_reads_match(store, model)
+        assert store.delete(b"c") is False
+
+    def test_delete_then_reinsert(self):
+        store, model = OrderedKVMap(), {}
+        for key in (b"a", b"b", b"c"):
+            store.put(key, b"1")
+            model[key] = b"1"
+        assert store.range(limit=1) == [(b"a", b"1")]
+        for key in (b"b", b"c"):  # the tail itself, then below the new tail
+            assert store.delete(key) is True
+            store.put(key, b"2")
+            model[key] = b"2"
+            _assert_reads_match(store, model)
+
+    def test_out_of_order_bulk_load_then_reads(self):
+        store, model = OrderedKVMap(), {}
+        for number in itertools.chain(range(500, 0, -7), range(3, 500, 11)):
+            key = b"k%04d" % number
+            store.put(key, b"v%d" % number)
+            model[key] = b"v%d" % number
+        bounds = [None, b"k0000", b"k0250", b"k0255", b"k9999"]
+        _assert_reads_match(store, model, bounds)
+        store.put(b"k0251", b"late")  # one key into a long list: not a re-sort
+        model[b"k0251"] = b"late"
+        _assert_reads_match(store, model, bounds)
+
+    def test_key_past_the_tail_while_others_wait(self):
+        store, model = OrderedKVMap(), {b"d": b"d", b"f": b"f"}
+        store.put(b"d", b"d")
+        store.put(b"f", b"f")
+        assert store.count_range() == 2  # d, f are in the list; the rest buffer
+        for key in (b"b", b"e", b"z", b"a"):  # below, between, past the tail, below
+            store.put(key, key)
+            model[key] = key
+        _assert_reads_match(store, model)

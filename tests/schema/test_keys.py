@@ -10,8 +10,10 @@ from repro.schema.keys import (
     decode_value,
     encode_key,
     encode_value,
+    ordering_bytes,
     prefix_range,
     prefix_upper_bound,
+    skip_value,
     successor,
 )
 
@@ -149,6 +151,67 @@ class TestOrdering:
         decoded, offset = decode_value(encode_value(value))
         assert decoded == value
         assert offset == len(encode_value(value))
+
+
+class TestOrderingWithoutDecoding:
+    """``skip_value`` and ``ordering_bytes`` read order off the bytes."""
+
+    #: One column type each, NUL- and sign-heavy; a position may also be NULL.
+    columns = {
+        "int": st.integers(min_value=-(2**62), max_value=2**62),
+        "float": st.floats(allow_nan=False),
+        "text": st.text(alphabet="\x00a\xff", max_size=4),
+        "bytes": st.binary(max_size=4) | TestOrdering.nul_heavy,
+        "bool": st.booleans(),
+    }
+
+    @given(st.lists(scalars | TestOrdering.nul_heavy, min_size=1, max_size=4))
+    @settings(max_examples=300)
+    def test_skip_value_is_decode_values_offset(self, values):
+        encoded = encode_key(values)
+        offset = 0
+        while offset < len(encoded):
+            assert skip_value(encoded, offset) == decode_value(encoded, offset)[1]
+            offset = skip_value(encoded, offset)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"\x03\x00", b"\x04" + b"\x00" * 7, b"\x05abc", b"\x06\x00\xff",
+         b"\x07", b"\xfe"],
+    )
+    def test_skip_value_rejects_what_decode_value_rejects(self, data):
+        for function in (skip_value, decode_value):
+            with pytest.raises(KeyEncodingError):
+                function(data)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_ordering_bytes_order_like_the_values(self, data):
+        kinds = data.draw(
+            st.lists(st.sampled_from(sorted(self.columns)), min_size=1, max_size=3)
+        )
+        directions = [data.draw(st.booleans()) for _ in kinds]
+        row = st.tuples(*[st.none() | self.columns[kind] for kind in kinds])
+        left, right = data.draw(row), data.draw(row)
+        prefix = encode_key([data.draw(st.text(max_size=3))])
+        rest = encode_key([data.draw(scalars)])
+
+        def as_bytes(values):
+            key = prefix + encode_key(values) + rest
+            return ordering_bytes(key, len(prefix), directions)
+
+        def as_values(values):
+            # NULL first on ASC, last on DESC; a DESC column compares reversed.
+            return [(value is not None, value) for value in values]
+
+        def before(a, b):
+            for x, y, ascending in zip(as_values(a), as_values(b), directions):
+                if x != y:
+                    return (x < y) == ascending
+            return False
+
+        assert (as_bytes(left) < as_bytes(right)) == before(left, right)
+        assert (as_bytes(left) == as_bytes(right)) == (as_values(left) == as_values(right))
 
 
 class TestPrefixRanges:
