@@ -1,13 +1,13 @@
 """Shared configuration for the paper-reproduction benchmarks.
 
-Every file under ``benchmarks/`` regenerates one table or figure of the
-paper's evaluation (see DESIGN.md's experiment index and EXPERIMENTS.md for
-the paper-vs-measured comparison).  Run them with::
+``bench_experiments.py`` runs every experiment of ``repro.bench`` at full
+size, each regenerating one table or figure of the evaluation.  Run them
+with::
 
     pytest benchmarks/ --benchmark-only -s
 
-The ``-s`` flag shows the reproduced tables/series; each benchmark also
-writes its data to ``results/*.json``.
+The ``-s`` flag shows the reproduced tables/series; each experiment also
+writes its data to ``results/<name>.json``.
 """
 
 from __future__ import annotations

@@ -18,10 +18,11 @@ Run with ``PYTHONPATH=src python examples/failover_sim.py``.
 from __future__ import annotations
 
 from repro import ClusterConfig, PiqlDatabase
-from repro.bench.reporting import format_table, percentile
+from repro.bench.reporting import format_table
 from repro.prediction.slo import ServiceLevelObjective
 from repro.replication import crash_recover_timeline
 from repro.serving import ServingConfig, run_serving_simulation
+from repro.stats import nearest_rank_percentile as percentile
 from repro.workloads import TpcwWorkload, WorkloadScale
 
 SLO = ServiceLevelObjective(quantile=0.99, latency_seconds=0.1, interval_seconds=4.0)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 
 from repro import ClusterConfig, PiqlDatabase
-from repro.bench import format_table, percentile
+from repro.bench.reporting import format_table
+from repro.stats import nearest_rank_percentile as percentile
 from repro.workloads import TpcwWorkload, WorkloadScale
 from repro.workloads.tpcw.queries import QUERY_MODIFICATIONS
 

@@ -1,120 +1,7 @@
-"""Benchmark harnesses reproducing the paper's evaluation (Section 8)."""
+"""Experiments reproducing the paper's evaluation (Section 8) and beyond.
 
-from .bench_failover_slo import (
-    FailoverSloConfig,
-    FailoverSloExperiment,
-    FailoverSloResult,
-    WriteAudit,
-)
-from .bench_operator_fusion import (
-    OperatorFusionConfig,
-    OperatorFusionExperiment,
-    OperatorFusionResult,
-)
-from .bench_pipelined_interactions import (
-    PipelinedInteractionsConfig,
-    PipelinedInteractionsExperiment,
-    PipelinedInteractionsResult,
-)
-from .bench_serving_slo import (
-    PhaseSummary,
-    ServingSloConfig,
-    ServingSloExperiment,
-    ServingSloResult,
-)
-from .bench_storage_engine import (
-    StorageEngineConfig,
-    StorageEngineExperiment,
-    StorageEngineResult,
-)
-from .bench_view_maintenance import (
-    ViewMaintenanceConfig,
-    ViewMaintenanceExperiment,
-    ViewMaintenanceResult,
-)
-from .harness import ClientSimulationConfig, RunMeasurement, run_workload
-from .intersection import (
-    IntersectionExperimentConfig,
-    IntersectionPoint,
-    IntersectionResult,
-    SubscriberIntersectionExperiment,
-)
-from .prediction_experiment import (
-    PredictionAccuracyExperiment,
-    PredictionExperimentConfig,
-    PredictionRow,
-)
-from .regression import (
-    Regression,
-    classify_metric,
-    compare_summaries,
-    flatten_numeric,
-    make_summary,
-    run_quick_suite,
-    summary_from_results_dir,
-    write_summary,
-)
-from .reporting import format_table, linear_fit_r_squared, percentile, save_results
-from .scaling import (
-    ScalePoint,
-    ScalingExperiment,
-    ScalingExperimentConfig,
-    ScalingResult,
-)
-from .strategies import (
-    ExecutorStrategyConfig,
-    ExecutorStrategyExperiment,
-    StrategyMeasurement,
-)
-
-__all__ = [
-    "ClientSimulationConfig",
-    "ExecutorStrategyConfig",
-    "ExecutorStrategyExperiment",
-    "FailoverSloConfig",
-    "FailoverSloExperiment",
-    "FailoverSloResult",
-    "WriteAudit",
-    "IntersectionExperimentConfig",
-    "IntersectionPoint",
-    "IntersectionResult",
-    "OperatorFusionConfig",
-    "OperatorFusionExperiment",
-    "OperatorFusionResult",
-    "PhaseSummary",
-    "PipelinedInteractionsConfig",
-    "PipelinedInteractionsExperiment",
-    "PipelinedInteractionsResult",
-    "PredictionAccuracyExperiment",
-    "PredictionExperimentConfig",
-    "PredictionRow",
-    "Regression",
-    "RunMeasurement",
-    "ServingSloConfig",
-    "ServingSloExperiment",
-    "ServingSloResult",
-    "ScalePoint",
-    "ScalingExperiment",
-    "ScalingExperimentConfig",
-    "ScalingResult",
-    "StorageEngineConfig",
-    "StorageEngineExperiment",
-    "StorageEngineResult",
-    "StrategyMeasurement",
-    "SubscriberIntersectionExperiment",
-    "ViewMaintenanceConfig",
-    "ViewMaintenanceExperiment",
-    "ViewMaintenanceResult",
-    "classify_metric",
-    "compare_summaries",
-    "flatten_numeric",
-    "format_table",
-    "linear_fit_r_squared",
-    "make_summary",
-    "percentile",
-    "run_quick_suite",
-    "run_workload",
-    "save_results",
-    "summary_from_results_dir",
-    "write_summary",
-]
+``python -m repro.bench <name> [--quick]`` runs one experiment (``--help``
+lists the names); :mod:`repro.bench.experiment` holds the record and the
+runner every experiment shares.  Import what you need from the submodule
+that defines it.
+"""

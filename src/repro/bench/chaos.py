@@ -32,28 +32,32 @@ fault-free warmup prefix (the pairing is honest).
 Everything is deterministic: the schedule shape is fixed, and the seed
 drives traffic, latency draws, backoff jitter, and per-link drop draws.
 
-Run via ``PYTHONPATH=src python -m repro.bench.bench_chaos_soak``.
+The ``chaos_soak`` experiment runs the paired soak across several seeds
+(``--seeds 11,23,47``) and fails unless every invariant holds on every
+seed; the first seed's resilient-arm ``incident-report/v1`` is saved beside
+the summary as the run's forensic artifact.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..engine.database import PiqlDatabase
 from ..errors import UnavailableError
-from ..kvstore.cluster import ClusterConfig, KeyValueCluster
+from ..kvstore.cluster import KeyValueCluster
 from ..obs.flightrec import ForensicsConfig
 from ..obs.incident import IncidentReport
 from ..prediction.slo import ServiceLevelObjective
 from ..replication.faults import FaultSpec
 from ..replication.store import record_seq
 from ..resilience.policy import ResilienceConfig
-from ..serving.simulator import ServingConfig, ServingReport, ServingSimulation
-from ..workloads.base import WorkloadScale
+from ..serving.simulator import ServingReport, ServingSimulation
 from ..workloads.tpcw.workload import TpcwWorkload
-from .bench_failover_slo import WriteAudit
+from .experiment import Experiment, claim
+from .fixtures import Metronome, WriteAudit, loaded_database, serve
+from .reporting import render_with_incident
 
 
 @dataclass(frozen=True)
@@ -175,7 +179,7 @@ class ChaosSoakConfig:
         )
 
 
-class ReadYourWritesProbe:
+class ReadYourWritesProbe(Metronome):
     """Put-then-get probes asserting session monotonicity through faults.
 
     Each tick writes a fresh key through the write quorum and — when the
@@ -187,6 +191,8 @@ class ReadYourWritesProbe:
     unavailability is the availability invariant's business.
     """
 
+    name = "ryw-probe"
+
     def __init__(self, cluster: KeyValueCluster, namespace: str = "chaos_ryw"):
         self.cluster = cluster
         self.namespace = namespace
@@ -197,15 +203,7 @@ class ReadYourWritesProbe:
         self.violations = 0
         self._counter = 0
 
-    def schedule(self, sim, interval_seconds: float, until: float) -> None:
-        def tick(s) -> None:
-            self._probe(s.now)
-            if s.now + interval_seconds <= until:
-                s.schedule_at(s.now + interval_seconds, tick, name="ryw-probe")
-
-        sim.schedule_at(interval_seconds, tick, name="ryw-probe")
-
-    def _probe(self, now: float) -> None:
+    def tick(self, now: float) -> None:
         self._counter += 1
         key = f"probe{self._counter:08d}".encode()
         value = f"probe-at-{now:.3f}".encode()
@@ -360,16 +358,7 @@ class ChaosSoakResult:
 
     def payload(self) -> Dict[str, object]:
         return {
-            "config": {
-                "storage_nodes": self.config.storage_nodes,
-                "replication": self.config.replication,
-                "read_quorum": self.config.read_quorum,
-                "write_quorum": self.config.write_quorum,
-                "clients": self.config.clients,
-                "duration_seconds": self.config.duration_seconds,
-                "availability_floor": self.config.availability_floor,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "invariants": self.invariants(),
             "arms": {
                 name: {
@@ -388,11 +377,6 @@ class ChaosSoakResult:
                 }
                 for name, arm in self.arms.items()
             },
-            "incident": (
-                self.arms["resilient"].incident.payload()
-                if self.arms["resilient"].incident is not None
-                else None
-            ),
         }
 
 
@@ -417,40 +401,40 @@ class ChaosSoakExperiment:
 
     def _fresh_database(self, policy: ResilienceConfig) -> Tuple[PiqlDatabase, TpcwWorkload]:
         config = self.config
-        db = PiqlDatabase.simulated(
-            ClusterConfig(
-                storage_nodes=config.storage_nodes,
-                replication=config.replication,
-                read_quorum=config.read_quorum,
-                write_quorum=config.write_quorum,
-                node_capacity_ops_per_second=config.node_capacity_ops_per_second,
-                seed=config.seed,
-            ),
+        # Reseeded: both arms must draw identical latency samples on the
+        # fault-free prefix.
+        return loaded_database(
+            TpcwWorkload(),
+            storage_nodes=config.storage_nodes,
+            replication=config.replication,
+            read_quorum=config.read_quorum,
+            write_quorum=config.write_quorum,
+            node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+            users_per_node=config.users_per_node,
+            items_total=config.items_total,
+            seed=config.seed,
+            data_seed=7,
+            reseed=True,
             resilience=policy,
         )
-        workload = TpcwWorkload()
-        workload.setup(
-            db,
-            WorkloadScale(
-                storage_nodes=max(2, config.storage_nodes // 2),
-                users_per_node=config.users_per_node,
-                items_total=config.items_total,
-                seed=7,
-            ),
-        )
-        # Both arms must draw identical latency samples on the fault-free
-        # prefix; setup consumes a workload-dependent number of draws, so
-        # re-anchor the models before traffic starts.
-        db.cluster.reseed_latency_models(config.seed)
-        return db, workload
 
     def run_arm(
         self, name: str, policy: ResilienceConfig, forensics: bool = False
     ) -> ChaosArmResult:
         config = self.config
         db, workload = self._fresh_database(policy)
-        serving_config = ServingConfig(
-            mode="closed",
+        audit = WriteAudit(db.cluster, namespace="chaos_audit")
+        probe = ReadYourWritesProbe(db.cluster)
+
+        def schedule_probes(simulation: ServingSimulation) -> None:
+            horizon = config.duration_seconds
+            audit.schedule(simulation.sim, config.audit_interval_seconds, horizon)
+            probe.schedule(simulation.sim, config.probe_interval_seconds, horizon)
+
+        served = serve(
+            db,
+            workload,
+            before_run=schedule_probes,
             clients=config.clients,
             think_time_seconds=config.think_time_seconds,
             duration_seconds=config.duration_seconds,
@@ -462,16 +446,7 @@ class ChaosSoakExperiment:
             forensics=ForensicsConfig() if forensics else None,
             seed=config.seed,
         )
-        simulation = ServingSimulation(db, workload, serving_config)
-        audit = WriteAudit(db.cluster, namespace="chaos_audit")
-        audit.schedule(
-            simulation.sim, config.audit_interval_seconds, config.duration_seconds
-        )
-        probe = ReadYourWritesProbe(db.cluster)
-        probe.schedule(
-            simulation.sim, config.probe_interval_seconds, config.duration_seconds
-        )
-        report = simulation.run()
+        report = served.report
 
         # Post-run convergence: the schedule healed everything, but make
         # the precondition explicit (idempotent), run one fleet-wide
@@ -498,7 +473,7 @@ class ChaosSoakExperiment:
             if any(start <= arrival < end for start, end in windows)
         )
         counters: Dict[str, float] = {key: 0.0 for key in _RESILIENCE_COUNTERS}
-        for server in simulation.driver.servers:
+        for server in served.simulation.driver.servers:
             registry = server.db.client.stats.metrics
             for key in _RESILIENCE_COUNTERS:
                 counters[key] += registry.value(key)
@@ -537,3 +512,67 @@ class ChaosSoakExperiment:
 def run_chaos_soak(config: Optional[ChaosSoakConfig] = None) -> ChaosSoakResult:
     """Convenience wrapper: one seeded soak, both arms."""
     return ChaosSoakExperiment(config).run()
+
+
+# ----------------------------------------------------------------------
+# The experiment record: the paired soak across several seeds
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ChaosSuiteConfig:
+    """One soak configuration, run once per seed."""
+
+    base: ChaosSoakConfig = field(default_factory=ChaosSoakConfig)
+    seeds: Tuple[int, ...] = (11, 23, 47)
+
+
+def run_suite(config: ChaosSuiteConfig) -> Dict[int, ChaosSoakResult]:
+    return {
+        seed: run_chaos_soak(replace(config.base, seed=seed))
+        for seed in config.seeds
+    }
+
+
+def check_suite(results: Dict[int, ChaosSoakResult]) -> None:
+    for seed, result in results.items():
+        for invariant, holds in result.invariants().items():
+            claim(f"chaos_soak: {invariant}", holds, f"seed {seed}")
+
+
+def suite_details(results: Dict[int, ChaosSoakResult]) -> Dict[str, Dict]:
+    """Per-seed incident reports, and the first seed's as its own artifact."""
+    incidents = {
+        str(seed): result.arms["resilient"].incident.payload()
+        for seed, result in results.items()
+        if result.arms["resilient"].incident is not None
+    }
+    if not incidents:
+        return {}
+    return {
+        "chaos_soak.detail": {"incidents": incidents},
+        "incident_report": next(iter(incidents.values())),
+    }
+
+
+def suite_payload(results: Dict[int, ChaosSoakResult]) -> Dict[str, object]:
+    return {
+        "seeds": {str(seed): r.payload() for seed, r in results.items()},
+        "all_invariants_hold": all(r.holds for r in results.values()),
+    }
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="chaos_soak",
+        config=ChaosSuiteConfig(),
+        quick=ChaosSuiteConfig(ChaosSoakConfig().quick()),
+        run=run_suite,
+        payload=suite_payload,
+        check=check_suite,
+        # The first seed's timeline stands for the run.
+        render=lambda results: render_with_incident(
+            suite_payload(results),
+            next(iter(results.values())).arms["resilient"].incident,
+        ),
+        details=suite_details,
+    ),
+)

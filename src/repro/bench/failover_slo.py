@@ -1,0 +1,298 @@
+"""Failover: SLO compliance through a crash-and-recover timeline.
+
+Not a figure from the paper but the fault-tolerance scenario its SLO
+methodology implies, and the replication tier's reason to exist: a storage
+node dies under live traffic.  With real replica copies and quorum
+reads/writes (``N=3, R=W=2``) the cluster must
+
+* keep serving every read and acknowledge every write while the node is
+  down (surviving replicas satisfy the quorums; the down replica's writes
+  become hints),
+* degrade visibly — the survivors absorb the dead node's share of the
+  traffic, so p99 rises during the crash window — and
+* recover once the node returns, replays its hints, and anti-entropy
+  repair completes.
+
+The experiment runs the same open-loop TPC-W timeline twice with the same
+seed — once healthy end to end (the baseline) and once with a crash /
+recover fault pair — so the failover cost is read *relative to the paired
+baseline*, cancelling ordinary load noise.  A write-audit stream issues an
+acknowledged ``put`` every ``audit_interval_seconds`` throughout the run
+and reads every acknowledged key back at the end through the read quorum:
+``lost`` must be zero, which is the R+W>N guarantee made measurable.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
+
+from ..obs.flightrec import ForensicsConfig
+from ..obs.incident import IncidentReport
+from ..prediction.slo import ServiceLevelObjective
+from ..resilience.policy import ResilienceConfig
+from ..replication.faults import (
+    FaultSpec,
+    crash_recover_timeline,
+    fault_event_payload,
+)
+from ..serving.simulator import ServingReport
+from ..workloads.tpcw.workload import TpcwWorkload
+from .experiment import Experiment, claim
+from .fixtures import (
+    PhaseSummary,
+    WriteAudit,
+    loaded_database,
+    serve,
+    summarise_phases,
+)
+from .reporting import render_with_incident
+
+
+@dataclass(frozen=True)
+class FailoverSloConfig:
+    """Cluster, workload, fault timeline, and SLO of the failover scenario."""
+
+    storage_nodes: int = 4
+    replication: int = 3
+    read_quorum: int = 2
+    write_quorum: int = 2
+    node_capacity_ops_per_second: float = 400.0
+    users_per_node: int = 30
+    items_total: int = 100
+    app_servers: int = 50
+    #: Offered load, tuned to keep the healthy phase comfortably inside the
+    #: cluster's capacity now that TPC-W page renders carry their
+    #: promotional-banner queries (~7.3 k/v operations per interaction).
+    arrival_rate_per_second: float = 65.0
+    healthy_seconds: float = 12.0
+    crash_seconds: float = 12.0
+    recovered_seconds: float = 16.0
+    #: Settle time after recovery excluded from the "recovered" phase (the
+    #: backlog built during the outage needs a moment to drain).
+    drain_seconds: float = 4.0
+    crash_node_id: int = 1
+    audit_interval_seconds: float = 0.1
+    #: Run the failover variant with latency forensics (flight recorder +
+    #: breaker watch + telemetry) and attach an ``incident-report/v1``
+    #: correlating the crash window with retained traces and alerts.  The
+    #: baseline stays bare: forensics costs host wall clock only, never
+    #: simulated time, so the paired sim-time comparison is unaffected.
+    forensics_enabled: bool = True
+    slo: ServiceLevelObjective = field(
+        default_factory=lambda: ServiceLevelObjective(
+            quantile=0.99, latency_seconds=0.1, interval_seconds=4.0
+        )
+    )
+    seed: int = 3
+
+    @property
+    def duration_seconds(self) -> float:
+        return self.healthy_seconds + self.crash_seconds + self.recovered_seconds
+
+    @property
+    def crash_at(self) -> float:
+        return self.healthy_seconds
+
+    @property
+    def recover_at(self) -> float:
+        return self.healthy_seconds + self.crash_seconds
+
+    def faults(self) -> List[FaultSpec]:
+        return crash_recover_timeline(
+            self.crash_node_id, self.crash_at, self.recover_at
+        )
+
+    def phases(self) -> List[Tuple[str, float, float]]:
+        """(name, start, end) of the measured traffic phases."""
+        return [
+            ("healthy", 0.0, self.crash_at),
+            ("degraded", self.crash_at, self.recover_at),
+            ("recovered", self.recover_at + self.drain_seconds,
+             self.duration_seconds),
+        ]
+
+    def quick(self) -> "FailoverSloConfig":
+        """A CI-smoke-sized variant (seconds of simulated time).
+
+        The phases are too short for a p99 to mean much at a gentle load, so
+        the rate stays near the full run's: the survivors visibly saturate
+        within the four-second crash window (p99 about 2x the baseline's).
+        """
+        return replace(
+            self,
+            users_per_node=10,
+            items_total=50,
+            arrival_rate_per_second=60.0,
+            healthy_seconds=4.0,
+            crash_seconds=4.0,
+            recovered_seconds=6.0,
+            drain_seconds=2.0,
+            audit_interval_seconds=0.2,
+        )
+
+
+@dataclass
+class FailoverSloResult:
+    """Both runs of the scenario plus the audit and repair evidence."""
+
+    config: FailoverSloConfig
+    reports: Dict[str, ServingReport]
+    phase_summaries: Dict[str, List[PhaseSummary]]
+    audit: Dict[str, int]
+    #: Incident report of the failover run (``None`` when forensics is off).
+    incident: Optional[IncidentReport] = None
+
+    def phase(self, run: str, name: str) -> PhaseSummary:
+        return next(s for s in self.phase_summaries[run] if s.phase == name)
+
+    def degradation_ratio(self) -> float:
+        """Crash-window p99 of the failover run over the paired baseline's."""
+        baseline = self.phase("baseline", "degraded").p99_ms
+        return self.phase("failover", "degraded").p99_ms / max(baseline, 1e-9)
+
+    def recovery_ratio(self) -> float:
+        """Post-recovery p99 of the failover run over the paired baseline's."""
+        baseline = self.phase("baseline", "recovered").p99_ms
+        return self.phase("failover", "recovered").p99_ms / max(baseline, 1e-9)
+
+    def summary_payload(self) -> Dict:
+        failover = self.reports["failover"]
+        return {
+            "config": {
+                "storage_nodes": self.config.storage_nodes,
+                "replication": self.config.replication,
+                "read_quorum": self.config.read_quorum,
+                "write_quorum": self.config.write_quorum,
+                "arrival_rate_per_second": self.config.arrival_rate_per_second,
+                "crash_at": self.config.crash_at,
+                "recover_at": self.config.recover_at,
+                "slo_ms": self.config.slo.latency_ms,
+            },
+            "phases": {
+                run: [summary.__dict__ for summary in summaries]
+                for run, summaries in self.phase_summaries.items()
+            },
+            "degradation_ratio": self.degradation_ratio(),
+            "recovery_ratio": self.recovery_ratio(),
+            "availability": failover.availability,
+            "faults": [
+                fault_event_payload(event)
+                for event in failover.fault_events
+            ],
+            "repair": failover.repair.summary() if failover.repair else None,
+            "write_audit": self.audit,
+        }
+
+    def detail_payloads(self) -> Dict[str, Dict]:
+        """The incident report: evidence, too bulky for the summary."""
+        if self.incident is None:
+            return {}
+        return {"failover_slo.detail": {"incident": self.incident.payload()}}
+
+
+def run_variant(
+    config: FailoverSloConfig, inject_faults: bool
+) -> Tuple[ServingReport, Optional[Dict[str, int]]]:
+    db, workload = loaded_database(
+        TpcwWorkload(),
+        storage_nodes=config.storage_nodes,
+        replication=config.replication,
+        read_quorum=config.read_quorum,
+        write_quorum=config.write_quorum,
+        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        users_per_node=config.users_per_node,
+        items_total=config.items_total,
+        seed=7,
+        # Breakers on *both* variants (the pairing must stay exact): each
+        # app server's board sees the dead replica through its own
+        # skipped-quorum sightings, which is the breaker evidence the
+        # failover incident report correlates with the crash window.
+        resilience=ResilienceConfig(breakers_enabled=True, seed=config.seed),
+    )
+    forensics = inject_faults and config.forensics_enabled
+    # Both variants carry the audit metronome so their offered load is
+    # identical (paired comparison); only the failover run needs the
+    # read-back verification, since the baseline never loses a node.
+    audit = WriteAudit(db.cluster)
+    report = serve(
+        db,
+        workload,
+        before_run=lambda simulation: audit.schedule(
+            simulation.sim, config.audit_interval_seconds, config.duration_seconds
+        ),
+        mode="open",
+        clients=config.app_servers,
+        arrival_rate_per_second=config.arrival_rate_per_second,
+        duration_seconds=config.duration_seconds,
+        slo=config.slo,
+        faults=config.faults() if inject_faults else (),
+        telemetry_enabled=forensics,
+        forensics=ForensicsConfig() if forensics else None,
+        seed=config.seed,
+    ).report
+    return report, (audit.verify() if inject_faults else None)
+
+
+def run(config: FailoverSloConfig) -> FailoverSloResult:
+    reports: Dict[str, ServingReport] = {}
+    audit: Dict[str, int] = {}
+    for label, inject in (("baseline", False), ("failover", True)):
+        reports[label], audit_result = run_variant(config, inject)
+        if audit_result is not None:
+            audit = audit_result
+    incident: Optional[IncidentReport] = None
+    if reports["failover"].forensics is not None:
+        incident = reports["failover"].incident_report(title="failover timeline")
+    return FailoverSloResult(
+        config=config,
+        reports=reports,
+        phase_summaries={
+            label: summarise_phases(report, config.phases(), config.slo)
+            for label, report in reports.items()
+        },
+        audit=audit,
+        incident=incident,
+    )
+
+
+def check(result: FailoverSloResult) -> None:
+    failover = result.reports["failover"]
+    claim("failover_slo: both runs start healthy and compliant",
+          result.phase("baseline", "healthy").compliance > 0.95
+          and result.phase("failover", "healthy").compliance > 0.95)
+    # Killing one of four nodes keeps every quorum satisfiable.
+    claim("failover_slo: nothing fails while one of four nodes is down",
+          failover.failed == 0 and failover.availability == 1.0,
+          (failover.failed, failover.availability))
+    claim("failover_slo: no acknowledged write is lost",
+          result.audit["acknowledged"] > 0 and result.audit["lost"] == 0,
+          result.audit)
+    claim("failover_slo: the crash window degrades p99 against the paired baseline",
+          result.degradation_ratio() > 1.15, result.degradation_ratio())
+    claim("failover_slo: the crash window costs SLO compliance",
+          result.phase("failover", "degraded").compliance
+          < result.phase("baseline", "degraded").compliance)
+    # Phase p99s are straggler-dominated, so the within-run comparison is
+    # the statistically sturdy one.
+    claim("failover_slo: p99 falls back after hint replay and anti-entropy repair",
+          result.phase("failover", "recovered").p99_ms
+          < 0.8 * result.phase("failover", "degraded").p99_ms)
+    claim("failover_slo: the recovery exercised hinted handoff",
+          failover.repair is not None and failover.repair.hints_replayed > 0)
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="failover_slo",
+        config=FailoverSloConfig(),
+        quick=FailoverSloConfig().quick(),
+        run=run,
+        payload=FailoverSloResult.summary_payload,
+        check=check,
+        render=lambda result: render_with_incident(
+            result.summary_payload(), result.incident
+        ),
+        details=FailoverSloResult.detail_payloads,
+    ),
+)

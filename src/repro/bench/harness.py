@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 
 from ..engine.database import PiqlDatabase
 from ..execution.context import ExecutionStrategy
+from ..stats import nearest_rank_percentile
 from ..workloads.base import Workload
-from .reporting import percentile
 
 
 @dataclass
@@ -68,7 +68,7 @@ class RunMeasurement:
         return self.interactions / self.duration_seconds
 
     def latency_percentile_ms(self, fraction: float = 0.99) -> float:
-        return percentile(self.interaction_latencies, fraction) * 1000.0
+        return nearest_rank_percentile(self.interaction_latencies, fraction) * 1000.0
 
     def mean_latency_ms(self) -> float:
         if not self.interaction_latencies:
@@ -78,7 +78,7 @@ class RunMeasurement:
         )
 
     def query_percentile_ms(self, query: str, fraction: float = 0.99) -> float:
-        return percentile(self.query_latencies[query], fraction) * 1000.0
+        return nearest_rank_percentile(self.query_latencies[query], fraction) * 1000.0
 
 
 def run_workload(

@@ -16,18 +16,19 @@ per-interval 99th percentile (the most conservative cardinality setting).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..engine.database import PiqlDatabase
-from ..kvstore.cluster import ClusterConfig
 from ..prediction.model import OperatorModelStore, QueryLatencyModel
-from ..prediction.slo import observed_interval_quantiles
+from ..prediction.slo import ServiceLevelObjective, observed_interval_quantiles
 from ..prediction.training import OperatorModelTrainer, TrainingConfig
-from ..workloads.base import Workload, WorkloadScale
+from ..workloads.base import Workload
 from ..workloads.scadr.workload import ScadrWorkload
 from ..workloads.tpcw.queries import QUERY_MODIFICATIONS
 from ..workloads.tpcw.workload import TpcwWorkload
+from .experiment import Experiment, claim
+from .fixtures import loaded_database
+from .reporting import format_table
 
 
 @dataclass
@@ -112,17 +113,13 @@ class PredictionAccuracyExperiment:
         modifications: Dict[str, str],
     ) -> List[PredictionRow]:
         config = self.config
-        db = PiqlDatabase.simulated(
-            ClusterConfig(storage_nodes=config.storage_nodes, seed=config.seed)
-        )
-        workload.setup(
-            db,
-            WorkloadScale(
-                storage_nodes=config.storage_nodes,
-                users_per_node=config.users_per_node,
-                items_total=config.items_total,
-                seed=config.seed,
-            ),
+        db, workload = loaded_database(
+            workload,
+            storage_nodes=config.storage_nodes,
+            data_nodes=config.storage_nodes,
+            users_per_node=config.users_per_node,
+            items_total=config.items_total,
+            seed=config.seed,
         )
         total_capacity = (
             config.storage_nodes * db.cluster.config.node_capacity_ops_per_second
@@ -203,3 +200,99 @@ class PredictionAccuracyExperiment:
             "fraction_overpredicted": sum(1 for o in over if o >= -2.0) / len(over),
             "max_underprediction_ms": -min(over) if over else 0.0,
         }
+
+
+# ----------------------------------------------------------------------
+# The experiment record
+# ----------------------------------------------------------------------
+def _table(rows: Sequence[PredictionRow]) -> List[tuple]:
+    return [
+        (
+            row.benchmark,
+            row.query,
+            row.modifications,
+            "; ".join(row.additional_indexes) or "-",
+            round(row.actual_p99_ms, 1),
+            round(row.predicted_p99_ms, 1),
+        )
+        for row in rows
+    ]
+
+
+def _summary(rows: Sequence[PredictionRow]) -> Dict[str, float]:
+    summary = PredictionAccuracyExperiment.summary(rows)
+    return {key: float(value) for key, value in summary.items()}
+
+
+def _check(rows: Sequence[PredictionRow]) -> None:
+    # The paper's thirteen read queries, plus the three restored by the
+    # materialized-view tier (Best Sellers and the SCADr profile counts,
+    # which the paper's table omits as inexpressible).
+    claim("table1: sixteen read queries are listed", len(rows) == 16, len(rows))
+    by_query = {row.query: row for row in rows}
+    claim("table1: the tokenised-search rewrites need their inverted indexes",
+          by_query["new_products_wi"].additional_indexes
+          and by_query["search_by_title_wi"].additional_indexes)
+    claim("table1: the point lookups need no additional index",
+          by_query["home_wi"].additional_indexes == []
+          and by_query["find_user"].additional_indexes == [])
+    # The restored queries are served by precomputation: no additional
+    # indexes beyond the views' own bounded structures.
+    claim("table1: Best Sellers is listed as precomputed",
+          by_query["best_sellers_wi"].modifications.startswith("Precomputed"))
+    claim("table1: the view-served queries need no additional index",
+          all(by_query[name].additional_indexes == []
+              for name in ("best_sellers_wi", "thought_count", "follower_count")))
+    # The model predicts SLO compliance conservatively on balance.  (The
+    # "actual" column is a max-over-intervals of per-interval percentiles
+    # estimated from far fewer samples than the trained models, so individual
+    # heavy-tail queries can exceed their prediction — see EXPERIMENTS.md.)
+    summary = _summary(rows)
+    claim("table1: the model over-predicts for at least 45% of the queries",
+          summary["fraction_overpredicted"] >= 0.45, summary)
+    claim("table1: no query is under-predicted by 45 ms or more",
+          summary["max_underprediction_ms"] < 45.0, summary)
+    slo = ServiceLevelObjective(latency_seconds=0.5)
+    claim("table1: every query is predicted inside the 500 ms SLO",
+          all(row.predicted_p99_ms / 1000.0 < slo.latency_seconds for row in rows))
+    claim("table1: every query measures inside the 500 ms SLO",
+          all(row.actual_p99_ms / 1000.0 < slo.latency_seconds for row in rows))
+
+
+def _render(rows: Sequence[PredictionRow]) -> str:
+    table = format_table(
+        ["benchmark", "query", "modifications", "additional indexes",
+         "actual 99th (ms)", "predicted 99th (ms)"],
+        _table(rows),
+    )
+    summary = {key: round(value, 2) for key, value in _summary(rows).items()}
+    return (
+        "Table 1 — modifications, indexes, actual vs predicted 99th percentile\n"
+        f"{table}\nsummary: {summary}"
+    )
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="table1_prediction",
+        # (experiment, operator-model training)
+        config=(
+            PredictionExperimentConfig(
+                users_per_node=50, items_total=400, intervals=8,
+                executions_per_interval=120,
+            ),
+            TrainingConfig(intervals=8, samples_per_interval=14),
+        ),
+        quick=(
+            PredictionExperimentConfig(
+                users_per_node=20, items_total=150, intervals=4,
+                executions_per_interval=40,
+            ),
+            TrainingConfig(intervals=4, samples_per_interval=8),
+        ),
+        run=lambda config: PredictionAccuracyExperiment(*config).run(),
+        payload=lambda rows: {"rows": _table(rows), "summary": _summary(rows)},
+        check=_check,
+        render=_render,
+    ),
+)

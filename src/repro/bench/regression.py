@@ -185,7 +185,11 @@ def summary_from_results_dir(results_dir: str) -> Dict[str, object]:
     """One bench entry per ``results/*.json`` file, metrics flattened."""
     benches: Dict[str, Dict[str, float]] = {}
     for path in sorted(Path(results_dir).glob("*.json")):
-        if path.name == "BENCH_summary.json":
+        # Only the committed-name summaries: quick-size and detail files sit
+        # beside them (see repro.bench.experiment) and are not trajectory.
+        if path.name == "BENCH_summary.json" or path.stem.endswith(
+            (".quick", ".detail")
+        ):
             continue
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -222,26 +226,19 @@ def run_quick_suite(telemetry_path: Optional[str] = None) -> Dict[str, object]:
     informational here because the chaos CLI itself exits nonzero when
     any invariant fails.
     """
-    from ..engine.database import PiqlDatabase
-    from ..kvstore.cluster import ClusterConfig
     from ..prediction.slo import ServiceLevelObjective
-    from ..serving.simulator import ServingConfig, ServingSimulation
-    from ..workloads.base import WorkloadScale
     from ..workloads.scadr.workload import ScadrWorkload
+    from .fixtures import loaded_database, serve
 
     seed = 29
-    db = PiqlDatabase.simulated(
-        ClusterConfig(
-            storage_nodes=4,
-            node_capacity_ops_per_second=600.0,
-            seed=seed,
-        )
-    )
-    workload = ScadrWorkload(
-        thoughts_per_user=5, subscriptions_per_user=3, max_subscriptions=10
-    )
-    workload.setup(
-        db, WorkloadScale(storage_nodes=2, users_per_node=20, seed=seed)
+    db, workload = loaded_database(
+        ScadrWorkload(
+            thoughts_per_user=5, subscriptions_per_user=3, max_subscriptions=10
+        ),
+        storage_nodes=4,
+        node_capacity_ops_per_second=600.0,
+        users_per_node=20,
+        seed=seed,
     )
 
     # --- quick_query: the bounded thoughtstream query, repeated ---------
@@ -268,8 +265,9 @@ def run_quick_suite(telemetry_path: Optional[str] = None) -> Dict[str, object]:
 
     # --- quick_serving: closed-loop window with telemetry ---------------
     db.reset_measurements()
-    config = ServingConfig(
-        mode="closed",
+    served = serve(
+        db,
+        workload,
         clients=15,
         think_time_seconds=0.4,
         duration_seconds=8.0,
@@ -279,16 +277,13 @@ def run_quick_suite(telemetry_path: Optional[str] = None) -> Dict[str, object]:
         telemetry_enabled=True,
         seed=seed,
     )
-    report = ServingSimulation(db, workload, config).run()
+    report = served.report
     if telemetry_path is not None and report.telemetry is not None:
         report.telemetry.save(telemetry_path)
     quick_serving = {
-        "completed": float(report.completed),
-        "throughput_per_second": report.throughput,
+        **served.headline(),
         "availability": report.availability,
         "overall_compliance": report.overall_compliance,
-        "p50_ms": report.response_percentile_ms(0.50),
-        "p99_ms": report.response_percentile_ms(0.99),
         "mean_utilization": report.mean_utilization,
         "audited": float(report.audited),
         "bound_violations": float(report.bound_violations),
@@ -297,21 +292,22 @@ def run_quick_suite(telemetry_path: Optional[str] = None) -> Dict[str, object]:
         ),
     }
     # --- quick_storage: storage-engine parity / recovery / budgets ------
-    from .bench_storage_engine import StorageEngineConfig, StorageEngineExperiment
+    from .storage_engine import StorageEngineConfig, StorageEngineExperiment
 
     storage = StorageEngineExperiment(StorageEngineConfig.quick()).run()
+    sweep, recovery = storage["sweep"], storage["recovery"]
     quick_storage = {
-        "parity_identical": 1.0 if storage.parity_identical else 0.0,
-        "sweep_latency_ratio": storage.sweep_latency_ratio,
-        "get_mean_ms_smallest": storage.sweep[0].get_mean_ms,
-        "get_mean_ms_largest": storage.sweep[-1].get_mean_ms,
+        "parity_identical": 1.0 if storage["parity"]["identical"] else 0.0,
+        "sweep_latency_ratio": storage["sweep_latency_ratio"],
+        "get_mean_ms_smallest": sweep[0]["get_mean_ms"],
+        "get_mean_ms_largest": sweep[-1]["get_mean_ms"],
         "peak_memtable_bytes": float(
-            max(point.peak_memtable_bytes for point in storage.sweep)
+            max(point["peak_memtable_bytes"] for point in sweep)
         ),
-        "recovery_acknowledged": float(storage.recovery_acknowledged),
-        "recovery_lost": float(storage.recovery_lost),
-        "recovery_oracle_match": 1.0 if storage.recovery_oracle_match else 0.0,
-        "bulk_spill_count": float(storage.bulk_spill_count),
+        "recovery_acknowledged": float(recovery["acknowledged"]),
+        "recovery_lost": float(recovery["lost"]),
+        "recovery_oracle_match": 1.0 if recovery["oracle_match"] else 0.0,
+        "bulk_spill_count": float(storage["bulk"]["spill_count"]),
     }
     # --- quick_chaos: one seeded soak, both arms ------------------------
     from .chaos import ChaosSoakConfig, run_chaos_soak

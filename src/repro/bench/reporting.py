@@ -5,15 +5,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence
-
-from ..stats import nearest_rank_percentile
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Empirical percentile (nearest-rank) of a sample."""
-    return nearest_rank_percentile(values, fraction)
-
+from typing import Dict, Iterable, Optional, Sequence
 
 def linear_fit_r_squared(xs: Sequence[float], ys: Sequence[float]) -> float:
     """R^2 of the least-squares line through (xs, ys).
@@ -61,6 +53,39 @@ def _render_cell(cell: object) -> str:
             return "nan"
         return f"{cell:.1f}" if abs(cell) >= 10 else f"{cell:.2f}"
     return str(cell)
+
+
+def render_payload(payload: Dict, indent: int = 0) -> str:
+    """Plain-text rendering of a JSON summary, so what is printed is what is saved.
+
+    Scalars print as ``key: value``, a list of records as a table under its
+    key, and a nested dict as an indented section.
+    """
+    pad = "  " * indent
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, dict) and value:
+            lines += [f"{pad}{key}:", render_payload(value, indent + 1)]
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            headers = list(value[0])
+            table = format_table(
+                headers, [[row.get(header) for header in headers] for row in value]
+            )
+            lines.append(f"{pad}{key}:")
+            lines += [f"{pad}  {line}" for line in table.splitlines()]
+        else:
+            lines.append(f"{pad}{key}: {_render_cell(value)}")
+    return "\n".join(lines)
+
+
+def render_with_incident(payload: Dict, incident: Optional[object]) -> str:
+    """The summary as text, then the incident report's rendered timeline.
+
+    A CI log is often the only thing anyone reads, so the timeline goes to
+    stdout although the report itself is saved as a detail file.
+    """
+    text = render_payload(payload)
+    return text if incident is None else f"{text}\n\n{incident.render()}"
 
 
 def save_results(name: str, payload: Dict, directory: str = "results") -> Path:

@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
-from ..engine.database import PiqlDatabase
-from ..kvstore.cluster import ClusterConfig
-from ..workloads.base import Workload, WorkloadScale
+from ..workloads.base import Workload
+from ..workloads.scadr.workload import ScadrWorkload
+from ..workloads.tpcw.workload import TpcwWorkload
+from .experiment import Experiment, claim
+from .fixtures import loaded_database
 from .harness import ClientSimulationConfig, RunMeasurement, run_workload
-from .reporting import linear_fit_r_squared
+from .reporting import format_table, linear_fit_r_squared
 
 
 @dataclass
@@ -107,21 +109,16 @@ class ScalingExperiment:
     def run_point(self, storage_nodes: int) -> ScalePoint:
         """Run one cluster size and return its measurements."""
         config = self.config
-        cluster_config = ClusterConfig(
+        # Constant data per server: the dataset grows with the cluster.
+        db, workload = loaded_database(
+            self.workload_factory(),
             storage_nodes=storage_nodes,
-            replication=min(config.replication, storage_nodes),
+            data_nodes=storage_nodes,
+            users_per_node=config.users_per_node,
+            items_total=config.items_total,
             seed=config.seed + storage_nodes,
-        )
-        db = PiqlDatabase.simulated(cluster_config)
-        workload = self.workload_factory()
-        workload.setup(
-            db,
-            WorkloadScale(
-                storage_nodes=storage_nodes,
-                users_per_node=config.users_per_node,
-                items_total=config.items_total,
-                seed=config.seed,
-            ),
+            data_seed=config.seed,
+            replication=min(config.replication, storage_nodes),
         )
         # One client machine per two storage servers, as in the paper.
         client_machines = max(1, storage_nodes // 2)
@@ -152,3 +149,83 @@ class ScalingExperiment:
         for storage_nodes in self.config.node_counts:
             result.points.append(self.run_point(storage_nodes))
         return result
+
+
+# ----------------------------------------------------------------------
+# The experiment records: Figures 8 & 9 (TPC-W), 10 & 11 (SCADr)
+# ----------------------------------------------------------------------
+def _check(result: ScalingResult) -> None:
+    figures = f"{result.workload_name} scale-up"
+    throughputs = [p.throughput for p in result.points]
+    nodes = [p.storage_nodes for p in result.points]
+    claim(f"{figures}: throughput grows with every cluster size",
+          all(b > a for a, b in zip(throughputs, throughputs[1:])), throughputs)
+    claim(f"{figures}: throughput scale-up is near-linear (R^2 > 0.98)",
+          result.throughput_r_squared > 0.98, result.throughput_r_squared)
+    # k times the nodes should give roughly k times the throughput (within 40%).
+    claim(f"{figures}: throughput grows in proportion to the cluster",
+          throughputs[-1] / throughputs[0] > nodes[-1] / nodes[0] * 0.6)
+    claim(f"{figures}: 99th-percentile latency is independent of scale",
+          result.latency_flatness() < 2.0, result.latency_flatness())
+
+
+def _render(title: str, rate: str, paper_r_squared: float):
+    def render(result: ScalingResult) -> str:
+        table = format_table(
+            ["storage nodes", "clients", rate, "p99 RT (ms)", "mean RT (ms)"],
+            result.rows(),
+        )
+        return (
+            f"{title}\n{table}\n"
+            f"throughput linearity R^2 = {result.throughput_r_squared:.4f} "
+            f"(paper: {paper_r_squared})\n"
+            f"p99 latency range: {result.min_p99_ms:.1f}-{result.max_p99_ms:.1f} ms"
+        )
+
+    return render
+
+
+def _payload(result: ScalingResult) -> dict:
+    return {"rows": result.rows(), "r_squared": result.throughput_r_squared}
+
+
+def _scadr_workload() -> ScadrWorkload:
+    # Section 8.2: limits of 10 subscriptions and 10 results per page.
+    return ScadrWorkload(
+        max_subscriptions=10, subscriptions_per_user=10, thoughts_per_user=20
+    )
+
+
+#: CI size for both figures: a smaller sweep over less data per node.
+_QUICK = dict(node_counts=(6, 12, 24), users_per_node=20, threads_per_client=4)
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="fig8_9_tpcw_scaling",
+        config=ScalingExperimentConfig(
+            users_per_node=40, threads_per_client=4, interactions_per_thread=12
+        ),
+        quick=ScalingExperimentConfig(interactions_per_thread=12, **_QUICK),
+        run=lambda config: ScalingExperiment(TpcwWorkload, config).run(),
+        payload=_payload,
+        check=_check,
+        render=_render(
+            "Figures 8 & 9 — TPC-W scale-up (ordering mix)", "WIPS", 0.9985
+        ),
+    ),
+    Experiment(
+        name="fig10_11_scadr_scaling",
+        config=ScalingExperimentConfig(
+            users_per_node=50, threads_per_client=4, interactions_per_thread=8
+        ),
+        quick=ScalingExperimentConfig(interactions_per_thread=8, **_QUICK),
+        run=lambda config: ScalingExperiment(_scadr_workload, config).run(),
+        payload=_payload,
+        check=_check,
+        render=_render(
+            "Figures 10 & 11 — SCADr scale-up (home-page rendering)",
+            "interactions/s", 0.9868,
+        ),
+    ),
+)

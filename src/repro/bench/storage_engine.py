@@ -29,20 +29,17 @@ makes that claim measurable along four axes:
     A memory-budgeted bulk load (spilling external sort, WAL-free segment
     builds) must spill under a tiny budget, stay within it, and land the
     same data as per-record loads.
-
-Run with ``PYTHONPATH=src python -m repro.bench.bench_storage_engine``
-(add ``--quick`` for the CI-sized configuration).
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..kvstore.cluster import ClusterConfig, KeyValueCluster
-from .reporting import format_table, percentile, save_results
+from ..stats import nearest_rank_percentile
+from .experiment import Experiment, claim
 
 
 @dataclass(frozen=True)
@@ -83,93 +80,11 @@ class StorageEngineConfig:
         )
 
 
-@dataclass
-class SweepPoint:
-    """Latency + engine state at one data cardinality."""
-
-    keys: int
-    get_mean_ms: float
-    get_p99_ms: float
-    range_mean_ms: float
-    segment_count: int
-    segment_bytes: int
-    peak_memtable_bytes: int
-
-    def row(self) -> Tuple[object, ...]:
-        return (
-            self.keys,
-            f"{self.get_mean_ms:.4f}",
-            f"{self.get_p99_ms:.4f}",
-            f"{self.range_mean_ms:.4f}",
-            self.segment_count,
-            self.segment_bytes,
-            self.peak_memtable_bytes,
-        )
-
-
-@dataclass
-class StorageEngineResult:
-    """Everything the benchmark (and CI) judges."""
-
-    parity_identical: bool
-    parity_ops: int
-    parity_metrics: Dict[str, float]
-    sweep: List[SweepPoint] = field(default_factory=list)
-    recovery_acknowledged: int = 0
-    recovery_lost: int = 0
-    recovery_hints_replayed: int = 0
-    recovery_oracle_match: bool = False
-    recovery_segments_loaded: int = 0
-    recovery_wal_records_replayed: int = 0
-    bulk_rows: int = 0
-    bulk_spill_count: int = 0
-    bulk_match: bool = False
-
-    @property
-    def sweep_latency_ratio(self) -> float:
-        """Largest-over-smallest mean get latency across the sweep (~1.0)."""
-        if len(self.sweep) < 2:
-            return 1.0
-        return self.sweep[-1].get_mean_ms / max(self.sweep[0].get_mean_ms, 1e-12)
-
-    def summary_payload(self) -> Dict[str, object]:
-        return {
-            "parity": {
-                "identical": self.parity_identical,
-                "ops": self.parity_ops,
-                "metrics": self.parity_metrics,
-            },
-            "sweep": [
-                {
-                    "keys": point.keys,
-                    "get_mean_ms": point.get_mean_ms,
-                    "get_p99_ms": point.get_p99_ms,
-                    "range_mean_ms": point.range_mean_ms,
-                    "segment_count": point.segment_count,
-                    "segment_bytes": point.segment_bytes,
-                    "peak_memtable_bytes": point.peak_memtable_bytes,
-                }
-                for point in self.sweep
-            ],
-            "sweep_latency_ratio": self.sweep_latency_ratio,
-            "recovery": {
-                "acknowledged": self.recovery_acknowledged,
-                "lost": self.recovery_lost,
-                "hints_replayed": self.recovery_hints_replayed,
-                "oracle_match": self.recovery_oracle_match,
-                "segments_loaded": self.recovery_segments_loaded,
-                "wal_records_replayed": self.recovery_wal_records_replayed,
-            },
-            "bulk": {
-                "rows": self.bulk_rows,
-                "spill_count": self.bulk_spill_count,
-                "match": self.bulk_match,
-            },
-        }
-
-
 class StorageEngineExperiment:
-    """Run the four phases against fresh clusters (tmp-dir LSM state)."""
+    """Run the four phases against fresh clusters (tmp-dir LSM state).
+
+    ``run`` returns the summary that is saved: one section per phase.
+    """
 
     def __init__(self, config: Optional[StorageEngineConfig] = None):
         self.config = config or StorageEngineConfig()
@@ -243,18 +158,22 @@ class StorageEngineExperiment:
         finally:
             cluster.close()
 
-    def _run_parity(self, result: StorageEngineResult) -> None:
+    def _run_parity(self) -> Dict[str, Any]:
         dict_arm = self._parity_arm("dict")
         lsm_arm = self._parity_arm("lsm")
-        result.parity_identical = dict_arm == lsm_arm
-        result.parity_ops = self.config.parity_ops
-        result.parity_metrics = dict_arm[2]
+        return {
+            "identical": dict_arm == lsm_arm,
+            "ops": self.config.parity_ops,
+            "metrics": dict_arm[2],
+        }
 
     # ------------------------------------------------------------------
     # Phase 2: latency sweep across cardinalities
     # ------------------------------------------------------------------
-    def _run_sweep(self, result: StorageEngineResult) -> None:
+    def _run_sweep(self) -> List[Dict[str, Any]]:
+        """Latency + engine state at each data cardinality."""
         config = self.config
+        points = []
         for size in config.sweep_sizes:
             cluster = self._cluster("lsm")
             try:
@@ -291,11 +210,11 @@ class StorageEngineExperiment:
                         ),
                     )
                 gauges = [engine.gauges() for engine in cluster.engines.values()]
-                result.sweep.append(
-                    SweepPoint(
+                points.append(
+                    dict(
                         keys=size,
                         get_mean_ms=sum(get_latencies) / len(get_latencies),
-                        get_p99_ms=percentile(get_latencies, 0.99),
+                        get_p99_ms=nearest_rank_percentile(get_latencies, 0.99),
                         range_mean_ms=sum(range_latencies) / len(range_latencies),
                         segment_count=int(sum(g["segment_count"] for g in gauges)),
                         segment_bytes=int(sum(g["segment_bytes"] for g in gauges)),
@@ -304,6 +223,7 @@ class StorageEngineExperiment:
                 )
             finally:
                 cluster.close()
+        return points
 
     # ------------------------------------------------------------------
     # Phase 3: acked-write recovery audit
@@ -344,23 +264,26 @@ class StorageEngineExperiment:
         finally:
             cluster.close()
 
-    def _run_recovery(self, result: StorageEngineResult) -> None:
+    def _run_recovery(self) -> Dict[str, Any]:
         dict_arm = self._recovery_arm("dict")
         lsm_arm = self._recovery_arm("lsm")
-        result.recovery_acknowledged = lsm_arm["acknowledged"]
-        result.recovery_lost = lsm_arm["lost"] + dict_arm["lost"]
-        result.recovery_hints_replayed = lsm_arm["hints_replayed"]
-        result.recovery_oracle_match = (
-            dict_arm["hints_replayed"] == lsm_arm["hints_replayed"]
-            and dict_arm["keys_copied"] == lsm_arm["keys_copied"]
-        )
-        result.recovery_segments_loaded = lsm_arm["segments_loaded"]
-        result.recovery_wal_records_replayed = lsm_arm["wal_records_replayed"]
+        return {
+            "acknowledged": lsm_arm["acknowledged"],
+            "lost": lsm_arm["lost"] + dict_arm["lost"],
+            "hints_replayed": lsm_arm["hints_replayed"],
+            # The dict arm's hint replay is the oracle for repair traffic.
+            "oracle_match": (
+                dict_arm["hints_replayed"] == lsm_arm["hints_replayed"]
+                and dict_arm["keys_copied"] == lsm_arm["keys_copied"]
+            ),
+            "segments_loaded": lsm_arm["segments_loaded"],
+            "wal_records_replayed": lsm_arm["wal_records_replayed"],
+        }
 
     # ------------------------------------------------------------------
     # Phase 4: budgeted bulk load
     # ------------------------------------------------------------------
-    def _run_bulk(self, result: StorageEngineResult) -> None:
+    def _run_bulk(self) -> Dict[str, Any]:
         config = self.config
         rng = random.Random(config.seed + 99)
         rows = [
@@ -379,95 +302,67 @@ class StorageEngineExperiment:
             cluster.bulk_load_namespace(
                 "data", iter(rows), memory_budget_bytes=config.bulk_budget_bytes
             )
-            result.bulk_rows = len(rows)
-            result.bulk_spill_count = sum(
-                getattr(engine, "bulk_spill_count", 0)
-                for engine in cluster.engines.values()
-            )
-            result.bulk_match = dict(cluster.iter_namespace("data")) == expected
+            return {
+                "rows": len(rows),
+                "spill_count": sum(
+                    getattr(engine, "bulk_spill_count", 0)
+                    for engine in cluster.engines.values()
+                ),
+                "match": dict(cluster.iter_namespace("data")) == expected,
+            }
         finally:
             cluster.close()
 
     # ------------------------------------------------------------------
-    def run(self) -> StorageEngineResult:
-        result = StorageEngineResult(
-            parity_identical=False, parity_ops=0, parity_metrics={}
-        )
-        self._run_parity(result)
-        self._run_sweep(result)
-        self._run_recovery(result)
-        self._run_bulk(result)
-        return result
+    def run(self) -> Dict[str, Any]:
+        parity = self._run_parity()
+        sweep = self._run_sweep()
+        return {
+            "parity": parity,
+            "sweep": sweep,
+            # Largest-over-smallest mean get latency across the sweep (~1.0).
+            "sweep_latency_ratio": (
+                sweep[-1]["get_mean_ms"] / max(sweep[0]["get_mean_ms"], 1e-12)
+            ),
+            "recovery": self._run_recovery(),
+            "bulk": self._run_bulk(),
+        }
 
 
-def print_result(result: StorageEngineResult) -> None:
-    print("dict-vs-lsm parity (values, latencies, nodes, op counts):",
-          "IDENTICAL" if result.parity_identical else "DIVERGED")
-    print()
-    print("LSM latency sweep (simulated; flat = scale-independent):")
-    print(
-        format_table(
-            ("keys", "get mean ms", "get p99 ms", "range mean ms",
-             "segments", "seg bytes", "peak memtable B"),
-            [point.row() for point in result.sweep],
-        )
-    )
-    print(f"  latency ratio largest/smallest: {result.sweep_latency_ratio:.3f}")
-    print()
-    print("crash-recovery audit:")
-    print(f"  acknowledged writes: {result.recovery_acknowledged}")
-    print(f"  lost after recovery: {result.recovery_lost}")
-    print(f"  segments loaded:     {result.recovery_segments_loaded}")
-    print(f"  WAL records replayed: {result.recovery_wal_records_replayed}")
-    print(f"  hints replayed:      {result.recovery_hints_replayed}"
-          f" (oracle match: {result.recovery_oracle_match})")
-    print()
-    print("budgeted bulk load:")
-    print(f"  rows: {result.bulk_rows}  spills: {result.bulk_spill_count}"
-          f"  contents match per-record loads: {result.bulk_match}")
+def check(result: Dict[str, Any]) -> None:
+    # Values, charged latencies, serving nodes, op counts, and every
+    # non-engine metric.
+    claim("storage_engine: the LSM arm is observationally identical to the dict arm",
+          result["parity"]["identical"])
+    claim("storage_engine: per-query latency is flat across the 16x data-size sweep",
+          0.8 <= result["sweep_latency_ratio"] <= 1.25, result["sweep_latency_ratio"])
+    # Both sizes run under the one default budget.
+    budget = StorageEngineConfig.memtable_budget_bytes
+    for point in result["sweep"]:
+        claim("storage_engine: the resident memtable stays inside its byte budget",
+              point["peak_memtable_bytes"] <= budget + 1024,
+              f"{point['peak_memtable_bytes']} > {budget} at {point['keys']} keys")
+    recovery, bulk = result["recovery"], result["bulk"]
+    # Disk recovery plus hint replay for the outage delta.
+    claim("storage_engine: every acknowledged write survives crash + recover",
+          recovery["acknowledged"] > 0 and recovery["lost"] == 0, recovery)
+    claim("storage_engine: recovery restored state from segments or the WAL",
+          recovery["segments_loaded"] + recovery["wal_records_replayed"] > 0)
+    claim("storage_engine: repair traffic matches the dict-engine oracle",
+          recovery["oracle_match"])
+    claim("storage_engine: the budgeted bulk load spilled sorted runs",
+          bulk["spill_count"] > 0)
+    claim("storage_engine: bulk-loaded contents equal per-record loads",
+          bulk["match"])
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    quick = "--quick" in (argv if argv is not None else sys.argv[1:])
-    config = StorageEngineConfig.quick() if quick else StorageEngineConfig()
-    result = StorageEngineExperiment(config).run()
-    print_result(result)
-    save_results("storage_engine", result.summary_payload())
-
-    failures: List[str] = []
-    if not result.parity_identical:
-        failures.append("dict and lsm engine arms diverged")
-    if result.recovery_lost:
-        failures.append(f"{result.recovery_lost} acknowledged writes lost")
-    if not result.recovery_oracle_match:
-        failures.append("repair traffic differs from the dict-engine oracle")
-    if result.recovery_segments_loaded + result.recovery_wal_records_replayed == 0:
-        failures.append("recovery restored nothing from disk")
-    if not (0.8 <= result.sweep_latency_ratio <= 1.25):
-        failures.append(
-            f"per-query latency not flat across sweep "
-            f"(ratio {result.sweep_latency_ratio:.3f})"
-        )
-    budget = config.memtable_budget_bytes
-    for point in result.sweep:
-        if point.peak_memtable_bytes > budget + 1024:
-            failures.append(
-                f"memtable exceeded budget at {point.keys} keys "
-                f"({point.peak_memtable_bytes} > {budget})"
-            )
-    if not result.bulk_spill_count:
-        failures.append("budgeted bulk load never spilled")
-    if not result.bulk_match:
-        failures.append("bulk-loaded contents differ from per-record loads")
-    if failures:
-        print()
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print()
-    print("ok: all storage-engine invariants hold")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+EXPERIMENTS = (
+    Experiment(
+        name="storage_engine",
+        config=StorageEngineConfig(),
+        quick=StorageEngineConfig.quick(),
+        run=lambda config: StorageEngineExperiment(config).run(),
+        payload=dict,
+        check=check,
+    ),
+)

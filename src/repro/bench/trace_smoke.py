@@ -11,81 +11,78 @@ The span trees recorded by the app servers are exported in Chrome
 trace-event format to ``results/serving_trace.json`` and uploaded as a
 build artifact: download it and load it into ``chrome://tracing`` (or
 https://ui.perfetto.dev) to scrub through the run's interactions.
-
-Run with ``PYTHONPATH=src python -m repro.bench.trace_smoke``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import List
+from typing import Any, Dict, List
 
-from ..engine.database import PiqlDatabase
-from ..kvstore.cluster import ClusterConfig
+from ..obs.export import trace_to_chrome_events
 from ..obs.trace import Span
-from ..obs.export import write_chrome_trace
-from ..serving.simulator import ServingConfig, ServingSimulation
-from ..workloads.base import WorkloadScale
 from ..workloads.tpcw.workload import TpcwWorkload
+from .experiment import Experiment, claim
+from .fixtures import loaded_database, serve
 
 SEED = 17
 
 
-def main() -> None:
-    db = PiqlDatabase.simulated(
-        ClusterConfig(storage_nodes=4, seed=SEED)
-    )
-    workload = TpcwWorkload()
-    workload.setup(
-        db,
-        WorkloadScale(
-            storage_nodes=2, users_per_node=10, items_total=200, seed=SEED
-        ),
+def run(_config: None) -> Dict[str, Any]:
+    db, workload = loaded_database(
+        TpcwWorkload(), storage_nodes=4, users_per_node=10, items_total=200,
+        seed=SEED,
     )
     db.reset_measurements()
     # Enabled before the simulation builds its app servers: `new_client`
     # views inherit tracing, so every server records its own span trees.
     db.enable_tracing(keep=32)
-
-    simulation = ServingSimulation(
+    served = serve(
         db,
         workload,
-        ServingConfig(
-            mode="closed",
-            clients=10,
-            think_time_seconds=0.5,
-            duration_seconds=5.0,
-            pipelined=True,
-            strict_audit=True,
-            seed=SEED,
-        ),
+        clients=10,
+        think_time_seconds=0.5,
+        duration_seconds=5.0,
+        pipelined=True,
+        strict_audit=True,
+        seed=SEED,
     )
-    report = simulation.run()
-
     roots: List[Span] = list(db.tracer.roots)
-    for server in simulation.driver.servers:
+    for server in served.simulation.driver.servers:
         tracer = server.db.tracer
         if tracer is not None:
             roots.extend(tracer.roots)
-
-    print(
-        f"serving smoke: {report.completed} interactions completed in "
-        f"{report.duration_seconds:.0f}s simulated "
-        f"({report.availability * 100:.1f}% availability)"
-    )
-    print(
-        f"bound auditor (strict): {report.audited} queries audited, "
-        f"{report.bound_violations} violations"
-    )
-    assert report.audited > 0, "the auditor saw no queries — wiring broken"
-    assert report.bound_violations == 0
-
-    out = Path("results")
-    out.mkdir(exist_ok=True)
-    path = out / "serving_trace.json"
-    write_chrome_trace(str(path), roots)
-    print(f"exported {len(roots)} span trees to {path}")
+    report = served.report
+    return {
+        "summary": {
+            "completed": report.completed,
+            "simulated_seconds": report.duration_seconds,
+            "availability": report.availability,
+            "audited": report.audited,
+            "bound_violations": report.bound_violations,
+            "span_trees": len(roots),
+        },
+        "serving_trace": {"traceEvents": trace_to_chrome_events(roots)},
+    }
 
 
-if __name__ == "__main__":
-    main()
+def check(result: Dict[str, Any]) -> None:
+    summary = result["summary"]
+    claim("trace_smoke: the auditor saw the run's queries (wiring intact)",
+          summary["audited"] > 0)
+    claim("trace_smoke: no query exceeded its static bound",
+          summary["bound_violations"] == 0, summary["bound_violations"])
+    claim("trace_smoke: the app servers recorded span trees",
+          summary["span_trees"] > 0)
+
+
+EXPERIMENTS = (
+    Experiment(
+        name="trace_smoke",
+        # One size, nothing to configure: the run is already a five-second smoke.
+        config=None,
+        quick=None,
+        run=run,
+        payload=lambda result: result["summary"],
+        check=check,
+        details=lambda result: {"serving_trace": result["serving_trace"]},
+    ),
+)

@@ -19,30 +19,23 @@ Three phases prove the three claims of the view tier:
   statically predicted bounds and whose simulated latency stays flat as the
   order-line table grows by an order of magnitude (the query is rejected
   outright without the view — the paper's Table 1 omission).
-
-Run with ``PYTHONPATH=src python -m repro.bench.bench_view_maintenance``
-(add ``--quick`` for the CI-sized configuration).  Results land in
-``results/view_maintenance.json``.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Any, Dict, Tuple
 
 from ..engine.database import PiqlDatabase
 from ..errors import NotScaleIndependentError
-from ..kvstore.cluster import ClusterConfig
 from ..plans.bounds import write_operation_bound
-from ..serving.simulator import ServingConfig, ServingSimulation
 from ..views.maintenance import recompute_top_k, recompute_view
-from ..workloads.base import WorkloadScale
 from ..workloads.scadr.workload import ScadrWorkload
 from ..workloads.tpcw.schema import SUBJECTS
 from ..workloads.tpcw.workload import TpcwWorkload
-from .reporting import format_table, save_results
+from .experiment import Experiment, claim
+from .fixtures import loaded_database, serve
 
 
 @dataclass(frozen=True)
@@ -102,52 +95,11 @@ class ViewScalePoint:
         return self.insert_ops_with_view - self.insert_ops_without_view
 
 
-@dataclass
-class ViewMaintenanceResult:
-    """All phases' measurements."""
-
-    config: ViewMaintenanceConfig
-    scale_points: List[ViewScalePoint]
-    rejected_without_view: bool
-    serving: Dict[str, float]
-    correctness: Dict[str, object]
-
-    def summary_payload(self) -> Dict:
-        return {
-            "config": {
-                "storage_nodes": self.config.storage_nodes,
-                "scale_users_per_node": list(self.config.scale_users_per_node),
-                "items_total": self.config.items_total,
-                "probe_inserts": self.config.probe_inserts,
-                "clients": self.config.clients,
-                "duration_seconds": self.config.duration_seconds,
-                "seed": self.config.seed,
-            },
-            "rejected_without_view": self.rejected_without_view,
-            "scale_points": [
-                {
-                    "users_per_node": p.users_per_node,
-                    "order_line_rows": p.order_line_rows,
-                    "insert_ops_with_view": p.insert_ops_with_view,
-                    "insert_ops_without_view": p.insert_ops_without_view,
-                    "maintenance_ops": p.maintenance_ops,
-                    "write_bound": p.write_bound,
-                    "read_ops_max": p.read_ops_max,
-                    "read_bound": p.read_bound,
-                    "read_mean_latency_ms": p.read_mean_latency_ms,
-                }
-                for p in self.scale_points
-            ],
-            "serving": self.serving,
-            "correctness": self.correctness,
-        }
-
-
 class ViewMaintenanceExperiment:
     """Runs the write-amplification, correctness, and bounded-read phases."""
 
-    def __init__(self, config: Optional[ViewMaintenanceConfig] = None):
-        self.config = config or ViewMaintenanceConfig()
+    def __init__(self, config: ViewMaintenanceConfig):
+        self.config = config
 
     # ------------------------------------------------------------------
     # Setup
@@ -156,25 +108,15 @@ class ViewMaintenanceExperiment:
         self, users_per_node: int, views: bool
     ) -> Tuple[PiqlDatabase, TpcwWorkload]:
         config = self.config
-        db = PiqlDatabase.simulated(
-            ClusterConfig(
-                storage_nodes=config.storage_nodes,
-                node_capacity_ops_per_second=config.node_capacity_ops_per_second,
-                seed=config.seed,
-            )
+        return loaded_database(
+            TpcwWorkload(materialized_views=views),
+            storage_nodes=config.storage_nodes,
+            node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+            users_per_node=users_per_node,
+            items_total=config.items_total,
+            seed=config.seed,
+            reseed=True,
         )
-        workload = TpcwWorkload(materialized_views=views)
-        workload.setup(
-            db,
-            WorkloadScale(
-                storage_nodes=max(2, config.storage_nodes // 2),
-                users_per_node=users_per_node,
-                items_total=config.items_total,
-                seed=config.seed,
-            ),
-        )
-        db.cluster.reseed_latency_models(config.seed)
-        return db, workload
 
     # ------------------------------------------------------------------
     # Phase 1 + 3: write amplification and bounded reads across scales
@@ -242,18 +184,14 @@ class ViewMaintenanceExperiment:
     def run_serving_and_correctness(self) -> Tuple[Dict[str, float], Dict[str, object]]:
         config = self.config
         db, workload = self._tpcw(config.scale_users_per_node[0], views=True)
-        simulation = ServingSimulation(
+        report = serve(
             db,
             workload,
-            ServingConfig(
-                mode="closed",
-                clients=config.clients,
-                think_time_seconds=config.think_time_seconds,
-                duration_seconds=config.duration_seconds,
-                seed=config.seed,
-            ),
-        )
-        report = simulation.run()
+            clients=config.clients,
+            think_time_seconds=config.think_time_seconds,
+            duration_seconds=config.duration_seconds,
+            seed=config.seed,
+        ).report
         by_name: Dict[str, int] = {}
         for record in report.log.records:
             by_name[record.name] = by_name.get(record.name, 0) + 1
@@ -282,17 +220,12 @@ class ViewMaintenanceExperiment:
                 mismatches += 1
 
         # SCADr: per-user counts against an offline recompute of thoughts.
-        scadr_db = PiqlDatabase.simulated(
-            ClusterConfig(storage_nodes=config.storage_nodes, seed=config.seed + 1)
-        )
-        scadr = ScadrWorkload(materialized_views=True)
-        scadr.setup(
-            scadr_db,
-            WorkloadScale(
-                storage_nodes=2,
-                users_per_node=config.scadr_users_per_node,
-                seed=config.seed + 1,
-            ),
+        scadr_db, scadr = loaded_database(
+            ScadrWorkload(materialized_views=True),
+            storage_nodes=config.storage_nodes,
+            data_nodes=2,
+            users_per_node=config.scadr_users_per_node,
+            seed=config.seed + 1,
         )
         rng = random.Random(config.seed + 2)
         for _ in range(50):  # extra posts and retractions under the view
@@ -323,7 +256,8 @@ class ViewMaintenanceExperiment:
     # ------------------------------------------------------------------
     # Whole experiment
     # ------------------------------------------------------------------
-    def run(self) -> ViewMaintenanceResult:
+    def run(self) -> Dict[str, Any]:
+        """All phases; returns the summary that is saved."""
         config = self.config
         # Without the view the query is rejected — the paper's omission.
         db, _ = self._tpcw(config.scale_users_per_node[0], views=False)
@@ -339,111 +273,60 @@ class ViewMaintenanceExperiment:
             self.run_scale_point(users) for users in config.scale_users_per_node
         ]
         serving, correctness = self.run_serving_and_correctness()
-        return ViewMaintenanceResult(
-            config=config,
-            scale_points=points,
-            rejected_without_view=rejected,
-            serving=serving,
-            correctness=correctness,
-        )
-
-
-def check_result(result: ViewMaintenanceResult) -> None:
-    """Regression guard shared by the CLI run and the benchmark suite."""
-    assert result.rejected_without_view, (
-        "best-sellers must be rejected without the materialized view"
-    )
-    points = result.scale_points
-    # Write amplification: maintenance cost bounded by the static write
-    # bound at every scale, and independent of table cardinality (the
-    # largest scale may not cost more than the smallest plus rounding).
-    for point in points:
-        assert point.insert_ops_with_view <= point.write_bound, (
-            f"insert cost {point.insert_ops_with_view:.2f} exceeds static "
-            f"write bound {point.write_bound} at {point.users_per_node} users"
-        )
-    spread = max(p.maintenance_ops for p in points) - min(
-        p.maintenance_ops for p in points
-    )
-    assert spread <= 1.0, (
-        f"per-write maintenance cost varies by {spread:.2f} ops across a "
-        f"{points[-1].order_line_rows / points[0].order_line_rows:.0f}x "
-        "cardinality range — not scale-independent"
-    )
-    # Bounded reads: measured ops never exceed the static bound, and the
-    # bound (and measured ceiling) is identical at every cardinality.
-    assert len({p.read_bound for p in points}) == 1
-    for point in points:
-        assert point.read_ops_max <= point.read_bound
-    latencies = [p.read_mean_latency_ms for p in points]
-    assert max(latencies) <= 2.0 * min(latencies) + 0.5, (
-        f"view-scan latency grew with cardinality: {latencies}"
-    )
-    # Correctness: the view-scan rows are identical to offline recomputation.
-    assert result.correctness["best_sellers_mismatches"] == 0
-    assert result.correctness["scadr_mismatches"] == 0
-    assert result.correctness["subjects_compared"] > 0
-    # The serving tier actually served traffic (including buy-confirms that
-    # exercised maintenance under load).
-    assert result.serving["completed"] > 0
-    assert result.serving["buy_confirms"] > 0
-
-
-def print_result(result: ViewMaintenanceResult) -> None:
-    print("== write amplification & bounded reads across cardinalities ==")
-    print(
-        format_table(
-            ["users/node", "order_line rows", "ins ops (view)",
-             "ins ops (base)", "maint ops", "write bound",
-             "read ops<=", "read bound", "read ms"],
-            [
-                (
-                    p.users_per_node,
-                    p.order_line_rows,
-                    f"{p.insert_ops_with_view:.2f}",
-                    f"{p.insert_ops_without_view:.2f}",
-                    f"{p.maintenance_ops:.2f}",
-                    p.write_bound,
-                    p.read_ops_max,
-                    p.read_bound,
-                    f"{p.read_mean_latency_ms:.2f}",
-                )
-                for p in result.scale_points
+        return {
+            "config": asdict(config),
+            "rejected_without_view": rejected,
+            "scale_points": [
+                {**asdict(p), "maintenance_ops": p.maintenance_ops} for p in points
             ],
-        )
-    )
-    print(
-        f"best-sellers rejected without the view: "
-        f"{result.rejected_without_view}"
-    )
-    print("\n== serving-tier closed loop (views in the interaction mix) ==")
-    print(
-        f"completed {result.serving['completed']:.0f} interactions "
-        f"({result.serving['throughput_per_second']:.1f}/s, "
-        f"p99 {result.serving['p99_ms']:.1f} ms); "
-        f"best-sellers pages served: {result.serving['best_sellers_served']:.0f}; "
-        f"buy-confirms (maintenance under load): "
-        f"{result.serving['buy_confirms']:.0f}"
-    )
-    print("\n== view scan versus offline recomputation ==")
-    print(
-        f"best-sellers: {result.correctness['subjects_compared']} subjects "
-        f"compared, {result.correctness['best_sellers_mismatches']} mismatches; "
-        f"SCADr thought counts: {result.correctness['scadr_users_compared']} "
-        f"users compared, {result.correctness['scadr_mismatches']} mismatches"
-    )
+            "serving": serving,
+            "correctness": correctness,
+        }
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    args = list(sys.argv[1:] if argv is None else argv)
-    config = ViewMaintenanceConfig()
-    if "--quick" in args:
-        config = config.quick()
-    result = ViewMaintenanceExperiment(config).run()
-    print_result(result)
-    save_results("view_maintenance", result.summary_payload())
-    check_result(result)
+def check(result: Dict[str, Any]) -> None:
+    claim("view_maintenance: best-sellers is rejected without the materialized view",
+          result["rejected_without_view"])
+    points = result["scale_points"]
+    first, last = points[0], points[-1]
+    # The order-line table grows with users per node (about 9x at full size).
+    claim("view_maintenance: the sweep spans the cardinality range it claims",
+          last["order_line_rows"] / first["order_line_rows"]
+          >= 0.85 * last["users_per_node"] / first["users_per_node"],
+          (first["order_line_rows"], last["order_line_rows"]))
+    for point in points:
+        claim("view_maintenance: an insert costs at most the static write bound",
+              point["insert_ops_with_view"] <= point["write_bound"],
+              f"{point['insert_ops_with_view']:.2f} > {point['write_bound']} at "
+              f"{point['users_per_node']} users per node")
+    # The largest scale may not cost more than the smallest plus rounding.
+    maintenance = [p["maintenance_ops"] for p in points]
+    claim("view_maintenance: per-write maintenance cost is independent of cardinality",
+          max(maintenance) - min(maintenance) <= 1.0, maintenance)
+    # The bounded view scan's ceiling is 1 range + top-k dereferences.
+    claim("view_maintenance: the read bound is 51 operations at every cardinality",
+          {p["read_bound"] for p in points} == {51})
+    claim("view_maintenance: view scans stay within their static bound",
+          all(p["read_ops_max"] <= p["read_bound"] for p in points))
+    latencies = [p["read_mean_latency_ms"] for p in points]
+    claim("view_maintenance: view-scan latency is flat across cardinalities",
+          max(latencies) <= 2.0 * min(latencies) + 0.5, latencies)
+    correctness, serving = result["correctness"], result["serving"]
+    claim("view_maintenance: view scans equal offline recomputation",
+          correctness["best_sellers_mismatches"] == 0
+          and correctness["scadr_mismatches"] == 0
+          and correctness["subjects_compared"] > 0, correctness)
+    claim("view_maintenance: the serving tier exercised maintenance under load",
+          serving["completed"] > 0 and serving["buy_confirms"] > 0, serving)
 
 
-if __name__ == "__main__":
-    main()
+EXPERIMENTS = (
+    Experiment(
+        name="view_maintenance",
+        config=ViewMaintenanceConfig(),
+        quick=ViewMaintenanceConfig().quick(),
+        run=lambda config: ViewMaintenanceExperiment(config).run(),
+        payload=dict,
+        check=check,
+    ),
+)

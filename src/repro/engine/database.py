@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..errors import PiqlError, SchemaError, UnavailableError
+from ..errors import PiqlError, SchemaError
 from ..execution.context import ExecutionStrategy, QueryResult
 from ..execution.executor import QueryExecutor
 from ..kvstore.client import StorageClient
@@ -52,68 +52,78 @@ class PiqlDatabase:
 
     #: How many times a query that failed with a typed
     #: :class:`~repro.errors.UnavailableError` (a replica quorum could not
-    #: be met, or an RPC timed out) is retried.  With a resilience policy
-    #: attached (the default) the retries are paced — exponential backoff
-    #: with full jitter under a token-bucket budget, applied at the query
-    #: funnel every execution path traverses; with ``resilience=False``
-    #: the legacy immediate-retry loop in :meth:`execute` applies instead
-    #: (retry-storm amplification: extra attempts re-charge the surviving
-    #: replicas with no pacing).  Set to 0 to disable retries entirely.
+    #: be met, or an RPC timed out) is retried by the view's resilience
+    #: policy — paced with exponential backoff and full jitter under a
+    #: token-bucket budget, at the query funnel every execution path
+    #: traverses.  Set to 0 to disable retries entirely.
     unavailable_retries: int = 2
+
+    #: What a ``new_client`` view takes from the database it came from; the
+    #: rest it builds for itself in :meth:`_wire_view`.  The auditor is
+    #: shared so bound violations are counted (and policed) globally across
+    #: app servers; telemetry watches the shared cluster.
+    _INHERITED_BY_VIEWS = (
+        "cluster", "catalog", "auditor", "telemetry", "_compiled_cache",
+        "unavailable_retries",
+    )
 
     def __init__(
         self,
         cluster: Optional[KeyValueCluster] = None,
         strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL,
-        fused: bool = True,
-        resilience: Union[None, bool, ResilienceConfig] = None,
+        resilience: Optional[ResilienceConfig] = None,
     ):
+        if resilience is not None and not isinstance(resilience, ResilienceConfig):
+            # A policy always exists; `False` used to build a view without
+            # one, and silently building the default instead would hide that.
+            raise TypeError(
+                f"resilience must be a ResilienceConfig or None, got {resilience!r}"
+            )
         self.cluster = cluster or KeyValueCluster(ClusterConfig())
         self.catalog = Catalog()
-        self.client = StorageClient(cluster=self.cluster)
-        self.views = ViewMaintenanceEngine(self.catalog, self.client)
-        self.records = RecordManager(self.catalog, self.client, views=self.views)
-        self.optimizer = PiqlOptimizer(self.catalog)
         self.auditor = BoundAuditor()
-        self.executor = QueryExecutor(
-            self.client,
-            self.catalog,
-            strategy=strategy,
-            fused=fused,
-            auditor=self.auditor,
-        )
-        self.assistant = PerformanceInsightAssistant(self.catalog)
         self.telemetry = None
-        self._prepared_cache: Dict[str, Tuple[int, PreparedQuery]] = {}
         #: Compiled plans by SQL text, stamped with the catalog version they
         #: were compiled under; one dict per logical database, shared by
         #: every ``new_client`` view (a plan binds no view state — the
         #: :class:`PreparedQuery` wrapping it does, so that stays per view).
         self._compiled_cache: Dict[str, Tuple[int, OptimizedQuery]] = {}
-        self._default_session: Optional[Session] = None
-        #: The view's resilience policy, or ``None`` for the legacy
-        #: immediate-retry behaviour.  ``resilience=None``/``True`` attach
-        #: the conservative default policy (backoff-paced retries only —
-        #: healthy-path behaviour is byte-identical); pass a
-        #: :class:`~repro.resilience.policy.ResilienceConfig` to opt into
-        #: derived timeouts, hedging, and circuit breakers; ``False``
-        #: disables the policy.
-        self.resilience: Optional[ResiliencePolicy] = self._build_resilience(
-            resilience
+        self._wire_view(
+            StorageClient(cluster=self.cluster),
+            strategy,
+            resilience or ResilienceConfig(),
         )
 
-    def _build_resilience(
-        self, resilience: Union[None, bool, ResilienceConfig]
-    ) -> Optional[ResiliencePolicy]:
-        if resilience is False:
-            return None
-        if resilience is None or resilience is True:
-            policy = ResiliencePolicy(self)
-        else:
-            policy = ResiliencePolicy(self, resilience)
-        if policy.board is not None:
-            self.client.breakers = policy.board
-        return policy
+    def _wire_view(
+        self,
+        client: StorageClient,
+        strategy: ExecutionStrategy,
+        resilience: ResilienceConfig,
+    ) -> None:
+        """Build everything one application-server view owns for itself.
+
+        ``__init__`` and ``new_client`` both end here, once the state views
+        share is in place, so a component added here reaches every view.
+        """
+        self.client = client
+        self.views = ViewMaintenanceEngine(self.catalog, client)
+        self.records = RecordManager(self.catalog, client, views=self.views)
+        self.optimizer = PiqlOptimizer(self.catalog)
+        self.executor = QueryExecutor(
+            client, self.catalog, strategy=strategy, auditor=self.auditor
+        )
+        self.assistant = PerformanceInsightAssistant(self.catalog)
+        self._prepared_cache: Dict[str, Tuple[int, PreparedQuery]] = {}
+        self._default_session: Optional[Session] = None
+        #: The view's resilience policy: its own retry budget, breaker board
+        #: and jitter stream.  The default configuration only paces retries
+        #: on the failure path (healthy-path behaviour is byte-identical to
+        #: calling the executor directly); pass a
+        #: :class:`~repro.resilience.policy.ResilienceConfig` to opt into
+        #: derived timeouts, hedging, and circuit breakers.
+        self.resilience = ResiliencePolicy(self, resilience)
+        if self.resilience.board is not None:
+            client.breakers = self.resilience.board
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -123,20 +133,16 @@ class PiqlDatabase:
         cls,
         config: Optional[ClusterConfig] = None,
         strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL,
-        fused: bool = True,
-        resilience: Union[None, bool, "ResilienceConfig"] = None,
+        resilience: Optional[ResilienceConfig] = None,
     ) -> "PiqlDatabase":
         """Create a database on a fresh simulated cluster.
 
-        ``fused=False`` turns off batch-at-a-time round fusion (the paired
-        baseline of the operator-fusion benchmark); results and operation
-        counts are identical either way.  ``resilience`` configures the
-        client resilience policy (see :class:`PiqlDatabase`).
+        ``resilience`` configures the client resilience policy (see
+        :class:`PiqlDatabase`).
         """
         return cls(
             cluster=KeyValueCluster(config or ClusterConfig()),
             strategy=strategy,
-            fused=fused,
             resilience=resilience,
         )
 
@@ -155,39 +161,15 @@ class PiqlDatabase:
         this client's timeline with every other client's.
         """
         clone = PiqlDatabase.__new__(PiqlDatabase)
-        clone.cluster = self.cluster
-        clone.catalog = self.catalog
-        clone.client = StorageClient(cluster=self.cluster, clock=clock or SimClock())
-        clone.views = ViewMaintenanceEngine(self.catalog, clone.client)
-        clone.records = RecordManager(self.catalog, clone.client, views=clone.views)
-        clone.optimizer = PiqlOptimizer(self.catalog)
-        # All views of one logical database share the auditor, so bound
-        # violations are counted (and policed) globally across app servers.
-        clone.auditor = self.auditor
-        clone.executor = QueryExecutor(
-            clone.client,
-            self.catalog,
-            strategy=strategy or self.executor.config.strategy,
-            fused=self.executor.config.fused,
-            auditor=self.auditor,
+        for name in self._INHERITED_BY_VIEWS:
+            setattr(clone, name, getattr(self, name))
+        clone._wire_view(
+            StorageClient(cluster=self.cluster, clock=clock or SimClock()),
+            strategy or self.executor.config.strategy,
+            self.resilience.config,
         )
-        clone.assistant = PerformanceInsightAssistant(self.catalog)
-        # Telemetry watches the shared cluster, so every view reports the
-        # same bundle (mirrors the shared auditor above).
-        clone.telemetry = self.telemetry
         if self.client.tracer is not None:
             clone.client.enable_tracing()
-        clone._prepared_cache = {}
-        clone._compiled_cache = self._compiled_cache
-        clone._default_session = None
-        clone.unavailable_retries = self.unavailable_retries
-        # Each view gets its own policy instance (per-client budget,
-        # breakers, and jitter stream) sharing the parent's configuration.
-        clone.resilience = (
-            clone._build_resilience(self.resilience.config)
-            if self.resilience is not None
-            else None
-        )
         return clone
 
     def session(self) -> Session:
@@ -388,21 +370,10 @@ class PiqlDatabase:
         :class:`~repro.errors.QuorumNotMetError` subclass) so callers can
         distinguish "the store is degraded" from a query bug.
         """
-        prepared = self.prepare(sql)
-        if self.resilience is not None:
-            # The policy retries at the per-page funnel every execution
-            # path traverses (Session._execute_page), with the same
-            # attempt count this loop would have used — retrying here too
-            # would square it.
-            return prepared.execute(parameters, **kwargs)
-        attempts = max(0, self.unavailable_retries) + 1
-        for attempt in range(attempts):
-            try:
-                return prepared.execute(parameters, **kwargs)
-            except UnavailableError:
-                if attempt == attempts - 1:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
+        # No retry loop here: the resilience policy retries at the per-page
+        # funnel every execution path traverses (Session._execute_page), and
+        # retrying again around it would square the attempt count.
+        return self.prepare(sql).execute(parameters, **kwargs)
 
     def diagnose(self, sql: str) -> QueryDiagnosis:
         """Run the Performance Insight Assistant on a query."""

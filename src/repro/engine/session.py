@@ -379,13 +379,10 @@ class Session:
     ) -> QueryResult:
         # Single funnel for every query path (sync shims, pipelined
         # submits, cursor page fetches): the view's resilience policy —
-        # retries, per-query deadlines, hedging — applies here or not at
-        # all, so the sync and async APIs can never diverge.
-        policy = getattr(self.db, "resilience", None)
-        if policy is not None:
-            return policy.execute_page(optimized, parameters, cursor, strategy)
-        return self.db.executor.execute(
-            optimized, parameters=parameters, cursor=cursor, strategy=strategy
+        # retries, per-query deadlines, hedging — applies here, so the sync
+        # and async APIs can never diverge.
+        return self.db.resilience.execute_page(
+            optimized, parameters, cursor, strategy
         )
 
     def _finish(self, future: QueryFuture, started: float, clock: SimClock) -> None:

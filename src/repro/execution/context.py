@@ -45,13 +45,6 @@ class ExecutionContext:
     catalog: Catalog
     parameters: Dict[str, Any] = field(default_factory=dict)
     strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL
-    #: Batch-at-a-time execution: fuse dereference rounds across an
-    #: operator's inputs, stop dereferencing once a data stop is satisfied,
-    #: and push index-only predicates below the base-record fetch.  Rows,
-    #: operation counts, and static bounds are identical either way — the
-    #: flag exists so paired benchmarks can measure exactly what fusion
-    #: buys.  LAZY execution ignores it (one request per tuple, always).
-    fused: bool = True
     #: Whether this execution is one page of a PAGINATE query.  Fast paths
     #: that would bypass the scan's cursor bookkeeping (e.g. the COUNT
     #: fast path) must stand down for paginated executions.
@@ -69,6 +62,16 @@ class ExecutionContext:
     #: so operator spans can read operation deltas without re-resolving the
     #: ``client.stats.metrics`` chain per plan node.
     counters: Optional[Dict[str, float]] = None
+    #: Whether fetches are planned batch-at-a-time: dereference rounds fused
+    #: across an operator's inputs, dereferencing stopped once a data stop
+    #: is satisfied, index-only predicates pushed below the base-record
+    #: fetch.  True for SIMPLE and PARALLEL; the Lazy executor of Figure 12
+    #: runs tuple-at-a-time (one request per tuple).  Decided here, once
+    #: per execution, from the strategy.
+    batched: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.batched = self.strategy is not ExecutionStrategy.LAZY
 
     def parameter(self, name: str) -> Any:
         if name not in self.parameters:

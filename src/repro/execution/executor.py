@@ -32,10 +32,6 @@ class ExecutorConfig:
     #: raises instead of silently continuing.  Tests enable this; benchmark
     #: harnesses keep it on as a safety net.
     enforce_bounds: bool = True
-    #: Batch-at-a-time round fusion (see ExecutionContext.fused).  On by
-    #: default; the operator-fusion benchmark disables it for its baseline
-    #: arm.
-    fused: bool = True
     #: Runtime bound auditor.  When set, every finished query is routed
     #: through it (structured events, span annotation, strict/serving
     #: policy); when ``None`` the executor falls back to its inline check.
@@ -51,7 +47,6 @@ class QueryExecutor:
         catalog: Catalog,
         strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL,
         enforce_bounds: bool = True,
-        fused: bool = True,
         auditor: Optional[BoundAuditor] = None,
     ):
         self.client = client
@@ -59,7 +54,6 @@ class QueryExecutor:
         self.config = ExecutorConfig(
             strategy=strategy,
             enforce_bounds=enforce_bounds,
-            fused=fused,
             auditor=auditor,
         )
 
@@ -93,7 +87,6 @@ class QueryExecutor:
             strategy=strategy,
             paginated=query.is_paginated,
             resume_positions=resume_positions,
-            fused=self.config.fused,
         )
 
         tracer = self.client.tracer
@@ -225,7 +218,6 @@ class QueryExecutor:
             catalog=self.catalog,
             parameters=dict(parameters or {}),
             strategy=strategy or self.config.strategy,
-            fused=self.config.fused,
             tracer=self.client.tracer,
         )
         counters = self.client.stats.metrics.live_counters

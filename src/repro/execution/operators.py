@@ -6,8 +6,8 @@ execution strategy (LAZY / SIMPLE / PARALLEL) that Section 8.5 compares:
 the strategy decides whether limit hints are used to batch requests and
 whether a remote operator's requests are issued in parallel.
 
-On top of the strategy, the executor plans its fetches **batch-at-a-time**
-(``context.fused``, on by default):
+Under SIMPLE and PARALLEL the executor plans its fetches **batch-at-a-time**
+(``context.batched``):
 
 * **RPC fusion** — the secondary-index dereferences of a sorted index join
   are collected across *all* children and issued as one deduplicated bulk
@@ -27,7 +27,9 @@ None of this changes the rows returned, the per-query operation counts, or
 the static bounds — logical operations measure *requested* work (skipped
 fetches are charged through ``ClientStats.saved_reads``) and only the RPC
 round structure and the latency composition improve.  The LAZY strategy
-ignores fusion entirely (one request per tuple, as in Figure 12).
+runs none of it: its tuple-at-a-time path (one request per tuple, as in
+Figure 12) doubles as the row-level reference the batched path is tested
+against.
 
 Operators exchange *internal rows* — dictionaries mapping a relation alias
 to that relation's column values — so joins simply merge dictionaries and
@@ -193,11 +195,6 @@ def _resolve_count(
     raise ExecutionError(f"cannot resolve count {count!r}")
 
 
-def _fused(context: ExecutionContext) -> bool:
-    """Whether batch-at-a-time fetch planning applies to this execution."""
-    return context.fused and context.strategy is not ExecutionStrategy.LAZY
-
-
 def _scan_limit(op: P.PhysicalIndexScan, context: ExecutionContext) -> Optional[int]:
     candidates: List[int] = []
     hint = _resolve_count(op.limit_hint, context) if op.limit_hint is not None else None
@@ -287,20 +284,14 @@ def _fetch_range(
 # ----------------------------------------------------------------------
 # Dereferencing (index entry -> base record)
 # ----------------------------------------------------------------------
-def _dereference(
+def _lazy_dereference(
     table: Table, entries: KeyValuePairs, context: ExecutionContext
 ) -> List[Dict[str, Any]]:
-    """Fetch base records referenced by secondary index entries (legacy path:
-    one request per tuple under LAZY, one batched round per call otherwise)."""
+    """The Lazy executor's dereference: one request (and one round) per
+    secondary index entry."""
     keys = [pk_key(deserialize_pk(value)) for _, value in entries]
-    if not keys:
-        return []
-    if context.strategy is ExecutionStrategy.LAZY:
-        values = [context.client.get(table.namespace, key) for key in keys]
-        context.client.stats.dereference_rounds += len(keys)
-    else:
-        values = context.client.multi_get(table.namespace, keys, parallel=True)
-        context.client.stats.dereference_rounds += 1
+    values = [context.client.get(table.namespace, key) for key in keys]
+    context.client.stats.dereference_rounds += len(keys)
     return [deserialize_row(value) for value in values if value is not None]
 
 
@@ -397,7 +388,7 @@ def _execute_index_scan(
 
     checks = list(local_checks) + list(op.pushed_predicates)
     entry_filter = None
-    if checks and _fused(context):
+    if checks and context.batched:
         entry_filter = _build_entry_filter(op, table, checks, context)
 
     if entry_filter is not None:
@@ -415,8 +406,8 @@ def _execute_index_scan(
             by_key = _fused_dereference_map(table, pairs, context)
             records = _records_for_entries(pairs, by_key)
             # Entries the filter pruned would each have cost one dereference
-            # in the unfused plan; charge them as requested-but-saved work so
-            # operation counts stay identical.
+            # without the pushdown; charge them as requested-but-saved work
+            # so operation counts measure requested work.
             context.client.charge_saved_reads(examined - len(pairs))
         return [{op.relation_alias: record} for record in records]
 
@@ -430,11 +421,11 @@ def _execute_index_scan(
 
     if op.index.primary:
         records = [deserialize_row(value) for _, value in pairs]
-    elif _fused(context):
+    elif context.batched:
         by_key = _fused_dereference_map(table, pairs, context)
         records = _records_for_entries(pairs, by_key)
     else:
-        records = _dereference(table, pairs, context)
+        records = _lazy_dereference(table, pairs, context)
     rows: List[InternalRow] = [{op.relation_alias: record} for record in records]
     if checks:
         rows = [r for r in rows if evaluate_all(checks, r, context)]
@@ -479,26 +470,24 @@ def _execute_index_lookup(
 def _point_fetch(
     namespace: str, keys: List[bytes], context: ExecutionContext
 ) -> List[Optional[bytes]]:
-    """Fetch point keys per the strategy; fused mode deduplicates first.
+    """Fetch point keys per the strategy; batched strategies deduplicate.
 
     Returns one value slot per *requested* key (duplicates share the fetched
     payload), and always charges one logical operation per requested key.
     """
     client = context.client
-    if _fused(context):
-        unique = list(dict.fromkeys(keys))
-        if context.strategy is ExecutionStrategy.PARALLEL:
-            fetched = client.multi_get(
-                namespace, unique, parallel=True, logical_operations=len(keys)
-            )
-        else:
-            fetched = [client.get(namespace, key) for key in unique]
-            client.charge_saved_reads(len(keys) - len(unique))
-        by_key = dict(zip(unique, fetched))
-        return [by_key[key] for key in keys]
+    if not context.batched:
+        return [client.get(namespace, key) for key in keys]
+    unique = list(dict.fromkeys(keys))
     if context.strategy is ExecutionStrategy.PARALLEL:
-        return client.multi_get(namespace, keys, parallel=True)
-    return [client.get(namespace, key) for key in keys]
+        fetched = client.multi_get(
+            namespace, unique, parallel=True, logical_operations=len(keys)
+        )
+    else:
+        fetched = [client.get(namespace, key) for key in unique]
+        client.charge_saved_reads(len(keys) - len(unique))
+    by_key = dict(zip(unique, fetched))
+    return [by_key[key] for key in keys]
 
 
 def _expand_keys(
@@ -617,20 +606,20 @@ def _execute_sorted_index_join(
 
     stop = _resolve_count(op.stop_count, context) if op.stop_count is not None else None
 
-    if _fused(context):
+    if context.batched:
         prefix_lengths = [len(prefix_bytes) for prefix_bytes, _, _, _ in ranges]
         return _fused_sorted_join(
             op, table, child_rows, per_child_entries, prefix_lengths, stop, context
         )
 
-    # Unfused path: materialize every joined row (one dereference round per
-    # child), then order and truncate locally.
+    # The Lazy executor: materialize every joined row (one dereference per
+    # entry), then order and truncate locally.
     joined: List[InternalRow] = []
     for row, entries in zip(child_rows, per_child_entries):
         if op.index.primary:
             records = [deserialize_row(value) for _, value in entries]
         else:
-            records = _dereference(table, entries, context)
+            records = _lazy_dereference(table, entries, context)
         for record in records:
             merged = dict(row)
             merged[op.relation_alias] = record
@@ -660,7 +649,7 @@ def _fused_sorted_join(
 
     Orders the fetched index entries into the final output order *first*
     (on the sort columns' bytes in the entry keys, with the (child, entry)
-    position as the stable tiebreaker — the exact order the unfused
+    position as the stable tiebreaker — the exact order the Lazy executor's
     sort-then-truncate produces), then materializes base records lazily:
     primary-index payloads are deserialised only as needed, and secondary
     entries are dereferenced in one deduplicated bulk round per stop-sized
@@ -714,7 +703,7 @@ def _fused_sorted_join(
 
     # Secondary index: stop-aware chunked dereference.  Each chunk is one
     # deduplicated bulk round; entries never reached are charged as
-    # requested-but-saved lookups so operation counts match the unfused plan.
+    # requested-but-saved lookups so operation counts measure requested work.
     chunk_size = max(1, needed)
     by_key = {}
     examined = 0
@@ -755,7 +744,7 @@ def _entries_in_output_order(
     """Yield ``(child index, entry index, entry value)`` in final output order.
 
     With no sort keys the output order is simply child order then index
-    order.  With sort keys, the order is the one the unfused executor's
+    order.  With sort keys, the order is the one the Lazy executor's
     stable sort produces — sort values under their directions, position as
     the tiebreaker — reached by a k-way merge of the per-child streams.
     Nothing is decoded: the key encoding is order-preserving, so the merge

@@ -541,9 +541,6 @@ class KeyValueCluster:
                 return self.nodes[node_id]
         raise QuorumNotMetError("read", namespace, 1, 0)
 
-    # Backwards-compatible internal alias.
-    _node_for_key = route
-
     # ------------------------------------------------------------------
     # Load management
     # ------------------------------------------------------------------

@@ -4,19 +4,18 @@ import pytest
 
 from repro import ClusterConfig, PiqlDatabase
 from repro.analysis import CLASS_QUERIES, ScalingClassAnalysis
-from repro.bench import (
-    ClientSimulationConfig,
+from repro.bench.harness import ClientSimulationConfig, run_workload
+from repro.bench.intersection import (
+    IntersectionExperimentConfig,
+    SubscriberIntersectionExperiment,
+)
+from repro.bench.reporting import format_table, linear_fit_r_squared
+from repro.bench.scaling import ScalingExperiment, ScalingExperimentConfig
+from repro.bench.strategies import (
     ExecutorStrategyConfig,
     ExecutorStrategyExperiment,
-    IntersectionExperimentConfig,
-    ScalingExperiment,
-    ScalingExperimentConfig,
-    SubscriberIntersectionExperiment,
-    format_table,
-    linear_fit_r_squared,
-    percentile,
-    run_workload,
 )
+from repro.stats import nearest_rank_percentile as percentile
 from repro.workloads import ScadrWorkload, WorkloadScale
 
 

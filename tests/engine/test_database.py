@@ -125,6 +125,34 @@ class TestClientViews:
         view.execute("SELECT * FROM users WHERE username = <u>", {"u": "bob"})
         assert clock.now > 5.0
 
+    def test_new_client_view_is_fully_wired(self, scadr_db):
+        # `new_client` builds through `__new__`; everything `__init__` sets
+        # must reach the view, each per-view component as the view's own.
+        view = scadr_db.new_client()
+        assert set(vars(scadr_db)) <= set(vars(view))
+        for own in ("client", "views", "records", "optimizer", "executor",
+                    "assistant", "resilience", "_prepared_cache"):
+            assert getattr(view, own) is not getattr(scadr_db, own), own
+        for shared in PiqlDatabase._INHERITED_BY_VIEWS:
+            assert getattr(view, shared) is getattr(scadr_db, shared), shared
+        assert view.resilience.db is view
+        assert view.executor.client is view.client
+        assert view.records.views is view.views
+
+    def test_simulated_takes_no_executor_selector_and_swallows_nothing(self):
+        # The ledger adapter passes `fused=True` by feature detection and
+        # counts it as a dropped knob; a `**kwargs` would swallow it instead.
+        import inspect
+
+        parameters = inspect.signature(PiqlDatabase.simulated).parameters
+        assert "fused" not in parameters
+        assert not any(
+            parameter.kind is parameter.VAR_KEYWORD
+            for parameter in parameters.values()
+        )
+        with pytest.raises(TypeError):
+            PiqlDatabase.simulated(ClusterConfig(storage_nodes=2), fused=False)
+
     def test_views_share_one_compilation(self, scadr_db, thoughtstream_sql,
                                          monkeypatch):
         from repro.optimizer.optimizer import PiqlOptimizer

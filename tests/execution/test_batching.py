@@ -7,6 +7,12 @@ structure and the latency composition may differ.  These tests pin the
 invariants on the edge cases: empty child sets, duplicate keys, descending
 paginated scans with resume positions, stop boundaries exactly on a chunk
 edge, and the LAZY-versus-PARALLEL round split.
+
+Rows are checked against literals and against the Lazy executor — the
+tuple-at-a-time path that runs none of the batching and is the live
+row-level reference.  Operation counts are pinned to the numbers the
+retired tuple-at-a-time SIMPLE/PARALLEL arm charged (``fused=False``,
+removed in PR 17): skipped fetches must still be charged as requested work.
 """
 
 import random
@@ -48,9 +54,9 @@ BOOKS_BY_LNAME = (
 )
 
 
-def library_db(fused: bool = True) -> PiqlDatabase:
+def library_db() -> PiqlDatabase:
     """Writers sharing a last name, each with a handful of titled books."""
-    db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=4, seed=21), fused=fused)
+    db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=4, seed=21))
     db.execute_ddl(LIBRARY_DDL)
     bid = 0
     for wid, (lname, titles) in enumerate(
@@ -84,16 +90,15 @@ class TestFusedSortedJoin:
     def test_multi_child_join_rows_identical_everywhere(self):
         expected = [{"title": t} for t in
                     ["alpha", "bravo", "charlie", "delta", "echo"]]
-        for fused in (False, True):
-            db = library_db(fused=fused)
-            rows = all_strategy_rows(
-                db, BOOKS_BY_LNAME.format(limit=5), {"n": "shared"}
-            )
-            for strategy, got in rows.items():
-                assert got == expected, (fused, strategy)
+        rows = all_strategy_rows(
+            library_db(), BOOKS_BY_LNAME.format(limit=5), {"n": "shared"}
+        )
+        assert set(rows) == set(ExecutionStrategy)
+        for strategy, got in rows.items():
+            assert got == expected, strategy
 
     def test_fused_join_issues_one_dereference_round(self):
-        db = library_db(fused=True)
+        db = library_db()
         prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
         before = db.client.stats.snapshot()
         prepared.execute({"n": "shared"})
@@ -104,28 +109,24 @@ class TestFusedSortedJoin:
         # The stop (5) pruned the dereference of the other fetched entries.
         assert delta.saved_reads > 0
 
-    def test_serial_join_pays_one_round_per_child(self):
-        db = library_db(fused=False)
-        prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
-        before = db.client.stats.snapshot()
-        prepared.execute({"n": "shared"})
-        delta = db.client.stats.snapshot().delta(before)
-        # Scan dereference + one round per matching "shared" writer.
-        assert delta.dereference_rounds == 1 + 3
-        assert delta.saved_reads == 0
-
-    def test_operations_identical_with_and_without_fusion(self):
-        results = {}
-        for fused in (False, True):
-            db = library_db(fused=fused)
-            result = db.prepare(BOOKS_BY_LNAME.format(limit=5)).execute(
-                {"n": "shared"}
-            )
-            results[fused] = result.operations
-        assert results[False] == results[True]
+    def test_operations_pinned_whatever_the_stop_saves(self):
+        # 3 writer entries + 3 writer dereferences + 3 book ranges + 8 book
+        # entries' dereferences, of which the stop of 5 skips 3: the skipped
+        # fetches are still charged, so the count does not depend on the
+        # stop (8 and 9 skip nothing) and stays inside the static bound.
+        for limit, saved in [(5, 3), (8, 0), (9, 0)]:
+            db = library_db()
+            prepared = db.prepare(BOOKS_BY_LNAME.format(limit=limit))
+            for strategy in (ExecutionStrategy.SIMPLE, ExecutionStrategy.PARALLEL):
+                before = db.client.stats.snapshot()
+                result = prepared.execute({"n": "shared"}, strategy=strategy)
+                delta = db.client.stats.snapshot().delta(before)
+                assert result.operations == 15, (limit, strategy)
+                assert delta.saved_reads == saved, (limit, strategy)
+                assert result.operations <= prepared.operation_bound
 
     def test_lazy_ignores_fusion_entirely(self):
-        db = library_db(fused=True)
+        db = library_db()
         prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
         before = db.client.stats.snapshot()
         lazy = prepared.execute({"n": "shared"}, strategy=ExecutionStrategy.LAZY)
@@ -138,21 +139,25 @@ class TestFusedSortedJoin:
         assert delta.saved_reads == 0
 
     def test_empty_child_set(self):
-        for fused in (False, True):
-            db = library_db(fused=fused)
-            result = db.prepare(BOOKS_BY_LNAME.format(limit=5)).execute(
-                {"n": "nobody"}
-            )
-            assert result.rows == []
+        db = library_db()
+        prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
+        for strategy in ExecutionStrategy:
+            result = prepared.execute({"n": "nobody"}, strategy=strategy)
+            assert result.rows == [], strategy
+            # Only the writers range is ever requested.
+            assert result.operations == 1, strategy
 
     def test_children_with_empty_ranges(self):
         # Both "bookless" writers match the scan but contribute no entries.
-        for fused in (False, True):
-            db = library_db(fused=fused)
-            result = db.prepare(BOOKS_BY_LNAME.format(limit=5)).execute(
-                {"n": "bookless"}
-            )
-            assert result.rows == []
+        db = library_db()
+        prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
+        for strategy in ExecutionStrategy:
+            result = prepared.execute({"n": "bookless"}, strategy=strategy)
+            assert result.rows == [], strategy
+            if strategy is not ExecutionStrategy.LAZY:
+                # 1 writers range + 2 dereferences + 2 (empty) book ranges.
+                assert result.operations == 5, strategy
+                assert result.operations <= prepared.operation_bound
 
     def test_stop_exactly_on_chunk_edge(self):
         # 8 "shared" books total: a stop of exactly 8 consumes the whole
@@ -160,16 +165,15 @@ class TestFusedSortedJoin:
         full = [{"title": t} for t in
                 ["alpha", "bravo", "charlie", "delta", "echo",
                  "foxtrot", "golf", "hotel"]]
+        db = library_db()
         for limit, expected in [(8, full), (9, full)]:
-            for fused in (False, True):
-                db = library_db(fused=fused)
-                result = db.prepare(BOOKS_BY_LNAME.format(limit=limit)).execute(
-                    {"n": "shared"}
-                )
-                assert result.rows == expected, (limit, fused)
-                assert result.operations <= db.prepare(
-                    BOOKS_BY_LNAME.format(limit=limit)
-                ).operation_bound
+            prepared = db.prepare(BOOKS_BY_LNAME.format(limit=limit))
+            for strategy in ExecutionStrategy:
+                result = prepared.execute({"n": "shared"}, strategy=strategy)
+                assert result.rows == expected, (limit, strategy)
+                if strategy is not ExecutionStrategy.LAZY:
+                    assert result.operations == 15, (limit, strategy)
+                    assert result.operations <= prepared.operation_bound
 
 
 class TestDuplicateKeyDedupe:
@@ -179,17 +183,20 @@ class TestDuplicateKeyDedupe:
     )
 
     def test_fk_join_dedupes_repeated_targets(self):
-        # Every book of writer 0 references the same writer row: the fused
-        # executor fetches it once but still charges one logical lookup per
-        # child tuple.
-        fused_db = library_db(fused=True)
-        serial_db = library_db(fused=False)
-        fused = fused_db.prepare(self.FAN_IN).execute({"w": 0})
-        serial = serial_db.prepare(self.FAN_IN).execute({"w": 0})
-        assert fused.rows == serial.rows == [{"lname": "shared"}] * 3
-        assert fused.operations == serial.operations
-        assert fused_db.client.stats.saved_reads == 2   # 3 lookups, 1 fetch
-        assert serial_db.client.stats.saved_reads == 0
+        # Every book of writer 0 references the same writer row: the
+        # batched executor fetches it once but still charges one logical
+        # lookup per child tuple; the Lazy executor really fetches it thrice.
+        db = library_db()
+        prepared = db.prepare(self.FAN_IN)
+        batched = prepared.execute({"w": 0})
+        assert batched.rows == [{"lname": "shared"}] * 3
+        # 1 books range + 3 book dereferences + 3 writer lookups.
+        assert batched.operations == 7
+        assert batched.operations <= prepared.operation_bound
+        assert db.client.stats.saved_reads == 2   # 3 lookups, 1 fetch
+        lazy = prepared.execute({"w": 0}, strategy=ExecutionStrategy.LAZY)
+        assert lazy.rows == batched.rows
+        assert db.client.stats.saved_reads == 2   # LAZY saved nothing more
 
     def test_in_list_lookup_dedupes_duplicate_keys(self, scadr_db):
         sql = (
@@ -214,23 +221,27 @@ class TestPushdown:
             node.stats.keys_filtered for node in scadr_db.cluster.nodes
         ) > 0
 
-    def test_pushdown_rows_and_operations_match_unfused(self):
+    def test_pushdown_rows_match_lazy_and_operations_pinned(self):
         sql = (
             "SELECT b.title FROM books b WHERE b.wid = <w> AND b.bid >= 1 "
         )
-        results = {}
-        for fused in (False, True):
-            db = library_db(fused=fused)
-            results[fused] = db.prepare(sql).execute({"w": 0})
-        assert results[True].rows == results[False].rows
-        assert results[True].operations == results[False].operations
-        assert sorted(r["title"] for r in results[True].rows) == ["alpha", "echo"]
+        db = library_db()
+        prepared = db.prepare(sql)
+        pushed = prepared.execute({"w": 0})
+        lazy = prepared.execute({"w": 0}, strategy=ExecutionStrategy.LAZY)
+        # The Lazy executor filters after materialising every row.
+        assert pushed.rows == lazy.rows
+        assert sorted(r["title"] for r in pushed.rows) == ["alpha", "echo"]
+        # 1 range + 3 entries examined: the pruned entry's dereference is
+        # charged although never issued.
+        assert pushed.operations == 4
+        assert pushed.operations <= prepared.operation_bound
 
     def test_pushdown_on_secondary_entries_prunes_dereference(self):
         # bid is recoverable from the (wid, bid) index entry key, so the
-        # fused arm never dereferences the filtered-out book.
+        # batched executor never dereferences the filtered-out book.
         sql = "SELECT b.title FROM books b WHERE b.wid = <w> AND b.bid >= 1 "
-        db = library_db(fused=True)
+        db = library_db()
         db.prepare(sql).execute({"w": 0})
         assert db.client.stats.saved_reads == 1
 

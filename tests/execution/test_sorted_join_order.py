@@ -1,4 +1,4 @@
-"""``_entries_in_output_order`` against the unfused sort-then-truncate.
+"""``_entries_in_output_order`` against the Lazy executor's sort-then-truncate.
 
 The fused sorted join orders fetched index entries *before* materialising
 rows; the contract is the order ``sort_rows`` gives the joined rows (stable,

@@ -241,9 +241,16 @@ class TestDatabaseIntegration:
             ClusterConfig(storage_nodes=3, seed=3), **kwargs
         )
 
-    def test_policy_attached_by_default_and_disableable(self):
+    def test_policy_always_attached_false_rejected(self):
         assert self.make_db().resilience is not None
-        assert self.make_db(resilience=False).resilience is None
+        # `resilience=False` used to build a view with no policy (and a
+        # second, immediate retry loop in `execute`); a policy always exists
+        # now, so the old spelling must fail loudly, not be coerced.
+        for not_a_config in (False, True, "naive"):
+            with pytest.raises(TypeError, match="ResilienceConfig"):
+                self.make_db(resilience=not_a_config)
+            with pytest.raises(TypeError, match="ResilienceConfig"):
+                PiqlDatabase(resilience=not_a_config)
 
     def test_new_client_gets_its_own_policy(self):
         db = self.make_db(
@@ -261,12 +268,18 @@ class TestDatabaseIntegration:
         ddl = "CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))"
         sql = "SELECT * FROM t WHERE id = [1: id]"
         outcomes = []
-        for resilience in (None, False):
-            db = self.make_db(resilience=resilience)
+        for through_policy in (True, False):
+            db = self.make_db()
             db.execute_ddl(ddl)
             for index in range(5):
                 db.insert("t", {"id": index, "v": index * 10})
-            result = db.execute(sql, {"id": 3})
+            if through_policy:
+                result = db.execute(sql, {"id": 3})
+            else:
+                # Around the funnel: the bare executor, no policy involved.
+                result = db.executor.execute(
+                    db.prepare(sql).optimized, {"id": 3}
+                )
             outcomes.append(
                 (result.rows, result.operations, result.latency_seconds)
             )

@@ -1,7 +1,7 @@
 """Simulated-bytes pin: a host-only change must not move a simulated byte.
 
 Five simulated seconds of closed-loop TPC-W (50 clients) and SCADr (20
-clients) at a fixed seed, pipelined and fused; ``sim_digest.json`` holds a
+clients) at a fixed seed, pipelined; ``sim_digest.json`` holds a
 sha256 over the ``(name, operations, response_seconds)`` of every
 :class:`~repro.serving.drivers.RequestRecord` plus the fleet's total RPCs.
 Response times are sums of every latency the run charged, so any change to
@@ -47,9 +47,7 @@ SCENARIOS = {
 def serve(name: str, seconds: float, **observers):
     """One closed-loop run of a scenario: ``(simulation, report)``."""
     factory, scale, clients, think = SCENARIOS[name]
-    db = PiqlDatabase.simulated(
-        ClusterConfig(storage_nodes=4, seed=SEED), fused=True
-    )
+    db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=4, seed=SEED))
     workload = factory()
     workload.setup(db, WorkloadScale(storage_nodes=4, seed=SEED, **scale))
     simulation = ServingSimulation(
