@@ -56,7 +56,7 @@ from ..resilience.policy import ResilienceConfig
 from ..serving.simulator import ServingReport, ServingSimulation
 from ..workloads.tpcw.workload import TpcwWorkload
 from .experiment import Experiment, claim
-from .fixtures import Metronome, WriteAudit, loaded_database, serve
+from .fixtures import WriteAudit, loaded_database, serve
 from .reporting import render_with_incident
 
 
@@ -179,7 +179,7 @@ class ChaosSoakConfig:
         )
 
 
-class ReadYourWritesProbe(Metronome):
+class ReadYourWritesProbe(WriteAudit):
     """Put-then-get probes asserting session monotonicity through faults.
 
     Each tick writes a fresh key through the write quorum and — when the
@@ -192,27 +192,19 @@ class ReadYourWritesProbe(Metronome):
     """
 
     name = "ryw-probe"
+    key_format = "probe{:08d}"
+    value_format = "probe-at-{:.3f}"
 
     def __init__(self, cluster: KeyValueCluster, namespace: str = "chaos_ryw"):
-        self.cluster = cluster
-        self.namespace = namespace
-        cluster.create_namespace(namespace)
-        self.acknowledged: List[Tuple[bytes, bytes]] = []
-        self.rejected = 0
+        super().__init__(cluster, namespace)
         self.skipped_reads = 0
         self.violations = 0
-        self._counter = 0
 
     def tick(self, now: float) -> None:
-        self._counter += 1
-        key = f"probe{self._counter:08d}".encode()
-        value = f"probe-at-{now:.3f}".encode()
-        try:
-            self.cluster.put(self.namespace, key, value, sim_time=now)
-        except UnavailableError:
-            self.rejected += 1
+        written = super().tick(now)
+        if written is None:
             return
-        self.acknowledged.append((key, value))
+        key, value = written
         try:
             result = self.cluster.get(self.namespace, key, sim_time=now)
         except UnavailableError:
@@ -223,10 +215,7 @@ class ReadYourWritesProbe(Metronome):
 
     def final_verify(self) -> int:
         """Re-read every acknowledged probe after the run has healed."""
-        for key, expected in self.acknowledged:
-            result = self.cluster.get(self.namespace, key)
-            if result.value != expected:
-                self.violations += 1
+        self.violations += self.verify()["lost"]
         return self.violations
 
 
@@ -393,125 +382,120 @@ _RESILIENCE_COUNTERS = (
 )
 
 
-class ChaosSoakExperiment:
-    """Run the paired naive / resilient arms of one seeded soak."""
+def fresh_database(
+    config: ChaosSoakConfig, policy: ResilienceConfig
+) -> Tuple[PiqlDatabase, TpcwWorkload]:
+    # Reseeded: both arms must draw identical latency samples on the
+    # fault-free prefix.
+    return loaded_database(
+        TpcwWorkload(),
+        storage_nodes=config.storage_nodes,
+        replication=config.replication,
+        read_quorum=config.read_quorum,
+        write_quorum=config.write_quorum,
+        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        users_per_node=config.users_per_node,
+        items_total=config.items_total,
+        seed=config.seed,
+        data_seed=7,
+        reseed=True,
+        resilience=policy,
+    )
 
-    def __init__(self, config: Optional[ChaosSoakConfig] = None):
-        self.config = config or ChaosSoakConfig()
 
-    def _fresh_database(self, policy: ResilienceConfig) -> Tuple[PiqlDatabase, TpcwWorkload]:
-        config = self.config
-        # Reseeded: both arms must draw identical latency samples on the
-        # fault-free prefix.
-        return loaded_database(
-            TpcwWorkload(),
-            storage_nodes=config.storage_nodes,
-            replication=config.replication,
-            read_quorum=config.read_quorum,
-            write_quorum=config.write_quorum,
-            node_capacity_ops_per_second=config.node_capacity_ops_per_second,
-            users_per_node=config.users_per_node,
-            items_total=config.items_total,
-            seed=config.seed,
-            data_seed=7,
-            reseed=True,
-            resilience=policy,
+def run_arm(
+    config: ChaosSoakConfig,
+    name: str,
+    policy: ResilienceConfig,
+    forensics: bool = False,
+) -> ChaosArmResult:
+    db, workload = fresh_database(config, policy)
+    audit = WriteAudit(db.cluster, namespace="chaos_audit")
+    probe = ReadYourWritesProbe(db.cluster)
+
+    def schedule_probes(simulation: ServingSimulation) -> None:
+        horizon = config.duration_seconds
+        audit.schedule(simulation.sim, config.audit_interval_seconds, horizon)
+        probe.schedule(simulation.sim, config.probe_interval_seconds, horizon)
+
+    served = serve(
+        db,
+        workload,
+        before_run=schedule_probes,
+        clients=config.clients,
+        think_time_seconds=config.think_time_seconds,
+        duration_seconds=config.duration_seconds,
+        slo=config.slo,
+        faults=config.faults(),
+        # Forensics needs telemetry for the SLO-alert correlation and
+        # the latency-breakdown scrape.
+        telemetry_enabled=forensics,
+        forensics=ForensicsConfig() if forensics else None,
+        seed=config.seed,
+    )
+    report = served.report
+
+    # Post-run convergence: the schedule healed everything, but make
+    # the precondition explicit (idempotent), run one fleet-wide
+    # anti-entropy pass, then scan for any disagreeing replica.
+    cluster = db.cluster
+    cluster.network.heal()
+    for node in cluster.nodes:
+        if not node.up:
+            cluster.recover_node(node.node_id)
+    cluster.replication.rebalance(cluster.up_node_ids())
+    divergence = replica_divergence(cluster)
+
+    audit_result = audit.verify()
+    ryw_violations = probe.final_verify()
+    prefix_completed = sum(
+        1
+        for record in report.log.records
+        if record.arrival_seconds < config.warmup_seconds
+    )
+    windows = config.partition_windows()
+    window_failures = sum(
+        1
+        for arrival, _ in report.log.failures
+        if any(start <= arrival < end for start, end in windows)
+    )
+    counters: Dict[str, float] = {key: 0.0 for key in _RESILIENCE_COUNTERS}
+    for server in served.simulation.driver.servers:
+        registry = server.db.client.stats.metrics
+        for key in _RESILIENCE_COUNTERS:
+            counters[key] += registry.value(key)
+    incident: Optional[IncidentReport] = None
+    if report.forensics is not None:
+        incident = report.incident_report(
+            title=f"chaos soak (seed {config.seed}, {name} arm)"
         )
-
-    def run_arm(
-        self, name: str, policy: ResilienceConfig, forensics: bool = False
-    ) -> ChaosArmResult:
-        config = self.config
-        db, workload = self._fresh_database(policy)
-        audit = WriteAudit(db.cluster, namespace="chaos_audit")
-        probe = ReadYourWritesProbe(db.cluster)
-
-        def schedule_probes(simulation: ServingSimulation) -> None:
-            horizon = config.duration_seconds
-            audit.schedule(simulation.sim, config.audit_interval_seconds, horizon)
-            probe.schedule(simulation.sim, config.probe_interval_seconds, horizon)
-
-        served = serve(
-            db,
-            workload,
-            before_run=schedule_probes,
-            clients=config.clients,
-            think_time_seconds=config.think_time_seconds,
-            duration_seconds=config.duration_seconds,
-            slo=config.slo,
-            faults=config.faults(),
-            # Forensics needs telemetry for the SLO-alert correlation and
-            # the latency-breakdown scrape.
-            telemetry_enabled=forensics,
-            forensics=ForensicsConfig() if forensics else None,
-            seed=config.seed,
-        )
-        report = served.report
-
-        # Post-run convergence: the schedule healed everything, but make
-        # the precondition explicit (idempotent), run one fleet-wide
-        # anti-entropy pass, then scan for any disagreeing replica.
-        cluster = db.cluster
-        cluster.network.heal()
-        for node in cluster.nodes:
-            if not node.up:
-                cluster.recover_node(node.node_id)
-        cluster.replication.rebalance(cluster.up_node_ids())
-        divergence = replica_divergence(cluster)
-
-        audit_result = audit.verify()
-        ryw_violations = probe.final_verify()
-        prefix_completed = sum(
-            1
-            for record in report.log.records
-            if record.arrival_seconds < config.warmup_seconds
-        )
-        windows = config.partition_windows()
-        window_failures = sum(
-            1
-            for arrival, _ in report.log.failures
-            if any(start <= arrival < end for start, end in windows)
-        )
-        counters: Dict[str, float] = {key: 0.0 for key in _RESILIENCE_COUNTERS}
-        for server in served.simulation.driver.servers:
-            registry = server.db.client.stats.metrics
-            for key in _RESILIENCE_COUNTERS:
-                counters[key] += registry.value(key)
-        incident: Optional[IncidentReport] = None
-        if report.forensics is not None:
-            incident = report.incident_report(
-                title=f"chaos soak (seed {config.seed}, {name} arm)"
-            )
-        return ChaosArmResult(
-            name=name,
-            report=report,
-            audit=audit_result,
-            ryw_violations=ryw_violations,
-            ryw_acknowledged=len(probe.acknowledged),
-            ryw_skipped_reads=probe.skipped_reads,
-            post_heal_divergence=divergence,
-            prefix_completed=prefix_completed,
-            window_failures=window_failures,
-            resilience_counters=counters,
-            incident=incident,
-        )
-
-    def run(self) -> ChaosSoakResult:
-        config = self.config
-        arms = {
-            "naive": self.run_arm("naive", config.naive_policy()),
-            "resilient": self.run_arm(
-                "resilient",
-                config.resilient_policy(),
-                forensics=config.forensics_enabled,
-            ),
-        }
-        return ChaosSoakResult(config=config, arms=arms)
+    return ChaosArmResult(
+        name=name,
+        report=report,
+        audit=audit_result,
+        ryw_violations=ryw_violations,
+        ryw_acknowledged=len(probe.acknowledged),
+        ryw_skipped_reads=probe.skipped_reads,
+        post_heal_divergence=divergence,
+        prefix_completed=prefix_completed,
+        window_failures=window_failures,
+        resilience_counters=counters,
+        incident=incident,
+    )
 
 
-def run_chaos_soak(config: Optional[ChaosSoakConfig] = None) -> ChaosSoakResult:
-    """Convenience wrapper: one seeded soak, both arms."""
-    return ChaosSoakExperiment(config).run()
+def run_chaos_soak(config: ChaosSoakConfig) -> ChaosSoakResult:
+    """One seeded soak: the paired naive and resilient arms."""
+    arms = {
+        "naive": run_arm(config, "naive", config.naive_policy()),
+        "resilient": run_arm(
+            config,
+            "resilient",
+            config.resilient_policy(),
+            forensics=config.forensics_enabled,
+        ),
+    }
+    return ChaosSoakResult(config=config, arms=arms)
 
 
 # ----------------------------------------------------------------------

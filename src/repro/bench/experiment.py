@@ -17,14 +17,15 @@ seeds are fixed and time is simulated, so they regenerate byte for byte
 (host-clock fields aside) and a diff against them is a behaviour change.
 Quick runs write ``results/<name>.quick.json`` instead and never touch a
 committed file; bulky per-run evidence (incident reports, traces) goes to
-separate detail files.  Both kinds are gitignored.
+separate detail files.  Both kinds are gitignored, and both are written
+whether or not the claims held — only the committed name is reserved for
+runs that passed.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
@@ -92,62 +93,49 @@ def experiments() -> Dict[str, Experiment]:
     return registry
 
 
-def same_numbers(ours: object, theirs: object) -> bool:
-    """Structural equality; floats to nine digits (libm may differ by an ulp)."""
-    if isinstance(ours, dict) and isinstance(theirs, dict):
-        return ours.keys() == theirs.keys() and all(
-            same_numbers(value, theirs[key]) for key, value in ours.items()
-        )
-    if isinstance(ours, (list, tuple)) and isinstance(theirs, (list, tuple)):
-        return len(ours) == len(theirs) and all(map(same_numbers, ours, theirs))
-    if isinstance(ours, float) or isinstance(theirs, float):
-        return (
-            isinstance(ours, (int, float))
-            and isinstance(theirs, (int, float))
-            and math.isclose(ours, theirs, rel_tol=1e-9, abs_tol=1e-12)
-        )
-    return ours == theirs
-
-
 def run_experiment(
     experiment: Experiment,
     quick: bool = False,
     seeds: Optional[Sequence[int]] = None,
     directory: str = "results",
 ) -> Any:
-    """run → check → save, then render (also when a claim failed).
+    """run → check → save → render; a violated claim is raised after both.
 
-    Nothing is saved unless every claim holds, so a committed summary is
-    only ever replaced by one that passed.  ``seeds`` overrides the
-    configuration's ``seeds`` for the experiments that have them.
+    Only a run whose every claim held may replace the committed
+    ``results/<name>.json``.  Quick and detail files are gitignored
+    evidence and are written either way: a failing run is the one whose
+    report gets read.  ``seeds`` overrides the configuration's ``seeds``
+    for the experiments that have them.
     """
     config = experiment.quick if quick else experiment.config
     if seeds is not None:
         config = replace(config, seeds=tuple(seeds))
     suffix = ".quick" if quick else ""
     result = experiment.run(config)
+    payload = experiment.payload(result)
+    violated: Optional[ClaimViolated] = None
     try:
         experiment.check(result)
-        payload = experiment.payload(result)
         committed = Path(directory) / f"{experiment.name}.json"
         if experiment.pinned and not quick and committed.exists():
-            # Round-trip ours through JSON so both sides have JSON's types.
+            # Round-trip ours through JSON so both sides have JSON's types
+            # (floats survive it exactly).
             ours = json.loads(json.dumps(payload[experiment.pinned], default=str))
             theirs = json.loads(committed.read_text()).get(experiment.pinned)
             claim(
                 f"{experiment.name}: {experiment.pinned!r} numbers reproduce "
                 f"the committed {committed}",
-                same_numbers(ours, theirs),
+                ours == theirs,
                 "delete the file to re-baseline on purpose",
             )
-        files = {experiment.name: payload}
-        if experiment.details is not None:
-            files.update(experiment.details(result))
-        for stem, content in files.items():
-            print(f"wrote {save_results(stem + suffix, content, directory)}")
-    finally:
-        render = experiment.render or (
-            lambda shown: render_payload(experiment.payload(shown))
-        )
-        print(render(result))
+    except ClaimViolated as error:
+        violated = error
+    files = dict(experiment.details(result)) if experiment.details else {}
+    if quick or violated is None:
+        files[experiment.name] = payload
+    for stem, content in files.items():
+        print(f"wrote {save_results(stem + suffix, content, directory)}")
+    print(experiment.render(result) if experiment.render else render_payload(payload))
+    if violated is not None:
+        raise violated
     return result

@@ -235,12 +235,9 @@ def run_variant(
 
 
 def run(config: FailoverSloConfig) -> FailoverSloResult:
-    reports: Dict[str, ServingReport] = {}
-    audit: Dict[str, int] = {}
-    for label, inject in (("baseline", False), ("failover", True)):
-        reports[label], audit_result = run_variant(config, inject)
-        if audit_result is not None:
-            audit = audit_result
+    baseline, _ = run_variant(config, inject_faults=False)
+    failover, audit = run_variant(config, inject_faults=True)
+    reports = {"baseline": baseline, "failover": failover}
     incident: Optional[IncidentReport] = None
     if reports["failover"].forensics is not None:
         incident = reports["failover"].incident_report(title="failover timeline")

@@ -143,25 +143,22 @@ def summarise_phases(
             for record in report.log.records
             if start <= record.arrival_seconds < end
         ]
-        if responses:
-            compliant = sum(1 for r in responses if r <= slo.latency_seconds)
-            summaries.append(
-                PhaseSummary(
-                    phase=name,
-                    completed=len(responses),
-                    shed=0,  # per-phase shed counts live in the log total
-                    p50_ms=nearest_rank_percentile(responses, 0.50) * 1000.0,
-                    p99_ms=nearest_rank_percentile(responses, 0.99) * 1000.0,
-                    compliance=compliant / len(responses),
-                )
+        compliant = sum(1 for r in responses if r <= slo.latency_seconds)
+        p50, p99 = (
+            [nearest_rank_percentile(responses, q) * 1000.0 for q in (0.50, 0.99)]
+            if responses
+            else (0.0, 0.0)
+        )
+        summaries.append(
+            PhaseSummary(
+                phase=name,
+                completed=len(responses),
+                shed=0,  # per-phase shed counts live in the log total
+                p50_ms=p50,
+                p99_ms=p99,
+                compliance=compliant / len(responses) if responses else 1.0,
             )
-        else:
-            summaries.append(
-                PhaseSummary(
-                    phase=name, completed=0, shed=0,
-                    p50_ms=0.0, p99_ms=0.0, compliance=1.0,
-                )
-            )
+        )
     return summaries
 
 
@@ -227,35 +224,20 @@ def replay_percentile_ms(records: Sequence[ReplayRecord], fraction: float) -> fl
 # ----------------------------------------------------------------------
 # Probes that ride along on a serving run
 # ----------------------------------------------------------------------
-class Metronome:
-    """Calls :meth:`tick` every ``interval_seconds`` of simulated time."""
-
-    name = "metronome"
-
-    def schedule(self, sim, interval_seconds: float, until: float) -> None:
-        def fire(s) -> None:
-            self.tick(s.now)
-            if s.now + interval_seconds <= until:
-                s.schedule_at(s.now + interval_seconds, fire, name=self.name)
-
-        sim.schedule_at(interval_seconds, fire, name=self.name)
-
-    def tick(self, now: float) -> None:
-        raise NotImplementedError
-
-
-class WriteAudit(Metronome):
+class WriteAudit:
     """A metronome of acknowledged writes, verified after the run.
 
-    Every tick writes one fresh key through the normal quorum path.  Writes
-    the cluster *acknowledged* are remembered; writes it refused (quorum not
-    met) are counted as rejected — refusing is allowed, silently losing an
-    acknowledged value is not.  :meth:`verify` reads every acknowledged key
-    back through the read quorum once the timeline (crash, hints, recovery,
-    anti-entropy) has played out.
+    Every ``interval_seconds`` of simulated time a tick writes one fresh key
+    through the normal quorum path.  Writes the cluster *acknowledged* are
+    remembered; writes it refused (quorum not met) are counted as rejected —
+    refusing is allowed, silently losing an acknowledged value is not.
+    :meth:`verify` reads every acknowledged key back through the read quorum
+    once the timeline (crash, hints, recovery, anti-entropy) has played out.
     """
 
     name = "write-audit"
+    key_format = "audit{:08d}"
+    value_format = "written-at-{:.3f}"
 
     def __init__(self, cluster: KeyValueCluster, namespace: str = "failover_audit"):
         self.cluster = cluster
@@ -265,16 +247,26 @@ class WriteAudit(Metronome):
         self.rejected = 0
         self._counter = 0
 
-    def tick(self, now: float) -> None:
+    def schedule(self, sim, interval_seconds: float, until: float) -> None:
+        def fire(s) -> None:
+            self.tick(s.now)
+            if s.now + interval_seconds <= until:
+                s.schedule_at(s.now + interval_seconds, fire, name=self.name)
+
+        sim.schedule_at(interval_seconds, fire, name=self.name)
+
+    def tick(self, now: float) -> Optional[Tuple[bytes, bytes]]:
+        """Write one fresh key; the (key, value) if it was acknowledged."""
         self._counter += 1
-        key = f"audit{self._counter:08d}".encode()
-        value = f"written-at-{now:.3f}".encode()
+        key = self.key_format.format(self._counter).encode()
+        value = self.value_format.format(now).encode()
         try:
             self.cluster.put(self.namespace, key, value, sim_time=now)
         except UnavailableError:
             self.rejected += 1
-            return
+            return None
         self.acknowledged.append((key, value))
+        return key, value
 
     def verify(self) -> Dict[str, int]:
         """Read back every acknowledged write; count the ones that are gone."""

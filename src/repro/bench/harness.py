@@ -77,9 +77,6 @@ class RunMeasurement:
             sum(self.interaction_latencies) / len(self.interaction_latencies) * 1000.0
         )
 
-    def query_percentile_ms(self, query: str, fraction: float = 0.99) -> float:
-        return nearest_rank_percentile(self.query_latencies[query], fraction) * 1000.0
-
 
 def run_workload(
     db: PiqlDatabase,

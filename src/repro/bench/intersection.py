@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..engine.database import PiqlDatabase
 from ..execution.executor import QueryExecutor
@@ -68,128 +68,118 @@ class IntersectionResult:
         return None
 
 
-class SubscriberIntersectionExperiment:
-    """Runs the bounded (PIQL) and unbounded (cost-based) plans side by side."""
-
-    def __init__(self, config: Optional[IntersectionExperimentConfig] = None):
-        self.config = config or IntersectionExperimentConfig()
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def _build_database(self) -> PiqlDatabase:
-        config = self.config
-        db = PiqlDatabase.simulated(
-            ClusterConfig(storage_nodes=config.storage_nodes, seed=config.seed)
-        )
-        # A large cardinality limit on subscriptions per owner: each fan
-        # follows a handful of users, while a *target* may have millions of
-        # subscribers without violating any constraint.
-        db.execute_ddl(scadr_ddl(max_subscriptions=100))
-        fans = [f"fan{i:07d}" for i in range(config.fan_pool)]
-        db.bulk_load(
-            "users",
-            (
-                {"username": name, "password": "x", "hometown": "web", "created": i}
-                for i, name in enumerate(fans)
-            ),
-        )
-        targets = []
-        rows = []
-        for subscribers in config.subscriber_counts:
-            target = f"target{subscribers:07d}"
-            targets.append(target)
-            for fan_index in range(subscribers):
-                rows.append(
-                    {
-                        "owner": fans[fan_index % len(fans)] if subscribers <= len(fans)
-                        else f"fan{fan_index:07d}",
-                        "target": target,
-                        "approved": True,
-                    }
-                )
-        db.bulk_load(
-            "users",
-            (
-                {"username": t, "password": "x", "hometown": "web", "created": 0}
-                for t in targets
-            ),
-        )
-        db.bulk_load("subscriptions", rows)
-        self._fans = fans
-        return db
-
-    # ------------------------------------------------------------------
-    # Run
-    # ------------------------------------------------------------------
-    def run(self) -> IntersectionResult:
-        config = self.config
-        db = self._build_database()
-        rng = random.Random(config.seed)
-
-        # PIQL plan: bounded random lookups.
-        bounded_query = db.prepare(SUBSCRIBER_INTERSECTION)
-
-        # Cost-based plan: unbounded index scan over subscriptions(target).
-        statistics = {
-            "subscriptions": TableStatistics(
-                row_count=db.records.count("subscriptions"),
-                avg_rows_per_value={("target",): config.average_subscribers},
-            )
-        }
-        cost_optimizer = CostBasedOptimizer(db.catalog, statistics)
-        costed = cost_optimizer.optimize(SUBSCRIBER_INTERSECTION)
-        for index in costed.required_indexes:
-            if not db.catalog.has_index(index.name):
-                db.create_index(index)
-        executor = QueryExecutor(db.client, db.catalog, enforce_bounds=False)
-
-        def reseed_noise() -> None:
-            # Paired comparison: both plans replay the same service-time
-            # noise streams, so their latency difference reflects the plan
-            # shapes rather than which run happened to draw the stragglers.
-            db.cluster.reseed_latency_models(config.seed)
-
-        result = IntersectionResult()
-        for subscribers in config.subscriber_counts:
-            target = f"target{subscribers:07d}"
-            parameter_sets = [
+def _build_database(
+    config: IntersectionExperimentConfig,
+) -> Tuple[PiqlDatabase, List[str]]:
+    """The loaded database and the fan usernames friends are drawn from."""
+    db = PiqlDatabase.simulated(
+        ClusterConfig(storage_nodes=config.storage_nodes, seed=config.seed)
+    )
+    # A large cardinality limit on subscriptions per owner: each fan
+    # follows a handful of users, while a *target* may have millions of
+    # subscribers without violating any constraint.
+    db.execute_ddl(scadr_ddl(max_subscriptions=100))
+    fans = [f"fan{i:07d}" for i in range(config.fan_pool)]
+    db.bulk_load(
+        "users",
+        (
+            {"username": name, "password": "x", "hometown": "web", "created": i}
+            for i, name in enumerate(fans)
+        ),
+    )
+    targets = []
+    rows = []
+    for subscribers in config.subscriber_counts:
+        target = f"target{subscribers:07d}"
+        targets.append(target)
+        for fan_index in range(subscribers):
+            rows.append(
                 {
-                    "target_user": target,
-                    "friends": rng.sample(self._fans, config.friends),
+                    "owner": fans[fan_index % len(fans)] if subscribers <= len(fans)
+                    else f"fan{fan_index:07d}",
+                    "target": target,
+                    "approved": True,
                 }
-                for _ in range(config.executions_per_point)
-            ]
-            bounded_latencies: List[float] = []
-            unbounded_latencies: List[float] = []
-            bounded_ops = 0
-            unbounded_ops = 0
-            reseed_noise()
-            for parameters in parameter_sets:
-                bounded = bounded_query.execute(parameters)
-                bounded_latencies.append(bounded.latency_seconds)
-                bounded_ops = max(bounded_ops, bounded.operations)
-            reseed_noise()
-            for parameters in parameter_sets:
-                unbounded = executor.execute_physical_plan(
-                    costed.physical_plan, parameters
-                )
-                unbounded_latencies.append(unbounded.latency_seconds)
-                unbounded_ops = max(unbounded_ops, unbounded.operations)
-            result.points.append(
-                IntersectionPoint(
-                    subscribers=subscribers,
-                    bounded_p99_ms=(
-                        nearest_rank_percentile(bounded_latencies, 0.99) * 1000.0
-                    ),
-                    unbounded_p99_ms=(
-                        nearest_rank_percentile(unbounded_latencies, 0.99) * 1000.0
-                    ),
-                    bounded_operations=bounded_ops,
-                    unbounded_operations=unbounded_ops,
-                )
             )
-        return result
+    db.bulk_load(
+        "users",
+        (
+            {"username": t, "password": "x", "hometown": "web", "created": 0}
+            for t in targets
+        ),
+    )
+    db.bulk_load("subscriptions", rows)
+    return db, fans
+
+
+def run(config: IntersectionExperimentConfig) -> IntersectionResult:
+    """Run the bounded (PIQL) and unbounded (cost-based) plans side by side."""
+    db, fans = _build_database(config)
+    rng = random.Random(config.seed)
+
+    # PIQL plan: bounded random lookups.
+    bounded_query = db.prepare(SUBSCRIBER_INTERSECTION)
+
+    # Cost-based plan: unbounded index scan over subscriptions(target).
+    statistics = {
+        "subscriptions": TableStatistics(
+            row_count=db.records.count("subscriptions"),
+            avg_rows_per_value={("target",): config.average_subscribers},
+        )
+    }
+    cost_optimizer = CostBasedOptimizer(db.catalog, statistics)
+    costed = cost_optimizer.optimize(SUBSCRIBER_INTERSECTION)
+    for index in costed.required_indexes:
+        if not db.catalog.has_index(index.name):
+            db.create_index(index)
+    executor = QueryExecutor(db.client, db.catalog, enforce_bounds=False)
+
+    def reseed_noise() -> None:
+        # Paired comparison: both plans replay the same service-time
+        # noise streams, so their latency difference reflects the plan
+        # shapes rather than which run happened to draw the stragglers.
+        db.cluster.reseed_latency_models(config.seed)
+
+    result = IntersectionResult()
+    for subscribers in config.subscriber_counts:
+        target = f"target{subscribers:07d}"
+        parameter_sets = [
+            {
+                "target_user": target,
+                "friends": rng.sample(fans, config.friends),
+            }
+            for _ in range(config.executions_per_point)
+        ]
+        bounded_latencies: List[float] = []
+        unbounded_latencies: List[float] = []
+        bounded_ops = 0
+        unbounded_ops = 0
+        reseed_noise()
+        for parameters in parameter_sets:
+            bounded = bounded_query.execute(parameters)
+            bounded_latencies.append(bounded.latency_seconds)
+            bounded_ops = max(bounded_ops, bounded.operations)
+        reseed_noise()
+        for parameters in parameter_sets:
+            unbounded = executor.execute_physical_plan(
+                costed.physical_plan, parameters
+            )
+            unbounded_latencies.append(unbounded.latency_seconds)
+            unbounded_ops = max(unbounded_ops, unbounded.operations)
+        result.points.append(
+            IntersectionPoint(
+                subscribers=subscribers,
+                bounded_p99_ms=(
+                    nearest_rank_percentile(bounded_latencies, 0.99) * 1000.0
+                ),
+                unbounded_p99_ms=(
+                    nearest_rank_percentile(unbounded_latencies, 0.99) * 1000.0
+                ),
+                bounded_operations=bounded_ops,
+                unbounded_operations=unbounded_ops,
+            )
+        )
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +232,7 @@ EXPERIMENTS = (
             storage_nodes=6, subscriber_counts=(0, 500, 2000),
             executions_per_point=30, fan_pool=2200,
         ),
-        run=lambda config: SubscriberIntersectionExperiment(config).run(),
+        run=run,
         payload=lambda result: {
             "points": _rows(result),
             "crossover": result.crossover_subscribers(),

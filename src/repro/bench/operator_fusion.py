@@ -29,9 +29,8 @@ Five phases:
 * **tracing overhead** — the replay is repeated with the query-trace
   subsystem off and on (chunk-paired arms): recording a full span tree per
   interaction must cost no more than ``TRACING_BUDGET_US_PER_QUERY`` host
-  microseconds per query (per-chunk difference, put on the reference
-  box's clock by a pure-Python calibration kernel timed beside the chunk;
-  median per pass, quietest pass); the per-chunk ratio is reported too.
+  microseconds per query (median per-chunk difference, scaled to this box
+  by a pure-Python calibration kernel); the per-chunk ratio is reported too.
 * **forensics overhead** — the traced replay is repeated with the
   latency-forensics hot path attached (flight recorder + critical-path
   analysis on every finished query): at most
@@ -48,6 +47,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
+from statistics import median_high
 from typing import Any, Dict, List, Tuple
 
 from ..engine.database import PiqlDatabase
@@ -61,14 +62,16 @@ from .experiment import Experiment, claim
 from .fixtures import loaded_database, replay, replay_percentile_ms, serve
 
 #: What observing may cost, in host microseconds per query on the box the
-#: budgets were set on (see :func:`calibration_seconds`); measured costs are
-#: divided by how much slower or faster this interpreter runs the
-#: calibration kernel.  Stated in absolute cost, not as a ratio over the unobserved
+#: budgets were set on (see :func:`calibration_seconds`); ``check`` scales
+#: them by how much slower or faster this interpreter runs the calibration
+#: kernel.  Stated in absolute cost, not as a ratio over the unobserved
 #: replay, so that making the replay cheaper cannot fail them.
 TRACING_BUDGET_US_PER_QUERY = 30.0
 FORENSICS_BUDGET_US_PER_QUERY = 18.0
-#: ``calibration_seconds()`` (best of seven) where the budgets above were
-#: measured.
+#: The quick-size chunks last a few milliseconds each; their medians
+#: scatter more, so the CI-sized guards are this much looser.
+QUICK_BUDGET_FACTOR = 1.5
+#: ``calibration_seconds()`` where the budgets above were measured.
 CALIBRATION_REFERENCE_SECONDS = 0.0034
 
 #: Queries of the per-query microbench: (workload, query name).  The TPC-W
@@ -83,15 +86,13 @@ MICRO_QUERIES = (
 )
 
 
-def calibration_seconds(runs: int = 7) -> float:
-    """Best-of-``runs`` seconds for a fixed pure-Python kernel, right now.
+@lru_cache(maxsize=None)
+def calibration_seconds() -> float:
+    """Best-of-seven seconds for a fixed pure-Python kernel, once a process.
 
     The kernel does what the observers do — calls, dict and list traffic,
     float arithmetic — so its time moves with the interpreter and the
-    machine the way theirs does.  A shared box changes speed in steps, so
-    the overhead phases time it (best of three: the first run after a chunk
-    is cache-cold) beside every chunk they measure rather than once per
-    process.
+    machine the way theirs does.
     """
 
     def kernel() -> float:
@@ -108,16 +109,11 @@ def calibration_seconds(runs: int = 7) -> float:
         return total + len(trail)
 
     best = float("inf")
-    for _ in range(runs):
+    for _ in range(7):
         started = time.perf_counter()
         kernel()
         best = min(best, time.perf_counter() - started)
     return best
-
-
-def _median(values: List[float], default: float) -> float:
-    ordered = sorted(values)
-    return ordered[len(ordered) // 2] if ordered else default
 
 
 @dataclass(frozen=True)
@@ -147,10 +143,6 @@ class OperatorFusionConfig:
     #: per-chunk traced/untraced difference over all passes is the reported
     #: overhead (robust against machine-load drift and spikes).
     tracing_repetitions: int = 4
-    #: Slack on the per-query observability budgets.  The ``quick`` chunks
-    #: last a few milliseconds each; their medians scatter more, so the
-    #: CI-sized guards are looser.
-    budget_factor: float = 1.0
     seed: int = 13
 
     def quick(self) -> "OperatorFusionConfig":
@@ -164,278 +156,263 @@ class OperatorFusionConfig:
             micro_executions=40,
             clients=20,
             duration_seconds=5.0,
-            budget_factor=1.5,
         )
 
 
-class OperatorFusionExperiment:
-    """Run the five phases; ``run`` returns the summary that is saved."""
+# ----------------------------------------------------------------------
+# Shared setup
+# ----------------------------------------------------------------------
+def _tpcw_database(config: OperatorFusionConfig) -> Tuple[PiqlDatabase, TpcwWorkload]:
+    # The row caches are process-global; every phase starts them cold so
+    # its host-clock numbers do not depend on which phases ran before.
+    clear_row_caches()
+    return loaded_database(
+        TpcwWorkload(),
+        storage_nodes=config.storage_nodes,
+        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        users_per_node=config.users_per_node,
+        items_total=config.items_total,
+        seed=config.seed,
+        reseed=True,
+    )
 
-    def __init__(self, config: OperatorFusionConfig):
-        self.config = config
 
-    # ------------------------------------------------------------------
-    # Shared setup
-    # ------------------------------------------------------------------
-    def _tpcw_database(self) -> Tuple[PiqlDatabase, TpcwWorkload]:
-        config = self.config
-        # The row caches are process-global; every phase starts them cold so
-        # its host-clock numbers do not depend on which phases ran before.
-        clear_row_caches()
-        return loaded_database(
-            TpcwWorkload(),
-            storage_nodes=config.storage_nodes,
-            node_capacity_ops_per_second=config.node_capacity_ops_per_second,
-            users_per_node=config.users_per_node,
-            items_total=config.items_total,
-            seed=config.seed,
-            reseed=True,
+def _scadr_database(config: OperatorFusionConfig) -> Tuple[PiqlDatabase, ScadrWorkload]:
+    clear_row_caches()
+    return loaded_database(
+        ScadrWorkload(
+            max_subscriptions=config.subscriptions_per_user,
+            subscriptions_per_user=config.subscriptions_per_user,
+        ),
+        storage_nodes=config.storage_nodes,
+        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        users_per_node=config.scadr_users_per_node,
+        seed=config.seed + 1,
+        reseed=True,
+    )
+
+
+# ----------------------------------------------------------------------
+# Phase 1: replay
+# ----------------------------------------------------------------------
+def run_replay(config: OperatorFusionConfig) -> Tuple[Dict[str, Any], float]:
+    """(simulated totals and percentiles, wall seconds)."""
+    db, workload = _tpcw_database(config)
+    started = time.perf_counter()
+    records = replay(db, workload, config.replay_interactions, config.seed + 2)
+    wall = time.perf_counter() - started
+    return {
+        "static_bounds": {
+            name: db.prepare(workload.query_sql(name)).operation_bound
+            for name in workload.query_names()
+        },
+        "rpcs": sum(r.rpcs for r in records),
+        "dereference_rounds": sum(r.dereference_rounds for r in records),
+        "p50_ms": replay_percentile_ms(records, 0.50),
+        "p99_ms": replay_percentile_ms(records, 0.99),
+    }, wall
+
+
+# ----------------------------------------------------------------------
+# Phase 2: query microbench
+# ----------------------------------------------------------------------
+def run_micro(config: OperatorFusionConfig) -> Dict[str, Dict[str, Any]]:
+    """Per query: totals over ``micro_executions`` and the static bound."""
+    databases: Dict[str, Tuple[PiqlDatabase, Workload]] = {
+        "tpcw": _tpcw_database(config),
+        "scadr": _scadr_database(config),
+    }
+    measurements: Dict[str, Dict[str, Any]] = {}
+    for workload_key, query in MICRO_QUERIES:
+        db, workload = databases[workload_key]
+        rng = random.Random(config.seed + 3)
+        stats = db.client.stats
+        operations = rpcs = rounds = 0
+        latency = 0.0
+        for _ in range(config.micro_executions):
+            before = stats.snapshot()
+            result = workload.run_query(db, query, rng)
+            delta = stats.snapshot().delta(before)
+            operations += delta.operations
+            rpcs += delta.rpcs
+            rounds += delta.dereference_rounds
+            latency += result.latency_seconds
+        measurements[query] = dict(
+            executions=config.micro_executions,
+            operations=operations,
+            operation_bound=db.prepare(
+                workload.query_sql(query)
+            ).operation_bound,
+            rpcs=rpcs,
+            dereference_rounds=rounds,
+            mean_latency_ms=latency / config.micro_executions * 1000.0,
         )
+    return measurements
 
-    def _scadr_database(self) -> Tuple[PiqlDatabase, ScadrWorkload]:
-        config = self.config
-        clear_row_caches()
-        return loaded_database(
-            ScadrWorkload(
-                max_subscriptions=config.subscriptions_per_user,
-                subscriptions_per_user=config.subscriptions_per_user,
-            ),
-            storage_nodes=config.storage_nodes,
-            node_capacity_ops_per_second=config.node_capacity_ops_per_second,
-            users_per_node=config.scadr_users_per_node,
-            seed=config.seed + 1,
-            reseed=True,
-        )
 
-    # ------------------------------------------------------------------
-    # Phase 1: replay
-    # ------------------------------------------------------------------
-    def run_replay(self) -> Tuple[Dict[str, Any], float]:
-        """(simulated totals and percentiles, wall seconds)."""
-        config = self.config
-        db, workload = self._tpcw_database()
-        started = time.perf_counter()
-        records = replay(db, workload, config.replay_interactions, config.seed + 2)
-        wall = time.perf_counter() - started
-        return {
-            "static_bounds": {
-                name: db.prepare(workload.query_sql(name)).operation_bound
-                for name in workload.query_names()
-            },
-            "rpcs": sum(r.rpcs for r in records),
-            "dereference_rounds": sum(r.dereference_rounds for r in records),
-            "p50_ms": replay_percentile_ms(records, 0.50),
-            "p99_ms": replay_percentile_ms(records, 0.99),
-        }, wall
+# ----------------------------------------------------------------------
+# Phase 3: closed loop
+# ----------------------------------------------------------------------
+def run_closed_loop(config: OperatorFusionConfig) -> Tuple[Dict[str, float], float]:
+    """(headline numbers, wall seconds)."""
+    db, workload = _tpcw_database(config)
+    served = serve(
+        db,
+        workload,
+        clients=config.clients,
+        think_time_seconds=config.think_time_seconds,
+        duration_seconds=config.duration_seconds,
+        seed=config.seed,
+    )
+    return served.headline(), served.wall_seconds
 
-    # ------------------------------------------------------------------
-    # Phase 2: query microbench
-    # ------------------------------------------------------------------
-    def run_micro(self) -> Dict[str, Dict[str, Any]]:
-        """Per query: totals over ``micro_executions`` and the static bound."""
-        config = self.config
-        databases: Dict[str, Tuple[PiqlDatabase, Workload]] = {
-            "tpcw": self._tpcw_database(),
-            "scadr": self._scadr_database(),
-        }
-        measurements: Dict[str, Dict[str, Any]] = {}
-        for workload_key, query in MICRO_QUERIES:
-            db, workload = databases[workload_key]
-            rng = random.Random(config.seed + 3)
-            stats = db.client.stats
-            operations = rpcs = rounds = 0
-            latency = 0.0
-            for _ in range(config.micro_executions):
-                before = stats.snapshot()
-                result = workload.run_query(db, query, rng)
-                delta = stats.snapshot().delta(before)
-                operations += delta.operations
-                rpcs += delta.rpcs
-                rounds += delta.dereference_rounds
-                latency += result.latency_seconds
-            measurements[query] = dict(
-                executions=config.micro_executions,
-                operations=operations,
-                operation_bound=db.prepare(
-                    workload.query_sql(query)
-                ).operation_bound,
-                rpcs=rpcs,
-                dereference_rounds=rounds,
-                mean_latency_ms=latency / config.micro_executions * 1000.0,
-            )
-        return measurements
 
-    # ------------------------------------------------------------------
-    # Phase 3: closed loop
-    # ------------------------------------------------------------------
-    def run_closed_loop(self) -> Tuple[Dict[str, float], float]:
-        """(headline numbers, wall seconds)."""
-        config = self.config
-        db, workload = self._tpcw_database()
-        served = serve(
-            db,
-            workload,
-            clients=config.clients,
-            think_time_seconds=config.think_time_seconds,
-            duration_seconds=config.duration_seconds,
-            seed=config.seed,
-        )
-        return served.headline(), served.wall_seconds
+# ----------------------------------------------------------------------
+# Phases 4 and 5: what observing costs
+# ----------------------------------------------------------------------
+def _paired_overhead(
+    config: OperatorFusionConfig,
+    databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]],
+    seed: int,
+) -> Dict[str, float]:
+    """Chunk-paired replay of two arms; the second arm observes more.
 
-    # ------------------------------------------------------------------
-    # Phases 4 and 5: what observing costs
-    # ------------------------------------------------------------------
-    def _paired_overhead(
-        self,
-        databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]],
-        seed: int,
-    ) -> Dict[str, float]:
-        """Chunk-paired replay of two arms; the second arm observes more.
+    Both arms replay the identical deterministic interaction sequence
+    on identically seeded databases.  The replay is split into small
+    chunks whose two arms run back to back (alternating which goes
+    first), so machine-load drift hits both equally.  Each chunk yields
+    one paired ratio and one paired cost difference per query; the
+    medians over all chunks are reported, which a load spike cannot
+    move the way it moves a total-wall comparison.
+    """
+    base, observed = databases
+    rngs = {arm: random.Random(seed) for arm in databases}
+    walls: Dict[str, float] = {arm: 0.0 for arm in databases}
+    ratios: List[float] = []
+    costs_us: List[float] = []
+    chunk = 10
+    chunks, remainder = divmod(config.replay_interactions, chunk)
+    sizes = [chunk] * chunks + ([remainder] if remainder else [])
+    auditor = databases[base][0].auditor
+    for _ in range(max(1, config.tracing_repetitions)):
+        for index, size in enumerate(sizes):
+            ordered = (base, observed) if index % 2 == 0 else (observed, base)
+            elapsed = {}
+            queries_before = auditor.audited
+            for arm in ordered:
+                db, workload = databases[arm]
+                rng = rngs[arm]
+                started = time.perf_counter()
+                for _ in range(size):
+                    plan = workload.interaction_plan(db, rng)
+                    workload.run_plan(db, plan)
+                elapsed[arm] = time.perf_counter() - started
+                walls[arm] += elapsed[arm]
+            queries = auditor.audited - queries_before
+            if elapsed[base] > 0:
+                ratios.append(elapsed[observed] / elapsed[base])
+            if queries:
+                costs_us.append(
+                    (elapsed[observed] - elapsed[base]) * 1e6 / queries
+                )
+    # Observing must never change the work: both arms end with
+    # identical operation counts on their deterministic twins.
+    operations = {
+        arm: databases[arm][0].client.stats.operations for arm in databases
+    }
+    calibration = calibration_seconds()
+    return {
+        "interactions": float(config.replay_interactions),
+        "repetitions": float(max(1, config.tracing_repetitions)),
+        f"{base}_wall_seconds": walls[base],
+        f"{observed}_wall_seconds": walls[observed],
+        "overhead_ratio": median_high(ratios) if ratios else 1.0,
+        "total_wall_ratio": (
+            walls[observed] / walls[base] if walls[base] > 0 else 1.0
+        ),
+        "overhead_us_per_query": median_high(costs_us) if costs_us else 0.0,
+        "calibration_seconds": calibration,
+        "calibration_scale": calibration / CALIBRATION_REFERENCE_SECONDS,
+        "operations_identical": float(
+            operations[base] == operations[observed]
+        ),
+    }
 
-        Both arms replay the identical deterministic interaction sequence
-        on identically seeded databases.  The replay is split into small
-        chunks whose two arms run back to back (alternating which goes
-        first), so machine-load drift hits both equally.  Each chunk yields
-        one paired ratio and one paired cost difference per query, the
-        latter also divided by how fast the calibration kernel ran right
-        after the chunk; the medians over all chunks are reported, which a
-        load spike cannot move the way it moves a total-wall comparison.
-        The budget is held against the quietest pass's median: a neighbour
-        on a shared box only ever adds cost, for seconds at a time, while a
-        regression in the observers raises every pass.
-        """
-        config = self.config
-        base, observed = databases
-        rngs = {arm: random.Random(seed) for arm in databases}
-        walls: Dict[str, float] = {arm: 0.0 for arm in databases}
-        ratios: List[float] = []
-        costs_us: List[float] = []
-        scales: List[float] = []
-        pass_medians_us: List[float] = []
-        chunk = 10
-        chunks, remainder = divmod(config.replay_interactions, chunk)
-        sizes = [chunk] * chunks + ([remainder] if remainder else [])
-        auditor = databases[base][0].auditor
-        for _ in range(max(1, config.tracing_repetitions)):
-            scaled_costs_us: List[float] = []
-            for index, size in enumerate(sizes):
-                ordered = (base, observed) if index % 2 == 0 else (observed, base)
-                elapsed = {}
-                queries_before = auditor.audited
-                for arm in ordered:
-                    db, workload = databases[arm]
-                    rng = rngs[arm]
-                    started = time.perf_counter()
-                    for _ in range(size):
-                        plan = workload.interaction_plan(db, rng)
-                        workload.run_plan(db, plan)
-                    elapsed[arm] = time.perf_counter() - started
-                    walls[arm] += elapsed[arm]
-                queries = auditor.audited - queries_before
-                if elapsed[base] > 0:
-                    ratios.append(elapsed[observed] / elapsed[base])
-                if queries:
-                    cost = (elapsed[observed] - elapsed[base]) * 1e6 / queries
-                    scale = calibration_seconds(3) / CALIBRATION_REFERENCE_SECONDS
-                    costs_us.append(cost)
-                    scales.append(scale)
-                    scaled_costs_us.append(cost / scale)
-            pass_medians_us.append(_median(scaled_costs_us, default=0.0))
-        # Observing must never change the work: both arms end with
-        # identical operation counts on their deterministic twins.
-        operations = {
-            arm: databases[arm][0].client.stats.operations for arm in databases
-        }
-        return {
-            "interactions": float(config.replay_interactions),
-            "repetitions": float(max(1, config.tracing_repetitions)),
-            f"{base}_wall_seconds": walls[base],
-            f"{observed}_wall_seconds": walls[observed],
-            "overhead_ratio": _median(ratios, default=1.0),
-            "total_wall_ratio": (
-                walls[observed] / walls[base] if walls[base] > 0 else 1.0
-            ),
-            "overhead_us_per_query": _median(costs_us, default=0.0),
-            "calibration_scale": _median(scales, default=1.0),
-            # What the budget is held against: chunk costs on the reference
-            # box's clock, median per pass, quietest pass.
-            "reference_us_per_query": min(pass_medians_us),
-            "operations_identical": float(
-                operations[base] == operations[observed]
-            ),
-        }
 
-    def run_tracing_overhead(self) -> Dict[str, float]:
-        """Paired tracing-off/on replay.
+def run_tracing_overhead(config: OperatorFusionConfig) -> Dict[str, float]:
+    """Paired tracing-off/on replay.
 
-        The traced arm additionally records a full span tree per
-        interaction (bounded root retention, so memory stays flat).
-        """
-        databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]] = {}
-        for arm in ("untraced", "traced"):
-            db, workload = self._tpcw_database()
-            db.reset_measurements()
-            if arm == "traced":
-                db.enable_tracing()
-            databases[arm] = (db, workload)
-        return self._paired_overhead(databases, self.config.seed + 4)
-
-    def run_forensics_overhead(self) -> Dict[str, float]:
-        """Paired tracing-only versus tracing-plus-forensics replay.
-
-        Both arms trace every interaction; the forensics arm additionally
-        attaches a :class:`~repro.obs.flightrec.FlightRecorder` (with its
-        critical-path aggregator) as the bound auditor's recorder hook, so
-        every finished query is critical-path-analysed and considered for
-        retention — the full latency-forensics hot path.
-        """
-        databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]] = {}
-        recorder = FlightRecorder(
-            ForensicsConfig(), aggregator=CriticalPathAggregator()
-        )
-        for arm in ("traced", "forensics"):
-            db, workload = self._tpcw_database()
-            db.reset_measurements()
+    The traced arm additionally records a full span tree per
+    interaction (bounded root retention, so memory stays flat).
+    """
+    databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]] = {}
+    for arm in ("untraced", "traced"):
+        db, workload = _tpcw_database(config)
+        db.reset_measurements()
+        if arm == "traced":
             db.enable_tracing()
-            if arm == "forensics":
-                db.auditor.recorder = recorder
-            databases[arm] = (db, workload)
-        overhead = self._paired_overhead(databases, self.config.seed + 5)
-        overhead.update(
-            traces_seen=float(recorder.seen),
-            retained_traces=float(len(recorder.traces)),
-            memory_bytes=float(recorder.memory_bytes),
-            memory_budget_bytes=float(recorder.config.memory_budget_bytes),
-        )
-        return overhead
+        databases[arm] = (db, workload)
+    return _paired_overhead(config, databases, config.seed + 4)
 
-    # ------------------------------------------------------------------
-    # Whole experiment
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[str, Any]:
-        replayed, replay_wall = self.run_replay()
-        micro = self.run_micro()
-        closed_loop, loop_wall = self.run_closed_loop()
-        return {
-            "config": asdict(self.config),
-            # Functions of the seeds alone: a full-size run must reproduce
-            # the committed file's (the runner checks; see ``pinned``).
-            "simulated": {
-                "replay": replayed,
-                "micro": micro,
-                "closed_loop": closed_loop,
-            },
-            # What this run cost this box; never compared between runs here.
-            "host_clock": {
-                "replay_wall_seconds": replay_wall,
-                "closed_loop_wall_seconds": loop_wall,
-                "closed_loop_completed_per_wall_second": (
-                    closed_loop["completed"] / loop_wall if loop_wall > 0 else 0.0
-                ),
-                "tracing_overhead": self.run_tracing_overhead(),
-                "forensics_overhead": self.run_forensics_overhead(),
-            },
-        }
+
+def run_forensics_overhead(config: OperatorFusionConfig) -> Dict[str, float]:
+    """Paired tracing-only versus tracing-plus-forensics replay.
+
+    Both arms trace every interaction; the forensics arm additionally
+    attaches a :class:`~repro.obs.flightrec.FlightRecorder` (with its
+    critical-path aggregator) as the bound auditor's recorder hook, so
+    every finished query is critical-path-analysed and considered for
+    retention — the full latency-forensics hot path.
+    """
+    databases: Dict[str, Tuple[PiqlDatabase, TpcwWorkload]] = {}
+    recorder = FlightRecorder(
+        ForensicsConfig(), aggregator=CriticalPathAggregator()
+    )
+    for arm in ("traced", "forensics"):
+        db, workload = _tpcw_database(config)
+        db.reset_measurements()
+        db.enable_tracing()
+        if arm == "forensics":
+            db.auditor.recorder = recorder
+        databases[arm] = (db, workload)
+    overhead = _paired_overhead(config, databases, config.seed + 5)
+    overhead.update(
+        traces_seen=float(recorder.seen),
+        retained_traces=float(len(recorder.traces)),
+        memory_bytes=float(recorder.memory_bytes),
+        memory_budget_bytes=float(recorder.config.memory_budget_bytes),
+    )
+    return overhead
+
+
+# ----------------------------------------------------------------------
+# Whole experiment
+# ----------------------------------------------------------------------
+def run(config: OperatorFusionConfig) -> Dict[str, Any]:
+    """The five phases; returns the summary that is saved."""
+    replayed, replay_wall = run_replay(config)
+    micro = run_micro(config)
+    closed_loop, loop_wall = run_closed_loop(config)
+    return {
+        "config": asdict(config),
+        # Functions of the seeds alone: a full-size run must reproduce
+        # the committed file's (the runner checks; see ``pinned``).
+        "simulated": {
+            "replay": replayed,
+            "micro": micro,
+            "closed_loop": closed_loop,
+        },
+        # What this run cost this box; never compared between runs here.
+        "host_clock": {
+            "replay_wall_seconds": replay_wall,
+            "closed_loop_wall_seconds": loop_wall,
+            "closed_loop_completed_per_wall_second": (
+                closed_loop["completed"] / loop_wall if loop_wall > 0 else 0.0
+            ),
+            "tracing_overhead": run_tracing_overhead(config),
+            "forensics_overhead": run_forensics_overhead(config),
+        },
+    }
 
 
 def check(result: Dict[str, Any]) -> None:
@@ -458,7 +435,12 @@ def check(result: Dict[str, Any]) -> None:
     # kernel).  The chunk-paired ratios are reported beside the costs; they
     # are not guarded, because every PR that makes the unobserved replay
     # cheaper raises them without the observers having changed.
-    factor = result["config"]["budget_factor"]
+    # Quick size is the one that replays fewer interactions than the default.
+    quick = (
+        result["config"]["replay_interactions"]
+        < OperatorFusionConfig.replay_interactions
+    )
+    factor = QUICK_BUDGET_FACTOR if quick else 1.0
     for label, budget_us in (
         ("tracing", TRACING_BUDGET_US_PER_QUERY),
         ("forensics", FORENSICS_BUDGET_US_PER_QUERY),
@@ -466,12 +448,12 @@ def check(result: Dict[str, Any]) -> None:
         overhead = result["host_clock"][f"{label}_overhead"]
         claim(f"operator_fusion: {label} leaves the replay's operation count unchanged",
               overhead["operations_identical"] == 1.0)
-        cost = overhead["reference_us_per_query"]
+        cost = overhead["overhead_us_per_query"]
+        budget = budget_us * factor * overhead["calibration_scale"]
         claim(f"operator_fusion: {label} costs at most its budget per query",
-              cost <= budget_us * factor,
-              f"{cost:.2f} us per query on the reference box's clock (budget "
-              f"{budget_us} x {factor}; here {overhead['overhead_us_per_query']:.2f} "
-              f"us at calibration scale {overhead['calibration_scale']:.2f}, "
+              cost <= budget,
+              f"{cost:.2f} us per query (budget {budget:.2f} us = {budget_us} x "
+              f"{factor} x calibration scale {overhead['calibration_scale']:.2f}; "
               f"chunk-median ratio {overhead['overhead_ratio']:.3f}x)")
     recorder = result["host_clock"]["forensics_overhead"]
     claim("operator_fusion: the flight recorder stays inside its memory budget",
@@ -485,7 +467,7 @@ EXPERIMENTS = (
         name="operator_fusion",
         config=OperatorFusionConfig(),
         quick=OperatorFusionConfig().quick(),
-        run=lambda config: OperatorFusionExperiment(config).run(),
+        run=run,
         payload=dict,
         check=check,
         pinned="simulated",

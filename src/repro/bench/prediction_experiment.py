@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..prediction.model import OperatorModelStore, QueryLatencyModel
 from ..prediction.slo import ServiceLevelObjective, observed_interval_quantiles
@@ -79,127 +79,85 @@ SCADR_MODIFICATIONS: Dict[str, str] = {
 }
 
 
-class PredictionAccuracyExperiment:
-    """Reproduces the actual-vs-predicted comparison of Table 1."""
+def _measure_workload(
+    config: PredictionExperimentConfig,
+    store: OperatorModelStore,
+    workload: Workload,
+    modifications: Dict[str, str],
+) -> List[PredictionRow]:
+    db, workload = loaded_database(
+        workload,
+        storage_nodes=config.storage_nodes,
+        data_nodes=config.storage_nodes,
+        users_per_node=config.users_per_node,
+        items_total=config.items_total,
+        seed=config.seed,
+    )
+    total_capacity = (
+        config.storage_nodes * db.cluster.config.node_capacity_ops_per_second
+    )
+    db.cluster.set_offered_load(total_capacity * config.utilization)
+    model = QueryLatencyModel(store, db.catalog)
+    rng = random.Random(config.seed)
+    rows: List[PredictionRow] = []
 
-    def __init__(
-        self,
-        config: Optional[PredictionExperimentConfig] = None,
-        training_config: Optional[TrainingConfig] = None,
-    ):
-        self.config = config or PredictionExperimentConfig()
-        self.training_config = training_config or TrainingConfig(
-            intervals=self.config.intervals,
-            utilization=self.config.utilization,
-        )
-        self._store: Optional[OperatorModelStore] = None
-
-    # ------------------------------------------------------------------
-    # Model training
-    # ------------------------------------------------------------------
-    def train_model_store(self) -> OperatorModelStore:
-        """Train (once) the per-operator models on a 10-node cluster."""
-        if self._store is None:
-            trainer = OperatorModelTrainer(config=self.training_config)
-            self._store = trainer.train()
-        return self._store
-
-    # ------------------------------------------------------------------
-    # Per-workload measurement
-    # ------------------------------------------------------------------
-    def _measure_workload(
-        self,
-        workload: Workload,
-        modifications: Dict[str, str],
-    ) -> List[PredictionRow]:
-        config = self.config
-        db, workload = loaded_database(
-            workload,
-            storage_nodes=config.storage_nodes,
-            data_nodes=config.storage_nodes,
-            users_per_node=config.users_per_node,
-            items_total=config.items_total,
-            seed=config.seed,
-        )
-        total_capacity = (
-            config.storage_nodes * db.cluster.config.node_capacity_ops_per_second
-        )
-        db.cluster.set_offered_load(total_capacity * config.utilization)
-        model = QueryLatencyModel(self.train_model_store(), db.catalog)
-        rng = random.Random(config.seed)
-        rows: List[PredictionRow] = []
-
-        for name in workload.query_names():
-            prepared = db.prepare(workload.query_sql(name))
-            samples_by_interval: List[List[float]] = []
-            view = db.new_client()
-            prepared_view = view.prepare(workload.query_sql(name))
-            spread = config.interval_seconds / config.executions_per_interval
-            for _ in range(config.intervals):
-                samples: List[float] = []
-                for _ in range(config.executions_per_interval):
-                    result = prepared_view.execute(
-                        workload.sample_parameters(name, rng)
-                    )
-                    samples.append(result.latency_seconds)
-                    # Spread requests over the interval so the per-interval
-                    # "cloud weather" of the latency model is exercised.
-                    view.client.clock.advance(spread - result.latency_seconds
-                                              if spread > result.latency_seconds else 0.0)
-                samples_by_interval.append(samples)
-            actual = max(
-                observed_interval_quantiles(samples_by_interval, config.quantile)
-            )
-            predicted = model.predict(
-                prepared.physical_plan, config.quantile
-            ).max_seconds
-            rows.append(
-                PredictionRow(
-                    benchmark=workload.name,
-                    query=name,
-                    modifications=modifications.get(name, "-"),
-                    additional_indexes=[
-                        index.describe()
-                        for index in prepared.optimized.required_indexes
-                    ],
-                    actual_p99_ms=actual * 1000.0,
-                    predicted_p99_ms=predicted * 1000.0,
+    for name in workload.query_names():
+        prepared = db.prepare(workload.query_sql(name))
+        samples_by_interval: List[List[float]] = []
+        view = db.new_client()
+        prepared_view = view.prepare(workload.query_sql(name))
+        spread = config.interval_seconds / config.executions_per_interval
+        for _ in range(config.intervals):
+            samples: List[float] = []
+            for _ in range(config.executions_per_interval):
+                result = prepared_view.execute(
+                    workload.sample_parameters(name, rng)
                 )
+                samples.append(result.latency_seconds)
+                # Spread requests over the interval so the per-interval
+                # "cloud weather" of the latency model is exercised.
+                view.client.clock.advance(spread - result.latency_seconds
+                                          if spread > result.latency_seconds else 0.0)
+            samples_by_interval.append(samples)
+        actual = max(
+            observed_interval_quantiles(samples_by_interval, config.quantile)
+        )
+        predicted = model.predict(
+            prepared.physical_plan, config.quantile
+        ).max_seconds
+        rows.append(
+            PredictionRow(
+                benchmark=workload.name,
+                query=name,
+                modifications=modifications.get(name, "-"),
+                additional_indexes=[
+                    index.describe()
+                    for index in prepared.optimized.required_indexes
+                ],
+                actual_p99_ms=actual * 1000.0,
+                predicted_p99_ms=predicted * 1000.0,
             )
-        return rows
+        )
+    return rows
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-    def run(self, benchmarks: Sequence[str] = ("tpcw", "scadr")) -> List[PredictionRow]:
-        rows: List[PredictionRow] = []
-        if "tpcw" in benchmarks:
-            # Views enabled: Table 1 now *lists* Best Sellers (precomputed)
-            # instead of silently omitting it like the paper's table.
-            rows.extend(
-                self._measure_workload(
-                    TpcwWorkload(materialized_views=True), QUERY_MODIFICATIONS
-                )
-            )
-        if "scadr" in benchmarks:
-            workload = ScadrWorkload(
-                max_subscriptions=self.config.scadr_max_subscriptions,
-                subscriptions_per_user=self.config.scadr_subscriptions_per_user,
-                materialized_views=True,
-            )
-            rows.extend(self._measure_workload(workload, SCADR_MODIFICATIONS))
-        return rows
 
-    @staticmethod
-    def summary(rows: Sequence[PredictionRow]) -> Dict[str, float]:
-        """Aggregate over/under-prediction statistics for reporting."""
-        over = [row.overprediction_ms for row in rows]
-        return {
-            "queries": float(len(rows)),
-            "mean_overprediction_ms": sum(over) / len(over),
-            "fraction_overpredicted": sum(1 for o in over if o >= -2.0) / len(over),
-            "max_underprediction_ms": -min(over) if over else 0.0,
-        }
+def run(
+    config: PredictionExperimentConfig, training_config: TrainingConfig
+) -> List[PredictionRow]:
+    """Reproduce Table 1's actual-vs-predicted comparison for both benchmarks."""
+    # The per-operator models are trained once, on a 10-node cluster.
+    store = OperatorModelTrainer(config=training_config).train()
+    # Views enabled: Table 1 now *lists* Best Sellers (precomputed)
+    # instead of silently omitting it like the paper's table.
+    rows = _measure_workload(
+        config, store, TpcwWorkload(materialized_views=True), QUERY_MODIFICATIONS
+    )
+    scadr = ScadrWorkload(
+        max_subscriptions=config.scadr_max_subscriptions,
+        subscriptions_per_user=config.scadr_subscriptions_per_user,
+        materialized_views=True,
+    )
+    return rows + _measure_workload(config, store, scadr, SCADR_MODIFICATIONS)
 
 
 # ----------------------------------------------------------------------
@@ -220,8 +178,14 @@ def _table(rows: Sequence[PredictionRow]) -> List[tuple]:
 
 
 def _summary(rows: Sequence[PredictionRow]) -> Dict[str, float]:
-    summary = PredictionAccuracyExperiment.summary(rows)
-    return {key: float(value) for key, value in summary.items()}
+    """Aggregate over/under-prediction statistics for reporting."""
+    over = [row.overprediction_ms for row in rows]
+    return {
+        "queries": float(len(rows)),
+        "mean_overprediction_ms": sum(over) / len(over),
+        "fraction_overpredicted": sum(1 for o in over if o >= -2.0) / len(over),
+        "max_underprediction_ms": -min(over) if over else 0.0,
+    }
 
 
 def _check(rows: Sequence[PredictionRow]) -> None:
@@ -290,7 +254,7 @@ EXPERIMENTS = (
             ),
             TrainingConfig(intervals=4, samples_per_interval=8),
         ),
-        run=lambda config: PredictionAccuracyExperiment(*config).run(),
+        run=lambda config: run(*config),
         payload=lambda rows: {"rows": _table(rows), "summary": _summary(rows)},
         check=_check,
         render=_render,

@@ -292,9 +292,9 @@ def run_quick_suite(telemetry_path: Optional[str] = None) -> Dict[str, object]:
         ),
     }
     # --- quick_storage: storage-engine parity / recovery / budgets ------
-    from .storage_engine import StorageEngineConfig, StorageEngineExperiment
+    from . import storage_engine
 
-    storage = StorageEngineExperiment(StorageEngineConfig.quick()).run()
+    storage = storage_engine.run(storage_engine.StorageEngineConfig.quick())
     sweep, recovery = storage["sweep"], storage["recovery"]
     quick_storage = {
         "parity_identical": 1.0 if storage["parity"]["identical"] else 0.0,

@@ -11,7 +11,8 @@ grows — both of which the simulated reproduction exhibits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Sequence
 
 from ..workloads.base import Workload
 from ..workloads.scadr.workload import ScadrWorkload
@@ -95,60 +96,55 @@ class ScalingExperimentConfig:
     seed: int = 17
 
 
-class ScalingExperiment:
-    """Runs a workload at several cluster sizes (Figures 8-11)."""
-
-    def __init__(
-        self,
-        workload_factory: Callable[[], Workload],
-        config: Optional[ScalingExperimentConfig] = None,
-    ):
-        self.workload_factory = workload_factory
-        self.config = config or ScalingExperimentConfig()
-
-    def run_point(self, storage_nodes: int) -> ScalePoint:
-        """Run one cluster size and return its measurements."""
-        config = self.config
-        # Constant data per server: the dataset grows with the cluster.
-        db, workload = loaded_database(
-            self.workload_factory(),
-            storage_nodes=storage_nodes,
-            data_nodes=storage_nodes,
-            users_per_node=config.users_per_node,
-            items_total=config.items_total,
-            seed=config.seed + storage_nodes,
-            data_seed=config.seed,
-            replication=min(config.replication, storage_nodes),
-        )
-        # One client machine per two storage servers, as in the paper.
-        client_machines = max(1, storage_nodes // 2)
-        measurement: RunMeasurement = run_workload(
-            db,
-            workload,
-            ClientSimulationConfig(
-                client_machines=client_machines,
-                threads_per_client=config.threads_per_client,
-                interactions_per_thread=config.interactions_per_thread,
-                utilization=config.utilization,
-                seed=config.seed + storage_nodes,
-            ),
-        )
-        return ScalePoint(
-            storage_nodes=storage_nodes,
+def run_point(
+    workload: Workload, config: ScalingExperimentConfig, storage_nodes: int
+) -> ScalePoint:
+    """Run one cluster size and return its measurements."""
+    # Constant data per server: the dataset grows with the cluster.
+    db, workload = loaded_database(
+        workload,
+        storage_nodes=storage_nodes,
+        data_nodes=storage_nodes,
+        users_per_node=config.users_per_node,
+        items_total=config.items_total,
+        seed=config.seed + storage_nodes,
+        data_seed=config.seed,
+        replication=min(config.replication, storage_nodes),
+    )
+    # One client machine per two storage servers, as in the paper.
+    client_machines = max(1, storage_nodes // 2)
+    measurement: RunMeasurement = run_workload(
+        db,
+        workload,
+        ClientSimulationConfig(
             client_machines=client_machines,
-            throughput=measurement.throughput,
-            p99_latency_ms=measurement.latency_percentile_ms(0.99),
-            mean_latency_ms=measurement.mean_latency_ms(),
-            interactions=measurement.interactions,
-        )
+            threads_per_client=config.threads_per_client,
+            interactions_per_thread=config.interactions_per_thread,
+            utilization=config.utilization,
+            seed=config.seed + storage_nodes,
+        ),
+    )
+    return ScalePoint(
+        storage_nodes=storage_nodes,
+        client_machines=client_machines,
+        throughput=measurement.throughput,
+        p99_latency_ms=measurement.latency_percentile_ms(0.99),
+        mean_latency_ms=measurement.mean_latency_ms(),
+        interactions=measurement.interactions,
+    )
 
-    def run(self) -> ScalingResult:
-        """Run every cluster size of the configured sweep."""
-        workload_name = self.workload_factory().name
-        result = ScalingResult(workload_name=workload_name)
-        for storage_nodes in self.config.node_counts:
-            result.points.append(self.run_point(storage_nodes))
-        return result
+
+def run(
+    workload_factory: Callable[[], Workload], config: ScalingExperimentConfig
+) -> ScalingResult:
+    """Run a workload at every cluster size of the sweep (Figures 8-11)."""
+    return ScalingResult(
+        workload_name=workload_factory().name,
+        points=[
+            run_point(workload_factory(), config, storage_nodes)
+            for storage_nodes in config.node_counts
+        ],
+    )
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +203,7 @@ EXPERIMENTS = (
             users_per_node=40, threads_per_client=4, interactions_per_thread=12
         ),
         quick=ScalingExperimentConfig(interactions_per_thread=12, **_QUICK),
-        run=lambda config: ScalingExperiment(TpcwWorkload, config).run(),
+        run=partial(run, TpcwWorkload),
         payload=_payload,
         check=_check,
         render=_render(
@@ -220,7 +216,7 @@ EXPERIMENTS = (
             users_per_node=50, threads_per_client=4, interactions_per_thread=8
         ),
         quick=ScalingExperimentConfig(interactions_per_thread=8, **_QUICK),
-        run=lambda config: ScalingExperiment(_scadr_workload, config).run(),
+        run=partial(run, _scadr_workload),
         payload=_payload,
         check=_check,
         render=_render(

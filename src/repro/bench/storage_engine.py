@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..kvstore.cluster import ClusterConfig, KeyValueCluster
 from ..stats import nearest_rank_percentile
@@ -80,253 +80,247 @@ class StorageEngineConfig:
         )
 
 
-class StorageEngineExperiment:
-    """Run the four phases against fresh clusters (tmp-dir LSM state).
-
-    ``run`` returns the summary that is saved: one section per phase.
-    """
-
-    def __init__(self, config: Optional[StorageEngineConfig] = None):
-        self.config = config or StorageEngineConfig()
-
-    # ------------------------------------------------------------------
-    # Cluster construction
-    # ------------------------------------------------------------------
-    def _cluster(self, engine: str, budget: Optional[int] = None) -> KeyValueCluster:
-        config = self.config
-        options = None
-        if engine == "lsm":
-            options = {
-                "memtable_budget_bytes": budget or config.memtable_budget_bytes
-            }
-        cluster = KeyValueCluster(
-            ClusterConfig(
-                storage_nodes=config.storage_nodes,
-                replication=config.replication,
-                read_quorum=config.read_quorum,
-                write_quorum=config.write_quorum,
-                seed=config.seed,
-                storage_engine=engine,
-                engine_options=options,
-            )
+# ----------------------------------------------------------------------
+# Cluster construction
+# ----------------------------------------------------------------------
+def _cluster(config: StorageEngineConfig, engine: str) -> KeyValueCluster:
+    options = None
+    if engine == "lsm":
+        options = {"memtable_budget_bytes": config.memtable_budget_bytes}
+    cluster = KeyValueCluster(
+        ClusterConfig(
+            storage_nodes=config.storage_nodes,
+            replication=config.replication,
+            read_quorum=config.read_quorum,
+            write_quorum=config.write_quorum,
+            seed=config.seed,
+            storage_engine=engine,
+            engine_options=options,
         )
-        cluster.create_namespace("data")
-        return cluster
+    )
+    cluster.create_namespace("data")
+    return cluster
 
-    # ------------------------------------------------------------------
-    # Phase 1: dict-vs-lsm parity
-    # ------------------------------------------------------------------
-    def _parity_arm(self, engine: str):
-        config = self.config
-        cluster = self._cluster(engine)
-        try:
-            rng = random.Random(config.seed)
-            observations: List[Tuple] = []
-            crash_at = config.parity_ops // 3
-            recover_at = 2 * config.parity_ops // 3
-            for step in range(config.parity_ops):
-                if step == crash_at:
-                    cluster.crash_node(1)
-                if step == recover_at:
-                    cluster.recover_node(1)
-                key = f"k{rng.randrange(200):04d}".encode()
-                action = rng.random()
-                if action < 0.5:
-                    result = cluster.put("data", key, f"v{step}".encode())
-                elif action < 0.7:
-                    result = cluster.get("data", key)
-                elif action < 0.8:
-                    result = cluster.delete("data", key)
-                else:
-                    result = cluster.get_range("data", key, key + b"\xff", limit=10)
-                observations.append(
-                    (
-                        result.value,
-                        result.latency_seconds,
-                        result.node_id,
-                        result.keys_touched,
-                        result.hinted,
-                    )
-                )
-            contents = dict(cluster.iter_namespace("data"))
-            metrics = {
-                name: float(value)
-                for name, value in cluster.metrics.counters().items()
-                if not name.startswith("engine.")
-            }
-            return observations, contents, metrics
-        finally:
-            cluster.close()
 
-    def _run_parity(self) -> Dict[str, Any]:
-        dict_arm = self._parity_arm("dict")
-        lsm_arm = self._parity_arm("lsm")
-        return {
-            "identical": dict_arm == lsm_arm,
-            "ops": self.config.parity_ops,
-            "metrics": dict_arm[2],
-        }
-
-    # ------------------------------------------------------------------
-    # Phase 2: latency sweep across cardinalities
-    # ------------------------------------------------------------------
-    def _run_sweep(self) -> List[Dict[str, Any]]:
-        """Latency + engine state at each data cardinality."""
-        config = self.config
-        points = []
-        for size in config.sweep_sizes:
-            cluster = self._cluster("lsm")
-            try:
-                rows = (
-                    (f"k{index:08d}".encode(), f"v{index}".encode())
-                    for index in range(size)
+# ----------------------------------------------------------------------
+# Phase 1: dict-vs-lsm parity
+# ----------------------------------------------------------------------
+def _parity_arm(config: StorageEngineConfig, engine: str):
+    cluster = _cluster(config, engine)
+    try:
+        rng = random.Random(config.seed)
+        observations: List[Tuple] = []
+        crash_at = config.parity_ops // 3
+        recover_at = 2 * config.parity_ops // 3
+        for step in range(config.parity_ops):
+            if step == crash_at:
+                cluster.crash_node(1)
+            if step == recover_at:
+                cluster.recover_node(1)
+            key = f"k{rng.randrange(200):04d}".encode()
+            action = rng.random()
+            if action < 0.5:
+                result = cluster.put("data", key, f"v{step}".encode())
+            elif action < 0.7:
+                result = cluster.get("data", key)
+            elif action < 0.8:
+                result = cluster.delete("data", key)
+            else:
+                result = cluster.get_range("data", key, key + b"\xff", limit=10)
+            observations.append(
+                (
+                    result.value,
+                    result.latency_seconds,
+                    result.node_id,
+                    result.keys_touched,
+                    result.hinted,
                 )
-                cluster.bulk_load_namespace(
-                    "data", rows, memory_budget_bytes=config.memtable_budget_bytes
-                )
-                rng = random.Random(config.seed + size)
-                peak_memtable = 0
-                get_latencies: List[float] = []
-                range_latencies: List[float] = []
-                for _ in range(config.sweep_probes):
-                    index = rng.randrange(size)
-                    key = f"k{index:08d}".encode()
-                    get_latencies.append(
-                        cluster.get("data", key).latency_seconds * 1000.0
-                    )
-                    range_latencies.append(
-                        cluster.get_range(
-                            "data", key, b"k99999999", limit=10
-                        ).latency_seconds
-                        * 1000.0
-                    )
-                    # A write keeps the memtable/WAL path warm mid-sweep.
-                    cluster.put("data", key, b"rewrite")
-                    peak_memtable = max(
-                        peak_memtable,
-                        max(
-                            int(engine.gauges().get("memtable_bytes", 0))
-                            for engine in cluster.engines.values()
-                        ),
-                    )
-                gauges = [engine.gauges() for engine in cluster.engines.values()]
-                points.append(
-                    dict(
-                        keys=size,
-                        get_mean_ms=sum(get_latencies) / len(get_latencies),
-                        get_p99_ms=nearest_rank_percentile(get_latencies, 0.99),
-                        range_mean_ms=sum(range_latencies) / len(range_latencies),
-                        segment_count=int(sum(g["segment_count"] for g in gauges)),
-                        segment_bytes=int(sum(g["segment_bytes"] for g in gauges)),
-                        peak_memtable_bytes=peak_memtable,
-                    )
-                )
-            finally:
-                cluster.close()
-        return points
-
-    # ------------------------------------------------------------------
-    # Phase 3: acked-write recovery audit
-    # ------------------------------------------------------------------
-    def _recovery_arm(self, engine: str):
-        config = self.config
-        cluster = self._cluster(engine)
-        try:
-            acked: Dict[bytes, bytes] = {}
-            for index in range(config.recovery_writes):
-                key = f"k{index:05d}".encode()
-                value = f"v{index}".encode()
-                cluster.put("data", key, value)
-                acked[key] = value
-            cluster.crash_node(2)
-            for index in range(config.recovery_writes_during_outage):
-                key = f"x{index:05d}".encode()
-                value = f"w{index}".encode()
-                cluster.put("data", key, value)
-                acked[key] = value
-            report = cluster.recover_node(2)
-            lost = sum(
-                1
-                for key, value in acked.items()
-                if cluster.get("data", key).value != value
             )
-            recovery = cluster.last_engine_recovery
-            return {
-                "acknowledged": len(acked),
-                "lost": lost,
-                "hints_replayed": report.hints_replayed,
-                "keys_copied": report.keys_copied,
-                "segments_loaded": recovery.segments_loaded if recovery else 0,
-                "wal_records_replayed": (
-                    recovery.wal_records_replayed if recovery else 0
-                ),
-            }
-        finally:
-            cluster.close()
-
-    def _run_recovery(self) -> Dict[str, Any]:
-        dict_arm = self._recovery_arm("dict")
-        lsm_arm = self._recovery_arm("lsm")
-        return {
-            "acknowledged": lsm_arm["acknowledged"],
-            "lost": lsm_arm["lost"] + dict_arm["lost"],
-            "hints_replayed": lsm_arm["hints_replayed"],
-            # The dict arm's hint replay is the oracle for repair traffic.
-            "oracle_match": (
-                dict_arm["hints_replayed"] == lsm_arm["hints_replayed"]
-                and dict_arm["keys_copied"] == lsm_arm["keys_copied"]
-            ),
-            "segments_loaded": lsm_arm["segments_loaded"],
-            "wal_records_replayed": lsm_arm["wal_records_replayed"],
+        contents = dict(cluster.iter_namespace("data"))
+        metrics = {
+            name: float(value)
+            for name, value in cluster.metrics.counters().items()
+            if not name.startswith("engine.")
         }
+        return observations, contents, metrics
+    finally:
+        cluster.close()
 
-    # ------------------------------------------------------------------
-    # Phase 4: budgeted bulk load
-    # ------------------------------------------------------------------
-    def _run_bulk(self) -> Dict[str, Any]:
-        config = self.config
-        rng = random.Random(config.seed + 99)
-        rows = [
-            (f"k{rng.randrange(config.bulk_rows):06d}".encode(), f"v{i}".encode())
-            for i in range(config.bulk_rows)
-        ]
-        reference = self._cluster("dict")
+
+def _run_parity(config: StorageEngineConfig) -> Dict[str, Any]:
+    dict_arm = _parity_arm(config, "dict")
+    lsm_arm = _parity_arm(config, "lsm")
+    return {
+        "identical": dict_arm == lsm_arm,
+        "ops": config.parity_ops,
+        "metrics": dict_arm[2],
+    }
+
+
+# ----------------------------------------------------------------------
+# Phase 2: latency sweep across cardinalities
+# ----------------------------------------------------------------------
+def _run_sweep(config: StorageEngineConfig) -> List[Dict[str, Any]]:
+    """Latency + engine state at each data cardinality."""
+    points = []
+    for size in config.sweep_sizes:
+        cluster = _cluster(config, "lsm")
         try:
-            for key, value in rows:
-                reference.load("data", key, value)
-            expected = dict(reference.iter_namespace("data"))
-        finally:
-            reference.close()
-        cluster = self._cluster("lsm")
-        try:
+            rows = (
+                (f"k{index:08d}".encode(), f"v{index}".encode())
+                for index in range(size)
+            )
             cluster.bulk_load_namespace(
-                "data", iter(rows), memory_budget_bytes=config.bulk_budget_bytes
+                "data", rows, memory_budget_bytes=config.memtable_budget_bytes
             )
-            return {
-                "rows": len(rows),
-                "spill_count": sum(
-                    getattr(engine, "bulk_spill_count", 0)
-                    for engine in cluster.engines.values()
-                ),
-                "match": dict(cluster.iter_namespace("data")) == expected,
-            }
+            rng = random.Random(config.seed + size)
+            peak_memtable = 0
+            get_latencies: List[float] = []
+            range_latencies: List[float] = []
+            for _ in range(config.sweep_probes):
+                index = rng.randrange(size)
+                key = f"k{index:08d}".encode()
+                get_latencies.append(
+                    cluster.get("data", key).latency_seconds * 1000.0
+                )
+                range_latencies.append(
+                    cluster.get_range(
+                        "data", key, b"k99999999", limit=10
+                    ).latency_seconds
+                    * 1000.0
+                )
+                # A write keeps the memtable/WAL path warm mid-sweep.
+                cluster.put("data", key, b"rewrite")
+                peak_memtable = max(
+                    peak_memtable,
+                    max(
+                        int(engine.gauges().get("memtable_bytes", 0))
+                        for engine in cluster.engines.values()
+                    ),
+                )
+            gauges = [engine.gauges() for engine in cluster.engines.values()]
+            points.append(
+                dict(
+                    keys=size,
+                    get_mean_ms=sum(get_latencies) / len(get_latencies),
+                    get_p99_ms=nearest_rank_percentile(get_latencies, 0.99),
+                    range_mean_ms=sum(range_latencies) / len(range_latencies),
+                    segment_count=int(sum(g["segment_count"] for g in gauges)),
+                    segment_bytes=int(sum(g["segment_bytes"] for g in gauges)),
+                    peak_memtable_bytes=peak_memtable,
+                )
+            )
         finally:
             cluster.close()
+    return points
 
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[str, Any]:
-        parity = self._run_parity()
-        sweep = self._run_sweep()
+
+# ----------------------------------------------------------------------
+# Phase 3: acked-write recovery audit
+# ----------------------------------------------------------------------
+def _recovery_arm(config: StorageEngineConfig, engine: str):
+    cluster = _cluster(config, engine)
+    try:
+        acked: Dict[bytes, bytes] = {}
+        for index in range(config.recovery_writes):
+            key = f"k{index:05d}".encode()
+            value = f"v{index}".encode()
+            cluster.put("data", key, value)
+            acked[key] = value
+        cluster.crash_node(2)
+        for index in range(config.recovery_writes_during_outage):
+            key = f"x{index:05d}".encode()
+            value = f"w{index}".encode()
+            cluster.put("data", key, value)
+            acked[key] = value
+        report = cluster.recover_node(2)
+        lost = sum(
+            1
+            for key, value in acked.items()
+            if cluster.get("data", key).value != value
+        )
+        recovery = cluster.last_engine_recovery
         return {
-            "parity": parity,
-            "sweep": sweep,
-            # Largest-over-smallest mean get latency across the sweep (~1.0).
-            "sweep_latency_ratio": (
-                sweep[-1]["get_mean_ms"] / max(sweep[0]["get_mean_ms"], 1e-12)
+            "acknowledged": len(acked),
+            "lost": lost,
+            "hints_replayed": report.hints_replayed,
+            "keys_copied": report.keys_copied,
+            "segments_loaded": recovery.segments_loaded if recovery else 0,
+            "wal_records_replayed": (
+                recovery.wal_records_replayed if recovery else 0
             ),
-            "recovery": self._run_recovery(),
-            "bulk": self._run_bulk(),
         }
+    finally:
+        cluster.close()
+
+
+def _run_recovery(config: StorageEngineConfig) -> Dict[str, Any]:
+    dict_arm = _recovery_arm(config, "dict")
+    lsm_arm = _recovery_arm(config, "lsm")
+    return {
+        "acknowledged": lsm_arm["acknowledged"],
+        "lost": lsm_arm["lost"] + dict_arm["lost"],
+        "hints_replayed": lsm_arm["hints_replayed"],
+        # The dict arm's hint replay is the oracle for repair traffic.
+        "oracle_match": (
+            dict_arm["hints_replayed"] == lsm_arm["hints_replayed"]
+            and dict_arm["keys_copied"] == lsm_arm["keys_copied"]
+        ),
+        "segments_loaded": lsm_arm["segments_loaded"],
+        "wal_records_replayed": lsm_arm["wal_records_replayed"],
+    }
+
+
+# ----------------------------------------------------------------------
+# Phase 4: budgeted bulk load
+# ----------------------------------------------------------------------
+def _run_bulk(config: StorageEngineConfig) -> Dict[str, Any]:
+    rng = random.Random(config.seed + 99)
+    rows = [
+        (f"k{rng.randrange(config.bulk_rows):06d}".encode(), f"v{i}".encode())
+        for i in range(config.bulk_rows)
+    ]
+    reference = _cluster(config, "dict")
+    try:
+        for key, value in rows:
+            reference.load("data", key, value)
+        expected = dict(reference.iter_namespace("data"))
+    finally:
+        reference.close()
+    cluster = _cluster(config, "lsm")
+    try:
+        cluster.bulk_load_namespace(
+            "data", iter(rows), memory_budget_bytes=config.bulk_budget_bytes
+        )
+        return {
+            "rows": len(rows),
+            "spill_count": sum(
+                getattr(engine, "bulk_spill_count", 0)
+                for engine in cluster.engines.values()
+            ),
+            "match": dict(cluster.iter_namespace("data")) == expected,
+        }
+    finally:
+        cluster.close()
+
+
+def run(config: StorageEngineConfig) -> Dict[str, Any]:
+    """The four phases, each on fresh clusters (tmp-dir LSM state).
+
+    Returns the summary that is saved: one section per phase.
+    """
+    parity = _run_parity(config)
+    sweep = _run_sweep(config)
+    return {
+        "parity": parity,
+        "sweep": sweep,
+        # Largest-over-smallest mean get latency across the sweep (~1.0).
+        "sweep_latency_ratio": (
+            sweep[-1]["get_mean_ms"] / max(sweep[0]["get_mean_ms"], 1e-12)
+        ),
+        "recovery": _run_recovery(config),
+        "bulk": _run_bulk(config),
+    }
 
 
 def check(result: Dict[str, Any]) -> None:
@@ -361,7 +355,7 @@ EXPERIMENTS = (
         name="storage_engine",
         config=StorageEngineConfig(),
         quick=StorageEngineConfig.quick(),
-        run=lambda config: StorageEngineExperiment(config).run(),
+        run=run,
         payload=dict,
         check=check,
     ),

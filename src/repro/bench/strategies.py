@@ -12,7 +12,7 @@ batching and intra-query parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from ..execution.context import ExecutionStrategy
 from ..workloads.tpcw.workload import TpcwWorkload
@@ -46,63 +46,48 @@ class ExecutorStrategyConfig:
     seed: int = 23
 
 
-class ExecutorStrategyExperiment:
-    """Runs the same workload under the three execution strategies."""
-
-    def __init__(
-        self,
-        workload_factory=TpcwWorkload,
-        config: Optional[ExecutorStrategyConfig] = None,
+def run(config: ExecutorStrategyConfig) -> List[StrategyMeasurement]:
+    """Run the same TPC-W workload under the three execution strategies."""
+    db, workload = loaded_database(
+        TpcwWorkload(),
+        storage_nodes=config.storage_nodes,
+        data_nodes=config.storage_nodes,
+        users_per_node=config.users_per_node,
+        items_total=config.items_total,
+        seed=config.seed,
+    )
+    measurements: List[StrategyMeasurement] = []
+    for strategy in (
+        ExecutionStrategy.LAZY,
+        ExecutionStrategy.SIMPLE,
+        ExecutionStrategy.PARALLEL,
     ):
-        self.workload_factory = workload_factory
-        self.config = config or ExecutorStrategyConfig()
-
-    def run(self) -> List[StrategyMeasurement]:
-        config = self.config
-        db, workload = loaded_database(
-            self.workload_factory(),
-            storage_nodes=config.storage_nodes,
-            data_nodes=config.storage_nodes,
-            users_per_node=config.users_per_node,
-            items_total=config.items_total,
-            seed=config.seed,
+        # Paired comparison: every strategy sees the same service-time
+        # noise streams, so the measured differences come from the
+        # executor's request shape (batching, parallelism), not from
+        # which run happened to draw the stragglers.
+        db.cluster.reseed_latency_models(config.seed)
+        measurement = run_workload(
+            db,
+            workload,
+            ClientSimulationConfig(
+                client_machines=config.client_machines,
+                threads_per_client=config.threads_per_client,
+                interactions_per_thread=config.interactions_per_thread,
+                utilization=config.utilization,
+                strategy=strategy,
+                seed=config.seed,
+            ),
         )
-        measurements: List[StrategyMeasurement] = []
-        for strategy in (
-            ExecutionStrategy.LAZY,
-            ExecutionStrategy.SIMPLE,
-            ExecutionStrategy.PARALLEL,
-        ):
-            # Paired comparison: every strategy sees the same service-time
-            # noise streams, so the measured differences come from the
-            # executor's request shape (batching, parallelism), not from
-            # which run happened to draw the stragglers.
-            db.cluster.reseed_latency_models(config.seed)
-            measurement = run_workload(
-                db,
-                workload,
-                ClientSimulationConfig(
-                    client_machines=config.client_machines,
-                    threads_per_client=config.threads_per_client,
-                    interactions_per_thread=config.interactions_per_thread,
-                    utilization=config.utilization,
-                    strategy=strategy,
-                    seed=config.seed,
-                ),
+        measurements.append(
+            StrategyMeasurement(
+                strategy=strategy.value,
+                p99_latency_ms=measurement.latency_percentile_ms(0.99),
+                mean_latency_ms=measurement.mean_latency_ms(),
+                throughput=measurement.throughput,
             )
-            measurements.append(
-                StrategyMeasurement(
-                    strategy=strategy.value,
-                    p99_latency_ms=measurement.latency_percentile_ms(0.99),
-                    mean_latency_ms=measurement.mean_latency_ms(),
-                    throughput=measurement.throughput,
-                )
-            )
-        return measurements
-
-    @staticmethod
-    def as_dict(measurements: List[StrategyMeasurement]) -> Dict[str, float]:
-        return {m.strategy: m.p99_latency_ms for m in measurements}
+        )
+    return measurements
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +102,7 @@ def _rows(measurements: List[StrategyMeasurement]) -> List[tuple]:
 
 
 def _check(measurements: List[StrategyMeasurement]) -> None:
-    p99 = ExecutorStrategyExperiment.as_dict(measurements)
+    p99 = {m.strategy: m.p99_latency_ms for m in measurements}
     claim("fig12: Parallel beats Simple beats Lazy at the 99th percentile",
           p99["parallel"] < p99["simple"] < p99["lazy"], p99)
     # Both contribute meaningfully (>15% each).
@@ -146,7 +131,7 @@ EXPERIMENTS = (
             storage_nodes=6, client_machines=2, threads_per_client=2,
             interactions_per_thread=6, users_per_node=20, items_total=150,
         ),
-        run=lambda config: ExecutorStrategyExperiment(config=config).run(),
+        run=run,
         payload=lambda measurements: {"rows": _rows(measurements)},
         check=_check,
         render=_render,

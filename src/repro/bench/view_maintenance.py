@@ -95,193 +95,192 @@ class ViewScalePoint:
         return self.insert_ops_with_view - self.insert_ops_without_view
 
 
-class ViewMaintenanceExperiment:
-    """Runs the write-amplification, correctness, and bounded-read phases."""
+# ----------------------------------------------------------------------
+# Setup
+# ----------------------------------------------------------------------
+def _tpcw(
+    config: ViewMaintenanceConfig, users_per_node: int, views: bool
+) -> Tuple[PiqlDatabase, TpcwWorkload]:
+    return loaded_database(
+        TpcwWorkload(materialized_views=views),
+        storage_nodes=config.storage_nodes,
+        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        users_per_node=users_per_node,
+        items_total=config.items_total,
+        seed=config.seed,
+        reseed=True,
+    )
 
-    def __init__(self, config: ViewMaintenanceConfig):
-        self.config = config
 
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def _tpcw(
-        self, users_per_node: int, views: bool
-    ) -> Tuple[PiqlDatabase, TpcwWorkload]:
-        config = self.config
-        return loaded_database(
-            TpcwWorkload(materialized_views=views),
-            storage_nodes=config.storage_nodes,
-            node_capacity_ops_per_second=config.node_capacity_ops_per_second,
-            users_per_node=users_per_node,
-            items_total=config.items_total,
-            seed=config.seed,
-            reseed=True,
+# ----------------------------------------------------------------------
+# Phase 1 + 3: write amplification and bounded reads across scales
+# ----------------------------------------------------------------------
+def _probe_inserts(
+    config: ViewMaintenanceConfig, db: PiqlDatabase, base_order_id: int
+) -> float:
+    """Mean ops per order-line insert for a batch of fresh orders."""
+    rng = random.Random(config.seed + 17)
+    view = db.new_client()
+    before = view.client.stats.operations
+    for offset in range(config.probe_inserts):
+        view.insert(
+            "order_line",
+            {
+                "OL_O_ID": base_order_id + offset,
+                "OL_ID": 1,
+                # Generated item ids are 1..items_total (data.py); an id
+                # outside that range would miss the dimension fetch and
+                # silently skip maintenance, biasing the measurement low.
+                "OL_I_ID": rng.randrange(1, config.items_total + 1),
+                "OL_QTY": rng.randrange(1, 5),
+                "OL_DISCOUNT": 0.0,
+                "OL_COMMENT": "",
+            },
         )
+    return (view.client.stats.operations - before) / config.probe_inserts
 
-    # ------------------------------------------------------------------
-    # Phase 1 + 3: write amplification and bounded reads across scales
-    # ------------------------------------------------------------------
-    def _probe_inserts(self, db: PiqlDatabase, base_order_id: int) -> float:
-        """Mean ops per order-line insert for a batch of fresh orders."""
-        config = self.config
-        rng = random.Random(config.seed + 17)
-        view = db.new_client()
-        before = view.client.stats.operations
-        for offset in range(config.probe_inserts):
-            view.insert(
-                "order_line",
-                {
-                    "OL_O_ID": base_order_id + offset,
-                    "OL_ID": 1,
-                    # Generated item ids are 1..items_total (data.py); an id
-                    # outside that range would miss the dimension fetch and
-                    # silently skip maintenance, biasing the measurement low.
-                    "OL_I_ID": rng.randrange(1, config.items_total + 1),
-                    "OL_QTY": rng.randrange(1, 5),
-                    "OL_DISCOUNT": 0.0,
-                    "OL_COMMENT": "",
-                },
-            )
-        return (view.client.stats.operations - before) / config.probe_inserts
 
-    def run_scale_point(self, users_per_node: int) -> ViewScalePoint:
-        config = self.config
-        db, workload = self._tpcw(users_per_node, views=True)
-        baseline_db, _ = self._tpcw(users_per_node, views=False)
-        order_line_rows = db.records.count("order_line")
+def run_scale_point(
+    config: ViewMaintenanceConfig, users_per_node: int
+) -> ViewScalePoint:
+    db, workload = _tpcw(config, users_per_node, views=True)
+    baseline_db, _ = _tpcw(config, users_per_node, views=False)
+    order_line_rows = db.records.count("order_line")
 
-        with_view = self._probe_inserts(db, base_order_id=50_000_000)
-        without_view = self._probe_inserts(baseline_db, base_order_id=50_000_000)
+    with_view = _probe_inserts(config, db, base_order_id=50_000_000)
+    without_view = _probe_inserts(config, baseline_db, base_order_id=50_000_000)
 
-        rng = random.Random(config.seed + 5)
-        reader = db.new_client()
-        reader_prepared = reader.prepare(workload.query_sql("best_sellers_wi"))
-        ops_max = 0
-        latency = 0.0
-        for _ in range(config.probe_reads):
-            result = reader_prepared.execute(
-                workload.sample_parameters("best_sellers_wi", rng)
-            )
-            ops_max = max(ops_max, result.operations)
-            latency += result.latency_seconds
-        return ViewScalePoint(
-            users_per_node=users_per_node,
-            order_line_rows=order_line_rows,
-            insert_ops_with_view=with_view,
-            insert_ops_without_view=without_view,
-            write_bound=write_operation_bound(db.catalog, "order_line"),
-            write_bound_base=write_operation_bound(
-                baseline_db.catalog, "order_line"
-            ),
-            read_ops_max=ops_max,
-            read_bound=reader_prepared.operation_bound,
-            read_mean_latency_ms=latency / config.probe_reads * 1000.0,
+    rng = random.Random(config.seed + 5)
+    reader = db.new_client()
+    reader_prepared = reader.prepare(workload.query_sql("best_sellers_wi"))
+    ops_max = 0
+    latency = 0.0
+    for _ in range(config.probe_reads):
+        result = reader_prepared.execute(
+            workload.sample_parameters("best_sellers_wi", rng)
         )
+        ops_max = max(ops_max, result.operations)
+        latency += result.latency_seconds
+    return ViewScalePoint(
+        users_per_node=users_per_node,
+        order_line_rows=order_line_rows,
+        insert_ops_with_view=with_view,
+        insert_ops_without_view=without_view,
+        write_bound=write_operation_bound(db.catalog, "order_line"),
+        write_bound_base=write_operation_bound(
+            baseline_db.catalog, "order_line"
+        ),
+        read_ops_max=ops_max,
+        read_bound=reader_prepared.operation_bound,
+        read_mean_latency_ms=latency / config.probe_reads * 1000.0,
+    )
 
-    # ------------------------------------------------------------------
-    # Phase 2: serving-tier load, then view-versus-recompute equivalence
-    # ------------------------------------------------------------------
-    def run_serving_and_correctness(self) -> Tuple[Dict[str, float], Dict[str, object]]:
-        config = self.config
-        db, workload = self._tpcw(config.scale_users_per_node[0], views=True)
-        report = serve(
-            db,
-            workload,
-            clients=config.clients,
-            think_time_seconds=config.think_time_seconds,
-            duration_seconds=config.duration_seconds,
-            seed=config.seed,
-        ).report
-        by_name: Dict[str, int] = {}
-        for record in report.log.records:
-            by_name[record.name] = by_name.get(record.name, 0) + 1
-        serving = {
-            "completed": float(report.completed),
-            "throughput_per_second": report.throughput,
-            "p99_ms": report.response_percentile_ms(0.99),
-            "best_sellers_served": float(by_name.get("best_sellers", 0)),
-            "buy_confirms": float(by_name.get("buy_confirm", 0)),
-        }
 
-        # Offline ground truth from the post-load base tables.
-        view = db.catalog.view("best_sellers_by_subject")
-        recomputed = recompute_view(view, db.catalog, db.cluster)
-        prepared = db.prepare(workload.query_sql("best_sellers_wi"))
-        mismatches = 0
-        compared = 0
-        for subject in SUBJECTS:
-            expected = [
-                {"OL_I_ID": row["OL_I_ID"], "total_sold": row["total_sold"]}
-                for row in recompute_top_k(view, recomputed, (subject,))
-            ]
-            actual = prepared.execute(subject=subject).rows
-            compared += 1
-            if actual != expected:
-                mismatches += 1
+# ----------------------------------------------------------------------
+# Phase 2: serving-tier load, then view-versus-recompute equivalence
+# ----------------------------------------------------------------------
+def run_serving_and_correctness(
+    config: ViewMaintenanceConfig,
+) -> Tuple[Dict[str, float], Dict[str, object]]:
+    db, workload = _tpcw(config, config.scale_users_per_node[0], views=True)
+    report = serve(
+        db,
+        workload,
+        clients=config.clients,
+        think_time_seconds=config.think_time_seconds,
+        duration_seconds=config.duration_seconds,
+        seed=config.seed,
+    ).report
+    by_name: Dict[str, int] = {}
+    for record in report.log.records:
+        by_name[record.name] = by_name.get(record.name, 0) + 1
+    serving = {
+        "completed": float(report.completed),
+        "throughput_per_second": report.throughput,
+        "p99_ms": report.response_percentile_ms(0.99),
+        "best_sellers_served": float(by_name.get("best_sellers", 0)),
+        "buy_confirms": float(by_name.get("buy_confirm", 0)),
+    }
 
-        # SCADr: per-user counts against an offline recompute of thoughts.
-        scadr_db, scadr = loaded_database(
-            ScadrWorkload(materialized_views=True),
-            storage_nodes=config.storage_nodes,
-            data_nodes=2,
-            users_per_node=config.scadr_users_per_node,
-            seed=config.seed + 1,
-        )
-        rng = random.Random(config.seed + 2)
-        for _ in range(50):  # extra posts and retractions under the view
-            owner = rng.choice(scadr.usernames)
-            scadr_db.insert(
-                "thoughts",
-                {"owner": owner, "timestamp": 3_000_000_000 + rng.randrange(10**6),
-                 "text": "load"},
-                upsert=True,
-            )
-        thought_view = scadr_db.catalog.view("user_thought_counts")
-        thought_truth = recompute_view(thought_view, scadr_db.catalog, scadr_db.cluster)
-        count_query = scadr_db.prepare(scadr.query_sql("thought_count"))
-        scadr_mismatches = 0
-        for (owner,), expected_row in thought_truth.items():
-            rows = count_query.execute(uname=owner).rows
-            if rows != [{"owner": owner,
-                         "thought_count": expected_row["thought_count"]}]:
-                scadr_mismatches += 1
-        correctness = {
-            "subjects_compared": compared,
-            "best_sellers_mismatches": mismatches,
-            "scadr_users_compared": len(thought_truth),
-            "scadr_mismatches": scadr_mismatches,
-        }
-        return serving, correctness
-
-    # ------------------------------------------------------------------
-    # Whole experiment
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[str, Any]:
-        """All phases; returns the summary that is saved."""
-        config = self.config
-        # Without the view the query is rejected — the paper's omission.
-        db, _ = self._tpcw(config.scale_users_per_node[0], views=False)
-        try:
-            db.prepare(
-                TpcwWorkload(materialized_views=True).query_sql("best_sellers_wi")
-            )
-            rejected = False
-        except NotScaleIndependentError:
-            rejected = True
-
-        points = [
-            self.run_scale_point(users) for users in config.scale_users_per_node
+    # Offline ground truth from the post-load base tables.
+    view = db.catalog.view("best_sellers_by_subject")
+    recomputed = recompute_view(view, db.catalog, db.cluster)
+    prepared = db.prepare(workload.query_sql("best_sellers_wi"))
+    mismatches = 0
+    compared = 0
+    for subject in SUBJECTS:
+        expected = [
+            {"OL_I_ID": row["OL_I_ID"], "total_sold": row["total_sold"]}
+            for row in recompute_top_k(view, recomputed, (subject,))
         ]
-        serving, correctness = self.run_serving_and_correctness()
-        return {
-            "config": asdict(config),
-            "rejected_without_view": rejected,
-            "scale_points": [
-                {**asdict(p), "maintenance_ops": p.maintenance_ops} for p in points
-            ],
-            "serving": serving,
-            "correctness": correctness,
-        }
+        actual = prepared.execute(subject=subject).rows
+        compared += 1
+        if actual != expected:
+            mismatches += 1
+
+    # SCADr: per-user counts against an offline recompute of thoughts.
+    scadr_db, scadr = loaded_database(
+        ScadrWorkload(materialized_views=True),
+        storage_nodes=config.storage_nodes,
+        data_nodes=2,
+        users_per_node=config.scadr_users_per_node,
+        seed=config.seed + 1,
+    )
+    rng = random.Random(config.seed + 2)
+    for _ in range(50):  # extra posts and retractions under the view
+        owner = rng.choice(scadr.usernames)
+        scadr_db.insert(
+            "thoughts",
+            {"owner": owner, "timestamp": 3_000_000_000 + rng.randrange(10**6),
+             "text": "load"},
+            upsert=True,
+        )
+    thought_view = scadr_db.catalog.view("user_thought_counts")
+    thought_truth = recompute_view(thought_view, scadr_db.catalog, scadr_db.cluster)
+    count_query = scadr_db.prepare(scadr.query_sql("thought_count"))
+    scadr_mismatches = 0
+    for (owner,), expected_row in thought_truth.items():
+        rows = count_query.execute(uname=owner).rows
+        if rows != [{"owner": owner,
+                     "thought_count": expected_row["thought_count"]}]:
+            scadr_mismatches += 1
+    correctness = {
+        "subjects_compared": compared,
+        "best_sellers_mismatches": mismatches,
+        "scadr_users_compared": len(thought_truth),
+        "scadr_mismatches": scadr_mismatches,
+    }
+    return serving, correctness
+
+
+# ----------------------------------------------------------------------
+# Whole experiment
+# ----------------------------------------------------------------------
+def run(config: ViewMaintenanceConfig) -> Dict[str, Any]:
+    """All phases; returns the summary that is saved."""
+    # Without the view the query is rejected — the paper's omission.
+    db, _ = _tpcw(config, config.scale_users_per_node[0], views=False)
+    try:
+        db.prepare(
+            TpcwWorkload(materialized_views=True).query_sql("best_sellers_wi")
+        )
+        rejected = False
+    except NotScaleIndependentError:
+        rejected = True
+
+    points = [
+        run_scale_point(config, users) for users in config.scale_users_per_node
+    ]
+    serving, correctness = run_serving_and_correctness(config)
+    return {
+        "config": asdict(config),
+        "rejected_without_view": rejected,
+        "scale_points": [
+            {**asdict(p), "maintenance_ops": p.maintenance_ops} for p in points
+        ],
+        "serving": serving,
+        "correctness": correctness,
+    }
 
 
 def check(result: Dict[str, Any]) -> None:
@@ -325,7 +324,7 @@ EXPERIMENTS = (
         name="view_maintenance",
         config=ViewMaintenanceConfig(),
         quick=ViewMaintenanceConfig().quick(),
-        run=lambda config: ViewMaintenanceExperiment(config).run(),
+        run=run,
         payload=dict,
         check=check,
     ),

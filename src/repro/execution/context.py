@@ -62,16 +62,19 @@ class ExecutionContext:
     #: so operator spans can read operation deltas without re-resolving the
     #: ``client.stats.metrics`` chain per plan node.
     counters: Optional[Dict[str, float]] = None
-    #: Whether fetches are planned batch-at-a-time: dereference rounds fused
-    #: across an operator's inputs, dereferencing stopped once a data stop
-    #: is satisfied, index-only predicates pushed below the base-record
-    #: fetch.  True for SIMPLE and PARALLEL; the Lazy executor of Figure 12
-    #: runs tuple-at-a-time (one request per tuple).  Decided here, once
-    #: per execution, from the strategy.
-    batched: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.batched = self.strategy is not ExecutionStrategy.LAZY
+    @property
+    def batched(self) -> bool:
+        """Whether fetches are planned batch-at-a-time.
+
+        That is: dereference rounds fused across an operator's inputs,
+        dereferencing stopped once a data stop is satisfied, index-only
+        predicates pushed below the base-record fetch.  True for SIMPLE and
+        PARALLEL; the Lazy executor of Figure 12 runs tuple-at-a-time (one
+        request per tuple).  A function of the strategy alone — nothing to
+        set, so no execution can contradict its strategy.
+        """
+        return self.strategy is not ExecutionStrategy.LAZY
 
     def parameter(self, name: str) -> Any:
         if name not in self.parameters:

@@ -4,17 +4,12 @@ import pytest
 
 from repro import ClusterConfig, PiqlDatabase
 from repro.analysis import CLASS_QUERIES, ScalingClassAnalysis
+from repro.bench import intersection, scaling, strategies
 from repro.bench.harness import ClientSimulationConfig, run_workload
-from repro.bench.intersection import (
-    IntersectionExperimentConfig,
-    SubscriberIntersectionExperiment,
-)
+from repro.bench.intersection import IntersectionExperimentConfig
 from repro.bench.reporting import format_table, linear_fit_r_squared
-from repro.bench.scaling import ScalingExperiment, ScalingExperimentConfig
-from repro.bench.strategies import (
-    ExecutorStrategyConfig,
-    ExecutorStrategyExperiment,
-)
+from repro.bench.scaling import ScalingExperimentConfig
+from repro.bench.strategies import ExecutorStrategyConfig
 from repro.stats import nearest_rank_percentile as percentile
 from repro.workloads import ScadrWorkload, WorkloadScale
 
@@ -65,7 +60,7 @@ class TestHarness:
 
 class TestScalingExperiment:
     def test_throughput_scales_linearly_and_latency_stays_flat(self):
-        experiment = ScalingExperiment(
+        result = scaling.run(
             lambda: ScadrWorkload(max_subscriptions=5, subscriptions_per_user=3,
                                   thoughts_per_user=5),
             ScalingExperimentConfig(
@@ -75,7 +70,6 @@ class TestScalingExperiment:
                 interactions_per_thread=6,
             ),
         )
-        result = experiment.run()
         throughputs = [p.throughput for p in result.points]
         assert throughputs[0] < throughputs[1] < throughputs[2]
         assert result.throughput_r_squared > 0.95
@@ -86,8 +80,8 @@ class TestScalingExperiment:
 
 class TestExecutorStrategyExperiment:
     def test_parallel_beats_simple_beats_lazy(self):
-        experiment = ExecutorStrategyExperiment(
-            config=ExecutorStrategyConfig(
+        measurements = strategies.run(
+            ExecutorStrategyConfig(
                 storage_nodes=6,
                 client_machines=2,
                 threads_per_client=2,
@@ -96,14 +90,13 @@ class TestExecutorStrategyExperiment:
                 items_total=150,
             )
         )
-        measurements = experiment.run()
         by_name = {m.strategy: m.p99_latency_ms for m in measurements}
         assert by_name["parallel"] < by_name["simple"] < by_name["lazy"]
 
 
 class TestIntersectionExperiment:
     def test_bounded_plan_is_flat_and_unbounded_grows(self):
-        experiment = SubscriberIntersectionExperiment(
+        result = intersection.run(
             IntersectionExperimentConfig(
                 storage_nodes=6,
                 subscriber_counts=(0, 1000, 4000),
@@ -111,7 +104,6 @@ class TestIntersectionExperiment:
                 fan_pool=4200,
             )
         )
-        result = experiment.run()
         assert len(result.points) == 3
         bounded = [p.bounded_p99_ms for p in result.points]
         unbounded = [p.unbounded_p99_ms for p in result.points]

@@ -1,6 +1,6 @@
 """Chaos-soak harness smoke tests (quick configuration).
 
-The full soak lives in ``repro.bench.bench_chaos_soak``; here the quick
+The full soak is ``python -m repro.bench chaos_soak``; here the quick
 configuration runs once end-to-end and every hard invariant must hold:
 no acked write lost, no runtime-bound violation, read-your-writes, post-
 heal convergence, the availability floor, and strict dominance of the
@@ -11,11 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.bench.chaos import (
-    ChaosSoakConfig,
-    ChaosSoakExperiment,
-    run_chaos_soak,
-)
+from repro.bench.chaos import ChaosSoakConfig, fresh_database, run_chaos_soak
 from repro.replication.faults import validate_timeline
 
 
@@ -90,7 +86,6 @@ class TestChaosSoakQuick:
 class TestChaosSeeding:
     def test_arms_share_the_cluster_seed(self):
         config = dataclasses.replace(ChaosSoakConfig().quick(), seed=29)
-        experiment = ChaosSoakExperiment(config)
-        db_a, _ = experiment._fresh_database(config.naive_policy())
-        db_b, _ = experiment._fresh_database(config.resilient_policy())
+        db_a, _ = fresh_database(config, config.naive_policy())
+        db_b, _ = fresh_database(config, config.resilient_policy())
         assert db_a.cluster.config.seed == db_b.cluster.config.seed == 29

@@ -12,10 +12,12 @@ from __future__ import annotations
 import copy
 import json
 import os
+import subprocess
 from pathlib import Path
 
 import pytest
 
+from repro.bench import operator_fusion
 from repro.bench.__main__ import main
 from repro.bench.experiment import (
     ClaimViolated,
@@ -23,11 +25,10 @@ from repro.bench.experiment import (
     claim,
     experiments,
     run_experiment,
-    same_numbers,
 )
 
 EXPERIMENTS = experiments()
-COMMITTED_RESULTS = Path(__file__).resolve().parents[2] / "results"
+REPO = Path(__file__).resolve().parents[2]
 
 
 def _set(target, **fields):
@@ -82,13 +83,18 @@ DOCTORED = {
 
 def test_registry_matches_the_committed_results():
     assert set(DOCTORED) == set(EXPERIMENTS)
-    committed = {path.stem for path in COMMITTED_RESULTS.glob("*.json")}
-    # Quick and detail files are gitignored; a stray local one is not the
-    # registry's business.
-    committed = {stem for stem in committed if "." not in stem}
-    committed -= {"BENCH_summary", "incident_report", "serving_trace",
-                  "telemetry_quick", "telemetry_fault"}
-    assert committed == set(EXPERIMENTS)
+    for name in EXPERIMENTS:
+        assert (REPO / "results" / f"{name}.json").is_file(), name
+    # No committed summary without an experiment behind it.  What git tracks,
+    # not what the directory holds: quick, detail and example outputs are
+    # gitignored and may be lying around.
+    tracked = subprocess.run(
+        ["git", "ls-files", "results"], cwd=REPO, capture_output=True, text=True
+    )
+    if tracked.returncode == 0 and tracked.stdout:
+        assert {Path(line).stem for line in tracked.stdout.splitlines()} == set(
+            EXPERIMENTS
+        )
     for name, experiment in EXPERIMENTS.items():
         assert experiment.name == name
         for part in ("run", "payload", "check"):
@@ -102,6 +108,9 @@ def test_quick_run_checks_saves_quick_files_and_catches_a_doctored_result(
 ):
     experiment = EXPERIMENTS[name]
     monkeypatch.chdir(tmp_path)
+    # Tier-1 must not depend on how busy the box is: the two host-clock
+    # budgets are the CI smoke's and the benchmarks job's to enforce.
+    monkeypatch.setattr(operator_fusion, "QUICK_BUDGET_FACTOR", 1e6)
     # One seed is enough here (and exercises the override the CLI's --seeds uses).
     seeds = [11] if hasattr(experiment.quick, "seeds") else None
     result = run_experiment(experiment, quick=True, seeds=seeds)
@@ -140,14 +149,24 @@ class TestRunner:
         run_experiment(self._experiment(), directory=str(tmp_path))
         assert os.listdir(tmp_path) == ["toy.json"]
 
-    def test_nothing_is_saved_when_a_claim_fails_but_tables_still_render(
+    def test_a_failed_claim_keeps_the_committed_name_but_leaves_the_evidence(
         self, tmp_path, capsys
     ):
-        broken = self._experiment(run=lambda config: {"simulated": {"size": 0}})
+        broken = self._experiment(
+            run=lambda config: {"simulated": {"size": 0}},
+            details=lambda result: {"toy.detail": {"why": "evidence"}},
+        )
         with pytest.raises(ClaimViolated, match="sizes are positive"):
             run_experiment(broken, directory=str(tmp_path))
-        assert os.listdir(tmp_path) == []
-        assert "size 0" in capsys.readouterr().out
+        # Full size: only a passing run may replace the committed summary.
+        assert os.listdir(tmp_path) == ["toy.detail.json"]
+        assert "size 0" in capsys.readouterr().out  # the tables still render
+        with pytest.raises(ClaimViolated, match="sizes are positive"):
+            run_experiment(broken, quick=True, directory=str(tmp_path))
+        # Quick size: the report of a failing smoke is the one that gets read.
+        assert sorted(os.listdir(tmp_path)) == [
+            "toy.detail.json", "toy.detail.quick.json", "toy.quick.json",
+        ]
 
     def test_pinned_numbers_must_reproduce_the_committed_file(self, tmp_path):
         pinned = self._experiment(pinned="simulated")
@@ -167,11 +186,6 @@ class TestRunner:
             directory=str(tmp_path),
         )
         run_experiment(drifted, quick=True, directory=str(tmp_path))
-
-    def test_same_numbers_tolerates_an_ulp_not_a_digit(self):
-        assert same_numbers({"a": [1, 0.1 + 0.2]}, {"a": [1, 0.3]})
-        assert not same_numbers({"a": [1, 0.3001]}, {"a": [1, 0.3]})
-        assert not same_numbers({"a": 1}, {"a": 1, "b": 2})
 
     def test_command_line_reports_the_violated_claim(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
