@@ -29,27 +29,39 @@ least-advanced last key among the runs that filled their chunk — past it
 some run has not been heard), and when delete markers leave the result
 short a further pass resumes just past the horizon.  Memory is bounded by
 ``limit`` times the run count.  Unlimited iteration (compaction, anti-entropy,
-``len``) streams through :meth:`LsmTree.iter_merged`, a ``heapq.merge`` that
-dedupes per key and holds one entry per run.
+``len``) streams through :func:`_merged`, a ``heapq.merge`` over natively
+comparable ``(key, age tag, value)`` tuples that dedupes per key and holds
+one block of entries per run.
 
 **Size-tiered compaction** merges *age-contiguous* runs of ``fanout`` or
 more segments in the same size tier.  Age contiguity is a correctness
 requirement, not a heuristic: merging non-adjacent segments would let the
 merged (newer-positioned) run shadow values written between its inputs.
-The merged segment atomically replaces the run's newest member (keeping
-its generation number, hence its age position) and the older members are
-deleted; delete markers are dropped only when the run includes the oldest
-segment, since only then is there nothing beneath them left to shadow.
-Compaction is surfaced as ``maintenance_backlog()`` units that the serving
-event kernel drains in the background; a hard per-tree segment cap compacts
-inline as a backstop for non-serving runs.
+The merged segment atomically replaces the run's *oldest* member (keeping
+its generation number, hence its age position) and the newer members are
+deleted afterwards; delete markers are dropped only when the run includes
+the oldest segment, since only then is there nothing beneath them left to
+shadow.  Compaction is surfaced as ``maintenance_backlog()`` units that the
+serving event kernel drains in the background; a hard per-tree segment cap
+compacts inline as a backstop for non-serving runs.
 
 Generation numbers double as the recovery ordering: a fresh engine (or
 :meth:`recover` after :meth:`crash`) loads every segment with a valid
 footer in generation order, discards partially written segments (their
 contents are still in the WAL), replays the WAL — truncating a torn tail —
-and is back to exactly the acknowledged state.  The simulator's ``crash()``
-happens between operations, never inside a flush or compaction step.
+and is back to exactly the acknowledged state.
+
+That holds for a process crash at *any* instant, not only between
+operations: every step orders its file changes so that what is on disk
+between two of them recovers to the state before the operation in flight or
+the state after it (``tests/kvstore/test_crash_points.py`` stops at every
+write, rename, removal and truncation).  A frame torn mid-append was never
+acknowledged; a segment is renamed into place whole, and the log is reset
+only after that; a merged run goes in *beneath* the members it replaces, so
+one that outlives the crash shadows it with the same entries; a drop is
+logged before its files go, and replay finishes the removal.  Under
+``sync_writes`` a rename is also made durable (an fsync of the directory)
+before the log is reset or a merged run's inputs are removed.
 """
 
 from __future__ import annotations
@@ -59,13 +71,13 @@ import heapq
 import os
 import re
 import shutil
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..memory import SortedKeys
 from .base import EngineRecovery, StorageEngine
 from .external import SpillingSorter
-from .segment import Segment, SegmentError, filter_hashes, write_segment
+from .segment import Entry, Segment, SegmentError, filter_hashes, write_segment
 from .wal import OP_DELETE, OP_DROP_NAMESPACE, OP_PUT, WriteAheadLog
 
 #: Rough per-entry memtable overhead (dict slot + key/value objects).
@@ -74,9 +86,35 @@ _MEM_ENTRY_OVERHEAD = 64
 _SEGMENT_NAME = re.compile(r"^seg-(\d{8})\.seg$")
 
 
-def _tagged(pairs, priority: int):
-    """Tag ``(key, value)`` pairs with a merge priority, bound eagerly."""
-    return ((key, priority, value) for key, value in pairs)
+def _tagged(blocks: Iterable[List[Entry]], tag: int) -> Iterator[Tuple]:
+    """Every entry of a run as ``(key, tag, value)``, tagged a block list at a time."""
+    return chain.from_iterable(
+        [(key, tag, value) for key, value in entries] for entries in blocks
+    )
+
+
+def _merged(
+    runs: List[Iterable[List[Entry]]],
+    ascending: bool = True,
+    keep_markers: bool = False,
+) -> Iterator[Entry]:
+    """Merge runs (oldest first, each a stream of block lists) newest-wins.
+
+    ``heapq.merge`` compares the tagged tuples natively.  The tag is the
+    run's age, negated when ascending, so equal keys arrive newest first in
+    either direction; no two entries share ``(key, age)``, so values are
+    never compared.  One block list per run is alive at a time.
+    """
+    sources = [
+        _tagged(blocks, -age if ascending else age)
+        for age, blocks in enumerate(runs)
+    ]
+    previous: Optional[bytes] = None
+    for key, _tag, value in heapq.merge(*sources, reverse=not ascending):
+        if key != previous:
+            previous = key
+            if value is not None or keep_markers:
+                yield key, value
 
 
 class LsmTree:
@@ -116,16 +154,20 @@ class LsmTree:
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"values must be bytes, got {type(value).__name__}")
         key, value = bytes(key), bytes(value)
-        self._engine._log_put(self.namespace, key, value)
+        engine = self._engine
+        engine.wal.append_put(self.namespace, key, value)
         self._apply_put(key, value)
-        self._engine._after_mutation()
+        if engine._memtable_bytes > engine.memtable_budget_bytes:
+            engine.flush()
 
     def delete(self, key: bytes) -> bool:
         if self.get(key) is None:
             return False
-        self._engine._log_delete(self.namespace, key)
+        engine = self._engine
+        engine.wal.append_delete(self.namespace, key)
         self._apply_delete(key)
-        self._engine._after_mutation()
+        if engine._memtable_bytes > engine.memtable_budget_bytes:
+            engine.flush()
         return True
 
     def test_and_set(
@@ -145,47 +187,57 @@ class LsmTree:
     # ------------------------------------------------------------------
     # Memtable internals (WAL-free: also used by recovery replay)
     # ------------------------------------------------------------------
-    def _entry_bytes(self, key: bytes, value: Optional[bytes]) -> int:
-        return len(key) + (0 if value is None else len(value)) + _MEM_ENTRY_OVERHEAD
-
     def _account(self, delta: int) -> None:
         """Move this memtable's size and the engine's running total together."""
         self.mem_bytes += delta
         self._engine._memtable_bytes += delta
 
     def _apply_put(self, key: bytes, value: Optional[bytes]) -> None:
-        delta = self._entry_bytes(key, value)
-        if key in self._mem:
-            delta -= self._entry_bytes(key, self._mem[key])
+        mem = self._mem
+        delta = 0 if value is None else len(value)
+        if key in mem:
+            old = mem[key]
+            if old is not None:
+                delta -= len(old)
         else:
             self._mem_keys.add(key)
-        self._mem[key] = value
-        self._account(delta)
+            delta += len(key) + _MEM_ENTRY_OVERHEAD
+        mem[key] = value
+        self.mem_bytes += delta  # _account, in place: every put comes through here
+        self._engine._memtable_bytes += delta
 
     def _apply_delete(self, key: bytes) -> None:
         if self.segments:
             # A marker must shadow whatever older segments hold.
             self._apply_put(key, None)
         elif key in self._mem:
-            self._account(-self._entry_bytes(key, self._mem.pop(key)))
+            value = self._mem.pop(key)
             self._mem_keys.remove(key)
+            self._account(-(len(key) + len(value or b"") + _MEM_ENTRY_OVERHEAD))
 
     def _reset_memtable(self) -> None:
         self._mem.clear()
         self._mem_keys.clear()
         self._account(-self.mem_bytes)
 
-    def _mem_iter(
+    def _mem_range(
         self,
-        start: Optional[bytes],
-        end: Optional[bytes],
-        ascending: bool,
-    ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
+        start: Optional[bytes] = None,
+        end: Optional[bytes] = None,
+        ascending: bool = True,
+        limit: Optional[int] = None,
+    ) -> List[Entry]:
+        """The memtable's entries in a range, markers included, in scan order."""
         keys, lo, hi = self._mem_keys.span(start, end)
-        indices = range(lo, hi) if ascending else range(hi - 1, lo - 1, -1)
-        for index in indices:
-            key = keys[index]
-            yield key, self._mem[key]
+        if limit is not None:
+            if ascending:
+                hi = min(hi, lo + limit)
+            else:
+                lo = max(lo, hi - limit)
+        chunk = keys[lo:hi]
+        if not ascending:
+            chunk.reverse()
+        return list(zip(chunk, map(self._mem.__getitem__, chunk)))
 
     # ------------------------------------------------------------------
     # Merged iteration
@@ -201,26 +253,11 @@ class LsmTree:
         The tree must not be mutated or flushed while the iterator is live
         (same contract as ``OrderedKVMap.iter_range``).
         """
-        sources = [
-            _tagged(segment.iter_range(start, end, ascending), priority)
-            for priority, segment in enumerate(self.segments)
+        runs: List[Iterable[List[Entry]]] = [
+            segment.iter_blocks(start, end, ascending) for segment in self.segments
         ]
-        sources.append(
-            _tagged(self._mem_iter(start, end, ascending), len(self.segments))
-        )
-        if ascending:
-            merged = heapq.merge(*sources, key=lambda e: (e[0], -e[1]))
-        else:
-            merged = heapq.merge(
-                *sources, key=lambda e: (e[0], e[1]), reverse=True
-            )
-        previous: Optional[bytes] = None
-        for key, _priority, value in merged:
-            if key == previous:
-                continue
-            previous = key
-            if value is not None:
-                yield key, value
+        runs.append([self._mem_range(start, end, ascending)])
+        return _merged(runs, ascending)
 
     # ------------------------------------------------------------------
     # OrderedKVMap-compatible range surface
@@ -248,13 +285,12 @@ class LsmTree:
             newest: Dict[bytes, Optional[bytes]] = {}
             horizon: Optional[bytes] = None
             # Oldest run first, memtable last: a later update overwrites.
-            runs = [
-                segment.iter_range(start, end, ascending)
+            chunks = [
+                segment.read_range(start, end, remaining, ascending)
                 for segment in self.segments
             ]
-            runs.append(self._mem_iter(start, end, ascending))
-            for run in runs:
-                chunk = list(islice(run, remaining))
+            chunks.append(self._mem_range(start, end, ascending, remaining))
+            for chunk in chunks:
                 newest.update(chunk)
                 if len(chunk) == remaining:
                     last = chunk[-1][0]
@@ -287,13 +323,7 @@ class LsmTree:
                 end = horizon
         return out
 
-    def iter_range(
-        self,
-        start: Optional[bytes] = None,
-        end: Optional[bytes] = None,
-        ascending: bool = True,
-    ) -> Iterator[Tuple[bytes, bytes]]:
-        return self.iter_merged(start, end, ascending)
+    iter_range = iter_merged  # the name ``OrderedKVMap`` gives it
 
     def count_range(
         self, start: Optional[bytes] = None, end: Optional[bytes] = None
@@ -379,19 +409,15 @@ class LsmEngine(StorageEngine):
 
     def drop_namespace(self, namespace: str) -> None:
         tree = self._trees.pop(namespace, None)
-        if tree is None:
-            return
-        self._memtable_bytes -= tree.mem_bytes
-        self.wal.append_drop_namespace(namespace)
-        for segment in tree.segments:
-            segment.close()
-            try:
-                os.remove(segment.path)
-            except OSError:
-                pass
+        if tree is not None:
+            self._clear_tree(tree)
 
     def _clear_tree(self, tree: LsmTree) -> None:
         self.wal.append_drop_namespace(tree.namespace)
+        self._discard(tree)
+
+    def _discard(self, tree: LsmTree) -> None:
+        """Delete everything ``tree`` holds: its segment files, its memtable."""
         for segment in tree.segments:
             segment.close()
             try:
@@ -401,18 +427,14 @@ class LsmEngine(StorageEngine):
         tree.segments = []
         tree._reset_memtable()
 
-    # ------------------------------------------------------------------
-    # WAL hooks (called by trees before mutating their memtables)
-    # ------------------------------------------------------------------
-    def _log_put(self, namespace: str, key: bytes, value: bytes) -> None:
-        self.wal.append_put(namespace, key, value)
-
-    def _log_delete(self, namespace: str, key: bytes) -> None:
-        self.wal.append_delete(namespace, key)
-
-    def _after_mutation(self) -> None:
-        if self._memtable_bytes > self.memtable_budget_bytes:
-            self.flush()
+    def _sync_dir(self) -> None:
+        """Under ``sync_writes``, make the directory's renames durable."""
+        if self.sync_writes:
+            fd = os.open(self.data_dir, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     def memtable_bytes(self) -> int:
         """Bytes held by every tree's memtable (a running total)."""
@@ -421,36 +443,38 @@ class LsmEngine(StorageEngine):
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
+    def _add_run(
+        self, tree: LsmTree, items: Iterable[Entry], expected_keys: int
+    ) -> None:
+        """Write ``items`` as ``tree``'s newest segment (none, if they are none)."""
+        path = self._segment_path(self._next_gen)
+        self._next_gen += 1
+        write_segment(
+            path, tree.namespace, items, self.sparse_index_every, expected_keys
+        )
+        segment = Segment(path)
+        if segment.entry_count:
+            tree.segments.append(segment)
+        else:
+            segment.close()
+            os.remove(path)
+
     def flush(self) -> None:
         """Write every dirty memtable to a segment, then reset the WAL."""
         flushed = []
         for tree in self._trees.values():
             if not tree._mem:
                 continue
-            items = tree._mem_iter(None, None, True)
+            items = tree._mem_range()
             if not tree.segments:
                 # Nothing beneath to shadow: drop markers at the bottom.
-                items = (item for item in items if item[1] is not None)
-            gen = self._next_gen
-            self._next_gen += 1
-            path = self._segment_path(gen)
-            write_segment(
-                path,
-                tree.namespace,
-                items,
-                self.sparse_index_every,
-                len(tree._mem),
-            )
-            segment = Segment(path)
-            if segment.entry_count:
-                tree.segments.append(segment)
-            else:
-                segment.close()
-                os.remove(path)
+                items = [item for item in items if item[1] is not None]
+            self._add_run(tree, items, len(tree._mem))
             tree._reset_memtable()
             self.flushes += 1
             flushed.append(tree)
         # Disk segments now cover every acknowledged write.
+        self._sync_dir()
         self.wal.reset()
         for tree in flushed:
             while len(tree.segments) > self.hard_segment_cap:
@@ -482,44 +506,32 @@ class LsmEngine(StorageEngine):
         return runs
 
     def _compact_run(self, tree: LsmTree, i: int, j: int) -> None:
-        """Merge ``tree.segments[i:j]`` into one segment at position ``j-1``.
+        """Merge ``tree.segments[i:j]`` into one segment at position ``i``.
 
-        The merged file atomically replaces the run's newest member
-        (keeping its generation, hence its recovery-order position); older
-        members are deleted afterwards.
+        The merged file atomically replaces the run's *oldest* member
+        (keeping its generation, hence its recovery-order position); the
+        newer members are deleted afterwards.  A member that outlives a
+        crash between the two therefore sits above the merged run, which
+        already holds its entries, and shadows it correctly — markers the
+        merge dropped included.
         """
         run = tree.segments[i:j]
         if len(run) < 2:
             return
-        drop_markers = i == 0
-        sources = [
-            _tagged(segment.iter_range(), priority)
-            for priority, segment in enumerate(run)
-        ]
-        merged = heapq.merge(*sources, key=lambda e: (e[0], -e[1]))
-
-        def live() -> Iterator[Tuple[bytes, Optional[bytes]]]:
-            previous: Optional[bytes] = None
-            for key, _priority, value in merged:
-                if key == previous:
-                    continue
-                previous = key
-                if value is None and drop_markers:
-                    continue
-                yield key, value
-
-        path = run[-1].path
+        path = run[0].path
         write_segment(
             path,
             tree.namespace,
-            live(),
+            # Markers go only when nothing older is left for them to shadow.
+            _merged([segment.iter_blocks() for segment in run], keep_markers=i > 0),
             self.sparse_index_every,
             sum(segment.entry_count for segment in run),
         )
+        self._sync_dir()
         replacement = Segment(path)
         for segment in run:
             segment.close()
-        for segment in run[:-1]:
+        for segment in run[1:]:
             try:
                 os.remove(segment.path)
             except OSError:
@@ -570,9 +582,6 @@ class LsmEngine(StorageEngine):
         )
         for key, value in items:
             sorter.add(bytes(key), bytes(value))
-        gen = self._next_gen
-        self._next_gen += 1
-        path = self._segment_path(gen)
         stored = 0
 
         def pairs() -> Iterator[Tuple[bytes, bytes]]:
@@ -581,18 +590,10 @@ class LsmEngine(StorageEngine):
                 stored += 1
                 yield key, value
 
-        write_segment(
-            path, namespace, pairs(), self.sparse_index_every,
-            sorter.items_added,
-        )
+        self._add_run(tree, pairs(), sorter.items_added)
+        self._sync_dir()
         self.bulk_spill_count += sorter.spill_count
         self.bulk_loads += 1
-        segment = Segment(path)
-        if segment.entry_count:
-            tree.segments.append(segment)
-        else:
-            segment.close()
-            os.remove(path)
         return stored
 
     # ------------------------------------------------------------------
@@ -643,7 +644,10 @@ class LsmEngine(StorageEngine):
             elif op == OP_DELETE:
                 tree._apply_delete(key)
             elif op == OP_DROP_NAMESPACE:
-                tree._reset_memtable()
+                # Segments too: one still here outlived the drop's own
+                # removals, or comes from a flush whose log reset never
+                # happened — and then the rest of the log repeats it.
+                self._discard(tree)
         self.wal.records_appended = len(replay.ops)
         info.wal_records_replayed = len(replay.ops)
         info.torn_tail_bytes_dropped = replay.torn_bytes

@@ -22,23 +22,26 @@ file: a partially written segment (the crash hit mid-flush) fails
 validation, is discarded by recovery, and its contents are re-read from the
 WAL — which is reset only after a flush completes.
 
-Reads never decode a block into Python objects they will not return.  The
-file is opened unbuffered and every read is one positioned ``os.pread`` of
-exactly the bytes wanted — the footer once at open, then one sparse block
-(``sparse_every`` entries) at a time through :meth:`Segment._read_block` —
-so a read costs its own bytes, not a buffered reader's refill on top.
+The block is the unit of work in both directions.  A writer assembles each
+sparse block (``sparse_every`` entries) and hands the file one buffer per
+block.  The file is opened unbuffered for reading and every read is one
+positioned ``os.pread`` of exactly the bytes wanted — the footer once at
+open, then one block at a time through :meth:`Segment._read_block` — and one
+function, :func:`_scan_block`, walks a block's raw bytes: it steps over
+entries below ``start`` by their lengths, slices a value only for an entry
+it returns, and stops at ``end`` or at a ``limit``.  Every read is built on
+it, so entries a read will not return never become Python objects.
 
 A point lookup first checks ``[min_key, max_key]``, then the bloom-style key
 filter (k probes derived from two CRC32s of the key, which the caller may
-compute once and share across every segment it asks), and only then reads
-the one block the sparse index names.  It walks that block's raw bytes with
-``unpack_from``, comparing key slices where they lie, stops at the first key
-not below the wanted one, and slices out a value only on a match.  Range
-scans skip a segment whose key bounds miss the range, seek the block
-containing ``start`` and walk forward the same way, so entries before
-``start`` never become tuples; descending scans walk blocks in reverse,
-materialising one block's in-range entries at a time, so memory stays
-bounded by the block size, never the range size.
+compute once and share across every segment it asks), and only then scans
+the one block the sparse index names.  Range reads skip a segment whose key
+bounds miss the range and seek the block containing ``start``; a limited
+read (:meth:`Segment.read_range`) stops at the block where its limit is
+reached, and an unlimited one (:meth:`Segment.iter_blocks`) streams one
+block's entries at a time — descending reads take the blocks in reverse and
+reverse each block's list — so memory stays bounded by the block size,
+never the range size.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import bisect
 import os
 import struct
 import zlib
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 _HEADER = b"SEG1"
@@ -65,8 +69,13 @@ _DELETE_LEN = 0xFFFFFFFF
 _BLOOM_BITS_PER_KEY = 10
 _BLOOM_HASHES = 4
 
-#: Entry payload value for a delete marker (never stored).
-DELETED = None
+#: One stored entry: ``(key, value)``, the value ``None`` for a delete marker.
+Entry = Tuple[bytes, Optional[bytes]]
+
+#: The segment writer's file buffer.  It is handed whole blocks, so it holds
+#: several: a write syscall carries about as many bytes as it did when the
+#: writer was handed entry pieces, and there are no more of them.
+_WRITE_BUFFER = 1 << 16
 
 
 class SegmentError(Exception):
@@ -82,29 +91,6 @@ def filter_hashes(key: bytes) -> Tuple[int, int]:
     return zlib.crc32(key), zlib.crc32(key, 0x9E3779B9) | 1
 
 
-def _filter_probes(h1: int, h2: int, hashes: int) -> range:
-    """A key's probe values; a filter of ``nbits`` bits uses each ``% nbits``.
-
-    The one definition of the probe sequence: the builder sets these bits
-    and the reader tests them.
-    """
-    return range(h1, h1 + hashes * h2, h2)
-
-
-class _BloomBuilder:
-    def __init__(self, expected_keys: int):
-        self.nbits = max(64, expected_keys * _BLOOM_BITS_PER_KEY)
-        self.hashes = _BLOOM_HASHES
-        self.bits = bytearray((self.nbits + 7) // 8)
-
-    def add(self, key: bytes) -> None:
-        h1, h2 = filter_hashes(key)
-        bits, nbits = self.bits, self.nbits
-        for probe in _filter_probes(h1, h2, self.hashes):
-            probe %= nbits
-            bits[probe >> 3] |= 1 << (probe & 7)
-
-
 def write_segment(
     path: str,
     namespace: str,
@@ -115,22 +101,28 @@ def write_segment(
     """Write one sorted run to ``path``; return the entry count.
 
     ``items`` must be key-ascending with no duplicate keys; a ``None``
-    value writes a delete marker.  The file is written to a temporary name
-    and renamed into place so a crash mid-write can never leave a file that
-    *both* carries the real name and passes validation.
+    value writes a delete marker.  ``expected_keys`` (an upper bound on the
+    count) sizes the key filter; without it the items are counted first.
+    The file is written to a temporary name and renamed into place so a
+    crash mid-write can never leave a file that *both* carries the real
+    name and passes validation.
     """
-    tmp_path = path + ".tmp"
+    if not expected_keys:
+        items = list(items)
+        expected_keys = max(len(items), 1)
+    nbits = max(64, expected_keys * _BLOOM_BITS_PER_KEY)
+    bits = bytearray((nbits + 7) // 8)
+    probe_span = range(_BLOOM_HASHES)
+    pack_lengths = _ENTRY.pack
     entries = 0
-    keys: List[bytes] = []  # sparse anchors only
+    anchors: List[bytes] = []  # each block's first key: the sparse index
     offsets: List[int] = []
-    bloom = _BloomBuilder(max(expected_keys, 1))
-    min_key: Optional[bytes] = None
-    max_key: Optional[bytes] = None
-    grow_bloom: List[bytes] = []
-    with open(tmp_path, "wb") as handle:
+    block: List[bytes] = []
+    last_key: Optional[bytes] = None
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "wb", buffering=_WRITE_BUFFER) as handle:
         handle.write(_HEADER)
         offset = len(_HEADER)
-        last_key: Optional[bytes] = None
         for key, value in items:
             if last_key is not None and key <= last_key:
                 raise SegmentError(
@@ -138,43 +130,43 @@ def write_segment(
                 )
             last_key = key
             if entries % sparse_every == 0:
-                keys.append(key)
+                # One buffer per block: the file sees whole blocks only.
+                data = b"".join(block)
+                handle.write(data)
+                offset += len(data)
+                block.clear()
+                anchors.append(key)
                 offsets.append(offset)
-            if expected_keys:
-                bloom.add(key)
+            # The probe sequence ``Segment._filter_admits`` walks.
+            probe, stride = filter_hashes(key)
+            for _ in probe_span:
+                bit = probe % nbits
+                bits[bit >> 3] |= 1 << (bit & 7)
+                probe += stride
+            if value is None:
+                block += (pack_lengths(len(key), _DELETE_LEN), key)
             else:
-                grow_bloom.append(key)
-            # Three writes, not one concatenated: the buffered writer
-            # flushes when the next piece does not fit, so the pieces it is
-            # handed decide where its write syscalls fall (and how many).
-            val_len = _DELETE_LEN if value is None else len(value)
-            handle.write(_ENTRY.pack(len(key), val_len))
-            handle.write(key)
-            if value is not None:
-                handle.write(value)
-            offset += _ENTRY.size + len(key) + (0 if value is None else len(value))
-            if min_key is None:
-                min_key = key
-            max_key = key
+                block += (pack_lengths(len(key), len(value)), key, value)
             entries += 1
-        if not expected_keys:
-            bloom = _BloomBuilder(max(entries, 1))
-            for key in grow_bloom:
-                bloom.add(key)
-        footer_offset = offset
-        footer_parts: List[bytes] = []
+        data = b"".join(block)
+        handle.write(data)
+        footer_offset = offset + len(data)
         ns = namespace.encode("utf-8")
-        footer_parts.append(_U16.pack(len(ns)) + ns)
-        footer_parts.append(_U64.pack(entries))
-        footer_parts.append(_U32.pack(len(min_key or b"")) + (min_key or b""))
-        footer_parts.append(_U32.pack(len(max_key or b"")) + (max_key or b""))
-        footer_parts.append(_U32.pack(len(keys)))
-        for anchor, anchor_offset in zip(keys, offsets):
+        min_key = anchors[0] if anchors else b""
+        max_key = last_key or b""
+        footer_parts: List[bytes] = [
+            _U16.pack(len(ns)) + ns,
+            _U64.pack(entries),
+            _U32.pack(len(min_key)) + min_key,
+            _U32.pack(len(max_key)) + max_key,
+            _U32.pack(len(anchors)),
+        ]
+        for anchor, anchor_offset in zip(anchors, offsets):
             footer_parts.append(_U32.pack(len(anchor)) + anchor)
             footer_parts.append(_U64.pack(anchor_offset))
-        footer_parts.append(_U32.pack(bloom.nbits))
-        footer_parts.append(bytes([bloom.hashes]))
-        footer_parts.append(_U32.pack(len(bloom.bits)) + bytes(bloom.bits))
+        footer_parts.append(_U32.pack(nbits))
+        footer_parts.append(bytes([_BLOOM_HASHES]))
+        footer_parts.append(_U32.pack(len(bits)) + bytes(bits))
         footer = b"".join(footer_parts)
         handle.write(footer)
         handle.write(
@@ -187,14 +179,19 @@ def write_segment(
 
 
 def _scan_block(
-    data: bytes, start: Optional[bytes], end: Optional[bytes]
-) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-    """Walk one block's raw bytes, yielding entries with ``start <= key < end``.
+    data: bytes,
+    start: Optional[bytes] = None,
+    end: Optional[bytes] = None,
+    limit: Optional[int] = None,
+) -> List[Entry]:
+    """One block's entries with ``start <= key < end``, the first ``limit``.
 
-    Entries below ``start`` are stepped over by their lengths alone: only
-    the key is sliced (to compare it), never the value.
+    The one place entry bytes are walked.  Entries below ``start`` are
+    stepped over by their lengths alone: only the key is sliced (to compare
+    it), never the value.  ``limit`` is positive or ``None``.
     """
     unpack_lengths = _ENTRY.unpack_from
+    out: List[Entry] = []
     pos, size = 0, len(data)
     while pos < size:
         key_len, val_len = unpack_lengths(data, pos)
@@ -207,8 +204,11 @@ def _scan_block(
                 continue
             start = None  # keys ascend: every later one passes too
         if end is not None and key >= end:
-            return
-        yield key, (None if val_len == _DELETE_LEN else data[val_at:pos])
+            break
+        out.append((key, None if val_len == _DELETE_LEN else data[val_at:pos]))
+        if len(out) == limit:
+            break
+    return out
 
 
 class Segment:
@@ -299,18 +299,23 @@ class Segment:
         pos += bloom_len
         if pos != footer_len:
             raise SegmentError(f"segment {self.path} footer has trailing bytes")
-        self._data_end = footer_offset
+        # A block ends where the next begins; the last one, at the footer.
+        self._index_offsets.append(footer_offset)
         self.size_bytes = size
 
     # ------------------------------------------------------------------
     # Filters / index
     # ------------------------------------------------------------------
-    def _filter_admits(self, h1: int, h2: int) -> bool:
+    def _filter_admits(self, probe: int, stride: int) -> bool:
+        """Test the probe sequence ``write_segment`` set: ``probe + i * stride``."""
         bits, nbits = self._bloom_bits, self._bloom_nbits
-        for probe in _filter_probes(h1, h2, self._bloom_hashes):
-            probe %= nbits
-            if not bits[probe >> 3] & (1 << (probe & 7)):
+        remaining = self._bloom_hashes
+        while remaining:
+            bit = probe % nbits
+            if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            probe += stride
+            remaining -= 1
         return True
 
     def maybe_contains(self, key: bytes) -> bool:
@@ -324,13 +329,7 @@ class Segment:
         return bisect.bisect_right(self._index_keys, key) - 1
 
     def _block_bounds(self, block: int) -> Tuple[int, int]:
-        start = self._index_offsets[block]
-        end = (
-            self._index_offsets[block + 1]
-            if block + 1 < len(self._index_offsets)
-            else self._data_end
-        )
-        return start, end
+        return self._index_offsets[block], self._index_offsets[block + 1]
 
     def _read_block(self, block: int) -> bytes:
         """One block's raw entry bytes: the engine's only data-path disk read."""
@@ -354,61 +353,82 @@ class Segment:
         if not self._filter_admits(*(hashes or filter_hashes(key))):
             return False, None
         # min_key is the first anchor, so a key inside the bounds has a block.
-        data = self._read_block(self._block_for(key))
-        unpack_lengths = _ENTRY.unpack_from
-        pos, size = 0, len(data)
-        while pos < size:
-            key_len, val_len = unpack_lengths(data, pos)
-            key_at = pos + _ENTRY_SIZE
-            val_at = key_at + key_len
-            entry_key = data[key_at:val_at]
-            if entry_key >= key:
-                if entry_key != key:
-                    break
-                if val_len == _DELETE_LEN:
-                    return True, None
-                return True, data[val_at : val_at + val_len]
-            pos = val_at if val_len == _DELETE_LEN else val_at + val_len
+        hit = _scan_block(self._read_block(self._block_for(key)), key, None, 1)
+        if hit and hit[0][0] == key:
+            return True, hit[0][1]
         return False, None
 
-    def iter_range(
-        self,
-        start: Optional[bytes] = None,
-        end: Optional[bytes] = None,
-        ascending: bool = True,
-    ) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-        """Yield ``(key, value_or_None)`` with ``start <= key < end``.
+    def _blocks(
+        self, start: Optional[bytes], end: Optional[bytes], ascending: bool
+    ) -> range:
+        """The blocks that can hold keys in ``[start, end)``, in scan order.
 
-        Delete markers are yielded (value ``None``) — the LSM merge layer
-        needs them to shadow older segments.  A segment whose key bounds
-        miss the range yields nothing without reading anything.
+        Empty, with nothing read, when the key bounds miss the range.
         """
         if (
             not self.entry_count
             or (start is not None and start > self.max_key)
             or (end is not None and end <= self.min_key)
         ):
-            return
+            return range(0)
         anchors = self._index_keys
         first = 0 if start is None else max(0, self._block_for(start))
         # The last block whose anchor lies below ``end``; ``end`` is above
         # min_key here, so there is one.
         last = len(anchors) - 1 if end is None else bisect.bisect_left(anchors, end) - 1
-        if ascending:
-            for block in range(first, last + 1):
-                yield from _scan_block(self._read_block(block), start, end)
-                start = None  # later blocks begin above it
-        else:
-            for block in range(last, first - 1, -1):
-                yield from reversed(
-                    list(
-                        _scan_block(
-                            self._read_block(block),
-                            start if block == first else None,
-                            end if block == last else None,
-                        )
-                    )
-                )
+        return range(first, last + 1) if ascending else range(last, first - 1, -1)
+
+    def read_range(
+        self,
+        start: Optional[bytes],
+        end: Optional[bytes],
+        limit: int,
+        ascending: bool = True,
+    ) -> List[Entry]:
+        """The first ``limit`` (positive) entries of :meth:`iter_range`.
+
+        No block past the one where the limit is reached is read.
+        """
+        out: List[Entry] = []
+        for block in self._blocks(start, end, ascending):
+            data = self._read_block(block)
+            if ascending:
+                out += _scan_block(data, start, end, limit - len(out))
+            else:
+                # Entries are framed forwards: take the block's tail.
+                entries = _scan_block(data, start, end)
+                entries.reverse()
+                out += entries[: limit - len(out)]
+            if len(out) >= limit:
+                break
+        return out
+
+    def iter_blocks(
+        self,
+        start: Optional[bytes] = None,
+        end: Optional[bytes] = None,
+        ascending: bool = True,
+    ) -> Iterator[List[Entry]]:
+        """:meth:`iter_range`, one block's list of entries at a time."""
+        for block in self._blocks(start, end, ascending):
+            entries = _scan_block(self._read_block(block), start, end)
+            if not ascending:
+                entries.reverse()
+            yield entries
+
+    def iter_range(
+        self,
+        start: Optional[bytes] = None,
+        end: Optional[bytes] = None,
+        ascending: bool = True,
+    ) -> Iterator[Entry]:
+        """Yield ``(key, value_or_None)`` with ``start <= key < end``.
+
+        Delete markers are yielded (value ``None``) — the LSM merge layer
+        needs them to shadow older segments.  A segment whose key bounds
+        miss the range yields nothing without reading anything.
+        """
+        return chain.from_iterable(self.iter_blocks(start, end, ascending))
 
     def close(self) -> None:
         if not self._file.closed:

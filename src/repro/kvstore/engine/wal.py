@@ -22,6 +22,12 @@ are never lost; the torn record itself was never acknowledged.
 The log is reset (truncated to empty) only after a memtable flush has
 durably written its segment files, so at every instant ``segments + WAL``
 covers the full acknowledged history.
+
+The frame is the unit of work: the file is opened unbuffered and a record is
+one ``bytes`` object — header and payload, the payload led by a cached
+``op | ns_len | ns`` prefix — handed to one ``os.write``.  A short write is
+completed by further writes; a crash between them leaves exactly the torn
+tail replay drops.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 _FRAME = struct.Struct(">II")
 _NS_LEN = struct.Struct(">H")
@@ -54,18 +60,6 @@ class WalReplay:
     good_offset: int = 0
     #: Bytes dropped from a torn tail (0 on a clean log).
     torn_bytes: int = 0
-
-
-def _encode(op: int, namespace: str, key: bytes, value: Optional[bytes]) -> bytes:
-    ns = namespace.encode("utf-8")
-    parts = [bytes([op]), _NS_LEN.pack(len(ns)), ns]
-    parts.append(_KEY_LEN.pack(len(key)))
-    parts.append(key)
-    if op == OP_PUT:
-        assert value is not None
-        parts.append(_KEY_LEN.pack(len(value)))
-        parts.append(value)
-    return b"".join(parts)
 
 
 def _decode(payload: bytes) -> Optional[WalOp]:
@@ -104,29 +98,46 @@ class WriteAheadLog:
         self.path = path
         self.sync = sync
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        self._file = open(path, "ab")
+        #: Unbuffered and append-only; ``-1`` once closed, so a late append
+        #: raises instead of reaching whatever reuses the descriptor.
+        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        #: ``op | ns_len | ns`` by ``(op, namespace)``: the bytes every
+        #: record of one kind in one namespace starts with.
+        self._prefixes: Dict[Tuple[int, str], bytes] = {}
         #: Appends since the last reset (mirrors what replay would return).
         self.records_appended = 0
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def _append(self, payload: bytes) -> None:
+    def _prefix(self, op: int, namespace: str) -> bytes:
+        ns = namespace.encode("utf-8")
+        prefix = bytes([op]) + _NS_LEN.pack(len(ns)) + ns
+        self._prefixes[op, namespace] = prefix
+        return prefix
+
+    def _append(self, op: int, namespace: str, *fields: bytes) -> None:
+        prefix = self._prefixes.get((op, namespace)) or self._prefix(op, namespace)
+        payload = b"".join((prefix, *fields))
         frame = _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
-        self._file.write(frame)
-        self._file.flush()
+        written = os.write(self._fd, frame)
+        while written < len(frame):
+            written += os.write(self._fd, frame[written:])
         if self.sync:
-            os.fsync(self._file.fileno())
+            os.fsync(self._fd)
         self.records_appended += 1
 
     def append_put(self, namespace: str, key: bytes, value: bytes) -> None:
-        self._append(_encode(OP_PUT, namespace, key, value))
+        self._append(
+            OP_PUT, namespace,
+            _KEY_LEN.pack(len(key)), key, _KEY_LEN.pack(len(value)), value,
+        )
 
     def append_delete(self, namespace: str, key: bytes) -> None:
-        self._append(_encode(OP_DELETE, namespace, key, None))
+        self._append(OP_DELETE, namespace, _KEY_LEN.pack(len(key)), key)
 
     def append_drop_namespace(self, namespace: str) -> None:
-        self._append(_encode(OP_DROP_NAMESPACE, namespace, b"", None))
+        self._append(OP_DROP_NAMESPACE, namespace, _KEY_LEN.pack(0))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -139,16 +150,15 @@ class WriteAheadLog:
 
     def reset(self) -> None:
         """Truncate the log to empty (call only after a durable flush)."""
-        self._file.truncate(0)
-        self._file.seek(0)
-        self._file.flush()
+        os.ftruncate(self._fd, 0)  # O_APPEND: the next write lands at 0
         if self.sync:
-            os.fsync(self._file.fileno())
+            os.fsync(self._fd)
         self.records_appended = 0
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.close()
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
 
     # ------------------------------------------------------------------
     # Replay

@@ -8,6 +8,7 @@ no matter how its state is split between memtable, WAL, and segments.
 
 import os
 import random
+import stat
 
 import pytest
 
@@ -301,6 +302,95 @@ class TestCrashRecovery:
         # New segments never reuse an existing generation number.
         assert set(gens_before) <= set(gens_after)
         assert len(gens_after) > len(gens_before)
+
+
+class TestCommitPointDurability:
+    """Under ``sync_writes`` a rename is durable before anything relies on it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every fsync / replace / remove / truncate, in order, by what it hit."""
+        calls = []
+
+        def recording(name, describe):
+            real = getattr(os, name)
+
+            def stand_in(*args):
+                calls.append(describe(*args))
+                return real(*args)
+
+            monkeypatch.setattr(os, name, stand_in)
+
+        def synced(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                return "fsync directory"
+            return "fsync file"
+
+        recording("fsync", synced)
+        recording("replace", lambda src, dst: "replace " + os.path.basename(dst))
+        recording("remove", lambda path: "remove " + os.path.basename(path))
+        recording("ftruncate", lambda fd, size: "truncate log")
+        return calls
+
+    def _engine(self, tmp_path, sync_writes: bool) -> LsmEngine:
+        return LsmEngine(
+            str(tmp_path / "node"), memtable_budget_bytes=1 << 20, fanout=2,
+            sync_writes=sync_writes,
+        )
+
+    def test_flush_syncs_the_directory_before_it_resets_the_log(self, tmp_path, calls):
+        engine = self._engine(tmp_path, sync_writes=True)
+        try:
+            engine.map("data").put(b"k", b"v")
+            engine.map("idx").put(b"k", b"v")
+            del calls[:]
+            engine.flush()
+            assert calls == [
+                "fsync file", "replace seg-00000000.seg",
+                "fsync file", "replace seg-00000001.seg",
+                "fsync directory",
+                "truncate log", "fsync file",
+            ]
+        finally:
+            engine.close()
+
+    def test_compaction_syncs_the_directory_before_it_removes_its_inputs(
+        self, tmp_path, calls
+    ):
+        engine = self._engine(tmp_path, sync_writes=True)
+        try:
+            for value in (b"1", b"2"):
+                engine.map("data").put(b"k", value)
+                engine.flush()
+            del calls[:]
+            assert engine.run_maintenance() == 1
+            assert calls == [
+                "fsync file", "replace seg-00000000.seg", "fsync directory",
+                "remove seg-00000001.seg",
+            ]
+            del calls[:]
+            engine.bulk_load("data", [(b"b", b"3")])
+            assert calls[-3:] == [
+                "fsync file", "replace seg-00000002.seg", "fsync directory",
+            ]
+        finally:
+            engine.close()
+
+    def test_without_sync_writes_no_directory_is_synced(self, tmp_path, calls):
+        engine = self._engine(tmp_path, sync_writes=False)
+        try:
+            for value in (b"1", b"2"):
+                engine.map("data").put(b"k", value)
+                engine.flush()
+            engine.run_maintenance()
+            engine.bulk_load("data", [(b"b", b"3")])
+            # The segment writer's own fsync-before-rename is all there is.
+            assert calls.count("fsync file") == sum(
+                1 for call in calls if call.startswith("replace")
+            ) == 4
+            assert "fsync directory" not in calls
+        finally:
+            engine.close()
 
 
 class TestBulkLoad:

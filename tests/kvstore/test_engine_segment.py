@@ -1,6 +1,7 @@
 """Unit tests for sorted segment files (format, filters, range scans)."""
 
 import os
+import zlib
 
 import pytest
 
@@ -79,6 +80,42 @@ class TestRoundTrip:
             assert seg.entry_count == 0
             assert seg.get(b"k") == (False, None)
             assert list(seg.iter_range()) == []
+        finally:
+            seg.close()
+
+
+class _BloomBuilder:
+    """The key filter as it was first built, one ``add`` per key: the
+    reference ``write_segment``'s inlined bit-setting is pinned against."""
+
+    def __init__(self, expected_keys: int):
+        self.nbits = max(64, expected_keys * 10)
+        self.bits = bytearray((self.nbits + 7) // 8)
+
+    def add(self, key: bytes) -> None:
+        h1, h2 = zlib.crc32(key), zlib.crc32(key, 0x9E3779B9) | 1
+        for probe in range(h1, h1 + 4 * h2, h2):
+            probe %= self.nbits
+            self.bits[probe >> 3] |= 1 << (probe & 7)
+
+
+class TestKeyFilter:
+    @pytest.mark.parametrize("expected_keys", [0, 200, 1000])
+    def test_filter_is_bit_identical_to_the_per_key_builder(self, tmp_path, expected_keys):
+        path = str(tmp_path / "seg-00000000.seg")
+        items = _items(200) + [(bytes([255, index]), None) for index in range(40)]
+        write_segment(path, "data", iter(items), expected_keys=expected_keys)
+        reference = _BloomBuilder(expected_keys or len(items))
+        for key, _value in items:
+            reference.add(key)
+        seg = Segment(path)
+        try:
+            assert seg._bloom_nbits == reference.nbits
+            assert seg._bloom_hashes == 4
+            assert seg._bloom_bits == bytes(reference.bits)
+            assert all(seg.maybe_contains(key) for key, _value in items)
+            absent = [b"k%04dx" % index for index in range(1000)]
+            assert sum(seg.maybe_contains(key) for key in absent) < 60  # ~2% at 10 bits/key
         finally:
             seg.close()
 
@@ -197,6 +234,25 @@ class TestReadsOnlyWhatItMust:
         assert len(rows) == 5 and preads.calls == 1
         rows = list(segment.iter_range(b"k0010", b"k0015", ascending=False))
         assert len(rows) == 5 and preads.calls == 2
+
+    def test_limited_range_stops_at_the_block_where_the_limit_is_reached(
+        self, segment, preads
+    ):
+        # sparse_every=8: blocks are anchored at k0000, k0008, k0016, ...
+        expected = _items(200)
+        assert segment.read_range(b"k0010", None, 3) == expected[10:13]
+        assert preads.calls == 1  # k0010..k0012 lie in one block
+        assert segment.read_range(b"k0010", None, 6) == expected[10:16]
+        assert preads.calls == 2  # ... and k0015 ends it: the next is not read
+        assert segment.read_range(b"k0010", b"k0100", 7) == expected[10:17]
+        assert preads.calls == 4  # the seventh entry is the next block's first
+        assert segment.read_range(None, b"k0100", 3, ascending=False) == expected[99:96:-1]
+        assert preads.calls == 5  # k0096..k0099 head the last covered block
+        assert segment.read_range(None, b"k0098", 3, ascending=False) == expected[97:94:-1]
+        assert preads.calls == 7
+        # A range that ends before its limit reads what it covers, no more.
+        assert segment.read_range(b"k0190", None, 50) == expected[190:]
+        assert preads.calls == 9
 
     def test_tree_hashes_a_key_once_for_all_its_segments(self, tmp_path, monkeypatch):
         from repro.kvstore.engine import lsm, segment as segment_module

@@ -1,6 +1,7 @@
 """Unit tests for the engine write-ahead log (framing, replay, torn tails)."""
 
 import os
+import shutil
 
 import pytest
 
@@ -117,3 +118,53 @@ class TestTornTail:
             handle.write(b"tail")
         WriteAheadLog.replay(wal_path, truncate_torn_tail=False)
         assert os.path.getsize(wal_path) == size + 4
+
+
+class TestShortWrites:
+    """A frame is one ``os.write``; the kernel may take only part of it."""
+
+    def test_a_short_write_is_completed_and_its_middle_is_a_torn_tail(
+        self, tmp_path, monkeypatch
+    ):
+        real_write = os.write
+        sizing = WriteAheadLog(str(tmp_path / "sizing.log"))
+        sizing.append_put("data", b"k2", b"v2")
+        frame_bytes = sizing.size_bytes()
+        sizing.close()
+        for cut in range(1, frame_bytes):
+            wal_path = str(tmp_path / f"wal-{cut}.log")
+            torn_path = wal_path + ".crashed"
+            calls = []
+
+            def short_write(fd, data):
+                calls.append(len(data))
+                if len(calls) == 1:
+                    return real_write(fd, data[:cut])
+                # Between the two writes: what a crash here leaves behind.
+                shutil.copyfile(wal_path, torn_path)
+                return real_write(fd, data)
+
+            wal = WriteAheadLog(wal_path)
+            wal.append_put("data", b"k1", b"v1")
+            monkeypatch.setattr(os, "write", short_write)
+            wal.append_put("data", b"k2", b"v2")
+            monkeypatch.setattr(os, "write", real_write)
+            wal.append_delete("data", b"k1")
+            wal.close()
+            assert calls == [frame_bytes, frame_bytes - cut]
+            assert wal.records_appended == 3
+            assert WriteAheadLog.replay(wal_path).ops == [
+                (OP_PUT, "data", b"k1", b"v1"),
+                (OP_PUT, "data", b"k2", b"v2"),
+                (OP_DELETE, "data", b"k1", b""),
+            ]
+            torn = WriteAheadLog.replay(torn_path)
+            assert torn.ops == [(OP_PUT, "data", b"k1", b"v1")]
+            assert torn.torn_bytes == cut
+
+    def test_an_append_after_close_raises(self, wal_path):
+        wal = WriteAheadLog(wal_path)
+        wal.close()
+        wal.close()  # idempotent
+        with pytest.raises(OSError):
+            wal.append_put("data", b"k", b"v")
