@@ -443,7 +443,7 @@ def run_arm(
     for node in cluster.nodes:
         if not node.up:
             cluster.recover_node(node.node_id)
-    cluster.replication.rebalance(cluster.up_node_ids())
+    cluster.replication.rebalance(cluster.live_ids())
     divergence = replica_divergence(cluster)
 
     audit_result = audit.verify()

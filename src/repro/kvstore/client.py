@@ -13,6 +13,16 @@ Latency composition rules
 * A *parallel* batch of requests costs the maximum of its members — this is
   what the Parallel executor of Section 7.1 exploits.
 
+Request path
+------------
+Every operation is one :meth:`StorageClient._call`.  It issues the cluster
+call, turns a dropped message or a reply slower than the per-RPC deadline
+into one accounted :class:`~repro.errors.RpcTimeoutError` — the only
+``except`` of that error and the only place ``client.rpc_timeouts`` is
+counted — and accounts a completed RPC: clock, counters, latency reservoir,
+breakers, span.  A gather window's batched read goes through it like any
+other, differing only in when the clock moves.
+
 Measurement
 -----------
 All counters live in a :class:`~repro.obs.metrics.MetricsRegistry` under
@@ -225,29 +235,87 @@ class StorageClient:
     _gather_depth: int = field(default=0, repr=False, compare=False)
 
     # ------------------------------------------------------------------
-    # Bookkeeping
+    # One RPC, start to finish
     # ------------------------------------------------------------------
-    def _record(
+    def _call(
         self,
-        result: OpResult,
+        op: str,
+        namespace: str,
         operations: int,
+        method,
+        *args,
         rpcs: int = 1,
-        op: str = "rpc",
-        namespace: str = "",
         saved_reads: Optional[int] = None,
-    ) -> Optional[Span]:
-        """Account one completed RPC: clock, counters (one registry call),
-        latency reservoir, breakers, span.
+        coalesced: Optional[int] = None,
+    ) -> Tuple[OpResult, Optional[Span]]:
+        """Issue ``method(namespace, *args)`` and account what came of it.
 
+        ``args`` are positional, in the cluster method's own order.  One
+        frame per RPC: issuing, the deadline and the accounting used to be
+        three, and a key/value operation is ~25 us of host time.
+
+        **Timed out.**  A reply slower than the per-RPC deadline is
+        indistinguishable (to the waiting client) from a lost one, so a
+        dropped message and a slow reply surface as the same accounted
+        :class:`~repro.errors.RpcTimeoutError`: the client gives up at the
+        deadline — charging exactly the deadline, not the full reply
+        latency — counts the timeout and penalises the node's breaker.  A
+        drop is discovered only when the deadline fires, so with none
+        configured (legacy callers) the error still counts but costs no
+        time.  The store-side work of a slow reply still happened; only the
+        acknowledgement is lost, which is why writes stay convergent
+        (hinted handoff / newest-wins covers the unacked copy).
+
+        **Completed.**  Clock, counters (one registry call), latency
+        reservoir, breakers, span; returns ``(result, span)``.
         ``saved_reads`` (batched reads only) counts logical reads the batch
         served without a physical fetch; they still count as keys touched.
+        ``coalesced`` is given by a gather window's batched read — how many
+        of the batch's logical reads the window already held — and marks a
+        shared fetch: its reply arrives at ``now + latency`` like any other,
+        but every branch of the window may be waiting on it, so the caller
+        moves the clock (:meth:`_coalesced_wait`) and records the span the
+        branches join.
         """
         started = self.clock.now
-        latency = result.latency_seconds
-        self.clock.advance(latency)
+        timeout = self.rpc_timeout_seconds
+        try:
+            result = method(namespace, *args)
+            latency = result.latency_seconds
+            if timeout is not None and latency > timeout:
+                raise RpcTimeoutError(op, namespace, result.node_id, timeout)
+        except RpcTimeoutError as exc:
+            counts: List[Tuple[str, float]] = [
+                ("client.rpcs", 1),
+                ("client.rpc_timeouts", 1),
+                ("resilience.timeouts", 1),
+            ]
+            if timeout is not None:
+                self.clock.advance(timeout)
+                counts.append(("client.total_latency_seconds", timeout))
+                self.stats.record_latency(timeout)
+            self.stats.metrics.add_many(counts)
+            if self.breakers is not None and exc.node_id >= 0:
+                self.breakers.record_failure(  # type: ignore[attr-defined]
+                    exc.node_id, self.clock.now
+                )
+            if self.tracer is not None:
+                span = self.tracer.record(
+                    op, "rpc-timeout", started, self.clock.now,
+                    namespace=namespace, node_id=exc.node_id,
+                )
+                if exc.timeout_seconds is not None:
+                    span.attributes["timeout_seconds"] = exc.timeout_seconds
+            raise
+        ended = started + latency
+        if coalesced is None:
+            self.clock.advance(latency)
         counts = [
             ("client.operations", operations),
-            ("client.keys_touched", result.keys_touched + (saved_reads or 0)),
+            (
+                "client.keys_touched",
+                result.keys_touched + (saved_reads or 0) + (coalesced or 0),
+            ),
             ("client.rpcs", rpcs),
         ]
         if result.partial:
@@ -259,12 +327,14 @@ class StorageClient:
         counts.append(("client.total_latency_seconds", latency))
         if saved_reads is not None:
             counts.append(("client.saved_reads", saved_reads))
+        if coalesced is not None:
+            counts.append(("client.coalesced_reads", coalesced))
         self.stats.metrics.add_many(counts)
         self.stats.record_latency(latency)
         if self.breakers is not None:
             if result.node_id >= 0:
                 self.breakers.record_success(  # type: ignore[attr-defined]
-                    result.node_id, self.clock.now
+                    result.node_id, ended
                 )
             # Replicas the coordinator skipped as down/unreachable: each
             # sighting is a per-node failure observed by this client's own
@@ -272,109 +342,40 @@ class StorageClient:
             # partition window even though the quorum was still met.
             for node_id in result.unavailable_nodes:
                 self.breakers.record_failure(  # type: ignore[attr-defined]
-                    node_id, self.clock.now
+                    node_id, ended
                 )
-        if self.tracer is not None:
-            span = self.tracer.record(
-                op, "rpc", started, self.clock.now,
-                namespace=namespace,
-                operations=operations,
-                rpcs=rpcs,
-                keys=result.keys_touched,
-                node_id=result.node_id,
-            )
-            # Rarely-set attributes are added only when non-zero; readers
-            # use ``attributes.get`` throughout.
-            attributes = span.attributes
-            if result.payload_bytes:
-                attributes["bytes"] = result.payload_bytes
-            if result.hinted:
-                attributes["hinted"] = result.hinted
-            if result.repaired:
-                attributes["repaired"] = result.repaired
-            if result.hedged:
-                attributes["hedged"] = True
-                if self.hedge_delay_seconds is not None:
-                    attributes["hedge_delay_seconds"] = (
-                        self.hedge_delay_seconds
-                    )
-            if result.queue_wait_seconds:
-                attributes["queue_wait_seconds"] = result.queue_wait_seconds
-            return span
-        return None
+        if self.tracer is None or coalesced is not None:
+            return result, None
+        span = self.tracer.record(
+            op, "rpc", started, ended,
+            namespace=namespace,
+            operations=operations,
+            rpcs=rpcs,
+            keys=result.keys_touched,
+            node_id=result.node_id,
+        )
+        # Rarely-set attributes are added only when non-zero; readers use
+        # ``attributes.get`` throughout.
+        attributes = span.attributes
+        if result.payload_bytes:
+            attributes["bytes"] = result.payload_bytes
+        if result.hinted:
+            attributes["hinted"] = result.hinted
+        if result.repaired:
+            attributes["repaired"] = result.repaired
+        if result.hedged:
+            attributes["hedged"] = True
+            if self.hedge_delay_seconds is not None:
+                attributes["hedge_delay_seconds"] = self.hedge_delay_seconds
+        if result.queue_wait_seconds:
+            attributes["queue_wait_seconds"] = result.queue_wait_seconds
+        return result, span
 
-    # ------------------------------------------------------------------
-    # Resilience hooks
-    # ------------------------------------------------------------------
     def _suspects(self) -> Optional[Set[int]]:
         """Breaker-open nodes right now (``None`` without a board)."""
         if self.breakers is None:
             return None
         return self.breakers.suspects(self.clock.now)  # type: ignore[attr-defined]
-
-    def _deadline(self, result: OpResult, op: str, namespace: str) -> OpResult:
-        """Enforce the per-RPC deadline on a completed cluster call.
-
-        A reply slower than the deadline is indistinguishable (to the
-        waiting client) from a lost one: the client gives up at the
-        deadline — charging exactly the deadline, not the full reply
-        latency — counts the timeout, penalises the serving node's
-        breaker, and raises :class:`~repro.errors.RpcTimeoutError`.  The
-        store-side work still happened; only the acknowledgement is lost,
-        which is why writes stay convergent (hinted handoff / newest-wins
-        covers the unacked copy).
-        """
-        timeout = self.rpc_timeout_seconds
-        if timeout is None or result.latency_seconds <= timeout:
-            return result
-        started = self.clock.now
-        self.clock.advance(timeout)
-        metrics = self.stats.metrics
-        metrics.add("client.rpcs", 1)
-        metrics.add("client.rpc_timeouts", 1)
-        metrics.add("resilience.timeouts", 1)
-        metrics.add("client.total_latency_seconds", timeout)
-        self.stats.record_latency(timeout)
-        if self.breakers is not None and result.node_id >= 0:
-            self.breakers.record_failure(  # type: ignore[attr-defined]
-                result.node_id, self.clock.now
-            )
-        if self.tracer is not None:
-            self.tracer.record(
-                op, "rpc-timeout", started, self.clock.now,
-                namespace=namespace, node_id=result.node_id,
-                timeout_seconds=timeout,
-            )
-        raise RpcTimeoutError(op, namespace, result.node_id, timeout)
-
-    def _note_rpc_failure(
-        self, exc: RpcTimeoutError, op: str, namespace: str
-    ) -> None:
-        """Account a cluster-raised RPC timeout (a dropped message).
-
-        The client discovers the drop only when its own deadline fires, so
-        with a deadline configured the wait is charged to the clock; with
-        none (legacy callers) the error still counts but costs no time.
-        """
-        started = self.clock.now
-        timeout = self.rpc_timeout_seconds
-        if timeout is not None:
-            self.clock.advance(timeout)
-            self.stats.metrics.add("client.total_latency_seconds", timeout)
-            self.stats.record_latency(timeout)
-        metrics = self.stats.metrics
-        metrics.add("client.rpcs", 1)
-        metrics.add("client.rpc_timeouts", 1)
-        metrics.add("resilience.timeouts", 1)
-        if self.breakers is not None and exc.node_id >= 0:
-            self.breakers.record_failure(  # type: ignore[attr-defined]
-                exc.node_id, self.clock.now
-            )
-        if self.tracer is not None:
-            self.tracer.record(
-                op, "rpc-timeout", started, self.clock.now,
-                namespace=namespace, node_id=exc.node_id,
-            )
 
     @property
     def now(self) -> float:
@@ -477,17 +478,10 @@ class StorageClient:
                 if self.tracer is not None:
                     self._trace_coalesced(namespace, (key,), started)
                 return value
-        try:
-            result = self.cluster.get(
-                namespace, key, sim_time=self.clock.now,
-                suspects=self._suspects(),
-                hedge_delay_seconds=self.hedge_delay_seconds,
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "get", namespace)
-            raise
-        result = self._deadline(result, "get", namespace)
-        span = self._record(result, operations=1, op="get", namespace=namespace)
+        result, span = self._call(
+            "get", namespace, 1, self.cluster.get, key, self.clock.now,
+            self._suspects(), self.hedge_delay_seconds,
+        )
         if result.hedged:
             # The losing twin of the hedge is cancelled: its logical read
             # was already counted, so only the saved physical fetch and
@@ -503,30 +497,18 @@ class StorageClient:
 
     def put(self, namespace: str, key: bytes, value: bytes) -> None:
         """Write a single value (one key/value store operation)."""
-        try:
-            result = self.cluster.put(
-                namespace, key, value, sim_time=self.clock.now,
-                suspects=self._suspects(),
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "put", namespace)
-            raise
-        result = self._deadline(result, "put", namespace)
-        self._record(result, operations=1, op="put", namespace=namespace)
+        self._call(
+            "put", namespace, 1, self.cluster.put, key, value,
+            self.clock.now, self._suspects(),
+        )
         self._invalidate(namespace, key)
 
     def delete(self, namespace: str, key: bytes) -> bool:
         """Delete a key; returns whether it existed."""
-        try:
-            result = self.cluster.delete(
-                namespace, key, sim_time=self.clock.now,
-                suspects=self._suspects(),
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "delete", namespace)
-            raise
-        result = self._deadline(result, "delete", namespace)
-        self._record(result, operations=1, op="delete", namespace=namespace)
+        result, _ = self._call(
+            "delete", namespace, 1, self.cluster.delete, key, self.clock.now,
+            self._suspects(),
+        )
         self._invalidate(namespace, key)
         return bool(result.value)
 
@@ -534,16 +516,10 @@ class StorageClient:
         self, namespace: str, key: bytes, expected: Optional[bytes], new_value: bytes
     ) -> bool:
         """Conditionally write a key; returns whether the swap succeeded."""
-        try:
-            result = self.cluster.test_and_set(
-                namespace, key, expected, new_value, sim_time=self.clock.now,
-                suspects=self._suspects(),
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "test_and_set", namespace)
-            raise
-        result = self._deadline(result, "test_and_set", namespace)
-        self._record(result, operations=1, op="test_and_set", namespace=namespace)
+        result, _ = self._call(
+            "test_and_set", namespace, 1, self.cluster.test_and_set,
+            key, expected, new_value, self.clock.now, self._suspects(),
+        )
         self._invalidate(namespace, key)
         return bool(result.value)
 
@@ -591,18 +567,10 @@ class StorageClient:
         logical = len(keys) if logical_operations is None else logical_operations
         cache = self._gather_cache
         if cache is None or not parallel:
-            try:
-                result = self.cluster.multi_get(
-                    namespace, keys, parallel=parallel,
-                    sim_time=self.clock.now, suspects=self._suspects(),
-                )
-            except RpcTimeoutError as exc:
-                self._note_rpc_failure(exc, "multi_get", namespace)
-                raise
-            result = self._deadline(result, "multi_get", namespace)
-            self._record(
-                result, operations=logical, rpcs=1 if parallel else len(keys),
-                op="multi_get", namespace=namespace,
+            result, _ = self._call(
+                "multi_get", namespace, logical, self.cluster.multi_get,
+                keys, parallel, self.clock.now, self._suspects(),
+                rpcs=1 if parallel else len(keys),
                 saved_reads=logical - len(keys),
             )
             return result.value  # type: ignore[return-value]
@@ -612,7 +580,6 @@ class StorageClient:
         started = self.clock.now
         ready_at = started
         hits: List[bytes] = []
-        counts: List[Tuple[str, float]] = []
         for slot, key in enumerate(keys):
             hit = cache.get((namespace, key))
             if hit is None:
@@ -623,16 +590,11 @@ class StorageClient:
                 ready_at = max(ready_at, hit[1])
                 hits.append(key)
         if miss_keys:
-            try:
-                result = self.cluster.multi_get(
-                    namespace, miss_keys, parallel=True,
-                    sim_time=self.clock.now, suspects=self._suspects(),
-                )
-            except RpcTimeoutError as exc:
-                self._note_rpc_failure(exc, "multi_get", namespace)
-                raise
-            result = self._deadline(result, "multi_get", namespace)
-            fetched: List[Optional[bytes]] = result.value  # type: ignore[assignment]
+            result, _ = self._call(
+                "multi_get", namespace, logical, self.cluster.multi_get,
+                miss_keys, True, self.clock.now, self._suspects(),
+                saved_reads=logical - len(keys), coalesced=len(hits),
+            )
             done_at = self.clock.now + result.latency_seconds
             rpc_span: Optional[Span] = None
             if self.tracer is not None:
@@ -647,24 +609,19 @@ class StorageClient:
                     repaired=result.repaired,
                 )
                 rpc_span.logical_reads = list(miss_keys)
+            fetched: List[Optional[bytes]] = result.value  # type: ignore[assignment]
             for slot, key, value in zip(miss_slots, miss_keys, fetched):
                 values[slot] = value
                 cache[(namespace, key)] = (value, done_at, rpc_span)
             ready_at = max(ready_at, done_at)
-            counts.append(("client.rpcs", 1))
-            if result.repaired:
-                counts.append(("client.read_repairs", result.repaired))
-            counts.append(
-                ("client.total_latency_seconds", result.latency_seconds)
-            )
-            self.stats.record_latency(result.latency_seconds)
-        counts += [
-            ("client.operations", logical),
-            ("client.keys_touched", logical),
-            ("client.saved_reads", logical - len(keys)),
-            ("client.coalesced_reads", len(hits)),
-        ]
-        self.stats.metrics.add_many(counts)
+        else:
+            # Every key came from the window: no RPC to account.
+            self.stats.metrics.add_many((
+                ("client.operations", logical),
+                ("client.keys_touched", logical),
+                ("client.saved_reads", logical - len(keys)),
+                ("client.coalesced_reads", len(hits)),
+            ))
         self._coalesced_wait(ready_at)
         if hits and self.tracer is not None:
             self._trace_coalesced(namespace, hits, started)
@@ -685,16 +642,10 @@ class StorageClient:
         many replicas are down (counted in ``stats.partial_results``)
         instead of raising :class:`~repro.errors.UnavailableError`.
         """
-        try:
-            result = self.cluster.get_range(
-                namespace, start, end, limit, ascending,
-                sim_time=self.clock.now, allow_partial=allow_partial,
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "get_range", namespace)
-            raise
-        result = self._deadline(result, "get_range", namespace)
-        self._record(result, operations=1, op="get_range", namespace=namespace)
+        result, _ = self._call(
+            "get_range", namespace, 1, self.cluster.get_range,
+            start, end, limit, ascending, self.clock.now, allow_partial,
+        )
         return result.value  # type: ignore[return-value]
 
     def filtered_range(
@@ -714,16 +665,11 @@ class StorageClient:
         section of the index a bounded scan covers, only how much of it is
         shipped back and deserialised.
         """
-        try:
-            result = self.cluster.get_range(
-                namespace, start, end, limit, ascending,
-                sim_time=self.clock.now, record_filter=record_filter,
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "filtered_range", namespace)
-            raise
-        result = self._deadline(result, "filtered_range", namespace)
-        self._record(result, operations=1, op="filtered_range", namespace=namespace)
+        result, _ = self._call(
+            "filtered_range", namespace, 1, self.cluster.get_range,
+            start, end, limit, ascending, self.clock.now, False,
+            record_filter,
+        )
         return (
             result.value,  # type: ignore[return-value]
             result.keys_touched,
@@ -734,17 +680,10 @@ class StorageClient:
         self, namespace: str, ranges: Sequence[RangeSpec], parallel: bool = True
     ) -> List[List[KeyValue]]:
         """Issue several range requests; counts ``len(ranges)`` operations."""
-        try:
-            result = self.cluster.multi_get_range(
-                namespace, ranges, parallel=parallel, sim_time=self.clock.now
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "multi_get_range", namespace)
-            raise
-        result = self._deadline(result, "multi_get_range", namespace)
-        self._record(
-            result, operations=len(ranges), rpcs=1 if parallel else len(ranges),
-            op="multi_get_range", namespace=namespace,
+        result, _ = self._call(
+            "multi_get_range", namespace, len(ranges),
+            self.cluster.multi_get_range, ranges, parallel, self.clock.now,
+            rpcs=1 if parallel else len(ranges),
         )
         return result.value  # type: ignore[return-value]
 
@@ -752,13 +691,8 @@ class StorageClient:
         self, namespace: str, start: Optional[bytes], end: Optional[bytes]
     ) -> int:
         """Count keys in a range (one operation)."""
-        try:
-            result = self.cluster.count_range(
-                namespace, start, end, sim_time=self.clock.now
-            )
-        except RpcTimeoutError as exc:
-            self._note_rpc_failure(exc, "count_range", namespace)
-            raise
-        result = self._deadline(result, "count_range", namespace)
-        self._record(result, operations=1, op="count_range", namespace=namespace)
+        result, _ = self._call(
+            "count_range", namespace, 1, self.cluster.count_range,
+            start, end, self.clock.now,
+        )
         return int(result.value)  # type: ignore[arg-type]

@@ -21,7 +21,7 @@ scatter-gather:
   buffers the write and replays it at recovery);
 * reads consult ``R`` replicas, resolve conflicts newest-sequence-wins, and
   **read-repair** stale replicas in the background.  A key's read order is
-  a pure function of ``(key, replica_seed, topology)`` kept in the
+  a pure function of ``(key, seed, topology)`` kept in the
   replication manager's placement cache, so interleaved clients route
   identically; which of those replicas can serve is decided once per
   request — one serving set for a whole ``multi_get`` batch — and each
@@ -42,6 +42,29 @@ Every call returns an :class:`OpResult` carrying the charged latency so
 callers (the :class:`~repro.kvstore.client.StorageClient`) can advance
 their simulated clocks and combine sequential/parallel request latencies
 correctly.
+
+Request path
+------------
+Between a client's call and a node's charge each decision is stated once
+(``tests/kvstore/test_request_path_sites.py`` fails on a second site):
+
+* *who is there* — :meth:`KeyValueCluster.live_ids`, the membership view,
+  resolved once per request as seen from the client;
+* *which replicas a request uses* —
+  :func:`repro.replication.manager.choose_replicas`: preference list x
+  serving set x the client's suspects x quorum, under reads
+  (:meth:`~KeyValueCluster._read_replicas`), writes, ``route`` and
+  ``delete``;
+* *what the fault plane does to a message* —
+  :meth:`KeyValueCluster._deliver`, the only function that asks
+  ``network.delivers`` / ``network.delay_seconds`` or counts
+  ``network.dropped``, entered only while the fault plane is active: a read
+  or a range is voided by its first lost message, a write hints it;
+* *how replica reads in flight together are charged, awaited and
+  repaired* — :meth:`KeyValueCluster._await_reads`, under the single-key
+  and the batched read alike;
+* *what happens to a copy that cannot be delivered* —
+  :meth:`KeyValueCluster._hint`.
 """
 
 from __future__ import annotations
@@ -49,7 +72,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import (
     ExecutionError,
@@ -58,7 +81,7 @@ from ..errors import (
     UnavailableError,
 )
 from ..obs.metrics import MetricsRegistry
-from ..replication.manager import RepairReport, ReplicationManager
+from ..replication.manager import RepairReport, ReplicationManager, choose_replicas
 from ..replication.store import (
     MISSING_SEQ,
     decode_record,
@@ -91,10 +114,10 @@ class ClusterConfig:
     closest match to the seed simulator's behaviour) and must satisfy
     ``R + W > replication`` so read and write quorums always intersect.
 
-    ``replica_seed`` salts which replicas serve reads; it defaults to
-    ``seed``.  Routing is a pure function of ``(key, replica_seed,
-    topology)``, so runs with many interleaved clients pick the same
-    replicas no matter the order in which their requests arrive.
+    ``seed`` also salts which replicas serve reads.  Routing is a pure
+    function of ``(key, seed, topology)``, so runs with many interleaved
+    clients pick the same replicas no matter the order in which their
+    requests arrive.
 
     ``storage_engine`` selects each node's physical storage: ``"dict"``
     (in-memory, the seed behaviour — bit-identical results and operation
@@ -112,7 +135,6 @@ class ClusterConfig:
     node_capacity_ops_per_second: float = 4000.0
     latency: LatencyParameters = field(default_factory=LatencyParameters)
     seed: int = 0
-    replica_seed: Optional[int] = None
     read_quorum: Optional[int] = None
     write_quorum: Optional[int] = None
     vnodes_per_node: int = 128
@@ -143,10 +165,6 @@ class ClusterConfig:
                 f"({r} + {w} <= {self.replication}); overlapping quorums are "
                 "what guarantees reads observe acknowledged writes"
             )
-
-    @property
-    def effective_replica_seed(self) -> int:
-        return self.seed if self.replica_seed is None else self.replica_seed
 
     @property
     def effective_read_quorum(self) -> int:
@@ -230,6 +248,10 @@ class KeyValueCluster:
 
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
+        # Read per key and per write; the config is frozen, and its
+        # properties cost a call each time.
+        self._read_quorum = self.config.effective_read_quorum
+        self._write_quorum = self.config.effective_write_quorum
         self._namespace_names: Set[str] = set()
         self._offered_load_total = 0.0
         self.nodes: List[StorageNode] = [
@@ -244,7 +266,7 @@ class KeyValueCluster:
         self.replication = ReplicationManager(
             replication=self.config.replication,
             vnodes_per_node=self.config.vnodes_per_node,
-            seed=self.config.effective_replica_seed,
+            seed=self.config.seed,
         )
         self._engine_tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self.engines: Dict[int, StorageEngine] = {}
@@ -327,33 +349,26 @@ class KeyValueCluster:
         """The node with the given id (ids are contiguous list positions)."""
         return self.nodes[node_id]
 
-    def up_nodes(self) -> List[StorageNode]:
-        return [node for node in self.nodes if node.up]
+    def live_ids(self, seen_from: Optional[int] = None) -> List[int]:
+        """The membership view: ids of the nodes that are up, ascending.
 
-    def up_node_ids(self) -> List[int]:
-        return [node.node_id for node in self.nodes if node.up]
-
-    def _serving_ids(self) -> List[int]:
-        """Node ids that can serve client traffic right now: up *and*
-        reachable from the client.
-
-        A partitioned-away node is indistinguishable from a crashed one to
-        the coordinator, so both are treated the same on the request path;
-        they differ only in recovery (a partitioned node needs no hint
-        replay for writes it already applied).
+        With ``seen_from`` (an endpoint of the fault plane) only the nodes
+        that endpoint can reach.  Request paths pass
+        :data:`~repro.kvstore.network.CLIENT` and resolve the view once per
+        request: a partitioned-away node is indistinguishable from a crashed
+        one to the coordinator, so both are treated the same there; they
+        differ only in recovery (a partitioned node needs no hint replay for
+        writes it already applied).  Tooling that runs beside the store
+        (bulk load, backfill, diagnostics) asks for the up nodes only.
         """
-        if not self.network.active:
-            return self.up_node_ids()
+        network = self.network
+        if seen_from is None or not network.active:
+            return [node.node_id for node in self.nodes if node.up]
         return [
             node.node_id
             for node in self.nodes
-            if node.up and self.network.reachable(CLIENT, node.node_id)
+            if node.up and network.reachable(seen_from, node.node_id)
         ]
-
-    def _serving_set(self) -> Set[int]:
-        """:meth:`_serving_ids` for membership tests.  Request paths take it
-        once per request; replica choice is then a set lookup per replica."""
-        return set(self._serving_ids())
 
     def crash_node(self, node_id: int) -> StorageNode:
         """Take a node down; its replicas stop serving until recovery.
@@ -409,12 +424,7 @@ class KeyValueCluster:
         # Anti-entropy can only pull from peers the recovering node can
         # actually talk to: a partition that isolates it defers repair to
         # the next sync after heal.
-        sources = [
-            nid
-            for nid in self.up_node_ids()
-            if nid == node_id or self.network.reachable(node_id, nid)
-        ]
-        report = self.replication.sync_node(node_id, sources)
+        report = self.replication.sync_node(node_id, self.live_ids(node_id))
         self.last_repair = report
         self.metrics.add("replication.hints_replayed", report.hints_replayed)
         self.metrics.add("replication.repair_keys_copied", report.keys_copied)
@@ -425,18 +435,6 @@ class KeyValueCluster:
                 copies, report.per_node_bytes.get(node_id, 0), sim_time
             )
         return report
-
-    def degrade_node(self, node_id: int, factor: float) -> StorageNode:
-        """Slow a node down by ``factor`` (degraded-capacity fault)."""
-        node = self.node(node_id)
-        node.degrade(factor)
-        return node
-
-    def restore_node(self, node_id: int) -> StorageNode:
-        """Clear a slow-node degradation."""
-        node = self.node(node_id)
-        node.restore()
-        return node
 
     # ------------------------------------------------------------------
     # Namespace management
@@ -461,8 +459,7 @@ class KeyValueCluster:
         the count could silently miss keys (same rule as range requests).
         """
         self._require(name)
-        self._range_may_be_partial(allow_partial=False)
-        return self.replication.live_key_count(name, self.up_node_ids())
+        return self.replication.live_key_count(name, self._range_view()[0])
 
     def iter_namespace(self, name: str) -> Iterator[KeyValue]:
         """Iterate a namespace's logical ``(key, value)`` content in key order.
@@ -474,8 +471,7 @@ class KeyValueCluster:
         permanently incomplete index.
         """
         self._require(name)
-        self._range_may_be_partial(allow_partial=False)
-        return self.replication.iter_live(name, self.up_node_ids())
+        return self.replication.iter_live(name, self._range_view()[0])
 
     def _require(self, name: str) -> None:
         if name not in self._namespace_names:
@@ -484,42 +480,29 @@ class KeyValueCluster:
     # ------------------------------------------------------------------
     # Placement / replica selection
     # ------------------------------------------------------------------
-    def _preference_list(self, namespace: str, key: bytes) -> List[int]:
-        return self.replication.preference_list(namespace, key)
-
     def _read_replicas(
         self,
         namespace: str,
         key: bytes,
         serving: Set[int],
         suspects: Optional[Set[int]] = None,
-    ) -> Tuple[List[int], Tuple[int, ...]]:
-        """The ``R`` replicas that serve a read of ``key``.
+    ) -> Tuple[List[int], Sequence[int]]:
+        """The ``R`` replicas that serve a read of ``key``, in its read order.
 
-        ``serving`` is the request's serving set (:meth:`_serving_set`),
-        resolved once however many keys the request carries.  Returns
-        ``(chosen, unavailable)``: the quorum actually used plus the
-        preference-list replicas skipped as down/unreachable — the caller
-        surfaces the latter so the client's breakers can fence nodes its
-        own traffic keeps observing unavailable.
-
-        Raises :class:`QuorumNotMetError` when fewer than ``R`` replicas of
-        the key are serving.  ``suspects`` (nodes whose circuit breaker is
-        open at the calling client) are deprioritised: they are only chosen
-        when the quorum cannot be met from healthy replicas.
+        ``serving`` is the request's membership view (``live_ids(CLIENT)``
+        as a set), resolved once however many keys the request carries.
+        Returns ``(chosen, unavailable)`` as
+        :func:`~repro.replication.manager.choose_replicas` picks them: the
+        quorum actually used plus the replicas skipped as down/unreachable —
+        the caller surfaces the latter so the client's breakers can fence
+        nodes its own traffic keeps observing unavailable.  Raises
+        :class:`QuorumNotMetError` when fewer than ``R`` are serving.
         """
-        needed = self.config.effective_read_quorum
-        chosen = self.replication.read_preference(namespace, key)
-        unavailable: Tuple[int, ...] = ()
-        if not serving.issuperset(chosen):
-            unavailable = tuple(
-                node_id for node_id in chosen if node_id not in serving
-            )
-            chosen = [node_id for node_id in chosen if node_id in serving]
-        if suspects and len(chosen) > needed:
-            healthy = [nid for nid in chosen if nid not in suspects]
-            if len(healthy) >= needed:
-                chosen = healthy + [nid for nid in chosen if nid in suspects]
+        needed = self._read_quorum
+        chosen, unavailable, _ = choose_replicas(
+            self.replication.read_preference(namespace, key),
+            serving, suspects, needed,
+        )
         if len(chosen) < needed:
             raise QuorumNotMetError("read", namespace, needed, len(chosen))
         return chosen[:needed], unavailable
@@ -528,18 +511,20 @@ class KeyValueCluster:
         self,
         namespace: str,
         key: bytes,
-        serving: Optional[Collection[int]] = None,
+        serving: Optional[Set[int]] = None,
     ) -> StorageNode:
         """The node that serves a (single-replica) read for ``key``.
 
         Request paths that already resolved their serving nodes pass them.
         """
         if serving is None:
-            serving = self._serving_set()
-        for node_id in self.replication.read_preference(namespace, key):
-            if node_id in serving:
-                return self.nodes[node_id]
-        raise QuorumNotMetError("read", namespace, 1, 0)
+            serving = set(self.live_ids(CLIENT))
+        use, _, _ = choose_replicas(
+            self.replication.read_preference(namespace, key), serving
+        )
+        if not use:
+            raise QuorumNotMetError("read", namespace, 1, 0)
+        return self.nodes[use[0]]
 
     # ------------------------------------------------------------------
     # Load management
@@ -552,15 +537,17 @@ class KeyValueCluster:
         latencies through the queueing factor.
         """
         self._offered_load_total = total_ops_per_second
-        up = self.up_nodes()
-        per_node = total_ops_per_second / len(up) if up else 0.0
+        up = len(self.live_ids())
+        per_node = total_ops_per_second / up if up else 0.0
         for node in self.nodes:
             node.set_offered_load(per_node if node.up else 0.0)
 
     def total_capacity_ops_per_second(self) -> float:
         """Aggregate sustainable operation rate of the live (up) node set."""
         return sum(
-            node.effective_capacity_ops_per_second for node in self.up_nodes()
+            node.effective_capacity_ops_per_second
+            for node in self.nodes
+            if node.up
         )
 
     def add_node(self) -> StorageNode:
@@ -586,9 +573,9 @@ class KeyValueCluster:
         self.replication.attach_node(
             node.node_id, self._create_engine(node.node_id)
         )
-        sources = [nid for nid in self.up_node_ids() if nid != node.node_id]
+        live = self.live_ids()
         self.last_repair = self.replication.rebalance(
-            sources, set(self.up_node_ids())
+            [nid for nid in live if nid != node.node_id], set(live)
         )
         self._respread_static_load()
         return node
@@ -603,8 +590,7 @@ class KeyValueCluster:
         """
         if len(self.nodes) <= self.config.replication:
             return False
-        tail = self.nodes[-1]
-        up_after = len(self.up_nodes()) - (1 if tail.up else 0)
+        up_after = len(self.live_ids()) - self.nodes[-1].up
         return up_after >= self.config.replication
 
     def remove_node(self) -> StorageNode:
@@ -620,14 +606,15 @@ class KeyValueCluster:
             raise UnavailableError(
                 "cannot shrink the cluster below the replication factor "
                 f"({self.config.replication}): {len(self.nodes)} provisioned, "
-                f"{len(self.up_nodes())} up"
+                f"{len(self.live_ids())} up"
             )
         node = self.nodes[-1]
         manager = self.replication
         manager.ring.remove_node(node.node_id)
-        sources = self.up_node_ids()  # still includes the tail if it is up
-        targets = {nid for nid in self.up_node_ids() if nid != node.node_id}
-        self.last_repair = manager.rebalance(sources, targets)
+        sources = self.live_ids()  # still includes the tail if it is up
+        self.last_repair = manager.rebalance(
+            sources, set(sources) - {node.node_id}
+        )
         manager.forget_node(node.node_id)
         departing = self.engines.pop(node.node_id, None)
         if departing is not None:
@@ -670,14 +657,6 @@ class KeyValueCluster:
         for node in self.nodes:
             node.latency_model.reseed(seed * 10_007 + node.node_id)
 
-    def total_keys_stored(self) -> int:
-        """Total number of distinct live keys across all namespaces."""
-        up = self.up_node_ids()
-        return sum(
-            self.replication.live_key_count(name, up)
-            for name in self._namespace_names
-        )
-
     # ------------------------------------------------------------------
     # Bulk loading
     # ------------------------------------------------------------------
@@ -702,17 +681,42 @@ class KeyValueCluster:
     def _load_record(
         self, namespace: str, key: bytes, value: Optional[bytes]
     ) -> None:
+        record, up = self._sequence_load(namespace, key, value)
+        for node_id in up:
+            # Sequenced just now: newer than anything stored.
+            self.replication.stores[node_id].write_fresh(namespace, key, record)
+
+    def _sequence_load(
+        self, namespace: str, key: bytes, value: Optional[bytes]
+    ) -> Tuple[bytes, List[int]]:
+        """Sequence one bulk-loaded record and hint its down replicas;
+        returns the record and the replicas to store it on.
+
+        Loading runs beside the store, once per record: it asks the key's
+        own replicas whether they are up instead of resolving a membership
+        view, which costs a pass over every node.
+        """
         self._require(namespace)
         record = encode_record(self.replication.next_seq(), value)
-        for node_id in self._preference_list(namespace, key):
+        up: List[int] = []
+        for node_id in self.replication.preference_list(namespace, key):
             if self.nodes[node_id].up:
-                # Sequenced on the line above: newer than anything stored.
-                self.replication.stores[node_id].write_fresh(
-                    namespace, key, record
-                )
+                up.append(node_id)
             else:
-                self.replication.add_hint(node_id, namespace, key, record)
-                self.metrics.add("replication.hints_added", 1)
+                self._hint((node_id,), namespace, key, record)
+        return record, up
+
+    def _hint(
+        self, node_ids: Sequence[int], namespace: str, key: bytes, record: bytes
+    ) -> int:
+        """Defer the copies of ``record`` that cannot be delivered now: the
+        coordinator buffers one hint per replica and replays it when the
+        replica recovers.  Returns how many were buffered."""
+        for node_id in node_ids:
+            self.replication.add_hint(node_id, namespace, key, record)
+        if node_ids:
+            self.metrics.add("replication.hints_added", len(node_ids))
+        return len(node_ids)
 
     def bulk_load_many(
         self,
@@ -739,16 +743,9 @@ class KeyValueCluster:
             )
             try:
                 for namespace, key, value in triples:
-                    self._require(namespace)
-                    record = encode_record(self.replication.next_seq(), value)
-                    for node_id in self._preference_list(namespace, key):
-                        if self.nodes[node_id].up:
-                            pool.add(f"{node_id}:{namespace}", key, record)
-                        else:
-                            self.replication.add_hint(
-                                node_id, namespace, key, record
-                            )
-                            self.metrics.add("replication.hints_added", 1)
+                    record, up = self._sequence_load(namespace, key, value)
+                    for node_id in up:
+                        pool.add(f"{node_id}:{namespace}", key, record)
                     count += 1
                 for partition in pool.namespaces():
                     node_str, namespace = partition.split(":", 1)
@@ -783,7 +780,7 @@ class KeyValueCluster:
         it could silently return stale state into a view backfill.
         """
         self._require(namespace)
-        prefs = self._preference_list(namespace, key)
+        prefs = self.replication.preference_list(namespace, key)
         up = [node_id for node_id in prefs if self.nodes[node_id].up]
         if not up:
             raise UnavailableError(
@@ -810,9 +807,8 @@ class KeyValueCluster:
         incomplete state.
         """
         self._require(namespace)
-        self._range_may_be_partial(allow_partial=False)
         merged = self.replication.merged_range(
-            namespace, self.up_node_ids(), start, end, limit, ascending
+            namespace, self._range_view()[0], start, end, limit, ascending
         )
         return [(key, value) for key, value, _ in merged]
 
@@ -831,8 +827,8 @@ class KeyValueCluster:
     ) -> Tuple[float, int, int, Tuple[int, ...]]:
         """Write a record (or tombstone) to a key's replicas.
 
-        Sends to every replica in ``serving``, the request's serving set
-        (:meth:`_serving_set`; down or unreachable replicas get
+        Sends to every replica in ``serving``, the request's membership view
+        (``live_ids(CLIENT)`` as a set; down or unreachable replicas get
         hints), charges each destination, and returns ``(ack latency,
         primary node id, hints, unavailable replicas observed)`` where the
         ack latency is the ``W``-th fastest replica's — the coordinator
@@ -855,61 +851,56 @@ class KeyValueCluster:
         early *when the quorum is already met without them* — converting a
         probably-doomed RPC into deferred replay instead of a timeout.
         """
-        prefs = self._preference_list(namespace, key)
-        needed = self.config.effective_write_quorum
-        available = [nid for nid in prefs if nid in serving]
-        if len(available) < needed:
-            raise QuorumNotMetError(operation, namespace, needed, len(available))
-        skip: Set[int] = set()
-        if suspects:
-            healthy = [nid for nid in available if nid not in suspects]
-            if len(healthy) >= needed:
-                skip = {nid for nid in available if nid in suspects}
+        prefs = self.replication.preference_list(namespace, key)
+        needed = self._write_quorum
+        send, unavailable, demoted = choose_replicas(
+            prefs, serving, suspects, needed
+        )
+        if len(send) < needed:
+            raise QuorumNotMetError(operation, namespace, needed, len(send))
         record = encode_record(self.replication.next_seq(), value)
         nbytes = len(value) if value is not None else 0
-        latencies: List[float] = []
         hints = 0
-        unavailable: List[int] = []
-        network = self.network
-        for node_id in prefs:
-            if node_id not in serving or node_id in skip:
-                if node_id not in skip:
-                    unavailable.append(node_id)
-                self.replication.add_hint(node_id, namespace, key, record)
-                self.metrics.add("replication.hints_added", 1)
-                hints += 1
-                continue
-            if network.active and not network.delivers(CLIENT, node_id):
-                # The message (or its ack) was lost: the coordinator's
-                # per-replica timeout converts it into a hint.
-                self.metrics.add("network.dropped", 1)
-                self.replication.add_hint(node_id, namespace, key, record)
-                self.metrics.add("replication.hints_added", 1)
-                hints += 1
-                continue
+        if unavailable or demoted:
+            hints = self._hint(
+                [*unavailable, *demoted], namespace, key, record
+            )
+        delays = None
+        if self.network.active:
+            # A lost message (or ack) fires the coordinator's per-replica
+            # timeout, which falls back to the hint queue.
+            lost: List[int] = []
+            delays = self._deliver(operation, namespace, send, lost)
+            hints += self._hint(lost, namespace, key, record)
+            send = [node_id for node_id in send if node_id in delays]
+        latencies: List[float] = []
+        for node_id in send:
             # ``record`` was sequenced by this call: newer than anything
             # the replica holds, so it is stored without the checked read.
             self.replication.stores[node_id].write_fresh(
                 namespace, key, record
             )
             latency = self.nodes[node_id].charge_write(1, nbytes, sim_time)
-            if network.active:
-                latency += network.delay_seconds(CLIENT, node_id)
+            if delays:
+                latency += delays[node_id]
             latencies.append(latency)
         if len(latencies) < needed:
             raise RpcTimeoutError(operation, namespace)
         latencies.sort()
-        return latencies[needed - 1], prefs[0], hints, tuple(unavailable)
+        return latencies[needed - 1], prefs[0], hints, unavailable
 
     def _resolve_newest(
         self, namespace: str, key: bytes, chosen: Sequence[int]
-    ) -> Tuple[Optional[bytes], Optional[bytes], List[int], List[int]]:
+    ) -> Tuple[
+        Optional[bytes], Optional[bytes], List[int], List[Tuple[int, int, int]]
+    ]:
         """Resolve a key across ``chosen`` replicas in one pass.
 
         Returns ``(newest record, its live value, stale replica ids,
-        payload sizes)``: the value is ``None`` for a tombstone or a key no
-        replica has heard of, and ``sizes[i]`` is the payload ``chosen[i]``
-        itself shipped — what its read RPC is charged for.  Each observed
+        reads)``: the value is ``None`` for a tombstone or a key no replica
+        has heard of, and ``reads[i]`` is ``(chosen[i], 1, payload bytes)``
+        — the one key that replica itself shipped, what its read RPC is
+        charged for (:meth:`_await_reads`).  Each observed
         record is unpacked once (a copy equal to the newest so far not at
         all).  Shared by the single-key and batched read paths so conflict
         resolution can never diverge between them.
@@ -920,7 +911,7 @@ class KeyValueCluster:
         best_size = 0
         value: Optional[bytes] = None
         seqs: List[int] = []
-        sizes: List[int] = []
+        reads: List[Tuple[int, int, int]] = []
         for node_id in chosen:
             record = stores[node_id].get_record(namespace, key)
             if record is None:
@@ -935,14 +926,14 @@ class KeyValueCluster:
                         seq, record, size, payload,
                     )
             seqs.append(seq)
-            sizes.append(size)
+            reads.append((node_id, 1, size))
         # Replicas agree far more often than not; ``min`` is the cheap test.
         stale = (
             [node_id for node_id, seq in zip(chosen, seqs) if seq < best_seq]
             if min(seqs) < best_seq
             else []
         )
-        return best_record, value, stale, sizes
+        return best_record, value, stale, reads
 
     def _read_one(
         self,
@@ -969,39 +960,99 @@ class KeyValueCluster:
         chosen, unavailable = self._read_replicas(
             namespace, key, serving, suspects
         )
-        network = self.network
-        if network.active:
-            for node_id in chosen:
-                if not network.delivers(CLIENT, node_id):
-                    self.metrics.add("network.dropped", 1)
-                    raise RpcTimeoutError("get", namespace, node_id)
-        best_record, value, stale, sizes = self._resolve_newest(
+        delays = (
+            self._deliver("get", namespace, chosen)
+            if self.network.active
+            else None
+        )
+        best_record, value, stale, reads = self._resolve_newest(
             namespace, key, chosen
         )
+        latency, queue_wait, repaired = self._await_reads(
+            namespace, reads, delays,
+            {node_id: [(key, best_record)] for node_id in stale}, sim_time,
+        )
+        return value, latency, chosen[0], repaired, queue_wait, unavailable
+
+    def _deliver(
+        self,
+        operation: str,
+        namespace: str,
+        node_ids: Iterable[int],
+        lost: Optional[List[int]] = None,
+    ) -> Dict[int, float]:
+        """Put one client→node message per node through the fault plane.
+
+        The only place the request path asks the fault plane anything, and
+        entered only while it is active.  Messages are drawn in the order of
+        ``node_ids`` — with a flaky link the draw order decides which
+        message is lost, so it is part of the contract.  Returns the delay
+        each delivered reply picks up on its link.  A lost message is
+        counted, and then: a read or a range cannot use part of an answer,
+        so (``lost`` not given) the first one raises
+        :class:`~repro.errors.RpcTimeoutError` before anything was charged
+        and nothing further is drawn; a caller that can go on without the
+        node — a write hints it, a batched read draws the rest of the key
+        first — passes the list that collects the lost node ids.
+        """
+        network = self.network
+        delays: Dict[int, float] = {}
+        for node_id in node_ids:
+            if network.delivers(CLIENT, node_id):
+                delays[node_id] = network.delay_seconds(CLIENT, node_id)
+                continue
+            self.metrics.add("network.dropped", 1)
+            if lost is None:
+                raise RpcTimeoutError(operation, namespace, node_id)
+            lost.append(node_id)
+        return delays
+
+    def _await_reads(
+        self,
+        namespace: str,
+        reads: Iterable[Tuple[int, int, int]],
+        delays: Optional[Mapping[int, float]],
+        repairs: Mapping[int, Sequence[Tuple[bytes, bytes]]],
+        sim_time: float,
+    ) -> Tuple[float, float, int]:
+        """Charge replica reads that are in flight together and repair what
+        they found stale: ``(latency, critical queue wait, repairs)``.
+
+        ``reads`` are ``(node, keys, bytes)``, one read RPC each, plus the
+        node's link delay from ``delays`` (``None`` or empty: no fault
+        plane).  The client waits for all of them, so the latency is their
+        maximum.  ``repairs`` maps each stale replica to the ``(key, newest
+        record)`` pairs it is behind on; those that still apply are written
+        in one background RPC per replica, charged to the replica and not to
+        the client.
+        """
         latency = 0.0
         queue_wait = 0.0
-        for node_id, size in zip(chosen, sizes):
+        for node_id, count, nbytes in reads:
             node = self.nodes[node_id]
-            rpc = node.charge_read(1, size, sim_time)
-            if network.active:
-                rpc += network.delay_seconds(CLIENT, node_id)
+            rpc = node.charge_read(count, nbytes, sim_time)
+            if delays:
+                rpc += delays[node_id]
             if rpc >= latency:
                 # This replica is (so far) the latency critical path; its
                 # queue wait is the read's attributable queueing delay.
+                latency = rpc
                 queue_wait = node.last_queue_wait_seconds
-            latency = max(latency, rpc)
         repaired = 0
-        for node_id in stale:
-            if self.replication.stores[node_id].apply_record(
-                namespace, key, best_record
-            ):
-                self.nodes[node_id].charge_write(
-                    1, len(best_record), sim_time
-                )
-                repaired += 1
+        for node_id, records in repairs.items():
+            store = self.replication.stores[node_id]
+            applied = 0
+            nbytes = 0
+            for key, record in records:
+                if store.apply_record(namespace, key, record):
+                    applied += 1
+                    nbytes += len(record)
+            if applied:
+                self.nodes[node_id].charge_write(applied, nbytes, sim_time)
+                repaired += applied
         if repaired:
             self.metrics.add("replication.read_repairs", repaired)
-        return value, latency, chosen[0], repaired, queue_wait, unavailable
+        return latency, queue_wait, repaired
 
     # ------------------------------------------------------------------
     # Point operations
@@ -1025,7 +1076,7 @@ class KeyValueCluster:
         by the nodes; the client layer accounts it as a saved read.
         """
         self._require(namespace)
-        serving = self._serving_set()
+        serving = set(self.live_ids(CLIENT))
         value, latency, node_id, repaired, queue_wait, unavailable = (
             self._read_one(namespace, key, sim_time, serving, suspects)
         )
@@ -1068,7 +1119,7 @@ class KeyValueCluster:
         """Write one key to its replica set; acks at the write quorum."""
         self._require(namespace)
         latency, primary, hints, unavailable = self._quorum_write(
-            namespace, key, value, sim_time, "put", self._serving_set(),
+            namespace, key, value, sim_time, "put", set(self.live_ids(CLIENT)),
             suspects,
         )
         return OpResult(
@@ -1085,15 +1136,11 @@ class KeyValueCluster:
     ) -> OpResult:
         """Delete one key (a replicated tombstone); ``value`` is whether it existed."""
         self._require(namespace)
-        serving = self._serving_set()
-        available_prefs = [
-            nid
-            for nid in self._preference_list(namespace, key)
-            if nid in serving
-        ]
-        _, newest = self.replication.newest_record(
-            namespace, key, available_prefs
+        serving = set(self.live_ids(CLIENT))
+        available, _, _ = choose_replicas(
+            self.replication.preference_list(namespace, key), serving
         )
+        _, newest = self.replication.newest_record(namespace, key, available)
         existed = newest is not None and decode_record(newest)[1] is not None
         latency, primary, hints, unavailable = self._quorum_write(
             namespace, key, None, sim_time, "delete", serving, suspects
@@ -1119,7 +1166,7 @@ class KeyValueCluster:
         so the charged latency is their sum.
         """
         self._require(namespace)
-        serving = self._serving_set()
+        serving = set(self.live_ids(CLIENT))
         current, read_latency, node_id, repaired, _, unavailable = (
             self._read_one(namespace, key, sim_time, serving, suspects)
         )
@@ -1162,7 +1209,7 @@ class KeyValueCluster:
         self._require(namespace)
         if not keys:
             return OpResult([], 0.0, 0, keys_touched=0)
-        serving = self._serving_set()
+        serving = set(self.live_ids(CLIENT))
         values: List[Optional[bytes]] = []
         repaired = 0
         unavailable_seen: Dict[int, None] = {}
@@ -1186,13 +1233,12 @@ class KeyValueCluster:
         # batched RPC per involved node.  Each key is resolved in a single
         # pass over its replicas; the per-node RPC charges are sized from
         # the payloads observed during that pass.
-        stores = self.replication.stores
-        network = self.network
-        faults = network.active
+        faults = self.network.active
         group_keys: Dict[int, int] = {}
         group_bytes: Dict[int, int] = {}
         repairs: Dict[int, List[Tuple[bytes, bytes]]] = {}
-        dropped_nodes: Set[int] = set()
+        delays: Dict[int, float] = {}
+        lost: List[int] = []
         for key in keys:
             chosen, key_unavail = self._read_replicas(
                 namespace, key, serving, suspects
@@ -1200,48 +1246,32 @@ class KeyValueCluster:
             for nid in key_unavail:
                 unavailable_seen[nid] = None
             if faults:
-                # One batched RPC per node: draw each node's delivery once.
-                for node_id in chosen:
-                    if node_id in group_keys or node_id in dropped_nodes:
-                        continue
-                    if not network.delivers(CLIENT, node_id):
-                        dropped_nodes.add(node_id)
-                if any(node_id in dropped_nodes for node_id in chosen):
-                    self.metrics.add("network.dropped", 1)
-                    raise RpcTimeoutError(
-                        "multi_get", namespace, next(iter(dropped_nodes))
-                    )
-            best_record, value, stale, sizes = self._resolve_newest(
+                # One batched RPC per node: a node's message is drawn the
+                # first time a key chooses it; the first key that chose a
+                # lost one voids the batch, nothing charged or repaired.
+                delays.update(self._deliver(
+                    "multi_get", namespace,
+                    [nid for nid in chosen if nid not in delays], lost,
+                ))
+                if lost:
+                    raise RpcTimeoutError("multi_get", namespace, lost[0])
+            best_record, value, stale, reads = self._resolve_newest(
                 namespace, key, chosen
             )
-            for node_id, size in zip(chosen, sizes):
+            for node_id, _, size in reads:
                 group_keys[node_id] = group_keys.get(node_id, 0) + 1
                 group_bytes[node_id] = group_bytes.get(node_id, 0) + size
             for node_id in stale:
                 repairs.setdefault(node_id, []).append((key, best_record))
             values.append(value)
-        latency = 0.0
-        queue_wait = 0.0
-        for node_id, count in group_keys.items():
-            node = self.nodes[node_id]
-            rpc = node.charge_read(count, group_bytes[node_id], sim_time)
-            if faults:
-                rpc += network.delay_seconds(CLIENT, node_id)
-            if rpc >= latency:
-                queue_wait = node.last_queue_wait_seconds
-            latency = max(latency, rpc)
-        for node_id, stale_records in repairs.items():
-            applied = 0
-            nbytes = 0
-            for key, record in stale_records:
-                if stores[node_id].apply_record(namespace, key, record):
-                    applied += 1
-                    nbytes += len(record)
-            if applied:
-                self.nodes[node_id].charge_write(applied, nbytes, sim_time)
-                repaired += applied
-        if repaired:
-            self.metrics.add("replication.read_repairs", repaired)
+        latency, queue_wait, repaired = self._await_reads(
+            namespace,
+            (
+                (node_id, count, group_bytes[node_id])
+                for node_id, count in group_keys.items()
+            ),
+            delays, repairs, sim_time,
+        )
         return OpResult(
             values, latency, -1, keys_touched=len(keys), repaired=repaired,
             payload_bytes=sum(group_bytes.values()),
@@ -1252,34 +1282,31 @@ class KeyValueCluster:
     # ------------------------------------------------------------------
     # Range operations
     # ------------------------------------------------------------------
-    def _range_may_be_partial(
-        self, allow_partial: bool, available: Optional[int] = None
-    ) -> bool:
-        """Whether a range merge over the up nodes could be missing keys.
+    def _range_view(
+        self, seen_from: Optional[int] = None, allow_partial: bool = False
+    ) -> Tuple[List[int], bool]:
+        """The nodes a range merge reads, and whether it could miss keys.
 
         Every key lives on ``replication`` replicas, so as long as fewer
-        nodes than that are down, at least one replica of every key is up
-        and the merged result is complete (returns ``False``).  With more
-        nodes down the result may silently miss keys: raise unless the
-        caller opted in, in which case return ``True`` so the result can be
-        flagged partial.
-
-        ``available`` overrides the count of usable nodes — serving paths
-        pass the client-reachable set so a partitioned-away node counts as
-        down; tooling paths (bulk load, backfill, diagnostics) run beside
-        the store and keep the up-only rule.
+        nodes than that are missing from the view (:meth:`live_ids`: serving
+        paths pass the client, so a partitioned-away node counts as down;
+        tooling keeps the up-only rule), at least one replica of every key
+        is in it and the merged result is complete (``False``).  With more
+        missing the result may silently lack keys: raise unless the caller
+        opted in, in which case return ``True`` so the result can be flagged
+        partial.
         """
-        usable = len(self.up_nodes()) if available is None else available
-        down = len(self.nodes) - usable
+        live = self.live_ids(seen_from)
+        down = len(self.nodes) - len(live)
         if down < self.config.replication:
-            return False
+            return live, False
         if not allow_partial:
             raise UnavailableError(
                 f"range request with {down} node(s) down (replication="
                 f"{self.config.replication}): results could silently miss "
                 "keys; pass allow_partial=True to accept a partial result"
             )
-        return True
+        return live, True
 
     def get_range(
         self,
@@ -1310,10 +1337,7 @@ class KeyValueCluster:
         bounded work as fetching the range and filtering client-side.
         """
         self._require(namespace)
-        up_ids = self._serving_ids()
-        partial = self._range_may_be_partial(
-            allow_partial, available=len(up_ids)
-        )
+        up_ids, partial = self._range_view(CLIENT, allow_partial)
         return self._range_over(
             namespace, up_ids, partial, start, end, limit, ascending,
             sim_time, record_filter,
@@ -1352,9 +1376,38 @@ class KeyValueCluster:
             count, nbytes = served.get(node_id, (0, 0))
             served[node_id] = (count + 1, nbytes + len(value))
 
-        network = self.network
-
-        def charge(node_id: int) -> float:
+        keys_touched = sum(examined.values()) if record_filter is not None else len(pairs)
+        bounded = start is not None and end is not None
+        charged = set(served) | set(examined)
+        if bounded and not charged:
+            # Empty range: one probe RPC at the range's primary replica.
+            # With enough nodes down that the result is already partial,
+            # the anchor key's whole replica set may be down too — any
+            # surviving node can host the probe then.
+            try:
+                probe = self.route(namespace, start, set(up_ids))
+            except QuorumNotMetError:
+                up = self.live_ids()
+                if not (partial and up):
+                    raise
+                probe = self.nodes[up[0]]
+            latency = probe.charge_range(0, 0, sim_time)
+            return OpResult(
+                [], latency, probe.node_id, keys_touched=0, partial=partial
+            )
+        # One range RPC per visited node: a bounded range visits the nodes
+        # that served (or examined) a record, all in flight together; a full
+        # or half-open scan must visit every partition, one after another.
+        # Any lost slice voids the whole merged result (nothing has been
+        # charged yet, so no partial state is left behind).
+        visited = sorted(charged) if bounded else up_ids
+        delays = (
+            self._deliver("get_range", namespace, visited)
+            if self.network.active
+            else None
+        )
+        latencies: List[float] = []
+        for node_id in visited:
             count, nbytes = served.get(node_id, (0, 0))
             if record_filter is None:
                 rpc = self.nodes[node_id].charge_range(count, nbytes, sim_time)
@@ -1362,57 +1415,14 @@ class KeyValueCluster:
                 rpc = self.nodes[node_id].charge_filtered_range(
                     examined.get(node_id, 0), count, nbytes, sim_time
                 )
-            if network.active:
-                rpc += network.delay_seconds(CLIENT, node_id)
-            return rpc
-
-        keys_touched = sum(examined.values()) if record_filter is not None else len(pairs)
-        shipped_bytes = sum(nbytes for _, nbytes in served.values())
-        charged_ids = set(served) | set(examined)
-        if network.active:
-            # One range RPC per charged node; any dropped slice voids the
-            # whole merged result (nothing has been charged or repaired
-            # yet, so raising here leaves no partial state behind).
-            for node_id in sorted(charged_ids):
-                if not network.delivers(CLIENT, node_id):
-                    self.metrics.add("network.dropped", 1)
-                    raise RpcTimeoutError("get_range", namespace, node_id)
-        bounded = start is not None and end is not None
-        if bounded:
-            if not charged_ids:
-                # Empty range: one probe RPC at the range's primary replica.
-                # With enough nodes down that the result is already partial,
-                # the anchor key's whole replica set may be down too — any
-                # surviving node can host the probe then.
-                try:
-                    probe = self.route(namespace, start, up_ids)
-                except QuorumNotMetError:
-                    if not partial:
-                        raise
-                    up = self.up_nodes()
-                    if not up:
-                        raise
-                    probe = up[0]
-                latency = probe.charge_range(0, 0, sim_time)
-                return OpResult(
-                    [], latency, probe.node_id, keys_touched=0, partial=partial
-                )
-            latency = 0.0
-            for node_id in charged_ids:
-                latency = max(latency, charge(node_id))
-            node_id = next(iter(charged_ids)) if len(charged_ids) == 1 else -1
-            return OpResult(
-                pairs, latency, node_id, keys_touched=keys_touched,
-                partial=partial, last_examined_key=last_examined,
-                payload_bytes=shipped_bytes,
-            )
-        # Full (or half-open) scan: every up partition must be visited.
-        latency = 0.0
-        for node_id in up_ids:
-            latency += charge(node_id)
+            latencies.append(rpc + delays[node_id] if delays else rpc)
         return OpResult(
-            pairs, latency, -1, keys_touched=keys_touched, partial=partial,
-            last_examined_key=last_examined, payload_bytes=shipped_bytes,
+            pairs,
+            max(latencies) if bounded else sum(latencies, 0.0),
+            visited[0] if bounded and len(visited) == 1 else -1,
+            keys_touched=keys_touched, partial=partial,
+            last_examined_key=last_examined,
+            payload_bytes=sum(nbytes for _, nbytes in served.values()),
         )
 
     def multi_get_range(
@@ -1431,8 +1441,7 @@ class KeyValueCluster:
         if not ranges:
             return OpResult([], 0.0, -1, keys_touched=0)
         self._require(namespace)
-        up_ids = self._serving_ids()
-        partial = self._range_may_be_partial(False, available=len(up_ids))
+        up_ids, partial = self._range_view(CLIENT)
         results: List[List[KeyValue]] = []
         latencies: List[float] = []
         keys_touched = 0
@@ -1466,19 +1475,16 @@ class KeyValueCluster:
         paper's constant-cost cardinality check.
         """
         self._require(namespace)
-        serving = self._serving_ids()
-        self._range_may_be_partial(allow_partial=False, available=len(serving))
+        serving, _ = self._range_view(CLIENT)
         count = len(
             self.replication.merged_range(namespace, serving, start, end)
         )
         anchor = start if start is not None else b""
-        node = self.route(namespace, anchor, serving)
-        if self.network.active and not self.network.delivers(
-            CLIENT, node.node_id
-        ):
-            self.metrics.add("network.dropped", 1)
-            raise RpcTimeoutError("count_range", namespace, node.node_id)
-        latency = node.charge_range(1, 8, sim_time)
+        node = self.route(namespace, anchor, set(serving))
+        delay = 0.0
         if self.network.active:
-            latency += self.network.delay_seconds(CLIENT, node.node_id)
+            delay = self._deliver(
+                "count_range", namespace, (node.node_id,)
+            )[node.node_id]
+        latency = node.charge_range(1, 8, sim_time) + delay
         return OpResult(count, latency, node.node_id, keys_touched=1)

@@ -48,8 +48,10 @@ compacts inline as a backstop for non-serving runs.
 Generation numbers double as the recovery ordering: a fresh engine (or
 :meth:`recover` after :meth:`crash`) loads every segment with a valid
 footer in generation order, discards partially written segments (their
-contents are still in the WAL), replays the WAL — truncating a torn tail —
-and is back to exactly the acknowledged state.
+contents are still in the WAL) together with what a crash inside a segment
+write or a bulk load left beside them (``seg-*.seg.tmp``, ``spill/``),
+replays the WAL — truncating a torn tail — and is back to exactly the
+acknowledged state, in a directory holding only the log and whole runs.
 
 That holds for a process crash at *any* instant, not only between
 operations: every step orders its file changes so that what is on disk
@@ -624,6 +626,15 @@ class LsmEngine(StorageEngine):
             match = _SEGMENT_NAME.match(name)
             if match:
                 found.append((int(match.group(1)), os.path.join(self.data_dir, name)))
+            elif name.endswith(".seg.tmp"):
+                # A crash inside ``write_segment``, before the rename that
+                # commits it: never a segment, and the WAL (or the runs a
+                # compaction was merging) still holds every record in it.
+                os.remove(os.path.join(self.data_dir, name))
+                info.partial_segments_discarded += 1
+            elif name == "spill":
+                # Scratch runs of a bulk load the crash interrupted.
+                shutil.rmtree(os.path.join(self.data_dir, name))
         for gen, path in sorted(found):
             self._next_gen = max(self._next_gen, gen + 1)
             try:

@@ -218,7 +218,7 @@ class FaultInjector:
                 time=at,
                 kind=spec.kind,
                 node_id=spec.node_id,
-                up_nodes_after=len(self.cluster.up_nodes()),
+                up_nodes_after=len(self.cluster.live_ids()),
                 detail="skipped: node no longer provisioned",
             )
             self.events.append(event)
@@ -231,10 +231,10 @@ class FaultInjector:
                 f"hints={repair.hints_replayed} copied={repair.keys_copied}"
             )
         elif spec.kind == "slow":
-            self.cluster.degrade_node(spec.node_id, spec.factor)
+            self.cluster.node(spec.node_id).degrade(spec.factor)
             detail = f"factor={spec.factor:g}"
         elif spec.kind == "restore":
-            self.cluster.restore_node(spec.node_id)
+            self.cluster.node(spec.node_id).restore()
         elif spec.kind == "partition":
             self.cluster.network.partition(spec.groups or ())
             detail = "groups=" + "|".join(
@@ -255,7 +255,7 @@ class FaultInjector:
             time=at,
             kind=spec.kind,
             node_id=spec.node_id,
-            up_nodes_after=len(self.cluster.up_nodes()),
+            up_nodes_after=len(self.cluster.live_ids()),
             detail=detail,
             repair=repair,
         )

@@ -24,7 +24,17 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..kvstore.engine.base import StorageEngine
 from .ring import HashRing, placement_token, read_rotation
@@ -49,6 +59,39 @@ def _key_after(key: bytes) -> bytes:
 
 #: One placement-cache entry: ``(preference list, read rotation or None)``.
 _Placement = Tuple[List[int], Optional[List[int]]]
+
+
+def choose_replicas(
+    preference: List[int],
+    serving: AbstractSet[int],
+    suspects: Optional[AbstractSet[int]] = None,
+    quorum: int = 0,
+) -> Tuple[List[int], Sequence[int], Sequence[int]]:
+    """Which replicas of one key a request uses: ``(use, unavailable, demoted)``.
+
+    ``preference`` is the key's preference list in the order the request
+    tries it (:meth:`ReplicationManager.read_preference` for reads, the
+    plain :meth:`~ReplicationManager.preference_list` otherwise); ``use``
+    keeps that order and may be ``preference`` itself — do not mutate it.
+    ``unavailable`` are the replicas outside ``serving`` (down, or
+    unreachable from whoever asks).  ``suspects`` (breaker-open nodes at
+    the calling client) are ``demoted`` out of ``use`` only while
+    ``quorum`` replicas remain without them: a suspicion never costs a
+    request its quorum.  Fewer than ``quorum`` in ``use`` means the quorum
+    cannot be met; the caller raises.
+    """
+    if serving.issuperset(preference):
+        use, unavailable = preference, ()
+    else:
+        use = [node_id for node_id in preference if node_id in serving]
+        unavailable = tuple(
+            node_id for node_id in preference if node_id not in serving
+        )
+    if suspects and len(use) > quorum:
+        healthy = [node_id for node_id in use if node_id not in suspects]
+        if len(healthy) >= quorum:
+            return healthy, unavailable, [n for n in use if n in suspects]
+    return use, unavailable, ()
 
 
 @dataclass

@@ -128,7 +128,7 @@ class TestPartition:
         assert report.keys_copied == report.hints_replayed
         # Healed, a second pass completes the catch-up.
         cluster.network.heal()
-        cluster.replication.rebalance(cluster.up_node_ids())
+        cluster.replication.rebalance(cluster.live_ids())
         for index in range(10):
             assert cluster.get("data", f"down{index}".encode()).value == b"x"
 

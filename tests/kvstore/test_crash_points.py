@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import os
 import random
+import re
 import shutil
 from typing import Dict, List, Tuple
 
@@ -30,6 +31,7 @@ from repro.kvstore.engine.lsm import LsmEngine
 
 ENGINE_OPTIONS = dict(memtable_budget_bytes=300, fanout=2, sparse_index_every=2)
 Model = Dict[str, Dict[bytes, bytes]]
+SEGMENT_FILE = re.compile(r"seg-\d{8}\.seg$")
 
 
 def history(seed: int) -> List[Tuple]:
@@ -234,12 +236,25 @@ def test_every_crash_point_recovers_to_an_acknowledged_state(
 
     failures = []
     outcomes = set()
+    torn_seen = 0
     for call, path, acked in points.copies:
+        torn_segments = [n for n in os.listdir(path) if n.endswith(".seg.tmp")]
         recovered = LsmEngine(path, **ENGINE_OPTIONS)
         try:
             found = contents(recovered)
         finally:
             recovered.crash()
+        # Recovery leaves the log and committed runs, nothing else.
+        left = [
+            name for name in os.listdir(path)
+            if name != "wal.log" and not SEGMENT_FILE.match(name)
+        ]
+        if left:
+            failures.append(
+                f"crash at {call} (copy {os.path.basename(path)}): recovery "
+                f"left {left} behind"
+            )
+        torn_seen += len(torn_segments)
         in_flight = ops[acked] if acked < len(ops) else None
         allowed = states[acked : acked + 2]
         if found in allowed:
@@ -255,3 +270,4 @@ def test_every_crash_point_recovers_to_an_acknowledged_state(
         f"resurrected data; the first:\n{failures[0]}"
     )
     assert outcomes == {0, 1}  # both "not yet" and "already" were seen
+    assert torn_seen  # some copy did hold a half-written segment

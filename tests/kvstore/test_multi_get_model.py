@@ -136,7 +136,7 @@ def reference_rotation(cluster: KeyValueCluster, key: bytes) -> List[int]:
     if len(prefs) <= 1:
         return prefs
     digest = zlib.crc32(NAMESPACE.encode("utf-8") + b"\x00" + key)
-    salt = cluster.config.effective_replica_seed & 0xFFFFFFFF
+    salt = cluster.config.seed & 0xFFFFFFFF
     offset = zlib.crc32(key, digest ^ salt) % len(prefs)
     return prefs[offset:] + prefs[:offset]
 
@@ -324,7 +324,7 @@ def test_cached_rotation_equals_the_uncached_function(shape, keys):
             # from it; the preference list shares the entry.
             assert cluster.replication.read_preference(NAMESPACE, key) == expected
             assert cluster.replication.read_preference(NAMESPACE, key) == expected
-            assert sorted(cluster._preference_list(NAMESPACE, key)) == sorted(
+            assert sorted(cluster.replication.preference_list(NAMESPACE, key)) == sorted(
                 expected
             )
 

@@ -17,8 +17,7 @@ from repro.kvstore import ClusterConfig, KeyValueCluster, StorageClient
 from repro.resilience.breaker import BreakerBoard
 
 
-@pytest.fixture
-def cluster() -> KeyValueCluster:
+def build_cluster() -> KeyValueCluster:
     cluster = KeyValueCluster(
         ClusterConfig(storage_nodes=4, replication=3, read_quorum=2,
                       write_quorum=2, seed=3)
@@ -29,12 +28,17 @@ def cluster() -> KeyValueCluster:
     return cluster
 
 
+@pytest.fixture
+def cluster() -> KeyValueCluster:
+    return build_cluster()
+
+
 def keys_replicated_on(cluster, node_id, count=5):
     """Some loaded keys whose preference list includes ``node_id``."""
     chosen = []
     for index in range(40):
         key = f"k{index:03d}".encode()
-        prefs = cluster._preference_list("data", key)
+        prefs = cluster.replication.preference_list("data", key)
         if node_id in prefs:
             chosen.append(key)
         if len(chosen) >= count:
@@ -91,3 +95,37 @@ class TestBreakerEvidence:
         for key in keys_replicated_on(cluster, 1, count=4):
             client.get("data", key)
         assert client.breakers.suspects(client.clock.now) == set()
+
+    def test_a_batched_read_feeds_the_board_inside_a_gather_window(self):
+        """The window's shared fetch is accounted like any other RPC: same
+        breakers opened, same read repairs counted as outside a window."""
+        observed = []
+        for in_window in (False, True):
+            cluster = build_cluster()
+            keys = keys_replicated_on(cluster, 1, count=12)
+            # Node 2 misses a round of writes and comes back without hint
+            # replay, so quorum reads that include it find it stale.
+            cluster.node(2).mark_down()
+            for key in keys:
+                cluster.put("data", key, b"newer")
+            cluster.node(2).mark_up()
+            cluster.crash_node(1)
+            client = StorageClient(cluster=cluster)
+            client.breakers = BreakerBoard(1, 10.0)
+            if in_window:
+                client.begin_gather_window()
+            values = client.multi_get("data", keys)
+            if in_window:
+                client.end_gather_window()
+            assert values == [b"newer"] * len(keys)
+            observed.append((
+                client.breakers.suspects(client.clock.now),
+                client.stats.metrics.value("client.read_repairs"),
+                client.stats.rpcs,
+                client.stats.operations,
+                client.clock.now,
+            ))
+        outside, inside = observed
+        assert outside == inside
+        assert outside[0] == {1}
+        assert outside[1] > 0

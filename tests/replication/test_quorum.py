@@ -121,7 +121,7 @@ class TestQuorumFailureModes:
         from repro.replication import decode_record
 
         _, record = cluster.replication.newest_record(
-            "data", b"k", cluster.up_node_ids()
+            "data", b"k", cluster.live_ids()
         )
         assert record is not None and decode_record(record)[1] == b"v"
 
