@@ -53,8 +53,8 @@ Between a client's call and a node's charge each decision is stated once
 * *which replicas a request uses* —
   :func:`repro.replication.manager.choose_replicas`: preference list x
   serving set x the client's suspects x quorum, under reads
-  (:meth:`~KeyValueCluster._read_replicas`), writes, ``route`` and
-  ``delete``;
+  (:meth:`~KeyValueCluster._read_replicas`, which asks it only when a
+  node is missing or suspected), writes, ``route`` and ``delete``;
 * *what the fault plane does to a message* —
   :meth:`KeyValueCluster._deliver`, the only function that asks
   ``network.delivers`` / ``network.delay_seconds`` or counts
@@ -499,9 +499,14 @@ class KeyValueCluster:
         :class:`QuorumNotMetError` when fewer than ``R`` are serving.
         """
         needed = self._read_quorum
+        preference = self.replication.read_preference(namespace, key)
+        if not suspects and len(serving) == len(self.nodes):
+            # Every node serves and nobody is suspected: the chooser has
+            # nothing to choose.  One call per key read is ~1% of
+            # ``tpcw_closed``, so the fault-free case does not make it.
+            return preference[:needed], ()
         chosen, unavailable, _ = choose_replicas(
-            self.replication.read_preference(namespace, key),
-            serving, suspects, needed,
+            preference, serving, suspects, needed
         )
         if len(chosen) < needed:
             raise QuorumNotMetError("read", namespace, needed, len(chosen))

@@ -16,6 +16,9 @@ and operation sequences against a dict model of the acknowledged writes:
 * every write, acknowledged or timed out below ``W``, leaves hints for
   exactly the replicas it did not reach;
 * ``network.dropped`` equals the number of ``False``\\ s consumed;
+* a full scan sends one message to every node, in node order, and stops
+  asking at the first one lost (a bounded range asks only the nodes that
+  served a record);
 * after heal + ``recover_node`` no acknowledged write is lost, the replicas
   agree and no hint is left.
 """
@@ -44,6 +47,7 @@ class ScriptedNetwork(NetworkModel):
         super().__init__()
         self.script: List[bool] = []
         self.armed = True
+        self.asked: List[int] = []
         self.lost = 0
 
     @property
@@ -55,6 +59,7 @@ class ScriptedNetwork(NetworkModel):
 
     def delivers(self, src: int, dst: int) -> bool:
         delivered = self.script.pop(0) if self.script else True
+        self.asked.append(dst)
         self.lost += not delivered
         return delivered
 
@@ -87,6 +92,7 @@ operation = st.one_of(
     st.tuples(st.just("get"), key),
     st.tuples(st.just("multi_get"), st.lists(key, min_size=1, max_size=4)),
     st.tuples(st.just("get_range")),
+    st.tuples(st.just("scan")),
     st.tuples(st.just("count_range")),
 )
 #: One step: the operation and what happens to its first messages.
@@ -146,6 +152,7 @@ def test_scripted_message_loss_against_the_acknowledged_writes(shape, steps):
 
     for (kind, *args), script in steps:
         network.script = list(script)
+        network.asked = []
         stored, hinted = replica_contents(cluster), hints(cluster)
         counters = node_counters(cluster)
         if kind in ("put", "delete"):
@@ -185,8 +192,9 @@ def test_scripted_message_loss_against_the_acknowledged_writes(shape, steps):
                 values = cluster.multi_get(NAMESPACE, keys).value
                 for key, value in zip(keys, values):
                     assert value in model.allowed(key)
-            elif kind == "get_range":
-                found = dict(cluster.get_range(NAMESPACE, *RANGE).value)
+            elif kind in ("get_range", "scan"):
+                bounds = RANGE if kind == "get_range" else (None, None)
+                found = dict(cluster.get_range(NAMESPACE, *bounds).value)
                 for key in KEYS:
                     assert found.get(key) in model.allowed(key)
             else:
@@ -205,6 +213,11 @@ def test_scripted_message_loss_against_the_acknowledged_writes(shape, steps):
             assert replica_contents(cluster) == stored
             assert hints(cluster) == hinted
             assert node_counters(cluster) == counters
+        if kind == "scan":
+            # One message per partition, drawn in node order up to the
+            # first one lost.
+            sent = script.index(False) + 1 if False in script else None
+            assert network.asked == list(range(shape["storage_nodes"]))[:sent]
         assert cluster.metrics.value("network.dropped") == network.lost
 
     network.heal()

@@ -9,14 +9,13 @@
 * ``stmts`` -- ``ast.stmt`` nodes, docstrings excluded.  Reformatting cannot
   move it, so a fall in ``lines`` with flat ``stmts`` is only denser layout.
 
-    python tools/code_lines.py                      # ten largest under src/repro
-    python tools/code_lines.py --top 0 src/repro    # every file
+    python tools/code_lines.py             # the ten largest under src/repro
+    python tools/code_lines.py src/repro   # every file under the given paths
     python tools/code_lines.py src/repro/kvstore/cluster.py src/repro/kvstore/client.py
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import io
 import os
@@ -81,17 +80,10 @@ def measure(paths: Sequence[str]) -> List[Tuple[int, int, str]]:
     return rows
 
 
-def main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", default=["src/repro"])
-    parser.add_argument(
-        "--top", type=int, default=10,
-        help="print only the N largest files (0: all; default 10)",
-    )
-    args = parser.parse_args(argv)
-    rows = measure(args.paths)
+def main(paths: Sequence[str]) -> int:
+    rows = measure(paths or ["src/repro"])
     print(f"{'lines':>7} {'stmts':>7}  file")
-    for lines, statements, filename in rows[: args.top or None]:
+    for lines, statements, filename in rows if paths else rows[:10]:
         print(f"{lines:7d} {statements:7d}  {filename}")
     print(
         f"{sum(row[0] for row in rows):7d} {sum(row[1] for row in rows):7d}"
