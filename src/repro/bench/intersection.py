@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from ..engine.database import PiqlDatabase
-from ..execution.executor import QueryExecutor
 from ..kvstore.cluster import ClusterConfig
 from ..optimizer.cost_based import CostBasedOptimizer, TableStatistics
 from ..stats import nearest_rank_percentile
@@ -132,7 +131,6 @@ def run(config: IntersectionExperimentConfig) -> IntersectionResult:
     for index in costed.required_indexes:
         if not db.catalog.has_index(index.name):
             db.create_index(index)
-    executor = QueryExecutor(db.client, db.catalog, enforce_bounds=False)
 
     def reseed_noise() -> None:
         # Paired comparison: both plans replay the same service-time
@@ -161,7 +159,7 @@ def run(config: IntersectionExperimentConfig) -> IntersectionResult:
             bounded_ops = max(bounded_ops, bounded.operations)
         reseed_noise()
         for parameters in parameter_sets:
-            unbounded = executor.execute_physical_plan(
+            unbounded = db.executor.execute_physical_plan(
                 costed.physical_plan, parameters
             )
             unbounded_latencies.append(unbounded.latency_seconds)

@@ -50,21 +50,12 @@ from .session import Session
 class PiqlDatabase:
     """A PIQL database engine instance backed by a simulated key/value store."""
 
-    #: How many times a query that failed with a typed
-    #: :class:`~repro.errors.UnavailableError` (a replica quorum could not
-    #: be met, or an RPC timed out) is retried by the view's resilience
-    #: policy — paced with exponential backoff and full jitter under a
-    #: token-bucket budget, at the query funnel every execution path
-    #: traverses.  Set to 0 to disable retries entirely.
-    unavailable_retries: int = 2
-
     #: What a ``new_client`` view takes from the database it came from; the
     #: rest it builds for itself in :meth:`_wire_view`.  The auditor is
     #: shared so bound violations are counted (and policed) globally across
     #: app servers; telemetry watches the shared cluster.
     _INHERITED_BY_VIEWS = (
         "cluster", "catalog", "auditor", "telemetry", "_compiled_cache",
-        "unavailable_retries",
     )
 
     def __init__(
@@ -109,9 +100,7 @@ class PiqlDatabase:
         self.views = ViewMaintenanceEngine(self.catalog, client)
         self.records = RecordManager(self.catalog, client, views=self.views)
         self.optimizer = PiqlOptimizer(self.catalog)
-        self.executor = QueryExecutor(
-            client, self.catalog, strategy=strategy, auditor=self.auditor
-        )
+        self.executor = QueryExecutor(client, self.catalog, self.auditor, strategy)
         self.assistant = PerformanceInsightAssistant(self.catalog)
         self._prepared_cache: Dict[str, Tuple[int, PreparedQuery]] = {}
         self._default_session: Optional[Session] = None
@@ -165,7 +154,7 @@ class PiqlDatabase:
             setattr(clone, name, getattr(self, name))
         clone._wire_view(
             StorageClient(cluster=self.cluster, clock=clock or SimClock()),
-            strategy or self.executor.config.strategy,
+            strategy or self.executor.strategy,
             self.resilience.config,
         )
         if self.client.tracer is not None:
@@ -356,23 +345,27 @@ class PiqlDatabase:
                 if not self.catalog.has_index(index.name):
                     self.create_index(index, auto_created=True)
             self._compiled_cache[sql] = (self.catalog.version, optimized)
-        prepared = PreparedQuery(optimized, self.executor, session=self.default_session)
+        prepared = PreparedQuery(optimized, self.default_session)
         self._prepared_cache[sql] = (self.catalog.version, prepared)
         return prepared
 
     def execute(self, sql: str, parameters: Optional[Dict[str, Any]] = None, **kwargs: Any) -> QueryResult:
         """Compile (with caching) and execute a query in one call.
 
-        Executions that fail because a replica quorum could not be met are
-        retried up to ``unavailable_retries`` times (see that attribute for
-        what the retries model); a persistent outage surfaces as the typed
+        The parameters are checked against what the query text declares
+        before anything runs (:func:`~repro.engine.query.bind_parameters`).
+        A page that fails because a replica quorum could not be met, or an
+        RPC timed out, is retried by the view's resilience policy up to
+        ``ResilienceConfig.max_attempts`` attempts in all, paced with
+        exponential backoff and full jitter under a token-bucket budget; a
+        persistent outage surfaces as the typed
         :class:`~repro.errors.UnavailableError` (or its
         :class:`~repro.errors.QuorumNotMetError` subclass) so callers can
-        distinguish "the store is degraded" from a query bug.
+        distinguish "the store is degraded" from a query bug.  Both happen
+        in the one function every query page goes through,
+        :meth:`~repro.engine.session.Session._execute_page`; retrying again
+        here would square the attempt count.
         """
-        # No retry loop here: the resilience policy retries at the per-page
-        # funnel every execution path traverses (Session._execute_page), and
-        # retrying again around it would square the attempt count.
         return self.prepare(sql).execute(parameters, **kwargs)
 
     def diagnose(self, sql: str) -> QueryDiagnosis:

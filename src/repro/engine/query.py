@@ -2,52 +2,86 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
+from ..errors import ExecutionError
 from ..execution.context import ExecutionStrategy, QueryResult
-from ..execution.executor import QueryExecutor
 from ..optimizer.optimizer import OptimizedQuery
 from ..plans.bounds import PlanBound
 
 
 def bind_parameters(
-    parameters: Optional[Dict[str, Any]], kwargs: Optional[Dict[str, Any]] = None
+    optimized: OptimizedQuery,
+    parameters: Optional[Dict[str, Any]],
+    kwargs: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Merge dict-style and keyword-style parameter bindings.
+    """Build and check the parameter dict one execution of ``optimized`` reads.
 
-    The one binding rule of the client API, shared by the synchronous
-    ``PreparedQuery`` entry points and the asynchronous session path:
-    parameters may be passed as a dictionary, as keyword arguments, or both —
-    keyword arguments win on conflict.
+    The one binding rule of the client API: parameters may be passed as a
+    dictionary, as keyword arguments, or both — keyword arguments win on
+    conflict, and names the query does not use are ignored.
+
+    The static bound of a query rests on what its text declares
+    (``LIMIT [1: n(5)]``, ``IN [2: ids(3)]``), so a binding that breaks the
+    declaration is refused here, before any key/value operation: a name the
+    query needs and the caller left out, a stop count that is not a
+    non-negative integer, an IN list that is not a list, and either of the
+    two past its declared maximum (a list's length counts, duplicates
+    included).  A stop count with a declared maximum may be left unbound and
+    then means that maximum.
     """
-    bound = dict(parameters or {})
+    bound = dict(parameters) if parameters else {}
     if kwargs:
         bound.update(kwargs)
+    for name, kind, maximum in optimized.bindings:
+        if name not in bound:
+            if kind == "count" and maximum is not None:
+                continue
+            raise ExecutionError(
+                f"query parameter {name!r} was not bound; "
+                f"bound parameters: {sorted(bound)}"
+            )
+        if kind is None:
+            continue
+        value = bound[name]
+        if kind == "count":
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ExecutionError(
+                    f"parameter {name!r} must be bound to a non-negative "
+                    f"integer row count, got {value!r}"
+                )
+            size = value
+        else:
+            if not isinstance(value, (list, tuple)):
+                raise ExecutionError(
+                    f"parameter {name!r} must be bound to a list for IN, "
+                    f"got {value!r}"
+                )
+            size = len(value)
+        if maximum is not None and size > maximum:
+            raise ExecutionError(
+                f"parameter {name!r} asks for {size}, more than the {maximum} "
+                f"the query declares; its static bound rests on that maximum"
+            )
     return bound
 
 
 class PreparedQuery:
-    """A compiled, scale-independent query bound to a database instance.
+    """A compiled, scale-independent query bound to a database view's session.
 
     Instances are created by :meth:`repro.engine.database.PiqlDatabase.prepare`
     and can be executed many times with different parameter bindings; for
     ``PAGINATE`` queries each execution returns one page plus a serialisable
     cursor for the next.
 
-    The blocking entry points below are thin shims over the database's
-    default :class:`~repro.engine.session.Session`; use
+    The blocking entry points below enter the session's page funnel
+    (:meth:`repro.engine.session.Session._execute_page`) directly; use
     :meth:`repro.engine.database.PiqlDatabase.session` to overlap several
     queries' latencies instead of paying them in sequence.
     """
 
-    def __init__(
-        self,
-        optimized: OptimizedQuery,
-        executor: QueryExecutor,
-        session: Optional[object] = None,
-    ):
+    def __init__(self, optimized: OptimizedQuery, session: Any):
         self._optimized = optimized
-        self._executor = executor
         self._session = session
 
     # ------------------------------------------------------------------
@@ -100,16 +134,11 @@ class PreparedQuery:
 
         Parameters may be passed as a dictionary or as keyword arguments
         (``q.execute(uname="bob")``); keyword arguments win on conflict.
+        They are checked against what the query declares before anything
+        runs (:func:`bind_parameters`).
         """
-        if self._session is not None:
-            return self._session.execute(
-                self, parameters, cursor=cursor, strategy=strategy, **kwargs
-            ).to_query_result()
-        return self._executor.execute(
-            self._optimized,
-            parameters=bind_parameters(parameters, kwargs),
-            cursor=cursor,
-            strategy=strategy,
+        return self._session._execute_page(
+            self._optimized, parameters, kwargs, cursor, strategy
         )
 
     def pages(
@@ -118,11 +147,8 @@ class PreparedQuery:
         max_pages: int = 1000,
         strategy: Optional[ExecutionStrategy] = None,
         **kwargs: Any,
-    ):
-        """Iterate all pages of a PAGINATE query."""
-        return self._executor.execute_all_pages(
-            self._optimized,
-            parameters=bind_parameters(parameters, kwargs),
-            max_pages=max_pages,
-            strategy=strategy,
-        )
+    ) -> Iterator[QueryResult]:
+        """Iterate all pages of a PAGINATE query, fetching each as it is reached."""
+        yield from self._session.execute(
+            self, parameters, strategy=strategy, **kwargs
+        ).pages(max_pages)

@@ -10,8 +10,9 @@ and an asynchronous client library overlaps them.
 A :class:`Session` is one application-server conversation with the database
 on one simulated clock:
 
-* :meth:`Session.submit` is **non-blocking**: it validates and binds the
-  parameters, returns a :class:`QueryFuture`, and charges nothing.
+* :meth:`Session.submit` is **non-blocking**: it resolves the query,
+  snapshots the parameters, returns a :class:`QueryFuture`, and charges
+  nothing.
 * :meth:`Session.gather` resolves a set of futures **concurrently**: every
   branch starts at the same simulated instant and the session clock advances
   by the *maximum* of the branch latencies — the same composition rule the
@@ -25,9 +26,20 @@ on one simulated clock:
 
 Resolving a future *outside* a gather (``future.result()`` on a pending
 future, or :meth:`Session.execute`) runs it inline and charges the latency
-sequentially, exactly like the classic blocking API; ``PiqlDatabase.execute``
-and ``PreparedQuery.execute`` are thin shims over a default session, so the
-synchronous API keeps its historical behaviour to the float.
+sequentially, exactly like the classic blocking API.
+
+**One way in.**  Every page of every query — ``PreparedQuery.execute`` and
+``pages``, ``PiqlDatabase.execute``, a submitted future, a cursor's later
+pages — reaches ``QueryExecutor.execute`` through one function,
+:meth:`Session._execute_page`, and only through it
+(``tests/engine/test_query_funnel.py`` walks the syntax trees).  That is
+where the parameters are bound and checked against what the query text
+declares (:func:`~repro.engine.query.bind_parameters`, before any key/value
+operation), and where the view's resilience policy — deadline, hedge delay,
+retries, breakers — takes over
+(:meth:`~repro.resilience.policy.ResiliencePolicy.execute_page`).  The
+blocking ``PreparedQuery.execute`` calls it directly: no future, no cursor,
+no closure, four frames down to the executor.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from .query import PreparedQuery, bind_parameters
 
 
 class CallOutcome:
-    """Result of a deferred non-query branch (e.g. a block of writes)."""
+    """Result of a non-query piece of database work (e.g. a block of writes)."""
 
     __slots__ = ("value", "latency_seconds", "operations")
 
@@ -50,6 +62,20 @@ class CallOutcome:
         self.value = value
         self.latency_seconds = latency_seconds
         self.operations = operations
+
+    @classmethod
+    def measure(cls, db: Any, fn: Callable[[Any], Any]) -> "CallOutcome":
+        """Run ``fn(db)``; its latency and operation count are read off the
+        view's clock and client statistics."""
+        client = db.client
+        operations_before = client.stats.operations
+        started = client.clock.now
+        value = fn(db)
+        return cls(
+            value,
+            client.clock.now - started,
+            client.stats.operations - operations_before,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -130,33 +156,33 @@ class QueryFuture:
 class ResultCursor:
     """A streaming view of one query's results.
 
-    The first page is produced when the query executes (inside a gather or
-    inline); further pages of a ``PAGINATE`` query are fetched lazily as the
-    cursor is iterated, each fetch charged sequentially to the session clock
-    at the moment it happens.  Non-paginated queries have exactly one page.
+    The first page is fetched when the cursor is built, which is when the
+    query executes (inside a gather or inline); further pages of a
+    ``PAGINATE`` query are fetched lazily as the cursor is iterated, each
+    fetch charged sequentially to the session clock at the moment it
+    happens.  Non-paginated queries have exactly one page.  Every fetch is
+    the same call into :meth:`Session._execute_page`.
 
     Accounting properties (``latency_seconds``, ``operations``, ``rpcs``)
     aggregate over the pages fetched *so far*; ``to_query_result()`` returns
-    the first page as a classic :class:`QueryResult` for the synchronous
-    shims.
+    the first page as a classic :class:`QueryResult`.
     """
-
-    #: Safety valve: how many pages a draining iteration may fetch.
-    MAX_PAGES = 1000
 
     def __init__(
         self,
         session: "Session",
         optimized: OptimizedQuery,
-        parameters: Dict[str, Any],
+        parameters: Optional[Dict[str, Any]],
+        kwargs: Optional[Dict[str, Any]],
+        cursor: Optional[object],
         strategy: Optional[ExecutionStrategy],
-        first_page: QueryResult,
     ):
         self._session = session
         self._optimized = optimized
         self._parameters = parameters
+        self._kwargs = kwargs
         self._strategy = strategy
-        self._pages: List[QueryResult] = [first_page]
+        self._pages: List[QueryResult] = [self._fetch(cursor)]
 
     # ------------------------------------------------------------------
     # Introspection / compatibility
@@ -205,32 +231,31 @@ class ResultCursor:
     # ------------------------------------------------------------------
     # Streaming
     # ------------------------------------------------------------------
-    def _fetch_next_page(self) -> Optional[QueryResult]:
-        last = self._pages[-1]
-        if not last.has_more:
-            return None
-        if len(self._pages) >= self.MAX_PAGES:
-            raise ExecutionError(
-                f"pagination did not terminate within {self.MAX_PAGES} pages"
-            )
-        page = self._session._execute_page(
-            self._optimized,
-            self._parameters,
-            cursor=last.cursor,
-            strategy=self._strategy,
+    def _fetch(self, cursor: Optional[object]) -> QueryResult:
+        return self._session._execute_page(
+            self._optimized, self._parameters, self._kwargs, cursor,
+            self._strategy,
         )
-        self._pages.append(page)
-        return page
 
-    def pages(self) -> Iterator[QueryResult]:
-        """Iterate pages: already-fetched ones first, then lazily from the store."""
+    def pages(self, max_pages: int = 1000) -> Iterator[QueryResult]:
+        """Iterate pages: already-fetched ones first, then lazily from the store.
+
+        ``max_pages`` is a safety valve on how many pages the cursor may
+        hold before a draining iteration gives up.
+        """
         index = 0
         while True:
             while index < len(self._pages):
                 yield self._pages[index]
                 index += 1
-            if self._fetch_next_page() is None:
+            last = self._pages[-1]
+            if not last.has_more:
                 return
+            if len(self._pages) >= max_pages:
+                raise ExecutionError(
+                    f"pagination did not terminate within {max_pages} pages"
+                )
+            self._pages.append(self._fetch(last.cursor))
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         """Iterate rows lazily across pages (fetching pages on demand)."""
@@ -313,14 +338,15 @@ class Session:
         Parameters may be a dict, keyword arguments, or both (keywords win).
         """
         optimized = self._resolve_optimized(query)
-        bound = bind_parameters(parameters, kwargs)
+        if parameters:
+            # The caller may reuse its dict before the future resolves.
+            parameters = dict(parameters)
         name = label or (optimized.sql.split(None, 1)[0] if optimized.sql else "query")
 
         def thunk() -> ResultCursor:
-            first_page = self._execute_page(
-                optimized, bound, cursor=cursor, strategy=strategy
+            return ResultCursor(
+                self, optimized, parameters, kwargs, cursor, strategy
             )
-            return ResultCursor(self, optimized, bound, strategy, first_page)
 
         return QueryFuture(self, name, thunk)
 
@@ -338,19 +364,7 @@ class Session:
         clock and client statistics.  This is how write-bearing interaction
         steps ride the same gather machinery as queries.
         """
-
-        def thunk() -> CallOutcome:
-            client = self.db.client
-            operations_before = client.stats.operations
-            started = client.clock.now
-            value = fn(self.db)
-            return CallOutcome(
-                value,
-                client.clock.now - started,
-                client.stats.operations - operations_before,
-            )
-
-        return QueryFuture(self, label, thunk)
+        return QueryFuture(self, label, lambda: CallOutcome.measure(self.db, fn))
 
     def execute(
         self,
@@ -373,16 +387,18 @@ class Session:
     def _execute_page(
         self,
         optimized: OptimizedQuery,
-        parameters: Dict[str, Any],
+        parameters: Optional[Dict[str, Any]],
+        kwargs: Optional[Dict[str, Any]],
         cursor: Optional[object],
         strategy: Optional[ExecutionStrategy],
     ) -> QueryResult:
-        # Single funnel for every query path (sync shims, pipelined
-        # submits, cursor page fetches): the view's resilience policy —
-        # retries, per-query deadlines, hedging — applies here, so the sync
-        # and async APIs can never diverge.
+        """The one way in: bind and check the parameters, then run one page
+        under the view's resilience policy (see the module docstring)."""
         return self.db.resilience.execute_page(
-            optimized, parameters, cursor, strategy
+            optimized,
+            bind_parameters(optimized, parameters, kwargs),
+            cursor,
+            strategy,
         )
 
     def _finish(self, future: QueryFuture, started: float, clock: SimClock) -> None:

@@ -2,13 +2,12 @@
 
 from .context import ExecutionContext, ExecutionStrategy, QueryResult
 from .cursor import PaginationCursor, query_fingerprint
-from .executor import ExecutorConfig, QueryExecutor
+from .executor import QueryExecutor
 from .operators import execute_output, execute_plan
 
 __all__ = [
     "ExecutionContext",
     "ExecutionStrategy",
-    "ExecutorConfig",
     "PaginationCursor",
     "QueryExecutor",
     "QueryResult",

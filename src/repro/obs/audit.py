@@ -144,8 +144,7 @@ class BoundAuditor:
         readers that want it (:func:`~repro.obs.explain.explain_analyze`
         calls :meth:`annotate_span` explicitly), keeping the per-query cost
         of plain tracing to the bound comparison below.
-        ``enforce=False`` still records violations but never raises (the
-        executor passes this for strategies exempt from the bound).
+        ``enforce=False`` still records violations but never raises.
         """
         self.audited += 1
         if span is not None and self.latency_model is not None:

@@ -18,7 +18,8 @@ execution engine and the SLO prediction model need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from functools import cached_property
+from typing import List, Optional, Tuple, Union
 
 from ..errors import NotScaleIndependentError, PlanningError
 from ..plans import logical as L
@@ -66,9 +67,32 @@ class OptimizedQuery:
     def is_paginated(self) -> bool:
         return self.spec.stop is not None and self.spec.stop.paginate
 
-    def parameters(self) -> List[ast.Parameter]:
-        """Parameters that must be bound at execution time."""
-        return self.statement.parameters()
+    @cached_property
+    def bindings(self) -> Tuple[Tuple[str, Optional[str], Optional[int]], ...]:
+        """What an execution must bind: ``(name, kind, declared maximum)``.
+
+        ``kind`` is ``"count"`` for the LIMIT / PAGINATE parameter, ``"list"``
+        for an IN list and ``None`` for a plain value.  Worked out once per
+        compiled plan; :func:`repro.engine.query.bind_parameters` checks
+        every execution's parameters against it before anything runs.
+        """
+        statement = self.statement
+        count = statement.limit.count if statement.limit is not None else None
+        lists = [
+            predicate.values
+            for predicate in statement.where
+            if isinstance(predicate, ast.InPredicate)
+        ]
+        return tuple(
+            (
+                parameter.name,
+                "count" if parameter is count
+                else "list" if any(parameter is values for values in lists)
+                else None,
+                parameter.max_cardinality,
+            )
+            for parameter in statement.parameters()
+        )
 
     def describe(self) -> str:
         """Multi-line description: logical plan, physical plan, bounds, indexes."""

@@ -9,7 +9,7 @@ per-query deadlines from the same static machinery the paper uses to
   physical plan, times a slack multiplier, clamped to a sane range.  A
   reply slower than that is treated as lost (the client has better odds
   re-issuing than waiting).  Without a trained model the static
-  ``default_timeout_seconds`` applies.
+  :data:`DEFAULT_TIMEOUT_SECONDS` applies.
 * **hedge delay** — the p95 envelope *divided by the plan's operation
   bound* approximates a per-RPC p95; a read still outstanding after that
   long gets a hedge twin, first response wins.
@@ -38,6 +38,16 @@ from .budget import TokenBucketRetryBudget
 
 T = TypeVar("T")
 
+#: How a derived deadline follows the prediction model: the p99 envelope
+#: times a slack multiplier, clamped; the static default without a model.
+TIMEOUT_MULTIPLIER = 3.0
+TIMEOUT_MIN_SECONDS = 0.02
+TIMEOUT_MAX_SECONDS = 2.0
+DEFAULT_TIMEOUT_SECONDS = 0.5
+#: The hedge delay is the per-RPC share of this quantile's envelope.
+HEDGE_QUANTILE = 0.95
+DEFAULT_HEDGE_DELAY_SECONDS = 0.02
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
@@ -50,9 +60,9 @@ class ResilienceConfig:
     opt into the aggressive features explicitly.
     """
 
-    #: Total attempts per query (first try + retries).  ``None`` follows
-    #: the database's ``unavailable_retries`` knob (retries + 1).
-    max_attempts: Optional[int] = None
+    #: Total attempts per query page (first try + retries); 1 disables
+    #: retries.
+    max_attempts: int = 3
     backoff_base_seconds: float = 0.05
     backoff_max_seconds: float = 2.0
     budget_capacity: float = 20.0
@@ -60,13 +70,7 @@ class ResilienceConfig:
     #: Derive per-query RPC timeouts from the prediction model's p99
     #: envelope (static default when no model is trained).
     derive_timeouts: bool = False
-    timeout_multiplier: float = 3.0
-    timeout_min_seconds: float = 0.02
-    timeout_max_seconds: float = 2.0
-    default_timeout_seconds: float = 0.5
     hedging_enabled: bool = False
-    hedge_quantile: float = 0.95
-    default_hedge_delay_seconds: float = 0.02
     breakers_enabled: bool = False
     breaker_failure_threshold: int = 3
     breaker_open_seconds: float = 1.0
@@ -102,26 +106,24 @@ class ResiliencePolicy:
     # ------------------------------------------------------------------
     # Bound-derived deadlines
     # ------------------------------------------------------------------
-    def _clamp(self, seconds: float) -> float:
-        return min(
-            self.config.timeout_max_seconds,
-            max(self.config.timeout_min_seconds, seconds),
-        )
+    @staticmethod
+    def _clamp(seconds: float) -> float:
+        return min(TIMEOUT_MAX_SECONDS, max(TIMEOUT_MIN_SECONDS, seconds))
 
     def _envelope(self, optimized: Any) -> Tuple[float, float]:
         key = optimized.sql or repr(optimized.physical_plan)
         hit = self._envelope_cache.get(key)
         if hit is not None:
             return hit
-        timeout = self.config.default_timeout_seconds
-        hedge = self.config.default_hedge_delay_seconds
+        timeout = DEFAULT_TIMEOUT_SECONDS
+        hedge = DEFAULT_HEDGE_DELAY_SECONDS
         model = getattr(self.db.auditor, "latency_model", None)
         if model is not None:
             try:
                 p99 = model.predict_quantile(optimized.physical_plan, 0.99)
-                timeout = self._clamp(p99 * self.config.timeout_multiplier)
+                timeout = self._clamp(p99 * TIMEOUT_MULTIPLIER)
                 p_hedge = model.predict_quantile(
-                    optimized.physical_plan, self.config.hedge_quantile
+                    optimized.physical_plan, HEDGE_QUANTILE
                 )
                 try:
                     operations = max(1, optimized.operation_bound)
@@ -160,11 +162,12 @@ class ResiliencePolicy:
     ) -> Any:
         """Execute one query page under this policy.
 
-        This is the single funnel every query path traverses
-        (``db.execute``, serial plans, pipelined sessions, cursor page
-        fetches), so retry/deadline behaviour can never diverge between
-        the sync and async APIs.  The per-query deadline and hedge delay
-        are installed on the storage client for the duration of the page.
+        Called from one place, ``Session._execute_page``, which every
+        query path traverses (``db.execute``, serial plans, ``pages()``,
+        pipelined sessions, cursor page fetches), so retry/deadline
+        behaviour cannot diverge between the sync and async APIs.  The
+        per-query deadline and hedge delay are installed on the storage
+        client for the duration of the page.
         """
         db = self.db
         client = db.client
@@ -173,26 +176,18 @@ class ResiliencePolicy:
         client.rpc_timeout_seconds = self.timeout_for(optimized)
         client.hedge_delay_seconds = self.hedge_delay_for(optimized)
         try:
+            # Looked up per call: tests stand a fake in for the instance's
+            # ``execute``.
             return self.run(
-                lambda: db.executor.execute(
-                    optimized,
-                    parameters=parameters,
-                    cursor=cursor,
-                    strategy=strategy,
-                ),
+                db.executor.execute, optimized, parameters, cursor, strategy,
                 operation=optimized.sql or "query",
             )
         finally:
             client.rpc_timeout_seconds = saved_timeout
             client.hedge_delay_seconds = saved_hedge
 
-    def run(
-        self,
-        fn: Callable[[], T],
-        operation: str = "query",
-        attempts: Optional[int] = None,
-    ) -> T:
-        """Run ``fn`` with this policy's retry discipline.
+    def run(self, fn: Callable[..., T], *args: Any, operation: str = "query") -> T:
+        """Run ``fn(*args)`` with this policy's retry discipline.
 
         Retries only the transient :class:`UnavailableError` family; the
         terminal members (:class:`RetryBudgetExhaustedError`,
@@ -203,13 +198,7 @@ class ResiliencePolicy:
         config = self.config
         clock = self.db.client.clock
         metrics = self.db.client.stats.metrics
-        if attempts is None:
-            attempts = (
-                config.max_attempts
-                if config.max_attempts is not None
-                else max(0, self.db.unavailable_retries) + 1
-            )
-        attempts = max(1, attempts)
+        attempts = max(1, config.max_attempts)
         last: Optional[UnavailableError] = None
         for attempt in range(attempts):
             if self.board is not None:
@@ -220,7 +209,7 @@ class ResiliencePolicy:
                         sorted(self.board.suspects(clock.now))
                     )
             try:
-                return fn()
+                return fn(*args)
             except (RetryBudgetExhaustedError, CircuitOpenError):
                 raise
             except UnavailableError as exc:

@@ -40,6 +40,13 @@ from .monitor import SLOMonitor, WindowReport
 from .queueing import install_queues, refresh_utilization, remove_queues
 
 
+#: Period of the control tick (admission, autoscaling, forensics polling).
+CONTROL_INTERVAL_SECONDS = 0.5
+#: Period of the telemetry scrape loop, and the resolution of the
+#: time-series store the scrapes land in.
+TELEMETRY_INTERVAL_SECONDS = 0.5
+
+
 @dataclass
 class ServingConfig:
     """Shape and duration of one serving simulation."""
@@ -56,14 +63,11 @@ class ServingConfig:
             quantile=0.99, latency_seconds=0.5, interval_seconds=10.0
         )
     )
-    control_interval_seconds: float = 0.5
     #: How often the event kernel runs background storage-engine
     #: maintenance (LSM compaction).  Only scheduled when the cluster has
     #: at least one durable engine; the in-memory dict engine never needs
     #: it and pays nothing.
     engine_maintenance_interval_seconds: float = 0.25
-    monitor_window_seconds: float = 5.0
-    rate_smoothing_seconds: float = 2.0
     admission_enabled: bool = False
     admission: Optional[AdmissionConfig] = None
     #: Offline forecast used to warm-start the admission controller.
@@ -85,16 +89,13 @@ class ServingConfig:
     #: raise mid-run (CI smoke jobs use this).
     strict_audit: bool = False
     #: Fleet telemetry: when enabled the run scrapes cluster/node/SLO state
-    #: into a time-series store every ``telemetry_interval_seconds``, runs
+    #: into a time-series store every :data:`TELEMETRY_INTERVAL_SECONDS`, runs
     #: the burn-rate alerter after each scrape, and — when the shared
     #: auditor carries a latency model — feeds the prediction-drift
     #: detector.  The assembled bundle lands on ``ServingReport.telemetry``.
     telemetry_enabled: bool = False
-    telemetry_interval_seconds: float = 0.5
     #: Burn-rate rule ladder; ``None`` uses :data:`~repro.obs.slo.DEFAULT_RULES`.
     burn_rules: Optional[Sequence[BurnRateRule]] = None
-    #: Requests required inside a rule's fast window before it may fire.
-    burn_min_events: int = 10
     #: Shed probability the alerter seeds into the admission controller.
     pre_arm_probability: float = 0.1
     #: Latency forensics: when set, the run enables tracing on the
@@ -111,12 +112,8 @@ class ServingConfig:
             raise ValueError("mode must be 'closed' or 'open'")
         if self.duration_seconds <= 0:
             raise ValueError("duration must be positive")
-        if self.control_interval_seconds <= 0:
-            raise ValueError("control interval must be positive")
         if self.engine_maintenance_interval_seconds <= 0:
             raise ValueError("engine maintenance interval must be positive")
-        if self.telemetry_interval_seconds <= 0:
-            raise ValueError("telemetry interval must be positive")
 
 
 @dataclass
@@ -207,10 +204,8 @@ class ServingSimulation:
         self.workload = workload
         self.config = config
         self.sim = Simulation()
-        self.queues = install_queues(db.cluster, config.rate_smoothing_seconds)
-        self.monitor = SLOMonitor(
-            config.slo, control_window_seconds=config.monitor_window_seconds
-        )
+        self.queues = install_queues(db.cluster)
+        self.monitor = SLOMonitor(config.slo)
         self.admission: Optional[AdmissionController] = None
         if config.admission_enabled:
             self.admission = AdmissionController(
@@ -226,14 +221,11 @@ class ServingSimulation:
             self.fault_injector = FaultInjector(db.cluster)
         self.telemetry: Optional[FleetTelemetry] = None
         if config.telemetry_enabled:
-            store = TimeSeriesStore(
-                resolution_seconds=config.telemetry_interval_seconds
-            )
+            store = TimeSeriesStore(resolution_seconds=TELEMETRY_INTERVAL_SECONDS)
             alerter = BurnRateAlerter(
                 store,
                 config.slo,
                 rules=config.burn_rules,
-                min_events=config.burn_min_events,
                 sink=self.monitor.record_alert,
                 admission=self.admission,
                 pre_arm_probability=config.pre_arm_probability,
@@ -359,7 +351,7 @@ class ServingSimulation:
                     else None
                 ),
             )
-        next_tick = now + self.config.control_interval_seconds
+        next_tick = now + CONTROL_INTERVAL_SECONDS
         if next_tick <= self.config.duration_seconds:
             sim.schedule_at(next_tick, self._control_tick, name="control-tick")
 
@@ -399,8 +391,7 @@ class ServingSimulation:
             if self.fault_injector is not None:
                 self.fault_injector.schedule(self.sim, self.config.faults)
             self.sim.schedule_at(
-                self.config.control_interval_seconds, self._control_tick,
-                name="control-tick",
+                CONTROL_INTERVAL_SECONDS, self._control_tick, name="control-tick"
             )
             if any(
                 engine.durable
@@ -414,7 +405,7 @@ class ServingSimulation:
             if self.telemetry is not None:
                 self.telemetry.collector.schedule(
                     self.sim,
-                    self.config.telemetry_interval_seconds,
+                    TELEMETRY_INTERVAL_SECONDS,
                     self.config.duration_seconds,
                 )
             self.sim.run(until=self.config.duration_seconds)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..engine.database import PiqlDatabase
-from ..engine.session import Session
+from ..engine.session import CallOutcome, Session
 
 
 @dataclass
@@ -234,7 +234,7 @@ class Workload(abc.ABC):
     ):
         if isinstance(step, QueryStep):
             return session.submit(
-                db.prepare(step.sql), dict(step.parameters), label=step.label
+                db.prepare(step.sql), step.parameters, label=step.label
             )
         return session.call(
             lambda view, step=step: step.write(view, results), label=step.label
@@ -244,17 +244,10 @@ class Workload(abc.ABC):
     def _run_step(db: PiqlDatabase, step: Step, results: Dict[str, object]):
         """Execute one step inline; returns ``(result, latency, operations)``."""
         if isinstance(step, QueryStep):
-            result = db.prepare(step.sql).execute(dict(step.parameters))
+            result = db.prepare(step.sql).execute(step.parameters)
             return result, result.latency_seconds, result.operations
-        client = db.client
-        operations_before = client.stats.operations
-        started = client.clock.now
-        step.write(db, results)
-        return (
-            None,
-            client.clock.now - started,
-            client.stats.operations - operations_before,
-        )
+        outcome = CallOutcome.measure(db, lambda view: step.write(view, results))
+        return None, outcome.latency_seconds, outcome.operations
 
     # ------------------------------------------------------------------
     # Convenience helpers shared by the harness

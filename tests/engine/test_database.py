@@ -114,7 +114,7 @@ class TestClientViews:
         assert result.rows[0]["username"] == "bob"
         assert view.client.clock.now > 0
         assert view.client.clock.now != scadr_db.client.clock.now
-        assert view.executor.config.strategy is ExecutionStrategy.LAZY
+        assert view.executor.strategy is ExecutionStrategy.LAZY
 
     def test_new_client_accepts_external_clock(self, scadr_db):
         from repro.kvstore.simtime import SimClock

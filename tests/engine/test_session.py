@@ -79,11 +79,11 @@ class TestFutures:
         session = db.session()
         good = session.submit(USERS_BY_NAME, u="alice")
         bad = session.submit(USERS_BY_NAME)  # parameter never bound
-        with pytest.raises(KeyError):
+        with pytest.raises(ExecutionError, match="'u' was not bound"):
             session.gather(good, bad)
         assert good.done() and bad.done()
-        assert bad.exception() is not None
-        with pytest.raises(KeyError):
+        assert isinstance(bad.exception(), ExecutionError)
+        with pytest.raises(ExecutionError, match="'u' was not bound"):
             bad.result()
         # The successful sibling's result is still available.
         assert good.result().rows

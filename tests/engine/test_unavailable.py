@@ -8,13 +8,15 @@ from repro import (
     QuorumNotMetError,
     UnavailableError,
 )
+from repro.resilience.policy import ResilienceConfig
 from repro.workloads.scadr.schema import scadr_ddl
 
 
-def make_db() -> PiqlDatabase:
+def make_db(resilience=None) -> PiqlDatabase:
     db = PiqlDatabase.simulated(
         ClusterConfig(storage_nodes=4, replication=3, read_quorum=2,
-                      write_quorum=2, seed=9)
+                      write_quorum=2, seed=9),
+        resilience=resilience,
     )
     db.execute_ddl(scadr_ddl(max_subscriptions=10))
     for name in ("alice", "bob"):
@@ -59,8 +61,7 @@ class TestTypedUnavailable:
         assert result.rows[0]["username"] == "alice"
 
     def test_retries_exhaust_and_reraise(self):
-        db = make_db()
-        db.unavailable_retries = 3
+        db = make_db(ResilienceConfig(max_attempts=4))
         calls = {"n": 0}
 
         def always_down(*args, **kwargs):
@@ -73,9 +74,8 @@ class TestTypedUnavailable:
         assert calls["n"] == 4  # initial attempt + 3 retries
 
     def test_new_client_inherits_retry_budget(self):
-        db = make_db()
-        db.unavailable_retries = 5
-        assert db.new_client().unavailable_retries == 5
+        db = make_db(ResilienceConfig(max_attempts=6))
+        assert db.new_client().resilience.config.max_attempts == 6
 
     def test_partial_range_reads_counted_by_client(self):
         db = make_db()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ClusterConfig, ExecutionStrategy, PiqlDatabase
-from repro.errors import CursorError
+from repro.errors import CursorError, ExecutionError
 from repro.execution.cursor import PaginationCursor, query_fingerprint
 
 
@@ -110,7 +110,7 @@ class TestQueryCorrectness:
         assert row["avg_timestamp"] == pytest.approx(1_000_009.5)
 
     def test_missing_parameter_raises(self, scadr_db):
-        with pytest.raises(KeyError):
+        with pytest.raises(ExecutionError, match="'u' was not bound"):
             scadr_db.execute("SELECT * FROM users WHERE username = <u>", {})
 
 

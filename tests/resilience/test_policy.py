@@ -8,6 +8,7 @@ from repro.engine.database import PiqlDatabase
 from repro.errors import (
     CircuitOpenError,
     PiqlError,
+    QuorumNotMetError,
     RetryBudgetExhaustedError,
     UnavailableError,
 )
@@ -17,7 +18,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.resilience.policy import ResilienceConfig, ResiliencePolicy
 
 
-def fake_db(nodes: int = 3, unavailable_retries: int = 2):
+def fake_db(nodes: int = 3):
     """The minimal duck-typed database surface the policy touches."""
     return SimpleNamespace(
         client=SimpleNamespace(
@@ -29,7 +30,6 @@ def fake_db(nodes: int = 3, unavailable_retries: int = 2):
         cluster=SimpleNamespace(
             nodes=[SimpleNamespace(node_id=i) for i in range(nodes)]
         ),
-        unavailable_retries=unavailable_retries,
     )
 
 
@@ -57,7 +57,7 @@ class TestRetryDiscipline:
 
     def test_retries_until_success_with_backoff_on_the_clock(self):
         db = fake_db()
-        policy = ResiliencePolicy(db)  # retries follow unavailable_retries=2
+        policy = ResiliencePolicy(db)  # the default: three attempts
         fn = flaky_fn(2)
         assert policy.run(fn) == "ok"
         assert fn.state["calls"] == 3
@@ -293,11 +293,46 @@ class TestDatabaseIntegration:
         seen = []
         original = db.resilience.run
 
-        def spy(fn, operation="query", attempts=None):
+        def spy(fn, *args, operation="query"):
             seen.append(operation)
-            return original(fn, operation=operation, attempts=attempts)
+            return original(fn, *args, operation=operation)
 
         db.resilience.run = spy
         result = db.execute("SELECT * FROM t WHERE id = [1: id]", {"id": 1})
         assert result.rows == [{"id": 1, "v": 10}]
         assert len(seen) == 1
+
+    def test_every_way_of_paging_runs_under_the_policy(self):
+        """``PreparedQuery.pages`` used to call the executor around the
+        policy: no deadline, and a transient failure ended the iteration."""
+        sql = "SELECT * FROM t WHERE g = <g> ORDER BY id PAGINATE 3"
+
+        def drain(pages_of):
+            db = self.make_db(resilience=ResilienceConfig(derive_timeouts=True))
+            db.execute_ddl("CREATE TABLE t (g INT, id INT, PRIMARY KEY (g, id))")
+            for index in range(20):
+                db.insert("t", {"g": 1, "id": index})
+            execute = db.executor.execute
+            deadlines = []
+
+            def spy(*args, **kwargs):
+                deadlines.append(db.client.rpc_timeout_seconds)
+                if len(deadlines) == 3:  # page 3 meets one transient failure
+                    raise QuorumNotMetError("read", "t", 2, 1)
+                return execute(*args, **kwargs)
+
+            db.executor.execute = spy
+            rows = [row["id"] for page in pages_of(db) for row in page.rows]
+            retries = db.client.stats.metrics.value("resilience.retries")
+            assert db.client.rpc_timeout_seconds is None  # restored
+            return rows, deadlines, retries
+
+        through_query = drain(lambda db: db.prepare(sql).pages(g=1))
+        through_session = drain(
+            lambda db: db.session().execute(sql, g=1).pages()
+        )
+        assert through_query == through_session
+        rows, deadlines, retries = through_query
+        assert rows == list(range(20))
+        assert deadlines == [0.5] * 8  # seven pages, one of them twice
+        assert retries == 1
