@@ -18,7 +18,12 @@ from __future__ import annotations
 from repro import ClusterConfig, PiqlDatabase
 from repro.bench.reporting import format_table
 from repro.prediction.slo import ServiceLevelObjective
-from repro.serving import AutoscaleConfig, ServingConfig, run_serving_simulation
+from repro.serving import (
+    AdmissionConfig,
+    AutoscaleConfig,
+    ServingConfig,
+    run_serving_simulation,
+)
 from repro.workloads import ScadrWorkload, WorkloadScale
 
 SLO = ServiceLevelObjective(quantile=0.99, latency_seconds=0.1, interval_seconds=5.0)
@@ -83,7 +88,7 @@ def open_loop_overload() -> None:
                 arrival_rate_per_second=140.0,
                 duration_seconds=15.0,
                 slo=SLO,
-                admission_enabled=admission,
+                admission=AdmissionConfig() if admission else None,
                 seed=2,
             ),
         )
@@ -107,6 +112,9 @@ def open_loop_overload() -> None:
 
 def closed_loop_autoscale() -> None:
     print("== saturated closed loop: autoscaler adds storage nodes ==")
+    scaling = AutoscaleConfig(
+        high_utilization=0.7, low_utilization=0.15, cooldown_seconds=3.0
+    )
     for autoscale in (False, True):
         db, workload = fresh_database()
         report = run_serving_simulation(
@@ -118,10 +126,7 @@ def closed_loop_autoscale() -> None:
                 think_time_seconds=0.05,
                 duration_seconds=30.0,
                 slo=SLO,
-                autoscale_enabled=autoscale,
-                autoscale=AutoscaleConfig(
-                    high_utilization=0.7, low_utilization=0.15, cooldown_seconds=3.0
-                ),
+                autoscale=scaling if autoscale else None,
                 seed=2,
             ),
         )

@@ -248,12 +248,7 @@ class WriteAudit:
         self._counter = 0
 
     def schedule(self, sim, interval_seconds: float, until: float) -> None:
-        def fire(s) -> None:
-            self.tick(s.now)
-            if s.now + interval_seconds <= until:
-                s.schedule_at(s.now + interval_seconds, fire, name=self.name)
-
-        sim.schedule_at(interval_seconds, fire, name=self.name)
+        sim.every(interval_seconds, until, lambda s: self.tick(s.now), self.name)
 
     def tick(self, now: float) -> Optional[Tuple[bytes, bytes]]:
         """Write one fresh key; the (key, value) if it was acknowledged."""

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..prediction.slo import ServiceLevelObjective
+from ..serving.admission import AdmissionConfig
 from ..serving.simulator import ServingReport, ServingSimulation
 from ..workloads.tpcw.workload import TpcwWorkload
 from .experiment import Experiment, claim
@@ -126,7 +127,7 @@ def run_variant(config: ServingSloConfig, admission_enabled: bool) -> ServingRep
         arrival_rate_per_second=config.normal_rate_per_second,
         duration_seconds=config.duration_seconds,
         slo=config.slo,
-        admission_enabled=admission_enabled,
+        admission=AdmissionConfig() if admission_enabled else None,
         seed=config.seed,
     ).report
 

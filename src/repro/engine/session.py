@@ -25,8 +25,8 @@ on one simulated clock:
   ``fetch_all()`` for callers that want the fully materialised rows.
 
 Resolving a future *outside* a gather (``future.result()`` on a pending
-future, or :meth:`Session.execute`) runs it inline and charges the latency
-sequentially, exactly like the classic blocking API.
+future) runs it inline and charges the latency sequentially, exactly like
+the blocking :meth:`Session.execute`.
 
 **One way in.**  Every page of every query — ``PreparedQuery.execute`` and
 ``pages``, ``PiqlDatabase.execute``, a submitted future, a cursor's later
@@ -375,11 +375,12 @@ class Session:
         strategy: Optional[ExecutionStrategy] = None,
         **kwargs: Any,
     ) -> ResultCursor:
-        """Submit and resolve one query inline (the blocking path)."""
-        future = self.submit(
-            query, parameters, cursor=cursor, strategy=strategy, **kwargs
+        """Run one query inline (the blocking path); its first page is
+        fetched before this returns."""
+        return ResultCursor(
+            self, self._resolve_optimized(query), parameters, kwargs, cursor,
+            strategy,
         )
-        return future.result()
 
     # ------------------------------------------------------------------
     # Resolution

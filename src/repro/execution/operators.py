@@ -291,7 +291,7 @@ def _lazy_dereference(
     secondary index entry."""
     keys = [pk_key(deserialize_pk(value)) for _, value in entries]
     values = [context.client.get(table.namespace, key) for key in keys]
-    context.client.stats.dereference_rounds += len(keys)
+    context.client.stats.metrics.add("client.dereference_rounds", len(keys))
     return [deserialize_row(value) for value in values if value is not None]
 
 
@@ -311,7 +311,7 @@ def _fused_dereference_map(
     values = context.client.multi_get(
         table.namespace, unique, parallel=True, logical_operations=len(keys)
     )
-    context.client.stats.dereference_rounds += 1
+    context.client.stats.metrics.add("client.dereference_rounds")
     return dict(zip(unique, values))
 
 
@@ -719,7 +719,7 @@ def _fused_sorted_join(
                 table.namespace, missing, parallel=True,
                 logical_operations=len(chunk),
             )
-            client.stats.dereference_rounds += 1
+            client.stats.metrics.add("client.dereference_rounds")
             by_key.update(zip(missing, fetched))
         else:
             client.charge_saved_reads(len(chunk))

@@ -19,15 +19,15 @@ Every operation is one :meth:`StorageClient._call`.  It issues the cluster
 call, turns a dropped message or a reply slower than the per-RPC deadline
 into one accounted :class:`~repro.errors.RpcTimeoutError` — the only
 ``except`` of that error and the only place ``client.rpc_timeouts`` is
-counted — and accounts a completed RPC: clock, counters, latency reservoir,
-breakers, span.  A gather window's batched read goes through it like any
-other, differing only in when the clock moves.
+counted — and accounts a completed RPC: clock, counters, breakers, span.
+A gather window's batched read goes through it like any other, differing
+only in when the clock moves.
 
 Measurement
 -----------
 All counters live in a :class:`~repro.obs.metrics.MetricsRegistry` under
-``client.*`` names; :class:`ClientStats` is a thin façade exposing them as
-the attributes the rest of the system (and its tests) have always read.
+``client.*`` names; :class:`ClientStats` exposes them as read-only
+attributes.
 When a :class:`~repro.obs.trace.Tracer` is attached, every RPC additionally
 records a completed span — one ``tracer is not None`` check per operation
 when tracing is off.
@@ -35,23 +35,17 @@ when tracing is off.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import RpcTimeoutError
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, counter_properties
 from ..obs.trace import Span, Tracer
-from ..stats import nearest_rank_percentile
 from .cluster import KeyValueCluster, OpResult
 from .simtime import SimClock
 
 KeyValue = Tuple[bytes, bytes]
 RangeSpec = Tuple[Optional[bytes], Optional[bytes], Optional[int], bool]
-
-#: Default size of the per-client latency reservoir.  Large enough for a
-#: stable 99th percentile, small enough that long simulations stay O(1).
-RESERVOIR_CAPACITY = 512
 
 #: The additive counters ``ClientStats`` exposes as attributes, with the
 #: cast applied on read.  Registry names are ``client.<field>``; counters
@@ -72,9 +66,10 @@ _CLIENT_COUNTERS: Tuple[Tuple[str, type], ...] = (
 class ClientStats:
     """Counters of the key/value traffic issued by one client.
 
-    The counters are registry-backed (names ``client.*``); snapshot/delta
-    are generic over every name in the registry, so new counters need no
-    accounting code.  Field meanings:
+    The counters are registry-backed (names ``client.*``) and read-only
+    here: they grow through ``metrics.add`` / ``add_many``, and
+    snapshot/delta are the registry's, generic over every name in it, so
+    new counters need no accounting code.  Field meanings:
 
     * ``operations`` / ``keys_touched`` / ``rpcs`` — logical operations,
       keys, and physical round trips.
@@ -91,88 +86,19 @@ class ClientStats:
     * ``dereference_rounds`` — batched dereference rounds issued by the
       execution engine (one fused ``multi_get`` per round); the
       operator-fusion benchmark compares this across executor arms.
-
-    Besides the running totals, the stats keep a bounded reservoir of
-    per-call latencies (Vitter's algorithm R with a deterministic stream)
-    so any client can report p50/p99 via :meth:`percentile` without
-    recording every sample.
     """
 
-    __slots__ = (
-        "metrics",
-        "latency_samples",
-        "samples_seen",
-        "reservoir_capacity",
-        "_rng",
-    )
+    __slots__ = ("metrics",)
 
-    def __init__(
-        self,
-        operations: int = 0,
-        keys_touched: int = 0,
-        rpcs: int = 0,
-        partial_results: int = 0,
-        coalesced_reads: int = 0,
-        saved_reads: int = 0,
-        dereference_rounds: int = 0,
-        total_latency_seconds: float = 0.0,
-        latency_samples: Optional[List[float]] = None,
-        samples_seen: int = 0,
-        reservoir_capacity: int = RESERVOIR_CAPACITY,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
         self.metrics = MetricsRegistry() if metrics is None else metrics
-        seeds = (
-            operations, keys_touched, rpcs, partial_results, coalesced_reads,
-            saved_reads, dereference_rounds, total_latency_seconds,
-        )
-        for (name, _), value in zip(_CLIENT_COUNTERS, seeds):
-            if value:
-                self.metrics.set_counter(f"client.{name}", value)
-        self.latency_samples: List[float] = (
-            [] if latency_samples is None else list(latency_samples)
-        )
-        self.samples_seen = samples_seen
-        self.reservoir_capacity = reservoir_capacity
-        # Created on the first eviction: snapshot()/delta() copies are made
-        # per query and almost never see one.
-        self._rng: Optional[random.Random] = None
-
-    def record_latency(self, seconds: float) -> None:
-        """Offer one latency observation to the bounded reservoir."""
-        self.samples_seen += 1
-        if len(self.latency_samples) < self.reservoir_capacity:
-            self.latency_samples.append(seconds)
-            return
-        if self._rng is None:
-            self._rng = random.Random(0x5EED)
-        slot = self._rng.randrange(self.samples_seen)
-        if slot < self.reservoir_capacity:
-            self.latency_samples[slot] = seconds
-
-    def percentile(self, fraction: float) -> float:
-        """Nearest-rank percentile (e.g. ``0.99``) of the sampled latencies."""
-        return nearest_rank_percentile(self.latency_samples, fraction)
 
     def snapshot(self) -> "ClientStats":
-        return ClientStats(
-            latency_samples=list(self.latency_samples),
-            samples_seen=self.samples_seen,
-            reservoir_capacity=self.reservoir_capacity,
-            metrics=self.metrics.snapshot(),
-        )
+        return ClientStats(self.metrics.snapshot())
 
     def delta(self, earlier: "ClientStats") -> "ClientStats":
-        """Return the difference between this snapshot and an earlier one.
-
-        Every counter in either registry is differenced; the latency
-        reservoir is a sample (not a sum), so the delta starts with an
-        empty one.
-        """
-        return ClientStats(
-            reservoir_capacity=self.reservoir_capacity,
-            metrics=self.metrics.delta(earlier.metrics),
-        )
+        """The counters accrued since the ``earlier`` snapshot."""
+        return ClientStats(self.metrics.delta(earlier.metrics))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fields = ", ".join(
@@ -181,21 +107,7 @@ class ClientStats:
         return f"ClientStats({fields})"
 
 
-def _client_counter(name: str, cast: type) -> property:
-    metric = f"client.{name}"
-
-    def fget(self: ClientStats):
-        return cast(self.metrics.value(metric))
-
-    def fset(self: ClientStats, value) -> None:
-        self.metrics.set_counter(metric, value)
-
-    return property(fget, fset)
-
-
-for _name, _cast in _CLIENT_COUNTERS:
-    setattr(ClientStats, _name, _client_counter(_name, _cast))
-del _name, _cast
+counter_properties(ClientStats, "client", _CLIENT_COUNTERS)
 
 
 @dataclass
@@ -266,8 +178,8 @@ class StorageClient:
         acknowledgement is lost, which is why writes stay convergent
         (hinted handoff / newest-wins covers the unacked copy).
 
-        **Completed.**  Clock, counters (one registry call), latency
-        reservoir, breakers, span; returns ``(result, span)``.
+        **Completed.**  Clock, counters (one registry call), breakers, span;
+        returns ``(result, span)``.
         ``saved_reads`` (batched reads only) counts logical reads the batch
         served without a physical fetch; they still count as keys touched.
         ``coalesced`` is given by a gather window's batched read — how many
@@ -293,7 +205,6 @@ class StorageClient:
             if timeout is not None:
                 self.clock.advance(timeout)
                 counts.append(("client.total_latency_seconds", timeout))
-                self.stats.record_latency(timeout)
             self.stats.metrics.add_many(counts)
             if self.breakers is not None and exc.node_id >= 0:
                 self.breakers.record_failure(  # type: ignore[attr-defined]
@@ -330,7 +241,6 @@ class StorageClient:
         if coalesced is not None:
             counts.append(("client.coalesced_reads", coalesced))
         self.stats.metrics.add_many(counts)
-        self.stats.record_latency(latency)
         if self.breakers is not None:
             if result.node_id >= 0:
                 self.breakers.record_success(  # type: ignore[attr-defined]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, counter_properties
 from .latency import LatencyModel, LatencyParameters
 
 #: The counters a node keeps, as ``(field name, cast)``; registry names are
@@ -37,7 +37,7 @@ class NodeStats:
 
     ``keys_filtered`` counts keys examined by a server-side range filter but
     not shipped to the client (predicate pushdown; the examination is still
-    charged).  All fields are thin properties over ``node.*`` metrics in
+    charged).  All fields are read-only views of ``node.*`` metrics in
     :attr:`metrics`; :meth:`reset` and snapshots are generic over the
     registry's names.
     """
@@ -57,21 +57,7 @@ class NodeStats:
         return f"NodeStats({fields})"
 
 
-def _node_counter(name: str, cast: type) -> property:
-    metric = f"node.{name}"
-
-    def fget(self: NodeStats):
-        return cast(self.metrics.value(metric))
-
-    def fset(self: NodeStats, value) -> None:
-        self.metrics.set_counter(metric, value)
-
-    return property(fget, fset)
-
-
-for _name, _cast in _NODE_COUNTERS:
-    setattr(NodeStats, _name, _node_counter(_name, _cast))
-del _name, _cast
+counter_properties(NodeStats, "node", _NODE_COUNTERS)
 
 
 @dataclass

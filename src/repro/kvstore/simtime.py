@@ -14,7 +14,7 @@ is then "interactions completed per simulated second".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -28,7 +28,6 @@ class SimClock:
     """
 
     now: float = 0.0
-    _total_advanced: float = field(default=0.0, repr=False)
 
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time.
@@ -39,29 +38,11 @@ class SimClock:
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
         self.now += seconds
-        self._total_advanced += seconds
         return self.now
 
     def reset(self, now: float = 0.0) -> None:
         """Reset the clock to ``now`` (default zero)."""
         self.now = now
-        self._total_advanced = 0.0
-
-    @property
-    def total_advanced(self) -> float:
-        """Total seconds this clock has been advanced since creation/reset."""
-        return self._total_advanced
-
-    def interval_index(self, interval_seconds: float) -> int:
-        """Return the index of the SLO interval containing the current time.
-
-        SLOs in the paper are defined over fixed, non-overlapping intervals
-        (e.g. "99% of queries during each ten-minute interval").  The
-        prediction framework bins observations by this index.
-        """
-        if interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        return int(self.now // interval_seconds)
 
 
 def milliseconds(seconds: float) -> float:

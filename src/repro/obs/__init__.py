@@ -4,15 +4,17 @@ PIQL's headline claim is that every admitted query carries a *provable*
 static operation bound and a predicted latency.  This package turns those
 compile-time guarantees into runtime observations:
 
-* :mod:`~repro.obs.metrics` — a named-metric registry (counters, gauges,
+* :mod:`~repro.obs.metrics` — a named-metric registry (counters and
   bounded histograms) with generic snapshot/delta semantics; the single
-  source of truth behind ``ClientStats``/``NodeStats``/``TrafficLog``.
+  source of truth behind ``ClientStats``/``NodeStats``/``TrafficLog``,
+  whose counter attributes are read-only views of it.
 * :mod:`~repro.obs.trace` — per-query/per-interaction span trees recording
   simulated start/end, operation counts, RPC fan-out, and bytes at every
   layer from ``Session`` down to the storage nodes.
 * :mod:`~repro.obs.audit` — the runtime bound auditor: every finished query
-  is checked against its static bound, and per-operator latency residuals
-  (predicted vs observed) are attached to its spans.
+  is checked against its static bound (violations are kept on the
+  auditor), and per-operator latency residuals (predicted vs observed) are
+  attached to its spans.
 * :mod:`~repro.obs.explain` — ``EXPLAIN ANALYZE``: the annotated span tree
   rendered through the plan printer.
 * :mod:`~repro.obs.timeseries` — a fixed-memory ring-buffer time-series
@@ -36,7 +38,7 @@ compile-time guarantees into runtime observations:
   windows, breaker transitions, SLO alerts, drift, and retained traces.
 """
 
-from .audit import AuditEvent, BoundAuditor, LatencyResidual
+from .audit import AuditEvent, BoundAuditor
 from .criticalpath import (
     SEGMENT_CLASSES,
     BreakdownProfile,
@@ -95,7 +97,6 @@ __all__ = [
     "HistogramMergeError",
     "IncidentReport",
     "LatencyForensics",
-    "LatencyResidual",
     "MetricsRegistry",
     "PredictionDriftDetector",
     "RetainedTrace",

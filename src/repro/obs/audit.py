@@ -5,9 +5,9 @@ PIQL's compiler proves a *static* operation bound for every admitted query
 claim offline, in benchmark scripts diffing aggregate counters.  The
 :class:`BoundAuditor` moves the check into the execution path: every
 finished query is compared against its bound, violations become structured
-:class:`AuditEvent` objects (strict mode raises
-:class:`~repro.errors.BoundViolationError`, serving mode feeds them to a
-sink such as the SLO monitor), and — when a trained latency model is
+:class:`AuditEvent` objects kept in :attr:`BoundAuditor.events` (strict
+mode also raises :class:`~repro.errors.BoundViolationError`; serving mode
+lets the query's result stand), and — when a trained latency model is
 attached — each operator span is annotated with the slice of the bound it
 was charged against and its predicted-vs-observed latency residual.
 """
@@ -15,7 +15,7 @@ was charged against and its predicted-vs-observed latency residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import (
     BoundViolationError,
@@ -47,20 +47,6 @@ class AuditEvent:
         )
 
 
-@dataclass(frozen=True)
-class LatencyResidual:
-    """Predicted-vs-observed latency of one operator span."""
-
-    operator: str
-    predicted_seconds: float
-    observed_seconds: float
-
-    @property
-    def residual_seconds(self) -> float:
-        """Observed minus predicted: positive means slower than modelled."""
-        return self.observed_seconds - self.predicted_seconds
-
-
 class BoundAuditor:
     """Asserts observed operations ≤ static bound on every finished query.
 
@@ -68,30 +54,25 @@ class BoundAuditor:
     ----------
     mode:
         ``"strict"`` raises :class:`BoundViolationError` on a violation
-        (tests and benchmarks); ``"serving"`` records the event and feeds
-        the sink but lets the query's result stand (a live service should
-        degrade observably, not crash).
+        (tests and benchmarks); ``"serving"`` records the event but lets
+        the query's result stand (a live service should degrade
+        observably, not crash).
     latency_model:
         Optional trained :class:`~repro.prediction.model.QueryLatencyModel`;
         when present, operator spans gain ``predicted_seconds`` and
-        residuals are accumulated in :attr:`residuals`.
-    sink:
-        Called with each :class:`AuditEvent` (e.g. the SLO monitor's
-        ``record_bound_violation``).
+        ``residual_seconds``.
     """
 
     def __init__(
         self,
         mode: str = "strict",
         latency_model: Optional["QueryLatencyModel"] = None,
-        sink: Optional[Callable[[AuditEvent], None]] = None,
         max_events: int = 256,
     ):
         if mode not in ("strict", "serving"):
             raise ValueError(f"unknown auditor mode: {mode!r}")
         self.mode = mode
         self.latency_model = latency_model
-        self.sink = sink
         self.max_events = max_events
         #: Optional :class:`~repro.obs.drift.PredictionDriftDetector`;
         #: when attached, every audited query feeds its rolling per-class
@@ -108,8 +89,6 @@ class BoundAuditor:
         self.audited = 0
         #: Violations observed, oldest first, capped at ``max_events``.
         self.events: List[AuditEvent] = []
-        #: Per-operator residuals of audited traced queries (bounded).
-        self.residuals: List[LatencyResidual] = []
         # Bound slices per plan, keyed by id().  The plan itself is kept as
         # a strong reference so a recycled id() can never alias a new plan.
         self._slice_cache: Dict[
@@ -123,7 +102,6 @@ class BoundAuditor:
     def reset(self) -> None:
         self.audited = 0
         self.events.clear()
-        self.residuals.clear()
 
     # ------------------------------------------------------------------
     # The live assertion
@@ -134,7 +112,6 @@ class BoundAuditor:
         observed_operations: int,
         latency_seconds: float,
         span: Optional[Span] = None,
-        enforce: bool = True,
     ) -> Optional[AuditEvent]:
         """Audit one finished execution; returns the event on violation.
 
@@ -144,7 +121,6 @@ class BoundAuditor:
         readers that want it (:func:`~repro.obs.explain.explain_analyze`
         calls :meth:`annotate_span` explicitly), keeping the per-query cost
         of plain tracing to the bound comparison below.
-        ``enforce=False`` still records violations but never raises.
         """
         self.audited += 1
         if span is not None and self.latency_model is not None:
@@ -162,15 +138,13 @@ class BoundAuditor:
             )
             if len(self.events) < self.max_events:
                 self.events.append(event)
-            if self.sink is not None:
-                self.sink(event)
         # The flight recorder sees every traced query — violation or not —
         # and must be fed before strict mode raises, so the offending trace
         # is retained even when the query dies.
         recorder = self.recorder
         if recorder is not None and span is not None:
             recorder.observe_query(query, span, latency_seconds, event=event)
-        if event is not None and enforce and self.mode == "strict":
+        if event is not None and self.mode == "strict":
             raise BoundViolationError(
                 observed_operations, bound.max_operations, query.sql
             )
@@ -203,14 +177,10 @@ class BoundAuditor:
             prediction = predicted.get(node_id)
             if prediction is not None and op_span.end is not None:
                 op_span.attributes["predicted_seconds"] = prediction
-                residual = LatencyResidual(
-                    operator=op_span.name,
-                    predicted_seconds=prediction,
-                    observed_seconds=op_span.duration,
+                # Observed minus predicted: positive is slower than modelled.
+                op_span.attributes["residual_seconds"] = (
+                    op_span.duration - prediction
                 )
-                op_span.attributes["residual_seconds"] = residual.residual_seconds
-                if len(self.residuals) < self.max_events:
-                    self.residuals.append(residual)
 
     def _bound_slices(
         self, plan: P.PhysicalOperator

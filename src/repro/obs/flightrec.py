@@ -47,7 +47,6 @@ from .criticalpath import (
     CriticalPathAggregator,
     CriticalPathBreakdown,
     analyze_trace,
-    query_class_of,
 )
 from .trace import Span
 
@@ -180,7 +179,6 @@ class FlightRecorder:
         #: Retained traces by id, oldest first.
         self._retained: "OrderedDict[str, RetainedTrace]" = OrderedDict()
         self._retained_bytes = 0
-        self._next_id = 0
         #: Closed retention windows: (start, end, label), in noting order.
         self.windows: List[Tuple[float, float, str]] = []
         # The same windows as (end, noting order, start, label), sorted, so
@@ -192,6 +190,7 @@ class FlightRecorder:
         self._pinned_windows: set = set()
         # Counters — retention must never be silent.
         self.seen = 0
+        #: Traces ever retained; the n-th one is ``t-<n>``.
         self.retained_total = 0
         self.dropped = 0
         self.dropped_pinned = 0
@@ -323,22 +322,6 @@ class FlightRecorder:
             pinned=False, band=band,
         )
 
-    def note_audit_event(self, event: object, span: Optional[Span] = None) -> None:
-        """Direct audit-event sink for callers outside the auditor hook."""
-        self.reasons_count["bound_violation_events"] = (
-            self.reasons_count.get("bound_violation_events", 0) + 1
-        )
-        if span is not None and span.end is not None:
-            self._retain(
-                span,
-                query_class_of(span),
-                span.duration,
-                ("bound_violation",),
-                None,
-                pinned=True,
-                band=None,
-            )
-
     def _envelope(self, query: Optional[object]):
         if query is None or self.drift is None:
             return None
@@ -360,9 +343,9 @@ class FlightRecorder:
         pinned: bool,
         band: Optional[Tuple[str, float]],
     ) -> RetainedTrace:
-        self._next_id += 1
+        self.retained_total += 1
         trace = RetainedTrace(
-            trace_id=f"t-{self._next_id:06d}",
+            trace_id=f"t-{self.retained_total:06d}",
             span=span,
             query_class=query_class,
             latency_seconds=latency_seconds,
@@ -374,7 +357,6 @@ class FlightRecorder:
         )
         self._retained[trace.trace_id] = trace
         self._retained_bytes += trace.approx_bytes
-        self.retained_total += 1
         for reason in reasons:
             key = reason.split(":", 1)[0]
             self.reasons_count[key] = self.reasons_count.get(key, 0) + 1
@@ -426,15 +408,6 @@ class FlightRecorder:
     def memory_bytes(self) -> int:
         """Estimated bytes currently held by retained traces."""
         return self._retained_bytes
-
-    def traces_overlapping(self, start: float, end: float) -> List[RetainedTrace]:
-        return [
-            trace
-            for trace in self._retained.values()
-            if trace.span.end is not None
-            and trace.span.start < end
-            and trace.span.end > start
-        ]
 
     def describe(self) -> str:
         reasons = ", ".join(

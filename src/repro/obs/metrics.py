@@ -1,4 +1,4 @@
-"""A named-metric registry: counters, gauges, and bounded histograms.
+"""A named-metric registry: counters and bounded histograms.
 
 Before this module, the simulator's measurement state was scattered across
 ad-hoc dataclass fields (``ClientStats``, ``NodeStats``, ``TrafficLog``),
@@ -13,20 +13,23 @@ Conventions
 Metric names are dotted paths grouped by owner: ``client.operations``,
 ``node.keys_filtered``, ``serving.shed``, ``replication.hints_replayed``.
 Counters are monotonic within a measurement window (snapshot/delta make
-windows); gauges are last-write-wins; histograms are bounded reservoirs of
-observations intended for percentile reporting.
+windows) and only ever grow through :meth:`MetricsRegistry.add` /
+:meth:`~MetricsRegistry.add_many`; the objects that expose them as
+attributes do so through read-only views (:func:`counter_properties`).
+Histograms are bounded reservoirs of observations intended for percentile
+reporting.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import HistogramMergeError
 from ..stats import nearest_rank_percentile
 
-#: Default size of a histogram's reservoir — matches the per-client latency
-#: reservoir so long simulations stay O(1) in memory.
+#: Default size of a histogram's reservoir: large enough for a stable 99th
+#: percentile, small enough that long simulations stay O(1) in memory.
 DEFAULT_HISTOGRAM_CAPACITY = 512
 
 
@@ -140,13 +143,12 @@ class BoundedHistogram:
 
 
 class MetricsRegistry:
-    """Named counters, gauges, and histograms with snapshot/delta semantics."""
+    """Named counters and histograms with snapshot/delta semantics."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_histograms")
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, BoundedHistogram] = {}
 
     # ------------------------------------------------------------------
@@ -167,10 +169,6 @@ class MetricsRegistry:
         for name, amount in amounts:
             counters[name] = counters.get(name, 0) + amount
 
-    def set_counter(self, name: str, value: float) -> None:
-        """Set a counter outright (used by backward-compatible setters)."""
-        self._counters[name] = value
-
     def value(self, name: str) -> float:
         """Current value of a counter (zero if never touched)."""
         return self._counters.get(name, 0)
@@ -183,18 +181,6 @@ class MetricsRegistry:
     def live_counters(self) -> Dict[str, float]:
         """The live counter mapping itself — hot-path reads; do not mutate."""
         return self._counters
-
-    # ------------------------------------------------------------------
-    # Gauges
-    # ------------------------------------------------------------------
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = value
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        return self._gauges.get(name, default)
-
-    def gauges(self) -> Dict[str, float]:
-        return dict(self._gauges)
 
     # ------------------------------------------------------------------
     # Histograms
@@ -222,7 +208,6 @@ class MetricsRegistry:
         """An independent copy of every metric (one end of a window)."""
         copy = MetricsRegistry()
         copy._counters = dict(self._counters)
-        copy._gauges = dict(self._gauges)
         copy._histograms = {
             name: histogram.copy() for name, histogram in self._histograms.items()
         }
@@ -231,8 +216,7 @@ class MetricsRegistry:
     def delta(self, earlier: "MetricsRegistry") -> "MetricsRegistry":
         """Counter differences over the union of names.
 
-        Gauges carry the later value (they are not additive); histograms are
-        samples, not sums, so the delta starts with none.
+        Histograms are samples, not sums, so the delta starts with none.
         """
         diff = MetricsRegistry()
         names = set(self._counters) | set(earlier._counters)
@@ -240,22 +224,18 @@ class MetricsRegistry:
             name: self._counters.get(name, 0) - earlier._counters.get(name, 0)
             for name in names
         }
-        diff._gauges = dict(self._gauges)
         return diff
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one (fleet roll-ups).
 
-        Counters add; gauges take the other registry's value (last write
-        wins, matching :meth:`delta`); histograms merge as weighted
+        Counters add; histograms merge as weighted
         reservoir samples — see :meth:`BoundedHistogram.merge`, which
         rebins operands of differing capacities and raises
         :class:`~repro.errors.HistogramMergeError` on inconsistent ones.
         """
         for name, value in other._counters.items():
             self.add(name, value)
-        for name, value in other._gauges.items():
-            self._gauges[name] = value
         for name, histogram in other._histograms.items():
             mine = self._histograms.get(name)
             if mine is None:
@@ -265,7 +245,6 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
     # ------------------------------------------------------------------
@@ -276,3 +255,20 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({dict(sorted(self._counters.items()))!r})"
+
+
+def counter_properties(
+    cls: type, prefix: str, fields: Sequence[Tuple[str, type]]
+) -> None:
+    """Give ``cls`` one read-only attribute per ``(field, cast)`` in ``fields``.
+
+    ``instance.<field>`` reads ``cast(instance.metrics.value("<prefix>.<field>"))``;
+    there is no setter, so a counter has exactly one way to grow — through
+    the registry.
+    """
+
+    def view(metric: str, cast: type) -> property:
+        return property(lambda self: cast(self.metrics.value(metric)))
+
+    for name, cast in fields:
+        setattr(cls, name, view(f"{prefix}.{name}", cast))

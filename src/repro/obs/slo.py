@@ -18,17 +18,17 @@ while the slow window still remembers the incident).
 The alerter is a pure reader of the telemetry store's cumulative
 ``serving.slo.total`` / ``serving.slo.good`` counters — windowed bad
 fractions come from :meth:`~repro.obs.timeseries.TimeSeriesStore.counter_delta`
-— so it needs no hook into the request path.  On firing it notifies a sink
-(the serving :class:`~repro.serving.monitor.SLOMonitor` keeps the alert
-timeline) and can **pre-arm** the admission controller: seeding a small
-shed probability while the budget is burning, before the monitor's own
-quantile check would react.
+— so it needs no hook into the request path.  It keeps the run's alert
+timeline itself (:attr:`BurnRateAlerter.alerts`, read by the dashboard,
+the export and incident reports) and on firing can **pre-arm** the
+admission controller: seeding a small shed probability while the budget is
+burning, before the monitor's own quantile check would react.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..prediction.slo import ServiceLevelObjective
 from .telemetry import SLO_GOOD_METRIC, SLO_TOTAL_METRIC
@@ -112,9 +112,6 @@ class BurnRateAlerter:
     min_events:
         Minimum requests inside the fast window before a rule may fire
         (cold starts and idle periods must not page).
-    sink:
-        Called with each :class:`SLOAlert` when it fires (e.g. the SLO
-        monitor's ``record_alert``).
     admission:
         Optional admission controller to pre-arm while burning.
     pre_arm_probability:
@@ -127,7 +124,6 @@ class BurnRateAlerter:
         slo: ServiceLevelObjective,
         rules: Optional[Sequence[BurnRateRule]] = None,
         min_events: int = 10,
-        sink: Optional[Callable[[SLOAlert], None]] = None,
         admission: Optional[object] = None,
         pre_arm_probability: float = 0.1,
         total_metric: str = SLO_TOTAL_METRIC,
@@ -139,7 +135,6 @@ class BurnRateAlerter:
         if not self.rules:
             raise ValueError("need at least one burn-rate rule")
         self.min_events = min_events
-        self.sink = sink
         self.admission = admission
         self.pre_arm_probability = pre_arm_probability
         self.total_metric = total_metric
@@ -202,8 +197,6 @@ class BurnRateAlerter:
                 self.alerts.append(alert)
                 self._active[rule.name] = alert
                 fired.append(alert)
-                if self.sink is not None:
-                    self.sink(alert)
                 if self.admission is not None:
                     pre_arm = getattr(self.admission, "pre_arm", None)
                     if pre_arm is not None:

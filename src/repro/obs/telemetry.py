@@ -198,21 +198,15 @@ class TelemetryCollector:
     ) -> None:
         """Run :meth:`scrape` every ``interval_seconds`` of simulated time.
 
-        The loop is self-perpetuating (each tick schedules the next) and
-        stops once the next tick would land past ``until_seconds``; the
+        ``kernel`` is anything with the event kernel's ``every``; the loop
+        stops once the next tick would land past ``until_seconds``, so the
         caller should invoke a final :meth:`scrape` at shutdown if it wants
         the very end of the run covered.
         """
-        if interval_seconds <= 0:
-            raise ValueError("scrape interval must be positive")
-
-        def tick(sim) -> None:
-            self.scrape(sim.now)
-            next_tick = sim.now + interval_seconds
-            if next_tick <= until_seconds:
-                kernel.schedule_at(next_tick, tick, name="telemetry-scrape")
-
-        kernel.schedule_at(interval_seconds, tick, name="telemetry-scrape")
+        kernel.every(
+            interval_seconds, until_seconds,
+            lambda sim: self.scrape(sim.now), "telemetry-scrape",
+        )
 
 
 class FleetTelemetry:

@@ -26,7 +26,6 @@ from .events import Event, EventQueue, Simulation
 from .monitor import PredictionComparison, SLOMonitor, WindowReport
 from .queueing import (
     NodeRequestQueue,
-    QueueStats,
     install_queues,
     refresh_utilization,
     remove_queues,
@@ -52,7 +51,6 @@ __all__ = [
     "NodeRequestQueue",
     "OpenLoopDriver",
     "PredictionComparison",
-    "QueueStats",
     "RequestRecord",
     "SLOMonitor",
     "ScalingAction",

@@ -30,7 +30,7 @@ from typing import List, Optional, Tuple
 from ..engine.database import PiqlDatabase
 from ..errors import UnavailableError
 from ..kvstore.simtime import SimClock
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, counter_properties
 from ..stats import nearest_rank_percentile
 from ..workloads.base import Workload
 from .admission import AdmissionController, AdmissionDecision
@@ -70,8 +70,10 @@ class TrafficLog:
     """Everything that happened during one serving run.
 
     The scalar counters live on a :class:`~repro.obs.metrics.MetricsRegistry`
-    under ``serving.*`` names; ``shed`` / ``failed`` remain available as
-    attributes for existing callers.
+    under ``serving.*`` names and read as attributes: ``shed`` (requests
+    turned away by admission control) and ``failed`` (interactions that
+    errored because a replica quorum could not be met — a crashed node took
+    the cluster below the consistency level).
     """
 
     __slots__ = ("records", "failures", "metrics")
@@ -81,25 +83,6 @@ class TrafficLog:
         #: ``(time, interaction)`` of each failure, for timeline reports.
         self.failures: List[Tuple[float, str]] = []
         self.metrics = MetricsRegistry()
-
-    @property
-    def shed(self) -> int:
-        """Requests turned away by admission control."""
-        return int(self.metrics.value("serving.shed"))
-
-    @shed.setter
-    def shed(self, value: int) -> None:
-        self.metrics.set_counter("serving.shed", value)
-
-    @property
-    def failed(self) -> int:
-        """Interactions that errored because a replica quorum could not be
-        met (a crashed node took the cluster below the consistency level)."""
-        return int(self.metrics.value("serving.failed"))
-
-    @failed.setter
-    def failed(self, value: int) -> None:
-        self.metrics.set_counter("serving.failed", value)
 
     @property
     def completed(self) -> int:
@@ -121,6 +104,9 @@ class TrafficLog:
 
     def response_percentile(self, fraction: float) -> float:
         return nearest_rank_percentile(self.response_times(), fraction)
+
+
+counter_properties(TrafficLog, "serving", (("shed", int), ("failed", int)))
 
 
 def _observe_at_completion(
@@ -179,7 +165,6 @@ class AppServer:
         self.client_id = client_id
         self.pipelined = pipelined
         self.session = self.db.session() if pipelined else None
-        self.interactions = 0
 
     @property
     def free_at(self) -> float:
@@ -197,11 +182,8 @@ class AppServer:
             self.clock.advance(at - self.clock.now)
         if self.pipelined:
             plan = workload.interaction_plan(self.db, rng)
-            result = workload.run_plan(self.db, plan, session=self.session)
-        else:
-            result = workload.interaction(self.db, rng)
-        self.interactions += 1
-        return result
+            return workload.run_plan(self.db, plan, session=self.session)
+        return workload.interaction(self.db, rng)
 
 
 class ClosedLoopDriver:
@@ -258,7 +240,7 @@ class ClosedLoopDriver:
                 decision = self.admission.decide(arrival)
                 if decision is AdmissionDecision.SHED:
                     # The client backs off a full think time and retries.
-                    self.log.shed += 1
+                    self.log.metrics.add("serving.shed")
                     sim.schedule_at(
                         arrival + max(self._think(rng), 1e-3), tick,
                         name=f"closed-client-{server.client_id}",
@@ -270,7 +252,7 @@ class ClosedLoopDriver:
                 # A replica quorum could not be met mid-interaction.  The
                 # work already charged stays on the server's clock; the
                 # client backs off a think time and tries a fresh one.
-                self.log.failed += 1
+                self.log.metrics.add("serving.failed")
                 self.log.failures.append((arrival, type(exc).__name__))
                 _observe_failure_at(
                     sim, self.monitor, max(server.free_at, arrival)
@@ -358,13 +340,13 @@ class OpenLoopDriver:
         if self.admission is not None:
             decision = self.admission.decide(arrival, backlog_seconds=backlog)
             if decision is AdmissionDecision.SHED:
-                self.log.shed += 1
+                self.log.metrics.add("serving.shed")
                 return
         start = max(arrival, server.free_at)
         try:
             result = server.run_interaction(self.workload, self._rng, start)
         except UnavailableError as exc:
-            self.log.failed += 1
+            self.log.metrics.add("serving.failed")
             self.log.failures.append((arrival, type(exc).__name__))
             _observe_failure_at(sim, self.monitor, max(server.free_at, start))
             return

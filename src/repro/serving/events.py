@@ -100,6 +100,25 @@ class Simulation:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self.queue.push(self.now + delay, action, name)
 
+    def every(
+        self, interval: float, until: float, action: Action, name: str = ""
+    ) -> None:
+        """Run ``action`` every ``interval`` seconds from ``now + interval``.
+
+        Each tick acts first and then schedules the next one, as long as it
+        lands no later than ``until``.
+        """
+        if interval <= 0:
+            raise ValueError(f"interval must be positive, got {interval}")
+
+        def tick(sim: "Simulation") -> None:
+            action(sim)
+            next_tick = sim.now + interval
+            if next_tick <= until:
+                sim.schedule_at(next_tick, tick, name)
+
+        self.schedule_at(self.now + interval, tick, name)
+
     def stop(self) -> None:
         """Make :meth:`run` return after the current event's action."""
         self._stopped = True

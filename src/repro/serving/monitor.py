@@ -13,6 +13,11 @@ implements both views:
 It can also compare what it observed against an offline
 :class:`~repro.prediction.slo.SLOPrediction`, closing the loop between the
 prediction framework and the serving tier.
+
+The monitor keeps response times only.  A serving run's burn-rate alerts
+stay with the :class:`~repro.obs.slo.BurnRateAlerter` that raised them and
+its bound violations with the :class:`~repro.obs.audit.BoundAuditor` that
+observed them.
 """
 
 from __future__ import annotations
@@ -88,12 +93,6 @@ class SLOMonitor:
         self._samples_by_interval: Dict[int, List[float]] = {}
         self._recent: Deque[Tuple[float, float]] = deque()
         self._latest = 0.0
-        #: Bound-violation events delivered by a serving-mode
-        #: :class:`~repro.obs.audit.BoundAuditor` (oldest first, bounded).
-        self.bound_violations: List[object] = []
-        #: Burn-rate alerts delivered by a telemetry
-        #: :class:`~repro.obs.slo.BurnRateAlerter` (oldest first, bounded).
-        self.alerts: List[object] = []
 
     # ------------------------------------------------------------------
     # Recording
@@ -124,26 +123,6 @@ class SLOMonitor:
         request dies quickly instead of slowly.
         """
         self.total_failed += 1
-
-    def record_bound_violation(self, event: object) -> None:
-        """Sink for the runtime bound auditor in serving mode.
-
-        A query that exceeded its static bound is a correctness regression
-        of the scale-independence story, not just a latency blip — the
-        monitor keeps the structured events so serving reports can surface
-        them even though the requests themselves completed.
-        """
-        if len(self.bound_violations) < 256:
-            self.bound_violations.append(event)
-
-    def record_alert(self, alert: object) -> None:
-        """Sink for the burn-rate alerter: keeps the run's alert timeline.
-
-        The alert objects are mutated in place by the alerter as they peak
-        and clear, so the list reflects the final timeline at report time.
-        """
-        if len(self.alerts) < 256:
-            self.alerts.append(alert)
 
     def _summarise(self, index: int, samples: List[float]) -> WindowReport:
         quantile = nearest_rank_percentile(samples, self.slo.quantile)

@@ -28,26 +28,10 @@ constant ``smoothing_seconds``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..kvstore.cluster import KeyValueCluster
 from ..kvstore.node import StorageNode
-
-
-@dataclass
-class QueueStats:
-    """Aggregate counters for one node's request queue."""
-
-    arrivals: int = 0
-    waited: int = 0
-    total_wait_seconds: float = 0.0
-    total_service_seconds: float = 0.0
-    max_backlog_seconds: float = 0.0
-
-    @property
-    def mean_wait_seconds(self) -> float:
-        return self.total_wait_seconds / self.arrivals if self.arrivals else 0.0
 
 
 class NodeRequestQueue:
@@ -88,7 +72,9 @@ class NodeRequestQueue:
             raise ValueError("bucket_seconds must be positive")
         self.smoothing_seconds = smoothing_seconds
         self.bucket_seconds = bucket_seconds
-        self.stats = QueueStats()
+        #: Requests admitted and service seconds charged, since installation.
+        self.arrivals = 0
+        self.service_seconds = 0.0
         self.smoothed_rate = 0.0
         self.smoothed_busy_fraction = 0.0
         self._buckets: Dict[int, float] = {}
@@ -117,14 +103,9 @@ class NodeRequestQueue:
                 self._buckets[bucket] = used + take
                 remaining -= take
             bucket += 1
-        wait = max(0.0, start_time - sim_time)
-        self.stats.arrivals += 1
-        if wait > 0:
-            self.stats.waited += 1
-        self.stats.total_wait_seconds += wait
-        self.stats.total_service_seconds += service_seconds
-        self.stats.max_backlog_seconds = max(self.stats.max_backlog_seconds, wait)
-        return wait
+        self.arrivals += 1
+        self.service_seconds += service_seconds
+        return max(0.0, start_time - sim_time)
 
     # ------------------------------------------------------------------
     # Signals for the control loop
@@ -150,16 +131,16 @@ class NodeRequestQueue:
         """
         elapsed = now - self._sample_time
         if elapsed > 0:
-            rate = (self.stats.arrivals - self._sample_arrivals) / elapsed
-            busy = (self.stats.total_service_seconds - self._sample_service) / elapsed
+            rate = (self.arrivals - self._sample_arrivals) / elapsed
+            busy = (self.service_seconds - self._sample_service) / elapsed
             alpha = 1.0 - math.exp(-elapsed / self.smoothing_seconds)
             self.smoothed_rate += alpha * (rate - self.smoothed_rate)
             self.smoothed_busy_fraction += alpha * (
                 min(busy, 1.0) - self.smoothed_busy_fraction
             )
             self._sample_time = now
-            self._sample_arrivals = self.stats.arrivals
-            self._sample_service = self.stats.total_service_seconds
+            self._sample_arrivals = self.arrivals
+            self._sample_service = self.service_seconds
             self._prune(now)
         return self.smoothed_rate, self.smoothed_busy_fraction
 
@@ -181,7 +162,8 @@ class NodeRequestQueue:
             del self._buckets[bucket]
 
     def reset(self) -> None:
-        self.stats = QueueStats()
+        self.arrivals = 0
+        self.service_seconds = 0.0
         self.smoothed_rate = 0.0
         self.smoothed_busy_fraction = 0.0
         self._buckets.clear()

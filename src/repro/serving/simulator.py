@@ -68,11 +68,11 @@ class ServingConfig:
     #: at least one durable engine; the in-memory dict engine never needs
     #: it and pays nothing.
     engine_maintenance_interval_seconds: float = 0.25
-    admission_enabled: bool = False
+    #: Admission control: shed load when the SLO is violated (``None``: off).
     admission: Optional[AdmissionConfig] = None
     #: Offline forecast used to warm-start the admission controller.
     prediction: Optional[SLOPrediction] = None
-    autoscale_enabled: bool = False
+    #: Autoscaling: add/remove storage nodes by utilisation (``None``: off).
     autoscale: Optional[AutoscaleConfig] = None
     #: Failure timeline: crash / recover / slow / restore events applied to
     #: storage nodes through the event kernel mid-run.
@@ -83,10 +83,10 @@ class ServingConfig:
     pipelined: bool = False
     #: Bound-auditor policy for the run.  By default the shared auditor is
     #: flipped to ``serving`` mode — a query exceeding its static bound is
-    #: recorded and fed to the SLO monitor, but the request completes (a
-    #: live service degrades observably rather than crashing).  With
-    #: ``strict_audit=True`` the auditor keeps strict mode and violations
-    #: raise mid-run (CI smoke jobs use this).
+    #: recorded (``ServingReport.bound_violations``), but the request
+    #: completes (a live service degrades observably rather than
+    #: crashing).  With ``strict_audit=True`` the auditor keeps strict mode
+    #: and violations raise mid-run (CI smoke jobs use this).
     strict_audit: bool = False
     #: Fleet telemetry: when enabled the run scrapes cluster/node/SLO state
     #: into a time-series store every :data:`TELEMETRY_INTERVAL_SECONDS`, runs
@@ -96,8 +96,6 @@ class ServingConfig:
     telemetry_enabled: bool = False
     #: Burn-rate rule ladder; ``None`` uses :data:`~repro.obs.slo.DEFAULT_RULES`.
     burn_rules: Optional[Sequence[BurnRateRule]] = None
-    #: Shed probability the alerter seeds into the admission controller.
-    pre_arm_probability: float = 0.1
     #: Latency forensics: when set, the run enables tracing on the
     #: database (app servers inherit it), attaches a tail-based flight
     #: recorder + critical-path aggregator to the shared auditor, polls
@@ -201,20 +199,19 @@ class ServingSimulation:
 
     def __init__(self, db: PiqlDatabase, workload: Workload, config: ServingConfig):
         self.db = db
-        self.workload = workload
         self.config = config
         self.sim = Simulation()
-        self.queues = install_queues(db.cluster)
+        install_queues(db.cluster)
         self.monitor = SLOMonitor(config.slo)
         self.admission: Optional[AdmissionController] = None
-        if config.admission_enabled:
+        if config.admission is not None:
             self.admission = AdmissionController(
                 self.monitor,
                 config=config.admission,
                 prediction=config.prediction,
             )
         self.autoscaler: Optional[Autoscaler] = None
-        if config.autoscale_enabled:
+        if config.autoscale is not None:
             self.autoscaler = Autoscaler(db.cluster, config.autoscale)
         self.fault_injector: Optional[FaultInjector] = None
         if config.faults:
@@ -226,9 +223,7 @@ class ServingSimulation:
                 store,
                 config.slo,
                 rules=config.burn_rules,
-                sink=self.monitor.record_alert,
                 admission=self.admission,
-                pre_arm_probability=config.pre_arm_probability,
             )
             drift = None
             if db.auditor.latency_model is not None:
@@ -351,18 +346,6 @@ class ServingSimulation:
                     else None
                 ),
             )
-        next_tick = now + CONTROL_INTERVAL_SECONDS
-        if next_tick <= self.config.duration_seconds:
-            sim.schedule_at(next_tick, self._control_tick, name="control-tick")
-
-    def _engine_maintenance_tick(self, sim: Simulation) -> None:
-        self.db.cluster.run_engine_maintenance()
-        next_tick = sim.now + self.config.engine_maintenance_interval_seconds
-        if next_tick <= self.config.duration_seconds:
-            sim.schedule_at(
-                next_tick, self._engine_maintenance_tick,
-                name="engine-maintenance",
-            )
 
     # ------------------------------------------------------------------
     # Running
@@ -370,18 +353,17 @@ class ServingSimulation:
     def run(self) -> ServingReport:
         """Run the scenario for ``duration_seconds`` of simulated time."""
         # The auditor is shared by every app-server view (`new_client`), so
-        # flipping its policy here covers the whole fleet.  Mode and sink
-        # are restored afterwards: the database may host tests or further
+        # flipping its policy here covers the whole fleet.  Its hooks are
+        # restored afterwards: the database may host tests or further
         # scenarios with different policies.
         auditor = self.db.auditor
         audited_before = auditor.audited
         violations_before = auditor.violations
-        saved_mode, saved_sink = auditor.mode, auditor.sink
+        saved_mode = auditor.mode
         saved_drift = auditor.drift
         saved_recorder = auditor.recorder
         if not self.config.strict_audit:
             auditor.mode = "serving"
-        auditor.sink = self.monitor.record_bound_violation
         if self.telemetry is not None and self.telemetry.drift is not None:
             auditor.drift = self.telemetry.drift
         if self.forensics is not None:
@@ -390,25 +372,25 @@ class ServingSimulation:
             self.driver.start()
             if self.fault_injector is not None:
                 self.fault_injector.schedule(self.sim, self.config.faults)
-            self.sim.schedule_at(
-                CONTROL_INTERVAL_SECONDS, self._control_tick, name="control-tick"
+            horizon = self.config.duration_seconds
+            self.sim.every(
+                CONTROL_INTERVAL_SECONDS, horizon, self._control_tick,
+                "control-tick",
             )
             if any(
                 engine.durable
                 for engine in self.db.cluster.engines.values()
             ):
-                self.sim.schedule_at(
-                    self.config.engine_maintenance_interval_seconds,
-                    self._engine_maintenance_tick,
-                    name="engine-maintenance",
+                self.sim.every(
+                    self.config.engine_maintenance_interval_seconds, horizon,
+                    lambda _sim: self.db.cluster.run_engine_maintenance(),
+                    "engine-maintenance",
                 )
             if self.telemetry is not None:
                 self.telemetry.collector.schedule(
-                    self.sim,
-                    TELEMETRY_INTERVAL_SECONDS,
-                    self.config.duration_seconds,
+                    self.sim, TELEMETRY_INTERVAL_SECONDS, horizon
                 )
-            self.sim.run(until=self.config.duration_seconds)
+            self.sim.run(until=horizon)
             if self.telemetry is not None:
                 # One closing scrape so the artifact covers the very end of
                 # the run (the loop stops short of the horizon).
@@ -427,7 +409,7 @@ class ServingSimulation:
                 )
                 self.forensics.finalize(self.sim.now)
         finally:
-            auditor.mode, auditor.sink = saved_mode, saved_sink
+            auditor.mode = saved_mode
             auditor.drift = saved_drift
             auditor.recorder = saved_recorder
         mean_utilization = refresh_utilization(self.db.cluster, self.sim.now)

@@ -12,7 +12,6 @@ class TestSimClock:
         clock.advance(0.5)
         clock.advance(0.25)
         assert clock.now == pytest.approx(0.75)
-        assert clock.total_advanced == pytest.approx(0.75)
 
     def test_negative_advance_rejected(self):
         with pytest.raises(ValueError):
@@ -23,13 +22,6 @@ class TestSimClock:
         clock.advance(3)
         clock.reset()
         assert clock.now == 0
-        assert clock.total_advanced == 0
-
-    def test_interval_index(self):
-        clock = SimClock(now=1250.0)
-        assert clock.interval_index(600) == 2
-        with pytest.raises(ValueError):
-            clock.interval_index(0)
 
     def test_unit_conversions(self):
         assert milliseconds(0.5) == 500

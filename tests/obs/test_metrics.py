@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import HistogramMergeError
@@ -29,11 +31,6 @@ class TestCounters:
         assert list(batched.counters()) == [
             "node.gets", "node.keys_filtered", "node.total_latency_seconds"
         ]
-
-    def test_set_counter(self):
-        registry = MetricsRegistry()
-        registry.set_counter("client.rpcs", 7)
-        assert registry.value("client.rpcs") == 7
 
     def test_counters_returns_copy(self):
         registry = MetricsRegistry()
@@ -82,28 +79,10 @@ class TestWindows:
     def test_reset(self):
         registry = MetricsRegistry()
         registry.add("x", 1)
-        registry.set_gauge("g", 2.0)
         registry.observe("h", 0.5)
         registry.reset()
         assert registry.value("x") == 0
-        assert registry.gauge("g") == 0.0
         assert registry.histogram("h") is None
-
-
-class TestGauges:
-    def test_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("utilization", 0.2)
-        registry.set_gauge("utilization", 0.8)
-        assert registry.gauge("utilization") == 0.8
-        assert registry.gauge("missing", default=-1.0) == -1.0
-
-    def test_delta_carries_later_gauge(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("g", 1.0)
-        earlier = registry.snapshot()
-        registry.set_gauge("g", 4.0)
-        assert registry.delta(earlier).gauge("g") == 4.0
 
 
 class TestBoundedHistogram:
@@ -128,6 +107,39 @@ class TestBoundedHistogram:
             histogram.observe(float(i))
         # The retained median of a uniform ramp should land near the middle.
         assert 4_000 < histogram.percentile(0.5) < 16_000
+
+    def test_percentile_of_small_sample(self):
+        histogram = BoundedHistogram()
+        for value in (0.01, 0.02, 0.03, 0.04, 0.05):
+            histogram.observe(value)
+        assert histogram.percentile(0.5) == pytest.approx(0.03)
+        assert histogram.percentile(1.0) == pytest.approx(0.05)
+
+    def test_percentile_requires_samples_and_valid_fraction(self):
+        histogram = BoundedHistogram()
+        with pytest.raises(ValueError):
+            histogram.percentile(0.5)
+        histogram.observe(0.01)
+        with pytest.raises(ValueError):
+            histogram.percentile(0.0)
+        with pytest.raises(ValueError):
+            histogram.percentile(1.5)
+
+    def test_eviction_stream_is_the_fixed_seed_stream(self):
+        """Algorithm R over ``Random(0x5EED)`` by default, so every run of
+        a simulation retains the same samples."""
+        histogram = BoundedHistogram(capacity=8)
+        for i in range(8):
+            histogram.observe(float(i))
+        expected = [float(i) for i in range(8)]
+        rng = random.Random(0x5EED)
+        for seen in range(9, 209):
+            histogram.observe(float(seen))
+            slot = rng.randrange(seen)
+            if slot < 8:
+                expected[slot] = float(seen)
+        assert histogram.samples == expected
+        assert histogram.count == 208
 
     def test_copy_preserves_rng_state(self):
         histogram = BoundedHistogram(capacity=4)
@@ -254,12 +266,10 @@ class TestHistogramMerge:
         b = MetricsRegistry()
         a.add("ops", 2)
         b.add("ops", 3)
-        b.set_gauge("util", 0.5)
         a.observe("lat", 1.0, capacity=8)
         b.observe("lat", 3.0, capacity=8)
         b.observe("only_b", 9.0)
         a.merge(b)
         assert a.value("ops") == 5
-        assert a.gauge("util") == 0.5
         assert a.histogram("lat").count == 2
         assert a.histogram("only_b").count == 1

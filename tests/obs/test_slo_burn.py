@@ -155,7 +155,7 @@ class TestFiringAndClearing:
         assert alert.peak_fast_burn >= first_fast
 
 
-class TestSinkAndPreArm:
+class TestPreArm:
     class FakeAdmission:
         def __init__(self):
             self.armed = []
@@ -163,16 +163,14 @@ class TestSinkAndPreArm:
         def pre_arm(self, probability):
             self.armed.append(probability)
 
-    def test_sink_and_admission_called_on_fire(self):
+    def test_alert_kept_and_admission_called_on_fire(self):
         store = TimeSeriesStore()
-        seen = []
         admission = self.FakeAdmission()
         alerter = BurnRateAlerter(
             store,
             make_slo(0.9),
             rules=[BurnRateRule(2.0, 4.0, 2.0)],
             min_events=5,
-            sink=seen.append,
             admission=admission,
             pre_arm_probability=0.25,
         )
@@ -181,7 +179,7 @@ class TestSinkAndPreArm:
             scrape(store, float(t), total, 0)
             total += 10
         (alert,) = alerter.evaluate(5.0)
-        assert seen == [alert]
+        assert alerter.alerts == [alert]
         assert admission.armed == [0.25]
         # Still-active alert does not re-arm every tick.
         alerter.evaluate(5.5)

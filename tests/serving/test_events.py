@@ -115,3 +115,20 @@ class TestSimulation:
             ("a", 0.0), ("b", 0.0),
             ("a", 0.3), ("b", 0.5), ("a", 0.6), ("a", 0.9), ("b", 1.0),
         ]
+
+    def test_every_acts_then_reschedules_until_the_horizon(self):
+        sim = Simulation()
+        seen = []
+
+        def act(s: Simulation) -> None:
+            seen.append(s.now)
+            if s.now == 1.0:
+                # Scheduled by the action, so it runs before the next tick
+                # at the same instant.
+                s.schedule_at(1.5, lambda inner: seen.append("inner"))
+
+        sim.every(0.5, 2.0, act, "tick")
+        sim.run(until=10.0)
+        assert seen == [0.5, 1.0, "inner", 1.5, 2.0]
+        with pytest.raises(ValueError):
+            sim.every(0.0, 1.0, act)

@@ -23,8 +23,8 @@ class TestNodeRequestQueue:
         assert queue.on_request(0.0, 0.04) == 0.0
         wait = queue.on_request(0.0, 0.04)
         assert wait == pytest.approx(0.05)
-        assert queue.stats.waited == 1
-        assert queue.stats.max_backlog_seconds == pytest.approx(wait)
+        assert queue.arrivals == 3
+        assert queue.service_seconds == pytest.approx(0.12)
 
     def test_backlog_drains_with_idle_time(self):
         queue = NodeRequestQueue(bucket_seconds=0.05)

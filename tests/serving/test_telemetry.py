@@ -24,7 +24,7 @@ from repro.obs import BurnRateRule, prometheus_text
 from repro.prediction import QueryLatencyModel, train_default_model
 from repro.prediction.slo import ServiceLevelObjective
 from repro.replication import FaultSpec
-from repro.serving import ServingConfig, ServingSimulation
+from repro.serving import AdmissionConfig, ServingConfig, ServingSimulation
 from repro.workloads.base import InteractionResult, Workload, WorkloadScale
 
 
@@ -113,7 +113,7 @@ def fault_run(tmp_path_factory):
                 FaultSpec(time=FAULT_END, kind="restore", node_id=2),
             ],
             telemetry_enabled=True,
-            admission_enabled=True,
+            admission=AdmissionConfig(),
             burn_rules=[
                 BurnRateRule(fast_seconds=2.0, slow_seconds=4.0, threshold=2.0)
             ],
@@ -194,9 +194,16 @@ class TestBurnRateAlert:
         assert exported["fired_at"] == alert.fired_at
         assert exported["cleared_at"] == alert.cleared_at
 
-    def test_monitor_sink_received_the_alert(self, fault_run):
+    def test_report_alerts_are_the_alerters_timeline(self, fault_run):
+        # One record of the incident: the report reads the alerter's own
+        # alert objects rather than a copy kept elsewhere.
         simulation, report, _ = fault_run
-        assert simulation.monitor.alerts == report.telemetry.alerts
+        timeline = simulation.telemetry.alerter.alerts
+        assert report.telemetry.alerts == timeline
+        assert all(
+            reported is kept
+            for reported, kept in zip(report.telemetry.alerts, timeline)
+        )
 
     def test_admission_controller_was_pre_armed(self, fault_run):
         simulation, _, _ = fault_run
