@@ -18,12 +18,7 @@ from __future__ import annotations
 from repro import ClusterConfig, PiqlDatabase
 from repro.bench.reporting import format_table
 from repro.prediction.slo import ServiceLevelObjective
-from repro.serving import (
-    AdmissionConfig,
-    AutoscaleConfig,
-    ServingConfig,
-    run_serving_simulation,
-)
+from repro.serving import AutoscaleConfig, ServingConfig, run_serving_simulation
 from repro.workloads import ScadrWorkload, WorkloadScale
 
 SLO = ServiceLevelObjective(quantile=0.99, latency_seconds=0.1, interval_seconds=5.0)
@@ -88,7 +83,7 @@ def open_loop_overload() -> None:
                 arrival_rate_per_second=140.0,
                 duration_seconds=15.0,
                 slo=SLO,
-                admission=AdmissionConfig() if admission else None,
+                admission=admission,
                 seed=2,
             ),
         )

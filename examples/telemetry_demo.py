@@ -33,7 +33,7 @@ from repro.obs import BurnRateRule
 from repro.prediction import QueryLatencyModel, train_default_model
 from repro.prediction.slo import ServiceLevelObjective
 from repro.replication import FaultSpec
-from repro.serving import AdmissionConfig, ServingConfig, run_serving_simulation
+from repro.serving import ServingConfig, run_serving_simulation
 from repro.workloads.base import InteractionResult, Workload, WorkloadScale
 
 SEED = 9
@@ -129,7 +129,7 @@ def main() -> None:
                 FaultSpec(time=FAULT_END, kind="restore", node_id=2),
             ],
             telemetry_enabled=True,
-            admission=AdmissionConfig(),
+            admission=True,
             burn_rules=[
                 BurnRateRule(fast_seconds=2.0, slow_seconds=4.0, threshold=2.0)
             ],

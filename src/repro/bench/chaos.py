@@ -60,6 +60,11 @@ from .fixtures import WriteAudit, loaded_database, serve
 from .reporting import render_with_incident
 
 
+#: Minimum fraction of attempted interactions the resilient arm must
+#: complete across the whole run, faults included.
+AVAILABILITY_FLOOR = 0.5
+
+
 @dataclass(frozen=True)
 class ChaosSoakConfig:
     """Cluster, traffic, schedule shape, and invariant thresholds."""
@@ -81,20 +86,11 @@ class ChaosSoakConfig:
     settle_seconds: float = 6.0
     audit_interval_seconds: float = 0.25
     probe_interval_seconds: float = 0.5
-    #: Minimum fraction of attempted interactions the resilient arm must
-    #: complete across the whole run, faults included.
-    availability_floor: float = 0.5
     slo: ServiceLevelObjective = field(
         default_factory=lambda: ServiceLevelObjective(
             quantile=0.99, latency_seconds=0.5, interval_seconds=5.0
         )
     )
-    #: Run the resilient arm with latency forensics (flight recorder +
-    #: critical-path analysis + breaker watch) and emit an incident
-    #: report reconstructing the injected schedule.  Pure observation:
-    #: tracing consumes no RNG, so the paired-prefix identity with the
-    #: naive arm is unaffected.
-    forensics_enabled: bool = True
     seed: int = 11
 
     @property
@@ -313,8 +309,7 @@ class ChaosSoakResult:
                 arm.post_heal_divergence == 0 for arm in self.arms.values()
             ),
             "availability_floor": (
-                resilient.report.availability
-                >= self.config.availability_floor
+                resilient.report.availability >= AVAILABILITY_FLOOR
             ),
         }
         checks["paired_prefix_identical"] = (
@@ -324,21 +319,19 @@ class ChaosSoakResult:
         checks["resilient_dominates"] = (
             resilient.window_failures < naive.window_failures
         )
-        if resilient.incident is not None:
-            # Forensics invariants: the incident report must reconstruct
-            # the injected schedule (every crash/partition window carries
-            # ≥1 retained trace and ≥1 correlated breaker transition or
-            # SLO alert), and every retained trace's critical-path shares
-            # must partition its latency exactly.
-            checks["incident_reconstructs_schedule"] = (
-                resilient.incident.reconstructs_schedule()
-            )
-            forensics = resilient.report.forensics
-            checks["segment_shares_sum_to_one"] = all(
-                abs(sum(trace.breakdown.shares.values()) - 1.0) <= 1e-6
-                for trace in forensics.recorder.traces
-                if trace.breakdown is not None
-            )
+        # Forensics invariants: the incident report must reconstruct the
+        # injected schedule (every crash/partition window carries ≥1
+        # retained trace and ≥1 correlated breaker transition or SLO
+        # alert), and every retained trace's critical-path shares must
+        # partition its latency exactly.
+        checks["incident_reconstructs_schedule"] = (
+            resilient.incident.reconstructs_schedule()
+        )
+        checks["segment_shares_sum_to_one"] = all(
+            abs(sum(trace.breakdown.shares.values()) - 1.0) <= 1e-6
+            for trace in resilient.report.forensics.recorder.traces
+            if trace.breakdown is not None
+        )
         return checks
 
     @property
@@ -347,7 +340,13 @@ class ChaosSoakResult:
 
     def payload(self) -> Dict[str, object]:
         return {
-            "config": asdict(self.config),
+            # The record keeps the floor and the always-on forensics it
+            # was judged with.
+            "config": {
+                **asdict(self.config),
+                "availability_floor": AVAILABILITY_FLOOR,
+                "forensics_enabled": True,
+            },
             "invariants": self.invariants(),
             "arms": {
                 name: {
@@ -488,11 +487,13 @@ def run_chaos_soak(config: ChaosSoakConfig) -> ChaosSoakResult:
     """One seeded soak: the paired naive and resilient arms."""
     arms = {
         "naive": run_arm(config, "naive", config.naive_policy()),
+        # The resilient arm runs with latency forensics (flight recorder +
+        # critical-path analysis + breaker watch) and emits an incident
+        # report reconstructing the injected schedule.  Pure observation:
+        # tracing consumes no RNG, so the paired-prefix identity with the
+        # naive arm is unaffected.
         "resilient": run_arm(
-            config,
-            "resilient",
-            config.resilient_policy(),
-            forensics=config.forensics_enabled,
+            config, "resilient", config.resilient_policy(), forensics=True
         ),
     }
     return ChaosSoakResult(config=config, arms=arms)
@@ -527,10 +528,7 @@ def suite_details(results: Dict[int, ChaosSoakResult]) -> Dict[str, Dict]:
     incidents = {
         str(seed): result.arms["resilient"].incident.payload()
         for seed, result in results.items()
-        if result.arms["resilient"].incident is not None
     }
-    if not incidents:
-        return {}
     return {
         "chaos_soak.detail": {"incidents": incidents},
         "incident_report": next(iter(incidents.values())),

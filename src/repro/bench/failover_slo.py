@@ -49,6 +49,12 @@ from .fixtures import (
 from .reporting import render_with_incident
 
 
+#: Open-loop application servers dispatching the arrival stream.
+APP_SERVERS = 50
+#: The storage node the failover run crashes.
+CRASH_NODE_ID = 1
+
+
 @dataclass(frozen=True)
 class FailoverSloConfig:
     """Cluster, workload, fault timeline, and SLO of the failover scenario."""
@@ -60,7 +66,6 @@ class FailoverSloConfig:
     node_capacity_ops_per_second: float = 400.0
     users_per_node: int = 30
     items_total: int = 100
-    app_servers: int = 50
     #: Offered load, tuned to keep the healthy phase comfortably inside the
     #: cluster's capacity now that TPC-W page renders carry their
     #: promotional-banner queries (~7.3 k/v operations per interaction).
@@ -71,14 +76,7 @@ class FailoverSloConfig:
     #: Settle time after recovery excluded from the "recovered" phase (the
     #: backlog built during the outage needs a moment to drain).
     drain_seconds: float = 4.0
-    crash_node_id: int = 1
     audit_interval_seconds: float = 0.1
-    #: Run the failover variant with latency forensics (flight recorder +
-    #: breaker watch + telemetry) and attach an ``incident-report/v1``
-    #: correlating the crash window with retained traces and alerts.  The
-    #: baseline stays bare: forensics costs host wall clock only, never
-    #: simulated time, so the paired sim-time comparison is unaffected.
-    forensics_enabled: bool = True
     slo: ServiceLevelObjective = field(
         default_factory=lambda: ServiceLevelObjective(
             quantile=0.99, latency_seconds=0.1, interval_seconds=4.0
@@ -99,9 +97,7 @@ class FailoverSloConfig:
         return self.healthy_seconds + self.crash_seconds
 
     def faults(self) -> List[FaultSpec]:
-        return crash_recover_timeline(
-            self.crash_node_id, self.crash_at, self.recover_at
-        )
+        return crash_recover_timeline(CRASH_NODE_ID, self.crash_at, self.recover_at)
 
     def phases(self) -> List[Tuple[str, float, float]]:
         """(name, start, end) of the measured traffic phases."""
@@ -140,8 +136,8 @@ class FailoverSloResult:
     reports: Dict[str, ServingReport]
     phase_summaries: Dict[str, List[PhaseSummary]]
     audit: Dict[str, int]
-    #: Incident report of the failover run (``None`` when forensics is off).
-    incident: Optional[IncidentReport] = None
+    #: Incident report of the failover run.
+    incident: IncidentReport
 
     def phase(self, run: str, name: str) -> PhaseSummary:
         return next(s for s in self.phase_summaries[run] if s.phase == name)
@@ -186,8 +182,6 @@ class FailoverSloResult:
 
     def detail_payloads(self) -> Dict[str, Dict]:
         """The incident report: evidence, too bulky for the summary."""
-        if self.incident is None:
-            return {}
         return {"failover_slo.detail": {"incident": self.incident.payload()}}
 
 
@@ -210,7 +204,12 @@ def run_variant(
         # failover incident report correlates with the crash window.
         resilience=ResilienceConfig(breakers_enabled=True, seed=config.seed),
     )
-    forensics = inject_faults and config.forensics_enabled
+    # The failover variant runs with latency forensics (flight recorder +
+    # breaker watch + telemetry) for an ``incident-report/v1`` correlating
+    # the crash window with retained traces and alerts.  The baseline stays
+    # bare: forensics costs host wall clock only, never simulated time, so
+    # the paired sim-time comparison is unaffected.
+    forensics = inject_faults
     # Both variants carry the audit metronome so their offered load is
     # identical (paired comparison); only the failover run needs the
     # read-back verification, since the baseline never loses a node.
@@ -222,7 +221,7 @@ def run_variant(
             simulation.sim, config.audit_interval_seconds, config.duration_seconds
         ),
         mode="open",
-        clients=config.app_servers,
+        clients=APP_SERVERS,
         arrival_rate_per_second=config.arrival_rate_per_second,
         duration_seconds=config.duration_seconds,
         slo=config.slo,
@@ -238,9 +237,6 @@ def run(config: FailoverSloConfig) -> FailoverSloResult:
     baseline, _ = run_variant(config, inject_faults=False)
     failover, audit = run_variant(config, inject_faults=True)
     reports = {"baseline": baseline, "failover": failover}
-    incident: Optional[IncidentReport] = None
-    if reports["failover"].forensics is not None:
-        incident = reports["failover"].incident_report(title="failover timeline")
     return FailoverSloResult(
         config=config,
         reports=reports,
@@ -249,7 +245,7 @@ def run(config: FailoverSloConfig) -> FailoverSloResult:
             for label, report in reports.items()
         },
         audit=audit,
-        incident=incident,
+        incident=failover.incident_report(title="failover timeline"),
     )
 
 

@@ -21,6 +21,10 @@ from ..stats import nearest_rank_percentile
 from ..workloads.base import Workload
 
 
+#: Cluster utilisation modelled during a run (drives queueing delay).
+UTILIZATION = 0.30
+
+
 @dataclass
 class ClientSimulationConfig:
     """How many emulated application servers / threads to simulate."""
@@ -28,8 +32,6 @@ class ClientSimulationConfig:
     client_machines: int = 5
     threads_per_client: int = 10
     interactions_per_thread: int = 25
-    #: Cluster utilisation modelled during the run (drives queueing delay).
-    utilization: float = 0.30
     strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL
     seed: int = 11
 
@@ -92,7 +94,7 @@ def run_workload(
     """
     config = config or ClientSimulationConfig()
     total_capacity = db.cluster.total_capacity_ops_per_second()
-    db.cluster.set_offered_load(total_capacity * config.utilization)
+    db.cluster.set_offered_load(total_capacity * UTILIZATION)
 
     interaction_latencies: List[float] = []
     query_latencies: Dict[str, List[float]] = {}

@@ -42,16 +42,21 @@ class IntersectionPoint:
     unbounded_operations: int
 
 
+#: Friends per query: the ``IN [1: friends(50)]`` list.
+FRIENDS = 50
+#: Mean subscribers per target the cost-based optimizer is told: the 2009
+#: Twitter average cited in §8.3.
+AVERAGE_SUBSCRIBERS = 126.0
+
+
 @dataclass
 class IntersectionExperimentConfig:
     """Setup of the Figure 7 experiment."""
 
     storage_nodes: int = 10
     subscriber_counts: Sequence[int] = (0, 500, 1000, 2000, 3000, 4000, 5000)
-    friends: int = 50
     executions_per_point: int = 100
     fan_pool: int = 6000
-    average_subscribers: float = 126.0     # the 2009 Twitter average cited in §8.3
     seed: int = 31
 
 
@@ -123,7 +128,7 @@ def run(config: IntersectionExperimentConfig) -> IntersectionResult:
     statistics = {
         "subscriptions": TableStatistics(
             row_count=db.records.count("subscriptions"),
-            avg_rows_per_value={("target",): config.average_subscribers},
+            avg_rows_per_value={("target",): AVERAGE_SUBSCRIBERS},
         )
     }
     cost_optimizer = CostBasedOptimizer(db.catalog, statistics)
@@ -144,7 +149,7 @@ def run(config: IntersectionExperimentConfig) -> IntersectionResult:
         parameter_sets = [
             {
                 "target_user": target,
-                "friends": rng.sample(fans, config.friends),
+                "friends": rng.sample(fans, FRIENDS),
             }
             for _ in range(config.executions_per_point)
         ]

@@ -73,6 +73,13 @@ FORENSICS_BUDGET_US_PER_QUERY = 18.0
 QUICK_BUDGET_FACTOR = 1.5
 #: ``calibration_seconds()`` where the budgets above were measured.
 CALIBRATION_REFERENCE_SECONDS = 0.0034
+#: Tracing-overhead phase: full chunk-paired replay passes; the median
+#: per-chunk traced/untraced difference over all passes is the reported
+#: overhead (robust against machine-load drift and spikes).
+TRACING_REPETITIONS = 4
+#: SCADr subscriptions per user, and the thoughtstream query's declared
+#: maximum.
+SUBSCRIPTIONS_PER_USER = 10
 
 #: Queries of the per-query microbench: (workload, query name).  The TPC-W
 #: search-by-author query is the multi-child sorted-index-join class round
@@ -127,7 +134,6 @@ class OperatorFusionConfig:
     #: give ~6 authors per last name — real multi-child sorted joins.
     items_total: int = 400
     scadr_users_per_node: int = 40
-    subscriptions_per_user: int = 10
     #: Replay phase: interactions replayed by one server.
     replay_interactions: int = 400
     #: Query microbench: executions per query.
@@ -139,10 +145,6 @@ class OperatorFusionConfig:
     clients: int = 60
     think_time_seconds: float = 0.1
     duration_seconds: float = 15.0
-    #: Tracing-overhead phase: full chunk-paired replay passes; the median
-    #: per-chunk traced/untraced difference over all passes is the reported
-    #: overhead (robust against machine-load drift and spikes).
-    tracing_repetitions: int = 4
     seed: int = 13
 
     def quick(self) -> "OperatorFusionConfig":
@@ -181,8 +183,8 @@ def _scadr_database(config: OperatorFusionConfig) -> Tuple[PiqlDatabase, ScadrWo
     clear_row_caches()
     return loaded_database(
         ScadrWorkload(
-            max_subscriptions=config.subscriptions_per_user,
-            subscriptions_per_user=config.subscriptions_per_user,
+            max_subscriptions=SUBSCRIPTIONS_PER_USER,
+            subscriptions_per_user=SUBSCRIPTIONS_PER_USER,
         ),
         storage_nodes=config.storage_nodes,
         node_capacity_ops_per_second=config.node_capacity_ops_per_second,
@@ -294,7 +296,7 @@ def _paired_overhead(
     chunks, remainder = divmod(config.replay_interactions, chunk)
     sizes = [chunk] * chunks + ([remainder] if remainder else [])
     auditor = databases[base][0].auditor
-    for _ in range(max(1, config.tracing_repetitions)):
+    for _ in range(TRACING_REPETITIONS):
         for index, size in enumerate(sizes):
             ordered = (base, observed) if index % 2 == 0 else (observed, base)
             elapsed = {}
@@ -323,7 +325,7 @@ def _paired_overhead(
     calibration = calibration_seconds()
     return {
         "interactions": float(config.replay_interactions),
-        "repetitions": float(max(1, config.tracing_repetitions)),
+        "repetitions": float(TRACING_REPETITIONS),
         f"{base}_wall_seconds": walls[base],
         f"{observed}_wall_seconds": walls[observed],
         "overhead_ratio": median_high(ratios) if ratios else 1.0,
@@ -394,7 +396,11 @@ def run(config: OperatorFusionConfig) -> Dict[str, Any]:
     micro = run_micro(config)
     closed_loop, loop_wall = run_closed_loop(config)
     return {
-        "config": asdict(config),
+        "config": {
+            **asdict(config),
+            "subscriptions_per_user": SUBSCRIPTIONS_PER_USER,
+            "tracing_repetitions": TRACING_REPETITIONS,
+        },
         # Functions of the seeds alone: a full-size run must reproduce
         # the committed file's (the runner checks; see ``pinned``).
         "simulated": {

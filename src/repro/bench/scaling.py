@@ -92,7 +92,6 @@ class ScalingExperimentConfig:
     threads_per_client: int = 5
     interactions_per_thread: int = 12
     replication: int = 2
-    utilization: float = 0.30
     seed: int = 17
 
 
@@ -120,7 +119,6 @@ def run_point(
             client_machines=client_machines,
             threads_per_client=config.threads_per_client,
             interactions_per_thread=config.interactions_per_thread,
-            utilization=config.utilization,
             seed=config.seed + storage_nodes,
         ),
     )

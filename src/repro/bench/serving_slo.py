@@ -25,11 +25,18 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..prediction.slo import ServiceLevelObjective
-from ..serving.admission import AdmissionConfig
 from ..serving.simulator import ServingReport, ServingSimulation
 from ..workloads.tpcw.workload import TpcwWorkload
 from .experiment import Experiment, claim
 from .fixtures import PhaseSummary, loaded_database, serve, summarise_phases
+
+
+#: Open-loop arrival rates (requests per second) outside and during the
+#: surge; the surge is well past what the storage nodes absorb.
+NORMAL_RATE_PER_SECOND = 40.0
+SURGE_RATE_PER_SECOND = 200.0
+#: Length of the recovery phase after the surge ends.
+RECOVERY_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -41,11 +48,8 @@ class ServingSloConfig:
     users_per_node: int = 30
     items_total: int = 100
     clients: int = 50
-    normal_rate_per_second: float = 40.0
-    surge_rate_per_second: float = 200.0
     normal_seconds: float = 10.0
     surge_seconds: float = 10.0
-    recovery_seconds: float = 10.0
     slo: ServiceLevelObjective = field(
         default_factory=lambda: ServiceLevelObjective(
             quantile=0.99, latency_seconds=0.1, interval_seconds=5.0
@@ -55,7 +59,7 @@ class ServingSloConfig:
 
     @property
     def duration_seconds(self) -> float:
-        return self.normal_seconds + self.surge_seconds + self.recovery_seconds
+        return self.normal_seconds + self.surge_seconds + RECOVERY_SECONDS
 
     def phases(self) -> List[Tuple[str, float, float]]:
         """(name, start, end) of each traffic phase."""
@@ -109,12 +113,12 @@ def run_variant(config: ServingSloConfig, admission_enabled: bool) -> ServingRep
         driver = simulation.driver
         simulation.sim.schedule_at(
             surge_start,
-            lambda _sim: driver.set_rate(config.surge_rate_per_second),
+            lambda _sim: driver.set_rate(SURGE_RATE_PER_SECOND),
             name="surge-begins",
         )
         simulation.sim.schedule_at(
             surge_end,
-            lambda _sim: driver.set_rate(config.normal_rate_per_second),
+            lambda _sim: driver.set_rate(NORMAL_RATE_PER_SECOND),
             name="surge-ends",
         )
 
@@ -124,10 +128,10 @@ def run_variant(config: ServingSloConfig, admission_enabled: bool) -> ServingRep
         before_run=schedule_surge,
         mode="open",
         clients=config.clients,
-        arrival_rate_per_second=config.normal_rate_per_second,
+        arrival_rate_per_second=NORMAL_RATE_PER_SECOND,
         duration_seconds=config.duration_seconds,
         slo=config.slo,
-        admission=AdmissionConfig() if admission_enabled else None,
+        admission=admission_enabled,
         seed=config.seed,
     ).report
 

@@ -42,6 +42,10 @@ from ..stats import nearest_rank_percentile
 from .experiment import Experiment, claim
 
 
+#: Byte budget of the budgeted bulk-load phase.
+BULK_BUDGET_BYTES = 8192
+
+
 @dataclass(frozen=True)
 class StorageEngineConfig:
     """Cluster shape and workload sizes of the storage-engine experiment."""
@@ -63,9 +67,8 @@ class StorageEngineConfig:
     #: Acknowledged writes before / during the recovery phase's outage.
     recovery_writes: int = 300
     recovery_writes_during_outage: int = 150
-    #: Rows and byte budget of the budgeted bulk-load phase.
+    #: Rows of the budgeted bulk-load phase.
     bulk_rows: int = 6_000
-    bulk_budget_bytes: int = 8192
 
     @classmethod
     def quick(cls) -> "StorageEngineConfig":
@@ -290,7 +293,7 @@ def _run_bulk(config: StorageEngineConfig) -> Dict[str, Any]:
     cluster = _cluster(config, "lsm")
     try:
         cluster.bulk_load_namespace(
-            "data", iter(rows), memory_budget_bytes=config.bulk_budget_bytes
+            "data", iter(rows), memory_budget_bytes=BULK_BUDGET_BYTES
         )
         return {
             "rows": len(rows),

@@ -42,7 +42,6 @@ class ExecutorStrategyConfig:
     interactions_per_thread: int = 20
     users_per_node: int = 60
     items_total: int = 600
-    utilization: float = 0.30
     seed: int = 23
 
 
@@ -74,7 +73,6 @@ def run(config: ExecutorStrategyConfig) -> List[StrategyMeasurement]:
                 client_machines=config.client_machines,
                 threads_per_client=config.threads_per_client,
                 interactions_per_thread=config.interactions_per_thread,
-                utilization=config.utilization,
                 strategy=strategy,
                 seed=config.seed,
             ),

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..errors import PiqlError, SchemaError
+from ..errors import SchemaError
 from ..execution.context import ExecutionStrategy, QueryResult
 from ..execution.executor import QueryExecutor
 from ..kvstore.client import StorageClient
@@ -53,10 +53,8 @@ class PiqlDatabase:
     #: What a ``new_client`` view takes from the database it came from; the
     #: rest it builds for itself in :meth:`_wire_view`.  The auditor is
     #: shared so bound violations are counted (and policed) globally across
-    #: app servers; telemetry watches the shared cluster.
-    _INHERITED_BY_VIEWS = (
-        "cluster", "catalog", "auditor", "telemetry", "_compiled_cache",
-    )
+    #: app servers.
+    _INHERITED_BY_VIEWS = ("cluster", "catalog", "auditor", "_compiled_cache")
 
     def __init__(
         self,
@@ -73,7 +71,6 @@ class PiqlDatabase:
         self.cluster = cluster or KeyValueCluster(ClusterConfig())
         self.catalog = Catalog()
         self.auditor = BoundAuditor()
-        self.telemetry = None
         #: Compiled plans by SQL text, stamped with the catalog version they
         #: were compiled under; one dict per logical database, shared by
         #: every ``new_client`` view (a plan binds no view state — the
@@ -280,10 +277,6 @@ class PiqlDatabase:
         self.views.backfill(view)
         return view
 
-    def materialized_views(self) -> List[MaterializedView]:
-        """All registered materialized views."""
-        return list(self.catalog.views())
-
     def _backfill_index(self, index: IndexDefinition) -> None:
         table = self.catalog.table(index.table)
         namespace = index_namespace(index)
@@ -395,45 +388,6 @@ class PiqlDatabase:
         """Stop collecting spans and drop the tracer."""
         self.client.disable_tracing()
 
-    def enable_telemetry(
-        self,
-        interval_seconds: float = 0.5,
-        now_fn: Optional[Any] = None,
-    ) -> "Any":
-        """Attach a standalone fleet-telemetry bundle to this database.
-
-        Builds a :class:`~repro.obs.telemetry.FleetTelemetry` (time-series
-        store + collector over this view's cluster) that the caller scrapes
-        manually via ``db.telemetry.collector.scrape(now)`` — serving runs
-        instead use ``ServingConfig.telemetry_enabled``, which schedules the
-        scrape loop on the event kernel and adds burn-rate alerting.  The
-        bundle is shared by every ``new_client`` view (it watches the shared
-        cluster), and a drift detector is included when the auditor carries
-        a latency model.
-        """
-        from ..obs.drift import PredictionDriftDetector
-        from ..obs.telemetry import FleetTelemetry, TelemetryCollector
-        from ..obs.timeseries import TimeSeriesStore
-
-        if self.telemetry is not None:
-            return self.telemetry
-        store = TimeSeriesStore(resolution_seconds=interval_seconds)
-        collector = TelemetryCollector(store, cluster=self.cluster)
-        drift = None
-        if self.auditor.latency_model is not None:
-            drift = PredictionDriftDetector(self.auditor.latency_model)
-            self.auditor.drift = drift
-        self.telemetry = FleetTelemetry(store, collector, drift=drift)
-        return self.telemetry
-
-    def dashboard(self, width: int = 72) -> str:
-        """Render the fleet dashboard (requires :meth:`enable_telemetry`)."""
-        if self.telemetry is None:
-            raise PiqlError(
-                "telemetry is not enabled; call db.enable_telemetry() first"
-            )
-        return self.telemetry.dashboard(width=width)
-
     def explain_analyze(
         self,
         sql: str,
@@ -453,13 +407,6 @@ class PiqlDatabase:
         self.auditor.reset()
         if self.client.tracer is not None:
             self.client.tracer.clear()
-
-    def storage_summary(self) -> Dict[str, int]:
-        """Number of keys per namespace (diagnostics)."""
-        return {
-            namespace: self.cluster.namespace_size(namespace)
-            for namespace in self.cluster.namespaces()
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

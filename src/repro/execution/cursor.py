@@ -4,15 +4,20 @@ PIQL implements ``PAGINATE`` with client-side cursors that can be serialised
 and shipped to the user together with a page of results; any application
 server can later deserialise the cursor and resume execution, preserving the
 stateless application tier.  The state is tiny: the last key returned by
-each uncompleted index scan of the query.
+each uncompleted index scan of the query.  A cursor is bound to the query,
+its plan and the parameter values its predicates read on the page that
+issued it: resuming under other values would continue another result set
+from this one's position.  The page size is not bound; each page chooses
+its own.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..errors import CursorError
 
@@ -62,18 +67,21 @@ class PaginationCursor:
         """Ensure the cursor belongs to the query it is being used with."""
         if self.query_fingerprint != fingerprint:
             raise CursorError(
-                "pagination cursor was created by a different query"
+                "pagination cursor was created by a different query or "
+                "under other parameter values"
             )
 
 
-def query_fingerprint(sql: str, plan_description: str) -> str:
-    """A stable fingerprint binding a cursor to one compiled query."""
-    import hashlib
-
+def query_fingerprint(
+    sql: str, plan_description: str, values: Mapping[str, Any]
+) -> str:
+    """A stable fingerprint binding a cursor to one compiled query and the
+    parameter values its predicates read (``values``, chosen by
+    :meth:`~repro.execution.executor.QueryExecutor.execute`)."""
     digest = hashlib.sha256()
-    digest.update(sql.encode("utf-8"))
-    digest.update(b"\x00")
-    digest.update(plan_description.encode("utf-8"))
+    for part in (sql, plan_description, repr(sorted(values.items()))):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x00")
     return digest.hexdigest()[:16]
 
 

@@ -60,8 +60,22 @@ class QueryExecutor:
         """
         strategy = strategy or self.strategy
         # Only pagination reads the fingerprint: it binds a page's cursor to
-        # the query and plan that issued it.
-        fingerprint = self._fingerprint(query) if query.is_paginated else ""
+        # the query, plan and the values its predicates read, so a cursor
+        # replayed under other values fails here, before any request.  What
+        # leaves the result set alone stays out: names the query does not
+        # use, a list sent as a tuple, and the page size (the PAGINATE
+        # count: a later page may ask for more or fewer rows, and still
+        # starts where the last one stopped).
+        fingerprint = ""
+        if query.is_paginated:
+            values = {}
+            for name, kind, _ in query.bindings:
+                if kind != "count":
+                    value = parameters.get(name)
+                    values[name] = tuple(value) if isinstance(value, list) else value
+            fingerprint = query_fingerprint(
+                query.sql, plan_to_string(query.physical_plan), values
+            )
         resume_positions: Dict[str, bytes] = {}
         previous = maybe_deserialize(cursor)
         if previous is not None:
@@ -168,10 +182,3 @@ class QueryExecutor:
             operations=counters.get("client.operations", 0) - operations_before,
             rpcs=counters.get("client.rpcs", 0) - rpcs_before,
         )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fingerprint(query: OptimizedQuery) -> str:
-        return query_fingerprint(query.sql, plan_to_string(query.physical_plan))

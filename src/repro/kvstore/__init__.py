@@ -11,7 +11,7 @@ from .cluster import ClusterConfig, KeyValueCluster, OpResult
 from .latency import LatencyModel, LatencyParameters
 from .memory import OrderedKVMap
 from .node import NodeStats, StorageNode
-from .simtime import SimClock, milliseconds, seconds_from_ms
+from .simtime import SimClock
 
 __all__ = [
     "ClientStats",
@@ -25,6 +25,4 @@ __all__ = [
     "SimClock",
     "StorageClient",
     "StorageNode",
-    "milliseconds",
-    "seconds_from_ms",
 ]

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import (
@@ -90,7 +90,6 @@ from ..replication.store import (
 from .engine import create_engine
 from .engine.base import EngineRecovery, StorageEngine
 from .engine.external import SpillPool
-from .latency import LatencyParameters
 from .network import CLIENT, NetworkModel
 from .node import StorageNode
 
@@ -133,7 +132,6 @@ class ClusterConfig:
     storage_nodes: int = 10
     replication: int = 2
     node_capacity_ops_per_second: float = 4000.0
-    latency: LatencyParameters = field(default_factory=LatencyParameters)
     seed: int = 0
     read_quorum: Optional[int] = None
     write_quorum: Optional[int] = None
@@ -257,7 +255,6 @@ class KeyValueCluster:
         self.nodes: List[StorageNode] = [
             StorageNode.create(
                 node_id=i,
-                params=self.config.latency,
                 seed=self.config.seed,
                 capacity_ops_per_second=self.config.node_capacity_ops_per_second,
             )
@@ -276,8 +273,6 @@ class KeyValueCluster:
             )
         #: Most recent durable-engine recovery (WAL + segment replay).
         self.last_engine_recovery: Optional[EngineRecovery] = None
-        #: Anti-entropy report of the most recent topology change / recovery.
-        self.last_repair: Optional[RepairReport] = None
         #: Cluster-wide counters (``replication.*``): hinted handoff and
         #: read-repair traffic that no single client's stats can own.
         self.metrics = MetricsRegistry()
@@ -310,12 +305,6 @@ class KeyValueCluster:
         """Flush every engine's buffered state to durable storage."""
         for engine in self.engines.values():
             engine.flush()
-
-    def engine_maintenance_backlog(self) -> int:
-        """Pending background storage-maintenance units across all nodes."""
-        return sum(
-            engine.maintenance_backlog() for engine in self.engines.values()
-        )
 
     def run_engine_maintenance(self, max_tasks: Optional[int] = None) -> int:
         """Run up to ``max_tasks`` compactions cluster-wide; return the count.
@@ -425,7 +414,6 @@ class KeyValueCluster:
         # actually talk to: a partition that isolates it defers repair to
         # the next sync after heal.
         report = self.replication.sync_node(node_id, self.live_ids(node_id))
-        self.last_repair = report
         self.metrics.add("replication.hints_replayed", report.hints_replayed)
         self.metrics.add("replication.repair_keys_copied", report.keys_copied)
         self.metrics.add("replication.repair_bytes_copied", report.bytes_copied)
@@ -442,11 +430,6 @@ class KeyValueCluster:
     def create_namespace(self, name: str) -> None:
         """Create an (empty) namespace; creating an existing one is a no-op."""
         self._namespace_names.add(name)
-
-    def drop_namespace(self, name: str) -> None:
-        """Remove a namespace and all its replica copies."""
-        self._namespace_names.discard(name)
-        self.replication.drop_namespace(name)
 
     def namespaces(self) -> List[str]:
         """Names of all namespaces, sorted."""
@@ -570,7 +553,6 @@ class KeyValueCluster:
         # removals pop from the tail and additions reuse the next slot.
         node = StorageNode.create(
             node_id=len(self.nodes),
-            params=self.config.latency,
             seed=self.config.seed,
             capacity_ops_per_second=self.config.node_capacity_ops_per_second,
         )
@@ -579,7 +561,7 @@ class KeyValueCluster:
             node.node_id, self._create_engine(node.node_id)
         )
         live = self.live_ids()
-        self.last_repair = self.replication.rebalance(
+        self.replication.rebalance(
             [nid for nid in live if nid != node.node_id], set(live)
         )
         self._respread_static_load()
@@ -617,9 +599,7 @@ class KeyValueCluster:
         manager = self.replication
         manager.ring.remove_node(node.node_id)
         sources = self.live_ids()  # still includes the tail if it is up
-        self.last_repair = manager.rebalance(
-            sources, set(sources) - {node.node_id}
-        )
+        manager.rebalance(sources, set(sources) - {node.node_id})
         manager.forget_node(node.node_id)
         departing = self.engines.pop(node.node_id, None)
         if departing is not None:

@@ -63,7 +63,6 @@ class SpillingSorter:
         self._runs: List[str] = []
         self.items_added = 0
         self.spill_count = 0
-        self.spilled_bytes = 0
 
     def add(self, key: bytes, value: bytes) -> None:
         self._buffer.append((key, self._seq, value))
@@ -73,28 +72,24 @@ class SpillingSorter:
         if self.budget_bytes is not None and self.buffered_bytes > self.budget_bytes:
             self.spill()
 
-    def spill(self) -> int:
-        """Sort the buffer and write it to a new run file; return its bytes."""
+    def spill(self) -> None:
+        """Sort the buffer and write it to a new run file."""
         if not self._buffer:
-            return 0
+            return
         os.makedirs(self.spill_dir, exist_ok=True)
         path = os.path.join(
             self.spill_dir, f"{self.name}-{len(self._runs):06d}.run"
         )
         self._buffer.sort(key=lambda entry: (entry[0], entry[1]))
-        written = 0
         with open(path, "wb") as handle:
             for key, seq, value in self._buffer:
                 handle.write(_ENTRY.pack(len(key), seq, len(value)))
                 handle.write(key)
                 handle.write(value)
-                written += _ENTRY.size + len(key) + len(value)
         self._runs.append(path)
         self._buffer.clear()
         self.buffered_bytes = 0
         self.spill_count += 1
-        self.spilled_bytes += written
-        return written
 
     def iter_sorted(self) -> Iterator[Tuple[bytes, bytes]]:
         """Stream pairs key-ascending, keeping only the last write per key.
@@ -161,10 +156,6 @@ class SpillPool:
     @property
     def spill_count(self) -> int:
         return sum(s.spill_count for s in self._sorters.values())
-
-    @property
-    def spilled_bytes(self) -> int:
-        return sum(s.spilled_bytes for s in self._sorters.values())
 
     def namespaces(self) -> List[str]:
         return sorted(self._sorters)

@@ -372,15 +372,12 @@ class LsmEngine(StorageEngine):
         self.flushes = 0
         self.compactions = 0
         self.recoveries = 0
-        self.bulk_loads = 0
         self.bulk_spill_count = 0
         self.wal_records_replayed = 0
         self.torn_tail_bytes_dropped = 0
         self.partial_segments_discarded = 0
         self.wal = WriteAheadLog(self._wal_path(), sync=sync_writes)
-        #: Recovery outcome from opening a pre-existing directory (all
-        #: zeroes for a fresh one).
-        self.last_recovery = self._restore()
+        self._restore()
 
     def _wal_path(self) -> str:
         return os.path.join(self.data_dir, "wal.log")
@@ -595,7 +592,6 @@ class LsmEngine(StorageEngine):
         self._add_run(tree, pairs(), sorter.items_added)
         self._sync_dir()
         self.bulk_spill_count += sorter.spill_count
-        self.bulk_loads += 1
         return stored
 
     # ------------------------------------------------------------------
@@ -659,7 +655,6 @@ class LsmEngine(StorageEngine):
                 # removals, or comes from a flush whose log reset never
                 # happened — and then the rest of the log repeats it.
                 self._discard(tree)
-        self.wal.records_appended = len(replay.ops)
         info.wal_records_replayed = len(replay.ops)
         info.torn_tail_bytes_dropped = replay.torn_bytes
         info.namespaces = self.namespaces()

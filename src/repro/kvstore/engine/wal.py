@@ -36,7 +36,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 _FRAME = struct.Struct(">II")
 _NS_LEN = struct.Struct(">H")
@@ -104,8 +104,6 @@ class WriteAheadLog:
         #: ``op | ns_len | ns`` by ``(op, namespace)``: the bytes every
         #: record of one kind in one namespace starts with.
         self._prefixes: Dict[Tuple[int, str], bytes] = {}
-        #: Appends since the last reset (mirrors what replay would return).
-        self.records_appended = 0
 
     # ------------------------------------------------------------------
     # Appending
@@ -125,7 +123,6 @@ class WriteAheadLog:
             written += os.write(self._fd, frame[written:])
         if self.sync:
             os.fsync(self._fd)
-        self.records_appended += 1
 
     def append_put(self, namespace: str, key: bytes, value: bytes) -> None:
         self._append(
@@ -153,7 +150,6 @@ class WriteAheadLog:
         os.ftruncate(self._fd, 0)  # O_APPEND: the next write lands at 0
         if self.sync:
             os.fsync(self._fd)
-        self.records_appended = 0
 
     def close(self) -> None:
         if self._fd >= 0:
@@ -192,6 +188,3 @@ class WriteAheadLog:
             with open(path, "r+b") as handle:
                 handle.truncate(offset)
         return replay
-
-    def iter_ops(self) -> Iterator[WalOp]:  # pragma: no cover - debugging aid
-        yield from self.replay(self.path, truncate_torn_tail=False).ops

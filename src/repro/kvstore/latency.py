@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 
@@ -59,18 +59,6 @@ class LatencyParameters:
     weather_interval_seconds: float = 600.0
     #: Utilisation above which queueing inflation is clamped (avoid infinities).
     max_utilization: float = 0.92
-
-    def scaled(self, factor: float) -> "LatencyParameters":
-        """Return a copy with every latency constant multiplied by ``factor``.
-
-        Useful for modelling slower stores (e.g. cross-region replication).
-        """
-        return replace(
-            self,
-            base_rpc_ms=self.base_rpc_ms * factor,
-            per_key_ms=self.per_key_ms * factor,
-            per_kilobyte_ms=self.per_kilobyte_ms * factor,
-        )
 
 
 class LatencyModel:

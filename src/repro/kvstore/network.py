@@ -9,7 +9,6 @@ The model knows three kinds of trouble:
   cross between endpoints in the same group.  Endpoints not named by any
   group (including the client) form an implicit remainder group, so a
   minority partition is expressed by listing just the minority.
-  Directed ``cut(src, dst)`` edges model *asymmetric* link failures.
 * **Flaky links** — a per-endpoint drop probability.  Draws are derived
   from ``crc32(seed, src, dst, counter)``, so a given seed produces the
   same drop sequence on every run: chaos soaks replay exactly.
@@ -21,8 +20,8 @@ an :class:`~repro.errors.RpcTimeoutError` (reads) or a hinted write
 (writes), because on a real network a lost request and a lost reply are
 both indistinguishable from an arbitrarily slow peer.
 
-The model is deliberately inert by default: with no partitions, cuts,
-flaky links, or delays configured, :attr:`active` is ``False`` and every
+The model is deliberately inert by default: with no partitions, flaky
+links, or delays configured, :attr:`active` is ``False`` and every
 check short-circuits without consuming randomness — a healthy run is
 byte-identical to a run without the fault plane.
 """
@@ -30,7 +29,7 @@ byte-identical to a run without the fault plane.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 #: Endpoint id used for the client side of client→node RPCs.  Storage
 #: nodes use their non-negative node ids.
@@ -47,8 +46,6 @@ class NetworkModel:
         # reachable()).
         self._groups: Dict[int, int] = {}
         self._partitioned = False
-        # Directed cut edges (src, dst).
-        self._cuts: Set[Tuple[int, int]] = set()
         # Per-endpoint drop probability / added delay.
         self._flaky: Dict[int, float] = {}
         self._delays: Dict[int, float] = {}
@@ -63,7 +60,7 @@ class NetworkModel:
     def active(self) -> bool:
         """True when any fault state is configured (fast-path guard)."""
         return bool(
-            self._partitioned or self._cuts or self._flaky or self._delays
+            self._partitioned or self._flaky or self._delays
         )
 
     def partition(self, groups: Sequence[Iterable[int]]) -> None:
@@ -90,19 +87,11 @@ class NetworkModel:
         self._partitioned = True
 
     def heal(self) -> None:
-        """Clear every configured fault: partitions, cuts, flakiness, delay."""
+        """Clear every configured fault: partitions, flakiness, delay."""
         self._groups = {}
         self._partitioned = False
-        self._cuts.clear()
         self._flaky.clear()
         self._delays.clear()
-
-    def cut(self, src: int, dst: int) -> None:
-        """Sever the directed link src→dst (asymmetric by construction)."""
-        self._cuts.add((int(src), int(dst)))
-
-    def restore_link(self, src: int, dst: int) -> None:
-        self._cuts.discard((int(src), int(dst)))
 
     def set_flaky(self, node_id: int, probability: float) -> None:
         """Set the drop probability for links touching ``node_id``."""
@@ -132,7 +121,7 @@ class NetworkModel:
     # Queries
     # ------------------------------------------------------------------
     def reachable(self, src: int, dst: int) -> bool:
-        """Deterministic reachability: partitions and directed cuts only.
+        """Deterministic reachability: partitions only.
 
         Flakiness is *not* consulted here — a flaky link is reachable but
         may drop individual messages (see :meth:`delivers`).
@@ -141,8 +130,6 @@ class NetworkModel:
             return True
         if src == dst:
             return True
-        if (src, dst) in self._cuts:
-            return False
         if self._partitioned:
             if self._groups.get(src) != self._groups.get(dst):
                 return False
@@ -192,7 +179,6 @@ class NetworkModel:
             "groups": sorted(
                 (member, index) for member, index in self._groups.items()
             ),
-            "cuts": sorted(self._cuts),
             "flaky": dict(sorted(self._flaky.items())),
             "delays": dict(sorted(self._delays.items())),
             "dropped_messages": self.dropped_messages,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry, counter_properties
-from .latency import LatencyModel, LatencyParameters
+from .latency import LatencyModel
 
 #: The counters a node keeps, as ``(field name, cast)``; registry names are
 #: ``node.<field>``.
@@ -102,12 +102,11 @@ class StorageNode:
     def create(
         cls,
         node_id: int,
-        params: Optional[LatencyParameters] = None,
         seed: int = 0,
         capacity_ops_per_second: float = 4000.0,
     ) -> "StorageNode":
         """Build a node with its own deterministic latency stream."""
-        model = LatencyModel(params, seed=seed * 10_007 + node_id)
+        model = LatencyModel(seed=seed * 10_007 + node_id)
         return cls(
             node_id=node_id,
             latency_model=model,

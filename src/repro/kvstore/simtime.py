@@ -43,13 +43,3 @@ class SimClock:
     def reset(self, now: float = 0.0) -> None:
         """Reset the clock to ``now`` (default zero)."""
         self.now = now
-
-
-def milliseconds(seconds: float) -> float:
-    """Convert seconds to milliseconds (convenience for reporting)."""
-    return seconds * 1000.0
-
-
-def seconds_from_ms(ms: float) -> float:
-    """Convert milliseconds to seconds (convenience for configuration)."""
-    return ms / 1000.0

@@ -62,11 +62,9 @@ from .incident import (
     fault_windows,
 )
 from .export import (
-    prometheus_text,
     span_to_dict,
     telemetry_to_json,
     trace_to_chrome_events,
-    trace_to_json,
     write_chrome_trace,
     write_telemetry_json,
 )
@@ -111,14 +109,12 @@ __all__ = [
     "build_incident_report",
     "explain_analyze",
     "fault_windows",
-    "prometheus_text",
     "render_dashboard",
     "render_span_tree",
     "span_to_dict",
     "sparkline",
     "telemetry_to_json",
     "trace_to_chrome_events",
-    "trace_to_json",
     "write_chrome_trace",
     "write_telemetry_json",
 ]

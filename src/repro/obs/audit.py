@@ -76,8 +76,7 @@ class BoundAuditor:
         self.max_events = max_events
         #: Optional :class:`~repro.obs.drift.PredictionDriftDetector`;
         #: when attached, every audited query feeds its rolling per-class
-        #: residual distribution (set by ``db.enable_telemetry()`` or the
-        #: serving simulator).
+        #: residual distribution (set by the serving simulator).
         self.drift = None
         #: Optional :class:`~repro.obs.flightrec.FlightRecorder`; when
         #: attached, every audited traced query is offered for tail-based

@@ -15,8 +15,9 @@ was spent on*.  :func:`analyze_trace` walks a root span and partitions its
 * ``view_maintenance`` — write-attributed incremental view deltas and
   handoff work (the whole subtree is charged to the cause, not re-split),
 * ``compaction_interference`` — storage-engine stalls charged to the
-  request (spans carrying ``compaction_stall_seconds``; zero unless the
-  engine instruments it),
+  request (spans carrying ``compaction_stall_seconds``).  Nothing outside
+  tests writes that attribute, so the segment is always zero in a real run;
+  it stays while the pinned ``flight-recorder/v1`` fixture lists it,
 * ``client_compute`` — the residual: time inside the query that no storage
   span accounts for (planning, deserialisation, local operators).
 

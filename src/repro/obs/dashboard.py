@@ -8,8 +8,8 @@ shown only when a node runs one), is the
 prediction model still honest (drift table), and what has traffic been
 doing (sparkline history of throughput-ish counters).  Everything renders
 from the :class:`~repro.obs.telemetry.FleetTelemetry` bundle alone, so the
-same function serves ``db.dashboard()``, ``ServingReport.dashboard()``, the
-demo script, and the CI artifact.
+same function serves ``ServingReport.dashboard()``, the demo script, and
+the CI artifact.
 """
 
 from __future__ import annotations

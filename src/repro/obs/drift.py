@@ -203,14 +203,6 @@ class PredictionDriftDetector:
             )
         return reports
 
-    @property
-    def drifting_classes(self) -> List[str]:
-        return [r.query_class for r in self.report() if r.drifting]
-
-    @property
-    def any_drifting(self) -> bool:
-        return any(r.drifting for r in self.report())
-
     def reset(self) -> None:
         self._classes.clear()
         self.dropped_classes = 0

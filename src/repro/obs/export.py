@@ -1,26 +1,23 @@
-"""Observability export: traces, Prometheus text, telemetry artifacts.
+"""Observability export: traces and telemetry artifacts.
 
-``trace_to_json`` gives a faithful, nested dump of a span tree for
+``span_to_dict`` gives a faithful, nested dump of a span tree for
 programmatic consumption.  ``trace_to_chrome_events`` flattens the same
 tree into Chrome's trace-event format (``ph="X"`` complete events with
 microsecond timestamps), so a serving run's traces can be dropped straight
 into ``chrome://tracing`` or Perfetto.  Simulated seconds are exported as
 microseconds, the convention those viewers expect.
 
-The telemetry exporters render a :class:`~repro.obs.telemetry.FleetTelemetry`
-bundle two ways: ``prometheus_text`` emits the latest value of every series
-in the Prometheus exposition format (dotted metric names become
-underscored, labels carry through), and ``telemetry_to_json`` /
-``write_telemetry_json`` produce the ``results/telemetry_*.json`` artifact
-— full downsampled history per series plus the alert timeline and drift
-report — that CI uploads and tests assert against.
+``telemetry_to_json`` / ``write_telemetry_json`` render a
+:class:`~repro.obs.telemetry.FleetTelemetry` bundle as the
+``results/telemetry_*.json`` artifact — full downsampled history per series,
+what was dropped, the alert timeline and the drift report — that CI uploads
+and tests assert against.
 """
 
 from __future__ import annotations
 
 import json
-import re
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from .timeseries import TimeSeriesStore
 from .trace import Span
@@ -53,15 +50,6 @@ def span_to_dict(span: Span) -> Dict[str, object]:
             span_to_dict(child) for child in span.expanded_children()
         ],
     }
-
-
-def trace_to_json(
-    roots: Iterable[Span], indent: Optional[int] = 2
-) -> str:
-    """Serialise root spans to a JSON document (``{"spans": [...]}``)."""
-    return json.dumps(
-        {"spans": [span_to_dict(root) for root in roots]}, indent=indent
-    )
 
 
 def trace_to_chrome_events(
@@ -103,46 +91,6 @@ def write_chrome_trace(path: str, roots: Iterable[Span]) -> None:
 # ----------------------------------------------------------------------
 # Telemetry export
 # ----------------------------------------------------------------------
-_PROM_NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _prometheus_name(name: str) -> str:
-    """Dotted metric path → Prometheus metric name (``node.up`` → ``node_up``)."""
-    cleaned = _PROM_NAME_BAD.sub("_", name.replace(".", "_"))
-    if cleaned and cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned
-
-
-def _prometheus_label_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def prometheus_text(store: TimeSeriesStore) -> str:
-    """The latest value of every series, in Prometheus exposition format.
-
-    Each line is ``metric_name{label="value",...} last_value timestamp_ms``
-    — the textual scrape a real Prometheus server would ingest.  Only the
-    freshest bucket of each series is exported (history lives in the JSON
-    artifact; Prometheus keeps its own).
-    """
-    lines: List[str] = []
-    for name, labels in store.series_keys():
-        point = store.latest(name, dict(labels))
-        if point is None:
-            continue
-        metric = _prometheus_name(name)
-        if labels:
-            rendered = ",".join(
-                f'{_prometheus_name(key)}="{_prometheus_label_value(value)}"'
-                for key, value in labels
-            )
-            metric = f"{metric}{{{rendered}}}"
-        timestamp_ms = int(point.end_seconds * 1000)
-        lines.append(f"{metric} {point.last:.10g} {timestamp_ms}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def _series_to_dict(store: TimeSeriesStore, name: str, labels) -> Dict[str, object]:
     return {
         "name": name,
@@ -165,12 +113,17 @@ def _series_to_dict(store: TimeSeriesStore, name: str, labels) -> Dict[str, obje
 def telemetry_to_json(telemetry) -> Dict[str, object]:
     """A :class:`~repro.obs.telemetry.FleetTelemetry` bundle as plain dicts."""
     store = telemetry.store
+    drift = telemetry.drift
     payload: Dict[str, object] = {
         "schema": "fleet-telemetry/v1",
         "scrapes": telemetry.collector.scrapes,
         "last_scrape_seconds": telemetry.collector.last_scrape_seconds,
         "dropped_samples": store.dropped_samples,
         "dropped_series": store.dropped_series,
+        # Query classes the drift detector turned away at its cap, and
+        # queries whose plan it could not price (0 without a detector).
+        "drift_dropped_classes": 0 if drift is None else drift.dropped_classes,
+        "drift_unpredictable": 0 if drift is None else drift.unpredictable,
         "series": [
             _series_to_dict(store, name, labels)
             for name, labels in store.series_keys()
@@ -192,7 +145,6 @@ def telemetry_to_json(telemetry) -> Dict[str, object]:
             }
             for alert in alerter.alerts
         ]
-    drift = telemetry.drift
     if drift is not None:
         payload["drift"] = [
             {

@@ -53,6 +53,10 @@ from .trace import Span
 #: Smallest / largest exemplar latency band upper edge, in milliseconds.
 _BAND_FLOOR_MS = 0.25
 _BAND_CEILING_MS = 16384.0
+#: Hard cap on concurrently retained traces.
+MAX_TRACES = 64
+#: A trace is ``slow`` when latency exceeds envelope.p_high * this factor.
+SLOW_GRACE_FACTOR = 1.0
 
 
 def _band_upper_ms(latency_ms: float) -> float:
@@ -65,26 +69,18 @@ def _band_upper_ms(latency_ms: float) -> float:
 
 @dataclass(frozen=True)
 class ForensicsConfig:
-    """Bounds and thresholds of one flight recorder."""
+    """Bounds of one flight recorder."""
 
-    #: Hard cap on concurrently retained traces.
-    max_traces: int = 64
     #: Every Nth otherwise-unretained trace is kept as a healthy baseline.
     reservoir_interval: int = 97
     #: Byte budget over estimated retained span-tree sizes.
     memory_budget_bytes: int = 1_000_000
-    #: A trace is ``slow`` when latency exceeds envelope.p_high * factor.
-    slow_grace_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.max_traces <= 0:
-            raise ValueError("max_traces must be positive")
         if self.reservoir_interval <= 0:
             raise ValueError("reservoir_interval must be positive")
         if self.memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
-        if self.slow_grace_factor <= 0:
-            raise ValueError("slow_grace_factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -279,7 +275,7 @@ class FlightRecorder:
             if (
                 envelope is not None
                 and latency_seconds
-                > envelope.p_high_seconds * self.config.slow_grace_factor
+                > envelope.p_high_seconds * SLOW_GRACE_FACTOR
             ):
                 reasons.append("slow")
         label = (
@@ -368,7 +364,7 @@ class FlightRecorder:
     def _evict(self) -> None:
         config = self.config
         while (
-            len(self._retained) > config.max_traces
+            len(self._retained) > MAX_TRACES
             or self._retained_bytes > config.memory_budget_bytes
         ):
             victim = self._pick_victim()
@@ -426,10 +422,10 @@ class FlightRecorder:
         return {
             "schema": "flight-recorder/v1",
             "config": {
-                "max_traces": self.config.max_traces,
+                "max_traces": MAX_TRACES,
                 "reservoir_interval": self.config.reservoir_interval,
                 "memory_budget_bytes": self.config.memory_budget_bytes,
-                "slow_grace_factor": self.config.slow_grace_factor,
+                "slow_grace_factor": SLOW_GRACE_FACTOR,
             },
             "seen": self.seen,
             "retained": len(self._retained),

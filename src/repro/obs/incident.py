@@ -237,9 +237,6 @@ class IncidentReport:
         relevant = [c for c in self.windows if c.window.kind in kinds]
         return all(c.correlated for c in relevant)
 
-    def uncorrelated_windows(self) -> List[FaultWindow]:
-        return [c.window for c in self.windows if not c.correlated]
-
     def render(self) -> str:
         lines = [f"=== incident report: {self.title} ==="]
         lines.append(
@@ -493,6 +490,7 @@ class LatencyForensics:
         payload = self.recorder.payload()
         payload["critical_path"] = self.aggregator.payload()
         payload["breaker_transitions"] = self.watch.payload()
+        payload["breaker_dropped_transitions"] = self.watch.dropped_transitions
         if self.tracer is not None:
             payload["tracer_dropped_roots"] = self.tracer.dropped_roots
         return payload

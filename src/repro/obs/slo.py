@@ -202,13 +202,3 @@ class BurnRateAlerter:
                     if pre_arm is not None:
                         pre_arm(self.pre_arm_probability)
         return fired
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def active_alerts(self) -> List[SLOAlert]:
-        return [alert for alert in self.alerts if alert.active]
-
-    def fired_and_cleared(self) -> List[SLOAlert]:
-        return [alert for alert in self.alerts if not alert.active]

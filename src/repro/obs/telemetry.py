@@ -239,11 +239,6 @@ class FleetTelemetry:
 
         return render_dashboard(self, width=width)
 
-    def to_json(self) -> Dict[str, object]:
-        from .export import telemetry_to_json
-
-        return telemetry_to_json(self)
-
     def save(self, path: str) -> str:
         from .export import write_telemetry_json
 

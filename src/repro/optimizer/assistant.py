@@ -8,15 +8,17 @@ The assistant has two jobs:
    the attributes on which a ``CARDINALITY LIMIT`` would let optimization
    proceed.
 2. **Recommend cardinality limits.**  Given a trained SLO prediction model
-   and an SLO, it evaluates candidate cardinality settings (or pairs of
-   settings, as in the paper's Figure 6 heatmap) and reports which of them
-   keep the predicted 99th-percentile latency within the objective.
+   and an SLO, it picks the largest candidate cardinality whose predicted
+   99th-percentile latency stays within the objective.  Pairs of settings,
+   as in the paper's Figure 6, are the heatmap's job
+   (:func:`~repro.prediction.heatmap.prediction_heatmap` and
+   :meth:`~repro.prediction.heatmap.Heatmap.acceptable_settings`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from ..errors import NotScaleIndependentError
 from ..plans.printer import plan_to_string
@@ -114,40 +116,6 @@ class PerformanceInsightAssistant:
     # ------------------------------------------------------------------
     # Cardinality recommendations
     # ------------------------------------------------------------------
-    def evaluate_cardinalities(
-        self,
-        predict_quantile: Callable[..., float],
-        candidates: Dict[str, Sequence[int]],
-        slo_latency_seconds: float,
-    ) -> List[Tuple[Dict[str, int], float, bool]]:
-        """Evaluate every combination of candidate cardinality settings.
-
-        ``predict_quantile`` is called with one keyword argument per
-        parameter name (e.g. ``subscriptions=200, per_page=20``) and must
-        return the predicted high-quantile latency in seconds — typically a
-        closure around the trained
-        :class:`~repro.prediction.model.QueryLatencyModel`.
-
-        Returns ``(setting, predicted_latency, meets_slo)`` tuples, one per
-        combination, in deterministic (sorted) order.
-        """
-        names = sorted(candidates)
-        results: List[Tuple[Dict[str, int], float, bool]] = []
-
-        def expand(index: int, chosen: Dict[str, int]) -> None:
-            if index == len(names):
-                latency = predict_quantile(**chosen)
-                results.append((dict(chosen), latency, latency <= slo_latency_seconds))
-                return
-            name = names[index]
-            for value in candidates[name]:
-                chosen[name] = value
-                expand(index + 1, chosen)
-            del chosen[name]
-
-        expand(0, {})
-        return results
-
     def recommend_max_cardinality(
         self,
         predict_quantile: Callable[[int], float],

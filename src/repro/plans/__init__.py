@@ -3,7 +3,7 @@
 from . import logical, physical
 from .bounds import PlanBound, compute_bound, operation_bound
 from .builder import LogicalPlanBuilder
-from .printer import plan_operators, plan_to_string
+from .printer import plan_to_string
 
 __all__ = [
     "LogicalPlanBuilder",
@@ -12,6 +12,5 @@ __all__ = [
     "logical",
     "operation_bound",
     "physical",
-    "plan_operators",
     "plan_to_string",
 ]

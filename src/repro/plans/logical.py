@@ -374,9 +374,6 @@ class QuerySpec:
                 return spec
         raise KeyError(alias)
 
-    def aliases(self) -> List[str]:
-        return [spec.alias for spec in self.relations]
-
     def join_predicates_between(
         self, placed: Sequence[str], alias: str
     ) -> List[JoinEquality]:

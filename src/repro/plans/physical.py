@@ -87,10 +87,6 @@ class PhysicalOperator:
     def label(self) -> str:
         return type(self).__name__
 
-    @property
-    def is_remote(self) -> bool:
-        return False
-
 
 # ----------------------------------------------------------------------
 # Remote operators
@@ -128,10 +124,6 @@ class PhysicalIndexScan(PhysicalOperator):
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return ()
-
-    @property
-    def is_remote(self) -> bool:
-        return True
 
     def static_limit_hint(self) -> Optional[int]:
         """Compile-time bound on entries fetched per execution, if known."""
@@ -179,10 +171,6 @@ class PhysicalIndexLookup(PhysicalOperator):
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return ()
 
-    @property
-    def is_remote(self) -> bool:
-        return True
-
     def label(self) -> str:
         keys = ", ".join(_render_key_part(p) for p in self.key_parts)
         return f"IndexLookup({self.table}, key=[{keys}], bound={self.bound})"
@@ -199,10 +187,6 @@ class PhysicalIndexFKJoin(PhysicalOperator):
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    @property
-    def is_remote(self) -> bool:
-        return True
 
     def label(self) -> str:
         keys = ", ".join(_render_key_part(p) for p in self.key_parts)
@@ -232,10 +216,6 @@ class PhysicalSortedIndexJoin(PhysicalOperator):
 
     def children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    @property
-    def is_remote(self) -> bool:
-        return True
 
     def static_stop_count(self) -> Optional[int]:
         if isinstance(self.stop_count, int):
@@ -416,11 +396,6 @@ def walk(plan: PhysicalOperator):
     yield plan
     for child in plan.children():
         yield from walk(child)
-
-
-def remote_operators(plan: PhysicalOperator) -> List[PhysicalOperator]:
-    """All remote operators of a plan, top-down."""
-    return [op for op in walk(plan) if op.is_remote]
 
 
 def find_scans(plan: PhysicalOperator) -> List[PhysicalIndexScan]:

@@ -40,8 +40,3 @@ def _render(
     lines.append("  " * depth + node.label() + suffix)
     for child in node.children():
         _render(child, depth + 1, lines, annotate)
-
-
-def plan_operators(plan: PlanNode) -> List[str]:
-    """The operator labels of a plan in pre-order (useful in tests)."""
-    return [line.strip() for line in plan_to_string(plan).splitlines()]

@@ -31,13 +31,6 @@ class Heatmap:
         column = self.column_values.index(column_value)
         return self.cells_seconds[row][column] * 1000.0
 
-    def meets_slo(self, slo: ServiceLevelObjective) -> List[List[bool]]:
-        """Boolean grid of which settings keep the prediction within the SLO."""
-        return [
-            [cell <= slo.latency_seconds for cell in row]
-            for row in self.cells_seconds
-        ]
-
     def acceptable_settings(
         self, slo: ServiceLevelObjective
     ) -> List[tuple]:

@@ -134,23 +134,6 @@ class LatencyHistogram:
             counts=pmf,
         )
 
-    def max_with(self, other: "LatencyHistogram") -> "LatencyHistogram":
-        """Distribution of the *maximum* of two independent latencies.
-
-        Used for parallel plan sections (e.g. both children of a union):
-        P(max <= t) = P(a <= t) * P(b <= t).
-        """
-        self._check_compatible(other)
-        cdf_a = np.cumsum(self.pmf())
-        cdf_b = np.cumsum(other.pmf())
-        cdf = cdf_a * cdf_b
-        pmf = np.diff(np.concatenate(([0.0], cdf)))
-        return LatencyHistogram(
-            bin_width_seconds=self.bin_width_seconds,
-            max_latency_seconds=self.max_latency_seconds,
-            counts=np.clip(pmf, 0.0, None),
-        )
-
     def _truncate(self, pmf: np.ndarray) -> np.ndarray:
         if len(pmf) <= len(self.counts):
             out = np.zeros(len(self.counts))

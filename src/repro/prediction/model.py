@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PredictionError
 from ..plans import physical as P
-from ..plans.bounds import compute_bound, estimated_index_entries
+from ..plans.bounds import compute_bound
 from ..schema.catalog import Catalog
 from .histogram import LatencyHistogram, convolve_all
 from .slo import SLOPrediction
@@ -252,82 +252,6 @@ class QueryLatencyModel:
 
     def _row_bytes(self, table_name: str) -> int:
         return self.catalog.table(table_name).estimated_row_bytes()
-
-    # ------------------------------------------------------------------
-    # Write-side requirements (index + materialized-view maintenance)
-    # ------------------------------------------------------------------
-    def write_requirements(self, table_name: str) -> List[OperatorRequirement]:
-        """The Θ settings one insert into ``table_name`` charges.
-
-        The write-side counterpart of :meth:`operator_requirements`: the
-        base-record write and each secondary-index entry write share the
-        ``lookup`` model (identical point request shape), a cardinality
-        constraint adds one bounded ``index_scan`` (its ``count_range``),
-        and a materialized view driven by this table adds its delta —
-        dimension point fetches, the group record's read-modify-write, and
-        for top-k views the boundary check (bounded scan) plus the entry
-        rewrite.  Every requirement is statically sized, so predicted write
-        latency, like predicted read latency, is independent of table
-        cardinality.
-        """
-        table = self.catalog.table(table_name)
-        beta = table.estimated_row_bytes()
-        requirements: List[OperatorRequirement] = [
-            OperatorRequirement(
-                OperatorModelKey("lookup", 1, 0, beta),
-                f"RecordPut({table.name}, 1x{beta}B)",
-            )
-        ]
-        for index in self.catalog.indexes_for_table(table.name):
-            # Tokenized indexes fan one row out to ~one entry per token;
-            # the estimate is shared with bounds.write_operation_bound.
-            entries = estimated_index_entries(table, index)
-            requirements.append(
-                OperatorRequirement(
-                    OperatorModelKey("lookup", entries, 0, beta),
-                    f"IndexEntryPut({index.name}, {entries})",
-                )
-            )
-        for limit in table.cardinality_limits:
-            requirements.append(
-                OperatorRequirement(
-                    OperatorModelKey("index_scan", limit.limit, 0, beta),
-                    f"ConstraintCount({table.name}[{', '.join(limit.columns)}], "
-                    f"{limit.limit})",
-                )
-            )
-        for view in self.catalog.views_for_table(table.name):
-            view_beta = view.backing_table.estimated_row_bytes()
-            for dimension in view.dimensions:
-                # Sized by the dimension table's rows — that is what the
-                # per-delta point fetch actually reads.
-                dimension_beta = self._row_bytes(dimension.table)
-                requirements.append(
-                    OperatorRequirement(
-                        OperatorModelKey("lookup", 1, 0, dimension_beta),
-                        f"ViewDimensionFetch({view.name}, {dimension.table})",
-                    )
-                )
-            requirements.append(
-                OperatorRequirement(
-                    OperatorModelKey("lookup", 2, 0, view_beta),
-                    f"ViewGroupUpdate({view.name})",
-                )
-            )
-            if view.order is not None:
-                requirements.append(
-                    OperatorRequirement(
-                        OperatorModelKey("index_scan", 1, 0, view_beta),
-                        f"ViewIndexBoundary({view.name})",
-                    )
-                )
-                requirements.append(
-                    OperatorRequirement(
-                        OperatorModelKey("lookup", 3, 0, view_beta),
-                        f"ViewIndexUpdate({view.name})",
-                    )
-                )
-        return requirements
 
     # ------------------------------------------------------------------
     # Prediction

@@ -67,11 +67,6 @@ class SLOPrediction:
     def max_ms(self) -> float:
         return self.max_seconds * 1000.0
 
-    @property
-    def mean_seconds(self) -> float:
-        values = self.interval_quantiles_seconds
-        return sum(values) / len(values)
-
     def percentile_across_intervals(self, fraction: float) -> float:
         """The ``fraction`` quantile of the per-interval predictions.
 

@@ -32,6 +32,16 @@ from ..kvstore.cluster import ClusterConfig, KeyValueCluster
 from .model import OperatorModelKey, OperatorModelStore
 
 
+#: Simulated length of one training interval (the paper's ten-minute SLO
+#: interval).
+INTERVAL_SECONDS = 600.0
+#: Share of the storage nodes' capacity offered as background load while
+#: training.
+UTILIZATION = 0.3
+#: Seed of the trainer's choice of storage node per sample.
+TRAINING_SEED = 7
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Grid and sampling schedule for operator model training.
@@ -52,9 +62,6 @@ class TrainingConfig:
     #: high-fan-out operators hit stragglers on almost every execution.
     oversample_factor: int = 50
     max_samples_per_interval: int = 300
-    interval_seconds: float = 600.0
-    utilization: float = 0.3
-    seed: int = 7
 
     def samples_for(self, alpha: int) -> int:
         """Number of samples per interval for a setting with fan-out ``alpha``."""
@@ -76,7 +83,7 @@ class OperatorModelTrainer:
             ClusterConfig(storage_nodes=10, replication=2)
         )
         self.config = config or TrainingConfig()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(TRAINING_SEED)
 
     # ------------------------------------------------------------------
     # Training
@@ -87,10 +94,10 @@ class OperatorModelTrainer:
         config = self.config
         nodes = self.cluster.nodes
         for node in nodes:
-            node.set_offered_load(node.capacity_ops_per_second * config.utilization)
+            node.set_offered_load(node.capacity_ops_per_second * UTILIZATION)
 
         for interval in range(config.intervals):
-            sim_time = interval * config.interval_seconds
+            sim_time = interval * INTERVAL_SECONDS
             for beta in config.tuple_sizes:
                 for alpha in config.alphas:
                     samples = config.samples_for(alpha)

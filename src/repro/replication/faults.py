@@ -288,11 +288,3 @@ class FaultInjector:
             if event.repair is not None:
                 total = total.merged_with(event.repair)
         return total
-
-    def timeline(self) -> List[Dict[str, object]]:
-        """JSON-friendly view of the applied fault events.
-
-        Recovery events carry structured ``hints_replayed``/``keys_copied``
-        (and ``bytes_copied``) fields in addition to the free-text detail.
-        """
-        return [fault_event_payload(event) for event in self.events]

@@ -204,14 +204,6 @@ class ReplicationManager:
     def store(self, node_id: int) -> ReplicaStore:
         return self.stores[node_id]
 
-    def drop_namespace(self, namespace: str) -> None:
-        """Remove a namespace's replicas and any hints still destined for it."""
-        for store in self.stores.values():
-            store.drop_namespace(namespace)
-        for hints in self._hints.values():
-            for hint_key in [hk for hk in hints if hk[0] == namespace]:
-                del hints[hint_key]
-
     # ------------------------------------------------------------------
     # Versioning / placement
     # ------------------------------------------------------------------
@@ -275,10 +267,6 @@ class ReplicationManager:
 
     def hint_count(self, node_id: int) -> int:
         return len(self._hints.get(node_id, {}))
-
-    def total_hint_count(self) -> int:
-        """Hints buffered across every down node (fleet hint backlog)."""
-        return sum(len(hints) for hints in self._hints.values())
 
     def take_hints(self, node_id: int) -> Dict[Tuple[str, bytes], bytes]:
         """Drain (and return) the hint buffer destined for a node."""

@@ -81,10 +81,6 @@ class HashRing:
         self._owners = [node_id for _, node_id in points]
         self.epoch += 1
 
-    def node_ids(self) -> List[int]:
-        """Ids of all ring members, sorted."""
-        return sorted(self._members)
-
     def __len__(self) -> int:
         return len(self._members)
 

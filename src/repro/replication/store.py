@@ -92,9 +92,6 @@ class ReplicaStore:
     def namespaces(self) -> List[str]:
         return self.engine.namespaces()
 
-    def drop_namespace(self, namespace: str) -> None:
-        self.engine.drop_namespace(namespace)
-
     # ------------------------------------------------------------------
     # Records
     # ------------------------------------------------------------------
@@ -181,8 +178,3 @@ class ReplicaStore:
         if existing is None:
             return iter(())
         return existing.iter_items()
-
-    def key_count(self, namespace: str) -> int:
-        """Number of stored records (tombstones included) in a namespace."""
-        existing = self.engine.peek(namespace)
-        return len(existing) if existing is not None else 0

@@ -10,7 +10,7 @@ traffic; a success closes the breaker, a failure re-opens it.
 
 Breakers are per-client state (each app server observes its own
 failures), mirrored into telemetry as ``resilience.breaker.*`` series so
-the dashboard and the admission controller can see fleet-wide pressure.
+the dashboard can show fleet-wide pressure.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class CircuitBreaker:
         if now - self._opened_at >= self.open_seconds:
             return HALF_OPEN
         return OPEN
-
-    def allow(self, now: float) -> bool:
-        """Whether traffic may be sent to the node (closed or probe-due)."""
-        return self.state(now) != OPEN
 
     def record_success(self, now: float) -> None:
         self.failures = 0
@@ -95,9 +91,6 @@ class BreakerBoard:
             for node_id, breaker in self.breakers.items()
             if breaker.state(now) == OPEN
         }
-
-    def open_count(self, now: float) -> int:
-        return len(self.suspects(now))
 
     def states(self, now: float) -> Dict[int, str]:
         return {

@@ -42,11 +42,6 @@ class TokenBucketRetryBudget:
             )
         self._last_refill = max(self._last_refill, now)
 
-    def available(self, now: float) -> float:
-        """Tokens available at ``now`` (refills as a side effect)."""
-        self._refill(now)
-        return self.tokens
-
     def try_acquire(self, now: float, tokens: float = 1.0) -> bool:
         """Spend ``tokens`` if the bucket holds them; False otherwise."""
         self._refill(now)

@@ -71,9 +71,8 @@ class ResilienceConfig:
     #: envelope (static default when no model is trained).
     derive_timeouts: bool = False
     hedging_enabled: bool = False
+    #: Per-node circuit breakers (the board's own threshold and window).
     breakers_enabled: bool = False
-    breaker_failure_threshold: int = 3
-    breaker_open_seconds: float = 1.0
     #: Reproduce the legacy immediate-retry loop (paired-arm baseline):
     #: same attempt count, no backoff, no budget, no breakers.
     naive: bool = False
@@ -91,10 +90,7 @@ class ResiliencePolicy:
             self.config.budget_refill_per_second,
         )
         self.board: Optional[BreakerBoard] = (
-            BreakerBoard(
-                self.config.breaker_failure_threshold,
-                self.config.breaker_open_seconds,
-            )
+            BreakerBoard()
             if self.config.breakers_enabled and not self.config.naive
             else None
         )

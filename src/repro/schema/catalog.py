@@ -47,18 +47,6 @@ class Catalog:
         self._tables[key] = table
         self.version += 1
 
-    def drop_table(self, name: str) -> None:
-        key = name.lower()
-        if key not in self._tables:
-            raise UnknownTableError(name)
-        del self._tables[key]
-        for index_name in [
-            n for n, ix in self._indexes.items() if ix.table.lower() == key
-        ]:
-            del self._indexes[index_name]
-            self._auto_created.discard(index_name)
-        self.version += 1
-
     def table(self, name: str) -> Table:
         try:
             return self._tables[name.lower()]

@@ -8,12 +8,7 @@ interaction mixes, an SLO monitor tracks p50/p99 over sliding windows, and
 admission control plus an autoscaler close the loop when compliance drops.
 """
 
-from .admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionCounters,
-    AdmissionDecision,
-)
+from .admission import AdmissionController, AdmissionCounters, AdmissionDecision
 from .autoscale import AutoscaleConfig, Autoscaler, ScalingAction
 from .drivers import (
     AppServer,
@@ -23,7 +18,7 @@ from .drivers import (
     TrafficLog,
 )
 from .events import Event, EventQueue, Simulation
-from .monitor import PredictionComparison, SLOMonitor, WindowReport
+from .monitor import SLOMonitor, WindowReport
 from .queueing import (
     NodeRequestQueue,
     install_queues,
@@ -38,7 +33,6 @@ from .simulator import (
 )
 
 __all__ = [
-    "AdmissionConfig",
     "AdmissionController",
     "AdmissionCounters",
     "AdmissionDecision",
@@ -50,7 +44,6 @@ __all__ = [
     "EventQueue",
     "NodeRequestQueue",
     "OpenLoopDriver",
-    "PredictionComparison",
     "RequestRecord",
     "SLOMonitor",
     "ScalingAction",

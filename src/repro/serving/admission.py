@@ -13,13 +13,9 @@ controller here is a small proportional controller driven by the
 * every arriving request calls :meth:`decide`, which returns ``ADMIT``,
   ``QUEUE`` (admit, but the request will wait behind a backlog) or ``SHED``.
   Requests are shed probabilistically at the current shed probability, and
-  unconditionally when the dispatch backlog exceeds ``queue_limit_seconds``
-  — an overloaded system must not build an unbounded queue.
-
-An offline :class:`~repro.prediction.slo.SLOPrediction` can warm-start the
-controller: if the forecast already says the SLO will be violated in some
-fraction of intervals, the controller begins with a matching non-zero shed
-probability instead of waiting to observe the violation.
+  unconditionally when the dispatch backlog exceeds
+  :data:`QUEUE_LIMIT_SECONDS` — an overloaded system must not build an
+  unbounded queue.
 """
 
 from __future__ import annotations
@@ -27,10 +23,25 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional
 
-from ..prediction.slo import SLOPrediction
 from .monitor import SLOMonitor
+
+
+#: Per-tick increase of shed probability per unit of relative overshoot
+#: (observed quantile / SLO latency − 1).
+GAIN = 0.25
+#: Per-tick decrease once the quantile is back under ``RECOVER_FRACTION`` of
+#: the SLO latency.
+DECAY = 0.10
+#: Shed probability never exceeds this (some traffic always gets through).
+MAX_SHED_PROBABILITY = 0.95
+#: Quantile must fall below ``RECOVER_FRACTION * slo.latency`` to decay.
+RECOVER_FRACTION = 0.8
+#: Dispatch backlog (seconds of queued work) beyond which requests are shed
+#: outright instead of queued.
+QUEUE_LIMIT_SECONDS = 2.0
+#: Seed of the probabilistic shedding draws.
+ADMISSION_SEED = 17
 
 
 class AdmissionDecision(enum.Enum):
@@ -39,65 +50,22 @@ class AdmissionDecision(enum.Enum):
     SHED = "shed"
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Tuning knobs of the proportional shedding controller."""
-
-    #: Per-tick increase of shed probability per unit of relative overshoot
-    #: (observed quantile / SLO latency − 1).
-    gain: float = 0.25
-    #: Per-tick decrease once the quantile is back under ``recover_fraction``
-    #: of the SLO latency.
-    decay: float = 0.10
-    #: Shed probability never exceeds this (some traffic always gets through).
-    max_shed_probability: float = 0.95
-    #: Quantile must fall below ``recover_fraction * slo.latency`` to decay.
-    recover_fraction: float = 0.8
-    #: Dispatch backlog (seconds of queued work) beyond which requests are
-    #: shed outright instead of queued.
-    queue_limit_seconds: float = 2.0
-    #: How strongly fleet-wide circuit-breaker pressure pre-arms shedding:
-    #: the shed probability floor becomes ``gain * open_fraction`` where
-    #: ``open_fraction`` is the fraction of (client, node) breaker pairs
-    #: currently open.  Zero (the default) ignores breakers entirely.
-    breaker_pressure_gain: float = 0.0
-    seed: int = 17
-
-
 @dataclass
 class AdmissionCounters:
     admitted: int = 0
     queued: int = 0
     shed: int = 0
 
-    @property
-    def offered(self) -> int:
-        return self.admitted + self.queued + self.shed
-
-    @property
-    def shed_fraction(self) -> float:
-        return self.shed / self.offered if self.offered else 0.0
-
 
 class AdmissionController:
-    """Probabilistic load shedding driven by observed (and predicted) SLOs."""
+    """Probabilistic load shedding driven by the observed SLO quantile (and
+    pre-armed by the burn-rate alerter, :meth:`pre_arm`)."""
 
-    def __init__(
-        self,
-        monitor: SLOMonitor,
-        config: Optional[AdmissionConfig] = None,
-        prediction: Optional[SLOPrediction] = None,
-    ):
+    def __init__(self, monitor: SLOMonitor):
         self.monitor = monitor
-        self.config = config or AdmissionConfig()
         self.counters = AdmissionCounters()
         self.shed_probability = 0.0
-        self._rng = random.Random(self.config.seed)
-        if prediction is not None:
-            # Warm start: an offline forecast of violation risk becomes the
-            # initial shed probability, clamped to the configured maximum.
-            risk = prediction.violation_risk(self.monitor.slo)
-            self.shed_probability = min(risk, self.config.max_shed_probability)
+        self._rng = random.Random(ADMISSION_SEED)
 
     # ------------------------------------------------------------------
     # Control loop
@@ -105,25 +73,24 @@ class AdmissionController:
     def update(self, now: float) -> float:
         """One control tick; returns the new shed probability."""
         slo = self.monitor.slo
-        config = self.config
         if self.monitor.total_observations < self.monitor.min_samples:
-            # Cold start: nothing observed yet, so a prediction-seeded shed
+            # Cold start: too little observed yet, so a pre-armed shed
             # probability must hold rather than decay away before the
-            # forecast violation can even be measured.
+            # violation can even be measured.
             return self.shed_probability
         if self.monitor.recent_count(now) >= self.monitor.min_samples:
             observed = self.monitor.percentile(slo.quantile, now)
             ratio = observed / slo.latency_seconds
             if ratio > 1.0:
                 self.shed_probability = min(
-                    config.max_shed_probability,
-                    self.shed_probability + config.gain * (ratio - 1.0),
+                    MAX_SHED_PROBABILITY,
+                    self.shed_probability + GAIN * (ratio - 1.0),
                 )
                 return self.shed_probability
-            if ratio > config.recover_fraction:
+            if ratio > RECOVER_FRACTION:
                 # In the hysteresis band: hold steady.
                 return self.shed_probability
-        self.shed_probability = max(0.0, self.shed_probability - config.decay)
+        self.shed_probability = max(0.0, self.shed_probability - DECAY)
         return self.shed_probability
 
     def pre_arm(self, probability: float) -> float:
@@ -137,25 +104,9 @@ class AdmissionController:
         clamped to the configured maximum.
         """
         self.shed_probability = min(
-            self.config.max_shed_probability,
-            max(self.shed_probability, probability),
+            MAX_SHED_PROBABILITY, max(self.shed_probability, probability)
         )
         return self.shed_probability
-
-    def note_breaker_pressure(self, open_fraction: float) -> float:
-        """Pre-arm shedding from fleet-wide circuit-breaker state.
-
-        ``open_fraction`` is the fraction of (client, node) breaker pairs
-        currently open — clients collectively refusing to talk to storage
-        nodes is an earlier overload/fault signal than the SLO quantile,
-        which only moves once slow requests *complete*.  Scaled by
-        ``breaker_pressure_gain`` and fed through :meth:`pre_arm`, so the
-        proportional controller still owns recovery.
-        """
-        gain = self.config.breaker_pressure_gain
-        if gain <= 0.0 or open_fraction <= 0.0:
-            return self.shed_probability
-        return self.pre_arm(min(1.0, open_fraction) * gain)
 
     # ------------------------------------------------------------------
     # Per-request decisions
@@ -166,7 +117,7 @@ class AdmissionController:
         ``backlog_seconds`` is how long the request would wait before an
         application server even starts it (dispatch queue depth).
         """
-        if backlog_seconds > self.config.queue_limit_seconds:
+        if backlog_seconds > QUEUE_LIMIT_SECONDS:
             self.counters.shed += 1
             return AdmissionDecision.SHED
         if self.shed_probability > 0.0 and self._rng.random() < self.shed_probability:

@@ -27,6 +27,9 @@ from typing import List, Optional
 from ..kvstore.cluster import KeyValueCluster
 from .queueing import NodeRequestQueue, install_queue, refresh_utilization
 
+#: The cluster never grows past this many storage nodes.
+MAX_NODES = 64
+
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
@@ -40,8 +43,6 @@ class AutoscaleConfig:
     #: one mistake this controller must never make.  Scale-up is always
     #: allowed.
     warmup_seconds: float = 5.0
-    min_nodes: Optional[int] = None  # defaults to the replication factor
-    max_nodes: int = 64
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.low_utilization < self.high_utilization):
@@ -69,12 +70,6 @@ class Autoscaler:
         self.actions: List[ScalingAction] = []
         self._last_action_time: Optional[float] = None
 
-    @property
-    def min_nodes(self) -> int:
-        if self.config.min_nodes is not None:
-            return max(self.config.min_nodes, self.cluster.config.replication)
-        return self.cluster.config.replication
-
     def evaluate(self, now: float) -> Optional[ScalingAction]:
         """One control tick: maybe scale; returns the action taken, if any."""
         if (
@@ -86,7 +81,7 @@ class Autoscaler:
         action: Optional[str] = None
         if (
             utilization > self.config.high_utilization
-            and len(self.cluster.nodes) < self.config.max_nodes
+            and len(self.cluster.nodes) < MAX_NODES
         ):
             node = self.cluster.add_node()
             # Match the queueing discipline of the existing nodes so the new
@@ -104,7 +99,7 @@ class Autoscaler:
             action = "add"
         elif (
             utilization < self.config.low_utilization
-            and len(self.cluster.nodes) > self.min_nodes
+            and len(self.cluster.nodes) > self.cluster.config.replication
             and now >= self.config.warmup_seconds
             # Never shed capacity that the replication invariant needs:
             # with a node crashed, removing another could leave fewer up

@@ -94,12 +94,6 @@ class Simulation:
             )
         return self.queue.push(time, action, name)
 
-    def schedule_in(self, delay: float, action: Action, name: str = "") -> Event:
-        """Schedule ``action`` ``delay`` seconds after the current time."""
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay}")
-        return self.queue.push(self.now + delay, action, name)
-
     def every(
         self, interval: float, until: float, action: Action, name: str = ""
     ) -> None:

@@ -10,9 +10,9 @@ implements both views:
 * a short **control window** (a sliding deque of recent observations) that
   gives the admission controller and autoscaler a responsive live signal.
 
-It can also compare what it observed against an offline
-:class:`~repro.prediction.slo.SLOPrediction`, closing the loop between the
-prediction framework and the serving tier.
+Observed quantiles are set against the offline
+:class:`~repro.prediction.slo.SLOPrediction` where Table 1 is computed, in
+:mod:`repro.bench.prediction_experiment`.
 
 The monitor keeps response times only.  A serving run's burn-rate alerts
 stay with the :class:`~repro.obs.slo.BurnRateAlerter` that raised them and
@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Tuple
 
-from ..prediction.slo import SLOPrediction, ServiceLevelObjective
+from ..prediction.slo import ServiceLevelObjective
 from ..stats import nearest_rank_percentile
 
 
@@ -41,30 +41,6 @@ class WindowReport:
     quantile_seconds: float
     compliance: float
     violated: bool
-
-    @property
-    def p50_ms(self) -> float:
-        return self.p50_seconds * 1000.0
-
-    @property
-    def quantile_ms(self) -> float:
-        return self.quantile_seconds * 1000.0
-
-
-@dataclass(frozen=True)
-class PredictionComparison:
-    """How observed per-interval quantiles line up with an offline forecast."""
-
-    predicted_max_seconds: float
-    observed_max_seconds: float
-    intervals_compared: int
-    intervals_over_prediction: int
-
-    @property
-    def fraction_over_prediction(self) -> float:
-        if self.intervals_compared == 0:
-            return 0.0
-        return self.intervals_over_prediction / self.intervals_compared
 
 
 class SLOMonitor:
@@ -173,16 +149,6 @@ class SLOMonitor:
         )
         return compliant / len(self._recent)
 
-    def violated(self, now: float) -> bool:
-        """Whether the live SLO quantile currently exceeds the objective.
-
-        Conservative: returns ``False`` until ``min_samples`` recent
-        observations exist, so cold starts never trigger shedding.
-        """
-        if self.recent_count(now) < self.min_samples:
-            return False
-        return self.percentile(self.slo.quantile, now) > self.slo.latency_seconds
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -198,24 +164,3 @@ class SLOMonitor:
         if self.total_observations == 0:
             return 1.0
         return self.total_compliant / self.total_observations
-
-    def compare_to_prediction(
-        self, prediction: SLOPrediction
-    ) -> PredictionComparison:
-        """Line observed interval quantiles up against an offline forecast.
-
-        Matches the paper's Table 1 reading: the forecast's most conservative
-        per-interval quantile versus the worst interval actually observed.
-        """
-        reports = self.finalize()
-        if not reports:
-            raise ValueError("no completed intervals to compare")
-        predicted_max = prediction.max_seconds
-        observed = [report.quantile_seconds for report in reports]
-        over = sum(1 for value in observed if value > predicted_max)
-        return PredictionComparison(
-            predicted_max_seconds=predicted_max,
-            observed_max_seconds=max(observed),
-            intervals_compared=len(observed),
-            intervals_over_prediction=over,
-        )

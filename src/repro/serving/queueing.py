@@ -144,14 +144,6 @@ class NodeRequestQueue:
             self._prune(now)
         return self.smoothed_rate, self.smoothed_busy_fraction
 
-    def measured_rate(self, now: float) -> float:
-        """Smoothed recent arrival rate (requests per second)."""
-        return self.sample(now)[0]
-
-    def measured_busy_fraction(self, now: float) -> float:
-        """Smoothed fraction of recent time spent serving (1.0 = saturated)."""
-        return self.sample(now)[1]
-
     def _prune(self, now: float) -> None:
         """Forget calendar buckets far enough in the past to be immutable."""
         horizon = int((now - 10.0 * self.smoothing_seconds) // self.bucket_seconds)
@@ -160,16 +152,6 @@ class NodeRequestQueue:
         stale = [bucket for bucket in self._buckets if bucket < horizon]
         for bucket in stale:
             del self._buckets[bucket]
-
-    def reset(self) -> None:
-        self.arrivals = 0
-        self.service_seconds = 0.0
-        self.smoothed_rate = 0.0
-        self.smoothed_busy_fraction = 0.0
-        self._buckets.clear()
-        self._sample_time = 0.0
-        self._sample_arrivals = 0
-        self._sample_service = 0.0
 
 
 # ----------------------------------------------------------------------

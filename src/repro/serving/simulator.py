@@ -28,11 +28,11 @@ from ..obs.incident import IncidentReport, LatencyForensics
 from ..obs.slo import BurnRateAlerter, BurnRateRule
 from ..obs.telemetry import FleetTelemetry, TelemetryCollector
 from ..obs.timeseries import TimeSeriesStore
-from ..prediction.slo import SLOPrediction, ServiceLevelObjective
+from ..prediction.slo import ServiceLevelObjective
 from ..replication.faults import FaultEvent, FaultInjector, FaultSpec
 from ..replication.manager import RepairReport
 from ..workloads.base import Workload
-from .admission import AdmissionConfig, AdmissionController, AdmissionCounters
+from .admission import AdmissionController, AdmissionCounters
 from .autoscale import AutoscaleConfig, Autoscaler, ScalingAction
 from .drivers import ClosedLoopDriver, OpenLoopDriver, TrafficLog
 from .events import Simulation
@@ -45,6 +45,11 @@ CONTROL_INTERVAL_SECONDS = 0.5
 #: Period of the telemetry scrape loop, and the resolution of the
 #: time-series store the scrapes land in.
 TELEMETRY_INTERVAL_SECONDS = 0.5
+#: How often the event kernel runs background storage-engine maintenance
+#: (LSM compaction).  Only scheduled when the cluster has at least one
+#: durable engine; the in-memory dict engine never needs it and pays
+#: nothing.
+ENGINE_MAINTENANCE_INTERVAL_SECONDS = 0.25
 
 
 @dataclass
@@ -63,15 +68,8 @@ class ServingConfig:
             quantile=0.99, latency_seconds=0.5, interval_seconds=10.0
         )
     )
-    #: How often the event kernel runs background storage-engine
-    #: maintenance (LSM compaction).  Only scheduled when the cluster has
-    #: at least one durable engine; the in-memory dict engine never needs
-    #: it and pays nothing.
-    engine_maintenance_interval_seconds: float = 0.25
-    #: Admission control: shed load when the SLO is violated (``None``: off).
-    admission: Optional[AdmissionConfig] = None
-    #: Offline forecast used to warm-start the admission controller.
-    prediction: Optional[SLOPrediction] = None
+    #: Admission control: shed load when the SLO is violated.
+    admission: bool = False
     #: Autoscaling: add/remove storage nodes by utilisation (``None``: off).
     autoscale: Optional[AutoscaleConfig] = None
     #: Failure timeline: crash / recover / slow / restore events applied to
@@ -110,8 +108,6 @@ class ServingConfig:
             raise ValueError("mode must be 'closed' or 'open'")
         if self.duration_seconds <= 0:
             raise ValueError("duration must be positive")
-        if self.engine_maintenance_interval_seconds <= 0:
-            raise ValueError("engine maintenance interval must be positive")
 
 
 @dataclass
@@ -204,12 +200,8 @@ class ServingSimulation:
         install_queues(db.cluster)
         self.monitor = SLOMonitor(config.slo)
         self.admission: Optional[AdmissionController] = None
-        if config.admission is not None:
-            self.admission = AdmissionController(
-                self.monitor,
-                config=config.admission,
-                prediction=config.prediction,
-            )
+        if config.admission:
+            self.admission = AdmissionController(self.monitor)
         self.autoscaler: Optional[Autoscaler] = None
         if config.autoscale is not None:
             self.autoscaler = Autoscaler(db.cluster, config.autoscale)
@@ -314,25 +306,10 @@ class ServingSimulation:
                 boards.append(board)
         return boards
 
-    def _breaker_open_fraction(self, now: float) -> float:
-        """Fraction of (client, node) breaker pairs currently open."""
-        boards = self._breaker_boards()
-        nodes = len(self.db.cluster.nodes)
-        if not boards or nodes == 0:
-            return 0.0
-        open_pairs = sum(board.open_count(now) for board in boards)
-        return open_pairs / (len(boards) * nodes)
-
     def _control_tick(self, sim: Simulation) -> None:
         now = sim.now
         refresh_utilization(self.db.cluster, now)
         if self.admission is not None:
-            # Breaker pressure first: clients fencing off storage nodes is
-            # an earlier fault signal than the SLO quantile the update
-            # step reads, so the pre-armed floor is visible to it.
-            self.admission.note_breaker_pressure(
-                self._breaker_open_fraction(now)
-            )
             self.admission.update(now)
         if self.autoscaler is not None:
             self.autoscaler.evaluate(now)
@@ -382,7 +359,7 @@ class ServingSimulation:
                 for engine in self.db.cluster.engines.values()
             ):
                 self.sim.every(
-                    self.config.engine_maintenance_interval_seconds, horizon,
+                    ENGINE_MAINTENANCE_INTERVAL_SECONDS, horizon,
                     lambda _sim: self.db.cluster.run_engine_maintenance(),
                     "engine-maintenance",
                 )

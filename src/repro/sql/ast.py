@@ -124,10 +124,6 @@ class TableRef:
     name: str
     alias: Optional[str] = None
 
-    @property
-    def binding(self) -> str:
-        return self.alias or self.name
-
 
 @dataclass(frozen=True)
 class OrderItem:
@@ -158,10 +154,6 @@ class SelectStatement:
     group_by: List[ColumnRef] = field(default_factory=list)
     order_by: List[OrderItem] = field(default_factory=list)
     limit: Optional[LimitClause] = None
-
-    @property
-    def is_aggregate(self) -> bool:
-        return any(isinstance(item, AggregateCall) for item in self.select_items)
 
     def parameters(self) -> List[Parameter]:
         """All parameters appearing anywhere in the statement, in query order."""

@@ -33,7 +33,6 @@ class Parser:
     """Parses a single PIQL statement from source text."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens: List[Token] = tokenize(text)
         self.position = 0
 

@@ -120,14 +120,6 @@ class MaterializedView:
             return ()
         return self.group_column_names[-1:]
 
-    def aggregate_named(self, output_name: str) -> L.AggregateSpec:
-        for spec in self.aggregates:
-            if spec.output_name == output_name:
-                return spec
-        raise SchemaError(
-            f"view {self.name!r} has no aggregate named {output_name!r}"
-        )
-
     def describe(self) -> str:
         parts = [f"{self.name}: GROUP BY ({', '.join(self.group_column_names)})"]
         parts.append(

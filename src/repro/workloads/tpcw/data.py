@@ -33,6 +33,12 @@ _TITLE_WORDS = [
 ]
 _CITIES = ["berkeley", "seattle", "austin", "boston", "chicago", "portland"]
 
+#: Per-customer history and reference-table sizes of the generated data.
+ORDERS_PER_CUSTOMER = 2
+LINES_PER_ORDER = 3
+CART_LINES_PER_CUSTOMER = 3
+COUNTRIES = 20
+
 
 @dataclass
 class TpcwDataConfig:
@@ -40,10 +46,6 @@ class TpcwDataConfig:
 
     customers: int = 2000
     items: int = 1000
-    orders_per_customer: int = 2
-    lines_per_order: int = 3
-    cart_lines_per_customer: int = 3
-    countries: int = 20
     seed: int = 42
 
     @property
@@ -65,7 +67,7 @@ class TpcwDataGenerator:
     # Row generators
     # ------------------------------------------------------------------
     def countries(self) -> Iterator[Dict[str, object]]:
-        for index in range(self.config.countries):
+        for index in range(COUNTRIES):
             yield {
                 "CO_ID": index + 1,
                 "CO_NAME": f"country{index + 1}",
@@ -82,7 +84,7 @@ class TpcwDataGenerator:
                 "ADDR_CITY": self._rng.choice(_CITIES),
                 "ADDR_STATE": "CA",
                 "ADDR_ZIP": f"{94700 + index % 100}",
-                "ADDR_CO_ID": self._rng.randrange(self.config.countries) + 1,
+                "ADDR_CO_ID": self._rng.randrange(COUNTRIES) + 1,
             }
 
     def customers(self) -> Iterator[Dict[str, object]]:
@@ -138,11 +140,11 @@ class TpcwDataGenerator:
         order_id = 0
         for index in range(self.config.customers):
             uname = self.config.customer_uname(index)
-            for sequence in range(self.config.orders_per_customer):
+            for sequence in range(ORDERS_PER_CUSTOMER):
                 order_id += 1
                 date_time = 1_310_000_000 + index * 100 + sequence
                 total = 0.0
-                for line_number in range(1, self.config.lines_per_order + 1):
+                for line_number in range(1, LINES_PER_ORDER + 1):
                     item_id = self._rng.randrange(self.config.items) + 1
                     quantity = self._rng.randrange(1, 4)
                     total += quantity * 20.0
@@ -198,7 +200,7 @@ class TpcwDataGenerator:
             )
             item_ids = self._rng.sample(
                 range(1, self.config.items + 1),
-                min(self.config.cart_lines_per_customer, self.config.items),
+                min(CART_LINES_PER_CUSTOMER, self.config.items),
             )
             for item_id in item_ids:
                 lines.append(
@@ -242,7 +244,7 @@ class TpcwDataGenerator:
 
     def order_ids(self) -> List[int]:
         return list(
-            range(1, self.config.customers * self.config.orders_per_customer + 1)
+            range(1, self.config.customers * ORDERS_PER_CUSTOMER + 1)
         )
 
     def cart_ids(self) -> List[int]:

@@ -12,7 +12,7 @@ class TestDdlExecution:
         created = empty_db.execute_ddl(scadr_ddl(50))
         assert created == ["users", "subscriptions", "thoughts"]
         assert empty_db.catalog.has_table("users")
-        assert "table:users" in empty_db.storage_summary()
+        assert "table:users" in empty_db.cluster.namespaces()
 
     def test_execute_ddl_accepts_statement_list(self, empty_db):
         created = empty_db.execute_ddl(

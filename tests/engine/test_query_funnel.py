@@ -12,37 +12,29 @@ and counts the frames of the blocking path.
 from __future__ import annotations
 
 import ast
-import dataclasses
 import functools
 import os
-import re
 import sys
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import repro
 from repro import ClusterConfig, PiqlDatabase
 from repro.engine.query import PreparedQuery
-from repro.resilience.policy import ResilienceConfig
-from repro.serving.simulator import ServingConfig
 
 PACKAGE = os.path.dirname(repro.__file__)
-REPO = os.path.dirname(os.path.dirname(PACKAGE))
-
-
-def python_files(*roots: str) -> Iterator[str]:
-    for root in roots:
-        for directory, _, names in os.walk(root):
-            for name in names:
-                if name.endswith(".py"):
-                    yield os.path.join(directory, name)
 
 
 @functools.lru_cache(maxsize=None)
 def syntax_trees() -> List[Tuple[str, ast.AST]]:
     trees = []
-    for filename in python_files(PACKAGE):
-        with open(filename, encoding="utf-8") as handle:
-            trees.append((os.path.relpath(filename, PACKAGE), ast.parse(handle.read())))
+    for directory, _, names in os.walk(PACKAGE):
+        for name in names:
+            if name.endswith(".py"):
+                filename = os.path.join(directory, name)
+                with open(filename, encoding="utf-8") as handle:
+                    trees.append(
+                        (os.path.relpath(filename, PACKAGE), ast.parse(handle.read()))
+                    )
     return trees
 
 
@@ -123,29 +115,3 @@ def test_four_frames_from_the_blocking_call_to_the_executor():
     db.executor.execute = spy
     assert db.prepare("SELECT * FROM t WHERE id = <id>").execute(id=1).rows
     assert stacks == [["run", "execute_page", "_execute_page", "execute"]]
-
-
-def test_every_config_field_is_named_outside_its_module():
-    """An option nobody sets is a constant: a field of either config that no
-    other source, test, example or document names fails here."""
-    texts = {}
-    for filename in python_files(
-        PACKAGE, *(os.path.join(REPO, d) for d in ("tests", "examples", "benchmarks"))
-    ):
-        with open(filename, encoding="utf-8") as handle:
-            texts[filename] = handle.read()
-    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as handle:
-        texts["README.md"] = handle.read()
-    del texts[__file__]
-    for config in (ServingConfig, ResilienceConfig):
-        own = sys.modules[config.__module__].__file__
-        elsewhere = set()
-        for filename, text in texts.items():
-            if filename != own:
-                elsewhere.update(re.findall(r"\w+", text))
-        unused = [
-            field.name
-            for field in dataclasses.fields(config)
-            if field.name not in elsewhere
-        ]
-        assert unused == [], f"{config.__name__}: nobody sets {unused}"

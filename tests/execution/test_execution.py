@@ -193,7 +193,7 @@ class TestPagination:
         prepared = scadr_db.prepare(
             "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp ASC LIMIT 5"
         )
-        cursor = PaginationCursor(query_fingerprint("x", "y")).serialize()
+        cursor = PaginationCursor(query_fingerprint("x", "y", {})).serialize()
         with pytest.raises(CursorError):
             prepared.execute({"u": "carol"}, cursor=cursor)
 
@@ -225,6 +225,74 @@ class TestPagination:
         prepared = scadr_db.prepare(self.PAGINATED)
         for page in prepared.pages(u="carol"):
             assert page.operations <= prepared.operation_bound
+
+
+class TestCursorBindings:
+    """A cursor resumes only the parameter values that issued it.
+
+    Before the fingerprint covered the bindings, ``g=1`` resumed with
+    ``g=2``'s cursor returned an empty last page, and ``g=2`` resumed with
+    ``g=1``'s restarted at its first row — a silently wrong page either
+    way."""
+
+    SQL = "SELECT * FROM t WHERE g = <g> ORDER BY id PAGINATE 3"
+
+    @pytest.fixture
+    def db(self):
+        db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=2, seed=3))
+        db.execute_ddl("CREATE TABLE t (g INT, id INT, PRIMARY KEY (g, id))")
+        for g, ids in ((1, range(0, 10)), (2, range(10, 14))):
+            for i in ids:
+                db.insert("t", {"g": g, "id": i})
+        return db
+
+    def run_page(self, db, way, g, cursor):
+        query = db.prepare(self.SQL)
+        if way == "pages":
+            return next(db.session().execute(query, {"g": g}, cursor=cursor).pages())
+        if way == "deserialized":
+            cursor = PaginationCursor.deserialize(cursor)
+        return query.execute(g=g, cursor=cursor)
+
+    @pytest.mark.parametrize("way", ["blocking", "pages", "deserialized"])
+    def test_other_values_are_refused_before_any_request(self, db, way):
+        tokens = {g: db.prepare(self.SQL).execute(g=g).cursor for g in (1, 2)}
+        operations = db.client.stats.operations
+        for issued, replayed in ((1, 2), (2, 1)):
+            with pytest.raises(CursorError):
+                self.run_page(db, way, replayed, tokens[issued])
+        assert db.client.stats.operations == operations
+
+    @pytest.mark.parametrize("way", ["blocking", "pages", "deserialized"])
+    def test_the_issuing_values_resume(self, db, way):
+        token = db.prepare(self.SQL).execute(g=1).cursor
+        page = self.run_page(db, way, 1, token)
+        assert [row["id"] for row in page.rows] == [3, 4, 5]
+
+    # (sql, first page's bindings, next page's bindings, next page's ids):
+    # the cursor covers only the values the predicates read.
+    SAME_RESULT_SET = {
+        "unused_name_added": (
+            SQL, {"g": 1}, {"g": 1, "unused": 7}, [3, 4, 5]),
+        "unused_name_dropped": (
+            SQL, {"g": 1, "unused": 7}, {"g": 1}, [3, 4, 5]),
+        "count_left_unbound_then_its_maximum": (
+            "SELECT * FROM t WHERE g = <g> ORDER BY id PAGINATE [1: n(5)]",
+            {"g": 1}, {"g": 1, "n": 5}, [5, 6, 7, 8, 9]),
+        "page_size_changed": (
+            "SELECT * FROM t WHERE g = <g> ORDER BY id PAGINATE [1: n(5)]",
+            {"g": 1, "n": 2}, {"g": 1, "n": 4}, [2, 3, 4, 5]),
+        "list_sent_as_a_tuple": (
+            "SELECT * FROM t WHERE g IN [1: gs(2)] ORDER BY id PAGINATE 3",
+            {"gs": [1, 2]}, {"gs": (1, 2)}, [3, 4, 5]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SAME_RESULT_SET))
+    def test_bindings_that_leave_the_result_set_alone_resume(self, db, case):
+        sql, first, then, ids = self.SAME_RESULT_SET[case]
+        query = db.prepare(sql)
+        token = query.execute(first).cursor
+        assert [row["id"] for row in query.execute(then, cursor=token).rows] == ids
 
 
 class TestResultMetadata:

@@ -118,8 +118,6 @@ class TestClusterOperations:
         cluster.create_namespace("a")
         cluster.create_namespace("a")  # idempotent
         assert cluster.namespaces() == ["a"]
-        cluster.drop_namespace("a")
-        assert cluster.namespaces() == []
 
     def test_stats_tracking(self, cluster):
         cluster.reset_stats()

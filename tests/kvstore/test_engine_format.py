@@ -66,9 +66,9 @@ def test_files_of_the_earlier_engine_open_and_replay(tmp_path):
     shutil.copytree(FIXTURE, data_dir)
     engine = LsmEngine(data_dir, **OPTIONS)
     try:
-        assert engine.last_recovery.segments_loaded == 3
-        assert engine.last_recovery.wal_records_replayed == 5
-        assert engine.last_recovery.torn_tail_bytes_dropped == 0
+        assert engine.gauges()["segment_count"] == 3
+        assert engine.wal_records_replayed == 5
+        assert engine.torn_tail_bytes_dropped == 0
         found = {
             namespace: dict(engine.map(namespace).iter_items())
             for namespace in engine.namespaces()

@@ -71,7 +71,6 @@ class TestSpillPool:
             expected.setdefault(namespace, {})[key] = value
             assert pool.resident_bytes() <= 2048 + (4 + 8 + 64)
         assert pool.spill_count > 0
-        assert pool.spilled_bytes > 0
         assert pool.namespaces() == ["ns0", "ns1", "ns2"]
         for namespace in pool.namespaces():
             rows = list(pool.iter_namespace(namespace))

@@ -223,7 +223,9 @@ def test_scripted_message_loss_against_the_acknowledged_writes(shape, steps):
     network.heal()
     for node in cluster.nodes:
         cluster.recover_node(node.node_id)
-    assert cluster.replication.total_hint_count() == 0
+    assert [cluster.replication.hint_count(n.node_id) for n in cluster.nodes] == [
+        0
+    ] * len(cluster.nodes)
     final = replica_contents(cluster)
     for key in KEYS:
         copies = {

@@ -150,6 +150,20 @@ def revive(cluster: KeyValueCluster, node_id: int) -> None:
         node.mark_up()
 
 
+def add_node_and_summarise_the_rebalance(cluster: KeyValueCluster) -> str:
+    """Grow the cluster; the summary of the rebalance pass it ran."""
+    manager = cluster.replication
+    rebalance = manager.rebalance
+    reports = []
+    manager.rebalance = lambda *args: reports.append(rebalance(*args)) or reports[-1]
+    try:
+        cluster.add_node()
+    finally:
+        del manager.rebalance
+    (report,) = reports
+    return report.summary()
+
+
 def apply_step(cluster: KeyValueCluster, step) -> object:
     """Run one step; the outcome (value or exception type) is compared."""
     kind = step[0]
@@ -180,8 +194,7 @@ def apply_step(cluster: KeyValueCluster, step) -> object:
         elif kind == "read":
             return cluster.get(NAMESPACE, step[1]).value
         elif kind == "add_node" and nodes < 5:
-            cluster.add_node()
-            return cluster.last_repair.summary()
+            return add_node_and_summarise_the_rebalance(cluster)
     except (QuorumNotMetError, RpcTimeoutError) as error:
         return type(error)
     return None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kvstore.latency import LatencyModel, LatencyParameters
-from repro.kvstore.simtime import SimClock, milliseconds, seconds_from_ms
+from repro.kvstore.simtime import SimClock
 
 
 class TestSimClock:
@@ -22,20 +22,6 @@ class TestSimClock:
         clock.advance(3)
         clock.reset()
         assert clock.now == 0
-
-    def test_unit_conversions(self):
-        assert milliseconds(0.5) == 500
-        assert seconds_from_ms(250) == 0.25
-
-
-class TestLatencyParameters:
-    def test_scaled(self):
-        params = LatencyParameters(base_rpc_ms=2.0, per_key_ms=0.1)
-        scaled = params.scaled(3.0)
-        assert scaled.base_rpc_ms == pytest.approx(6.0)
-        assert scaled.per_key_ms == pytest.approx(0.3)
-        # Non-latency parameters are untouched.
-        assert scaled.lognormal_sigma == params.lognormal_sigma
 
 
 class TestLatencyModel:

@@ -61,17 +61,6 @@ class TestPartition:
             net.partition([(0,), (0, 1)])
 
 
-class TestDirectedCuts:
-    def test_cut_is_one_way(self):
-        net = NetworkModel(seed=1)
-        net.cut(0, 1)
-        assert not net.reachable(0, 1)
-        assert net.reachable(1, 0)
-        net.restore_link(0, 1)
-        assert net.reachable(0, 1)
-        assert not net.active
-
-
 class TestFlaky:
     def test_probability_validated(self):
         net = NetworkModel(seed=1)
@@ -127,7 +116,6 @@ class TestHeal:
     def test_heal_clears_every_fault_class(self):
         net = NetworkModel(seed=1)
         net.partition([(0,)])
-        net.cut(1, 2)
         net.set_flaky(3, 0.9)
         net.set_delay(2, 0.5)
         assert net.active

@@ -23,7 +23,6 @@ from repro.kvstore.node import _NODE_COUNTERS, NodeStats
 from repro.prediction.slo import ServiceLevelObjective
 from repro.replication import FaultSpec
 from repro.serving import (
-    AdmissionConfig,
     ServingConfig,
     ServingSimulation,
     TrafficLog,
@@ -61,7 +60,7 @@ def test_views_read_the_registry_after_a_served_run():
         slo=ServiceLevelObjective(
             quantile=0.5, latency_seconds=0.001, interval_seconds=1.0
         ),
-        admission=AdmissionConfig(),
+        admission=True,
         faults=[
             FaultSpec(time=1.0, kind="crash", node_id=0),
             FaultSpec(time=1.0, kind="crash", node_id=1),

@@ -6,6 +6,9 @@ import pytest
 
 from repro.errors import PredictionError
 from repro.obs.drift import PredictionDriftDetector, PredictionEnvelope
+from repro.obs.export import telemetry_to_json
+from repro.obs.telemetry import FleetTelemetry, TelemetryCollector
+from repro.obs.timeseries import TimeSeriesStore
 
 
 class FakeDistribution:
@@ -106,7 +109,7 @@ class TestDriftFlag:
             detector.observe(query, 0.015)  # +5 ms, inside the envelope
         (report,) = detector.report()
         assert not report.drifting
-        assert not detector.any_drifting
+        assert not any(r.drifting for r in detector.report())
         assert "ok" in report.describe()
 
     def test_sustained_slowdown_flags_drift(self):
@@ -117,7 +120,7 @@ class TestDriftFlag:
             detector.observe(query, 0.030)  # +20 ms, outside +10 ms envelope
         (report,) = detector.report()
         assert report.drifting
-        assert detector.drifting_classes == ["q"]
+        assert [r.query_class for r in detector.report() if r.drifting] == ["q"]
         assert "DRIFTING" in report.describe()
 
     def test_speedup_outside_envelope_also_flags(self):
@@ -173,3 +176,28 @@ class TestEnvelope:
             make_detector(low_quantile=0.6)
         with pytest.raises(ValueError):
             make_detector(high_quantile=1.5)
+
+
+class TestDropsAreExported:
+    """What the detector turned away reaches the ``fleet-telemetry/v1``
+    artifact beside the store's own drops."""
+
+    def artifact(self, detector=None):
+        store = TimeSeriesStore()
+        bundle = FleetTelemetry(store, TelemetryCollector(store), drift=detector)
+        return telemetry_to_json(bundle)
+
+    def test_class_cap_and_unpriced_plans_are_reported(self):
+        model = FakeModel()
+        detector = make_detector(model, max_classes=1)
+        detector.observe(FakeQuery("SELECT weird", object()), 0.010)
+        for i in range(3):
+            detector.observe(priced_query(model, f"SELECT {i}"), 0.010)
+        artifact = self.artifact(detector)
+        assert artifact["drift_dropped_classes"] == 2
+        assert artifact["drift_unpredictable"] == 1
+
+    def test_zero_without_a_detector(self):
+        artifact = self.artifact()
+        assert artifact["drift_dropped_classes"] == 0
+        assert artifact["drift_unpredictable"] == 0

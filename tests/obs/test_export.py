@@ -7,7 +7,6 @@ import json
 from repro.obs.export import (
     span_to_dict,
     trace_to_chrome_events,
-    trace_to_json,
     write_chrome_trace,
 )
 from repro.obs.trace import Tracer
@@ -46,9 +45,9 @@ class TestSpanToDict:
 
     def test_bytes_attributes_become_json_safe(self):
         _, root, _ = sample_trace()
-        text = trace_to_json([root])
+        text = json.dumps(span_to_dict(root))
         parsed = json.loads(text)  # must not raise on the bytes payload
-        child = parsed["spans"][0]["children"][0]
+        child = parsed["children"][0]
         assert isinstance(child["attributes"]["payload"], str)
 
 

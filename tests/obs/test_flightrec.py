@@ -10,6 +10,7 @@ from repro.obs.flightrec import (
     BreakerWatch,
     FlightRecorder,
     ForensicsConfig,
+    MAX_TRACES,
     _band_upper_ms,
 )
 from repro.obs.trace import Span
@@ -148,35 +149,37 @@ class TestRetentionReasons:
 
 class TestBounds:
     def test_trace_cap_evicts_oldest_unpinned(self):
-        rec = recorder(max_traces=2)
-        rec.note_window(0.0, 100.0, "w")
+        rec = recorder()
+        rec.note_window(0.0, 1000.0, "w")
         kept = [
             rec.observe_query(object(), finished(i, i + 0.01), 0.01)
-            for i in range(3)
+            for i in range(MAX_TRACES + 1)
         ]
         ids = [trace.trace_id for trace in rec.traces]
         # The first trace is pinned (first-per-window); the second — the
-        # oldest unpinned — was evicted to admit the third.
+        # oldest unpinned — was evicted to admit the last.
         assert kept[0].trace_id in ids
         assert kept[1].trace_id not in ids
-        assert kept[2].trace_id in ids
+        assert kept[-1].trace_id in ids
         assert rec.dropped == 1 and rec.dropped_pinned == 0
 
     def test_baseline_traces_are_evicted_first(self):
-        rec = recorder(max_traces=2, reservoir_interval=1)
+        rec = recorder(reservoir_interval=1)
         baseline = rec.observe_query(object(), finished(0.0, 0.01), 0.01)
         assert baseline.reasons == ("baseline",)
         slow = FakeDrift(p_high_seconds=0.001)
         rec.drift = slow
-        first = rec.observe_query(object(), finished(1.0, 1.5), 0.5)
-        second = rec.observe_query(object(), finished(2.0, 2.5), 0.5)
+        slow_traces = [
+            rec.observe_query(object(), finished(i, i + 0.5), 0.5)
+            for i in range(1, MAX_TRACES + 1)
+        ]
         ids = [trace.trace_id for trace in rec.traces]
         # The baseline went first even though the slow traces are newer.
         assert baseline.trace_id not in ids
-        assert first.trace_id in ids and second.trace_id in ids
+        assert all(trace.trace_id in ids for trace in slow_traces)
 
     def test_memory_budget_is_a_hard_bound(self):
-        rec = recorder(memory_budget_bytes=400, max_traces=64)
+        rec = recorder(memory_budget_bytes=400)
         rec.note_window(0.0, 100.0, "w")
         for i in range(5):
             rec.observe_query(object(), finished(i, i + 0.01), 0.01)
@@ -187,12 +190,12 @@ class TestBounds:
         assert rec.memory_bytes == sum(t.approx_bytes for t in rec.traces)
 
     def test_eviction_is_never_silent(self):
-        rec = recorder(max_traces=1)
-        rec.note_window(0.0, 100.0, "w")
-        for i in range(4):
+        rec = recorder()
+        rec.note_window(0.0, 1000.0, "w")
+        for i in range(MAX_TRACES + 3):
             rec.observe_query(object(), finished(i, i + 0.01), 0.01)
-        assert len(rec.traces) == 1
-        assert rec.retained_total == 4
+        assert len(rec.traces) == MAX_TRACES
+        assert rec.retained_total == MAX_TRACES + 3
         assert rec.dropped == 3
         payload = rec.payload()
         assert payload["dropped"] == 3

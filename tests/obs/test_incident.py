@@ -115,7 +115,9 @@ class TestCorrelation:
         report = self._report(traces=[retained("t-1", 5.0, 5.1)])
         assert not report.windows[0].correlated
         assert not report.reconstructs_schedule()
-        assert report.uncorrelated_windows() == [report.windows[0].window]
+        assert [c.window for c in report.windows if not c.correlated] == [
+            report.windows[0].window
+        ]
 
     def test_breaker_reaction_within_grace_counts(self):
         # Reactions trail their cause: a transition just after the window
@@ -226,3 +228,13 @@ class TestLatencyForensics:
         payload = forensics.payload()
         assert payload["schema"] == "flight-recorder/v1"
         assert len(payload["breaker_transitions"]) == 1
+        assert payload["breaker_dropped_transitions"] == 0
+
+    def test_payload_reports_transitions_past_the_cap(self):
+        forensics = LatencyForensics()
+        forensics.watch.max_transitions = 1
+        states = {1: "open", 2: "open"}
+        forensics.tick(1.0, boards=[SimpleNamespace(states=lambda now: states)])
+        payload = forensics.payload()
+        assert len(payload["breaker_transitions"]) == 1
+        assert payload["breaker_dropped_transitions"] == 1

@@ -85,7 +85,7 @@ class TestFiringAndClearing:
         alert = fired[0]
         assert alert.active
         assert alert.fast_burn >= 5.0 and alert.slow_burn >= 5.0
-        assert alerter.active_alerts == [alert]
+        assert alerter.alerts == [alert]
 
     def test_fast_spike_alone_does_not_fire(self):
         # Slow window still healthy: a 2-second blip must not page.
@@ -136,8 +136,7 @@ class TestFiringAndClearing:
         assert not alert.active
         assert alert.cleared_at == 10.0
         assert alert.duration_seconds == pytest.approx(4.0)
-        assert alerter.active_alerts == []
-        assert alerter.fired_and_cleared() == [alert]
+        assert alerter.alerts == [alert]  # kept on the timeline, cleared
         assert "cleared" in alert.describe()
 
     def test_peak_burn_tracked_while_active(self):

@@ -6,6 +6,8 @@ from repro import ClusterConfig, PiqlDatabase
 from repro.optimizer.assistant import PerformanceInsightAssistant
 from repro.optimizer.cost_based import CostBasedOptimizer, TableStatistics
 from repro.plans import physical as P
+from repro.prediction.heatmap import prediction_heatmap
+from repro.prediction.slo import ServiceLevelObjective
 from repro.workloads.scadr.queries import SUBSCRIBER_INTERSECTION
 from repro.workloads.scadr.schema import scadr_ddl
 
@@ -54,21 +56,14 @@ class TestAssistant:
         assert not diagnosis.scale_independent
         assert diagnosis.problem_relation in ("s", "t")
 
-    def test_evaluate_cardinalities_grid(self, scadr_catalog):
-        assistant = PerformanceInsightAssistant(scadr_catalog)
-
+    def test_cardinality_grid_through_the_heatmap(self):
         def fake_predict(subscriptions: int, per_page: int) -> float:
             return subscriptions * per_page / 100_000.0
 
-        results = assistant.evaluate_cardinalities(
-            fake_predict,
-            {"subscriptions": [100, 200], "per_page": [10, 20]},
-            slo_latency_seconds=0.03,
-        )
-        assert len(results) == 4
-        meets = {(s["subscriptions"], s["per_page"]): ok for s, _, ok in results}
-        assert meets[(100, 10)] is True
-        assert meets[(200, 20)] is False
+        heatmap = prediction_heatmap(fake_predict, [100, 200], [10, 20])
+        assert heatmap.cells_seconds == [[0.01, 0.02], [0.02, 0.04]]
+        slo = ServiceLevelObjective(latency_seconds=0.03)
+        assert heatmap.acceptable_settings(slo) == [(100, 10), (100, 20), (200, 10)]
 
     def test_recommend_max_cardinality(self, scadr_catalog):
         assistant = PerformanceInsightAssistant(scadr_catalog)

@@ -6,10 +6,24 @@ from repro import ClusterConfig, PiqlDatabase
 from repro.errors import NotScaleIndependentError
 from repro.plans import physical as P
 from repro.plans.bounds import compute_bound
-from repro.plans.printer import plan_operators
 from repro.workloads.scadr.schema import scadr_ddl
 from repro.workloads.tpcw.queries import QUERIES as TPCW_QUERIES
 from repro.workloads.tpcw.schema import TPCW_DDL
+
+#: The operators that send requests to the key/value store.
+REMOTE = (
+    P.PhysicalIndexScan, P.PhysicalIndexLookup, P.PhysicalIndexFKJoin,
+    P.PhysicalSortedIndexJoin,
+)
+
+
+def remote_operators(plan):
+    return [op for op in P.walk(plan) if isinstance(op, REMOTE)]
+
+
+def plan_operators(plan):
+    """Operator labels in pre-order, parents before children."""
+    return [op.label() for op in P.walk(plan)]
 
 
 @pytest.fixture
@@ -77,7 +91,7 @@ class TestBoundedPlans:
             "SELECT * FROM users WHERE username = <u>"
         )
         assert optimized.operation_bound == 1
-        remote = P.remote_operators(optimized.physical_plan)
+        remote = remote_operators(optimized.physical_plan)
         assert isinstance(remote[0], P.PhysicalIndexLookup)
 
     def test_limit_with_pk_prefix_uses_primary_index(self, scadr_optimizer):
@@ -95,7 +109,7 @@ class TestBoundedPlans:
             "SELECT u.* FROM subscriptions s JOIN users u "
             "WHERE s.owner = <u> AND u.username = s.target"
         )
-        remote = P.remote_operators(optimized.physical_plan)
+        remote = remote_operators(optimized.physical_plan)
         assert any(isinstance(op, P.PhysicalIndexFKJoin) for op in remote)
         assert optimized.operation_bound == 101
 
@@ -103,7 +117,7 @@ class TestBoundedPlans:
         optimized = scadr_optimizer.optimize(
             "SELECT * FROM subscriptions WHERE target = <t> AND owner IN [1: friends(50)]"
         )
-        remote = P.remote_operators(optimized.physical_plan)
+        remote = remote_operators(optimized.physical_plan)
         assert isinstance(remote[0], P.PhysicalIndexLookup)
         assert optimized.operation_bound == 50
 
@@ -189,7 +203,7 @@ class TestTpcwPlans:
 
     def test_fk_join_used_for_product_detail(self, tpcw_optimizer):
         optimized = tpcw_optimizer.optimize(TPCW_QUERIES["product_detail_wi"])
-        remote = P.remote_operators(optimized.physical_plan)
+        remote = remote_operators(optimized.physical_plan)
         assert any(isinstance(op, P.PhysicalIndexFKJoin) for op in remote)
         assert optimized.operation_bound == 2
 

@@ -5,7 +5,8 @@ import pytest
 from repro.errors import PlanningError, UnknownColumnError, UnknownTableError
 from repro.plans import logical as L
 from repro.plans.builder import LogicalPlanBuilder
-from repro.plans.printer import plan_operators, plan_to_string
+from repro.plans import physical as P
+from repro.plans.printer import plan_to_string
 from repro.schema import Catalog
 from repro.sql.parser import parse_select
 from repro.workloads.scadr.schema import scadr_ddl
@@ -33,7 +34,7 @@ class TestSpecBuilding:
         spec = builder.build_spec(
             parse_select("SELECT * FROM users WHERE username = <u>")
         )
-        assert spec.aliases() == ["users"]
+        assert [relation.alias for relation in spec.relations] == ["users"]
         equality = spec.relation("users").equalities[0]
         assert equality.column == L.BoundColumn("users", "users", "username")
 
@@ -128,7 +129,7 @@ class TestInitialPlan:
     def test_initial_plan_shape(self, builder, thoughtstream_sql):
         spec = builder.build_spec(parse_select(thoughtstream_sql))
         plan = builder.build_initial_plan(spec)
-        operators = plan_operators(plan)
+        operators = [op.label() for op in P.walk(plan)]
         assert operators[0].startswith("Project")
         assert any(op.startswith("Stop(10)") for op in operators)
         assert any(op.startswith("Sort") for op in operators)

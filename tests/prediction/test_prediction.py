@@ -72,11 +72,6 @@ class TestHistogram:
             a.convolve(b).convolve(c).quantile(0.9)
         )
 
-    def test_max_with(self):
-        fast = LatencyHistogram.from_samples([0.001] * 100)
-        slow = LatencyHistogram.from_samples([0.050] * 100)
-        assert fast.max_with(slow).quantile(0.5) == pytest.approx(0.0505, abs=2e-3)
-
     def test_merge_pools_observations(self):
         a = LatencyHistogram.from_samples([0.001] * 10)
         b = LatencyHistogram.from_samples([0.003] * 10)
@@ -121,7 +116,6 @@ class TestSLO:
     def test_prediction_statistics(self):
         prediction = SLOPrediction(0.99, [0.1, 0.2, 0.3, 0.4])
         assert prediction.max_seconds == 0.4
-        assert prediction.mean_seconds == pytest.approx(0.25)
         assert prediction.percentile_across_intervals(0.5) == 0.3
 
     def test_violation_risk_and_meets(self):
@@ -186,7 +180,7 @@ class TestQueryPrediction:
         plan = db.prepare(thoughtstream_sql).physical_plan
         prediction = model.predict(plan, 0.99)
         assert len(prediction.interval_quantiles_seconds) == FAST_TRAINING.intervals
-        assert prediction.max_seconds >= prediction.mean_seconds > 0
+        assert prediction.max_seconds >= min(prediction.interval_quantiles_seconds) > 0
 
     def test_join_prediction_larger_than_point_lookup(self, scadr_model, thoughtstream_sql):
         db, model = scadr_model

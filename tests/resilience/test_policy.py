@@ -155,14 +155,12 @@ class TestBreakers:
         db = fake_db(nodes=2)
         policy = ResiliencePolicy(
             db,
-            ResilienceConfig(
-                breakers_enabled=True, breaker_failure_threshold=1,
-                breaker_open_seconds=60.0, max_attempts=5,
-            ),
+            ResilienceConfig(breakers_enabled=True, max_attempts=5),
         )
         assert policy.board is not None
         for node_id in (0, 1):
-            policy.board.record_failure(node_id, 0.0)
+            for _ in range(policy.board.failure_threshold):
+                policy.board.record_failure(node_id, 0.0)
         with pytest.raises(CircuitOpenError) as excinfo:
             policy.run(lambda: "unreached")
         assert excinfo.value.open_nodes == [0, 1]

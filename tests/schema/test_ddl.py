@@ -196,16 +196,6 @@ class TestCatalog:
         )
         assert catalog.add_index(index) is catalog.add_index(index)
 
-    def test_drop_table_drops_indexes(self):
-        catalog = Catalog()
-        catalog.add_table(make_subscriptions())
-        catalog.add_index(
-            IndexDefinition("idx", "subscriptions", (IndexColumn("target"),))
-        )
-        catalog.drop_table("subscriptions")
-        assert not catalog.has_table("subscriptions")
-        assert catalog.indexes() == []
-
     def test_index_name_generation(self):
         name = Catalog.index_name(
             "item", [IndexColumn("I_TITLE", tokenized=True), IndexColumn("I_ID")]

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro import ClusterConfig, KeyValueCluster
-from repro.prediction.slo import SLOPrediction, ServiceLevelObjective
+from repro.prediction.slo import ServiceLevelObjective
+from repro.serving import admission, autoscale
 from repro.serving import (
-    AdmissionConfig,
     AdmissionController,
     AdmissionDecision,
     AutoscaleConfig,
@@ -28,9 +28,14 @@ def violating_monitor(now: float = 1.0) -> SLOMonitor:
 
 
 def healthy_monitor(now: float = 1.0) -> SLOMonitor:
+    return monitor_at(0.01, now)
+
+
+def monitor_at(latency: float, now: float = 1.0) -> SLOMonitor:
+    """Thirty recent observations, all at ``latency`` seconds."""
     monitor = SLOMonitor(SLO, control_window_seconds=10.0, min_samples=10)
     for i in range(30):
-        monitor.record(now - 0.5 + i * 0.01, 0.01)
+        monitor.record(now - 0.5 + i * 0.01, latency)
     return monitor
 
 
@@ -43,7 +48,7 @@ class TestAdmissionController:
         for tick in range(5):
             controller.update(1.0 + tick * 0.5)
         assert controller.shed_probability == pytest.approx(
-            controller.config.max_shed_probability
+            admission.MAX_SHED_PROBABILITY
         )
 
     def test_shed_probability_decays_when_healthy(self):
@@ -51,11 +56,25 @@ class TestAdmissionController:
         controller.shed_probability = 0.5
         controller.update(1.0)
         assert controller.shed_probability == pytest.approx(
-            0.5 - controller.config.decay
+            0.5 - admission.DECAY
         )
         for tick in range(10):
             controller.update(1.0 + tick * 0.1)
         assert controller.shed_probability == 0.0
+
+    def test_ramp_is_proportional_to_the_overshoot(self):
+        # p90 at 120 ms against a 100 ms objective: 20% over.
+        controller = AdmissionController(monitor_at(0.12))
+        controller.update(1.0)
+        assert controller.shed_probability == pytest.approx(admission.GAIN * 0.2)
+
+    def test_hysteresis_band_holds_the_shed_probability(self):
+        # Under the objective but above RECOVER_FRACTION of it: no decay.
+        latency = SLO.latency_seconds * (1.0 + admission.RECOVER_FRACTION) / 2
+        controller = AdmissionController(monitor_at(latency))
+        controller.shed_probability = 0.3
+        controller.update(1.0)
+        assert controller.shed_probability == pytest.approx(0.3)
 
     def test_no_samples_means_no_shedding(self):
         monitor = SLOMonitor(SLO, min_samples=10)
@@ -74,58 +93,34 @@ class TestAdmissionController:
         # trickle always gets through.
         assert 150 <= shed < 200
         assert controller.counters.shed == shed
-        assert controller.counters.offered == 200
+        counters = controller.counters
+        assert counters.admitted + counters.queued + counters.shed == 200
 
     def test_backlog_beyond_limit_sheds_outright(self):
-        controller = AdmissionController(
-            healthy_monitor(), config=AdmissionConfig(queue_limit_seconds=1.0)
-        )
-        assert controller.decide(1.0, backlog_seconds=2.0) is AdmissionDecision.SHED
+        controller = AdmissionController(healthy_monitor())
+        backlog = admission.QUEUE_LIMIT_SECONDS + 0.5
+        assert controller.decide(1.0, backlog_seconds=backlog) is AdmissionDecision.SHED
 
     def test_backlog_below_limit_queues(self):
         controller = AdmissionController(healthy_monitor())
         assert controller.decide(1.0, backlog_seconds=0.5) is AdmissionDecision.QUEUE
         assert controller.counters.queued == 1
 
-    def test_prediction_warm_start(self):
-        prediction = SLOPrediction(
-            quantile=0.9,
-            # Half the forecast intervals violate the 100 ms objective.
-            interval_quantiles_seconds=[0.05, 0.2, 0.05, 0.2],
-        )
-        controller = AdmissionController(
-            SLOMonitor(SLO), prediction=prediction
-        )
+    def test_pre_armed_probability_holds_until_enough_is_observed(self):
+        controller = AdmissionController(SLOMonitor(SLO, min_samples=10))
+        controller.pre_arm(0.5)
+        controller.update(1.0)
         assert controller.shed_probability == pytest.approx(0.5)
 
-    def test_breaker_pressure_disabled_by_default(self):
+    def test_pre_arm_never_lowers_shed_probability(self):
         controller = AdmissionController(healthy_monitor())
-        assert controller.note_breaker_pressure(0.5) == 0.0
-        assert controller.shed_probability == 0.0
-
-    def test_breaker_pressure_pre_arms_shedding(self):
-        controller = AdmissionController(
-            healthy_monitor(),
-            config=AdmissionConfig(breaker_pressure_gain=0.8),
-        )
-        assert controller.note_breaker_pressure(0.5) == pytest.approx(0.4)
-        assert controller.shed_probability == pytest.approx(0.4)
-
-    def test_breaker_pressure_never_lowers_shed_probability(self):
-        controller = AdmissionController(
-            healthy_monitor(),
-            config=AdmissionConfig(breaker_pressure_gain=1.0),
-        )
         controller.shed_probability = 0.7
-        assert controller.note_breaker_pressure(0.1) == pytest.approx(0.7)
-        assert controller.shed_probability == pytest.approx(0.7)
+        assert controller.pre_arm(0.1) == pytest.approx(0.7)
+        assert controller.pre_arm(0.8) == pytest.approx(0.8)
 
-    def test_breaker_pressure_fraction_clamped_to_one(self):
-        controller = AdmissionController(
-            healthy_monitor(),
-            config=AdmissionConfig(breaker_pressure_gain=0.5),
-        )
-        assert controller.note_breaker_pressure(3.0) == pytest.approx(0.5)
+    def test_pre_arm_is_clamped_to_the_maximum(self):
+        controller = AdmissionController(healthy_monitor())
+        assert controller.pre_arm(3.0) == pytest.approx(admission.MAX_SHED_PROBABILITY)
 
 
 class TestAutoscaler:
@@ -137,9 +132,9 @@ class TestAutoscaler:
     def saturate(self, cluster: KeyValueCluster, busy: float, now: float) -> None:
         """Pump each node's queue so its smoothed busy fraction is ``busy``."""
         for node in cluster.nodes:
-            queue = node.request_queue
-            assert isinstance(queue, NodeRequestQueue)
-            queue.reset()
+            assert isinstance(node.request_queue, NodeRequestQueue)
+            queue = NodeRequestQueue(node.request_queue.smoothing_seconds)
+            node.request_queue = queue
             total = busy * now
             charged = 0.0
             step = 0.01
@@ -190,6 +185,17 @@ class TestAutoscaler:
         # Floor: never below the replication factor.
         assert scaler.evaluate(20.0) is None
         assert len(cluster.nodes) == 2
+
+    def test_never_grows_past_max_nodes(self, monkeypatch):
+        cluster = self.make_cluster()
+        install_queues(cluster, smoothing_seconds=0.01)
+        monkeypatch.setattr(autoscale, "MAX_NODES", len(cluster.nodes))
+        scaler = Autoscaler(
+            cluster, AutoscaleConfig(high_utilization=0.7, cooldown_seconds=1.0)
+        )
+        self.saturate(cluster, busy=0.95, now=10.0)
+        assert scaler.evaluate(10.0) is None
+        assert len(cluster.nodes) == 4
 
     def test_no_scale_down_during_warmup(self):
         cluster = self.make_cluster()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.prediction.slo import SLOPrediction, ServiceLevelObjective
+from repro.prediction.slo import ServiceLevelObjective
 from repro.serving import SLOMonitor
 
 
@@ -29,15 +29,6 @@ class TestLiveSignals:
         for i in range(30):
             monitor.record(4.0 + i * 0.01, 0.01)
         assert monitor.percentile(1.0, 4.3) == pytest.approx(0.01)
-
-    def test_violated_requires_min_samples(self):
-        monitor = make_monitor(min_samples=20)
-        for i in range(10):
-            monitor.record(i * 0.01, 9.9)  # way over, but too few samples
-        assert not monitor.violated(0.1)
-        for i in range(10, 25):
-            monitor.record(i * 0.01, 9.9)
-        assert monitor.violated(0.25)
 
     def test_recent_compliance(self):
         monitor = make_monitor(control_window_seconds=10.0)
@@ -78,30 +69,6 @@ class TestIntervalReports:
             monitor.record(float(i), 0.05)
         monitor.record(3.0, 0.5)
         assert monitor.overall_compliance == pytest.approx(0.75)
-
-
-class TestPredictionComparison:
-    def test_compare_to_prediction(self):
-        monitor = make_monitor()
-        for i in range(10):
-            monitor.record(float(i), 0.04)
-        for i in range(10):
-            monitor.record(10.0 + i, 0.30)
-        prediction = SLOPrediction(
-            quantile=0.9, interval_quantiles_seconds=[0.05, 0.06, 0.05]
-        )
-        comparison = monitor.compare_to_prediction(prediction)
-        assert comparison.predicted_max_seconds == pytest.approx(0.06)
-        assert comparison.observed_max_seconds == pytest.approx(0.30)
-        assert comparison.intervals_compared == 2
-        assert comparison.intervals_over_prediction == 1
-        assert comparison.fraction_over_prediction == pytest.approx(0.5)
-
-    def test_compare_requires_observations(self):
-        monitor = make_monitor()
-        prediction = SLOPrediction(quantile=0.9, interval_quantiles_seconds=[0.05])
-        with pytest.raises(ValueError):
-            monitor.compare_to_prediction(prediction)
 
 
 class TestFailureAccounting:

@@ -45,20 +45,20 @@ class TestNodeRequestQueue:
         queue = NodeRequestQueue(smoothing_seconds=0.01, bucket_seconds=0.05)
         for i in range(10):
             queue.on_request(i * 0.1, 0.05)  # ~50% busy
-        busy = queue.measured_busy_fraction(1.0)
+        _, busy = queue.sample(1.0)
         assert busy == pytest.approx(0.5, abs=0.05)
 
     def test_busy_fraction_saturates_at_one_in_overload(self):
         queue = NodeRequestQueue(smoothing_seconds=0.01, bucket_seconds=0.05)
         for i in range(100):
             queue.on_request(i * 0.01, 0.05)  # 5x capacity
-        assert queue.measured_busy_fraction(1.0) == pytest.approx(1.0)
+        assert queue.sample(1.0)[1] == pytest.approx(1.0)
 
     def test_measured_rate_counts_arrivals(self):
         queue = NodeRequestQueue(smoothing_seconds=0.01)
         for i in range(20):
             queue.on_request(i * 0.05, 0.001)
-        assert queue.measured_rate(1.0) == pytest.approx(20.0, rel=0.05)
+        assert queue.sample(1.0)[0] == pytest.approx(20.0, rel=0.05)
 
     def test_sampling_twice_at_same_instant_is_idempotent(self):
         queue = NodeRequestQueue()

@@ -12,7 +12,7 @@ import pytest
 
 from repro import ClusterConfig, PiqlDatabase
 from repro.prediction.slo import ServiceLevelObjective
-from repro.serving import AdmissionConfig, ServingConfig, run_serving_simulation
+from repro.serving import ServingConfig, run_serving_simulation
 from repro.workloads import TpcwWorkload, WorkloadScale
 
 SLO = ServiceLevelObjective(quantile=0.99, latency_seconds=0.1, interval_seconds=5.0)
@@ -71,7 +71,7 @@ class TestServingSlo:
                     arrival_rate_per_second=200.0,
                     duration_seconds=12.0,
                     slo=SLO,
-                    admission=AdmissionConfig() if admission else None,
+                    admission=admission,
                     seed=3,
                 ),
             )

@@ -20,11 +20,11 @@ from typing import Dict, List
 import pytest
 
 from repro import ClusterConfig, PiqlDatabase
-from repro.obs import BurnRateRule, prometheus_text
+from repro.obs import BurnRateRule
 from repro.prediction import QueryLatencyModel, train_default_model
 from repro.prediction.slo import ServiceLevelObjective
 from repro.replication import FaultSpec
-from repro.serving import AdmissionConfig, ServingConfig, ServingSimulation
+from repro.serving import ServingConfig, ServingSimulation
 from repro.workloads.base import InteractionResult, Workload, WorkloadScale
 
 
@@ -113,7 +113,7 @@ def fault_run(tmp_path_factory):
                 FaultSpec(time=FAULT_END, kind="restore", node_id=2),
             ],
             telemetry_enabled=True,
-            admission=AdmissionConfig(),
+            admission=True,
             burn_rules=[
                 BurnRateRule(fast_seconds=2.0, slow_seconds=4.0, threshold=2.0)
             ],
@@ -225,7 +225,7 @@ class TestDriftReport:
                 <= drift.envelope.high_residual
             )
             assert not drift.drifting
-        assert not report.telemetry.drift.any_drifting
+        assert not any(r.drifting for r in report.telemetry.drift.report())
         exported = artifact["drift"]
         assert len(exported) == len(drift_reports)
         assert all(not entry["drifting"] for entry in exported)
@@ -241,12 +241,6 @@ class TestRendering:
         assert "PREDICTION DRIFT" in text
         for node_id in range(4):
             assert f" {node_id} " in text or f"node {node_id}" in text
-
-    def test_prometheus_exposition(self, fault_run):
-        _, report, _ = fault_run
-        text = prometheus_text(report.telemetry.store)
-        assert 'node_up{node="1"}' in text
-        assert "serving_slo_total" in text
 
 
 class TestBreakerTelemetry:

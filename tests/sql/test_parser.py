@@ -118,7 +118,6 @@ class TestSelectParsing:
         agg = stmt.select_items[0]
         assert isinstance(agg, ast.AggregateCall)
         assert agg.function == "COUNT" and agg.argument is None
-        assert stmt.is_aggregate
 
     def test_aggregate_with_group_by(self):
         stmt = parse_select(

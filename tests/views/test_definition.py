@@ -148,4 +148,4 @@ class TestAnalysis:
         assert db.catalog.has_view("best_sellers")
         assert db.catalog.has_table("best_sellers")
         # The catalog version bump invalidates prepared-query caches.
-        assert db.materialized_views()[0].name == "best_sellers"
+        assert [view.name for view in db.catalog.views()] == ["best_sellers"]

@@ -9,7 +9,6 @@ import pytest
 from repro import PiqlDatabase
 from repro.errors import NotScaleIndependentError
 from repro.kvstore.cluster import ClusterConfig
-from repro.prediction.model import OperatorModelKey, OperatorModelStore, QueryLatencyModel
 from repro.serving.simulator import ServingConfig, ServingSimulation
 from repro.views.maintenance import recompute_top_k, recompute_view
 from repro.workloads.base import WorkloadScale
@@ -150,34 +149,3 @@ class TestScadrCounts:
         })
         after = query.execute(uname=uname).rows[0]["thought_count"]
         assert after == before + 1
-
-
-class TestWritePrediction:
-    def test_write_requirements_cover_view_maintenance(self, tpcw_with_views):
-        db, _ = tpcw_with_views
-        store = OperatorModelStore()
-        # Seed minimal per-operator samples so predictions can convolve.
-        store.record(OperatorModelKey("lookup", 4, 0, 256), 0, 0.002)
-        store.record(OperatorModelKey("index_scan", 100, 0, 256), 0, 0.003)
-        model = QueryLatencyModel(store, db.catalog)
-        requirements = model.write_requirements("order_line")
-        descriptions = " ".join(r.description for r in requirements)
-        assert "ViewGroupUpdate(best_sellers_by_subject)" in descriptions
-        assert "ViewIndexBoundary(best_sellers_by_subject)" in descriptions
-        assert "ViewDimensionFetch(best_sellers_by_subject, item)" in descriptions
-        # The requirements compose into a finite latency prediction.
-        predicted = model.predict_from_requirements(requirements, 0.99)
-        assert predicted.max_seconds > 0
-
-    def test_write_requirements_without_views_are_smaller(self):
-        db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=3, seed=82))
-        workload = TpcwWorkload()
-        workload.setup(
-            db, WorkloadScale(storage_nodes=2, users_per_node=5, items_total=40)
-        )
-        store = OperatorModelStore()
-        store.record(OperatorModelKey("lookup", 1, 0, 64), 0, 0.001)
-        store.record(OperatorModelKey("index_scan", 10, 0, 64), 0, 0.001)
-        model = QueryLatencyModel(store, db.catalog)
-        base = model.write_requirements("order_line")
-        assert all("View" not in r.description for r in base)

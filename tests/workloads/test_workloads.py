@@ -38,8 +38,7 @@ class TestScadrGenerator:
 
 class TestTpcwGenerator:
     def test_row_counts(self):
-        config = TpcwDataConfig(customers=30, items=40, orders_per_customer=2,
-                                lines_per_order=3)
+        config = TpcwDataConfig(customers=30, items=40)
         generator = TpcwDataGenerator(config)
         assert len(list(generator.customers())) == 30
         assert len(list(generator.items())) == 40
@@ -60,10 +59,10 @@ class TestTpcwGenerator:
 class TestLoadedScadrWorkload:
     def test_setup_loads_all_tables(self, loaded_scadr):
         db, workload = loaded_scadr
-        summary = db.storage_summary()
-        assert summary["table:users"] == 120
-        assert summary["table:subscriptions"] == 120 * 5
-        assert summary["table:thoughts"] == 120 * 10
+        size = db.cluster.namespace_size
+        assert size("table:users") == 120
+        assert size("table:subscriptions") == 120 * 5
+        assert size("table:thoughts") == 120 * 10
 
     def test_every_query_is_prepared_and_bounded(self, loaded_scadr, rng):
         db, workload = loaded_scadr
