@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..engine.database import PiqlDatabase
 from ..errors import NotScaleIndependentError
@@ -43,6 +43,13 @@ CLASS_QUERIES: Dict[str, str] = {
         "WHERE u1.hometown = u2.hometown"
     ),
 }
+
+#: The SCADr shape every measured database size shares: subscriptions and
+#: thoughts per user, the thoughtstream's page, and the data seed.
+SUBSCRIPTIONS_PER_USER = 10
+THOUGHTS_PER_USER = 10
+PAGE_SIZE = 10
+SEED = 5
 
 
 @dataclass
@@ -74,19 +81,8 @@ class ScalingClassResult:
 class ScalingClassAnalysis:
     """Measures Figure 1's four growth curves on generated SCADr data."""
 
-    def __init__(
-        self,
-        user_counts: Sequence[int] = (500, 1000, 2000, 4000),
-        subscriptions_per_user: int = 10,
-        thoughts_per_user: int = 10,
-        page_size: int = 10,
-        seed: int = 5,
-    ):
+    def __init__(self, user_counts: Sequence[int] = (500, 1000, 2000, 4000)):
         self.user_counts = list(user_counts)
-        self.subscriptions_per_user = subscriptions_per_user
-        self.thoughts_per_user = thoughts_per_user
-        self.page_size = page_size
-        self.seed = seed
 
     # ------------------------------------------------------------------
     # Relevant-data measurement
@@ -94,9 +90,9 @@ class ScalingClassAnalysis:
     def _point(self, users: int) -> ClassPoint:
         config = ScadrDataConfig(
             users=users,
-            thoughts_per_user=self.thoughts_per_user,
-            subscriptions_per_user=self.subscriptions_per_user,
-            seed=self.seed,
+            thoughts_per_user=THOUGHTS_PER_USER,
+            subscriptions_per_user=SUBSCRIPTIONS_PER_USER,
+            seed=SEED,
         )
         generator = ScadrDataGenerator(config)
         hometowns = Counter(row["hometown"] for row in generator.users())
@@ -105,7 +101,7 @@ class ScalingClassAnalysis:
         class1 = 1
         # Class II: the thoughtstream touches the user's subscriptions plus
         # one page of thoughts per subscription — bounded by the schema.
-        class2 = self.subscriptions_per_user * (1 + self.page_size)
+        class2 = SUBSCRIPTIONS_PER_USER * (1 + PAGE_SIZE)
         # Class III: listing the users of one (average) hometown.
         class3 = int(sum(hometowns.values()) / max(len(hometowns), 1))
         # Class IV: all pairs of users sharing a hometown (self-join).
@@ -121,18 +117,14 @@ class ScalingClassAnalysis:
     # ------------------------------------------------------------------
     # PIQL admissibility check
     # ------------------------------------------------------------------
-    def check_piql_acceptance(
-        self, max_subscriptions: Optional[int] = None
-    ) -> Dict[str, bool]:
+    def check_piql_acceptance(self) -> Dict[str, bool]:
         """Which class queries does the PIQL optimizer accept?
 
         Classes I and II must compile to bounded plans; Classes III and IV
         must be rejected with :class:`NotScaleIndependentError`.
         """
-        db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=2, seed=self.seed))
-        db.execute_ddl(
-            scadr_ddl(max_subscriptions or self.subscriptions_per_user)
-        )
+        db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=2, seed=SEED))
+        db.execute_ddl(scadr_ddl(SUBSCRIPTIONS_PER_USER))
         accepted: Dict[str, bool] = {}
         for name, sql in CLASS_QUERIES.items():
             try:

@@ -64,20 +64,27 @@ from .reporting import render_with_incident
 #: complete across the whole run, faults included.
 AVAILABILITY_FLOOR = 0.5
 
+#: The soak's cluster at either size: five nodes, N=3 with R=W=2, so a
+#: two-node minority partition costs some keys their quorums.
+STORAGE_NODES = 5
+REPLICATION = 3
+READ_QUORUM = 2
+WRITE_QUORUM = 2
+NODE_CAPACITY_OPS_PER_SECOND = 400.0
+THINK_TIME_SECONDS = 0.3
+SLO = ServiceLevelObjective(
+    quantile=0.99, latency_seconds=0.5, interval_seconds=5.0
+)
+
 
 @dataclass(frozen=True)
 class ChaosSoakConfig:
-    """Cluster, traffic, schedule shape, and invariant thresholds."""
+    """Data size, traffic, schedule shape, and the seed; the cluster shape
+    is the module's constants."""
 
-    storage_nodes: int = 5
-    replication: int = 3
-    read_quorum: int = 2
-    write_quorum: int = 2
-    node_capacity_ops_per_second: float = 400.0
     users_per_node: int = 20
     items_total: int = 80
     clients: int = 16
-    think_time_seconds: float = 0.3
     #: Fault-free prefix used for the paired-arm identity check.
     warmup_seconds: float = 6.0
     #: Length of the fault window; every fault heals before it ends.
@@ -86,11 +93,6 @@ class ChaosSoakConfig:
     settle_seconds: float = 6.0
     audit_interval_seconds: float = 0.25
     probe_interval_seconds: float = 0.5
-    slo: ServiceLevelObjective = field(
-        default_factory=lambda: ServiceLevelObjective(
-            quantile=0.99, latency_seconds=0.5, interval_seconds=5.0
-        )
-    )
     seed: int = 11
 
     @property
@@ -191,8 +193,8 @@ class ReadYourWritesProbe(WriteAudit):
     key_format = "probe{:08d}"
     value_format = "probe-at-{:.3f}"
 
-    def __init__(self, cluster: KeyValueCluster, namespace: str = "chaos_ryw"):
-        super().__init__(cluster, namespace)
+    def __init__(self, cluster: KeyValueCluster):
+        super().__init__(cluster, "chaos_ryw")
         self.skipped_reads = 0
         self.violations = 0
 
@@ -340,10 +342,17 @@ class ChaosSoakResult:
 
     def payload(self) -> Dict[str, object]:
         return {
-            # The record keeps the floor and the always-on forensics it
-            # was judged with.
+            # The record keeps the cluster shape, the floor and the
+            # always-on forensics it was judged with.
             "config": {
                 **asdict(self.config),
+                "storage_nodes": STORAGE_NODES,
+                "replication": REPLICATION,
+                "read_quorum": READ_QUORUM,
+                "write_quorum": WRITE_QUORUM,
+                "node_capacity_ops_per_second": NODE_CAPACITY_OPS_PER_SECOND,
+                "think_time_seconds": THINK_TIME_SECONDS,
+                "slo": asdict(SLO),
                 "availability_floor": AVAILABILITY_FLOOR,
                 "forensics_enabled": True,
             },
@@ -388,11 +397,11 @@ def fresh_database(
     # fault-free prefix.
     return loaded_database(
         TpcwWorkload(),
-        storage_nodes=config.storage_nodes,
-        replication=config.replication,
-        read_quorum=config.read_quorum,
-        write_quorum=config.write_quorum,
-        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        storage_nodes=STORAGE_NODES,
+        replication=REPLICATION,
+        read_quorum=READ_QUORUM,
+        write_quorum=WRITE_QUORUM,
+        node_capacity_ops_per_second=NODE_CAPACITY_OPS_PER_SECOND,
         users_per_node=config.users_per_node,
         items_total=config.items_total,
         seed=config.seed,
@@ -422,9 +431,9 @@ def run_arm(
         workload,
         before_run=schedule_probes,
         clients=config.clients,
-        think_time_seconds=config.think_time_seconds,
+        think_time_seconds=THINK_TIME_SECONDS,
         duration_seconds=config.duration_seconds,
-        slo=config.slo,
+        slo=SLO,
         faults=config.faults(),
         # Forensics needs telemetry for the SLO-alert correlation and
         # the latency-breakdown scrape.

@@ -24,7 +24,7 @@ and reads every acknowledged key back at the end through the read quorum:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.flightrec import ForensicsConfig
@@ -53,17 +53,24 @@ from .reporting import render_with_incident
 APP_SERVERS = 50
 #: The storage node the failover run crashes.
 CRASH_NODE_ID = 1
+#: The cluster at either size: four nodes, N=3 with R=W=2, so one node
+#: down leaves every quorum satisfiable.
+STORAGE_NODES = 4
+REPLICATION = 3
+READ_QUORUM = 2
+WRITE_QUORUM = 2
+NODE_CAPACITY_OPS_PER_SECOND = 400.0
+SLO = ServiceLevelObjective(
+    quantile=0.99, latency_seconds=0.1, interval_seconds=4.0
+)
+SEED = 3
 
 
 @dataclass(frozen=True)
 class FailoverSloConfig:
-    """Cluster, workload, fault timeline, and SLO of the failover scenario."""
+    """Workload and fault timeline of the failover scenario; the cluster,
+    SLO and seed are the module's constants."""
 
-    storage_nodes: int = 4
-    replication: int = 3
-    read_quorum: int = 2
-    write_quorum: int = 2
-    node_capacity_ops_per_second: float = 400.0
     users_per_node: int = 30
     items_total: int = 100
     #: Offered load, tuned to keep the healthy phase comfortably inside the
@@ -77,12 +84,6 @@ class FailoverSloConfig:
     #: backlog built during the outage needs a moment to drain).
     drain_seconds: float = 4.0
     audit_interval_seconds: float = 0.1
-    slo: ServiceLevelObjective = field(
-        default_factory=lambda: ServiceLevelObjective(
-            quantile=0.99, latency_seconds=0.1, interval_seconds=4.0
-        )
-    )
-    seed: int = 3
 
     @property
     def duration_seconds(self) -> float:
@@ -156,14 +157,14 @@ class FailoverSloResult:
         failover = self.reports["failover"]
         return {
             "config": {
-                "storage_nodes": self.config.storage_nodes,
-                "replication": self.config.replication,
-                "read_quorum": self.config.read_quorum,
-                "write_quorum": self.config.write_quorum,
+                "storage_nodes": STORAGE_NODES,
+                "replication": REPLICATION,
+                "read_quorum": READ_QUORUM,
+                "write_quorum": WRITE_QUORUM,
                 "arrival_rate_per_second": self.config.arrival_rate_per_second,
                 "crash_at": self.config.crash_at,
                 "recover_at": self.config.recover_at,
-                "slo_ms": self.config.slo.latency_ms,
+                "slo_ms": SLO.latency_ms,
             },
             "phases": {
                 run: [summary.__dict__ for summary in summaries]
@@ -190,11 +191,11 @@ def run_variant(
 ) -> Tuple[ServingReport, Optional[Dict[str, int]]]:
     db, workload = loaded_database(
         TpcwWorkload(),
-        storage_nodes=config.storage_nodes,
-        replication=config.replication,
-        read_quorum=config.read_quorum,
-        write_quorum=config.write_quorum,
-        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        storage_nodes=STORAGE_NODES,
+        replication=REPLICATION,
+        read_quorum=READ_QUORUM,
+        write_quorum=WRITE_QUORUM,
+        node_capacity_ops_per_second=NODE_CAPACITY_OPS_PER_SECOND,
         users_per_node=config.users_per_node,
         items_total=config.items_total,
         seed=7,
@@ -202,7 +203,7 @@ def run_variant(
         # app server's board sees the dead replica through its own
         # skipped-quorum sightings, which is the breaker evidence the
         # failover incident report correlates with the crash window.
-        resilience=ResilienceConfig(breakers_enabled=True, seed=config.seed),
+        resilience=ResilienceConfig(breakers_enabled=True, seed=SEED),
     )
     # The failover variant runs with latency forensics (flight recorder +
     # breaker watch + telemetry) for an ``incident-report/v1`` correlating
@@ -224,11 +225,11 @@ def run_variant(
         clients=APP_SERVERS,
         arrival_rate_per_second=config.arrival_rate_per_second,
         duration_seconds=config.duration_seconds,
-        slo=config.slo,
+        slo=SLO,
         faults=config.faults() if inject_faults else (),
         telemetry_enabled=forensics,
         forensics=ForensicsConfig() if forensics else None,
-        seed=config.seed,
+        seed=SEED,
     ).report
     return report, (audit.verify() if inject_faults else None)
 
@@ -241,7 +242,7 @@ def run(config: FailoverSloConfig) -> FailoverSloResult:
         config=config,
         reports=reports,
         phase_summaries={
-            label: summarise_phases(report, config.phases(), config.slo)
+            label: summarise_phases(report, config.phases(), SLO)
             for label, report in reports.items()
         },
         audit=audit,

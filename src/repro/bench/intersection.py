@@ -47,6 +47,7 @@ FRIENDS = 50
 #: Mean subscribers per target the cost-based optimizer is told: the 2009
 #: Twitter average cited in §8.3.
 AVERAGE_SUBSCRIBERS = 126.0
+SEED = 31
 
 
 @dataclass
@@ -57,7 +58,6 @@ class IntersectionExperimentConfig:
     subscriber_counts: Sequence[int] = (0, 500, 1000, 2000, 3000, 4000, 5000)
     executions_per_point: int = 100
     fan_pool: int = 6000
-    seed: int = 31
 
 
 @dataclass
@@ -77,7 +77,7 @@ def _build_database(
 ) -> Tuple[PiqlDatabase, List[str]]:
     """The loaded database and the fan usernames friends are drawn from."""
     db = PiqlDatabase.simulated(
-        ClusterConfig(storage_nodes=config.storage_nodes, seed=config.seed)
+        ClusterConfig(storage_nodes=config.storage_nodes, seed=SEED)
     )
     # A large cardinality limit on subscriptions per owner: each fan
     # follows a handful of users, while a *target* may have millions of
@@ -119,7 +119,7 @@ def _build_database(
 def run(config: IntersectionExperimentConfig) -> IntersectionResult:
     """Run the bounded (PIQL) and unbounded (cost-based) plans side by side."""
     db, fans = _build_database(config)
-    rng = random.Random(config.seed)
+    rng = random.Random(SEED)
 
     # PIQL plan: bounded random lookups.
     bounded_query = db.prepare(SUBSCRIBER_INTERSECTION)
@@ -141,7 +141,7 @@ def run(config: IntersectionExperimentConfig) -> IntersectionResult:
         # Paired comparison: both plans replay the same service-time
         # noise streams, so their latency difference reflects the plan
         # shapes rather than which run happened to draw the stragglers.
-        db.cluster.reseed_latency_models(config.seed)
+        db.cluster.reseed_latency_models(SEED)
 
     result = IntersectionResult()
     for subscribers in config.subscriber_counts:

@@ -123,12 +123,22 @@ def calibration_seconds() -> float:
     return best
 
 
+#: The cluster at either size, the closed loop's think time, and the seed
+#: every phase derives its own from.  The load is deliberately near
+#: saturation (short think time, large population): that is the regime where
+#: round structure matters — every extra sequential dereference round sits
+#: in a storage-node queue.
+STORAGE_NODES = 6
+NODE_CAPACITY_OPS_PER_SECOND = 4000.0
+THINK_TIME_SECONDS = 0.1
+SEED = 13
+
+
 @dataclass(frozen=True)
 class OperatorFusionConfig:
-    """Cluster, workload, and traffic shape of the experiment."""
+    """Workload size and traffic of the experiment; the cluster shape is
+    the module's constants."""
 
-    storage_nodes: int = 6
-    node_capacity_ops_per_second: float = 4000.0
     users_per_node: int = 30
     #: Authors are ``items // 4`` drawn from a 16-name pool, so 400 items
     #: give ~6 authors per last name — real multi-child sorted joins.
@@ -138,14 +148,9 @@ class OperatorFusionConfig:
     replay_interactions: int = 400
     #: Query microbench: executions per query.
     micro_executions: int = 120
-    #: Closed-loop phase: population, think time, and horizon.  The load is
-    #: deliberately near saturation (short think time, large population):
-    #: that is the regime where round structure matters — every extra
-    #: sequential dereference round sits in a storage-node queue.
+    #: Closed-loop phase: population and horizon.
     clients: int = 60
-    think_time_seconds: float = 0.1
     duration_seconds: float = 15.0
-    seed: int = 13
 
     def quick(self) -> "OperatorFusionConfig":
         """A CI-smoke-sized variant (seconds of wall-clock time)."""
@@ -170,11 +175,11 @@ def _tpcw_database(config: OperatorFusionConfig) -> Tuple[PiqlDatabase, TpcwWork
     clear_row_caches()
     return loaded_database(
         TpcwWorkload(),
-        storage_nodes=config.storage_nodes,
-        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        storage_nodes=STORAGE_NODES,
+        node_capacity_ops_per_second=NODE_CAPACITY_OPS_PER_SECOND,
         users_per_node=config.users_per_node,
         items_total=config.items_total,
-        seed=config.seed,
+        seed=SEED,
         reseed=True,
     )
 
@@ -186,10 +191,10 @@ def _scadr_database(config: OperatorFusionConfig) -> Tuple[PiqlDatabase, ScadrWo
             max_subscriptions=SUBSCRIPTIONS_PER_USER,
             subscriptions_per_user=SUBSCRIPTIONS_PER_USER,
         ),
-        storage_nodes=config.storage_nodes,
-        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        storage_nodes=STORAGE_NODES,
+        node_capacity_ops_per_second=NODE_CAPACITY_OPS_PER_SECOND,
         users_per_node=config.scadr_users_per_node,
-        seed=config.seed + 1,
+        seed=SEED + 1,
         reseed=True,
     )
 
@@ -201,7 +206,7 @@ def run_replay(config: OperatorFusionConfig) -> Tuple[Dict[str, Any], float]:
     """(simulated totals and percentiles, wall seconds)."""
     db, workload = _tpcw_database(config)
     started = time.perf_counter()
-    records = replay(db, workload, config.replay_interactions, config.seed + 2)
+    records = replay(db, workload, config.replay_interactions, SEED + 2)
     wall = time.perf_counter() - started
     return {
         "static_bounds": {
@@ -227,7 +232,7 @@ def run_micro(config: OperatorFusionConfig) -> Dict[str, Dict[str, Any]]:
     measurements: Dict[str, Dict[str, Any]] = {}
     for workload_key, query in MICRO_QUERIES:
         db, workload = databases[workload_key]
-        rng = random.Random(config.seed + 3)
+        rng = random.Random(SEED + 3)
         stats = db.client.stats
         operations = rpcs = rounds = 0
         latency = 0.0
@@ -262,9 +267,9 @@ def run_closed_loop(config: OperatorFusionConfig) -> Tuple[Dict[str, float], flo
         db,
         workload,
         clients=config.clients,
-        think_time_seconds=config.think_time_seconds,
+        think_time_seconds=THINK_TIME_SECONDS,
         duration_seconds=config.duration_seconds,
-        seed=config.seed,
+        seed=SEED,
     )
     return served.headline(), served.wall_seconds
 
@@ -354,7 +359,7 @@ def run_tracing_overhead(config: OperatorFusionConfig) -> Dict[str, float]:
         if arm == "traced":
             db.enable_tracing()
         databases[arm] = (db, workload)
-    return _paired_overhead(config, databases, config.seed + 4)
+    return _paired_overhead(config, databases, SEED + 4)
 
 
 def run_forensics_overhead(config: OperatorFusionConfig) -> Dict[str, float]:
@@ -377,7 +382,7 @@ def run_forensics_overhead(config: OperatorFusionConfig) -> Dict[str, float]:
         if arm == "forensics":
             db.auditor.recorder = recorder
         databases[arm] = (db, workload)
-    overhead = _paired_overhead(config, databases, config.seed + 5)
+    overhead = _paired_overhead(config, databases, SEED + 5)
     overhead.update(
         traces_seen=float(recorder.seen),
         retained_traces=float(len(recorder.traces)),
@@ -398,6 +403,10 @@ def run(config: OperatorFusionConfig) -> Dict[str, Any]:
     return {
         "config": {
             **asdict(config),
+            "storage_nodes": STORAGE_NODES,
+            "node_capacity_ops_per_second": NODE_CAPACITY_OPS_PER_SECOND,
+            "think_time_seconds": THINK_TIME_SECONDS,
+            "seed": SEED,
             "subscriptions_per_user": SUBSCRIPTIONS_PER_USER,
             "tracing_repetitions": TRACING_REPETITIONS,
         },

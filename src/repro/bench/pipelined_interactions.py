@@ -42,23 +42,25 @@ from .fixtures import (
 )
 
 ARMS = ("serial", "pipelined")
+#: The cluster at either size, the closed loop's think time, and the seed.
+STORAGE_NODES = 6
+NODE_CAPACITY_OPS_PER_SECOND = 4000.0
+THINK_TIME_SECONDS = 0.5
+SEED = 11
 
 
 @dataclass(frozen=True)
 class PipelinedInteractionsConfig:
-    """Cluster, workload, and traffic shape of the comparison."""
+    """Workload size and traffic of the comparison; the cluster shape is
+    the module's constants."""
 
-    storage_nodes: int = 6
-    node_capacity_ops_per_second: float = 4000.0
     users_per_node: int = 30
     items_total: int = 100
     #: Paired-replay phase: interactions replayed per arm by one server.
     replay_interactions: int = 400
-    #: Closed-loop phase: population, think time, and horizon.
+    #: Closed-loop phase: population and horizon.
     clients: int = 30
-    think_time_seconds: float = 0.5
     duration_seconds: float = 30.0
-    seed: int = 11
 
     def quick(self) -> "PipelinedInteractionsConfig":
         """A CI-smoke-sized variant (seconds of wall-clock time)."""
@@ -107,11 +109,11 @@ def _fresh_database(
 ) -> Tuple[PiqlDatabase, TpcwWorkload]:
     return loaded_database(
         TpcwWorkload(),
-        storage_nodes=config.storage_nodes,
-        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        storage_nodes=STORAGE_NODES,
+        node_capacity_ops_per_second=NODE_CAPACITY_OPS_PER_SECOND,
         users_per_node=config.users_per_node,
         items_total=config.items_total,
-        seed=config.seed,
+        seed=SEED,
         reseed=True,
     )
 
@@ -121,7 +123,7 @@ def run_replay(
 ) -> List[ReplayRecord]:
     db, workload = _fresh_database(config)
     return replay(
-        db, workload, config.replay_interactions, config.seed + 1,
+        db, workload, config.replay_interactions, SEED + 1,
         session=db.session() if pipelined else None,
     )
 
@@ -134,10 +136,10 @@ def run_closed_loop(
         db,
         workload,
         clients=config.clients,
-        think_time_seconds=config.think_time_seconds,
+        think_time_seconds=THINK_TIME_SECONDS,
         duration_seconds=config.duration_seconds,
         pipelined=pipelined,
-        seed=config.seed,
+        seed=SEED,
     )
     coalesced = sum(
         server.db.client.stats.coalesced_reads
@@ -150,7 +152,13 @@ def run(config: PipelinedInteractionsConfig) -> Dict[str, Any]:
     """Both phases for both arms; returns the summary that is saved."""
     replays = {arm: run_replay(config, arm == "pipelined") for arm in ARMS}
     return {
-        "config": asdict(config),
+        "config": {
+            **asdict(config),
+            "storage_nodes": STORAGE_NODES,
+            "node_capacity_ops_per_second": NODE_CAPACITY_OPS_PER_SECOND,
+            "think_time_seconds": THINK_TIME_SECONDS,
+            "seed": SEED,
+        },
         "replay": {
             "operations_identical": same_work(
                 replays["serial"], replays["pipelined"]

@@ -47,16 +47,20 @@ class PredictionRow:
         return self.predicted_p99_ms - self.actual_p99_ms
 
 
+#: The cluster at either size (data is loaded for as many nodes) and the
+#: seed.
+STORAGE_NODES = 10
+SEED = 41
+
+
 @dataclass
 class PredictionExperimentConfig:
-    """Setup of the Table 1 reproduction."""
+    """Data size and sampling of the Table 1 reproduction."""
 
-    storage_nodes: int = 10
     users_per_node: int = 60
     items_total: int = 600
     intervals: int = 10
     executions_per_interval: int = 60
-    seed: int = 41
 
 
 #: Simulated length of one measured SLO interval.
@@ -88,18 +92,18 @@ def _measure_workload(
 ) -> List[PredictionRow]:
     db, workload = loaded_database(
         workload,
-        storage_nodes=config.storage_nodes,
-        data_nodes=config.storage_nodes,
+        storage_nodes=STORAGE_NODES,
+        data_nodes=STORAGE_NODES,
         users_per_node=config.users_per_node,
         items_total=config.items_total,
-        seed=config.seed,
+        seed=SEED,
     )
     total_capacity = (
-        config.storage_nodes * db.cluster.config.node_capacity_ops_per_second
+        STORAGE_NODES * db.cluster.config.node_capacity_ops_per_second
     )
     db.cluster.set_offered_load(total_capacity * UTILIZATION)
     model = QueryLatencyModel(store, db.catalog)
-    rng = random.Random(config.seed)
+    rng = random.Random(SEED)
     rows: List[PredictionRow] = []
 
     for name in workload.query_names():

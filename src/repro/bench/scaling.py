@@ -76,6 +76,13 @@ class ScalingResult:
         ]
 
 
+#: Items in the TPC-W catalogue at every cluster size.
+ITEMS_TOTAL = 600
+#: Copies of each key (fewer on a cluster smaller than that).
+REPLICATION = 2
+SEED = 17
+
+
 @dataclass
 class ScalingExperimentConfig:
     """Knobs of the scale-up experiment.
@@ -88,11 +95,8 @@ class ScalingExperimentConfig:
 
     node_counts: Sequence[int] = (20, 40, 60, 80, 100)
     users_per_node: int = 60
-    items_total: int = 600
     threads_per_client: int = 5
     interactions_per_thread: int = 12
-    replication: int = 2
-    seed: int = 17
 
 
 def run_point(
@@ -105,10 +109,10 @@ def run_point(
         storage_nodes=storage_nodes,
         data_nodes=storage_nodes,
         users_per_node=config.users_per_node,
-        items_total=config.items_total,
-        seed=config.seed + storage_nodes,
-        data_seed=config.seed,
-        replication=min(config.replication, storage_nodes),
+        items_total=ITEMS_TOTAL,
+        seed=SEED + storage_nodes,
+        data_seed=SEED,
+        replication=min(REPLICATION, storage_nodes),
     )
     # One client machine per two storage servers, as in the paper.
     client_machines = max(1, storage_nodes // 2)
@@ -119,7 +123,7 @@ def run_point(
             client_machines=client_machines,
             threads_per_client=config.threads_per_client,
             interactions_per_thread=config.interactions_per_thread,
-            seed=config.seed + storage_nodes,
+            seed=SEED + storage_nodes,
         ),
     )
     return ScalePoint(

@@ -21,7 +21,7 @@ shape of Figures 8–11 of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from ..prediction.slo import ServiceLevelObjective
@@ -37,25 +37,26 @@ NORMAL_RATE_PER_SECOND = 40.0
 SURGE_RATE_PER_SECOND = 200.0
 #: Length of the recovery phase after the surge ends.
 RECOVERY_SECONDS = 10.0
+#: The cluster and its open-loop application servers at either size, the
+#: SLO judged, and the seed.
+STORAGE_NODES = 4
+NODE_CAPACITY_OPS_PER_SECOND = 400.0
+CLIENTS = 50
+SLO = ServiceLevelObjective(
+    quantile=0.99, latency_seconds=0.1, interval_seconds=5.0
+)
+SEED = 7
 
 
 @dataclass(frozen=True)
 class ServingSloConfig:
-    """Cluster, workload, and traffic shape of the surge scenario."""
+    """Workload size and phase lengths of the surge scenario; the cluster,
+    SLO and seed are the module's constants."""
 
-    storage_nodes: int = 4
-    node_capacity_ops_per_second: float = 400.0
     users_per_node: int = 30
     items_total: int = 100
-    clients: int = 50
     normal_seconds: float = 10.0
     surge_seconds: float = 10.0
-    slo: ServiceLevelObjective = field(
-        default_factory=lambda: ServiceLevelObjective(
-            quantile=0.99, latency_seconds=0.1, interval_seconds=5.0
-        )
-    )
-    seed: int = 7
 
     @property
     def duration_seconds(self) -> float:
@@ -101,11 +102,11 @@ def run_variant(config: ServingSloConfig, admission_enabled: bool) -> ServingRep
     """Run the three-phase scenario once (fresh database per variant)."""
     db, workload = loaded_database(
         TpcwWorkload(),
-        storage_nodes=config.storage_nodes,
-        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        storage_nodes=STORAGE_NODES,
+        node_capacity_ops_per_second=NODE_CAPACITY_OPS_PER_SECOND,
         users_per_node=config.users_per_node,
         items_total=config.items_total,
-        seed=config.seed,
+        seed=SEED,
     )
     (_, surge_start, surge_end) = config.phases()[1]
 
@@ -127,12 +128,12 @@ def run_variant(config: ServingSloConfig, admission_enabled: bool) -> ServingRep
         workload,
         before_run=schedule_surge,
         mode="open",
-        clients=config.clients,
+        clients=CLIENTS,
         arrival_rate_per_second=NORMAL_RATE_PER_SECOND,
         duration_seconds=config.duration_seconds,
-        slo=config.slo,
+        slo=SLO,
         admission=admission_enabled,
-        seed=config.seed,
+        seed=SEED,
     ).report
 
 
@@ -145,7 +146,7 @@ def run(config: ServingSloConfig) -> ServingSloResult:
         config=config,
         reports=reports,
         phase_summaries={
-            label: summarise_phases(report, config.phases(), config.slo)
+            label: summarise_phases(report, config.phases(), SLO)
             for label, report in reports.items()
         },
     )

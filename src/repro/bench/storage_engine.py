@@ -44,20 +44,22 @@ from .experiment import Experiment, claim
 
 #: Byte budget of the budgeted bulk-load phase.
 BULK_BUDGET_BYTES = 8192
+#: Engine-level memtable budget — deliberately tiny so the benchmark
+#: exercises flushes, segment stacks, and compaction, not just dicts.
+MEMTABLE_BUDGET_BYTES = 8192
+#: The cluster at either size: five nodes, N=3 with R=W=2.
+STORAGE_NODES = 5
+REPLICATION = 3
+READ_QUORUM = 2
+WRITE_QUORUM = 2
+SEED = 17
 
 
 @dataclass(frozen=True)
 class StorageEngineConfig:
-    """Cluster shape and workload sizes of the storage-engine experiment."""
+    """Workload sizes of the storage-engine experiment; the cluster shape
+    is the module's constants."""
 
-    storage_nodes: int = 5
-    replication: int = 3
-    read_quorum: int = 2
-    write_quorum: int = 2
-    seed: int = 17
-    #: Engine-level memtable budget — deliberately tiny so the benchmark
-    #: exercises flushes, segment stacks, and compaction, not just dicts.
-    memtable_budget_bytes: int = 8192
     #: Mixed-workload length of the parity phase.
     parity_ops: int = 600
     #: Data cardinalities of the latency sweep.
@@ -89,14 +91,14 @@ class StorageEngineConfig:
 def _cluster(config: StorageEngineConfig, engine: str) -> KeyValueCluster:
     options = None
     if engine == "lsm":
-        options = {"memtable_budget_bytes": config.memtable_budget_bytes}
+        options = {"memtable_budget_bytes": MEMTABLE_BUDGET_BYTES}
     cluster = KeyValueCluster(
         ClusterConfig(
-            storage_nodes=config.storage_nodes,
-            replication=config.replication,
-            read_quorum=config.read_quorum,
-            write_quorum=config.write_quorum,
-            seed=config.seed,
+            storage_nodes=STORAGE_NODES,
+            replication=REPLICATION,
+            read_quorum=READ_QUORUM,
+            write_quorum=WRITE_QUORUM,
+            seed=SEED,
             storage_engine=engine,
             engine_options=options,
         )
@@ -111,7 +113,7 @@ def _cluster(config: StorageEngineConfig, engine: str) -> KeyValueCluster:
 def _parity_arm(config: StorageEngineConfig, engine: str):
     cluster = _cluster(config, engine)
     try:
-        rng = random.Random(config.seed)
+        rng = random.Random(SEED)
         observations: List[Tuple] = []
         crash_at = config.parity_ops // 3
         recover_at = 2 * config.parity_ops // 3
@@ -174,9 +176,9 @@ def _run_sweep(config: StorageEngineConfig) -> List[Dict[str, Any]]:
                 for index in range(size)
             )
             cluster.bulk_load_namespace(
-                "data", rows, memory_budget_bytes=config.memtable_budget_bytes
+                "data", rows, memory_budget_bytes=MEMTABLE_BUDGET_BYTES
             )
-            rng = random.Random(config.seed + size)
+            rng = random.Random(SEED + size)
             peak_memtable = 0
             get_latencies: List[float] = []
             range_latencies: List[float] = []
@@ -278,7 +280,7 @@ def _run_recovery(config: StorageEngineConfig) -> Dict[str, Any]:
 # Phase 4: budgeted bulk load
 # ----------------------------------------------------------------------
 def _run_bulk(config: StorageEngineConfig) -> Dict[str, Any]:
-    rng = random.Random(config.seed + 99)
+    rng = random.Random(SEED + 99)
     rows = [
         (f"k{rng.randrange(config.bulk_rows):06d}".encode(), f"v{i}".encode())
         for i in range(config.bulk_rows)
@@ -334,7 +336,7 @@ def check(result: Dict[str, Any]) -> None:
     claim("storage_engine: per-query latency is flat across the 16x data-size sweep",
           0.8 <= result["sweep_latency_ratio"] <= 1.25, result["sweep_latency_ratio"])
     # Both sizes run under the one default budget.
-    budget = StorageEngineConfig.memtable_budget_bytes
+    budget = MEMTABLE_BUDGET_BYTES
     for point in result["sweep"]:
         claim("storage_engine: the resident memtable stays inside its byte budget",
               point["peak_memtable_bytes"] <= budget + 1024,

@@ -32,6 +32,9 @@ class StrategyMeasurement:
     throughput: float
 
 
+SEED = 23
+
+
 @dataclass
 class ExecutorStrategyConfig:
     """Setup of the Figure 12 experiment (10 storage nodes, 5 clients)."""
@@ -42,7 +45,6 @@ class ExecutorStrategyConfig:
     interactions_per_thread: int = 20
     users_per_node: int = 60
     items_total: int = 600
-    seed: int = 23
 
 
 def run(config: ExecutorStrategyConfig) -> List[StrategyMeasurement]:
@@ -53,7 +55,7 @@ def run(config: ExecutorStrategyConfig) -> List[StrategyMeasurement]:
         data_nodes=config.storage_nodes,
         users_per_node=config.users_per_node,
         items_total=config.items_total,
-        seed=config.seed,
+        seed=SEED,
     )
     measurements: List[StrategyMeasurement] = []
     for strategy in (
@@ -65,7 +67,7 @@ def run(config: ExecutorStrategyConfig) -> List[StrategyMeasurement]:
         # noise streams, so the measured differences come from the
         # executor's request shape (batching, parallelism), not from
         # which run happened to draw the stragglers.
-        db.cluster.reseed_latency_models(config.seed)
+        db.cluster.reseed_latency_models(SEED)
         measurement = run_workload(
             db,
             workload,
@@ -74,7 +76,7 @@ def run(config: ExecutorStrategyConfig) -> List[StrategyMeasurement]:
                 threads_per_client=config.threads_per_client,
                 interactions_per_thread=config.interactions_per_thread,
                 strategy=strategy,
-                seed=config.seed,
+                seed=SEED,
             ),
         )
         measurements.append(

@@ -38,12 +38,18 @@ from .experiment import Experiment, claim
 from .fixtures import loaded_database, serve
 
 
+#: The cluster at either size, the closed loop's think time, and the seed.
+STORAGE_NODES = 6
+NODE_CAPACITY_OPS_PER_SECOND = 4000.0
+THINK_TIME_SECONDS = 0.3
+SEED = 23
+
+
 @dataclass(frozen=True)
 class ViewMaintenanceConfig:
-    """Cluster shape, data scales, and traffic of the experiment."""
+    """Data scales and traffic of the experiment; the cluster shape is the
+    module's constants."""
 
-    storage_nodes: int = 6
-    node_capacity_ops_per_second: float = 4000.0
     #: Data scales for the write-amplification / bounded-read sweep; the
     #: order-line table grows roughly linearly with users_per_node.
     scale_users_per_node: Tuple[int, ...] = (10, 30, 90)
@@ -54,11 +60,9 @@ class ViewMaintenanceConfig:
     probe_reads: int = 60
     #: Serving-tier closed loop (correctness-under-load phase).
     clients: int = 30
-    think_time_seconds: float = 0.3
     duration_seconds: float = 12.0
     #: SCADr correctness phase sizing.
     scadr_users_per_node: int = 40
-    seed: int = 23
 
     def quick(self) -> "ViewMaintenanceConfig":
         """A CI-smoke-sized variant (a few seconds of wall clock)."""
@@ -103,11 +107,11 @@ def _tpcw(
 ) -> Tuple[PiqlDatabase, TpcwWorkload]:
     return loaded_database(
         TpcwWorkload(materialized_views=views),
-        storage_nodes=config.storage_nodes,
-        node_capacity_ops_per_second=config.node_capacity_ops_per_second,
+        storage_nodes=STORAGE_NODES,
+        node_capacity_ops_per_second=NODE_CAPACITY_OPS_PER_SECOND,
         users_per_node=users_per_node,
         items_total=config.items_total,
-        seed=config.seed,
+        seed=SEED,
         reseed=True,
     )
 
@@ -119,7 +123,7 @@ def _probe_inserts(
     config: ViewMaintenanceConfig, db: PiqlDatabase, base_order_id: int
 ) -> float:
     """Mean ops per order-line insert for a batch of fresh orders."""
-    rng = random.Random(config.seed + 17)
+    rng = random.Random(SEED + 17)
     view = db.new_client()
     before = view.client.stats.operations
     for offset in range(config.probe_inserts):
@@ -150,7 +154,7 @@ def run_scale_point(
     with_view = _probe_inserts(config, db, base_order_id=50_000_000)
     without_view = _probe_inserts(config, baseline_db, base_order_id=50_000_000)
 
-    rng = random.Random(config.seed + 5)
+    rng = random.Random(SEED + 5)
     reader = db.new_client()
     reader_prepared = reader.prepare(workload.query_sql("best_sellers_wi"))
     ops_max = 0
@@ -187,9 +191,9 @@ def run_serving_and_correctness(
         db,
         workload,
         clients=config.clients,
-        think_time_seconds=config.think_time_seconds,
+        think_time_seconds=THINK_TIME_SECONDS,
         duration_seconds=config.duration_seconds,
-        seed=config.seed,
+        seed=SEED,
     ).report
     by_name: Dict[str, int] = {}
     for record in report.log.records:
@@ -221,12 +225,12 @@ def run_serving_and_correctness(
     # SCADr: per-user counts against an offline recompute of thoughts.
     scadr_db, scadr = loaded_database(
         ScadrWorkload(materialized_views=True),
-        storage_nodes=config.storage_nodes,
+        storage_nodes=STORAGE_NODES,
         data_nodes=2,
         users_per_node=config.scadr_users_per_node,
-        seed=config.seed + 1,
+        seed=SEED + 1,
     )
-    rng = random.Random(config.seed + 2)
+    rng = random.Random(SEED + 2)
     for _ in range(50):  # extra posts and retractions under the view
         owner = rng.choice(scadr.usernames)
         scadr_db.insert(
@@ -273,7 +277,13 @@ def run(config: ViewMaintenanceConfig) -> Dict[str, Any]:
     ]
     serving, correctness = run_serving_and_correctness(config)
     return {
-        "config": asdict(config),
+        "config": {
+            **asdict(config),
+            "storage_nodes": STORAGE_NODES,
+            "node_capacity_ops_per_second": NODE_CAPACITY_OPS_PER_SECOND,
+            "think_time_seconds": THINK_TIME_SECONDS,
+            "seed": SEED,
+        },
         "rejected_without_view": rejected,
         "scale_points": [
             {**asdict(p), "maintenance_ops": p.maintenance_ops} for p in points

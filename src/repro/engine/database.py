@@ -59,7 +59,6 @@ class PiqlDatabase:
     def __init__(
         self,
         cluster: Optional[KeyValueCluster] = None,
-        strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL,
         resilience: Optional[ResilienceConfig] = None,
     ):
         if resilience is not None and not isinstance(resilience, ResilienceConfig):
@@ -78,7 +77,7 @@ class PiqlDatabase:
         self._compiled_cache: Dict[str, Tuple[int, OptimizedQuery]] = {}
         self._wire_view(
             StorageClient(cluster=self.cluster),
-            strategy,
+            ExecutionStrategy.PARALLEL,
             resilience or ResilienceConfig(),
         )
 
@@ -118,17 +117,16 @@ class PiqlDatabase:
     def simulated(
         cls,
         config: Optional[ClusterConfig] = None,
-        strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL,
         resilience: Optional[ResilienceConfig] = None,
     ) -> "PiqlDatabase":
         """Create a database on a fresh simulated cluster.
 
         ``resilience`` configures the client resilience policy (see
-        :class:`PiqlDatabase`).
+        :class:`PiqlDatabase`).  Its queries run PARALLEL; a view with
+        another strategy comes from :meth:`new_client`.
         """
         return cls(
             cluster=KeyValueCluster(config or ClusterConfig()),
-            strategy=strategy,
             resilience=resilience,
         )
 
@@ -145,6 +143,10 @@ class PiqlDatabase:
         servers issuing queries concurrently (Figure 2).  The serving tier's
         discrete-event kernel passes its own ``clock`` so it can interleave
         this client's timeline with every other client's.
+
+        ``strategy`` is the one place an execution strategy is chosen: every
+        query of the view runs under it (default: this view's).  Comparing
+        strategies (Figure 12) means one view per strategy.
         """
         clone = PiqlDatabase.__new__(PiqlDatabase)
         for name in self._INHERITED_BY_VIEWS:

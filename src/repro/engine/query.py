@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Optional
 
 from ..errors import ExecutionError
-from ..execution.context import ExecutionStrategy, QueryResult
+from ..execution.context import QueryResult
 from ..optimizer.optimizer import OptimizedQuery
 from ..plans.bounds import PlanBound
 
@@ -127,7 +127,6 @@ class PreparedQuery:
         self,
         parameters: Optional[Dict[str, Any]] = None,
         cursor: Optional[object] = None,
-        strategy: Optional[ExecutionStrategy] = None,
         **kwargs: Any,
     ) -> QueryResult:
         """Execute the query, blocking until its (simulated) completion.
@@ -135,20 +134,15 @@ class PreparedQuery:
         Parameters may be passed as a dictionary or as keyword arguments
         (``q.execute(uname="bob")``); keyword arguments win on conflict.
         They are checked against what the query declares before anything
-        runs (:func:`bind_parameters`).
+        runs (:func:`bind_parameters`).  How the plan is run is the view's
+        choice (:meth:`~repro.engine.database.PiqlDatabase.new_client`).
         """
         return self._session._execute_page(
-            self._optimized, parameters, kwargs, cursor, strategy
+            self._optimized, parameters, kwargs, cursor
         )
 
     def pages(
-        self,
-        parameters: Optional[Dict[str, Any]] = None,
-        max_pages: int = 1000,
-        strategy: Optional[ExecutionStrategy] = None,
-        **kwargs: Any,
+        self, parameters: Optional[Dict[str, Any]] = None, **kwargs: Any
     ) -> Iterator[QueryResult]:
         """Iterate all pages of a PAGINATE query, fetching each as it is reached."""
-        yield from self._session.execute(
-            self, parameters, strategy=strategy, **kwargs
-        ).pages(max_pages)
+        yield from self._session.execute(self, parameters, **kwargs).pages()

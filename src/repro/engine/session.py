@@ -40,6 +40,11 @@ retries, breakers — takes over
 (:meth:`~repro.resilience.policy.ResiliencePolicy.execute_page`).  The
 blocking ``PreparedQuery.execute`` calls it directly: no future, no cursor,
 no closure, four frames down to the executor.
+
+Nothing on this path chooses *how* a plan runs (LAZY, SIMPLE or PARALLEL,
+Figure 12): that is fixed per database view by
+:meth:`~repro.engine.database.PiqlDatabase.new_client` and read by the
+executor (see :mod:`repro.execution.executor`).
 """
 
 from __future__ import annotations
@@ -47,10 +52,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Union
 
 from ..errors import ExecutionError
-from ..execution.context import ExecutionStrategy, QueryResult
+from ..execution.context import QueryResult
 from ..kvstore.simtime import SimClock
 from ..optimizer.optimizer import OptimizedQuery
 from .query import PreparedQuery, bind_parameters
+
+#: How many pages a cursor may hold before a draining iteration gives up:
+#: a safety valve against a paginated plan that never runs dry.
+MAX_PAGES = 1000
 
 
 class CallOutcome:
@@ -175,13 +184,11 @@ class ResultCursor:
         parameters: Optional[Dict[str, Any]],
         kwargs: Optional[Dict[str, Any]],
         cursor: Optional[object],
-        strategy: Optional[ExecutionStrategy],
     ):
         self._session = session
         self._optimized = optimized
         self._parameters = parameters
         self._kwargs = kwargs
-        self._strategy = strategy
         self._pages: List[QueryResult] = [self._fetch(cursor)]
 
     # ------------------------------------------------------------------
@@ -233,16 +240,12 @@ class ResultCursor:
     # ------------------------------------------------------------------
     def _fetch(self, cursor: Optional[object]) -> QueryResult:
         return self._session._execute_page(
-            self._optimized, self._parameters, self._kwargs, cursor,
-            self._strategy,
+            self._optimized, self._parameters, self._kwargs, cursor
         )
 
-    def pages(self, max_pages: int = 1000) -> Iterator[QueryResult]:
-        """Iterate pages: already-fetched ones first, then lazily from the store.
-
-        ``max_pages`` is a safety valve on how many pages the cursor may
-        hold before a draining iteration gives up.
-        """
+    def pages(self) -> Iterator[QueryResult]:
+        """Iterate pages: already-fetched ones first, then lazily from the
+        store, up to :data:`MAX_PAGES` in all."""
         index = 0
         while True:
             while index < len(self._pages):
@@ -251,9 +254,9 @@ class ResultCursor:
             last = self._pages[-1]
             if not last.has_more:
                 return
-            if len(self._pages) >= max_pages:
+            if len(self._pages) >= MAX_PAGES:
                 raise ExecutionError(
-                    f"pagination did not terminate within {max_pages} pages"
+                    f"pagination did not terminate within {MAX_PAGES} pages"
                 )
             self._pages.append(self._fetch(last.cursor))
 
@@ -326,8 +329,6 @@ class Session:
         query: Submittable,
         parameters: Optional[Dict[str, Any]] = None,
         *,
-        cursor: Optional[object] = None,
-        strategy: Optional[ExecutionStrategy] = None,
         label: Optional[str] = None,
         **kwargs: Any,
     ) -> QueryFuture:
@@ -344,9 +345,7 @@ class Session:
         name = label or (optimized.sql.split(None, 1)[0] if optimized.sql else "query")
 
         def thunk() -> ResultCursor:
-            return ResultCursor(
-                self, optimized, parameters, kwargs, cursor, strategy
-            )
+            return ResultCursor(self, optimized, parameters, kwargs, None)
 
         return QueryFuture(self, name, thunk)
 
@@ -372,14 +371,12 @@ class Session:
         parameters: Optional[Dict[str, Any]] = None,
         *,
         cursor: Optional[object] = None,
-        strategy: Optional[ExecutionStrategy] = None,
         **kwargs: Any,
     ) -> ResultCursor:
         """Run one query inline (the blocking path); its first page is
         fetched before this returns."""
         return ResultCursor(
-            self, self._resolve_optimized(query), parameters, kwargs, cursor,
-            strategy,
+            self, self._resolve_optimized(query), parameters, kwargs, cursor
         )
 
     # ------------------------------------------------------------------
@@ -391,15 +388,11 @@ class Session:
         parameters: Optional[Dict[str, Any]],
         kwargs: Optional[Dict[str, Any]],
         cursor: Optional[object],
-        strategy: Optional[ExecutionStrategy],
     ) -> QueryResult:
         """The one way in: bind and check the parameters, then run one page
         under the view's resilience policy (see the module docstring)."""
         return self.db.resilience.execute_page(
-            optimized,
-            bind_parameters(optimized, parameters, kwargs),
-            cursor,
-            strategy,
+            optimized, bind_parameters(optimized, parameters, kwargs), cursor
         )
 
     def _finish(self, future: QueryFuture, started: float, clock: SimClock) -> None:

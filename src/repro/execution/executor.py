@@ -1,10 +1,15 @@
 """The query executor: runs compiled plans and measures their cost.
 
-The executor resumes pagination cursors, runs the physical plan under a
-chosen :class:`ExecutionStrategy`, and reports both the rows and the
+The executor resumes pagination cursors, runs the physical plan under its
+view's :class:`ExecutionStrategy`, and reports both the rows and the
 simulated cost of the execution (latency, key/value operations, round trips)
 — the quantities all of the paper's experiments are built on.  Parameters
 arrive already bound and checked (:func:`repro.engine.query.bind_parameters`).
+
+The strategy is a property of the database view, fixed when the view is
+built (``PiqlDatabase.new_client(strategy=...)``; a fresh database runs
+PARALLEL): one view, one strategy, so nothing on the way down from
+``PreparedQuery.execute`` carries it.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ class QueryExecutor:
         client: StorageClient,
         catalog: Catalog,
         auditor: BoundAuditor,
-        strategy: ExecutionStrategy = ExecutionStrategy.PARALLEL,
+        strategy: ExecutionStrategy,
     ):
         self.client = client
         self.catalog = catalog
@@ -51,14 +56,13 @@ class QueryExecutor:
         query: OptimizedQuery,
         parameters: Dict[str, Any],
         cursor: Optional[object] = None,
-        strategy: Optional[ExecutionStrategy] = None,
     ) -> QueryResult:
         """Execute a compiled query (or the next page of a paginated one).
 
         ``parameters`` is the dict :func:`repro.engine.query.bind_parameters`
         built for this query; it is read, never copied or changed.
         """
-        strategy = strategy or self.strategy
+        strategy = self.strategy
         # Only pagination reads the fingerprint: it binds a page's cursor to
         # the query, plan and the values its predicates read, so a cursor
         # replayed under other values fails here, before any request.  What
@@ -146,8 +150,7 @@ class QueryExecutor:
     def execute_physical_plan(
         self,
         plan: P.PhysicalOperator,
-        parameters: Optional[Dict[str, Any]] = None,
-        strategy: Optional[ExecutionStrategy] = None,
+        parameters: Dict[str, Any],
     ) -> QueryResult:
         """Execute a bare physical plan (no cursor or bound handling).
 
@@ -160,8 +163,8 @@ class QueryExecutor:
             ExecutionContext(
                 client=self.client,
                 catalog=self.catalog,
-                parameters=parameters or {},
-                strategy=strategy or self.strategy,
+                parameters=parameters,
+                strategy=self.strategy,
                 tracer=self.client.tracer,
             ),
         )

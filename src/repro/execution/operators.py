@@ -544,31 +544,6 @@ def _bound_sort_keys(
     ]
 
 
-def _sort_columns_follow_prefix(
-    op: P.PhysicalSortedIndexJoin, table: Table
-) -> bool:
-    """Whether every sort column's bytes can be cut out of an entry key.
-
-    Both for a primary-index join (entry key = primary key) and for a
-    secondary index built by the optimizer, the sort columns sit directly
-    after the join-prefix columns, so their encoded values start at the
-    byte where the encoded prefix ends.  ``False`` when the layout does not
-    match (e.g. a tokenized component), which disables entry-order
-    selection but not round fusion.
-    """
-    start = len(op.prefix)
-    names = [name for name, _ in op.sort_keys]
-    if op.index.primary:
-        return list(table.primary_key)[start : start + len(names)] == names
-    definition = op.index.definition
-    if definition is None:
-        return not names
-    columns = definition.columns[start : start + len(names)]
-    return [column.name for column in columns] == names and not any(
-        column.tokenized for column in columns
-    )
-
-
 def _execute_sorted_index_join(
     op: P.PhysicalSortedIndexJoin, context: ExecutionContext
 ) -> List[InternalRow]:
@@ -654,44 +629,23 @@ def _fused_sorted_join(
     primary-index payloads are deserialised only as needed, and secondary
     entries are dereferenced in one deduplicated bulk round per stop-sized
     chunk, stopping as soon as the stop is satisfied.
+
+    Ordering by entry-key bytes needs the sort columns right after the join
+    prefix, untokenized, in the index the join reads.  The planner only
+    builds such joins (``phase2._build_join``: the primary key when the
+    sort columns follow the prefix there, else an index on the prefix then
+    the sort columns); ``tests/optimizer/test_sorted_join_layout.py`` checks
+    every compiled workload plan.
     """
     client = context.client
     total_entries = sum(len(entries) for entries in per_child_entries)
     if total_entries == 0:
         return []
 
-    if not _sort_columns_follow_prefix(op, table):
-        # Sort order not recoverable from the entry keys: still fuse the
-        # dereference into one bulk round, then order locally.
-        joined: List[InternalRow] = []
-        by_key: Dict[bytes, Optional[bytes]] = {}
-        if not op.index.primary:
-            flat = [entry for entries in per_child_entries for entry in entries]
-            by_key = _fused_dereference_map(table, flat, context)
-        for child_index, entries in enumerate(per_child_entries):
-            row = child_rows[child_index]
-            for key, value in entries:
-                if op.index.primary:
-                    record = deserialize_row(value)
-                else:
-                    payload = by_key.get(cached_pk_key(value))
-                    if payload is None:
-                        continue
-                    record = deserialize_row(payload)
-                merged = dict(row)
-                merged[op.relation_alias] = record
-                joined.append(merged)
-        if op.sort_keys:
-            keys = _bound_sort_keys(op)
-            if stop is not None:
-                return top_k_rows(joined, keys, stop)
-            joined = sort_rows(joined, keys)
-        return joined[:stop] if stop is not None else joined
-
     ordered = _entries_in_output_order(op, per_child_entries, prefix_lengths)
     needed = stop if stop is not None else total_entries
 
-    joined = []
+    joined: List[InternalRow] = []
     if op.index.primary:
         # The payloads already travelled with the range replies; ordering
         # first just avoids deserialising rows the stop would discard.
@@ -705,7 +659,7 @@ def _fused_sorted_join(
     # deduplicated bulk round; entries never reached are charged as
     # requested-but-saved lookups so operation counts measure requested work.
     chunk_size = max(1, needed)
-    by_key = {}
+    by_key: Dict[bytes, Optional[bytes]] = {}
     examined = 0
     while len(joined) < needed:
         chunk = list(islice(ordered, chunk_size))

@@ -14,7 +14,7 @@ surface the replica store uses::
     put(key, value) -> None
     delete(key) -> bool
     range(start, end, limit, ascending) -> List[Tuple[bytes, bytes]]
-    iter_range(start, end, ascending) -> Iterator[Tuple[bytes, bytes]]
+    iter_range(start, end) -> Iterator[Tuple[bytes, bytes]]
     iter_items() -> Iterator[Tuple[bytes, bytes]]
     __len__ / __contains__
 

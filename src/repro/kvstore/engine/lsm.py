@@ -564,10 +564,9 @@ class LsmEngine(StorageEngine):
     # ------------------------------------------------------------------
     # Bulk load
     # ------------------------------------------------------------------
-    def bulk_load(
-        self, namespace: str, items, memory_budget_bytes: Optional[int] = None
-    ) -> int:
-        """Build one segment from an unsorted stream under a byte budget.
+    def bulk_load(self, namespace: str, items) -> int:
+        """Build one segment from an unsorted stream under the memtable's
+        byte budget.
 
         Bypasses the WAL: the segment rename is the commit point.  The
         engine flushes first so no stale memtable entry can shadow the new
@@ -575,9 +574,9 @@ class LsmEngine(StorageEngine):
         """
         tree = self.map(namespace)
         self.flush()
-        budget = memory_budget_bytes or self.memtable_budget_bytes
         sorter = SpillingSorter(
-            os.path.join(self.data_dir, "spill"), budget_bytes=budget
+            os.path.join(self.data_dir, "spill"),
+            budget_bytes=self.memtable_budget_bytes,
         )
         for key, value in items:
             sorter.add(bytes(key), bytes(value))

@@ -417,18 +417,16 @@ class Segment:
             yield entries
 
     def iter_range(
-        self,
-        start: Optional[bytes] = None,
-        end: Optional[bytes] = None,
-        ascending: bool = True,
+        self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Entry]:
-        """Yield ``(key, value_or_None)`` with ``start <= key < end``.
+        """Yield ``(key, value_or_None)`` with ``start <= key < end``, in
+        key order (:meth:`iter_blocks` also walks backwards).
 
         Delete markers are yielded (value ``None``) — the LSM merge layer
         needs them to shadow older segments.  A segment whose key bounds
         miss the range yields nothing without reading anything.
         """
-        return chain.from_iterable(self.iter_blocks(start, end, ascending))
+        return chain.from_iterable(self.iter_blocks(start, end))
 
     def close(self) -> None:
         if not self._file.closed:

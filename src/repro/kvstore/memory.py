@@ -165,20 +165,17 @@ class OrderedKVMap:
         return [(k, data[k]) for k in selected]
 
     def iter_range(
-        self,
-        start: Optional[bytes] = None,
-        end: Optional[bytes] = None,
-        ascending: bool = True,
+        self, start: Optional[bytes] = None, end: Optional[bytes] = None
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """Lazily yield ``(key, value)`` pairs with ``start <= key < end``.
+        """Lazily yield ``(key, value)`` pairs with ``start <= key < end``,
+        in key order.
 
         Unlike :meth:`range` nothing is materialised, so a consumer that
         stops early (a merge honouring a LIMIT) does O(consumed) work.  The
         map must not be mutated while the iterator is live.
         """
         keys, lo, hi = self._index.span(start, end)
-        indices = range(lo, hi) if ascending else range(hi - 1, lo - 1, -1)
-        for index in indices:
+        for index in range(lo, hi):
             key = keys[index]
             yield key, self._data[key]
 

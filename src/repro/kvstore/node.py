@@ -44,8 +44,8 @@ class NodeStats:
 
     __slots__ = ("metrics",)
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = MetricsRegistry() if metrics is None else metrics
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
 
     def reset(self) -> None:
         self.metrics.reset()

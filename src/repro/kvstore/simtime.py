@@ -40,6 +40,6 @@ class SimClock:
         self.now += seconds
         return self.now
 
-    def reset(self, now: float = 0.0) -> None:
-        """Reset the clock to ``now`` (default zero)."""
-        self.now = now
+    def reset(self) -> None:
+        """Reset the clock to zero."""
+        self.now = 0.0

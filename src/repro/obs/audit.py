@@ -47,33 +47,30 @@ class AuditEvent:
         )
 
 
+#: Violations an auditor keeps, oldest first.
+MAX_EVENTS = 256
+
+
 class BoundAuditor:
     """Asserts observed operations ≤ static bound on every finished query.
 
+    :attr:`mode` is ``"strict"`` on construction: a violation raises
+    :class:`BoundViolationError` (tests and benchmarks).  The serving
+    simulator sets it to ``"serving"`` for its run, which records the event
+    but lets the query's result stand (a live service should degrade
+    observably, not crash).
+
     Parameters
     ----------
-    mode:
-        ``"strict"`` raises :class:`BoundViolationError` on a violation
-        (tests and benchmarks); ``"serving"`` records the event but lets
-        the query's result stand (a live service should degrade
-        observably, not crash).
     latency_model:
         Optional trained :class:`~repro.prediction.model.QueryLatencyModel`;
         when present, operator spans gain ``predicted_seconds`` and
         ``residual_seconds``.
     """
 
-    def __init__(
-        self,
-        mode: str = "strict",
-        latency_model: Optional["QueryLatencyModel"] = None,
-        max_events: int = 256,
-    ):
-        if mode not in ("strict", "serving"):
-            raise ValueError(f"unknown auditor mode: {mode!r}")
-        self.mode = mode
+    def __init__(self, latency_model: Optional["QueryLatencyModel"] = None):
+        self.mode = "strict"
         self.latency_model = latency_model
-        self.max_events = max_events
         #: Optional :class:`~repro.obs.drift.PredictionDriftDetector`;
         #: when attached, every audited query feeds its rolling per-class
         #: residual distribution (set by the serving simulator).
@@ -86,7 +83,7 @@ class BoundAuditor:
         self.recorder = None
         #: Queries checked since construction (or the last :meth:`reset`).
         self.audited = 0
-        #: Violations observed, oldest first, capped at ``max_events``.
+        #: Violations observed, oldest first, capped at :data:`MAX_EVENTS`.
         self.events: List[AuditEvent] = []
         # Bound slices per plan, keyed by id().  The plan itself is kept as
         # a strong reference so a recycled id() can never alias a new plan.
@@ -135,7 +132,7 @@ class BoundAuditor:
                 bound_operations=bound.max_operations,
                 latency_seconds=latency_seconds,
             )
-            if len(self.events) < self.max_events:
+            if len(self.events) < MAX_EVENTS:
                 self.events.append(event)
         # The flight recorder sees every traced query — violation or not —
         # and must be fed before strict mode raises, so the offending trace

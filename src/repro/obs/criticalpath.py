@@ -328,9 +328,7 @@ def _sweep(
             _attribute(child, a, b, segments)
 
 
-def analyze_trace(
-    root: Span, query_class: Optional[str] = None
-) -> CriticalPathBreakdown:
+def analyze_trace(root: Span) -> CriticalPathBreakdown:
     """Partition a finished root span's latency into segment classes.
 
     Raises ``ValueError`` on an open span — a critical path only exists
@@ -342,7 +340,7 @@ def analyze_trace(
     if root.end > root.start:
         _attribute(root, root.start, root.end, segments)
     return CriticalPathBreakdown(
-        query_class=query_class or query_class_of(root),
+        query_class=query_class_of(root),
         root_name=root.name,
         start=root.start,
         end=root.end,
@@ -411,20 +409,22 @@ class _ClassAccumulator:
         self._seq = 0
 
 
+#: Slowest traces an aggregated query class keeps, and how many classes
+#: the aggregator tracks.
+TAIL_K = 16
+MAX_CLASSES = 64
+
+
 class CriticalPathAggregator:
     """Folds per-trace breakdowns into per-query-class profiles.
 
-    State is bounded: at most ``max_classes`` query classes, each keeping
-    running segment totals plus the ``tail_k`` slowest traces' segment
-    dicts (the "p99 is dominated by X" sample).  Classes turned away by
-    the cap are counted in :attr:`dropped_classes` — no silent loss.
+    State is bounded: at most :data:`MAX_CLASSES` query classes, each
+    keeping running segment totals plus the :data:`TAIL_K` slowest traces'
+    segment dicts (the "p99 is dominated by X" sample).  Classes turned
+    away by the cap are counted in :attr:`dropped_classes` — no silent loss.
     """
 
-    def __init__(self, tail_k: int = 16, max_classes: int = 64):
-        if tail_k <= 0:
-            raise ValueError("tail_k must be positive")
-        self.tail_k = tail_k
-        self.max_classes = max_classes
+    def __init__(self) -> None:
         self._classes: Dict[str, _ClassAccumulator] = {}
         self.observed = 0
         self.dropped_classes = 0
@@ -433,7 +433,7 @@ class CriticalPathAggregator:
         self.observed += 1
         state = self._classes.get(breakdown.query_class)
         if state is None:
-            if len(self._classes) >= self.max_classes:
+            if len(self._classes) >= MAX_CLASSES:
                 self.dropped_classes += 1
                 return
             state = _ClassAccumulator()
@@ -449,7 +449,7 @@ class CriticalPathAggregator:
                 totals[cls] += seconds
         state._seq += 1
         slowest = state.slowest
-        if len(slowest) < self.tail_k:
+        if len(slowest) < TAIL_K:
             keep = heapq.heappush
         elif duration > slowest[0][0]:
             keep = heapq.heapreplace

@@ -86,44 +86,28 @@ class _ClassState:
         self.observations = 0
 
 
+#: Residuals retained per class (rolling).
+WINDOW = 128
+#: A class reports ``drifting=False`` until it has this many residuals —
+#: one slow cold-cache query must not flag a class.
+MIN_OBSERVATIONS = 8
+#: The model quantiles that state the envelope.
+LOW_QUANTILE = 0.05
+HIGH_QUANTILE = 0.99
+#: Cap on distinct tracked classes; further classes are counted in
+#: ``dropped_classes`` and ignored (ad-hoc one-off queries must not grow
+#: state without bound).
+MAX_CLASSES = 64
+
+
 class PredictionDriftDetector:
-    """Rolling predicted-vs-observed residuals per query class.
+    """Rolling predicted-vs-observed residuals per query class, checked
+    against the trained
+    :class:`~repro.prediction.model.QueryLatencyModel` ``latency_model``
+    (window, envelope and caps: the module's constants)."""
 
-    Parameters
-    ----------
-    latency_model:
-        The trained :class:`~repro.prediction.model.QueryLatencyModel` whose
-        predictions are being checked.
-    window:
-        Residuals retained per class (rolling).
-    min_observations:
-        A class reports ``drifting=False`` until it has at least this many
-        residuals — one slow cold-cache query must not flag a class.
-    low_quantile / high_quantile:
-        Which model quantiles state the envelope.
-    max_classes:
-        Cap on distinct tracked classes; further classes are counted in
-        :attr:`dropped_classes` and ignored (ad-hoc one-off queries must
-        not grow state without bound).
-    """
-
-    def __init__(
-        self,
-        latency_model: "QueryLatencyModel",
-        window: int = 128,
-        min_observations: int = 8,
-        low_quantile: float = 0.05,
-        high_quantile: float = 0.99,
-        max_classes: int = 64,
-    ):
-        if not (0.0 < low_quantile < 0.5 < high_quantile < 1.0):
-            raise ValueError("need low < 0.5 < high quantiles in (0, 1)")
+    def __init__(self, latency_model: "QueryLatencyModel"):
         self.latency_model = latency_model
-        self.window = window
-        self.min_observations = min_observations
-        self.low_quantile = low_quantile
-        self.high_quantile = high_quantile
-        self.max_classes = max_classes
         self._classes: Dict[str, _ClassState] = {}
         #: Query classes turned away by the cap.
         self.dropped_classes = 0
@@ -141,14 +125,14 @@ class PredictionDriftDetector:
         key = " ".join(query.sql.split())
         state = self._classes.get(key)
         if state is None:
-            if len(self._classes) >= self.max_classes:
+            if len(self._classes) >= MAX_CLASSES:
                 self.dropped_classes += 1
                 return
             envelope = self._predict_envelope(query)
             if envelope is None:
                 self.unpredictable += 1
                 return
-            state = _ClassState(envelope, self.window)
+            state = _ClassState(envelope, WINDOW)
             self._classes[key] = state
         state.residuals.append(observed_seconds - state.envelope.p50_seconds)
         state.observations += 1
@@ -163,9 +147,9 @@ class PredictionDriftDetector:
         try:
             distribution = self.latency_model.predict_distribution(plan)
             envelope = PredictionEnvelope(
-                p_low_seconds=distribution.quantile(self.low_quantile),
+                p_low_seconds=distribution.quantile(LOW_QUANTILE),
                 p50_seconds=distribution.quantile(0.5),
-                p_high_seconds=distribution.quantile(self.high_quantile),
+                p_high_seconds=distribution.quantile(HIGH_QUANTILE),
             )
         except PredictionError:
             return None
@@ -188,7 +172,7 @@ class PredictionDriftDetector:
             median = nearest_rank_percentile(residuals, 0.5)
             p90 = nearest_rank_percentile(residuals, 0.9)
             envelope = state.envelope
-            drifting = state.observations >= self.min_observations and not (
+            drifting = state.observations >= MIN_OBSERVATIONS and not (
                 envelope.low_residual <= median <= envelope.high_residual
             )
             reports.append(

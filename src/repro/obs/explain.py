@@ -112,10 +112,10 @@ _RENDER_ATTRS = (
 )
 
 
-def render_span_tree(root: Span, indent: int = 0) -> str:
+def render_span_tree(root: Span) -> str:
     """An indented, human-readable dump of one span tree."""
     lines: List[str] = []
-    _render_span(root, indent, lines)
+    _render_span(root, 0, lines)
     return "\n".join(lines)
 
 

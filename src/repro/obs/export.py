@@ -52,14 +52,13 @@ def span_to_dict(span: Span) -> Dict[str, object]:
     }
 
 
-def trace_to_chrome_events(
-    roots: Iterable[Span], pid: int = 1
-) -> List[Dict[str, object]]:
+def trace_to_chrome_events(roots: Iterable[Span]) -> List[Dict[str, object]]:
     """Flatten span trees into Chrome trace-event ``ph="X"`` records.
 
-    Each root span gets its own ``tid`` so concurrent interactions render
-    as separate rows in the viewer; nesting within a row comes from the
-    events' time containment, which the viewer reconstructs.
+    Every event belongs to process 1; each root span gets its own ``tid``
+    so concurrent interactions render as separate rows in the viewer;
+    nesting within a row comes from the events' time containment, which the
+    viewer reconstructs.
     """
     events: List[Dict[str, object]] = []
     for tid, root in enumerate(roots):
@@ -72,7 +71,7 @@ def trace_to_chrome_events(
                 "ph": "X",
                 "ts": span.start * 1e6,
                 "dur": span.duration * 1e6,
-                "pid": pid,
+                "pid": 1,
                 "tid": tid,
                 "args": {
                     key: _json_safe(value)

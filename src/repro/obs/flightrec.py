@@ -461,6 +461,10 @@ class FlightRecorder:
         }
 
 
+#: Breaker transitions a watch keeps; later ones are counted as dropped.
+MAX_TRANSITIONS = 512
+
+
 class BreakerWatch:
     """Synthesises breaker transitions by polling board states.
 
@@ -473,9 +477,8 @@ class BreakerWatch:
     as soon as that breaker leaves the ``open`` state.
     """
 
-    def __init__(self, recorder: Optional[FlightRecorder] = None, max_transitions: int = 512):
+    def __init__(self, recorder: Optional[FlightRecorder] = None):
         self.recorder = recorder
-        self.max_transitions = max_transitions
         self.transitions: List[BreakerTransition] = []
         self.dropped_transitions = 0
         #: id(board) -> (board ref, {node_id: state}).  The strong board
@@ -515,7 +518,7 @@ class BreakerWatch:
                         self.recorder.end_window(window_key, now)
             self._last[key] = (board, states)
         for transition in fresh:
-            if len(self.transitions) < self.max_transitions:
+            if len(self.transitions) < MAX_TRANSITIONS:
                 self.transitions.append(transition)
             else:
                 self.dropped_transitions += 1

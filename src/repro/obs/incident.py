@@ -31,10 +31,6 @@ from .flightrec import (
     RetainedTrace,
 )
 
-#: Fault kinds that open a window, and what closes them.
-_OPENERS = ("crash", "partition", "slow", "flaky", "delay")
-
-
 @dataclass(frozen=True)
 class FaultWindow:
     """One injected-fault interval: from the fault to its repair."""
@@ -74,56 +70,21 @@ def _closes(kind: str, node_id: int, opener: FaultWindow) -> bool:
     return False
 
 
-def _magnitude(item: object) -> float:
-    """Severity of a flaky/delay item: 0 means it re-arms (repairs) the link.
-
-    FaultSpecs carry the magnitude as a field; applied FaultEvents only
-    keep the injector's detail string (``p=0.12`` / ``delay=0.6s``).
-    """
-    kind = item.kind
-    probability = getattr(item, "probability", None)
-    if probability is not None:  # a FaultSpec
-        if kind == "flaky":
-            return probability
-        if kind == "delay":
-            return item.delay_seconds
-        return 1.0
-    detail = getattr(item, "detail", "") or ""
-    try:
-        if kind == "flaky" and detail.startswith("p="):
-            return float(detail[2:])
-        if kind == "delay" and detail.startswith("delay="):
-            return float(detail[6:].rstrip("s"))
-    except ValueError:
-        pass
-    return 1.0
-
-
-def _opens(item: object) -> bool:
-    """Whether a fault item starts a degraded window (vs repairing one)."""
-    if item.kind not in _OPENERS:
-        return False
-    if item.kind in ("flaky", "delay"):
-        return _magnitude(item) > 0.0
-    return True
-
-
 def fault_windows(items: Sequence[object], horizon: float) -> List[FaultWindow]:
     """Pair fault specs *or* applied events into degraded-state windows.
 
     Accepts :class:`~repro.replication.faults.FaultSpec` (pre-run, for
     registering recorder retention windows) and
     :class:`~repro.replication.faults.FaultEvent` (post-run, for the
-    report) alike — both carry ``time``/``kind``/``node_id``; magnitude
-    detail comes from spec fields or the event's detail string.  A window
-    whose repair never fired extends to ``horizon``.
+    report) alike — both carry ``time``/``kind``/``node_id``/``detail`` and
+    say whether they ``opens`` a window.  A window whose repair never fired
+    extends to ``horizon``.
     """
     open_windows: List[FaultWindow] = []
     closed: List[FaultWindow] = []
     for item in sorted(items, key=lambda i: i.time):
         kind = item.kind
-        node_id = getattr(item, "node_id", -1)
-        detail = _detail_of(item)
+        node_id = item.node_id
         still_open: List[FaultWindow] = []
         for opener in open_windows:
             if _closes(kind, node_id, opener) and item.time > opener.start:
@@ -139,38 +100,19 @@ def fault_windows(items: Sequence[object], horizon: float) -> List[FaultWindow]:
             else:
                 still_open.append(opener)
         open_windows = still_open
-        if _opens(item):
+        if item.opens:
             open_windows.append(
                 FaultWindow(
                     start=item.time,
                     end=horizon,
                     kind=kind,
                     node_id=node_id,
-                    detail=detail,
+                    detail=item.detail,
                 )
             )
     closed.extend(open_windows)
     closed.sort(key=lambda w: (w.start, w.kind, w.node_id))
     return closed
-
-
-def _detail_of(item: object) -> str:
-    detail = getattr(item, "detail", None)
-    if detail is not None:
-        return detail
-    # FaultSpec: synthesise the injector's detail string from its fields.
-    kind = item.kind
-    if kind == "slow":
-        return f"factor={item.factor:g}"
-    if kind == "flaky":
-        return f"p={item.probability:g}"
-    if kind == "delay":
-        return f"delay={item.delay_seconds:g}s"
-    if kind == "partition" and item.groups:
-        return "groups=" + "|".join(
-            ",".join(str(m) for m in group) for group in item.groups
-        )
-    return ""
 
 
 @dataclass(frozen=True)
@@ -232,10 +174,12 @@ class IncidentReport:
     retained_traces: int
     grace_seconds: float
 
-    def reconstructs_schedule(self, kinds: Sequence[str] = ("crash", "partition")) -> bool:
-        """True when every window of the given kinds is fully correlated."""
-        relevant = [c for c in self.windows if c.window.kind in kinds]
-        return all(c.correlated for c in relevant)
+    def reconstructs_schedule(self) -> bool:
+        """True when every crash and partition window is fully correlated."""
+        return all(
+            c.correlated for c in self.windows
+            if c.window.kind in ("crash", "partition")
+        )
 
     def render(self) -> str:
         lines = [f"=== incident report: {self.title} ==="]
@@ -308,17 +252,13 @@ def build_incident_report(
     windows = fault_windows(fault_events, horizon)
     entries: List[TimelineEntry] = []
     for item in fault_events:
-        detail = _detail_of(item)
-        is_repair = not _opens(item)
-        target = (
-            f"node {item.node_id}" if getattr(item, "node_id", -1) >= 0 else "network"
-        )
+        target = f"node {item.node_id}" if item.node_id >= 0 else "network"
         entries.append(
             TimelineEntry(
                 time=item.time,
-                kind="fault-repair" if is_repair else "fault",
+                kind="fault" if item.opens else "fault-repair",
                 label=f"{item.kind} {target}",
-                detail=detail,
+                detail=item.detail,
             )
         )
     for transition in transitions:

@@ -44,14 +44,14 @@ class BoundedHistogram:
 
     __slots__ = ("capacity", "samples", "count", "total", "_rng")
 
-    def __init__(self, capacity: int = DEFAULT_HISTOGRAM_CAPACITY, seed: int = 0x5EED):
+    def __init__(self, capacity: int = DEFAULT_HISTOGRAM_CAPACITY):
         if capacity < 1:
             raise ValueError("histogram capacity must be positive")
         self.capacity = capacity
         self.samples: List[float] = []
         self.count = 0
         self.total = 0.0
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0x5EED)
 
     def observe(self, value: float) -> None:
         self.count += 1

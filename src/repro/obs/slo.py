@@ -65,6 +65,12 @@ DEFAULT_RULES: Sequence[BurnRateRule] = (
     BurnRateRule(fast_seconds=5.0, slow_seconds=25.0, threshold=4.0),
 )
 
+#: Requests a rule's fast window must hold before the rule may fire (cold
+#: starts and idle periods must not page).
+MIN_EVENTS = 10
+#: Shed probability seeded into the admission controller on firing.
+PRE_ARM_PROBABILITY = 0.1
+
 
 @dataclass
 class SLOAlert:
@@ -109,13 +115,12 @@ class BurnRateAlerter:
         The objective whose error budget is being tracked.
     rules:
         Fast/slow window pairs; defaults to :data:`DEFAULT_RULES`.
-    min_events:
-        Minimum requests inside the fast window before a rule may fire
-        (cold starts and idle periods must not page).
     admission:
-        Optional admission controller to pre-arm while burning.
-    pre_arm_probability:
-        Shed probability seeded into the controller on firing.
+        Optional admission controller to pre-arm (with
+        :data:`PRE_ARM_PROBABILITY`) while burning.
+
+    A rule fires only once its fast window holds :data:`MIN_EVENTS`
+    requests.
     """
 
     def __init__(
@@ -123,22 +128,14 @@ class BurnRateAlerter:
         store: TimeSeriesStore,
         slo: ServiceLevelObjective,
         rules: Optional[Sequence[BurnRateRule]] = None,
-        min_events: int = 10,
         admission: Optional[object] = None,
-        pre_arm_probability: float = 0.1,
-        total_metric: str = SLO_TOTAL_METRIC,
-        good_metric: str = SLO_GOOD_METRIC,
     ):
         self.store = store
         self.slo = slo
         self.rules: List[BurnRateRule] = list(rules if rules is not None else DEFAULT_RULES)
         if not self.rules:
             raise ValueError("need at least one burn-rate rule")
-        self.min_events = min_events
         self.admission = admission
-        self.pre_arm_probability = pre_arm_probability
-        self.total_metric = total_metric
-        self.good_metric = good_metric
         #: Every alert ever fired, in firing order (active ones included).
         self.alerts: List[SLOAlert] = []
         self._active: dict = {}
@@ -152,7 +149,7 @@ class BurnRateAlerter:
 
     def window_events(self, now: float, window_seconds: float) -> float:
         return self.store.counter_delta(
-            self.total_metric, now - window_seconds, now
+            SLO_TOTAL_METRIC, now - window_seconds, now
         )
 
     def burn_rate(self, now: float, window_seconds: float) -> float:
@@ -161,7 +158,7 @@ class BurnRateAlerter:
         if total <= 0:
             return 0.0
         good = self.store.counter_delta(
-            self.good_metric, now - window_seconds, now
+            SLO_GOOD_METRIC, now - window_seconds, now
         )
         bad_fraction = max(0.0, total - good) / total
         return bad_fraction / self.error_budget
@@ -185,7 +182,7 @@ class BurnRateAlerter:
             if (
                 fast >= rule.threshold
                 and slow >= rule.threshold
-                and self.window_events(now, rule.fast_seconds) >= self.min_events
+                and self.window_events(now, rule.fast_seconds) >= MIN_EVENTS
             ):
                 alert = SLOAlert(
                     rule=rule,
@@ -200,5 +197,5 @@ class BurnRateAlerter:
                 if self.admission is not None:
                     pre_arm = getattr(self.admission, "pre_arm", None)
                     if pre_arm is not None:
-                        pre_arm(self.pre_arm_probability)
+                        pre_arm(PRE_ARM_PROBABILITY)
         return fired

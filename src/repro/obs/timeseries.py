@@ -428,21 +428,16 @@ class TimeSeriesStore:
         point = self.latest(name, labels)
         return point.last if point is not None else default
 
-    def counter_delta(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        labels: Optional[Dict[str, object]] = None,
-    ) -> float:
+    def counter_delta(self, name: str, start: float, end: float) -> float:
         """Increase of a *cumulative* counter series over ``(start, end]``.
 
         The series holds scraped cumulative values; the delta is the last
         value at/before ``end`` minus the last value at/before ``start``
         (zero when the window precedes all data).  Robust to empty windows:
-        a window with no scrape inside it reports zero increase.
+        a window with no scrape inside it reports zero increase.  The
+        cumulative counters read this way are unlabelled series.
         """
-        series = self._series.get((name, make_labels(labels)))
+        series = self._series.get((name, make_labels(None)))
         if series is None:
             return 0.0
         value_end = series.last_at_or_before(end)

@@ -21,12 +21,10 @@ PlanNode = Union[LogicalOperator, PhysicalOperator]
 Annotator = Callable[[PlanNode], str]
 
 
-def plan_to_string(
-    plan: PlanNode, indent: int = 0, annotate: Optional[Annotator] = None
-) -> str:
+def plan_to_string(plan: PlanNode, annotate: Optional[Annotator] = None) -> str:
     """Render a plan as an indented tree, one operator per line."""
     lines: List[str] = []
-    _render(plan, indent, lines, annotate)
+    _render(plan, 0, lines, annotate)
     return "\n".join(lines)
 
 

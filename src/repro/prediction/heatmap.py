@@ -76,13 +76,17 @@ def prediction_heatmap(
     )
 
 
+#: Row sizes of SCADr's subscriptions and thoughts in the Figure 6 model,
+#: and the quantile it predicts.
+SUBSCRIPTION_BYTES = 40
+THOUGHT_BYTES = 160
+QUANTILE = 0.99
+
+
 def thoughtstream_heatmap(
     model: QueryLatencyModel,
     subscription_counts: Sequence[int] = (100, 150, 200, 250, 300, 350, 400, 450, 500),
     page_sizes: Sequence[int] = (10, 15, 20, 25, 30, 35, 40, 45, 50),
-    subscription_bytes: int = 40,
-    thought_bytes: int = 160,
-    quantile: float = 0.99,
 ) -> Heatmap:
     """Predicted 99th-percentile latency for SCADr's thoughtstream query.
 
@@ -91,8 +95,8 @@ def thoughtstream_heatmap(
     followed by a SortedIndexJoin fetching the most recent ``page_size``
     thoughts per subscription; its latency model is
 
-        Θ_IndexScan(subs, subscription_bytes) *
-        Θ_SortedJoin(subs, page, thought_bytes)
+        Θ_IndexScan(subs, SUBSCRIPTION_BYTES) *
+        Θ_SortedJoin(subs, page, THOUGHT_BYTES)
 
     exactly as written in Section 6.2.
     """
@@ -100,17 +104,17 @@ def thoughtstream_heatmap(
     def predict(subscriptions: int, page_size: int) -> float:
         requirements = [
             OperatorRequirement(
-                OperatorModelKey("index_scan", subscriptions, 0, subscription_bytes),
+                OperatorModelKey("index_scan", subscriptions, 0, SUBSCRIPTION_BYTES),
                 f"IndexScan(subscriptions, {subscriptions})",
             ),
             OperatorRequirement(
                 OperatorModelKey(
-                    "sorted_index_join", subscriptions, page_size, thought_bytes
+                    "sorted_index_join", subscriptions, page_size, THOUGHT_BYTES
                 ),
                 f"SortedIndexJoin(thoughts, {subscriptions}x{page_size})",
             ),
         ]
-        return model.predict_from_requirements(requirements, quantile).max_seconds
+        return model.predict_from_requirements(requirements, QUANTILE).max_seconds
 
     return prediction_heatmap(
         predict,

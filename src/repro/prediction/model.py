@@ -61,11 +61,7 @@ class OperatorRequirement:
 class OperatorModelStore:
     """Trained per-operator, per-interval latency histograms."""
 
-    def __init__(
-        self, bin_width_seconds: float = 0.001, max_latency_seconds: float = 10.0
-    ):
-        self.bin_width_seconds = bin_width_seconds
-        self.max_latency_seconds = max_latency_seconds
+    def __init__(self) -> None:
         self._histograms: Dict[OperatorModelKey, Dict[int, LatencyHistogram]] = {}
 
     # ------------------------------------------------------------------
@@ -78,10 +74,7 @@ class OperatorModelStore:
         intervals = self._histograms.setdefault(key, {})
         histogram = intervals.get(interval)
         if histogram is None:
-            histogram = LatencyHistogram(
-                bin_width_seconds=self.bin_width_seconds,
-                max_latency_seconds=self.max_latency_seconds,
-            )
+            histogram = LatencyHistogram()
             intervals[interval] = histogram
         histogram.add(latency_seconds)
 
@@ -256,19 +249,15 @@ class QueryLatencyModel:
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def predict_distribution(
-        self,
-        plan: P.PhysicalOperator,
-        interval: Optional[int] = None,
-    ) -> LatencyHistogram:
-        """The predicted latency distribution of a plan for one interval."""
+    def predict_distribution(self, plan: P.PhysicalOperator) -> LatencyHistogram:
+        """The predicted latency distribution of a plan, intervals pooled."""
         requirements = self.operator_requirements(plan)
-        return self.predict_distribution_from_requirements(requirements, interval)
+        return self.predict_distribution_from_requirements(requirements, None)
 
     def predict_distribution_from_requirements(
         self,
         requirements: Sequence[OperatorRequirement],
-        interval: Optional[int] = None,
+        interval: Optional[int],
     ) -> LatencyHistogram:
         histograms = [
             self.store.histogram(req.key, interval=interval) for req in requirements

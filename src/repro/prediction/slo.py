@@ -91,9 +91,9 @@ class SLOPrediction:
         )
         return over / len(self.interval_quantiles_seconds)
 
-    def meets(self, slo: ServiceLevelObjective, max_risk: float = 0.0) -> bool:
-        """Whether the predicted violation risk is within ``max_risk``."""
-        return self.violation_risk(slo) <= max_risk
+    def meets(self, slo: ServiceLevelObjective) -> bool:
+        """Whether no interval's predicted quantile violates ``slo``."""
+        return self.violation_risk(slo) == 0.0
 
 
 def observed_interval_quantiles(

@@ -101,6 +101,33 @@ class FaultSpec:
                 raise ValueError("partition fault requires non-empty groups")
             object.__setattr__(self, "groups", normalized)
 
+    @property
+    def detail(self) -> str:
+        """What the fault sets (``factor=4``, ``p=0.12``, ``delay=0.6s``,
+        ``groups=2,3``), as fault events and incident reports print it."""
+        if self.kind == "slow":
+            return f"factor={self.factor:g}"
+        if self.kind == "flaky":
+            return f"p={self.probability:g}"
+        if self.kind == "delay":
+            return f"delay={self.delay_seconds:g}s"
+        if self.kind == "partition":
+            return "groups=" + "|".join(
+                ",".join(str(member) for member in group) for group in self.groups
+            )
+        return ""
+
+    @property
+    def opens(self) -> bool:
+        """Whether applying it starts a degraded window, rather than
+        repairing one: ``flaky`` at p=0 and ``delay`` at zero re-arm the
+        link."""
+        if self.kind == "flaky":
+            return self.probability > 0.0
+        if self.kind == "delay":
+            return self.delay_seconds > 0.0
+        return self.kind in ("crash", "partition", "slow")
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -110,8 +137,15 @@ class FaultEvent:
     kind: str
     node_id: int
     up_nodes_after: int
+    #: The spec that was applied.
+    spec: FaultSpec
     detail: str = ""
     repair: Optional[RepairReport] = None
+
+    @property
+    def opens(self) -> bool:
+        """See :attr:`FaultSpec.opens`."""
+        return self.spec.opens
 
 
 def fault_event_payload(event: FaultEvent) -> Dict[str, object]:
@@ -210,7 +244,7 @@ class FaultInjector:
         """
         at = spec.time if now is None else now
         repair: Optional[RepairReport] = None
-        detail = ""
+        detail = spec.detail
         if spec.kind in _NODE_KINDS and not (
             0 <= spec.node_id < len(self.cluster.nodes)
         ):
@@ -219,6 +253,7 @@ class FaultInjector:
                 kind=spec.kind,
                 node_id=spec.node_id,
                 up_nodes_after=len(self.cluster.live_ids()),
+                spec=spec,
                 detail="skipped: node no longer provisioned",
             )
             self.events.append(event)
@@ -232,30 +267,24 @@ class FaultInjector:
             )
         elif spec.kind == "slow":
             self.cluster.node(spec.node_id).degrade(spec.factor)
-            detail = f"factor={spec.factor:g}"
         elif spec.kind == "restore":
             self.cluster.node(spec.node_id).restore()
         elif spec.kind == "partition":
-            self.cluster.network.partition(spec.groups or ())
-            detail = "groups=" + "|".join(
-                ",".join(str(member) for member in group)
-                for group in (spec.groups or ())
-            )
+            self.cluster.network.partition(spec.groups)
         elif spec.kind == "heal":
             dropped = self.cluster.network.dropped_messages
             self.cluster.network.heal()
             detail = f"dropped={dropped}"
         elif spec.kind == "flaky":
             self.cluster.network.set_flaky(spec.node_id, spec.probability)
-            detail = f"p={spec.probability:g}"
         else:  # delay
             self.cluster.network.set_delay(spec.node_id, spec.delay_seconds)
-            detail = f"delay={spec.delay_seconds:g}s"
         event = FaultEvent(
             time=at,
             kind=spec.kind,
             node_id=spec.node_id,
             up_nodes_after=len(self.cluster.live_ids()),
+            spec=spec,
             detail=detail,
             repair=repair,
         )

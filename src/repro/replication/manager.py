@@ -372,14 +372,11 @@ class ReplicationManager:
         return sum(1 for _ in self.iter_live(namespace, node_ids))
 
     def iter_live(
-        self,
-        namespace: str,
-        node_ids: Sequence[int],
-        chunk_keys: int = SCAN_CHUNK_KEYS,
+        self, namespace: str, node_ids: Sequence[int]
     ) -> Iterator[Tuple[bytes, bytes]]:
         """Iterate the logical content of a namespace in key order.
 
-        Resolved in chunks of ``chunk_keys``: each chunk is merged with
+        Resolved in chunks of :data:`SCAN_CHUNK_KEYS`: each chunk is merged with
         fresh replica iterators starting after the previous chunk's last
         key, then yielded with no iterator left open.  Resident memory is
         bounded by the chunk size rather than the namespace size, and —
@@ -391,11 +388,11 @@ class ReplicationManager:
         start: Optional[bytes] = None
         while True:
             triples = self.merged_range(
-                namespace, node_ids, start, None, limit=chunk_keys
+                namespace, node_ids, start, None, limit=SCAN_CHUNK_KEYS
             )
             for key, value, _ in triples:
                 yield key, value
-            if len(triples) < chunk_keys:
+            if len(triples) < SCAN_CHUNK_KEYS:
                 return
             start = _key_after(triples[-1][0])
 

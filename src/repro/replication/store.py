@@ -164,14 +164,13 @@ class ReplicaStore:
         namespace: str,
         start: Optional[bytes],
         end: Optional[bytes],
-        ascending: bool = True,
     ) -> Iterator[Tuple[bytes, bytes]]:
-        """Lazily iterate this replica's records in a key range (tombstones
-        included), so limit-honouring merges can stop early."""
+        """Lazily iterate this replica's records in a key range, ascending
+        (tombstones included), so limit-honouring merges can stop early."""
         existing = self.engine.peek(namespace)
         if existing is None:
             return iter(())
-        return existing.iter_range(start, end, ascending)
+        return existing.iter_range(start, end)
 
     def iter_records(self, namespace: str) -> Iterator[Tuple[bytes, bytes]]:
         existing = self.engine.peek(namespace)

@@ -6,7 +6,9 @@ When it crosses the threshold the breaker **opens**: the node becomes a
 (when the quorum is already met without it), so a failing replica stops
 costing timeouts on every request.  After ``open_seconds`` the breaker
 moves to **half-open**: the node is offered one probe's worth of real
-traffic; a success closes the breaker, a failure re-opens it.
+traffic; a success closes the breaker, a failure re-opens it.  The
+threshold and the window are :data:`FAILURE_THRESHOLD` and
+:data:`OPEN_SECONDS`.
 
 Breakers are per-client state (each app server observes its own
 failures), mirrored into telemetry as ``resilience.breaker.*`` series so
@@ -21,26 +23,25 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Consecutive failures that open a node's breaker, and how long it stays
+#: open before a probe may go through.
+FAILURE_THRESHOLD = 3
+OPEN_SECONDS = 1.0
+
 
 class CircuitBreaker:
     """One node's breaker state machine at one client."""
 
-    __slots__ = ("failure_threshold", "open_seconds", "failures", "_opened_at")
+    __slots__ = ("failures", "_opened_at")
 
-    def __init__(self, failure_threshold: int = 3, open_seconds: float = 1.0):
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if open_seconds <= 0:
-            raise ValueError("open_seconds must be positive")
-        self.failure_threshold = failure_threshold
-        self.open_seconds = open_seconds
+    def __init__(self) -> None:
         self.failures = 0
         self._opened_at: float = -1.0
 
     def state(self, now: float) -> str:
         if self._opened_at < 0:
             return CLOSED
-        if now - self._opened_at >= self.open_seconds:
+        if now - self._opened_at >= OPEN_SECONDS:
             return HALF_OPEN
         return OPEN
 
@@ -57,22 +58,20 @@ class CircuitBreaker:
         if state == OPEN:
             return
         self.failures += 1
-        if self.failures >= self.failure_threshold:
+        if self.failures >= FAILURE_THRESHOLD:
             self._opened_at = now
 
 
 class BreakerBoard:
     """All of one client's per-node breakers."""
 
-    def __init__(self, failure_threshold: int = 3, open_seconds: float = 1.0):
-        self.failure_threshold = failure_threshold
-        self.open_seconds = open_seconds
+    def __init__(self) -> None:
         self.breakers: Dict[int, CircuitBreaker] = {}
 
     def breaker(self, node_id: int) -> CircuitBreaker:
         breaker = self.breakers.get(node_id)
         if breaker is None:
-            breaker = CircuitBreaker(self.failure_threshold, self.open_seconds)
+            breaker = CircuitBreaker()
             self.breakers[node_id] = breaker
         return breaker
 

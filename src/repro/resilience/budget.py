@@ -42,10 +42,10 @@ class TokenBucketRetryBudget:
             )
         self._last_refill = max(self._last_refill, now)
 
-    def try_acquire(self, now: float, tokens: float = 1.0) -> bool:
-        """Spend ``tokens`` if the bucket holds them; False otherwise."""
+    def try_acquire(self, now: float) -> bool:
+        """Spend one token if the bucket holds it; False otherwise."""
         self._refill(now)
-        if self.tokens >= tokens:
-            self.tokens -= tokens
+        if self.tokens >= 1.0:
+            self.tokens -= 1.0
             return True
         return False

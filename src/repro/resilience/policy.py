@@ -154,7 +154,6 @@ class ResiliencePolicy:
         optimized: Any,
         parameters: Any,
         cursor: Any,
-        strategy: Any,
     ) -> Any:
         """Execute one query page under this policy.
 
@@ -175,7 +174,7 @@ class ResiliencePolicy:
             # Looked up per call: tests stand a fake in for the instance's
             # ``execute``.
             return self.run(
-                db.executor.execute, optimized, parameters, cursor, strategy,
+                db.executor.execute, optimized, parameters, cursor,
                 operation=optimized.sql or "query",
             )
         finally:

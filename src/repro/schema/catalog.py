@@ -147,18 +147,14 @@ class Catalog:
     # Index search (used by the optimizer's index selection, Section 5.3)
     # ------------------------------------------------------------------
     def find_index(
-        self,
-        table: str,
-        prefix_columns: Sequence[IndexColumn],
-        followed_by: Sequence[str] = (),
+        self, table: str, prefix_columns: Sequence[IndexColumn]
     ) -> Optional[IndexDefinition]:
         """Find an index on ``table`` whose leading columns match exactly.
 
         ``prefix_columns`` must match the index's leading columns (name and
-        tokenisation); ``followed_by`` (plain column names) must then appear
-        in order.  Returns ``None`` if no such index exists.
+        tokenisation).  Returns ``None`` if no such index exists.
         """
-        wanted = list(prefix_columns) + [IndexColumn(c) for c in followed_by]
+        wanted = list(prefix_columns)
         for index in self.indexes_for_table(table):
             if len(index.columns) < len(wanted):
                 continue

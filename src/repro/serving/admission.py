@@ -24,7 +24,7 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .monitor import SLOMonitor
+from .monitor import MIN_SAMPLES, SLOMonitor
 
 
 #: Per-tick increase of shed probability per unit of relative overshoot
@@ -73,12 +73,12 @@ class AdmissionController:
     def update(self, now: float) -> float:
         """One control tick; returns the new shed probability."""
         slo = self.monitor.slo
-        if self.monitor.total_observations < self.monitor.min_samples:
+        if self.monitor.total_observations < MIN_SAMPLES:
             # Cold start: too little observed yet, so a pre-armed shed
             # probability must hold rather than decay away before the
             # violation can even be measured.
             return self.shed_probability
-        if self.monitor.recent_count(now) >= self.monitor.min_samples:
+        if self.monitor.recent_count(now) >= MIN_SAMPLES:
             observed = self.monitor.percentile(slo.quantile, now)
             ratio = observed / slo.latency_seconds
             if ratio > 1.0:

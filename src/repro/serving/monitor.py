@@ -43,20 +43,18 @@ class WindowReport:
     violated: bool
 
 
+#: The sliding window the live signals (percentiles, recent compliance)
+#: read, and the observations the admission controller waits for before
+#: it trusts them.
+CONTROL_WINDOW_SECONDS = 5.0
+MIN_SAMPLES = 20
+
+
 class SLOMonitor:
     """Tracks response-time observations against a service level objective."""
 
-    def __init__(
-        self,
-        slo: ServiceLevelObjective,
-        control_window_seconds: float = 5.0,
-        min_samples: int = 20,
-    ):
-        if control_window_seconds <= 0:
-            raise ValueError("control_window_seconds must be positive")
+    def __init__(self, slo: ServiceLevelObjective):
         self.slo = slo
-        self.control_window_seconds = control_window_seconds
-        self.min_samples = min_samples
         self.total_observations = 0
         self.total_compliant = 0
         #: Interactions that failed outright (no response to time at all).
@@ -118,7 +116,7 @@ class SLOMonitor:
         # (an observation stamped ahead of its siblings) must not evict the
         # control window that the admission controller is acting on.
         self._latest = max(self._latest, now)
-        horizon = self._latest - self.control_window_seconds
+        horizon = self._latest - CONTROL_WINDOW_SECONDS
         while self._recent and self._recent[0][0] < horizon:
             self._recent.popleft()
 

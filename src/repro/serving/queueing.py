@@ -34,6 +34,10 @@ from ..kvstore.cluster import KeyValueCluster
 from ..kvstore.node import StorageNode
 
 
+#: Width of one capacity-calendar bucket: the grain of charged waits.
+BUCKET_SECONDS = 0.05
+
+
 class NodeRequestQueue:
     """Single-server queue attached to one :class:`StorageNode`.
 
@@ -42,8 +46,8 @@ class NodeRequestQueue:
     service time; the returned wait is added to the charged latency.
 
     The server is modelled as a **capacity calendar**: simulated time is cut
-    into buckets of ``bucket_seconds``, each able to absorb exactly
-    ``bucket_seconds`` of service.  A request packs its service time into
+    into buckets of :data:`BUCKET_SECONDS`, each able to absorb exactly
+    that much service.  A request packs its service time into
     the first free capacity at or after its arrival, and its wait is how far
     that start lies past the arrival.  A plain scalar ``busy-until`` FIFO
     would be simpler, but the serving tier charges requests on many
@@ -60,18 +64,10 @@ class NodeRequestQueue:
     backlog that grows — and drains — like the real thing.
     """
 
-    def __init__(
-        self,
-        smoothing_seconds: float = 2.0,
-        bucket_seconds: float = 0.05,
-        now: float = 0.0,
-    ):
+    def __init__(self, smoothing_seconds: float = 2.0, now: float = 0.0):
         if smoothing_seconds <= 0:
             raise ValueError("smoothing_seconds must be positive")
-        if bucket_seconds <= 0:
-            raise ValueError("bucket_seconds must be positive")
         self.smoothing_seconds = smoothing_seconds
-        self.bucket_seconds = bucket_seconds
         #: Requests admitted and service seconds charged, since installation.
         self.arrivals = 0
         self.service_seconds = 0.0
@@ -87,7 +83,7 @@ class NodeRequestQueue:
 
     def on_request(self, sim_time: float, service_seconds: float) -> float:
         """Admit one request; return the time it spends waiting in queue."""
-        width = self.bucket_seconds
+        width = BUCKET_SECONDS
         bucket = int(sim_time // width)
         remaining = service_seconds
         start_time: float = sim_time
@@ -112,7 +108,7 @@ class NodeRequestQueue:
     # ------------------------------------------------------------------
     def backlog_seconds(self, now: float) -> float:
         """Service seconds already committed at or after ``now``."""
-        width = self.bucket_seconds
+        width = BUCKET_SECONDS
         horizon = int(now // width)
         total = 0.0
         for bucket, used in self._buckets.items():
@@ -146,7 +142,7 @@ class NodeRequestQueue:
 
     def _prune(self, now: float) -> None:
         """Forget calendar buckets far enough in the past to be immutable."""
-        horizon = int((now - 10.0 * self.smoothing_seconds) // self.bucket_seconds)
+        horizon = int((now - 10.0 * self.smoothing_seconds) // BUCKET_SECONDS)
         if horizon <= 0:
             return
         stale = [bucket for bucket in self._buckets if bucket < horizon]
@@ -157,13 +153,11 @@ class NodeRequestQueue:
 # ----------------------------------------------------------------------
 # Cluster-level helpers
 # ----------------------------------------------------------------------
-def install_queues(
-    cluster: KeyValueCluster, smoothing_seconds: float = 2.0
-) -> Dict[int, NodeRequestQueue]:
+def install_queues(cluster: KeyValueCluster) -> Dict[int, NodeRequestQueue]:
     """Attach a fresh request queue to every node; return them by node id."""
     queues: Dict[int, NodeRequestQueue] = {}
     for node in cluster.nodes:
-        node.request_queue = NodeRequestQueue(smoothing_seconds)
+        node.request_queue = NodeRequestQueue()
         queues[node.node_id] = node.request_queue
     return queues
 

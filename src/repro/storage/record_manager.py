@@ -150,22 +150,14 @@ class RecordManager:
             tracer.end_span(span)
 
     def insert(
-        self,
-        table_name: str,
-        row: Dict[str, Any],
-        enforce_constraints: bool = True,
-        upsert: bool = False,
+        self, table_name: str, row: Dict[str, Any], upsert: bool = False
     ) -> Dict[str, Any]:
         """Insert one row, maintaining indexes, views, and constraints."""
         with self._write_span("insert", table_name):
-            return self._insert(table_name, row, enforce_constraints, upsert)
+            return self._insert(table_name, row, upsert)
 
     def _insert(
-        self,
-        table_name: str,
-        row: Dict[str, Any],
-        enforce_constraints: bool = True,
-        upsert: bool = False,
+        self, table_name: str, row: Dict[str, Any], upsert: bool
     ) -> Dict[str, Any]:
         table = self.catalog.table(table_name)
         self._reject_view_backing_writes(table)
@@ -183,9 +175,8 @@ class RecordManager:
         #    every existing write path for a rarely-needed cleanup.
         views = self._view_engine(table)
         indexes = self.catalog.indexes_for_table(table.name)
-        overwrites = not (enforce_constraints and not upsert)
         old_row: Optional[Dict[str, Any]] = None
-        if overwrites and views is not None:
+        if upsert and views is not None:
             old_payload = self.client.get(table.namespace, key)
             old_row = deserialize_row(old_payload) if old_payload is not None else None
 
@@ -196,7 +187,7 @@ class RecordManager:
                 self.client.put(namespace, entry_key, entry_value)
 
         # 2. Write (or conditionally write) the base record.
-        if enforce_constraints and not upsert:
+        if not upsert:
             inserted = self.client.test_and_set(table.namespace, key, None, payload)
             if not inserted:
                 # Undo the entries written in step 1 — but only those the
@@ -230,16 +221,15 @@ class RecordManager:
                 views.on_insert(table.name, validated)
 
         # 3. Check cardinality constraints; undo the insert on violation.
-        if enforce_constraints:
-            for limit in table.cardinality_limits:
-                if not self._within_cardinality(table, limit, validated):
-                    self.delete(table.name, table.primary_key_values(validated))
-                    raise CardinalityViolationError(
-                        f"inserting into {table.name!r} would exceed "
-                        f"CARDINALITY LIMIT {limit.limit} on "
-                        f"({', '.join(limit.columns)})",
-                        constraint=",".join(limit.columns),
-                    )
+        for limit in table.cardinality_limits:
+            if not self._within_cardinality(table, limit, validated):
+                self.delete(table.name, table.primary_key_values(validated))
+                raise CardinalityViolationError(
+                    f"inserting into {table.name!r} would exceed "
+                    f"CARDINALITY LIMIT {limit.limit} on "
+                    f"({', '.join(limit.columns)})",
+                    constraint=",".join(limit.columns),
+                )
         return validated
 
     def update(self, table_name: str, row: Dict[str, Any]) -> Dict[str, Any]:
@@ -315,52 +305,19 @@ class RecordManager:
     # ------------------------------------------------------------------
     # Bulk loading
     # ------------------------------------------------------------------
-    def bulk_load(
-        self,
-        table_name: str,
-        rows: Iterable[Dict[str, Any]],
-        memory_budget_bytes: Optional[int] = None,
-    ) -> int:
+    def bulk_load(self, table_name: str, rows: Iterable[Dict[str, Any]]) -> int:
         """Load many rows without charging simulated latency or checking constraints.
 
         Mirrors the paper's experimental methodology, which bulk loads each
         benchmark dataset before measuring.  Returns the number of rows
-        loaded.
-
-        ``memory_budget_bytes`` opts into the cluster's spilling bulk-load
-        pipeline: base records and index entries are staged in an external
-        sort bounded by the budget and ingested segment-at-a-time by each
-        node's engine, so arbitrarily large datasets load in bounded
-        memory.  Tables that drive materialized views fall back to the
-        per-row path — view deltas are computed row by row.
+        loaded.  Views the table drives are maintained row by row, on the
+        latency-free load path.
         """
         table = self.catalog.table(table_name)
         self._reject_view_backing_writes(table)
         cluster: KeyValueCluster = self.client.cluster
         indexes = self.catalog.indexes_for_table(table.name)
         views = self._view_engine(table)
-        if memory_budget_bytes is not None and views is None:
-            loaded = 0
-
-            def triples() -> Iterable[tuple]:
-                nonlocal loaded
-                for row in rows:
-                    validated = table.validate_row(row)
-                    yield (
-                        table.namespace,
-                        record_key(table, validated),
-                        serialize_row(validated),
-                    )
-                    for index in indexes:
-                        namespace = index_namespace(index)
-                        for entry_key, entry_value in index_entries(
-                            index, table, validated
-                        ):
-                            yield namespace, entry_key, entry_value
-                    loaded += 1
-
-            cluster.bulk_load_many(triples(), memory_budget_bytes)
-            return loaded
         count = 0
         for row in rows:
             validated = table.validate_row(row)

@@ -32,10 +32,9 @@ ROW_CACHE_CAPACITY = 4096
 class _TwoGenerationCache:
     """A bounded memo table with O(1) insert/lookup and coarse LRU-ish reuse."""
 
-    __slots__ = ("capacity", "young", "old", "hits", "misses")
+    __slots__ = ("young", "old", "hits", "misses")
 
-    def __init__(self, capacity: int = ROW_CACHE_CAPACITY):
-        self.capacity = capacity
+    def __init__(self) -> None:
         self.young: Dict[bytes, Any] = {}
         self.old: Dict[bytes, Any] = {}
         self.hits = 0
@@ -52,7 +51,7 @@ class _TwoGenerationCache:
         return value
 
     def put(self, key: bytes, value: Any) -> None:
-        if len(self.young) >= self.capacity:
+        if len(self.young) >= ROW_CACHE_CAPACITY:
             self.old = self.young
             self.young = {}
         self.young[key] = value

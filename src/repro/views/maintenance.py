@@ -242,25 +242,20 @@ class ViewMaintenanceEngine:
             with self._maintenance_span(view, billed):
                 self._apply(view, io, old=None, new=row)
 
-    def on_delete(
-        self, table_name: str, row: Dict[str, Any], billed: bool = True
-    ) -> None:
+    def on_delete(self, table_name: str, row: Dict[str, Any]) -> None:
         for view in self.relevant_views(table_name):
-            io = self._io(billed)
-            with self._maintenance_span(view, billed):
-                self._apply(view, io, old=row, new=None)
+            with self._maintenance_span(view, True):
+                self._apply(view, _BilledIO(self.client), old=row, new=None)
 
     def on_update(
         self,
         table_name: str,
         old_row: Optional[Dict[str, Any]],
         new_row: Dict[str, Any],
-        billed: bool = True,
     ) -> None:
         for view in self.relevant_views(table_name):
-            io = self._io(billed)
-            with self._maintenance_span(view, billed):
-                self._apply(view, io, old=old_row, new=new_row)
+            with self._maintenance_span(view, True):
+                self._apply(view, _BilledIO(self.client), old=old_row, new=new_row)
 
     def _io(self, billed: bool):
         return _BilledIO(self.client) if billed else _LoadIO(self.client.cluster)
@@ -516,7 +511,6 @@ def recompute_top_k(
     view: MaterializedView,
     recomputed: Dict[Tuple[Any, ...], Dict[str, Any]],
     partition: Tuple[Any, ...],
-    limit: Optional[int] = None,
 ) -> List[Dict[str, Any]]:
     """The exact top-k rows of one partition from recomputed group states.
 
@@ -535,5 +529,5 @@ def recompute_top_k(
         )
         keyed.append((entry_key, row))
     keyed.sort(key=lambda pair: pair[0], reverse=not view.order.ascending)
-    top = keyed[: limit if limit is not None else view.order.limit]
+    top = keyed[: view.order.limit]
     return [row for _, row in top]

@@ -257,12 +257,10 @@ class Workload(abc.ABC):
         db: PiqlDatabase,
         name: str,
         rng: random.Random,
-        parameters: Optional[Dict[str, object]] = None,
     ):
-        """Execute one named query with random (or given) parameters."""
+        """Execute one named query with random parameters."""
         prepared = db.prepare(self.query_sql(name))
-        bound = parameters or self.sample_parameters(name, rng)
-        return prepared.execute(bound)
+        return prepared.execute(self.sample_parameters(name, rng))
 
     def prepare_all(self, db: PiqlDatabase) -> None:
         """Compile every query (and create required indexes) ahead of time."""

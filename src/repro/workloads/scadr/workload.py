@@ -23,6 +23,9 @@ from .data import ScadrDataConfig, ScadrDataGenerator
 from .queries import EXTRA_QUERIES, QUERIES, VIEW_QUERIES
 from .schema import SCADR_VIEWS_DDL, scadr_ddl
 
+#: Chance that a home-page render also posts a thought (the paper's 1%).
+POST_PROBABILITY = 0.01
+
 
 class ScadrWorkload(Workload):
     """Schema + data + interaction mix for SCADr.
@@ -42,7 +45,6 @@ class ScadrWorkload(Workload):
         max_subscriptions: int = 10,
         subscriptions_per_user: int = 10,
         thoughts_per_user: int = 20,
-        post_probability: float = 0.01,
         materialized_views: bool = False,
     ):
         # The scale experiment sets both the cardinality limit and the actual
@@ -50,7 +52,7 @@ class ScadrWorkload(Workload):
         self.max_subscriptions = max_subscriptions
         self.subscriptions_per_user = min(subscriptions_per_user, max_subscriptions)
         self.thoughts_per_user = thoughts_per_user
-        self.post_probability = post_probability
+        self.post_probability = POST_PROBABILITY
         self.materialized_views = materialized_views
         self._usernames: List[str] = []
         self._next_timestamp = 2_000_000_000

@@ -72,17 +72,12 @@ class TpcwWorkload(Workload):
 
     name = "TPC-W"
 
-    def __init__(self, mix: Dict[str, float] = None,
-                 promotional_items: int = PROMOTIONAL_ITEMS,
-                 materialized_views: bool = False):
+    def __init__(self, materialized_views: bool = False):
         self.materialized_views = materialized_views
-        mix = dict(ORDERING_MIX if mix is None else mix)
+        self.mix = dict(ORDERING_MIX)
         if materialized_views:
-            # Restore Best Sellers into whatever mix was supplied; pass an
-            # explicit "best_sellers" weight (0 to exclude it) to override.
-            mix.setdefault("best_sellers", BEST_SELLERS_WEIGHT)
-        self.mix = {name: weight for name, weight in mix.items() if weight > 0}
-        self.promotional_items = promotional_items
+            # Restore Best Sellers into the ordering mix.
+            self.mix["best_sellers"] = BEST_SELLERS_WEIGHT
         self._unames: List[str] = []
         self._item_ids: List[int] = []
         self._order_ids: List[int] = []
@@ -173,7 +168,7 @@ class TpcwWorkload(Workload):
                 "product_detail_wi",
                 {"item_id": rng.choice(self._item_ids)},
             )
-            for position in range(1, self.promotional_items + 1)
+            for position in range(1, PROMOTIONAL_ITEMS + 1)
         ]
 
     # -- read-dominant interactions ------------------------------------

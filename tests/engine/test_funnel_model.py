@@ -3,7 +3,7 @@
 A blocking ``PreparedQuery.execute``, a ``Session.execute`` and a one-future
 ``Session.gather`` all go through ``Session._execute_page``, so over any
 sequence of (query, parameters, strategy) three identically built databases
-must return the same rows for the same number of key/value operations, or
+— one view per strategy each, the strategy being the view's — must return the same rows for the same number of key/value operations, or
 refuse the same bindings with the same typed error — and the two ways of
 paging a ``PAGINATE`` query must agree page by page, cursors included.
 """
@@ -63,7 +63,8 @@ steps = st.lists(
 )
 
 
-def build() -> PiqlDatabase:
+def build() -> dict:
+    """One view per strategy over one freshly loaded database."""
     db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=4, seed=7))
     db.execute_ddl(scadr_ddl(max_subscriptions=100))
     db.bulk_load("users", [
@@ -80,7 +81,10 @@ def build() -> PiqlDatabase:
         {"owner": "alice", "target": target, "approved": target != "dave"}
         for target in USERS[1:]
     ])
-    return db
+    return {
+        strategy: db.new_client(strategy=strategy)
+        for strategy in ExecutionStrategy
+    }
 
 
 def breaks_its_declaration(name: str, bound: dict) -> bool:
@@ -96,17 +100,17 @@ def breaks_its_declaration(name: str, bound: dict) -> bool:
     return False
 
 
-def blocking(db, sql, bound, strategy):
-    return db.prepare(sql).execute(bound, strategy=strategy)
+def blocking(db, sql, bound):
+    return db.prepare(sql).execute(bound)
 
 
-def inline(db, sql, bound, strategy):
-    return db.session().execute(sql, bound, strategy=strategy).to_query_result()
+def inline(db, sql, bound):
+    return db.session().execute(sql, bound).to_query_result()
 
 
-def gathered(db, sql, bound, strategy):
+def gathered(db, sql, bound):
     session = db.session()
-    future = session.submit(sql, bound, strategy=strategy)
+    future = session.submit(sql, bound)
     return session.gather(future)[0].to_query_result()
 
 
@@ -114,10 +118,10 @@ def facts(page):
     return page.rows, page.operations, page.has_more, page.cursor
 
 
-def outcome(way_in, db, sql, bound, strategy):
+def outcome(way_in, db, sql, bound):
     before = db.client.stats.operations
     try:
-        page = way_in(db, sql, bound, strategy)
+        page = way_in(db, sql, bound)
     except ExecutionError as error:
         assert db.client.stats.operations == before
         return str(error)
@@ -132,14 +136,15 @@ def test_three_ways_in_one_outcome(sequence):
     for name, bound, strategy in sequence:
         sql = QUERIES[name][0]
         outcomes = [
-            outcome(way_in, db, sql, bound, strategy) for way_in, db in ways
+            outcome(way_in, views[strategy], sql, bound)
+            for way_in, views in ways
         ]
         assert outcomes[0] == outcomes[1] == outcomes[2]
         assert isinstance(outcomes[0], str) == breaks_its_declaration(name, bound)
         if name == "paged" and not isinstance(outcomes[0], str):
             (_, by_query), (_, by_cursor), _ = ways
-            by_pages = by_query.prepare(sql).pages(bound, strategy=strategy)
-            cursor = by_cursor.session().execute(sql, bound, strategy=strategy)
+            by_pages = by_query[strategy].prepare(sql).pages(bound)
+            cursor = by_cursor[strategy].session().execute(sql, bound)
             assert [facts(page) for page in by_pages] == [
                 facts(page) for page in cursor.pages()
             ]

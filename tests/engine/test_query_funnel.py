@@ -95,6 +95,28 @@ def test_the_side_doors_are_gone():
     assert functions_where(mentions("ExecutorConfig")) == []
 
 
+def test_the_strategy_is_a_property_of_the_view():
+    """Nothing on the way down chooses how a plan runs.  No function of the
+    funnel's three modules names ``strategy`` as a parameter, keyword,
+    name or attribute (a leftover ``strategy=`` would land in ``**kwargs``
+    as an unused query parameter and be ignored); the executor reads its
+    own, set when ``PiqlDatabase.new_client`` builds the view."""
+    funnel = ("engine/query.py", "engine/session.py", "resilience/policy.py")
+
+    def names_strategy(node: ast.AST) -> bool:
+        return "strategy" in (
+            getattr(node, "attr", None), getattr(node, "id", None),
+            getattr(node, "arg", None),
+        )
+
+    assert [
+        site for site in functions_where(names_strategy) if site[0] in funnel
+    ] == []
+    assert ("execution/executor.py", "execute") in functions_where(
+        names("strategy", of="self")
+    )
+
+
 def test_four_frames_from_the_blocking_call_to_the_executor():
     db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=3, seed=5))
     db.execute_ddl("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")

@@ -78,10 +78,15 @@ def library_db() -> PiqlDatabase:
     return db
 
 
+def prepared_under(db, strategy, sql):
+    """``sql`` prepared on a view of ``db`` that runs ``strategy``: the
+    strategy is a property of the view."""
+    return db.new_client(strategy=strategy).prepare(sql)
+
+
 def all_strategy_rows(db, sql, parameters):
-    prepared = db.prepare(sql)
     return {
-        strategy: prepared.execute(dict(parameters), strategy=strategy).rows
+        strategy: prepared_under(db, strategy, sql).execute(dict(parameters)).rows
         for strategy in ExecutionStrategy
     }
 
@@ -116,22 +121,23 @@ class TestFusedSortedJoin:
         # stop (8 and 9 skip nothing) and stays inside the static bound.
         for limit, saved in [(5, 3), (8, 0), (9, 0)]:
             db = library_db()
-            prepared = db.prepare(BOOKS_BY_LNAME.format(limit=limit))
             for strategy in (ExecutionStrategy.SIMPLE, ExecutionStrategy.PARALLEL):
-                before = db.client.stats.snapshot()
-                result = prepared.execute({"n": "shared"}, strategy=strategy)
-                delta = db.client.stats.snapshot().delta(before)
+                view = db.new_client(strategy=strategy)
+                prepared = view.prepare(BOOKS_BY_LNAME.format(limit=limit))
+                before = view.client.stats.snapshot()
+                result = prepared.execute({"n": "shared"})
+                delta = view.client.stats.snapshot().delta(before)
                 assert result.operations == 15, (limit, strategy)
                 assert delta.saved_reads == saved, (limit, strategy)
                 assert result.operations <= prepared.operation_bound
 
     def test_lazy_ignores_fusion_entirely(self):
         db = library_db()
-        prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
-        before = db.client.stats.snapshot()
-        lazy = prepared.execute({"n": "shared"}, strategy=ExecutionStrategy.LAZY)
-        delta = db.client.stats.snapshot().delta(before)
-        parallel = prepared.execute({"n": "shared"})
+        view = db.new_client(strategy=ExecutionStrategy.LAZY)
+        before = view.client.stats.snapshot()
+        lazy = view.prepare(BOOKS_BY_LNAME.format(limit=5)).execute({"n": "shared"})
+        delta = view.client.stats.snapshot().delta(before)
+        parallel = db.prepare(BOOKS_BY_LNAME.format(limit=5)).execute({"n": "shared"})
         assert lazy.rows == parallel.rows
         # LAZY dereferences one tuple per request: every fetched entry of
         # the scan and the join pays its own round, nothing is saved.
@@ -140,9 +146,9 @@ class TestFusedSortedJoin:
 
     def test_empty_child_set(self):
         db = library_db()
-        prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
         for strategy in ExecutionStrategy:
-            result = prepared.execute({"n": "nobody"}, strategy=strategy)
+            prepared = prepared_under(db, strategy, BOOKS_BY_LNAME.format(limit=5))
+            result = prepared.execute({"n": "nobody"})
             assert result.rows == [], strategy
             # Only the writers range is ever requested.
             assert result.operations == 1, strategy
@@ -150,9 +156,9 @@ class TestFusedSortedJoin:
     def test_children_with_empty_ranges(self):
         # Both "bookless" writers match the scan but contribute no entries.
         db = library_db()
-        prepared = db.prepare(BOOKS_BY_LNAME.format(limit=5))
         for strategy in ExecutionStrategy:
-            result = prepared.execute({"n": "bookless"}, strategy=strategy)
+            prepared = prepared_under(db, strategy, BOOKS_BY_LNAME.format(limit=5))
+            result = prepared.execute({"n": "bookless"})
             assert result.rows == [], strategy
             if strategy is not ExecutionStrategy.LAZY:
                 # 1 writers range + 2 dereferences + 2 (empty) book ranges.
@@ -167,9 +173,11 @@ class TestFusedSortedJoin:
                  "foxtrot", "golf", "hotel"]]
         db = library_db()
         for limit, expected in [(8, full), (9, full)]:
-            prepared = db.prepare(BOOKS_BY_LNAME.format(limit=limit))
             for strategy in ExecutionStrategy:
-                result = prepared.execute({"n": "shared"}, strategy=strategy)
+                prepared = prepared_under(
+                    db, strategy, BOOKS_BY_LNAME.format(limit=limit)
+                )
+                result = prepared.execute({"n": "shared"})
                 assert result.rows == expected, (limit, strategy)
                 if strategy is not ExecutionStrategy.LAZY:
                     assert result.operations == 15, (limit, strategy)
@@ -194,9 +202,10 @@ class TestDuplicateKeyDedupe:
         assert batched.operations == 7
         assert batched.operations <= prepared.operation_bound
         assert db.client.stats.saved_reads == 2   # 3 lookups, 1 fetch
-        lazy = prepared.execute({"w": 0}, strategy=ExecutionStrategy.LAZY)
+        view = db.new_client(strategy=ExecutionStrategy.LAZY)
+        lazy = view.prepare(self.FAN_IN).execute({"w": 0})
         assert lazy.rows == batched.rows
-        assert db.client.stats.saved_reads == 2   # LAZY saved nothing more
+        assert view.client.stats.saved_reads == 0   # LAZY saves nothing
 
     def test_in_list_lookup_dedupes_duplicate_keys(self, scadr_db):
         sql = (
@@ -228,7 +237,7 @@ class TestPushdown:
         db = library_db()
         prepared = db.prepare(sql)
         pushed = prepared.execute({"w": 0})
-        lazy = prepared.execute({"w": 0}, strategy=ExecutionStrategy.LAZY)
+        lazy = prepared_under(db, ExecutionStrategy.LAZY, sql).execute({"w": 0})
         # The Lazy executor filters after materialising every row.
         assert pushed.rows == lazy.rows
         assert sorted(r["title"] for r in pushed.rows) == ["alpha", "echo"]
@@ -263,12 +272,11 @@ class TestPushdown:
             "SELECT * FROM thoughts WHERE owner = <u> AND timestamp <> <skip> "
             "ORDER BY timestamp ASC PAGINATE 7"
         )
-        prepared = scadr_db.prepare(sql)
         by_strategy = {}
         for strategy in (ExecutionStrategy.LAZY, ExecutionStrategy.PARALLEL):
+            prepared = prepared_under(scadr_db, strategy, sql)
             rows = []
-            for page in prepared.pages(strategy=strategy, u="carol",
-                                       skip=1_000_003):
+            for page in prepared.pages(u="carol", skip=1_000_003):
                 rows.extend(page.rows)
             by_strategy[strategy] = rows
         assert by_strategy[ExecutionStrategy.LAZY] == \
@@ -285,11 +293,11 @@ class TestCountPushdown:
         assert result.operations == 1
 
     def test_count_star_lazy_matches(self, scadr_db):
-        prepared = scadr_db.prepare(
-            "SELECT COUNT(*) FROM subscriptions WHERE owner = <u>"
+        sql = "SELECT COUNT(*) FROM subscriptions WHERE owner = <u>"
+        lazy = prepared_under(scadr_db, ExecutionStrategy.LAZY, sql).execute(
+            {"u": "alice"}
         )
-        lazy = prepared.execute({"u": "alice"}, strategy=ExecutionStrategy.LAZY)
-        fast = prepared.execute({"u": "alice"})
+        fast = scadr_db.prepare(sql).execute({"u": "alice"})
         assert lazy.rows == fast.rows
         assert lazy.operations > fast.operations
 
@@ -297,12 +305,14 @@ class TestCountPushdown:
         # A residual predicate disqualifies the count_range fast path; the
         # scan still runs (here as a filtered primary range) and the count
         # reflects the filter in every strategy.
-        prepared = scadr_db.prepare(
+        sql = (
             "SELECT COUNT(*) FROM subscriptions WHERE owner = <u> "
             "AND approved = true"
         )
-        fast = prepared.execute({"u": "alice"})
-        lazy = prepared.execute({"u": "alice"}, strategy=ExecutionStrategy.LAZY)
+        fast = scadr_db.prepare(sql).execute({"u": "alice"})
+        lazy = prepared_under(scadr_db, ExecutionStrategy.LAZY, sql).execute(
+            {"u": "alice"}
+        )
         assert fast.rows == lazy.rows == [{"count": 2}]
 
     def test_count_respects_scan_limit(self, scadr_db):
@@ -315,13 +325,11 @@ class TestCountPushdown:
     def test_paginated_count_stands_down(self, scadr_db):
         # A paginated COUNT counts one page per execution; the count_range
         # fast path must not collapse the cursor to a single page.
-        prepared = scadr_db.prepare(
-            "SELECT COUNT(*) FROM thoughts WHERE owner = <u> PAGINATE 8"
-        )
+        sql = "SELECT COUNT(*) FROM thoughts WHERE owner = <u> PAGINATE 8"
         for strategy in (ExecutionStrategy.LAZY, ExecutionStrategy.PARALLEL):
             counts = [
                 page.rows[0]["count"]
-                for page in prepared.pages(strategy=strategy, u="carol")
+                for page in prepared_under(scadr_db, strategy, sql).pages(u="carol")
             ]
             assert counts == [8, 8, 4], strategy
 

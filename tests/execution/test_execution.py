@@ -116,20 +116,23 @@ class TestQueryCorrectness:
 
 class TestExecutionStrategies:
     def test_all_strategies_return_identical_rows(self, scadr_db, thoughtstream_sql):
-        prepared = scadr_db.prepare(thoughtstream_sql)
         results = {
-            strategy: prepared.execute({"uname": "alice"}, strategy=strategy).rows
+            strategy: scadr_db.new_client(strategy=strategy)
+            .prepare(thoughtstream_sql)
+            .execute({"uname": "alice"})
+            .rows
             for strategy in ExecutionStrategy
         }
         assert results[ExecutionStrategy.LAZY] == results[ExecutionStrategy.SIMPLE]
         assert results[ExecutionStrategy.SIMPLE] == results[ExecutionStrategy.PARALLEL]
 
     def test_latency_ordering_lazy_simple_parallel(self, scadr_db, thoughtstream_sql):
-        prepared = scadr_db.prepare(thoughtstream_sql)
-
         def average_latency(strategy):
+            prepared = scadr_db.new_client(strategy=strategy).prepare(
+                thoughtstream_sql
+            )
             return sum(
-                prepared.execute({"uname": "alice"}, strategy=strategy).latency_seconds
+                prepared.execute({"uname": "alice"}).latency_seconds
                 for _ in range(30)
             ) / 30
 
@@ -139,9 +142,11 @@ class TestExecutionStrategies:
         assert lazy > simple > parallel
 
     def test_operations_never_exceed_bound(self, scadr_db, thoughtstream_sql):
-        prepared = scadr_db.prepare(thoughtstream_sql)
         for strategy in ExecutionStrategy:
-            result = prepared.execute({"uname": "alice"}, strategy=strategy)
+            prepared = scadr_db.new_client(strategy=strategy).prepare(
+                thoughtstream_sql
+            )
+            result = prepared.execute({"uname": "alice"})
             assert result.operations <= prepared.operation_bound
 
 

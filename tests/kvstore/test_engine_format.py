@@ -24,8 +24,8 @@ OPTIONS = dict(memtable_budget_bytes=1 << 20, fanout=4, sparse_index_every=4)
 
 
 def write_history(data_dir: str) -> None:
-    """Two flushed runs (the second with a delete marker), a spilled bulk
-    load, then unflushed puts, a delete and a namespace drop in the log."""
+    """Two flushed runs (the second with a delete marker), a bulk load, then
+    unflushed puts, a delete and a namespace drop in the log."""
     engine = LsmEngine(data_dir, **OPTIONS)
     data = engine.map("data")
     for index in range(10):
@@ -38,7 +38,6 @@ def write_history(data_dir: str) -> None:
     engine.bulk_load(
         "loaded",
         [(b"b%03d" % (index * 7 % 50), b"v%d" % index) for index in range(50)],
-        memory_budget_bytes=512,
     )
     engine.map("gone").put(b"x", b"y")
     data.put(b"k11", b"in the log")

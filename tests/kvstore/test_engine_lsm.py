@@ -396,12 +396,14 @@ class TestCommitPointDurability:
 
 
 class TestBulkLoad:
-    def test_budgeted_bulk_load_spills_and_dedupes(self, engine):
+    def test_budgeted_bulk_load_spills_and_dedupes(self, tmp_path):
+        # The bulk load sorts under the memtable's byte budget.
+        engine = LsmEngine(str(tmp_path / "node"), memtable_budget_bytes=1024)
         rng = random.Random(21)
         pairs = []
         for i in range(2000):
             pairs.append((f"k{rng.randrange(500):04d}".encode(), f"v{i}".encode()))
-        stored = engine.bulk_load("data", pairs, memory_budget_bytes=1024)
+        stored = engine.bulk_load("data", pairs)
         expected = dict(pairs)
         assert stored == len(expected)
         assert engine.bulk_spill_count > 0

@@ -12,6 +12,15 @@ def _items(count: int):
     return [(f"k{index:04d}".encode(), f"v{index}".encode()) for index in range(count)]
 
 
+def backwards(segment, start=None, end=None):
+    """A descending range scan: the blocks walked from the end."""
+    return [
+        entry
+        for block in segment.iter_blocks(start, end, ascending=False)
+        for entry in block
+    ]
+
+
 @pytest.fixture
 def segment(tmp_path):
     path = str(tmp_path / "seg-00000000.seg")
@@ -47,14 +56,14 @@ class TestRoundTrip:
     def test_full_scan_ascending_and_descending(self, segment):
         expected = _items(200)
         assert list(segment.iter_range()) == expected
-        assert list(segment.iter_range(ascending=False)) == expected[::-1]
+        assert backwards(segment) == expected[::-1]
 
     def test_bounded_scans(self, segment):
         rows = list(segment.iter_range(b"k0010", b"k0015"))
         assert [key for key, _ in rows] == [
             f"k{index:04d}".encode() for index in range(10, 15)
         ]
-        rows = list(segment.iter_range(b"k0010", b"k0015", ascending=False))
+        rows = backwards(segment, b"k0010", b"k0015")
         assert [key for key, _ in rows] == [
             f"k{index:04d}".encode() for index in range(14, 9, -1)
         ]
@@ -221,18 +230,19 @@ class TestReadsOnlyWhatItMust:
         assert (preads.calls, preads.bytes) == (1, end - start)
 
     def test_range_over_a_disjoint_segment_reads_nothing(self, segment, preads):
-        for ascending in (True, False):
-            assert list(segment.iter_range(b"x", b"z", ascending)) == []
-            assert list(segment.iter_range(None, b"k0000", ascending)) == []
-            assert list(segment.iter_range(b"k0199\x00", None, ascending)) == []
-            assert list(segment.iter_range(b"a", b"b", ascending)) == []
+        for scan in (lambda *bounds: list(segment.iter_range(*bounds)),
+                     lambda *bounds: backwards(segment, *bounds)):
+            assert scan(b"x", b"z") == []
+            assert scan(None, b"k0000") == []
+            assert scan(b"k0199\x00", None) == []
+            assert scan(b"a", b"b") == []
         assert preads.calls == 0
 
     def test_bounded_range_reads_only_the_blocks_it_covers(self, segment, preads):
         # sparse_every=8: k0010..k0014 lie in the block anchored at k0008.
         rows = list(segment.iter_range(b"k0010", b"k0015"))
         assert len(rows) == 5 and preads.calls == 1
-        rows = list(segment.iter_range(b"k0010", b"k0015", ascending=False))
+        rows = backwards(segment, b"k0010", b"k0015")
         assert len(rows) == 5 and preads.calls == 2
 
     def test_limited_range_stops_at_the_block_where_the_limit_is_reached(

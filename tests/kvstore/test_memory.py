@@ -181,9 +181,9 @@ def _assert_reads_match(store: OrderedKVMap, model: dict, bounds=_FINAL_BOUNDS) 
             if (start is None or k >= start) and (end is None or k < end)
         ]
         assert store.count_range(start, end) == len(inside)
+        assert list(store.iter_range(start, end)) == inside
         for ascending in (True, False):
             expected = inside if ascending else inside[::-1]
-            assert list(store.iter_range(start, end, ascending)) == expected
             for limit in _LIMITS:
                 assert store.range(start, end, limit, ascending) == expected[:limit]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.kvstore import ClusterConfig, KeyValueCluster, StorageClient
-from repro.resilience.breaker import BreakerBoard
+from repro.resilience.breaker import FAILURE_THRESHOLD, BreakerBoard
 
 
 def build_cluster() -> KeyValueCluster:
@@ -83,7 +83,7 @@ class TestUnavailableNodes:
 class TestBreakerEvidence:
     def test_sightings_open_the_breaker(self, cluster):
         client = StorageClient(cluster=cluster)
-        client.breakers = BreakerBoard(failure_threshold=3)
+        client.breakers = BreakerBoard()
         cluster.crash_node(1)
         for key in keys_replicated_on(cluster, 1, count=4):
             client.get("data", key)
@@ -91,7 +91,7 @@ class TestBreakerEvidence:
 
     def test_healthy_traffic_keeps_breakers_closed(self, cluster):
         client = StorageClient(cluster=cluster)
-        client.breakers = BreakerBoard(failure_threshold=3)
+        client.breakers = BreakerBoard()
         for key in keys_replicated_on(cluster, 1, count=4):
             client.get("data", key)
         assert client.breakers.suspects(client.clock.now) == set()
@@ -111,13 +111,19 @@ class TestBreakerEvidence:
             cluster.node(2).mark_up()
             cluster.crash_node(1)
             client = StorageClient(cluster=cluster)
-            client.breakers = BreakerBoard(1, 10.0)
+            client.breakers = BreakerBoard()
+            # Each batched read is one sighting of the dead node; the
+            # threshold's worth of them opens its breaker.
+            batches = [
+                keys[index::FAILURE_THRESHOLD]
+                for index in range(FAILURE_THRESHOLD)
+            ]
             if in_window:
                 client.begin_gather_window()
-            values = client.multi_get("data", keys)
+            values = [client.multi_get("data", batch) for batch in batches]
             if in_window:
                 client.end_gather_window()
-            assert values == [b"newer"] * len(keys)
+            assert values == [[b"newer"] * len(batch) for batch in batches]
             observed.append((
                 client.breakers.suspects(client.clock.now),
                 client.stats.metrics.value("client.read_repairs"),

@@ -10,7 +10,7 @@ from repro import ClusterConfig
 from repro.errors import BoundViolationError
 from repro.execution.context import ExecutionStrategy
 from repro.kvstore.cluster import KeyValueCluster
-from repro.obs.audit import AuditEvent, BoundAuditor
+from repro.obs.audit import MAX_EVENTS, AuditEvent, BoundAuditor
 from repro.prediction import (
     OperatorModelTrainer,
     QueryLatencyModel,
@@ -53,7 +53,8 @@ class TestObserveQuery:
         assert auditor.violations == 0
 
     def test_strict_mode_raises(self, scadr_db):
-        auditor = BoundAuditor(mode="strict")
+        auditor = BoundAuditor()
+        assert auditor.mode == "strict"
         query = scadr_db.prepare(THOUGHTSTREAM_SQL).optimized
         bound = query.bound.max_operations
         with pytest.raises(BoundViolationError) as excinfo:
@@ -66,7 +67,8 @@ class TestObserveQuery:
         assert auditor.events[0].observed_operations == bound + 1
 
     def test_serving_mode_records_without_raising(self, scadr_db):
-        auditor = BoundAuditor(mode="serving")
+        auditor = BoundAuditor()
+        auditor.mode = "serving"
         query = scadr_db.prepare(THOUGHTSTREAM_SQL).optimized
         bound = query.bound.max_operations
         event = auditor.observe_query(query, bound + 5, 0.02)
@@ -80,26 +82,24 @@ class TestObserveQuery:
         assert auditor.violations == 0
 
     def test_event_list_is_bounded(self):
-        auditor = BoundAuditor(mode="serving", max_events=4)
+        auditor = BoundAuditor()
+        auditor.mode = "serving"
         query = SimpleNamespace(
             sql="SELECT 1", bound=SimpleNamespace(max_operations=1)
         )
-        for _ in range(10):
+        for _ in range(MAX_EVENTS + 6):
             auditor.observe_query(query, 2, 0.0)
-        assert len(auditor.events) == 4
-        assert auditor.audited == 10
+        assert len(auditor.events) == MAX_EVENTS
+        assert auditor.audited == MAX_EVENTS + 6
 
     def test_reset(self, scadr_db):
-        auditor = BoundAuditor(mode="serving")
+        auditor = BoundAuditor()
+        auditor.mode = "serving"
         query = scadr_db.prepare(THOUGHTSTREAM_SQL).optimized
         auditor.observe_query(query, query.bound.max_operations + 1, 0.0)
         auditor.reset()
         assert auditor.audited == 0
         assert auditor.violations == 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            BoundAuditor(mode="paranoid")
 
 
 class TestExecutorIntegration:
@@ -111,11 +111,10 @@ class TestExecutorIntegration:
         assert scadr_db.auditor.violations == 0
 
     def test_lazy_strategy_is_exempt(self, scadr_db):
-        prepared = scadr_db.prepare(THOUGHTSTREAM_SQL)
+        lazy = scadr_db.new_client(strategy=ExecutionStrategy.LAZY)
+        prepared = lazy.prepare(THOUGHTSTREAM_SQL)
         before = scadr_db.auditor.audited
-        prepared.execute(
-            {"uname": "alice"}, strategy=ExecutionStrategy.LAZY
-        )
+        prepared.execute({"uname": "alice"})
         assert scadr_db.auditor.audited == before
 
     def test_new_client_shares_the_auditor(self, scadr_db):

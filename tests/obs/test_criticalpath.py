@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.criticalpath import (
+    MAX_CLASSES,
     SEGMENT_CLASSES,
+    TAIL_K,
     CriticalPathAggregator,
     analyze_trace,
     query_class_of,
@@ -204,22 +206,27 @@ class TestAggregator:
         assert sum(profile.mean_shares.values()) == pytest.approx(1.0)
 
     def test_tail_profile_keeps_only_the_slowest(self):
-        aggregator = CriticalPathAggregator(tail_k=1)
-        aggregator.observe(self._breakdown("Q", 0.0, 1.0))  # all rpc
-        aggregator.observe(self._breakdown("Q", 0.0, 5.0, rpc_end=0.0))
+        aggregator = CriticalPathAggregator()
+        # More fast all-rpc traces than the tail holds, then TAIL_K slower
+        # all-client ones that push every fast one out.
+        for _ in range(TAIL_K + 1):
+            aggregator.observe(self._breakdown("Q", 0.0, 1.0))
+        for _ in range(TAIL_K):
+            aggregator.observe(self._breakdown("Q", 0.0, 5.0, rpc_end=0.0))
         profile = aggregator.profile("Q")
-        assert profile.tail_traces == 1
-        # The 5s all-client trace is the tail sample.
+        assert profile.traces == 2 * TAIL_K + 1
+        assert profile.tail_traces == TAIL_K
         assert profile.tail_dominant == "client_compute"
         assert profile.tail_shares["client_compute"] == pytest.approx(1.0)
 
     def test_class_cap_counts_dropped(self):
-        aggregator = CriticalPathAggregator(max_classes=1)
-        aggregator.observe(self._breakdown("A", 0.0, 1.0))
-        aggregator.observe(self._breakdown("B", 0.0, 1.0))
-        assert aggregator.observed == 2
+        aggregator = CriticalPathAggregator()
+        names = [f"Q{index:03d}" for index in range(MAX_CLASSES + 1)]
+        for name in names:
+            aggregator.observe(self._breakdown(name, 0.0, 1.0))
+        assert aggregator.observed == MAX_CLASSES + 1
         assert aggregator.dropped_classes == 1
-        assert [p.query_class for p in aggregator.profiles()] == ["A"]
+        assert [p.query_class for p in aggregator.profiles()] == names[:-1]
 
     def test_all_segment_classes_always_present(self):
         breakdown = self._breakdown("Q", 0.0, 1.0)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import PredictionError
-from repro.obs.drift import PredictionDriftDetector, PredictionEnvelope
+from repro.obs.drift import (
+    MAX_CLASSES,
+    MIN_OBSERVATIONS,
+    WINDOW,
+    PredictionDriftDetector,
+    PredictionEnvelope,
+)
 from repro.obs.export import telemetry_to_json
 from repro.obs.telemetry import FleetTelemetry, TelemetryCollector
 from repro.obs.timeseries import TimeSeriesStore
@@ -42,8 +48,8 @@ class FakeQuery:
         self.physical_plan = plan
 
 
-def make_detector(model=None, **kwargs):
-    return PredictionDriftDetector(model or FakeModel(), **kwargs)
+def make_detector(model=None):
+    return PredictionDriftDetector(model or FakeModel())
 
 
 def priced_query(model, sql, p_low=0.008, p50=0.010, p_high=0.020):
@@ -55,7 +61,7 @@ def priced_query(model, sql, p_low=0.008, p50=0.010, p_high=0.020):
 class TestObservation:
     def test_residuals_accumulate_per_class(self):
         model = FakeModel()
-        detector = make_detector(model, min_observations=2)
+        detector = make_detector(model)
         query = priced_query(model, "SELECT a FROM t WHERE k = ?", p50=0.010)
         for observed in (0.011, 0.012, 0.009):
             detector.observe(query, observed)
@@ -92,17 +98,17 @@ class TestObservation:
 
     def test_class_cap(self):
         model = FakeModel()
-        detector = make_detector(model, max_classes=2)
-        for i in range(5):
+        detector = make_detector(model)
+        for i in range(MAX_CLASSES + 3):
             detector.observe(priced_query(model, f"SELECT {i}"), 0.010)
-        assert len(detector.report()) == 2
+        assert len(detector.report()) == MAX_CLASSES
         assert detector.dropped_classes == 3
 
 
 class TestDriftFlag:
     def test_within_envelope_is_ok(self):
         model = FakeModel()
-        detector = make_detector(model, min_observations=4)
+        detector = make_detector(model)
         # Envelope residuals: [-2 ms, +10 ms] around p50 = 10 ms.
         query = priced_query(model, "q", p_low=0.008, p50=0.010, p_high=0.020)
         for _ in range(10):
@@ -114,7 +120,7 @@ class TestDriftFlag:
 
     def test_sustained_slowdown_flags_drift(self):
         model = FakeModel()
-        detector = make_detector(model, min_observations=4)
+        detector = make_detector(model)
         query = priced_query(model, "q", p_low=0.008, p50=0.010, p_high=0.020)
         for _ in range(10):
             detector.observe(query, 0.030)  # +20 ms, outside +10 ms envelope
@@ -127,7 +133,7 @@ class TestDriftFlag:
         # Drift is two-sided: a model over-predicting is as stale as one
         # under-predicting.
         model = FakeModel()
-        detector = make_detector(model, min_observations=4)
+        detector = make_detector(model)
         query = priced_query(model, "q", p_low=0.008, p50=0.010, p_high=0.020)
         for _ in range(10):
             detector.observe(query, 0.001)  # -9 ms, below -2 ms envelope edge
@@ -136,23 +142,24 @@ class TestDriftFlag:
 
     def test_min_observations_suppresses_cold_flags(self):
         model = FakeModel()
-        detector = make_detector(model, min_observations=8)
+        detector = make_detector(model)
         query = priced_query(model, "q", p_low=0.008, p50=0.010, p_high=0.020)
-        for _ in range(3):
-            detector.observe(query, 1.0)  # wildly slow, but only 3 samples
+        for _ in range(MIN_OBSERVATIONS - 1):
+            detector.observe(query, 1.0)  # wildly slow, but one too few
         (report,) = detector.report()
         assert not report.drifting
 
     def test_rolling_window_forgets_old_regime(self):
         model = FakeModel()
-        detector = make_detector(model, window=8, min_observations=4)
+        detector = make_detector(model)
         query = priced_query(model, "q", p_low=0.008, p50=0.010, p_high=0.020)
-        for _ in range(20):
+        for _ in range(WINDOW + 12):
             detector.observe(query, 0.100)  # old, drifting regime
-        for _ in range(8):
+        assert detector.report()[0].drifting
+        for _ in range(WINDOW):
             detector.observe(query, 0.010)  # recovery fills the window
         (report,) = detector.report()
-        assert report.observations == 28
+        assert report.observations == 2 * WINDOW + 12
         assert not report.drifting
 
     def test_reset(self):
@@ -171,12 +178,6 @@ class TestEnvelope:
         assert envelope.low_residual == pytest.approx(-0.002)
         assert envelope.high_residual == pytest.approx(0.010)
 
-    def test_quantile_validation(self):
-        with pytest.raises(ValueError):
-            make_detector(low_quantile=0.6)
-        with pytest.raises(ValueError):
-            make_detector(high_quantile=1.5)
-
 
 class TestDropsAreExported:
     """What the detector turned away reaches the ``fleet-telemetry/v1``
@@ -189,9 +190,9 @@ class TestDropsAreExported:
 
     def test_class_cap_and_unpriced_plans_are_reported(self):
         model = FakeModel()
-        detector = make_detector(model, max_classes=1)
+        detector = make_detector(model)
         detector.observe(FakeQuery("SELECT weird", object()), 0.010)
-        for i in range(3):
+        for i in range(MAX_CLASSES + 2):
             detector.observe(priced_query(model, f"SELECT {i}"), 0.010)
         artifact = self.artifact(detector)
         assert artifact["drift_dropped_classes"] == 2

@@ -11,6 +11,7 @@ from repro.obs.flightrec import (
     FlightRecorder,
     ForensicsConfig,
     MAX_TRACES,
+    MAX_TRANSITIONS,
     _band_upper_ms,
 )
 from repro.obs.trace import Span
@@ -276,10 +277,10 @@ class TestBreakerWatch:
 
     def test_transition_cap_counts_drops(self):
         board = FakeBoard()
-        watch = BreakerWatch(max_transitions=1)
-        board.current = {1: "open"}
+        watch = BreakerWatch()
+        board.current = {node: "open" for node in range(MAX_TRANSITIONS)}
         watch.poll([board], 1.0)
-        board.current = {1: "closed"}
+        board.current = {0: "closed"}
         watch.poll([board], 2.0)
-        assert len(watch.transitions) == 1
+        assert len(watch.transitions) == MAX_TRANSITIONS
         assert watch.dropped_transitions == 1

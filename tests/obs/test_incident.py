@@ -7,17 +7,20 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.obs.flightrec import BreakerTransition, RetainedTrace
+from repro.obs.flightrec import MAX_TRANSITIONS, BreakerTransition, RetainedTrace
 from repro.obs.incident import (
     LatencyForensics,
     build_incident_report,
     fault_windows,
 )
 from repro.obs.trace import Span
+from repro.replication.faults import FaultSpec
 
 
-def event(time, kind, node_id=-1, detail=""):
-    return SimpleNamespace(time=time, kind=kind, node_id=node_id, detail=detail)
+def event(time, kind, node_id=-1, **fields):
+    """A scheduled fault (``fault_windows`` takes specs and applied events
+    alike)."""
+    return FaultSpec(time=time, kind=kind, node_id=node_id, **fields)
 
 
 def retained(trace_id, start, end, reasons=("slow",)):
@@ -62,7 +65,7 @@ class TestFaultWindows:
     def test_partition_closed_by_heal(self):
         windows = fault_windows(
             [
-                event(1.0, "partition", detail="groups=0,1|2,3"),
+                event(1.0, "partition", groups=((0, 1), (2, 3))),
                 event(4.0, "heal"),
             ],
             horizon=10.0,
@@ -73,8 +76,8 @@ class TestFaultWindows:
     def test_flaky_zero_probability_rearms_the_link(self):
         windows = fault_windows(
             [
-                event(1.0, "flaky", 4, detail="p=0.12"),
-                event(3.0, "flaky", 4, detail="p=0"),
+                event(1.0, "flaky", 4, probability=0.12),
+                event(3.0, "flaky", 4, probability=0.0),
             ],
             horizon=10.0,
         )
@@ -155,14 +158,15 @@ class TestCorrelation:
             fault_events=[
                 event(4.0, "crash", 1),
                 event(8.0, "recover", 1),
-                event(10.0, "slow", 2, detail="factor=4"),
+                event(10.0, "slow", 2, factor=4.0),
             ],
             traces=[retained("t-1", 5.0, 5.1)],
             transitions=[BreakerTransition(4.5, 1, "closed", "open")],
         )
-        # The slow window is uncorrelated but not in the default kinds.
+        # The slow window is uncorrelated, but the schedule is its crash
+        # and partition windows.
+        assert not report.windows[1].correlated
         assert report.reconstructs_schedule()
-        assert not report.reconstructs_schedule(kinds=("slow",))
 
 
 class TestRendering:
@@ -232,9 +236,8 @@ class TestLatencyForensics:
 
     def test_payload_reports_transitions_past_the_cap(self):
         forensics = LatencyForensics()
-        forensics.watch.max_transitions = 1
-        states = {1: "open", 2: "open"}
+        states = {node: "open" for node in range(MAX_TRANSITIONS + 1)}
         forensics.tick(1.0, boards=[SimpleNamespace(states=lambda now: states)])
         payload = forensics.payload()
-        assert len(payload["breaker_transitions"]) == 1
+        assert len(payload["breaker_transitions"]) == MAX_TRANSITIONS
         assert payload["breaker_dropped_transitions"] == 1

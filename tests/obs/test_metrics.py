@@ -206,8 +206,8 @@ class TestHistogramMerge:
         # 90% of the union's observations are 5.0: the merged reservoir
         # should be dominated by them even though both reservoirs retain
         # the same number of raw samples.
-        a = BoundedHistogram(capacity=64, seed=7)
-        b = BoundedHistogram(capacity=64, seed=11)
+        a = BoundedHistogram(capacity=64)
+        b = BoundedHistogram(capacity=64)
         for _ in range(9_000):
             a.observe(5.0)
         for _ in range(1_000):
@@ -235,8 +235,8 @@ class TestHistogramMerge:
 
     def test_merge_is_deterministic(self):
         def build():
-            a = BoundedHistogram(capacity=16, seed=3)
-            b = BoundedHistogram(capacity=16, seed=5)
+            a = BoundedHistogram(capacity=16)
+            b = BoundedHistogram(capacity=16)
             for i in range(200):
                 a.observe(float(i))
                 b.observe(float(-i))

@@ -17,7 +17,14 @@ from typing import Dict
 
 import pytest
 
-from repro.obs.slo import DEFAULT_RULES, BurnRateAlerter, BurnRateRule, SLOAlert
+from repro.obs.slo import (
+    DEFAULT_RULES,
+    MIN_EVENTS,
+    PRE_ARM_PROBABILITY,
+    BurnRateAlerter,
+    BurnRateRule,
+    SLOAlert,
+)
 from repro.obs.telemetry import SLO_GOOD_METRIC, SLO_TOTAL_METRIC
 from repro.obs.timeseries import TimeSeriesStore
 from repro.prediction.slo import ServiceLevelObjective
@@ -69,7 +76,7 @@ class TestFiringAndClearing:
     def test_fires_when_both_windows_exceed(self):
         store = TimeSeriesStore()
         alerter = BurnRateAlerter(
-            store, make_slo(0.9), rules=[self.rule()], min_events=10
+            store, make_slo(0.9), rules=[self.rule()]
         )
         # Healthy traffic for 6 s, then everything goes bad.
         total = good = 0
@@ -91,7 +98,7 @@ class TestFiringAndClearing:
         # Slow window still healthy: a 2-second blip must not page.
         store = TimeSeriesStore()
         alerter = BurnRateAlerter(
-            store, make_slo(0.9), rules=[self.rule()], min_events=10
+            store, make_slo(0.9), rules=[self.rule()]
         )
         total = good = 0
         for t in range(11):
@@ -106,18 +113,18 @@ class TestFiringAndClearing:
     def test_min_events_gates_cold_start(self):
         store = TimeSeriesStore()
         alerter = BurnRateAlerter(
-            store, make_slo(0.9), rules=[self.rule()], min_events=10
+            store, make_slo(0.9), rules=[self.rule()]
         )
-        # 100% bad, but only 4 events in the fast window.
+        # 100% bad, but one event short of MIN_EVENTS in the fast window.
         scrape(store, 0.0, total=0, good=0)
-        scrape(store, 6.0, total=4, good=0)
+        scrape(store, 6.0, total=MIN_EVENTS - 1, good=0)
         assert alerter.evaluate(6.0) == []
         assert alerter.alerts == []
 
     def test_clears_when_fast_window_recovers(self):
         store = TimeSeriesStore()
         alerter = BurnRateAlerter(
-            store, make_slo(0.9), rules=[self.rule()], min_events=5
+            store, make_slo(0.9), rules=[self.rule()]
         )
         total = good = 0
         for t in range(7):
@@ -142,7 +149,7 @@ class TestFiringAndClearing:
     def test_peak_burn_tracked_while_active(self):
         store = TimeSeriesStore()
         alerter = BurnRateAlerter(
-            store, make_slo(0.9), rules=[self.rule()], min_events=5
+            store, make_slo(0.9), rules=[self.rule()]
         )
         total = good = 0
         for t in range(13):
@@ -169,9 +176,7 @@ class TestPreArm:
             store,
             make_slo(0.9),
             rules=[BurnRateRule(2.0, 4.0, 2.0)],
-            min_events=5,
             admission=admission,
-            pre_arm_probability=0.25,
         )
         total = 0
         for t in range(6):
@@ -179,10 +184,10 @@ class TestPreArm:
             total += 10
         (alert,) = alerter.evaluate(5.0)
         assert alerter.alerts == [alert]
-        assert admission.armed == [0.25]
+        assert admission.armed == [PRE_ARM_PROBABILITY]
         # Still-active alert does not re-arm every tick.
         alerter.evaluate(5.5)
-        assert admission.armed == [0.25]
+        assert admission.armed == [PRE_ARM_PROBABILITY]
 
 
 class TestRules:
@@ -242,7 +247,7 @@ def scripted_timeline() -> Dict[str, object]:
     """
     rng = random.Random(7)
     store = TimeSeriesStore(resolution_seconds=0.5, capacity=32)
-    alerter = BurnRateAlerter(store, make_slo(0.99), min_events=10)
+    alerter = BurnRateAlerter(store, make_slo(0.99))
     digest = hashlib.sha256()
     total = good = 0
     for tick in range(1, 601):

@@ -147,13 +147,14 @@ class TestGatherTracing:
 
 class TestStrategyTracing:
     def test_lazy_vs_parallel_round_structure(self, scadr_db, thoughtstream_sql):
-        tracer = scadr_db.enable_tracing()
-        prepared = scadr_db.prepare(thoughtstream_sql)
-
-        prepared.execute({"uname": "alice"}, strategy=ExecutionStrategy.PARALLEL)
-        parallel_root = tracer.last_root()
-        prepared.execute({"uname": "alice"}, strategy=ExecutionStrategy.LAZY)
-        lazy_root = tracer.last_root()
+        roots = {}
+        for strategy in (ExecutionStrategy.PARALLEL, ExecutionStrategy.LAZY):
+            view = scadr_db.new_client(strategy=strategy)
+            tracer = view.enable_tracing()
+            view.prepare(thoughtstream_sql).execute({"uname": "alice"})
+            roots[strategy] = tracer.last_root()
+        parallel_root = roots[ExecutionStrategy.PARALLEL]
+        lazy_root = roots[ExecutionStrategy.LAZY]
 
         assert parallel_root.attributes["strategy"] == "parallel"
         assert lazy_root.attributes["strategy"] == "lazy"

@@ -123,7 +123,7 @@ class TestSLO:
         slo = ServiceLevelObjective(latency_seconds=0.5)
         assert prediction.violation_risk(slo) == pytest.approx(0.5)
         assert not prediction.meets(slo)
-        assert prediction.meets(slo, max_risk=0.5)
+        assert SLOPrediction(0.99, [0.1, 0.2, 0.5]).meets(slo)
 
     def test_observed_interval_quantiles(self):
         quantiles = observed_interval_quantiles([[0.1] * 10, [0.2] * 10], 0.99)

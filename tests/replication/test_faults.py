@@ -208,6 +208,33 @@ class TestFaultInjector:
         partition = injector.events[0]
         assert partition.detail == "groups=2,3"
 
+    def test_an_event_keeps_its_spec_and_prints_what_it_set(self):
+        """The detail and the window decision are the spec's own; the
+        applied event carries the spec, so incident reports read both off
+        it instead of parsing the detail string back."""
+        cluster = cluster_with_data()
+        injector = FaultInjector(cluster)
+        specs = [
+            (FaultSpec(time=1.0, kind="slow", node_id=0, factor=4.0),
+             "factor=4", True),
+            (FaultSpec(time=2.0, kind="flaky", node_id=1, probability=0.12),
+             "p=0.12", True),
+            (FaultSpec(time=3.0, kind="flaky", node_id=1, probability=0.0),
+             "p=0", False),
+            (FaultSpec(time=4.0, kind="delay", node_id=2, delay_seconds=0.6),
+             "delay=0.6s", True),
+            (FaultSpec(time=5.0, kind="delay", node_id=2, delay_seconds=0.0),
+             "delay=0s", False),
+            (FaultSpec(time=6.0, kind="partition", groups=((2, 3), (0,))),
+             "groups=2,3|0", True),
+            (FaultSpec(time=7.0, kind="restore", node_id=0), "", False),
+        ]
+        for spec, detail, opens in specs:
+            event = injector.apply(spec)
+            assert (spec.detail, spec.opens) == (detail, opens)
+            assert event.spec is spec
+            assert (event.detail, event.opens) == (detail, opens)
+
     def test_timeline_payload_exports_repair_fields(self):
         cluster = cluster_with_data()
         injector = FaultInjector(cluster)

@@ -28,18 +28,22 @@ class TestTokenBucketRetryBudget:
         assert not budget.try_acquire(0.5)  # only half a token back
         assert budget.try_acquire(1.1)
         # A long idle stretch refills to capacity, never beyond.
-        assert budget.try_acquire(100.0, tokens=2.0)
-        assert not budget.try_acquire(100.0, tokens=0.01)
+        assert budget.try_acquire(100.0)
+        assert budget.try_acquire(100.0)
+        assert not budget.try_acquire(100.0)
 
     def test_backwards_time_does_not_refund(self):
         budget = TokenBucketRetryBudget(capacity=2.0, refill_per_second=1.0)
         assert budget.try_acquire(10.0)
-        before = budget.tokens
-        assert not budget.try_acquire(5.0, tokens=before + 0.5)
-        assert budget.tokens == pytest.approx(before)
+        assert budget.try_acquire(5.0)
+        # Going back in time refunds nothing: the bucket stays empty.
+        assert not budget.try_acquire(5.0)
+        assert budget.tokens == pytest.approx(0.0)
 
     def test_fractional_tokens(self):
-        budget = TokenBucketRetryBudget(capacity=1.0, refill_per_second=0.0)
-        assert budget.try_acquire(0.0, tokens=0.5)
-        assert budget.try_acquire(0.0, tokens=0.5)
-        assert not budget.try_acquire(0.0, tokens=0.5)
+        # Refill accrues fractions of a token; a retry needs a whole one.
+        budget = TokenBucketRetryBudget(capacity=1.0, refill_per_second=2.0)
+        assert budget.try_acquire(0.0)
+        assert not budget.try_acquire(0.25)
+        assert budget.tokens == pytest.approx(0.5)
+        assert budget.try_acquire(0.5)

@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.simtime import SimClock
 from repro.obs.metrics import MetricsRegistry
+from repro.resilience.breaker import FAILURE_THRESHOLD
 from repro.resilience.policy import ResilienceConfig, ResiliencePolicy
 
 
@@ -159,7 +160,7 @@ class TestBreakers:
         )
         assert policy.board is not None
         for node_id in (0, 1):
-            for _ in range(policy.board.failure_threshold):
+            for _ in range(FAILURE_THRESHOLD):
                 policy.board.record_failure(node_id, 0.0)
         with pytest.raises(CircuitOpenError) as excinfo:
             policy.run(lambda: "unreached")

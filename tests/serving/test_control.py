@@ -21,7 +21,7 @@ SLO = ServiceLevelObjective(quantile=0.9, latency_seconds=0.1, interval_seconds=
 
 
 def violating_monitor(now: float = 1.0) -> SLOMonitor:
-    monitor = SLOMonitor(SLO, control_window_seconds=10.0, min_samples=10)
+    monitor = SLOMonitor(SLO)
     for i in range(30):
         monitor.record(now - 0.5 + i * 0.01, 1.0)  # 10x over the objective
     return monitor
@@ -33,7 +33,7 @@ def healthy_monitor(now: float = 1.0) -> SLOMonitor:
 
 def monitor_at(latency: float, now: float = 1.0) -> SLOMonitor:
     """Thirty recent observations, all at ``latency`` seconds."""
-    monitor = SLOMonitor(SLO, control_window_seconds=10.0, min_samples=10)
+    monitor = SLOMonitor(SLO)
     for i in range(30):
         monitor.record(now - 0.5 + i * 0.01, latency)
     return monitor
@@ -77,7 +77,7 @@ class TestAdmissionController:
         assert controller.shed_probability == pytest.approx(0.3)
 
     def test_no_samples_means_no_shedding(self):
-        monitor = SLOMonitor(SLO, min_samples=10)
+        monitor = SLOMonitor(SLO)
         controller = AdmissionController(monitor)
         controller.update(1.0)
         assert controller.shed_probability == 0.0
@@ -107,7 +107,7 @@ class TestAdmissionController:
         assert controller.counters.queued == 1
 
     def test_pre_armed_probability_holds_until_enough_is_observed(self):
-        controller = AdmissionController(SLOMonitor(SLO, min_samples=10))
+        controller = AdmissionController(SLOMonitor(SLO))
         controller.pre_arm(0.5)
         controller.update(1.0)
         assert controller.shed_probability == pytest.approx(0.5)
@@ -147,7 +147,7 @@ class TestAutoscaler:
 
     def test_scales_up_under_high_utilization(self):
         cluster = self.make_cluster()
-        install_queues(cluster, smoothing_seconds=0.01)
+        install_queues(cluster)
         scaler = Autoscaler(
             cluster, AutoscaleConfig(high_utilization=0.7, cooldown_seconds=1.0)
         )
@@ -160,7 +160,7 @@ class TestAutoscaler:
 
     def test_cooldown_blocks_back_to_back_actions(self):
         cluster = self.make_cluster()
-        install_queues(cluster, smoothing_seconds=0.01)
+        install_queues(cluster)
         scaler = Autoscaler(
             cluster, AutoscaleConfig(high_utilization=0.7, cooldown_seconds=5.0)
         )
@@ -172,7 +172,7 @@ class TestAutoscaler:
 
     def test_scales_down_when_idle_but_not_below_replication(self):
         cluster = self.make_cluster(nodes=3)
-        install_queues(cluster, smoothing_seconds=0.01)
+        install_queues(cluster)
         scaler = Autoscaler(
             cluster,
             AutoscaleConfig(
@@ -188,7 +188,7 @@ class TestAutoscaler:
 
     def test_never_grows_past_max_nodes(self, monkeypatch):
         cluster = self.make_cluster()
-        install_queues(cluster, smoothing_seconds=0.01)
+        install_queues(cluster)
         monkeypatch.setattr(autoscale, "MAX_NODES", len(cluster.nodes))
         scaler = Autoscaler(
             cluster, AutoscaleConfig(high_utilization=0.7, cooldown_seconds=1.0)
@@ -199,7 +199,7 @@ class TestAutoscaler:
 
     def test_no_scale_down_during_warmup(self):
         cluster = self.make_cluster()
-        install_queues(cluster, smoothing_seconds=0.01)
+        install_queues(cluster)
         scaler = Autoscaler(
             cluster, AutoscaleConfig(low_utilization=0.3, warmup_seconds=30.0)
         )
@@ -208,7 +208,7 @@ class TestAutoscaler:
 
     def test_actions_are_logged(self):
         cluster = self.make_cluster()
-        install_queues(cluster, smoothing_seconds=0.01)
+        install_queues(cluster)
         scaler = Autoscaler(
             cluster, AutoscaleConfig(high_utilization=0.7, cooldown_seconds=0.1)
         )

@@ -6,32 +6,34 @@ import pytest
 
 from repro.prediction.slo import ServiceLevelObjective
 from repro.serving import SLOMonitor
+from repro.serving.monitor import CONTROL_WINDOW_SECONDS
 
 
-def make_monitor(**kwargs) -> SLOMonitor:
+def make_monitor() -> SLOMonitor:
     slo = ServiceLevelObjective(
         quantile=0.9, latency_seconds=0.1, interval_seconds=10.0
     )
-    return SLOMonitor(slo, **kwargs)
+    return SLOMonitor(slo)
 
 
 class TestLiveSignals:
     def test_percentile_over_recent_window(self):
-        monitor = make_monitor(control_window_seconds=5.0)
+        monitor = make_monitor()
         for i in range(10):
             monitor.record(1.0 + i * 0.1, 0.01 * (i + 1))
         assert monitor.percentile(0.5, 2.0) == pytest.approx(0.06)
         assert monitor.percentile(1.0, 2.0) == pytest.approx(0.10)
 
     def test_old_samples_age_out_of_the_control_window(self):
-        monitor = make_monitor(control_window_seconds=1.0)
-        monitor.record(0.0, 5.0)  # terrible, but ancient
+        monitor = make_monitor()
+        monitor.record(0.0, 5.0)  # terrible, but older than the window
+        start = CONTROL_WINDOW_SECONDS + 1.0
         for i in range(30):
-            monitor.record(4.0 + i * 0.01, 0.01)
-        assert monitor.percentile(1.0, 4.3) == pytest.approx(0.01)
+            monitor.record(start + i * 0.01, 0.01)
+        assert monitor.percentile(1.0, start + 0.3) == pytest.approx(0.01)
 
     def test_recent_compliance(self):
-        monitor = make_monitor(control_window_seconds=10.0)
+        monitor = make_monitor()
         for i in range(8):
             monitor.record(i * 0.1, 0.01)
         for i in range(2):

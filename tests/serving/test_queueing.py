@@ -10,12 +10,12 @@ from repro.serving import NodeRequestQueue, install_queues, refresh_utilization,
 
 class TestNodeRequestQueue:
     def test_idle_queue_charges_no_wait(self):
-        queue = NodeRequestQueue(bucket_seconds=0.05)
+        queue = NodeRequestQueue()
         assert queue.on_request(0.0, 0.002) == 0.0
         assert queue.on_request(10.0, 0.002) == 0.0
 
     def test_burst_beyond_bucket_capacity_waits(self):
-        queue = NodeRequestQueue(bucket_seconds=0.05)
+        queue = NodeRequestQueue()
         # 0.04s + 0.04s fill bucket 0 and spill into bucket 1; the third
         # request finds buckets 0 and 1 exhausted only after 0.08s of
         # service is already booked, so it starts in a later bucket.
@@ -27,7 +27,7 @@ class TestNodeRequestQueue:
         assert queue.service_seconds == pytest.approx(0.12)
 
     def test_backlog_drains_with_idle_time(self):
-        queue = NodeRequestQueue(bucket_seconds=0.05)
+        queue = NodeRequestQueue()
         for _ in range(10):
             queue.on_request(0.0, 0.05)  # half a second of work at t=0
         assert queue.backlog_seconds(0.1) > 0.0
@@ -36,20 +36,20 @@ class TestNodeRequestQueue:
         assert queue.backlog_seconds(10.0) == 0.0
 
     def test_waits_grow_under_sustained_overload(self):
-        queue = NodeRequestQueue(bucket_seconds=0.05)
+        queue = NodeRequestQueue()
         waits = [queue.on_request(i * 0.01, 0.02) for i in range(50)]
         # Offered load is 2x capacity, so waiting time keeps climbing.
         assert waits[-1] > waits[10] > 0.0
 
     def test_busy_fraction_tracks_offered_service(self):
-        queue = NodeRequestQueue(smoothing_seconds=0.01, bucket_seconds=0.05)
+        queue = NodeRequestQueue(smoothing_seconds=0.01)
         for i in range(10):
             queue.on_request(i * 0.1, 0.05)  # ~50% busy
         _, busy = queue.sample(1.0)
         assert busy == pytest.approx(0.5, abs=0.05)
 
     def test_busy_fraction_saturates_at_one_in_overload(self):
-        queue = NodeRequestQueue(smoothing_seconds=0.01, bucket_seconds=0.05)
+        queue = NodeRequestQueue(smoothing_seconds=0.01)
         for i in range(100):
             queue.on_request(i * 0.01, 0.05)  # 5x capacity
         assert queue.sample(1.0)[1] == pytest.approx(1.0)
@@ -97,7 +97,7 @@ class TestClusterIntegration:
     def test_refresh_utilization_feeds_nodes_and_returns_busy(self):
         cluster = KeyValueCluster(ClusterConfig(storage_nodes=2, seed=1))
         cluster.create_namespace("ns")
-        install_queues(cluster, smoothing_seconds=0.01)
+        install_queues(cluster)
         for i in range(200):
             cluster.get("ns", b"k%d" % i, sim_time=i * 0.001)
         busy = refresh_utilization(cluster, 0.2)

@@ -24,6 +24,7 @@ from repro.obs import BurnRateRule
 from repro.prediction import QueryLatencyModel, train_default_model
 from repro.prediction.slo import ServiceLevelObjective
 from repro.replication import FaultSpec
+from repro.resilience.breaker import FAILURE_THRESHOLD
 from repro.serving import ServingConfig, ServingSimulation
 from repro.workloads.base import InteractionResult, Workload, WorkloadScale
 
@@ -243,6 +244,34 @@ class TestRendering:
             assert f" {node_id} " in text or f"node {node_id}" in text
 
 
+class TestLatencyBreakdown:
+    def test_dashboard_renders_critical_path_shares(self):
+        """With forensics on, the scraped critical-path shares get their own
+        section: a header, the traces analysed, and one row per segment."""
+        from repro.obs.flightrec import ForensicsConfig
+
+        db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=3, seed=4))
+        workload = PointLookupWorkload(rows=50)
+        workload.setup(db, WorkloadScale(storage_nodes=3))
+        report = ServingSimulation(
+            db,
+            workload,
+            ServingConfig(
+                mode="closed", clients=4, think_time_seconds=0.2,
+                duration_seconds=3.0, telemetry_enabled=True,
+                forensics=ForensicsConfig(), seed=5,
+            ),
+        ).run()
+        lines = report.dashboard().splitlines()
+        start = lines.index("LATENCY BREAKDOWN (critical-path share)")
+        assert lines[start + 1].startswith("  traces analyzed: ")
+        assert int(lines[start + 1].split(":")[1].split()[0]) > 0
+        assert lines[start + 2].strip() == "SELECT * FROM items WHERE id = <id>"
+        segment, share = lines[start + 3].split()[:2]
+        assert segment == "rpc_service"
+        assert 0.0 < float(share.rstrip("%")) <= 100.0
+
+
 class TestBreakerTelemetry:
     """The collector turns live breaker boards into per-node gauges."""
 
@@ -253,10 +282,7 @@ class TestBreakerTelemetry:
 
         cluster = KeyValueCluster(ClusterConfig(storage_nodes=3, seed=2))
         store = TimeSeriesStore(resolution_seconds=0.5)
-        boards = [
-            BreakerBoard(failure_threshold=1, open_seconds=10.0)
-            for _ in range(2)
-        ]
+        boards = [BreakerBoard() for _ in range(2)]
         collector = TelemetryCollector(
             store, cluster=cluster, breakers_fn=lambda: boards
         )
@@ -274,8 +300,9 @@ class TestBreakerTelemetry:
             assert points and points[-1].last == 0.0
         assert store.latest_value("resilience.breaker.boards") == 2.0
 
-        boards[0].record_failure(1, 1.0)  # client 0 fences node 1
-        boards[1].record_failure(1, 1.0)  # client 1 agrees
+        for _ in range(FAILURE_THRESHOLD):
+            boards[0].record_failure(1, 1.0)  # client 0 fences node 1
+            boards[1].record_failure(1, 1.0)  # client 1 agrees
         collector.scrape(1.0)
         points = store.points(
             "resilience.breaker.open_clients", {"node": 1}
@@ -289,7 +316,8 @@ class TestBreakerTelemetry:
     def test_dashboard_renders_breaker_section(self):
         store, boards, collector, telemetry = self.make_stack()
         collector.scrape(0.0)
-        boards[0].record_failure(2, 1.0)
+        for _ in range(FAILURE_THRESHOLD):
+            boards[0].record_failure(2, 1.0)
         collector.scrape(1.0)
         text = telemetry.dashboard()
         assert "BREAKERS (2 client boards)" in text

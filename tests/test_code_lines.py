@@ -43,3 +43,41 @@ def test_layout_moves_lines_but_not_statements():
 
 def test_a_string_statement_that_is_not_a_docstring_counts():
     assert code_lines.count_code("x = 1\n'not a docstring'\n") == (2, 2)
+
+
+KNOBS = """
+from dataclasses import dataclass, field
+from typing import ClassVar
+
+
+@dataclass
+class RunConfig:
+    seed: int = 1
+    nodes: int
+    names: list = field(default_factory=list)
+    VERSION: ClassVar[int] = 2
+
+
+@dataclass
+class Point:
+    x: int = 0
+
+
+def run(config, quick=False, *, seeds=None, label):
+    def fire(sim, spec=config):
+        return spec
+    return lambda value=1: value
+
+
+class Runner:
+    def go(self, a, b=2):
+        pass
+"""
+
+
+def test_knobs_are_config_fields_and_defaulted_parameters():
+    # RunConfig's three fields (not the ClassVar, not Point's), run's
+    # quick and seeds, Runner.go's b -- not the closure's capture or the
+    # lambda's default.
+    assert code_lines.count_knobs(KNOBS) == 6
+    assert code_lines.count_knobs(BARE) == 0

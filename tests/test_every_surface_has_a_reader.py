@@ -4,7 +4,7 @@ An attribute nobody reads is work that explains nothing, a method only
 tests call is code the program never runs, and a config field nobody sets
 is a constant with an ``if`` around it.  This test walks the syntax trees
 of ``src/``, ``benchmarks/`` and ``examples/`` (tests never count as
-readers) and holds three rules over ``src/repro``:
+readers) and holds four rules over ``src/repro``:
 
 (a) every attribute a class assigns through ``self`` (``self.x = ...``,
     ``self.x += ...``, and ``self.h.x = ...`` for state kept in a helper
@@ -20,7 +20,18 @@ readers) and holds three rules over ``src/repro``:
     as its own parameter (``loaded_database(storage_nodes=...)``) or that
     goes to a callee defined nowhere in the tree (a library call) sets no
     field; one whose way on the rules cannot follow sets every config's
-    field of that name.
+    field of that name;
+(d) every defaulted parameter of a function or method that code which can
+    run loads is passed by a call that can run — a default no caller ever
+    changes is a constant.  Calls are matched by name (a constructor by
+    its class's, ``cls(...)`` and ``super().__init__(...)`` included).  A
+    call passes a parameter by keyword (or a key of a literal
+    ``**mapping``; the keys of a literal ``engine_options`` reach the
+    engine), by position, or through a callee whose ``**kwargs`` go on to
+    it; a call with ``*args`` or a ``**mapping`` the rules cannot read,
+    and a function passed as a value (``partial(run, ...)``, a callback),
+    pass every parameter.  A class handed by position
+    (``build(WorkloadScale, seed=...)``) takes the call's keywords.
 
 A *read* (a *load*) is an attribute or name load, the string given to
 ``getattr``/``hasattr`` (a ``getattr(x, f"prefix{...}")`` loads every name
@@ -52,7 +63,7 @@ import ast
 import functools
 import importlib.util
 import os
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import repro
 
@@ -77,8 +88,19 @@ HOT_PATH: Dict[str, Tuple[str, ...]] = {
 _ERROR_PAYLOAD = "typed-error payload: carried to whoever catches the error"
 _REDUCED_GRID = "tests train a reduced grid to stay inside tier-1's time budget"
 _REFERENCE = "a reference the tests compare the running code against"
+_ENGINE_FIXTURE = (
+    "the engine_v1 fixture's segment bytes were written at fanout 4 and an "
+    "index entry every 4 keys, and the crash-point enumeration compacts "
+    "within its budget only at fanout 2"
+)
+_RINGS = (
+    "the hypothesis ring model needs rings that wrap within a few dozen "
+    "samples; at 128 buckets x 3 levels x 8 one wrap of the coarsest level "
+    "is ~10^5 samples per example"
+)
 
-#: Kept although nothing outside tests reads it: qualified name -> reason.
+#: Kept although nothing outside tests reads, sets or passes it: qualified
+#: name (a parameter as ``function(parameter)``) -> reason.
 ALLOWED: Dict[str, str] = {
     "repro.kvstore.engine.base.StorageEngine.drop_namespace": (
         "on-disk format: WAL op 3, replayed by the engine_v1 fixture and the "
@@ -133,52 +155,22 @@ ALLOWED: Dict[str, str] = {
     "repro.serving.autoscale.AutoscaleConfig.warmup_seconds": (
         "tests set it to reach scale-down and failover inside short runs"
     ),
+    "repro.errors.ConstraintViolationError(constraint)": _ERROR_PAYLOAD,
+    "repro.obs.metrics.MetricsRegistry.observe(capacity)": (
+        "the histogram half of the registry, retired as a whole by ROADMAP "
+        "item 1b"
+    ),
+    "repro.kvstore.engine.lsm.LsmEngine(fanout)": _ENGINE_FIXTURE,
+    "repro.kvstore.engine.lsm.LsmEngine(sparse_index_every)": _ENGINE_FIXTURE,
+    "repro.kvstore.latency.LatencyModel(params)": (
+        "tests switch the weather off or pin a service-time distribution; "
+        "no run at the default parameters shows either"
+    ),
+    "repro.obs.timeseries.TimeSeriesStore(capacity)": _RINGS,
+    "repro.obs.timeseries.TimeSeriesStore(levels)": _RINGS,
+    "repro.obs.timeseries.TimeSeriesStore(downsample_factor)": _RINGS,
+    "repro.obs.timeseries.TimeSeriesStore(max_series)": _RINGS,
 }
-
-_EXPERIMENT_SHAPE = (
-    "one value in use, not yet a module constant: an experiment's cluster "
-    "shape, seed or SLO (four pin theirs in results/*.json via asdict)"
-)
-ALLOWED.update(
-    (f"repro.bench.{config}.{name}", _EXPERIMENT_SHAPE)
-    for config, names in {
-        "chaos.ChaosSoakConfig": (
-            "node_capacity_ops_per_second", "read_quorum", "replication",
-            "slo", "storage_nodes", "think_time_seconds", "write_quorum",
-        ),
-        "failover_slo.FailoverSloConfig": (
-            "node_capacity_ops_per_second", "read_quorum", "replication",
-            "seed", "slo", "storage_nodes", "write_quorum",
-        ),
-        "intersection.IntersectionExperimentConfig": ("seed",),
-        "operator_fusion.OperatorFusionConfig": (
-            "node_capacity_ops_per_second", "seed", "storage_nodes",
-            "think_time_seconds",
-        ),
-        "pipelined_interactions.PipelinedInteractionsConfig": (
-            "node_capacity_ops_per_second", "seed", "storage_nodes",
-            "think_time_seconds",
-        ),
-        "prediction_experiment.PredictionExperimentConfig": (
-            "seed", "storage_nodes",
-        ),
-        "scaling.ScalingExperimentConfig": ("items_total", "replication", "seed"),
-        "serving_slo.ServingSloConfig": (
-            "clients", "node_capacity_ops_per_second", "seed", "slo",
-            "storage_nodes",
-        ),
-        "storage_engine.StorageEngineConfig": (
-            "memtable_budget_bytes", "read_quorum", "replication", "seed",
-            "storage_nodes", "write_quorum",
-        ),
-        "strategies.ExecutorStrategyConfig": ("seed",),
-        "view_maintenance.ViewMaintenanceConfig": (
-            "node_capacity_ops_per_second", "seed", "storage_nodes",
-            "think_time_seconds",
-        ),
-    }.items()
-    for name in names
-)
 
 #: Methods that change a container in place.
 MUTATORS = {
@@ -187,6 +179,11 @@ MUTATORS = {
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: What holds statements.
+BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
+DEFINES = (ast.ClassDef, *FUNCTIONS)
+ANNOTATED = (ast.AnnAssign, *DEFINES)
+NOTHING: FrozenSet[int] = frozenset()
 
 
 class Definition(NamedTuple):
@@ -241,6 +238,9 @@ class Call(NamedTuple):
     cls: Optional[str]
     #: What a ``replace(...)`` call copies.
     subject: Optional[ast.expr]
+    #: It passes ``*args`` or a ``**mapping`` whose keys the rules cannot
+    #: read (not a literal, not the caller's own ``**kwargs`` passed on).
+    spread: bool = False
 
 
 class Signature(NamedTuple):
@@ -263,6 +263,9 @@ class Tree(NamedTuple):
     #: Short name -> the signature of every definition of that name in
     #: ``src/``, ``benchmarks/`` and ``examples/``.
     signatures: Dict[str, List[Signature]]
+    #: ``(name, site)`` of every load that is not called where it stands:
+    #: a function passed as a value (``partial(run, ...)``, a callback).
+    values: List[Tuple[str, Optional[str]]]
 
 
 def module_name(path: str) -> Optional[str]:
@@ -382,12 +385,25 @@ def annotations(node: ast.AST) -> List[ast.AST]:
     return []
 
 
+def statements(tree: ast.AST) -> Iterator[ast.AST]:
+    """Every statement of ``tree`` (expressions hold none, so they are not
+    entered)."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(
+            child for child in ast.iter_child_nodes(node)
+            if isinstance(child, BLOCKS)
+        )
+
+
 def scan(path: str, tree: ast.AST, found: Tree) -> None:
     module = module_name(path)
     aliases: Dict[str, str] = {}
     # name -> keys of the dicts assigned to it, for ``f(**name)``.
     mappings: Dict[Optional[str], Set[str]] = {}
-    for node in ast.walk(tree):
+    for node in statements(tree):
         if isinstance(node, ast.ImportFrom):
             aliases.update((a.asname, a.name) for a in node.names if a.asname)
         if not isinstance(node, (ast.Assign, ast.AnnAssign)) or not node.value:
@@ -404,17 +420,27 @@ def scan(path: str, tree: ast.AST, found: Tree) -> None:
             elif isinstance(part, ast.Call) and last_identifier(part.func) == "dict":
                 keys.update(k.arg for k in part.keywords if k.arg)
 
-    def load(name, kind, receiver, state, prefix=False):
+    # Functions whose ``**kwargs`` the visit is inside, innermost last.
+    own_kwargs: List[Optional[str]] = []
+    # The ``func`` of every call: a load there is called, not passed on.
+    called: Set[int] = set()
+
+    def load(name, kind, receiver, state, prefix=False, node=None):
         cls, site, statements, copied_into = state
         found.loads.append(Load(
             aliases.get(name, name) if kind == "name" else name, kind, receiver,
             cls, site, statements, copied_into.get(name, frozenset()), prefix,
         ))
+        if id(node) not in called:
+            found.values.append((name, site))
 
     def visit(node, state, depth):
         cls, site, statements, copied_into = state
-        skip = set(map(id, annotations(node)))
-        if isinstance(node, (ast.ClassDef, *FUNCTIONS)):
+        skip = (
+            set(map(id, annotations(node)))
+            if isinstance(node, ANNOTATED) else NOTHING
+        )
+        if isinstance(node, DEFINES):
             # Decorators, bases and defaults run where the definition sits.
             outer = node.decorator_list + (
                 node.bases + [k.value for k in node.keywords]
@@ -443,10 +469,11 @@ def scan(path: str, tree: ast.AST, found: Tree) -> None:
         elif isinstance(node, ast.stmt) and statements is not None:
             state = (cls, site, statements + (node,), copied_into)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            load(node.id, "name", None, state)
+            load(node.id, "name", None, state, node=node)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            load(node.attr, "attr", last_identifier(node.value), state)
+            load(node.attr, "attr", last_identifier(node.value), state, node=node)
         elif isinstance(node, ast.Call):
+            called.add(id(node.func))
             callee = last_identifier(node.func)
             if callee in ("getattr", "hasattr") and len(node.args) > 1:
                 receiver, what = last_identifier(node.args[0]), node.args[1]
@@ -459,21 +486,49 @@ def scan(path: str, tree: ast.AST, found: Tree) -> None:
                 ):
                     load(what.values[0].value, "attr", receiver,
                          state[:2] + ((), {}), prefix=True)
+            callees = [callee]
             if callee == "cls" and cls is not None:
-                callee = short(cls)
+                callees = [short(cls)]
+            elif (
+                callee == "__init__"
+                and isinstance(node.func.value, ast.Call)
+                and last_identifier(node.func.value.func) == "super"
+            ):
+                callees = list(found.bases.get(cls, ()))
             keywords = {k.arg for k in node.keywords if k.arg}
+            spread = any(isinstance(a, ast.Starred) for a in node.args)
             for k in node.keywords:
-                if k.arg is None and last_identifier(k.value) in mappings:
-                    keywords |= mappings[last_identifier(k.value)]
-            found.calls.append(Call(
-                callee,
-                sum(not isinstance(a, ast.Starred) for a in node.args),
-                frozenset(keywords),
-                site,
-                frozenset(filter(None, map(last_identifier, node.args))),
-                cls,
-                node.args[0] if callee == "replace" and node.args else None,
-            ))
+                spread_name = last_identifier(k.value)
+                if k.arg is None and spread_name in mappings:
+                    keywords |= mappings[spread_name]
+                elif k.arg is None:
+                    spread |= not own_kwargs or spread_name != own_kwargs[-1]
+                elif k.arg == "engine_options":
+                    # The cluster hands these to ``create_engine(**options)``.
+                    options = {
+                        key.arg for part in ast.walk(k.value)
+                        if isinstance(part, ast.Call) for key in part.keywords
+                    } | strings(
+                        key for part in ast.walk(k.value)
+                        if isinstance(part, ast.Dict) for key in part.keys
+                    ) | mappings.get(spread_name, set())
+                    found.calls.append(Call(
+                        "create_engine", 0, frozenset(options - {None}), site,
+                        frozenset(), cls, None,
+                    ))
+            for name in callees:
+                found.calls.append(Call(
+                    name,
+                    sum(not isinstance(a, ast.Starred) for a in node.args),
+                    frozenset(keywords),
+                    site,
+                    frozenset(filter(None, map(last_identifier, node.args))),
+                    cls,
+                    node.args[0] if name == "replace" and node.args else None,
+                    spread,
+                ))
+        if isinstance(node, FUNCTIONS):
+            own_kwargs.append(node.args.kwarg.arg if node.args.kwarg else None)
         for child in ast.iter_child_nodes(node):
             if id(child) in skip:
                 continue
@@ -485,13 +540,15 @@ def scan(path: str, tree: ast.AST, found: Tree) -> None:
                 }
                 inner = state[:3] + (copies,)
             visit(child, inner, depth)
+        if isinstance(node, FUNCTIONS):
+            own_kwargs.pop()
 
     visit(tree, (None, None, None, {}), 0)
 
 
 @functools.lru_cache(maxsize=None)
 def tree() -> Tree:
-    found = Tree({}, {}, [], [], {})
+    found = Tree({}, {}, [], [], {}, [])
     for root in ("src", "benchmarks", "examples"):
         for directory, _, names in sorted(os.walk(os.path.join(REPO, root))):
             for name in sorted(names):
@@ -776,8 +833,93 @@ def unset_config_fields() -> Set[str]:
     }
 
 
+def parameter_name(definition: Definition, parameter: str) -> str:
+    """``module.Class.method(parameter)``; a constructor's is the class's."""
+    if definition.name == "__init__" and definition.owner is not None:
+        return f"{definition.owner}({parameter})"
+    return f"{definition.qualname}({parameter})"
+
+
+def defaulted(node: ast.AST) -> Tuple[List[str], List[str]]:
+    """A function's positional parameters after ``self``/``cls``, and the
+    names of those of its parameters that have a default."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    names = positional[len(positional) - len(args.defaults):] + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    if positional and positional[0] in ("self", "cls") and not any(
+        last_identifier(d) == "staticmethod" for d in node.decorator_list
+    ):
+        positional = positional[1:]
+    return positional, names
+
+
+def unpassed_parameters() -> Set[str]:
+    """Rule (d): every defaulted parameter of a function of ``src/repro``
+    that code which can run loads is passed by a call that can run."""
+    found = tree()
+    classes = {
+        d.name for d in found.definitions.values()
+        if isinstance(d.node, ast.ClassDef)
+    }
+    everything = {
+        name for name, site in found.values
+        if (site is None or site in live()) and name not in classes
+    }
+    keywords: Dict[Optional[str], Set[str]] = {}
+    positional: Dict[Optional[str], int] = {}
+
+    def receive(callee, keyword, seen=()):
+        """Record ``keyword`` for ``callee`` and, through ``**kwargs``
+        passed on, for every callee it reaches."""
+        keywords.setdefault(callee, set()).add(keyword)
+        for signature in found.signatures.get(callee, ()):
+            if keyword not in signature.names and callee not in seen:
+                for target in signature.forwards:
+                    receive(target, keyword, seen + (callee,))
+
+    for call in found.calls:
+        if call.site is not None and call.site not in live():
+            continue
+        if call.spread:
+            everything.add(call.callee)
+        positional[call.callee] = max(
+            positional.get(call.callee, 0), call.positional
+        )
+        # A class handed by position (``build(WorkloadScale, seed=...)``)
+        # takes the keywords the callee does not.
+        handed = [a for a in call.arguments if a in classes]
+        for keyword in call.keywords:
+            for callee in [call.callee, *handed]:
+                receive(callee, keyword)
+    result = set()
+    for definition in found.definitions.values():
+        node = definition.node
+        if not isinstance(node, FUNCTIONS) or definition.qualname not in live():
+            continue
+        name = definition.name
+        if name == "__init__" and definition.owner is not None:
+            name = short(definition.owner)
+        elif name.startswith("__") and name.endswith("__"):
+            continue  # called by the language, not by name
+        if name in everything:
+            continue
+        order, names = defaulted(node)
+        for parameter in names:
+            index = order.index(parameter) if parameter in order else len(order)
+            if parameter not in keywords.get(name, ()) and index >= positional.get(
+                name, 0
+            ):
+                result.add(parameter_name(definition, parameter))
+    return result
+
+
 def findings() -> Set[str]:
-    return unread_attributes() | unloaded_definitions() | unset_config_fields()
+    return (
+        unread_attributes() | unloaded_definitions() | unset_config_fields()
+        | unpassed_parameters()
+    )
 
 
 def test_every_attribute_is_read():
@@ -790,6 +932,10 @@ def test_every_definition_is_loaded_by_code_that_runs():
 
 def test_every_config_field_is_set_by_a_caller():
     assert sorted(unset_config_fields() - set(ALLOWED)) == []
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller():
+    assert sorted(unpassed_parameters() - set(ALLOWED)) == []
 
 
 def test_every_allowed_name_is_still_unread_and_has_a_reason():

@@ -144,12 +144,13 @@ class TestScaleIndependenceInvariants:
                 for n in range(17)
             ),
         )
-        prepared = db.prepare(
-            "SELECT * FROM accounts WHERE owner = <o> ORDER BY number ASC PAGINATE 5"
-        )
         for strategy in ExecutionStrategy:
+            prepared = db.new_client(strategy=strategy).prepare(
+                "SELECT * FROM accounts WHERE owner = <o> ORDER BY number ASC "
+                "PAGINATE 5"
+            )
             numbers = []
-            for page in prepared.pages({"o": "ann"}, strategy=strategy):
+            for page in prepared.pages({"o": "ann"}):
                 numbers.extend(row["number"] for row in page.rows)
             assert numbers == list(range(17)), strategy
 

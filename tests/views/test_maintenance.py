@@ -303,3 +303,56 @@ class TestBackfillAndBounds:
             for row in recompute_top_k(view, recomputed, ("sf",))
         ]
         assert query.execute(shop="sf").rows == expected
+
+
+AVG_VIEW = """
+CREATE MATERIALIZED VIEW product_means AS
+SELECT product, COUNT(*) AS n, AVG(amount) AS mean
+FROM sales
+GROUP BY product
+"""
+
+AVG_QUERY = """
+SELECT product, COUNT(*) AS n, AVG(amount) AS mean
+FROM sales
+WHERE product = <product>
+GROUP BY product
+"""
+
+
+class TestAverage:
+    def test_random_writes_match_offline_recomputation(self, db):
+        """300 random inserts, updates (group moves included) and deletes:
+        the AVG view's merge state matches a recomputation from the base
+        table after every write."""
+        import random
+        db.create_materialized_view(AVG_VIEW)
+        view = db.catalog.view("product_means")
+        query = db.prepare(AVG_QUERY)
+        assert query.optimized.view_used == "product_means"
+        rng = random.Random(41)
+        products = ["apple", "pear", "fig", "plum"]
+        live = {}
+        for step in range(300):
+            action = rng.random()
+            if not live or action < 0.45:
+                sale_id = step
+                live[sale_id] = rng.choice(products)
+                sale(db, sale_id, "sf", live[sale_id], rng.randrange(1, 50))
+            elif action < 0.8:
+                sale_id = rng.choice(sorted(live))
+                live[sale_id] = rng.choice(products)  # may move the group
+                db.update("sales", {
+                    "sale_id": sale_id, "shop": "sf",
+                    "product": live[sale_id], "amount": rng.randrange(1, 50),
+                })
+            else:
+                sale_id = rng.choice(sorted(live))
+                del live[sale_id]
+                db.delete("sales", [sale_id])
+            expected = recompute_view(view, db.catalog, db.cluster)
+            for product in products:
+                rows = query.execute(product=product).rows
+                truth = expected.get((product,))
+                assert rows == ([] if truth is None else [truth]), (step, product)
+        assert 0 < len(live) < 300

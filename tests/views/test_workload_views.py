@@ -139,7 +139,7 @@ class TestScadrCounts:
 
     def test_counts_track_posts(self):
         db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=3, seed=81))
-        workload = ScadrWorkload(materialized_views=True, post_probability=1.0)
+        workload = ScadrWorkload(materialized_views=True)
         workload.setup(db, WorkloadScale(storage_nodes=2, users_per_node=10))
         query = db.prepare(workload.query_sql("thought_count"))
         uname = workload.usernames[0]

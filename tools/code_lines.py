@@ -8,6 +8,10 @@
   "statements" (``cluster.py`` 922, ``client.py`` 518 at PR 19).
 * ``stmts`` -- ``ast.stmt`` nodes, docstrings excluded.  Reformatting cannot
   move it, so a fall in ``lines`` with flat ``stmts`` is only denser layout.
+* ``knobs`` -- options: fields of ``*Config`` dataclasses plus defaulted
+  parameters of functions and methods (a closure's ``spec=spec`` capture
+  is not one).  Each is a value a caller may change, so each is something
+  the tests and benchmarks must cover.
 
     python tools/code_lines.py             # the ten largest under src/repro
     python tools/code_lines.py src/repro   # every file under the given paths
@@ -58,6 +62,35 @@ def count_code(source: str) -> Tuple[int, int]:
     return len(lines), statements
 
 
+def count_knobs(source: str) -> int:
+    """``*Config`` dataclass fields plus defaulted parameters of the
+    functions and methods of ``source`` (nested functions excluded)."""
+    knobs = 0
+    todo = [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                knobs += len(args.defaults) + sum(
+                    default is not None for default in args.kw_defaults
+                )
+                continue
+            if (
+                isinstance(child, ast.ClassDef)
+                and child.name.endswith("Config")
+                and any("dataclass" in ast.dump(d) for d in child.decorator_list)
+            ):
+                knobs += sum(
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and "ClassVar" not in ast.dump(item.annotation)
+                    for item in child.body
+                )
+            todo.append(child)
+    return knobs
+
+
 def python_files(paths: Sequence[str]) -> Iterator[str]:
     for path in paths:
         if os.path.isfile(path):
@@ -70,23 +103,25 @@ def python_files(paths: Sequence[str]) -> Iterator[str]:
                     yield os.path.join(root, name)
 
 
-def measure(paths: Sequence[str]) -> List[Tuple[int, int, str]]:
-    """``(code lines, statements, path)`` per file, largest first."""
+def measure(paths: Sequence[str]) -> List[Tuple[int, int, int, str]]:
+    """``(code lines, statements, knobs, path)`` per file, largest first."""
     rows = []
     for filename in python_files(paths):
         with open(filename, encoding="utf-8") as handle:
-            rows.append((*count_code(handle.read()), filename))
-    rows.sort(key=lambda row: (-row[0], row[2]))
+            source = handle.read()
+        rows.append((*count_code(source), count_knobs(source), filename))
+    rows.sort(key=lambda row: (-row[0], row[3]))
     return rows
 
 
 def main(paths: Sequence[str]) -> int:
     rows = measure(paths or ["src/repro"])
-    print(f"{'lines':>7} {'stmts':>7}  file")
-    for lines, statements, filename in rows if paths else rows[:10]:
-        print(f"{lines:7d} {statements:7d}  {filename}")
+    print(f"{'lines':>7} {'stmts':>7} {'knobs':>7}  file")
+    for lines, statements, knobs, filename in rows if paths else rows[:10]:
+        print(f"{lines:7d} {statements:7d} {knobs:7d}  {filename}")
+    totals = [sum(row[column] for row in rows) for column in range(3)]
     print(
-        f"{sum(row[0] for row in rows):7d} {sum(row[1] for row in rows):7d}"
+        f"{totals[0]:7d} {totals[1]:7d} {totals[2]:7d}"
         f"  total ({len(rows)} files)"
     )
     return 0
