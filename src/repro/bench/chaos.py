@@ -385,7 +385,6 @@ _RESILIENCE_COUNTERS = (
     "resilience.backoff_seconds",
     "resilience.budget_exhausted",
     "resilience.breaker_fast_fails",
-    "resilience.hedged_reads",
     "client.rpc_timeouts",
 )
 

@@ -105,7 +105,7 @@ class PiqlDatabase:
         #: on the failure path (healthy-path behaviour is byte-identical to
         #: calling the executor directly); pass a
         #: :class:`~repro.resilience.policy.ResilienceConfig` to opt into
-        #: derived timeouts, hedging, and circuit breakers.
+        #: derived timeouts and circuit breakers.
         self.resilience = ResiliencePolicy(self, resilience)
         if self.resilience.board is not None:
             client.breakers = self.resilience.board

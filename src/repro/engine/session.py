@@ -35,8 +35,8 @@ pages — reaches ``QueryExecutor.execute`` through one function,
 (``tests/engine/test_query_funnel.py`` walks the syntax trees).  That is
 where the parameters are bound and checked against what the query text
 declares (:func:`~repro.engine.query.bind_parameters`, before any key/value
-operation), and where the view's resilience policy — deadline, hedge delay,
-retries, breakers — takes over
+operation), and where the view's resilience policy — deadline, retries,
+breakers — takes over
 (:meth:`~repro.resilience.policy.ResiliencePolicy.execute_page`).  The
 blocking ``PreparedQuery.execute`` calls it directly: no future, no cursor,
 no closure, four frames down to the executor.

@@ -55,7 +55,6 @@ _CLIENT_COUNTERS: Tuple[Tuple[str, type], ...] = (
     ("operations", int),
     ("keys_touched", int),
     ("rpcs", int),
-    ("partial_results", int),
     ("coalesced_reads", int),
     ("saved_reads", int),
     ("dereference_rounds", int),
@@ -73,8 +72,6 @@ class ClientStats:
 
     * ``operations`` / ``keys_touched`` / ``rpcs`` — logical operations,
       keys, and physical round trips.
-    * ``partial_results`` — range reads that came back flagged partial (too
-      many replicas down and the caller opted into ``allow_partial``).
     * ``coalesced_reads`` — point reads served from a gather window's
       coalescing buffer instead of a fresh RPC.  They still count as logical
       ``operations`` (static bounds are about requested work) but issue no
@@ -125,11 +122,6 @@ class StorageClient:
     #: slower than this is charged only the deadline and surfaces as
     #: :class:`~repro.errors.RpcTimeoutError`.
     rpc_timeout_seconds: Optional[float] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Hedge delay for point reads, installed per query by the resilience
-    #: policy; ``None`` disables hedging.
-    hedge_delay_seconds: Optional[float] = field(
         default=None, repr=False, compare=False
     )
     #: This client's circuit-breaker board
@@ -229,8 +221,6 @@ class StorageClient:
             ),
             ("client.rpcs", rpcs),
         ]
-        if result.partial:
-            counts.append(("client.partial_results", 1))
         if result.hinted:
             counts.append(("client.hinted_writes", result.hinted))
         if result.repaired:
@@ -273,10 +263,6 @@ class StorageClient:
             attributes["hinted"] = result.hinted
         if result.repaired:
             attributes["repaired"] = result.repaired
-        if result.hedged:
-            attributes["hedged"] = True
-            if self.hedge_delay_seconds is not None:
-                attributes["hedge_delay_seconds"] = self.hedge_delay_seconds
         if result.queue_wait_seconds:
             attributes["queue_wait_seconds"] = result.queue_wait_seconds
         return result, span
@@ -390,15 +376,8 @@ class StorageClient:
                 return value
         result, span = self._call(
             "get", namespace, 1, self.cluster.get, key, self.clock.now,
-            self._suspects(), self.hedge_delay_seconds,
+            self._suspects(),
         )
-        if result.hedged:
-            # The losing twin of the hedge is cancelled: its logical read
-            # was already counted, so only the saved physical fetch and
-            # the hedge itself are recorded.
-            metrics = self.stats.metrics
-            metrics.add("resilience.hedged_reads", 1)
-            metrics.add("client.saved_reads", 1)
         if cache is not None:
             cache[(namespace, key)] = (result.value, self.clock.now, span)  # type: ignore[arg-type]
             if span is not None:
@@ -544,17 +523,16 @@ class StorageClient:
         end: Optional[bytes],
         limit: Optional[int] = None,
         ascending: bool = True,
-        allow_partial: bool = False,
     ) -> List[KeyValue]:
         """Issue one range request (one operation).
 
-        ``allow_partial=True`` accepts a possibly-incomplete result when too
-        many replicas are down (counted in ``stats.partial_results``)
-        instead of raising :class:`~repro.errors.UnavailableError`.
+        With as many nodes down as the replication factor the result could
+        miss keys, so the request raises
+        :class:`~repro.errors.UnavailableError` instead.
         """
         result, _ = self._call(
             "get_range", namespace, 1, self.cluster.get_range,
-            start, end, limit, ascending, self.clock.now, allow_partial,
+            start, end, limit, ascending, self.clock.now,
         )
         return result.value  # type: ignore[return-value]
 
@@ -577,8 +555,7 @@ class StorageClient:
         """
         result, _ = self._call(
             "filtered_range", namespace, 1, self.cluster.get_range,
-            start, end, limit, ascending, self.clock.now, False,
-            record_filter,
+            start, end, limit, ascending, self.clock.now, record_filter,
         )
         return (
             result.value,  # type: ignore[return-value]

@@ -195,9 +195,6 @@ class OpResult:
         How many keys the request read or wrote; used to verify operation
         bounds in tests.  For a server-side-filtered range request this is
         the number of keys *examined* (filtered-out keys are still work).
-    partial:
-        True when a range result may be missing keys because too many
-        replicas were down and the caller opted into partial results.
     last_examined_key:
         For filtered range requests: the last key the scan examined, which
         may be later than the last key it shipped.  Pagination cursors must
@@ -210,9 +207,6 @@ class OpResult:
         Stale replicas read-repaired in the background of this request.
     payload_bytes:
         Bytes shipped back to the client (0 for writes and counts).
-    hedged:
-        True when a hedge request was issued for this read (the effective
-        latency is the faster of the primary and the hedge).
     queue_wait_seconds:
         Queue wait paid by the replica on the latency critical path of a
         quorum point read (zero outside serving mode, and for writes and
@@ -231,12 +225,10 @@ class OpResult:
     latency_seconds: float
     node_id: int
     keys_touched: int = 1
-    partial: bool = False
     last_examined_key: Optional[bytes] = None
     hinted: int = 0
     repaired: int = 0
     payload_bytes: int = 0
-    hedged: bool = False
     queue_wait_seconds: float = 0.0
     unavailable_nodes: Tuple[int, ...] = ()
 
@@ -442,7 +434,7 @@ class KeyValueCluster:
         the count could silently miss keys (same rule as range requests).
         """
         self._require(name)
-        return self.replication.live_key_count(name, self._range_view()[0])
+        return self.replication.live_key_count(name, self._range_view())
 
     def iter_namespace(self, name: str) -> Iterator[KeyValue]:
         """Iterate a namespace's logical ``(key, value)`` content in key order.
@@ -454,7 +446,7 @@ class KeyValueCluster:
         permanently incomplete index.
         """
         self._require(name)
-        return self.replication.iter_live(name, self._range_view()[0])
+        return self.replication.iter_live(name, self._range_view())
 
     def _require(self, name: str) -> None:
         if name not in self._namespace_names:
@@ -793,7 +785,7 @@ class KeyValueCluster:
         """
         self._require(namespace)
         merged = self.replication.merged_range(
-            namespace, self._range_view()[0], start, end, limit, ascending
+            namespace, self._range_view(), start, end, limit, ascending
         )
         return [(key, value) for key, value, _ in merged]
 
@@ -1048,49 +1040,19 @@ class KeyValueCluster:
         key: bytes,
         sim_time: float = 0.0,
         suspects: Optional[Set[int]] = None,
-        hedge_delay_seconds: Optional[float] = None,
     ) -> OpResult:
-        """Read one key; ``value`` is the bytes stored or ``None``.
-
-        With ``hedge_delay_seconds`` set, a hedge request is issued when
-        the primary quorum read is slower than the delay: the same quorum
-        read is re-issued (fresh service-time draws — on a straggling
-        replica the retry usually lands on its fast path) and the first
-        response wins, so the effective latency is
-        ``min(primary, delay + hedge)``.  The loser's work is still done
-        by the nodes; the client layer accounts it as a saved read.
-        """
+        """Read one key (one quorum read); ``value`` is the bytes stored or
+        ``None``."""
         self._require(namespace)
-        serving = set(self.live_ids(CLIENT))
         value, latency, node_id, repaired, queue_wait, unavailable = (
-            self._read_one(namespace, key, sim_time, serving, suspects)
+            self._read_one(
+                namespace, key, sim_time, set(self.live_ids(CLIENT)), suspects
+            )
         )
-        hedged = False
-        if (
-            hedge_delay_seconds is not None
-            and latency > hedge_delay_seconds
-        ):
-            hedged = True
-            try:
-                h_value, h_latency, h_node, h_repaired, h_wait, _ = (
-                    self._read_one(namespace, key, sim_time, serving, suspects)
-                )
-            except UnavailableError:
-                # The hedge itself hit a drop — keep the primary response.
-                pass
-            else:
-                repaired += h_repaired
-                effective = hedge_delay_seconds + h_latency
-                if effective < latency:
-                    latency = effective
-                    node_id = h_node
-                    value = h_value
-                    queue_wait = h_wait
         return OpResult(
             value, latency, node_id, keys_touched=1, repaired=repaired,
             payload_bytes=len(value) if value is not None else 0,
-            hedged=hedged, queue_wait_seconds=queue_wait,
-            unavailable_nodes=unavailable,
+            queue_wait_seconds=queue_wait, unavailable_nodes=unavailable,
         )
 
     def put(
@@ -1267,31 +1229,26 @@ class KeyValueCluster:
     # ------------------------------------------------------------------
     # Range operations
     # ------------------------------------------------------------------
-    def _range_view(
-        self, seen_from: Optional[int] = None, allow_partial: bool = False
-    ) -> Tuple[List[int], bool]:
-        """The nodes a range merge reads, and whether it could miss keys.
+    def _range_view(self, seen_from: Optional[int] = None) -> List[int]:
+        """The nodes a range merge reads.
 
         Every key lives on ``replication`` replicas, so as long as fewer
         nodes than that are missing from the view (:meth:`live_ids`: serving
         paths pass the client, so a partitioned-away node counts as down;
         tooling keeps the up-only rule), at least one replica of every key
-        is in it and the merged result is complete (``False``).  With more
-        missing the result may silently lack keys: raise unless the caller
-        opted in, in which case return ``True`` so the result can be flagged
-        partial.
+        is in it and the merged result is complete.  With more missing the
+        result could silently lack keys, so the request raises before any
+        node is charged.
         """
         live = self.live_ids(seen_from)
         down = len(self.nodes) - len(live)
-        if down < self.config.replication:
-            return live, False
-        if not allow_partial:
+        if down >= self.config.replication:
             raise UnavailableError(
                 f"range request with {down} node(s) down (replication="
                 f"{self.config.replication}): results could silently miss "
-                "keys; pass allow_partial=True to accept a partial result"
+                "keys"
             )
-        return live, True
+        return live
 
     def get_range(
         self,
@@ -1301,7 +1258,6 @@ class KeyValueCluster:
         limit: Optional[int] = None,
         ascending: bool = True,
         sim_time: float = 0.0,
-        allow_partial: bool = False,
         record_filter: Optional[RecordFilter] = None,
     ) -> OpResult:
         """Return ``(key, value)`` pairs with ``start <= key < end``.
@@ -1322,9 +1278,8 @@ class KeyValueCluster:
         bounded work as fetching the range and filtering client-side.
         """
         self._require(namespace)
-        up_ids, partial = self._range_view(CLIENT, allow_partial)
         return self._range_over(
-            namespace, up_ids, partial, start, end, limit, ascending,
+            namespace, self._range_view(CLIENT), start, end, limit, ascending,
             sim_time, record_filter,
         )
 
@@ -1332,7 +1287,6 @@ class KeyValueCluster:
         self,
         namespace: str,
         up_ids: List[int],
-        partial: bool,
         start: Optional[bytes],
         end: Optional[bytes],
         limit: Optional[int],
@@ -1342,8 +1296,8 @@ class KeyValueCluster:
     ) -> OpResult:
         """One range request over an already-resolved serving set.
 
-        :meth:`get_range` resolves the serving nodes and the partial-result
-        rule per request, :meth:`multi_get_range` once per batch.
+        :meth:`get_range` resolves the serving nodes per request,
+        :meth:`multi_get_range` once per batch.
         """
         triples = self.replication.merged_range(
             namespace, up_ids, start, end, limit, ascending
@@ -1366,20 +1320,9 @@ class KeyValueCluster:
         charged = set(served) | set(examined)
         if bounded and not charged:
             # Empty range: one probe RPC at the range's primary replica.
-            # With enough nodes down that the result is already partial,
-            # the anchor key's whole replica set may be down too — any
-            # surviving node can host the probe then.
-            try:
-                probe = self.route(namespace, start, set(up_ids))
-            except QuorumNotMetError:
-                up = self.live_ids()
-                if not (partial and up):
-                    raise
-                probe = self.nodes[up[0]]
+            probe = self.route(namespace, start, set(up_ids))
             latency = probe.charge_range(0, 0, sim_time)
-            return OpResult(
-                [], latency, probe.node_id, keys_touched=0, partial=partial
-            )
+            return OpResult([], latency, probe.node_id, keys_touched=0)
         # One range RPC per visited node: a bounded range visits the nodes
         # that served (or examined) a record, all in flight together; a full
         # or half-open scan must visit every partition, one after another.
@@ -1405,8 +1348,7 @@ class KeyValueCluster:
             pairs,
             max(latencies) if bounded else sum(latencies, 0.0),
             visited[0] if bounded and len(visited) == 1 else -1,
-            keys_touched=keys_touched, partial=partial,
-            last_examined_key=last_examined,
+            keys_touched=keys_touched, last_examined_key=last_examined,
             payload_bytes=sum(nbytes for _, nbytes in served.values()),
         )
 
@@ -1426,15 +1368,14 @@ class KeyValueCluster:
         if not ranges:
             return OpResult([], 0.0, -1, keys_touched=0)
         self._require(namespace)
-        up_ids, partial = self._range_view(CLIENT)
+        up_ids = self._range_view(CLIENT)
         results: List[List[KeyValue]] = []
         latencies: List[float] = []
         keys_touched = 0
         payload_bytes = 0
         for start, end, limit, ascending in ranges:
             result = self._range_over(
-                namespace, up_ids, partial, start, end, limit, ascending,
-                sim_time,
+                namespace, up_ids, start, end, limit, ascending, sim_time
             )
             results.append(result.value)  # type: ignore[arg-type]
             latencies.append(result.latency_seconds)
@@ -1460,7 +1401,7 @@ class KeyValueCluster:
         paper's constant-cost cardinality check.
         """
         self._require(namespace)
-        serving, _ = self._range_view(CLIENT)
+        serving = self._range_view(CLIENT)
         count = len(
             self.replication.merged_range(namespace, serving, start, end)
         )

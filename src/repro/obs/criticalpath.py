@@ -7,24 +7,18 @@ was spent on*.  :func:`analyze_trace` walks a root span and partitions its
 * ``queue_wait`` — time an RPC spent behind other requests in a storage
   node's queue (carried on the span as ``queue_wait_seconds``),
 * ``rpc_service`` — storage-tier service time: RPC spans minus their queue
-  wait and hedge overlap, deadline waits (``rpc-timeout`` spans), and
-  coalesced waits on a sibling branch's in-flight read,
+  wait, deadline waits (``rpc-timeout`` spans), and coalesced waits on a
+  sibling branch's in-flight read,
 * ``retry_backoff`` — jittered sleeps of the resilience policy,
-* ``hedge_overlap`` — the tail of a hedged read during which two requests
-  were in flight (everything past the hedge delay),
 * ``view_maintenance`` — write-attributed incremental view deltas and
   handoff work (the whole subtree is charged to the cause, not re-split),
-* ``compaction_interference`` — storage-engine stalls charged to the
-  request (spans carrying ``compaction_stall_seconds``).  Nothing outside
-  tests writes that attribute, so the segment is always zero in a real run;
-  it stays while the pinned ``flight-recorder/v1`` fixture lists it,
 * ``client_compute`` — the residual: time inside the query that no storage
   span accounts for (planning, deserialisation, local operators).
 
 **Overlap semantics.**  :meth:`~repro.engine.session.Session.gather` runs
 sibling branches on scratch clocks starting at the same instant, so their
-spans overlap in simulated time; a hedge twin overlaps its primary.  The
-walk resolves every overlapping stretch to the *dominant* child — the one
+spans overlap in simulated time, and so may a retry backoff and an RPC.
+The walk resolves every overlapping stretch to the *dominant* child — the one
 whose span extends furthest — and recurses only into it, switching
 siblings mid-window when the dominant child changes.  Time covered by a
 non-dominant sibling is overlapped slack: it consumed no wall clock, so it
@@ -58,18 +52,14 @@ SEGMENT_CLASSES = (
     "queue_wait",
     "rpc_service",
     "retry_backoff",
-    "hedge_overlap",
     "view_maintenance",
-    "compaction_interference",
     "client_compute",
 )
 
 _QUEUE = "queue_wait"
 _RPC = "rpc_service"
 _RETRY = "retry_backoff"
-_HEDGE = "hedge_overlap"
 _VIEW = "view_maintenance"
-_COMPACTION = "compaction_interference"
 _CLIENT = "client_compute"
 
 
@@ -160,7 +150,7 @@ class CriticalPathBreakdown:
 
 
 def _split_rpc(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> None:
-    """Partition one rpc span's window into queue / hedge / service time.
+    """Partition one rpc span's window into queue wait and service time.
 
     When the sweep hands us only part of the span (an overlap was resolved
     to a sibling), the split is scaled proportionally — attribute shapes
@@ -171,40 +161,15 @@ def _split_rpc(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> 
         return
     duration = span.end - span.start if span.end is not None else 0.0
     scale = window / duration if duration > 0.0 else 0.0
-    attrs = span.attributes
-    if (
-        "queue_wait_seconds" not in attrs
-        and "hedged" not in attrs
-        and "compaction_stall_seconds" not in attrs
-    ):
-        # Nothing carved out (the common shape outside serving mode): the
-        # general path below would add exactly this, and zeros elsewhere.
+    queue = span.attributes.get("queue_wait_seconds")
+    if queue is None:
+        # Nothing carved out (the common shape outside serving mode).
         segments[_RPC] += duration * scale
         return
-    queue = attrs.get("queue_wait_seconds")
     queue = float(queue) if isinstance(queue, (int, float)) else 0.0
     queue = min(max(queue, 0.0), duration)
-    hedge = 0.0
-    if attrs.get("hedged"):
-        delay = attrs.get("hedge_delay_seconds")
-        if isinstance(delay, (int, float)):
-            # Past the hedge delay two requests were in flight; that tail
-            # is overlap the hedge bought, not extra service demand.
-            hedge = max(0.0, duration - float(delay))
-    stall = attrs.get("compaction_stall_seconds")
-    stall = float(stall) if isinstance(stall, (int, float)) else 0.0
-    stall = max(stall, 0.0)
-    # Clamp the carve-outs so they never exceed the span itself.
-    overhead = queue + hedge + stall
-    if overhead > duration and overhead > 0.0:
-        shrink = duration / overhead
-        queue *= shrink
-        hedge *= shrink
-        stall *= shrink
     segments[_QUEUE] += queue * scale
-    segments[_HEDGE] += hedge * scale
-    segments[_COMPACTION] += stall * scale
-    segments[_RPC] += (duration - queue - hedge - stall) * scale
+    segments[_RPC] += (duration - queue) * scale
 
 
 #: Leaf kinds whose whole window goes to one segment class.
@@ -287,7 +252,7 @@ def _sweep(
     children: List[Span], lo: float, hi: float, segments: Dict[str, float]
 ) -> None:
     """Attribute ``[lo, hi]`` among children that overlap (gather branches,
-    a hedge twin): each elementary interval goes to the child extending
+    a backoff beside an RPC): each elementary interval goes to the child extending
     furthest, the uncovered ones to client compute."""
     intervals: List[Tuple[float, float, Span]] = []
     for child in children:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..errors import PredictionError
+from ..stats import nearest_rank_percentile
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,7 @@ class SLOPrediction:
         """
         if not (0.0 < fraction <= 1.0):
             raise PredictionError("fraction must be in (0, 1]")
-        ordered = sorted(self.interval_quantiles_seconds)
-        index = min(int(fraction * len(ordered)), len(ordered) - 1)
-        return ordered[index]
+        return nearest_rank_percentile(self.interval_quantiles_seconds, fraction)
 
     # ------------------------------------------------------------------
     # Compliance
@@ -104,13 +103,11 @@ def observed_interval_quantiles(
     Used to compute the "actual" column of Table 1 with exactly the same
     interval/percentile methodology as the predictions.
     """
-    quantiles: List[float] = []
-    for samples in samples_by_interval:
-        if not samples:
-            continue
-        ordered = sorted(samples)
-        index = min(int(quantile * len(ordered)), len(ordered) - 1)
-        quantiles.append(ordered[index])
+    quantiles = [
+        nearest_rank_percentile(samples, quantile)
+        for samples in samples_by_interval
+        if samples
+    ]
     if not quantiles:
         raise PredictionError("no observations to compute quantiles from")
     return quantiles

@@ -1,9 +1,9 @@
-"""Client resilience: timeouts, backoff, retry budgets, hedging, breakers.
+"""Client resilience: timeouts, backoff, retry budgets, breakers.
 
 The paper's bounds make latency *predictable*; this package turns that
 predictability into *robustness by construction*: a query whose operation
 bound and p99 latency envelope are known statically yields a principled
-per-query timeout and hedge delay, retries are paced by exponential
+per-query timeout, retries are paced by exponential
 backoff with full jitter under a token-bucket budget (no retry storms),
 and per-node circuit breakers steer traffic away from failing replicas.
 

@@ -3,16 +3,12 @@
 One :class:`ResiliencePolicy` is attached per database view.  It owns the
 view's retry budget, backoff RNG, and circuit-breaker board, and derives
 per-query deadlines from the same static machinery the paper uses to
-*predict* latency:
-
-* **timeout** — the prediction model's p99 envelope for the query's
-  physical plan, times a slack multiplier, clamped to a sane range.  A
-  reply slower than that is treated as lost (the client has better odds
-  re-issuing than waiting).  Without a trained model the static
-  :data:`DEFAULT_TIMEOUT_SECONDS` applies.
-* **hedge delay** — the p95 envelope *divided by the plan's operation
-  bound* approximates a per-RPC p95; a read still outstanding after that
-  long gets a hedge twin, first response wins.
+*predict* latency: the prediction model's p99 envelope for the query's
+physical plan, times a slack multiplier, clamped to a sane range.  A reply
+slower than that is treated as lost (the client has better odds re-issuing
+than waiting).  Without a trained model the static
+:data:`DEFAULT_TIMEOUT_SECONDS` applies.  A point read is one quorum read:
+nothing re-issues it while the first request is still in flight.
 
 Retries pace themselves with exponential backoff and **full jitter**
 (seeded — deterministic in the simulation) under a token-bucket budget,
@@ -25,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Optional, TypeVar
 
 from ..errors import (
     CircuitOpenError,
@@ -44,9 +40,6 @@ TIMEOUT_MULTIPLIER = 3.0
 TIMEOUT_MIN_SECONDS = 0.02
 TIMEOUT_MAX_SECONDS = 2.0
 DEFAULT_TIMEOUT_SECONDS = 0.5
-#: The hedge delay is the per-RPC share of this quantile's envelope.
-HEDGE_QUANTILE = 0.95
-DEFAULT_HEDGE_DELAY_SECONDS = 0.02
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,7 @@ class ResilienceConfig:
     """Tunables of one view's resilience policy.
 
     The defaults are deliberately conservative: backoff-paced retries on
-    the failure path only, no derived timeouts, no hedging, no breakers —
+    the failure path only, no derived timeouts, no breakers —
     a healthy run behaves byte-identically to a database without any
     policy, and even a faulted run only gains pacing.  Chaos/soak arms
     opt into the aggressive features explicitly.
@@ -70,7 +63,6 @@ class ResilienceConfig:
     #: Derive per-query RPC timeouts from the prediction model's p99
     #: envelope (static default when no model is trained).
     derive_timeouts: bool = False
-    hedging_enabled: bool = False
     #: Per-node circuit breakers (the board's own threshold and window).
     breakers_enabled: bool = False
     #: Reproduce the legacy immediate-retry loop (paired-arm baseline):
@@ -95,56 +87,37 @@ class ResiliencePolicy:
             else None
         )
         self._rng = random.Random(self.config.seed)
-        #: Per-query (timeout, hedge delay) derived from the prediction
-        #: model, cached by SQL text.
-        self._envelope_cache: Dict[str, Tuple[float, float]] = {}
+        #: Per-query timeout derived from the prediction model, cached by
+        #: SQL text.
+        self._timeouts: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Bound-derived deadlines
     # ------------------------------------------------------------------
-    @staticmethod
-    def _clamp(seconds: float) -> float:
-        return min(TIMEOUT_MAX_SECONDS, max(TIMEOUT_MIN_SECONDS, seconds))
-
-    def _envelope(self, optimized: Any) -> Tuple[float, float]:
-        key = optimized.sql or repr(optimized.physical_plan)
-        hit = self._envelope_cache.get(key)
-        if hit is not None:
-            return hit
-        timeout = DEFAULT_TIMEOUT_SECONDS
-        hedge = DEFAULT_HEDGE_DELAY_SECONDS
-        model = getattr(self.db.auditor, "latency_model", None)
-        if model is not None:
-            try:
-                p99 = model.predict_quantile(optimized.physical_plan, 0.99)
-                timeout = self._clamp(p99 * TIMEOUT_MULTIPLIER)
-                p_hedge = model.predict_quantile(
-                    optimized.physical_plan, HEDGE_QUANTILE
-                )
-                try:
-                    operations = max(1, optimized.operation_bound)
-                except PiqlError:
-                    operations = 1
-                hedge = self._clamp(p_hedge / operations)
-            except PiqlError:
-                # Untrained model (or a plan it cannot score): keep the
-                # static defaults rather than failing the query.
-                pass
-        envelope = (timeout, hedge)
-        self._envelope_cache[key] = envelope
-        return envelope
-
     def timeout_for(self, optimized: Any) -> Optional[float]:
         """Per-RPC deadline for one query, or ``None`` when disabled."""
         if not self.config.derive_timeouts:
             return None
-        return self._envelope(optimized)[0]
-
-    def hedge_delay_for(self, optimized: Any) -> Optional[float]:
-        """Hedge delay for one query's reads, or ``None`` when disabled."""
-        if not self.config.hedging_enabled:
-            return None
-        return self._envelope(optimized)[1]
+        key = optimized.sql or repr(optimized.physical_plan)
+        timeout = self._timeouts.get(key)
+        if timeout is not None:
+            return timeout
+        timeout = DEFAULT_TIMEOUT_SECONDS
+        model = getattr(self.db.auditor, "latency_model", None)
+        if model is not None:
+            try:
+                p99 = model.predict_quantile(optimized.physical_plan, 0.99)
+            except PiqlError:
+                # Untrained model (or a plan it cannot score): keep the
+                # static default rather than failing the query.
+                pass
+            else:
+                timeout = min(
+                    TIMEOUT_MAX_SECONDS,
+                    max(TIMEOUT_MIN_SECONDS, p99 * TIMEOUT_MULTIPLIER),
+                )
+        self._timeouts[key] = timeout
+        return timeout
 
     # ------------------------------------------------------------------
     # Execution
@@ -161,15 +134,13 @@ class ResiliencePolicy:
         query path traverses (``db.execute``, serial plans, ``pages()``,
         pipelined sessions, cursor page fetches), so retry/deadline
         behaviour cannot diverge between the sync and async APIs.  The
-        per-query deadline and hedge delay are installed on the storage
-        client for the duration of the page.
+        per-query deadline is installed on the storage client for the
+        duration of the page.
         """
         db = self.db
         client = db.client
         saved_timeout = client.rpc_timeout_seconds
-        saved_hedge = client.hedge_delay_seconds
         client.rpc_timeout_seconds = self.timeout_for(optimized)
-        client.hedge_delay_seconds = self.hedge_delay_for(optimized)
         try:
             # Looked up per call: tests stand a fake in for the instance's
             # ``execute``.
@@ -179,7 +150,6 @@ class ResiliencePolicy:
             )
         finally:
             client.rpc_timeout_seconds = saved_timeout
-            client.hedge_delay_seconds = saved_hedge
 
     def run(self, fn: Callable[..., T], *args: Any, operation: str = "query") -> T:
         """Run ``fn(*args)`` with this policy's retry discipline.

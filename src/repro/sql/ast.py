@@ -220,19 +220,10 @@ class InsertStatement:
     values: Tuple[object, ...]
 
 
-@dataclass(frozen=True)
-class DeleteStatement:
-    """DELETE FROM table WHERE <equality predicates on the primary key>."""
-
-    table: str
-    where: Tuple[Predicate, ...]
-
-
 Statement = Union[
     SelectStatement,
     CreateTableStatement,
     CreateIndexStatement,
     CreateMaterializedViewStatement,
     InsertStatement,
-    DeleteStatement,
 ]

@@ -8,7 +8,11 @@ Supported statements:
 * ``CREATE TABLE`` with ``PRIMARY KEY``, ``FOREIGN KEY ... REFERENCES`` and
   PIQL's ``CARDINALITY LIMIT n (columns)``;
 * ``CREATE [UNIQUE] INDEX ... ON table (col | token(col), ...)``;
-* ``INSERT INTO ... VALUES`` and ``DELETE FROM ... WHERE`` (primary key).
+* ``INSERT INTO ... VALUES``.
+
+``DELETE`` and ``UPDATE`` stay reserved words but are not statements:
+rows are deleted and replaced through ``PiqlDatabase.delete`` /
+``update``, so either raises :class:`~repro.errors.ParseError` here.
 
 Query parameters may be written ``[1: name]``, ``[2: name(50)]`` (the
 parenthesised number declares the maximum cardinality of a list-valued
@@ -112,8 +116,6 @@ class Parser:
             return self._parse_create()
         if self._check_keyword("INSERT"):
             return self._parse_insert()
-        if self._check_keyword("DELETE"):
-            return self._parse_delete()
         token = self._peek()
         raise ParseError(f"unsupported statement: {token.value!r}", token.position)
 
@@ -481,7 +483,7 @@ class Parser:
         return self._expect_ident(), False
 
     # ------------------------------------------------------------------
-    # INSERT / DELETE
+    # INSERT
     # ------------------------------------------------------------------
     def _parse_insert(self) -> ast.InsertStatement:
         self._expect_keyword("INSERT")
@@ -500,14 +502,6 @@ class Parser:
                 f"{len(values)} values"
             )
         return ast.InsertStatement(table=table, columns=columns, values=tuple(values))
-
-    def _parse_delete(self) -> ast.DeleteStatement:
-        self._expect_keyword("DELETE")
-        self._expect_keyword("FROM")
-        table = self._expect_ident()
-        self._expect_keyword("WHERE")
-        predicates = tuple(self._parse_predicates())
-        return ast.DeleteStatement(table=table, where=predicates)
 
 
 def parse(text: str) -> ast.Statement:

@@ -1,7 +1,8 @@
 """Tiny shared statistics helpers (importable from every layer).
 
 The nearest-rank percentile appears throughout the reproduction — client
-stats, the benchmark reporting, the serving tier's SLO monitor — and its
+stats, the benchmark reporting, the serving tier's SLO monitor, the
+prediction's per-interval quantiles — and its
 edge-case behaviour (empty samples, fraction domain) must be identical
 everywhere, so there is exactly one implementation.
 """

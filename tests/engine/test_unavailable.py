@@ -77,15 +77,16 @@ class TestTypedUnavailable:
         db = make_db(ResilienceConfig(max_attempts=6))
         assert db.new_client().resilience.config.max_attempts == 6
 
-    def test_partial_range_reads_counted_by_client(self):
+    def test_range_reads_raise_when_keys_could_be_missing(self):
         db = make_db()
         cluster = db.cluster
         for node_id in (0, 1, 2):
             cluster.crash_node(node_id)
         table = db.catalog.table("users")
+        before = db.client.stats.snapshot()
         with pytest.raises(UnavailableError):
             db.client.get_range(table.namespace, None, None)
-        pairs = db.client.get_range(table.namespace, None, None,
-                                    allow_partial=True)
-        assert isinstance(pairs, list)
-        assert db.client.stats.partial_results == 1
+        delta = db.client.stats.delta(before)
+        # Refused before any key/value operation was issued or counted.
+        assert delta.operations == 0
+        assert delta.keys_touched == 0

@@ -58,7 +58,6 @@ class TestClusterOperations:
         # Replicas are placed by consistent hashing, so a bounded range is
         # served by the (several) replicas owning its keys in parallel.
         assert result.latency_seconds > 0
-        assert result.partial is False
 
     def test_unbounded_scan_touches_all_nodes(self, cluster):
         bounded = cluster.get_range("data", b"k000", b"k005")

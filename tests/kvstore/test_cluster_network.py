@@ -145,29 +145,6 @@ class TestDelay:
         assert slow_result.latency_seconds >= fast_result.latency_seconds + 0.25
 
 
-class TestHedgedReads:
-    def test_hedge_fires_and_is_flagged(self):
-        cluster = small_cluster()
-        cluster.put("data", b"key", b"value")
-        eager = cluster.get("data", b"key", hedge_delay_seconds=1e-9)
-        assert eager.hedged
-        assert eager.value == b"value"
-        lazy = cluster.get("data", b"key", hedge_delay_seconds=10.0)
-        assert not lazy.hedged
-
-    def test_hedge_effective_latency_never_exceeds_primary_plus_delay(self):
-        cluster = small_cluster()
-        cluster.put("data", b"key", b"value")
-        delay = 1e-6
-        for _ in range(20):
-            result = cluster.get("data", b"key", hedge_delay_seconds=delay)
-            if not result.hedged:
-                continue
-            # Effective latency is min(primary, delay + hedge twin).
-            assert result.latency_seconds <= delay + 10.0  # sanity ceiling
-            assert result.latency_seconds > 0
-
-
 class TestSuspects:
     def test_reads_avoid_suspects_when_healthy_replicas_suffice(self):
         cluster = small_cluster(storage_nodes=4)

@@ -106,20 +106,17 @@ class TestOverlapResolution:
         assert breakdown.segments["rpc_service"] == pytest.approx(5.0)
         assert_exact_partition(breakdown)
 
-    def test_retry_span_overlapping_a_hedge(self):
-        # A resilience backoff [2, 4] overlaps a hedged RPC [3, 9]; the
-        # RPC extends further so it wins the contested [3, 4] stretch.
+    def test_retry_span_overlapping_an_rpc(self):
+        # A resilience backoff [2, 4] overlaps an RPC [3, 9]; the RPC
+        # extends further so it wins the contested [3, 4] stretch.
         root = span("query", "query", 0.0, 10.0)
         span("backoff", "resilience", 2.0, 4.0, parent=root)
-        span(
-            "read", "rpc", 3.0, 9.0, parent=root,
-            hedged=True, hedge_delay_seconds=2.0,
-        )
+        span("read", "rpc", 3.0, 9.0, parent=root, queue_wait_seconds=2.0)
         breakdown = analyze_trace(root)
         assert breakdown.segments["retry_backoff"] == pytest.approx(1.0)
-        # 6s RPC with a 2s hedge delay: 4s of two-in-flight overlap.
-        assert breakdown.segments["hedge_overlap"] == pytest.approx(4.0)
-        assert breakdown.segments["rpc_service"] == pytest.approx(2.0)
+        # The whole 6s RPC is on the path: 2s queued, 4s served.
+        assert breakdown.segments["queue_wait"] == pytest.approx(2.0)
+        assert breakdown.segments["rpc_service"] == pytest.approx(4.0)
         assert breakdown.segments["client_compute"] == pytest.approx(3.0)
         assert_exact_partition(breakdown)
 
@@ -156,10 +153,8 @@ class TestOverlapResolution:
         span("backoff", "resilience", 5.0, 6.0, parent=a)
         span("retry", "rpc", 6.0, 9.0, parent=a)
         b = span("branch-b", "branch", 1.0, 15.0, parent=gather)
-        span(
-            "hedged", "rpc", 2.0, 14.0, parent=b,
-            hedged=True, hedge_delay_seconds=5.0,
-        )
+        span("long", "rpc", 2.0, 14.0, parent=b, queue_wait_seconds=5.0)
+        span("sibling", "rpc", 3.0, 10.0, parent=b)
         span("deadline", "rpc-timeout", 15.0, 17.0, parent=root)
         breakdown = analyze_trace(root)
         assert_exact_partition(breakdown)

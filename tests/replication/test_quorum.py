@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import QuorumNotMetError, UnavailableError
 from repro.kvstore import ClusterConfig, KeyValueCluster
+from repro.kvstore.client import StorageClient
 
 
 def quorum_cluster(storage_nodes=4, **overrides) -> KeyValueCluster:
@@ -142,8 +143,6 @@ class TestQuorumFailureModes:
             cluster.crash_node(node_id)
         with pytest.raises(UnavailableError):
             cluster.get_range("data", None, None)
-        partial = cluster.get_range("data", None, None, allow_partial=True)
-        assert partial.partial is True
 
     def test_iter_namespace_and_size_guarded_like_ranges(self):
         cluster = quorum_cluster()
@@ -169,6 +168,77 @@ class TestQuorumFailureModes:
         assert isinstance(excinfo.value, UnavailableError)
         assert excinfo.value.needed == 2
         assert excinfo.value.available == 0
+
+
+#: Every way to read a range, as ``(client, cluster) -> result``.
+RANGE_ENTRIES = {
+    "get_range": lambda client, cluster: client.get_range("data", b"k0", b"k9"),
+    "filtered_range": lambda client, cluster: client.filtered_range(
+        "data", b"k0", b"k9", None, True, lambda key, value: True
+    ),
+    "multi_get_range": lambda client, cluster: client.multi_get_range(
+        "data", [(b"k0", b"k5", None, True), (b"k5", b"k9", 3, False)]
+    ),
+    "count_range": lambda client, cluster: client.count_range(
+        "data", b"k0", b"k9"
+    ),
+    "namespace_size": lambda client, cluster: cluster.namespace_size("data"),
+    "iter_namespace": lambda client, cluster: cluster.iter_namespace("data"),
+    "peek_range": lambda client, cluster: cluster.peek_range("data", None, None),
+}
+
+
+class TestRefusedBeforeAnyWork:
+    """With keys possibly missing or a quorum short, a request raises before
+    any node is charged, any replica written or any hint buffered."""
+
+    @pytest.mark.parametrize("entry", sorted(RANGE_ENTRIES))
+    def test_range_entry_with_replication_factor_nodes_down(self, entry):
+        cluster = quorum_cluster()
+        for index in range(20):
+            cluster.load("data", f"k{index}".encode(), b"v")
+        for node_id in (0, 1, 2):
+            cluster.crash_node(node_id)
+        client = StorageClient(cluster)
+        before = cluster.metrics_snapshot().counters()
+        with pytest.raises(UnavailableError):
+            RANGE_ENTRIES[entry](client, cluster)
+        assert cluster.metrics_snapshot().counters() == before
+        assert client.stats.metrics.counters() == {}
+        assert client.now == 0.0
+
+    @pytest.mark.parametrize("operation", ["put", "delete", "test_and_set", "get"])
+    def test_all_replica_quorum_with_one_node_down(self, operation):
+        cluster = quorum_cluster(
+            storage_nodes=3, read_quorum=3, write_quorum=3
+        )
+        cluster.load("data", b"k", b"v")
+        cluster.crash_node(0)
+        records = {
+            node_id: cluster.replication.stores[node_id].get_record("data", b"k")
+            for node_id in (1, 2)
+        }
+        before = cluster.metrics_snapshot().counters()
+        calls = {
+            "put": lambda: cluster.put("data", b"k", b"new"),
+            "delete": lambda: cluster.delete("data", b"k"),
+            "test_and_set": lambda: cluster.test_and_set(
+                "data", b"k", b"v", b"new"
+            ),
+            "get": lambda: cluster.get("data", b"k"),
+        }
+        with pytest.raises(QuorumNotMetError):
+            calls[operation]()
+        assert cluster.metrics_snapshot().counters() == before
+        for node_id, record in records.items():
+            assert (
+                cluster.replication.stores[node_id].get_record("data", b"k")
+                == record
+            )
+        assert cluster.replication.hint_count(0) == 0
+        # Back to full strength, the untouched value is still the one read.
+        cluster.recover_node(0)
+        assert cluster.get("data", b"k").value == b"v"
 
 
 class TestReadRepair:

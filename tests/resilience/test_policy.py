@@ -185,29 +185,35 @@ class TestDerivedDeadlines:
     def test_disabled_by_default(self):
         policy = ResiliencePolicy(fake_db())
         assert policy.timeout_for(self.optimized()) is None
-        assert policy.hedge_delay_for(self.optimized()) is None
 
     def test_static_defaults_without_a_model(self):
         policy = ResiliencePolicy(
-            fake_db(),
-            ResilienceConfig(derive_timeouts=True, hedging_enabled=True),
+            fake_db(), ResilienceConfig(derive_timeouts=True)
         )
         assert policy.timeout_for(self.optimized()) == pytest.approx(0.5)
-        assert policy.hedge_delay_for(self.optimized()) == pytest.approx(0.02)
 
     def test_model_envelope_times_multiplier_clamped(self):
         db = fake_db()
         db.auditor.latency_model = SimpleNamespace(
             predict_quantile=lambda plan, q: 0.1 if q == 0.99 else 0.05
         )
-        policy = ResiliencePolicy(
-            db,
-            ResilienceConfig(derive_timeouts=True, hedging_enabled=True),
-        )
+        policy = ResiliencePolicy(db, ResilienceConfig(derive_timeouts=True))
         optimized = self.optimized()
-        # p99 * 3.0 = 0.3s; p95 / operation_bound = 0.01s, clamped to 0.02.
+        # p99 * 3.0 = 0.3s, inside the clamp.
         assert policy.timeout_for(optimized) == pytest.approx(0.3)
-        assert policy.hedge_delay_for(optimized) == pytest.approx(0.02)
+        # A tiny envelope is clamped up to the floor, a huge one down.
+        db.auditor.latency_model = SimpleNamespace(
+            predict_quantile=lambda plan, q: 0.001
+        )
+        assert ResiliencePolicy(
+            db, ResilienceConfig(derive_timeouts=True)
+        ).timeout_for(optimized) == pytest.approx(0.02)
+        db.auditor.latency_model = SimpleNamespace(
+            predict_quantile=lambda plan, q: 10.0
+        )
+        assert ResiliencePolicy(
+            db, ResilienceConfig(derive_timeouts=True)
+        ).timeout_for(optimized) == pytest.approx(2.0)
 
     def test_untrained_model_falls_back_to_static(self):
         db = fake_db()
@@ -231,7 +237,7 @@ class TestDerivedDeadlines:
         policy = ResiliencePolicy(db, ResilienceConfig(derive_timeouts=True))
         policy.timeout_for(self.optimized())
         policy.timeout_for(self.optimized())
-        assert calls["n"] == 2  # two quantiles, one derivation
+        assert calls["n"] == 1  # one quantile, one derivation
 
 
 class TestDatabaseIntegration:
