@@ -146,7 +146,8 @@ class PiqlDatabase:
 
         ``strategy`` is the one place an execution strategy is chosen: every
         query of the view runs under it (default: this view's).  Comparing
-        strategies (Figure 12) means one view per strategy.
+        strategies (Figure 12) means one view per strategy.  A traced
+        view's clones are traced too and keep as many roots as it does.
         """
         clone = PiqlDatabase.__new__(PiqlDatabase)
         for name in self._INHERITED_BY_VIEWS:
@@ -156,8 +157,9 @@ class PiqlDatabase:
             strategy or self.executor.strategy,
             self.resilience.config,
         )
-        if self.client.tracer is not None:
-            clone.client.enable_tracing()
+        tracer = self.client.tracer
+        if tracer is not None:
+            clone.client.enable_tracing(keep=tracer.roots.maxlen)
         return clone
 
     def session(self) -> Session:
@@ -385,10 +387,6 @@ class PiqlDatabase:
     def enable_tracing(self, keep: int = 64) -> Tracer:
         """Turn on span collection for this view's executions."""
         return self.client.enable_tracing(keep=keep)
-
-    def disable_tracing(self) -> None:
-        """Stop collecting spans and drop the tracer."""
-        self.client.disable_tracing()
 
     def explain_analyze(
         self,

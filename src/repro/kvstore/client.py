@@ -292,9 +292,6 @@ class StorageClient:
             self.tracer = Tracer(lambda: self.clock.now, keep=keep)
         return self.tracer
 
-    def disable_tracing(self) -> None:
-        self.tracer = None
-
     def _trace_coalesced(
         self, namespace: str, keys: Sequence[bytes], started: float
     ) -> None:

@@ -41,16 +41,19 @@ def explain_analyze(
 ) -> str:
     """Execute ``sql`` once and render its plan with runtime annotations.
 
-    Tracing is enabled for the duration of the call (and turned back off if
-    it was off before), so ``EXPLAIN ANALYZE`` works on any database view
+    A view that is not tracing, or whose tracer keeps no roots, traces this
+    one call with a private tracer; the view's own tracer (or none) is
+    restored afterwards, so ``EXPLAIN ANALYZE`` works on any database view
     without prior setup.  ``latency_model`` adds predicted-vs-observed
     latency per operator when a trained model is available.
     """
     prepared = db.prepare(sql)
     query = prepared.optimized
     client = db.client
-    had_tracer = client.tracer is not None
-    tracer = client.enable_tracing()
+    saved = client.tracer
+    if saved is not None and not saved.roots.maxlen:
+        client.tracer = None  # it would not hand back the root it builds
+    tracer = client.enable_tracing(keep=1)
     was_verbose = tracer.verbose
     tracer.verbose = True  # span local operators too, not just storage ones
     try:
@@ -58,8 +61,7 @@ def explain_analyze(
         root = tracer.last_root()
     finally:
         tracer.verbose = was_verbose
-        if not had_tracer:
-            client.disable_tracing()
+        client.tracer = saved
     if root is None:  # pragma: no cover - the executor always opens a root
         raise RuntimeError("no trace was recorded for the execution")
     # Annotation (bound slices, predictions) is applied on demand rather

@@ -1,10 +1,12 @@
 """Tail-based flight recorder: keep exactly the traces worth explaining.
 
-The tracer's root deque keeps the *most recent* traces; under load the
+A tracer's root deque keeps the *most recent* traces; under load the
 interesting ones — the p99 spike, the query that tripped its bound during
 a partition — are evicted thousands of interactions before anyone looks.
-The :class:`FlightRecorder` inverts that: every finished query is offered
-(via the :class:`~repro.obs.audit.BoundAuditor` hook), and a trace is
+The :class:`FlightRecorder` inverts that, and a serving run that turns
+tracing on for forensics makes it the only trace store (the app servers'
+tracers keep no root, ``keep=0``): every finished query is offered (via
+the :class:`~repro.obs.audit.BoundAuditor` hook), and a trace is
 **retained** when it is
 
 * ``slow`` — observed latency outside the latency model's stated per-class

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .criticalpath import CriticalPathAggregator
 from .flightrec import (
@@ -362,7 +362,7 @@ class LatencyForensics:
         self,
         config: Optional[ForensicsConfig] = None,
         drift: Optional[object] = None,
-        tracer: Optional[object] = None,
+        tracers_fn: Optional[Callable[[], Iterable[object]]] = None,
     ):
         self.config = config or ForensicsConfig()
         self.aggregator = CriticalPathAggregator()
@@ -370,7 +370,9 @@ class LatencyForensics:
             self.config, drift=drift, aggregator=self.aggregator
         )
         self.watch = BreakerWatch(self.recorder)
-        self.tracer = tracer
+        #: Resolves the app servers' live tracers on each call, so an
+        #: autoscaled fleet stays covered.
+        self.tracers_fn = tracers_fn
 
     def register_fault_windows(
         self, specs: Sequence[object], horizon: float
@@ -395,12 +397,12 @@ class LatencyForensics:
         store.record("forensics.retained_traces", float(len(self.recorder.traces)), now)
         store.record("forensics.memory_bytes", float(self.recorder.memory_bytes), now)
         store.record("forensics.dropped_traces", float(self.recorder.dropped), now)
-        if self.tracer is not None:
-            store.record(
-                "obs.trace.dropped_roots",
-                float(self.tracer.dropped_roots),
-                now,
-            )
+        if self.tracers_fn is not None:
+            store.record("obs.trace.dropped_roots", float(self.dropped_roots()), now)
+
+    def dropped_roots(self) -> int:
+        """Roots evicted by the fleet's tracers, summed over app servers."""
+        return sum(tracer.dropped_roots for tracer in self.tracers_fn())
 
     def finalize(self, now: float) -> None:
         """Close still-open breaker windows at end of run."""
@@ -431,8 +433,8 @@ class LatencyForensics:
         payload["critical_path"] = self.aggregator.payload()
         payload["breaker_transitions"] = self.watch.payload()
         payload["breaker_dropped_transitions"] = self.watch.dropped_transitions
-        if self.tracer is not None:
-            payload["tracer_dropped_roots"] = self.tracer.dropped_roots
+        if self.tracers_fn is not None:
+            payload["tracer_dropped_roots"] = self.dropped_roots()
         return payload
 
     def describe(self) -> str:

@@ -18,8 +18,11 @@ Two design points keep tracing cheap enough to leave on:
   (:meth:`Tracer.record`) instead of a start/stop pair, so the hot path pays
   a single ``tracer is not None`` check plus one method call per RPC.
 
-Root retention is bounded (a deque) so a long serving run with tracing on
-cannot grow memory without bound.
+Root retention is bounded (a deque of ``keep`` roots) and may be nothing at
+all: a serving run with forensics traces at ``keep=0``, so every finished
+root is offered to the :class:`~repro.obs.flightrec.FlightRecorder` and
+lives on only if the recorder retains it.  Memory then stays flat in run
+length instead of holding ``keep`` trees per application server.
 """
 
 from __future__ import annotations
@@ -122,7 +125,13 @@ class Span:
 
 
 class Tracer:
-    """Builds span trees for one client; reads time through ``now_fn``."""
+    """Builds span trees for one client; reads time through ``now_fn``.
+
+    The last ``keep`` roots stay on :attr:`roots`.  With ``keep=0`` the
+    tracer holds no finished root at all — a root is reachable only from
+    whoever the executor offered it to — and :attr:`dropped_roots` stays
+    0: it counts evictions from a tracer that retains.
+    """
 
     __slots__ = ("_now", "_stack", "roots", "verbose", "dropped_roots")
 
@@ -136,7 +145,8 @@ class Tracer:
         #: Finished (and in-progress) root spans, oldest evicted first.
         self.roots: Deque[Span] = deque(maxlen=keep)
         #: Root spans evicted from the bounded deque — no silent caps; the
-        #: dashboard surfaces this so "the trace is gone" is observable.
+        #: dashboard surfaces the fleet's sum so "the trace is gone" is
+        #: observable.
         self.dropped_roots = 0
         #: When set, purely local operators (projection, sort, stop, ...)
         #: also get spans.  ``EXPLAIN ANALYZE`` turns this on for the
@@ -169,9 +179,9 @@ class Tracer:
             stack[-1].children.append(span)
         else:
             roots = self.roots
-            if roots.maxlen is not None and len(roots) == roots.maxlen:
-                self.dropped_roots += 1
-            roots.append(span)
+            if roots.maxlen:  # keep=0 holds no root, so evicts none
+                self.dropped_roots += len(roots) == roots.maxlen
+                roots.append(span)
         stack.append(span)
         return span
 
@@ -215,9 +225,9 @@ class Tracer:
             stack[-1].children.append(span)
         else:
             roots = self.roots
-            if roots.maxlen is not None and len(roots) == roots.maxlen:
-                self.dropped_roots += 1
-            roots.append(span)
+            if roots.maxlen:  # keep=0 holds no root, so evicts none
+                self.dropped_roots += len(roots) == roots.maxlen
+                roots.append(span)
         return span
 
     # ------------------------------------------------------------------

@@ -66,6 +66,9 @@ class SLOMonitor:
         self.total_failed = 0
         self._samples_by_interval: Dict[int, List[float]] = {}
         self._recent: Deque[Tuple[float, float]] = deque()
+        #: Observations in :attr:`_recent` inside the SLO latency, kept
+        #: as the window moves so a scrape reads it in O(1).
+        self._recent_compliant = 0
         self._latest = 0.0
 
     # ------------------------------------------------------------------
@@ -84,6 +87,7 @@ class SLOMonitor:
         self.total_observations += 1
         if latency_seconds <= self.slo.latency_seconds:
             self.total_compliant += 1
+            self._recent_compliant += 1
         self._recent.append((now, latency_seconds))
         self._trim_recent(now)
 
@@ -117,8 +121,10 @@ class SLOMonitor:
         # control window that the admission controller is acting on.
         self._latest = max(self._latest, now)
         horizon = self._latest - CONTROL_WINDOW_SECONDS
-        while self._recent and self._recent[0][0] < horizon:
-            self._recent.popleft()
+        recent = self._recent
+        while recent and recent[0][0] < horizon:
+            if recent.popleft()[1] <= self.slo.latency_seconds:
+                self._recent_compliant -= 1
 
     # ------------------------------------------------------------------
     # Live control signals
@@ -141,11 +147,7 @@ class SLOMonitor:
         self._trim_recent(now)
         if not self._recent:
             return 1.0
-        compliant = sum(
-            1 for _, latency in self._recent
-            if latency <= self.slo.latency_seconds
-        )
-        return compliant / len(self._recent)
+        return self._recent_compliant / len(self._recent)
 
     # ------------------------------------------------------------------
     # Reporting

@@ -95,11 +95,12 @@ class ServingConfig:
     #: Burn-rate rule ladder; ``None`` uses :data:`~repro.obs.slo.DEFAULT_RULES`.
     burn_rules: Optional[Sequence[BurnRateRule]] = None
     #: Latency forensics: when set, the run enables tracing on the
-    #: database (app servers inherit it), attaches a tail-based flight
-    #: recorder + critical-path aggregator to the shared auditor, polls
-    #: breaker transitions from the control tick, and pre-registers the
-    #: configured fault timeline as trace-retention windows.  The bundle
-    #: lands on ``ServingReport.forensics``.
+    #: database unless the caller already did (app servers inherit it;
+    #: tracing turned on here keeps no finished root), attaches a
+    #: tail-based flight recorder + critical-path aggregator to the
+    #: shared auditor, polls breaker transitions from the control tick,
+    #: and pre-registers the configured fault timeline as trace-retention
+    #: windows.  The bundle lands on ``ServingReport.forensics``.
     forensics: Optional[ForensicsConfig] = None
     seed: int = 0
 
@@ -234,9 +235,10 @@ class ServingSimulation:
         if config.forensics is not None:
             # Tracing must be live before the driver builds its app-server
             # clients — ``new_client`` views inherit the parent's tracer
-            # state at construction.
+            # state at construction.  The views keep no finished root: the
+            # flight recorder is the one place a trace outlives its query.
             if db.tracer is None:
-                db.enable_tracing()
+                db.enable_tracing(keep=0)
             forensics_drift = (
                 self.telemetry.drift if self.telemetry is not None else None
             )
@@ -247,7 +249,9 @@ class ServingSimulation:
                     db.auditor.latency_model
                 )
             self.forensics = LatencyForensics(
-                config.forensics, drift=forensics_drift, tracer=db.tracer
+                config.forensics,
+                drift=forensics_drift,
+                tracers_fn=self._server_tracers,
             )
             self.forensics.register_fault_windows(
                 config.faults, config.duration_seconds
@@ -292,6 +296,12 @@ class ServingSimulation:
             server.db.client.stats.metrics for server in self.driver.servers
         )
         return registries
+
+    def _server_tracers(self):
+        """Every app server's tracer, resolved per call like
+        :meth:`_server_registries`: the views build every span of a run
+        with forensics, so their evictions are the fleet's dropped roots."""
+        return [server.db.tracer for server in self.driver.servers]
 
     def _breaker_boards(self):
         """Every app server's live circuit-breaker board (if any).

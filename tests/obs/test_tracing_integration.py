@@ -282,12 +282,13 @@ class TestExplainAnalyze:
         assert db.tracer is None
         db.explain_analyze(NEW_PRODUCTS_WI, {"subject": "COMPUTERS"})
         assert db.tracer is None, "explain must not leave tracing enabled"
-        db.enable_tracing()
+        tracer = db.enable_tracing()
         try:
             db.explain_analyze(NEW_PRODUCTS_WI, {"subject": "COMPUTERS"})
-            assert db.tracer is not None
+            assert db.tracer is tracer
+            assert tracer.last_root() is not None, "a retaining tracer keeps it"
         finally:
-            db.disable_tracing()
+            db.client.tracer = None
 
     def test_render_span_tree(self, scadr_db, thoughtstream_sql):
         tracer = scadr_db.enable_tracing()

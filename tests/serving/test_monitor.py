@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.prediction.slo import ServiceLevelObjective
@@ -39,6 +41,26 @@ class TestLiveSignals:
         for i in range(2):
             monitor.record(1.0 + i * 0.1, 1.0)
         assert monitor.recent_compliance(1.2) == pytest.approx(0.8)
+
+
+    def test_recent_compliance_equals_a_recount_of_the_window(self):
+        """The running compliant count matches a recount of the window at
+        every step of a seeded stream, stragglers stamped behind the
+        horizon included."""
+        monitor = make_monitor()
+        rng = random.Random(7)
+        now = 0.0
+        for _ in range(2000):
+            now += rng.expovariate(50.0)
+            stamp = now - rng.uniform(0.0, 8.0) if rng.random() < 0.1 else now
+            monitor.record(stamp, rng.choice((0.05, 0.1, 0.2, 2.0)))
+            compliance = monitor.recent_compliance(now)
+            window = list(monitor._recent)
+            compliant = sum(
+                1 for _, latency in window
+                if latency <= monitor.slo.latency_seconds
+            )
+            assert compliance == compliant / len(window)
 
 
 class TestIntervalReports:
