@@ -81,7 +81,12 @@ from ..errors import (
     UnavailableError,
 )
 from ..obs.metrics import MetricsRegistry
-from ..replication.manager import RepairReport, ReplicationManager, choose_replicas
+from ..replication.manager import (
+    RangeView,
+    RepairReport,
+    ReplicationManager,
+    choose_replicas,
+)
 from ..replication.store import (
     MISSING_SEQ,
     decode_record,
@@ -784,8 +789,10 @@ class KeyValueCluster:
         incomplete state.
         """
         self._require(namespace)
-        merged = self.replication.merged_range(
-            namespace, self._range_view(), start, end, limit, ascending
+        replication = self.replication
+        merged = replication.merged_range(
+            namespace, replication.range_view(namespace, self._range_view()),
+            start, end, limit, ascending,
         )
         return [(key, value) for key, value, _ in merged]
 
@@ -1278,15 +1285,16 @@ class KeyValueCluster:
         bounded work as fetching the range and filtering client-side.
         """
         self._require(namespace)
+        view = self.replication.range_view(namespace, self._range_view(CLIENT))
         return self._range_over(
-            namespace, self._range_view(CLIENT), start, end, limit, ascending,
-            sim_time, record_filter,
+            namespace, view, start, end, limit, ascending, sim_time,
+            record_filter,
         )
 
     def _range_over(
         self,
         namespace: str,
-        up_ids: List[int],
+        view: RangeView,
         start: Optional[bytes],
         end: Optional[bytes],
         limit: Optional[int],
@@ -1296,11 +1304,14 @@ class KeyValueCluster:
     ) -> OpResult:
         """One range request over an already-resolved serving set.
 
-        :meth:`get_range` resolves the serving nodes per request,
-        :meth:`multi_get_range` once per batch.
+        :meth:`get_range` resolves the serving nodes (and with them the
+        replicas' map versions the merge memo checks) per request,
+        :meth:`multi_get_range` once per batch.  A merge served from the
+        memo is charged exactly like one merged afresh.
         """
+        up_ids = view.node_ids
         triples = self.replication.merged_range(
-            namespace, up_ids, start, end, limit, ascending
+            namespace, view, start, end, limit, ascending
         )
         last_examined = triples[-1][0] if triples else None
         pairs: List[KeyValue] = []
@@ -1368,14 +1379,15 @@ class KeyValueCluster:
         if not ranges:
             return OpResult([], 0.0, -1, keys_touched=0)
         self._require(namespace)
-        up_ids = self._range_view(CLIENT)
+        # Nothing writes between the batch's requests: one view serves all.
+        view = self.replication.range_view(namespace, self._range_view(CLIENT))
         results: List[List[KeyValue]] = []
         latencies: List[float] = []
         keys_touched = 0
         payload_bytes = 0
         for start, end, limit, ascending in ranges:
             result = self._range_over(
-                namespace, up_ids, start, end, limit, ascending, sim_time
+                namespace, view, start, end, limit, ascending, sim_time
             )
             results.append(result.value)  # type: ignore[arg-type]
             latencies.append(result.latency_seconds)
@@ -1403,7 +1415,10 @@ class KeyValueCluster:
         self._require(namespace)
         serving = self._range_view(CLIENT)
         count = len(
-            self.replication.merged_range(namespace, serving, start, end)
+            self.replication.merged_range(
+                namespace, self.replication.range_view(namespace, serving),
+                start, end,
+            )
         )
         anchor = start if start is not None else b""
         node = self.route(namespace, anchor, set(serving))

@@ -64,6 +64,15 @@ one that outlives the crash shadows it with the same entries; a drop is
 logged before its files go, and replay finishes the removal.  Under
 ``sync_writes`` a rename is also made durable (an fsync of the directory)
 before the log is reset or a merged run's inputs are removed.
+
+Each tree keeps the write version and recent-keys log of
+:mod:`repro.kvstore.memory` (``version``, ``write_log``), advanced by every
+change of its *logical* content: a put or delete (recovery replay
+included), and — logged as an unknown key — a clear, a namespace drop and a
+bulk load's segment install.  A flush or a compaction moves entries between
+runs without changing what any read returns, so it leaves the version
+alone; a crash drops the trees, and recovery builds new ones whose versions
+no earlier tree's match.
 """
 
 from __future__ import annotations
@@ -76,7 +85,7 @@ import shutil
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..memory import SortedKeys
+from ..memory import WRITE_LOG, SortedKeys, first_versions, log_write
 from .base import EngineRecovery, StorageEngine
 from .external import SpillingSorter
 from .segment import Entry, Segment, SegmentError, filter_hashes, write_segment
@@ -135,6 +144,9 @@ class LsmTree:
         self.mem_bytes = 0
         #: Oldest -> newest; the memtable is newer than all of them.
         self.segments: List[Segment] = []
+        #: Content version and the keys of the last changes (module doc).
+        self.version = next(first_versions)
+        self.write_log: List[Optional[bytes]] = []
 
     # ------------------------------------------------------------------
     # Point operations
@@ -207,6 +219,12 @@ class LsmTree:
         mem[key] = value
         self.mem_bytes += delta  # _account, in place: every put comes through here
         self._engine._memtable_bytes += delta
+        # log_write, inline for the same reason.
+        self.version += 1
+        log = self.write_log
+        log.append(key)
+        if len(log) == WRITE_LOG:
+            del log[: WRITE_LOG // 2]
 
     def _apply_delete(self, key: bytes) -> None:
         if self.segments:
@@ -216,6 +234,7 @@ class LsmTree:
             value = self._mem.pop(key)
             self._mem_keys.remove(key)
             self._account(-(len(key) + len(value or b"") + _MEM_ENTRY_OVERHEAD))
+            log_write(self, key)
 
     def _reset_memtable(self) -> None:
         self._mem.clear()
@@ -425,6 +444,7 @@ class LsmEngine(StorageEngine):
                 pass
         tree.segments = []
         tree._reset_memtable()
+        log_write(tree, None)
 
     def _sync_dir(self) -> None:
         """Under ``sync_writes``, make the directory's renames durable."""
@@ -589,6 +609,7 @@ class LsmEngine(StorageEngine):
                 yield key, value
 
         self._add_run(tree, pairs(), sorter.items_added)
+        log_write(tree, None)
         self._sync_dir()
         self.bulk_spill_count += sorter.spill_count
         return stored

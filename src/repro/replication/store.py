@@ -51,6 +51,10 @@ from ..kvstore.engine.base import StorageEngine
 _HEADER = struct.Struct(">QB")
 _TOMBSTONE = 0x01
 
+#: Where a record's payload starts: a live record's value is
+#: ``record[PAYLOAD_AT:]``.
+PAYLOAD_AT = _HEADER.size
+
 #: Sequence number reported for a key a replica has never heard of.
 MISSING_SEQ = -1
 
@@ -67,6 +71,11 @@ def decode_record(record: bytes) -> Tuple[int, Optional[bytes]]:
     """Decode a versioned record to ``(seq, value)``; tombstones give ``None``."""
     seq, flags = _HEADER.unpack_from(record)
     return seq, (None if flags & _TOMBSTONE else record[_HEADER.size:])
+
+
+def is_tombstone(record: bytes) -> bool:
+    """Whether an encoded record is a tombstone."""
+    return bool(record[PAYLOAD_AT - 1] & _TOMBSTONE)
 
 
 def record_seq(record: Optional[bytes]) -> int:

@@ -6,19 +6,28 @@ newest sequence over all replicas, tombstones suppress — on generated
 replica contents, including the cases the chunking has to get right:
 replicas that disagree about a key, slices that lead with tombstones (the
 continuation pass), and keys just past the horizon.
+
+A bounded range is answered from a memo while no replica map in its view
+has changed a key inside it, so the oracle is also run over generated
+*histories* (:func:`test_history_matches_oracle`): every way a replica's
+content can change, interleaved with repeated reads of the same ranges over
+growing and shrinking views, each read checked against the oracle.
 """
 
 from __future__ import annotations
 
+import bisect
+import random
 import tempfile
 from typing import Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore.engine import LsmEngine
-from repro.replication.manager import ReplicationManager
+from repro.kvstore.memory import WRITE_LOG
+from repro.replication.manager import RANGE_MEMO_MAX, ReplicationManager
 from repro.replication.store import encode_record
 
 NAMESPACE = "ns"
@@ -65,7 +74,8 @@ def _manager(replicas: List[Replica], lsm_dir: Optional[str]) -> ReplicationMana
 
 
 def _merged(manager, node_ids, start, end, limit, ascending):
-    triples = manager.merged_range(NAMESPACE, node_ids, start, end, limit, ascending)
+    view = manager.range_view(NAMESPACE, node_ids)
+    triples = manager.merged_range(NAMESPACE, view, start, end, limit, ascending)
     return [(key, value) for key, value, _ in triples]
 
 
@@ -168,9 +178,247 @@ def test_serving_node_is_last_listed_known_defect():
     newest_on_one: Replica = {b"b": (3, b"new")}
     stale_on_two: Replica = {b"b": (2, b"old")}
     manager = _manager([only_on_zero, newest_on_one, stale_on_two], lsm_dir=None)
-    triples = manager.merged_range(NAMESPACE, [0, 1, 2], None, None)
+
+    def view(node_ids):
+        return manager.range_view(NAMESPACE, node_ids)
+
+    triples = manager.merged_range(NAMESPACE, view([0, 1, 2]), None, None)
     assert triples == [(b"a", b"a", 2), (b"b", b"new", 2)]
-    assert manager.merged_range(NAMESPACE, [2, 0, 1], None, None, limit=1) == [
+    assert manager.merged_range(NAMESPACE, view([2, 0, 1]), None, None, limit=1) == [
         (b"a", b"a", 1)
     ]
-    assert manager.merged_range(NAMESPACE, [], None, None) == []
+    # Bounded, so served through the memo: attributed the same way.
+    assert manager.merged_range(NAMESPACE, view([2, 0, 1]), b"", b"c", 1) == [
+        (b"a", b"a", 1)
+    ]
+    assert manager.merged_range(NAMESPACE, view([]), None, None) == []
+
+
+# ----------------------------------------------------------------------
+# Histories: the memo must never answer for a range that has changed
+# ----------------------------------------------------------------------
+#: Three replicas; a read's view is one of these orderings or subsets (a
+#: single replica's view shows any change to it).
+_NODES = 3
+_VIEWS = ([0, 1, 2], [0, 1], [1, 2], [2, 0], [0], [1], [2], [2, 1, 0])
+#: Bounded ranges (what the memo serves): wide enough to see most writes,
+#: with the edges it must get right — descending, an empty range, limit 0,
+#: bounds that are keys themselves.
+_BOUNDED = st.tuples(
+    st.sampled_from([b"", b"\x00", b"a", b"ab", b"b"]),
+    st.sampled_from([b"a", b"b", b"b\xff", b"\xff", b"\xff\xff\xff"]),
+    st.sampled_from([0, 1, 3, 5, 5]),
+    st.booleans(),
+)
+#: What a history re-reads after every step.
+_PROBES = st.lists(
+    st.tuples(st.sampled_from(_VIEWS), _BOUNDED), min_size=1, max_size=3
+)
+_NODE = st.integers(min_value=0, max_value=_NODES - 1)
+#: Few keys, so that a later step finds the key an earlier one wrote.
+_KEY = st.sampled_from([b"\x00", b"a", b"a\x00", b"ab", b"b", b"\xff"])
+_VALUE = st.one_of(st.none(), st.binary(max_size=3))
+_STEP = st.one_of(
+    st.tuples(st.just("write"), st.sets(_NODE, min_size=1), _KEY, _VALUE),
+    st.tuples(st.just("write"), st.sets(_NODE, min_size=1), _KEY, _VALUE),
+    st.tuples(st.just("write"), st.sets(_NODE, min_size=1), _KEY, _VALUE),
+    # A key the node holds, by position (any key when it holds none).
+    st.tuples(st.just("copy"), _NODE, _NODE, st.integers(0, 5)),
+    st.tuples(st.just("discard"), _NODE, st.integers(0, 5)),
+    st.tuples(st.just("clear"), _NODE),
+    # Dropped and written again before anyone reads: a new map as far along
+    # as the old one.
+    st.tuples(st.just("drop"), _NODE, st.lists(_KEY, max_size=3)),
+    st.tuples(st.just("flush"), _NODE),
+    st.tuples(st.just("compact"), _NODE),
+    st.tuples(st.just("crash"), _NODE),
+    st.tuples(
+        st.just("bulk_load"), _NODE,
+        st.dictionaries(_KEY, _VALUE, min_size=1, max_size=4),
+    ),
+    # One write and then more than the write log holds, all on one node.
+    st.tuples(st.just("burst"), _NODE, _KEY, _KEY),
+    st.tuples(
+        st.just("read"), st.sampled_from(_VIEWS),
+        st.tuples(_BOUNDS, _BOUNDS, _LIMITS, st.booleans()),
+    ),
+)
+
+
+def _run_history(probes, steps, lsm_dir: Optional[str]) -> None:
+    manager = ReplicationManager(replication=_NODES)
+    stores = []
+    for node_id in range(_NODES):
+        engine = None
+        if lsm_dir is not None:
+            # Flushes every dozen or so writes: deletes meet both a
+            # memtable-only tree and segments beneath it.
+            engine = LsmEngine(
+                f"{lsm_dir}/node-{node_id}", memtable_budget_bytes=1024,
+                fanout=2,
+            )
+        stores.append(manager.attach_node(node_id, engine))
+    replicas: List[Replica] = [{} for _ in range(_NODES)]
+
+    def write(node_id: int, key: bytes, value: Optional[bytes]) -> None:
+        seq = manager.next_seq()
+        stores[node_id].write_fresh(NAMESPACE, key, encode_record(seq, value))
+        replicas[node_id][key] = (seq, value)
+
+    def held(node_id: int, index: int) -> bytes:
+        keys = sorted(replicas[node_id]) or [b"a"]
+        return keys[index % len(keys)]
+
+    def read(view, start, end, limit, ascending, step) -> None:
+        assert _merged(manager, view, start, end, limit, ascending) == _oracle(
+            [replicas[node_id] for node_id in view], start, end, limit,
+            ascending,
+        ), step
+
+    try:
+        for step in steps:
+            for view, bounds in probes:
+                read(view, *bounds, step)
+            kind, args = step[0], step[1:]
+            if kind == "write":
+                nodes, key, value = args
+                seq = manager.next_seq()
+                for node_id in nodes:
+                    stores[node_id].write_fresh(
+                        NAMESPACE, key, encode_record(seq, value)
+                    )
+                    replicas[node_id][key] = (seq, value)
+            elif kind == "copy":
+                # What repair and hint replay do: push another replica's
+                # record through the checked door.
+                source, target, index = args
+                key = held(source, index)
+                if key in replicas[source]:
+                    seq, value = replicas[source][key]
+                    if stores[target].apply_record(
+                        NAMESPACE, key, encode_record(seq, value)
+                    ):
+                        replicas[target][key] = (seq, value)
+            elif kind == "discard":
+                node_id, index = args
+                key = held(node_id, index)
+                stores[node_id].discard(NAMESPACE, key)
+                replicas[node_id].pop(key, None)
+            elif kind == "clear":
+                stores[args[0]].map(NAMESPACE).clear()
+                replicas[args[0]].clear()
+            elif kind == "drop":
+                node_id, rewrites = args
+                stores[node_id].engine.drop_namespace(NAMESPACE)
+                replicas[node_id].clear()
+                for key in rewrites:
+                    write(node_id, key, b"again")
+            elif kind == "flush":
+                stores[args[0]].engine.flush()
+            elif kind == "compact":
+                stores[args[0]].engine.run_maintenance()
+            elif kind == "crash":
+                stores[args[0]].engine.crash()
+                stores[args[0]].engine.recover()
+            elif kind == "bulk_load":
+                node_id, items = args
+                records = []
+                for key, value in items.items():
+                    seq = manager.next_seq()
+                    records.append((key, encode_record(seq, value)))
+                    replicas[node_id][key] = (seq, value)
+                stores[node_id].engine.bulk_load(NAMESPACE, records)
+            elif kind == "burst":
+                node_id, key, pad = args
+                write(node_id, key, b"burst")
+                for _ in range(WRITE_LOG):
+                    write(node_id, pad, b"pad")
+            else:
+                view, bounds = args
+                read(view, *bounds, step)
+        for view, bounds in probes:
+            read(view, *bounds, "end")
+    finally:
+        for store in stores:
+            store.engine.close()
+
+
+#: One probe that sees every key, and histories that change what it sees
+#: through each path a map's content changes by (plus the write log running
+#: out, and a dropped map replaced by one with as many writes).
+_EVERYTHING = [([0], (b"", b"\xff\xff\xff", 5, True))]
+_WRITE = ("write", {0}, b"a", b"x")
+_BY_EVERY_PATH = (
+    [_WRITE, ("discard", 0, 0)],
+    [_WRITE, ("clear", 0)],
+    [_WRITE, ("drop", 0, [b"b"])],
+    [_WRITE, ("bulk_load", 0, {b"ab": b"z"})],
+    [_WRITE, ("flush", 0), ("discard", 0, 0)],
+    [_WRITE, ("flush", 0), ("clear", 0)],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PROBES, st.lists(_STEP, min_size=4, max_size=40))
+@example([([0], (b"", b"b", 5, True))], [_WRITE, ("burst", 0, b"a", b"\xff")])
+@example(_EVERYTHING, _BY_EVERY_PATH[0])
+@example(_EVERYTHING, _BY_EVERY_PATH[1])
+@example(_EVERYTHING, _BY_EVERY_PATH[2])
+def test_history_matches_oracle_on_dict_engine(probes, steps):
+    _run_history(probes, steps, lsm_dir=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PROBES, st.lists(_STEP, min_size=4, max_size=30))
+@example(_EVERYTHING, _BY_EVERY_PATH[0])
+@example(_EVERYTHING, _BY_EVERY_PATH[1])
+@example(_EVERYTHING, _BY_EVERY_PATH[2])
+@example(_EVERYTHING, _BY_EVERY_PATH[3])
+@example(_EVERYTHING, _BY_EVERY_PATH[4])
+@example(_EVERYTHING, _BY_EVERY_PATH[5])
+def test_history_matches_oracle_on_lsm_engine(probes, steps):
+    with tempfile.TemporaryDirectory() as lsm_dir:
+        _run_history(probes, steps, lsm_dir)
+
+
+def test_memo_stays_bounded_under_interleaved_writes():
+    """Flat in run length (ROADMAP item 11): through 10 000 rounds of a
+    random write and a never-repeated bounded range, fewer than 200 entries
+    are ever held, and every read is still right.  An entry outlives a
+    sweep only while every map of its view has logged fewer than
+    ``WRITE_LOG`` writes since it was merged; with two of three maps
+    written per round that is under 95 rounds, and the next sweep comes at
+    twice what survived.  A read-only run over ever new ranges is held to
+    ``2 * RANGE_MEMO_MAX``."""
+    rng = random.Random(7)
+    manager = ReplicationManager(replication=3)
+    stores = [manager.attach_node(node_id) for node_id in range(3)]
+    newest: Dict[bytes, bytes] = {}
+    ordered: List[bytes] = []
+    for round_number in range(10_000):
+        key = b"k%05d" % rng.randrange(100_000)
+        value = b"v%d" % round_number
+        record = encode_record(manager.next_seq(), value)
+        for store in rng.sample(stores, 2):
+            store.write_fresh(NAMESPACE, key, record)
+        if key not in newest:
+            bisect.insort(ordered, key)
+        newest[key] = value
+        start = b"k%05d" % rng.randrange(100_000)
+        end = start + b"\xff"
+        triples = manager.merged_range(
+            NAMESPACE, manager.range_view(NAMESPACE, [0, 1, 2]), start, end, 4
+        )
+        at = bisect.bisect_left(ordered, start)
+        assert [(k, v) for k, v, _ in triples] == [
+            (k, newest[k]) for k in ordered[at:at + 4] if k < end
+        ]
+        held = sum(len(memo.entries) for memo in manager._range_memos.values())
+        assert held < 200, (round_number, held)
+    # Read-only, every range new: nothing goes stale, the cap still holds.
+    view = manager.range_view(NAMESPACE, [0, 1, 2])
+    for number in range(2 * RANGE_MEMO_MAX + 256):
+        start = b"k%05d" % number
+        manager.merged_range(NAMESPACE, view, start, start + b"\xff", 4)
+        held = len(manager._range_memos[NAMESPACE].entries)
+        assert held <= 2 * RANGE_MEMO_MAX, (number, held)
