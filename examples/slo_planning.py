@@ -15,13 +15,10 @@ Run with ``python examples/slo_planning.py`` (training takes a few seconds).
 from __future__ import annotations
 
 from repro import ClusterConfig, PiqlDatabase
-from repro.prediction import (
-    QueryLatencyModel,
-    ServiceLevelObjective,
-    TrainingConfig,
-    thoughtstream_heatmap,
-    train_default_model,
-)
+from repro.prediction.heatmap import thoughtstream_heatmap
+from repro.prediction.model import QueryLatencyModel
+from repro.prediction.slo import ServiceLevelObjective
+from repro.prediction.training import TrainingConfig, train_default_model
 from repro.workloads.scadr.queries import THOUGHTSTREAM
 from repro.workloads.scadr.schema import scadr_ddl
 

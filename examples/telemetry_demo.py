@@ -30,8 +30,9 @@ from typing import Dict, List
 
 from repro import ClusterConfig, PiqlDatabase
 from repro.obs import BurnRateRule
-from repro.prediction import QueryLatencyModel, train_default_model
+from repro.prediction.model import QueryLatencyModel
 from repro.prediction.slo import ServiceLevelObjective
+from repro.prediction.training import train_default_model
 from repro.replication import FaultSpec
 from repro.serving import ServingConfig, run_serving_simulation
 from repro.workloads.base import InteractionResult, Workload, WorkloadScale

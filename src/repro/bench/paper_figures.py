@@ -14,14 +14,10 @@ from ..analysis import ScalingClassAnalysis, ScalingClassResult
 from ..engine.database import PiqlDatabase
 from ..kvstore.cluster import ClusterConfig
 from ..plans import physical as P
-from ..prediction import (
-    Heatmap,
-    QueryLatencyModel,
-    ServiceLevelObjective,
-    TrainingConfig,
-    thoughtstream_heatmap,
-    train_default_model,
-)
+from ..prediction.heatmap import Heatmap, thoughtstream_heatmap
+from ..prediction.model import QueryLatencyModel
+from ..prediction.slo import ServiceLevelObjective
+from ..prediction.training import TrainingConfig, train_default_model
 from ..schema.ddl import IndexColumn, IndexDefinition
 from ..stats import nearest_rank_percentile
 from ..workloads.scadr.data import ScadrDataConfig, ScadrDataGenerator

@@ -1,30 +1,9 @@
-"""SLO compliance prediction framework (Section 6 of the paper)."""
+"""SLO compliance prediction framework (Section 6 of the paper).
 
-from .heatmap import Heatmap, prediction_heatmap, thoughtstream_heatmap
-from .histogram import LatencyHistogram, convolve_all
-from .model import (
-    OperatorModelKey,
-    OperatorModelStore,
-    OperatorRequirement,
-    QueryLatencyModel,
-)
-from .slo import SLOPrediction, ServiceLevelObjective, observed_interval_quantiles
-from .training import OperatorModelTrainer, TrainingConfig, train_default_model
-
-__all__ = [
-    "Heatmap",
-    "LatencyHistogram",
-    "OperatorModelKey",
-    "OperatorModelStore",
-    "OperatorModelTrainer",
-    "OperatorRequirement",
-    "QueryLatencyModel",
-    "SLOPrediction",
-    "ServiceLevelObjective",
-    "TrainingConfig",
-    "convolve_all",
-    "observed_interval_quantiles",
-    "prediction_heatmap",
-    "thoughtstream_heatmap",
-    "train_default_model",
-]
+Deliberately re-exports nothing: import each name from the module that
+defines it.  The serving tier imports ``prediction.slo`` for
+``ServiceLevelObjective`` on its request path, and a package-level
+re-export would load ``histogram`` and with it numpy (~13 MB per process)
+that no request uses.  Only ``histogram``, ``model``, ``training`` and
+``heatmap`` need numpy.
+"""

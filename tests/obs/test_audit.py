@@ -11,11 +11,8 @@ from repro.errors import BoundViolationError
 from repro.execution.context import ExecutionStrategy
 from repro.kvstore.cluster import KeyValueCluster
 from repro.obs.audit import MAX_EVENTS, AuditEvent, BoundAuditor
-from repro.prediction import (
-    OperatorModelTrainer,
-    QueryLatencyModel,
-    TrainingConfig,
-)
+from repro.prediction.model import QueryLatencyModel
+from repro.prediction.training import OperatorModelTrainer, TrainingConfig
 
 THOUGHTSTREAM_SQL = """
 SELECT t.*

@@ -22,11 +22,8 @@ from repro import ClusterConfig, PiqlDatabase
 from repro.execution.context import ExecutionStrategy
 from repro.kvstore.cluster import KeyValueCluster
 from repro.obs.explain import render_span_tree
-from repro.prediction import (
-    OperatorModelTrainer,
-    QueryLatencyModel,
-    TrainingConfig,
-)
+from repro.prediction.model import QueryLatencyModel
+from repro.prediction.training import OperatorModelTrainer, TrainingConfig
 from repro.workloads.tpcw.queries import NEW_PRODUCTS_WI
 
 USERS_BY_NAME = "SELECT * FROM users WHERE username = <u>"

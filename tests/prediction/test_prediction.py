@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 from repro import ClusterConfig, PiqlDatabase
 from repro.errors import PredictionError
 from repro.kvstore.cluster import KeyValueCluster
-from repro.prediction import (
-    LatencyHistogram,
+from repro.prediction.heatmap import thoughtstream_heatmap
+from repro.prediction.histogram import LatencyHistogram, convolve_all
+from repro.prediction.model import (
     OperatorModelKey,
     OperatorModelStore,
-    OperatorModelTrainer,
     QueryLatencyModel,
+)
+from repro.prediction.slo import (
     ServiceLevelObjective,
     SLOPrediction,
-    TrainingConfig,
-    convolve_all,
-    thoughtstream_heatmap,
+    observed_interval_quantiles,
 )
-from repro.prediction.slo import observed_interval_quantiles
+from repro.prediction.training import OperatorModelTrainer, TrainingConfig
 from repro.workloads.scadr.schema import scadr_ddl
 
 FAST_TRAINING = TrainingConfig(

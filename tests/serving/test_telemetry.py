@@ -21,8 +21,9 @@ import pytest
 
 from repro import ClusterConfig, PiqlDatabase
 from repro.obs import BurnRateRule
-from repro.prediction import QueryLatencyModel, train_default_model
+from repro.prediction.model import QueryLatencyModel
 from repro.prediction.slo import ServiceLevelObjective
+from repro.prediction.training import train_default_model
 from repro.replication import FaultSpec
 from repro.resilience.breaker import FAILURE_THRESHOLD
 from repro.serving import ServingConfig, ServingSimulation
