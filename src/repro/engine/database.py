@@ -186,7 +186,10 @@ class PiqlDatabase:
     def execute_ddl(self, ddl: Union[str, Sequence[str]]) -> List[str]:
         """Execute one or more DDL statements (separated by ``;`` if a string).
 
-        Returns the names of the tables and indexes created.
+        Returns the names of the tables and indexes created.  Declaring an
+        index identical to an existing one is a no-op and is left out of
+        the list; ``CREATE UNIQUE INDEX`` raises
+        :class:`~repro.errors.SchemaError`, since nothing would enforce it.
         """
         statements: List[str]
         if isinstance(ddl, str):
@@ -200,16 +203,22 @@ class PiqlDatabase:
                 self.create_table(statement.table)
                 created.append(statement.table.name)
             elif isinstance(statement, ast.CreateIndexStatement):
+                if statement.unique:
+                    raise SchemaError(
+                        f"index {statement.name!r}: UNIQUE indexes are not "
+                        "supported (no insert would check them)"
+                    )
                 index = IndexDefinition(
                     name=statement.name,
                     table=statement.table,
                     columns=tuple(
                         IndexColumn(name, tokenized) for name, tokenized in statement.columns
                     ),
-                    unique=statement.unique,
                 )
+                fresh = not self.catalog.has_index(index.name)
                 self.create_index(index)
-                created.append(statement.name)
+                if fresh:
+                    created.append(statement.name)
             elif isinstance(statement, ast.CreateMaterializedViewStatement):
                 self.create_materialized_view(statement)
                 created.append(statement.name)
@@ -244,11 +253,14 @@ class PiqlDatabase:
         index selection (Section 5.3) rather than declared by the schema;
         the catalog remembers the distinction so re-compiling a query keeps
         reporting the index under ``required_indexes`` even once it exists
-        (Table 1's "additional indexes" column).
+        (Table 1's "additional indexes" column).  Re-registering an
+        identical index is a no-op: its storage and entries already exist.
         """
+        fresh = not self.catalog.has_index(index.name)
         registered = self.catalog.add_index(index, auto_created=auto_created)
-        self.records.create_index_storage(registered)
-        self._backfill_index(registered)
+        if fresh:
+            self.records.create_index_storage(registered)
+            self._backfill_index(registered)
         return registered
 
     def create_materialized_view(

@@ -26,9 +26,10 @@ extras: each change of what a read of the map can return advances
 when the change may touch any key: a clear, a drop, a bulk install), with
 the log trimmed as :func:`repro.kvstore.memory.log_write` trims it; a new
 map starts at a version from :data:`repro.kvstore.memory.first_versions`.
-``ReplicationManager.merged_range`` serves a bounded range from its memo
-while no map in the view has logged a key inside the range, so a change
-that skips the bookkeeping lets a range read return stale records.
+``ReplicationManager.merged_range`` hands back a bounded range's memoized
+answer — winning keys and payloads, merged once — while no map in the view
+has logged a key inside the range, so a change that skips the bookkeeping
+lets a range read return stale rows.
 
 Everything beyond that — durability, crash recovery, background
 maintenance, gauges — goes through the engine object itself so the cluster

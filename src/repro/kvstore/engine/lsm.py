@@ -21,13 +21,14 @@ A point read asks the memtable, then the segment stack newest-first; the
 key's two filter hashes are computed once and handed to every segment, and
 a segment reads a block only when the key is inside its bounds and passes
 its filter (:meth:`Segment.get`).  A *limited* range — what every serving
-read is — is a chunked slice-and-resolve, the shape
-``ReplicationManager.merged_range`` has one layer up: each segment and the
-memtable contribute at most ``limit`` entries, a dict updated oldest to
-newest resolves newest-wins, live keys are emitted up to the *horizon* (the
-least-advanced last key among the runs that filled their chunk — past it
-some run has not been heard), and when delete markers leave the result
-short a further pass resumes just past the horizon.  Memory is bounded by
+read is — is a chunked slice-and-resolve, the shape of the merge behind
+``ReplicationManager.merged_range`` one layer up (which memoizes its answer
+per bounded range): each segment and the memtable contribute at most
+``limit`` entries, a dict updated oldest to newest resolves newest-wins,
+live keys are emitted up to the *horizon* (the least-advanced last key
+among the runs that filled their chunk — past it some run has not been
+heard), and when delete markers leave the result short a further pass
+resumes just past the horizon.  Memory is bounded by
 ``limit`` times the run count.  Unlimited iteration (compaction, anti-entropy,
 ``len``) streams through :func:`_merged`, a ``heapq.merge`` over natively
 comparable ``(key, age tag, value)`` tuples that dedupes per key and holds

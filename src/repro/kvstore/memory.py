@@ -27,7 +27,8 @@ map's first version is a base no other map shares, so a version also names
 its map: a dropped or rebuilt map never matches a version read from the old
 one.  :func:`unchanged_since` answers from the two whether a key range can
 have changed since a version was read — what
-``ReplicationManager.merged_range`` memoizes bounded range merges on.  The
+``ReplicationManager.merged_range`` keeps each bounded range's finished
+answer (the winning keys, their payloads and the payload bytes) on.  The
 bookkeeping of a put is written out inline in :meth:`OrderedKVMap.put`
 (:func:`log_write` is the same steps for the rarer changes).
 """

@@ -104,7 +104,6 @@ class IndexDefinition:
     name: str
     table: str
     columns: Tuple[IndexColumn, ...]
-    unique: bool = False
 
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]

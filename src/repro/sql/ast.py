@@ -208,6 +208,8 @@ class CreateIndexStatement:
     name: str
     table: str
     columns: Tuple[Tuple[str, bool], ...]   # (column, tokenized)
+    #: Parsed so that ``PiqlDatabase.execute_ddl`` can reject it: no insert
+    #: checks uniqueness.
     unique: bool = False
 
 

@@ -25,6 +25,42 @@ class TestDdlExecution:
         assert created == ["a", "idx_a"]
         assert empty_db.get("a", [1]) == {"x": 1}
 
+    @staticmethod
+    def _fifty_rows(db):
+        db.execute_ddl("CREATE TABLE a (x INT, y INT, PRIMARY KEY (x))")
+        for x in range(50):
+            db.insert("a", {"x": x, "y": x % 7})
+
+    def test_identical_create_index_is_a_no_op(self, empty_db, monkeypatch):
+        self._fifty_rows(empty_db)
+        loads = []
+        load = empty_db.cluster.load
+
+        def counting_load(namespace, key, value):
+            loads.append(namespace)
+            return load(namespace, key, value)
+
+        monkeypatch.setattr(empty_db.cluster, "load", counting_load)
+        assert empty_db.execute_ddl("CREATE INDEX idx_y ON a (y)") == ["idx_y"]
+        assert len(loads) == 50
+        loads.clear()
+        version = empty_db.catalog.version
+        assert empty_db.execute_ddl("CREATE INDEX idx_y ON a (y)") == []
+        assert loads == []
+        assert empty_db.catalog.version == version
+        with pytest.raises(SchemaError, match="already exists"):
+            empty_db.execute_ddl("CREATE INDEX idx_y ON a (x)")
+
+    def test_create_unique_index_is_rejected(self, empty_db):
+        self._fifty_rows(empty_db)
+        with pytest.raises(SchemaError, match="UNIQUE"):
+            empty_db.execute_ddl("CREATE UNIQUE INDEX idx_y ON a (y)")
+        assert not empty_db.catalog.has_index("idx_y")
+        # Nor may it pass as identical to a plain index of the same shape.
+        empty_db.execute_ddl("CREATE INDEX idx_y ON a (y)")
+        with pytest.raises(SchemaError, match="UNIQUE"):
+            empty_db.execute_ddl("CREATE UNIQUE INDEX idx_y ON a (y)")
+
     def test_execute_ddl_rejects_select(self, empty_db):
         with pytest.raises(SchemaError):
             empty_db.execute_ddl("SELECT * FROM x")

@@ -13,6 +13,7 @@ from typing import List
 import pytest
 
 from repro.kvstore import ClusterConfig, KeyValueCluster
+from repro.kvstore.node import StorageNode
 from repro.replication.store import ReplicaStore
 
 NAMESPACE = "data"
@@ -108,9 +109,25 @@ def test_batch_reads_a_repeated_range_once(replica_reads):
     assert result.value[3] == [(b"k039", b"v39"), (b"k038", b"v38")]
 
 
+def test_mutating_an_answer_leaves_the_memo_alone():
+    cluster = _cluster()
+    first = _read(cluster).value
+    expected = list(first)
+    first.clear()
+    again = _read(cluster).value
+    assert again == expected
+    again[0] = (b"k010", b"forged")
+    again.append((b"k999", b"extra"))
+    assert _read(cluster).value == expected
+    batch = cluster.multi_get_range(NAMESPACE, [(b"k010", b"k020", 5, True)])
+    batch.value[0].reverse()
+    assert _read(cluster).value == expected
+
+
 def test_a_hit_is_charged_like_a_fresh_merge():
     """Two identical clusters read the same range twice; one forgets its
-    merges in between.  Results, latencies and every node counter agree."""
+    merges in between.  Results, latencies, shipped bytes and every node
+    counter agree."""
     remembering, forgetting = _cluster(), _cluster()
     outcomes = []
     for cluster, forget in ((remembering, False), (forgetting, True)):
@@ -119,11 +136,48 @@ def test_a_hit_is_charged_like_a_fresh_merge():
             cluster.replication._range_memos.clear()
         results.append(_read(cluster))
         outcomes.append((
-            [(r.value, r.latency_seconds, r.node_id, r.keys_touched) for r in results],
             [
-                (node.stats.range_requests, node.stats.keys_read,
-                 node.stats.total_latency_seconds)
-                for node in cluster.nodes
+                (r.value, r.latency_seconds, r.node_id, r.keys_touched,
+                 r.payload_bytes)
+                for r in results
             ],
+            [node.stats.metrics.counters() for node in cluster.nodes],
         ))
     assert outcomes[0] == outcomes[1]
+
+
+def test_a_filtered_hit_is_charged_like_a_fresh_merge(monkeypatch):
+    """A range with a pushed-down filter charges what it examined and
+    shipped per request, whether its rows came from the memo or not."""
+    calls = []
+    original = StorageNode.charge_filtered_range
+
+    def charge_filtered_range(self, examined, shipped, nbytes, sim_time):
+        calls.append((self.node_id, examined, shipped, nbytes))
+        return original(self, examined, shipped, nbytes, sim_time)
+
+    monkeypatch.setattr(StorageNode, "charge_filtered_range", charge_filtered_range)
+
+    def odd(key: bytes, value: bytes) -> bool:
+        return int(key[1:]) % 2 == 1
+
+    remembering, forgetting = _cluster(), _cluster()
+    answers = []
+    for cluster, forget in ((remembering, False), (forgetting, True)):
+        calls.clear()
+        results = []
+        for _ in range(2):
+            if forget:
+                cluster.replication._range_memos.clear()
+            results.append(
+                cluster.get_range(NAMESPACE, b"k010", b"k020", 5, record_filter=odd)
+            )
+        assert [r.value for r in results] == [[
+            (b"k011", b"v11"), (b"k013", b"v13"),
+        ]] * 2
+        assert calls[0][1:] == (5, 2, 6)
+        answers.append((
+            list(calls),
+            [(r.latency_seconds, r.keys_touched, r.payload_bytes) for r in results],
+        ))
+    assert answers[0] == answers[1]
