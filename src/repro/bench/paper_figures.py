@@ -208,7 +208,7 @@ def _ablation_run(config: AblationConfig) -> AblationResult:
     return AblationResult(
         piql_latencies,
         ablated_latencies,
-        db.cluster.namespace_size("index:" + index.name),
+        db.cluster.namespace_size(index.namespace),
     )
 
 

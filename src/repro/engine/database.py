@@ -40,7 +40,7 @@ from ..sql import ast
 from ..sql.parser import parse
 from ..resilience.policy import ResilienceConfig, ResiliencePolicy
 from ..storage.record_manager import RecordManager
-from ..storage.rows import index_entries, index_namespace, record_key, serialize_row
+from ..storage.rows import index_entries, record_key, serialize_row
 from ..views.definition import MaterializedView, analyze_view
 from ..views.maintenance import ViewMaintenanceEngine
 from .query import PreparedQuery
@@ -295,7 +295,7 @@ class PiqlDatabase:
 
     def _backfill_index(self, index: IndexDefinition) -> None:
         table = self.catalog.table(index.table)
-        namespace = index_namespace(index)
+        namespace = index.namespace
         for _, payload in self.cluster.iter_namespace(table.namespace):
             row = self._deserialize(payload)
             for entry_key, entry_value in index_entries(index, table, row):

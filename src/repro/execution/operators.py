@@ -60,7 +60,6 @@ from ..storage.rows import (
     cached_pk_key,
     deserialize_pk,
     deserialize_row,
-    index_namespace,
     pk_key,
 )
 from .context import ExecutionContext, ExecutionStrategy, InternalRow
@@ -374,7 +373,7 @@ def _execute_index_scan(
 ) -> List[InternalRow]:
     table = context.catalog.table(op.table)
     namespace = (
-        table.namespace if op.index.primary else index_namespace(op.index.definition)
+        table.namespace if op.index.primary else op.index.definition.namespace
     )
     start, end, local_checks = _range_for_scan(op, context)
     limit = _scan_limit(op, context)
@@ -549,7 +548,7 @@ def _execute_sorted_index_join(
 ) -> List[InternalRow]:
     table = context.catalog.table(op.table)
     namespace = (
-        table.namespace if op.index.primary else index_namespace(op.index.definition)
+        table.namespace if op.index.primary else op.index.definition.namespace
     )
     child_rows = execute_plan(op.child, context)
     if not child_rows:
@@ -776,7 +775,7 @@ def _try_count_fast_path(
     namespace = (
         table.namespace
         if child.index.primary
-        else index_namespace(child.index.definition)
+        else child.index.definition.namespace
     )
     start, end, local_checks = _range_for_scan(child, context)
     if local_checks:

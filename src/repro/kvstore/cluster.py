@@ -26,8 +26,12 @@ scatter-gather:
   identically; which of those replicas can serve is decided once per
   request — one serving set for a whole ``multi_get`` batch — and each
   observed record is unpacked once;
-* range requests merge every up node's slice of the range and charge the
-  replicas that actually served winning records;
+* range requests merge every up node's slice of the range newest-wins.
+  A bounded range is charged as one range RPC to the last node of its
+  serving view, whichever replicas held the winning records (a known
+  defect, ROADMAP item 2); an unbounded scan visits every up node in turn.
+  An empty bounded range, like ``count_range``, is one probe RPC at the
+  node :meth:`KeyValueCluster.route` picks for the range's start key;
 * topology changes (node added / removed / recovered) trigger
   **anti-entropy repair** that re-replicates under-replicated records.
 
@@ -1273,19 +1277,23 @@ class KeyValueCluster:
         """Return ``(key, value)`` pairs with ``start <= key < end``.
 
         The logical result merges every up node's replica slice newest-wins
-        (tombstones suppress deleted keys).  Cost model: the coordinator's
-        routing metadata sends one range RPC to each replica that serves
-        winning records — for a bounded range those RPCs run in parallel
-        (latency is their maximum and stays flat as the cluster grows), for
-        an unbounded scan every up node must be visited and the latencies
-        *sum*, which is what makes table scans scale-dependent.
+        (tombstones suppress deleted keys).  Cost model (charged by
+        :meth:`_range_over`): a bounded range is one range RPC, and every
+        row it examines is billed to the last node of the serving view,
+        whichever replicas held the winning records (a known defect,
+        ROADMAP item 2), so its latency is one draw that stays flat as the
+        cluster grows.  An empty bounded range is one probe RPC at the node
+        :meth:`route` picks for ``start``.  An unbounded scan visits every
+        up node one after another (the rows are still billed to the last
+        one) and the latencies *sum*, which is what makes table scans
+        scale-dependent.
 
         ``record_filter`` is the server-side predicate-pushdown hook: each
         merged record is offered to the filter and only matching records
         are shipped (and later deserialised) — but every *examined* record
-        is charged to the node that served it, and ``limit`` caps examined
-        records (not matches), so a filtered scan does exactly the same
-        bounded work as fetching the range and filtering client-side.
+        is charged to the node the range is billed to, and ``limit`` caps
+        examined records (not matches), so a filtered scan does exactly the
+        same bounded work as fetching the range and filtering client-side.
         """
         self._require(namespace)
         view = self.replication.range_view(namespace, self._range_view(CLIENT))
@@ -1323,7 +1331,9 @@ class KeyValueCluster:
         )
         bounded = start is not None and end is not None
         if bounded and not rows:
-            # Empty range: one probe RPC at the range's primary replica.
+            # Empty range: one probe RPC at the node ``route`` picks for
+            # ``start`` -- the first serving replica in that key's rotated
+            # read order, not its primary (ROADMAP item 2).
             probe = self.route(namespace, start, set(view.node_ids))
             return [], probe.charge_range(0, 0, sim_time), probe.node_id, 0, None, 0
         examined = len(rows)
@@ -1415,8 +1425,12 @@ class KeyValueCluster:
         """Count keys in a range (used by the cardinality insert protocol).
 
         The count is resolved against the merged replica view; the cost is
-        one counter-probe RPC at the range's primary replica, matching the
-        paper's constant-cost cardinality check.
+        one counter-probe RPC, whatever the count, matching the paper's
+        constant-cost cardinality check.  The probe goes to the node
+        :meth:`route` picks for the range's start key (``b""`` when
+        unbounded): the first serving replica in that key's rotated read
+        order (:meth:`ReplicationManager.read_preference`), not its primary
+        (ROADMAP item 2).
         """
         self._require(namespace)
         serving = self._range_view(CLIENT)

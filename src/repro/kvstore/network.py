@@ -49,6 +49,9 @@ class NetworkModel:
         # Per-endpoint drop probability / added delay.
         self._flaky: Dict[int, float] = {}
         self._delays: Dict[int, float] = {}
+        #: True when any fault state is configured: the fast-path guard every
+        #: request reads, kept current by each method that changes the state.
+        self.active = False
         # Monotonic draw counter: one increment per delivers() draw.
         self._draws = 0
         self.dropped_messages = 0
@@ -56,12 +59,8 @@ class NetworkModel:
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True when any fault state is configured (fast-path guard)."""
-        return bool(
-            self._partitioned or self._flaky or self._delays
-        )
+    def _refresh_active(self) -> None:
+        self.active = bool(self._partitioned or self._flaky or self._delays)
 
     def partition(self, groups: Sequence[Iterable[int]]) -> None:
         """Split the network into link groups.
@@ -85,6 +84,7 @@ class NetworkModel:
                 mapping[member] = index
         self._groups = mapping
         self._partitioned = True
+        self.active = True
 
     def heal(self) -> None:
         """Clear every configured fault: partitions, flakiness, delay."""
@@ -92,6 +92,7 @@ class NetworkModel:
         self._partitioned = False
         self._flaky.clear()
         self._delays.clear()
+        self.active = False
 
     def set_flaky(self, node_id: int, probability: float) -> None:
         """Set the drop probability for links touching ``node_id``."""
@@ -104,6 +105,7 @@ class NetworkModel:
             self._flaky.pop(int(node_id), None)
         else:
             self._flaky[int(node_id)] = probability
+        self._refresh_active()
 
     def set_delay(self, node_id: int, delay_seconds: float) -> None:
         """Add fixed latency to every message touching ``node_id``."""
@@ -116,6 +118,7 @@ class NetworkModel:
             self._delays.pop(int(node_id), None)
         else:
             self._delays[int(node_id)] = delay_seconds
+        self._refresh_active()
 
     # ------------------------------------------------------------------
     # Queries

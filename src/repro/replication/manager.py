@@ -228,12 +228,13 @@ class ReplicationManager:
         self._hints: Dict[int, Dict[Tuple[str, bytes], bytes]] = {}
         self._seq = 0
         self._read_salt = seed & 0xFFFFFFFF
-        #: Placement cache: key -> ``(preference list, read rotation)``, the
-        #: rotation ``None`` until the key is first read.  Keys with the same
-        #: placement and offset share one entry (``_placements``), so a
-        #: cached key costs a dict slot, not two lists.  Both are dropped
-        #: when the ring's epoch moves.
-        self._preference_cache: Dict[Tuple[str, bytes], _Placement] = {}
+        #: Placement cache: namespace -> key -> ``(preference list, read
+        #: rotation)``, the rotation ``None`` until the key is first read.
+        #: Keys with the same placement and offset share one entry
+        #: (``_placements``), and the namespace string is held once, so a
+        #: cached key costs one dict slot and a lookup builds no tuple.
+        #: Both are dropped when the ring's epoch moves.
+        self._preference_cache: Dict[str, Dict[bytes, _Placement]] = {}
         self._placements: Dict[Tuple[Tuple[int, ...], Optional[int]], _Placement] = {}
         self._cache_epoch = -1
         #: Bounded-range merges per namespace (:meth:`merged_range`).
@@ -285,16 +286,17 @@ class ReplicationManager:
             self._preference_cache = {}
             self._placements = {}
             self._cache_epoch = self.ring.epoch
-        cache_key = (namespace, key)
-        cached = self._preference_cache.get(cache_key)
+        placed = self._preference_cache.get(namespace)
+        if placed is None:
+            placed = self._preference_cache[namespace] = {}
+        cached = placed.get(key)
         if cached is None:
             prefs = self.ring.preference_list(
                 placement_token(namespace, key), self.replication
             )
-            cached = self._placements.setdefault(
+            cached = placed[key] = self._placements.setdefault(
                 (tuple(prefs), None), (prefs, None)
             )
-            self._preference_cache[cache_key] = cached
         return cached
 
     def preference_list(self, namespace: str, key: bytes) -> List[int]:
@@ -321,7 +323,7 @@ class ReplicationManager:
                 (tuple(prefs), offset),
                 (prefs, prefs[offset:] + prefs[:offset] if offset else prefs),
             )
-            self._preference_cache[(namespace, key)] = entry
+            self._preference_cache[namespace][key] = entry
         return entry[1]
 
     # ------------------------------------------------------------------

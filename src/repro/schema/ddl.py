@@ -20,6 +20,7 @@ bound intermediate results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError, UnknownColumnError
@@ -108,6 +109,14 @@ class IndexDefinition:
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
 
+    @cached_property
+    def namespace(self) -> str:
+        """Key/value store namespace holding this index's entries.
+
+        Computed once and kept, like :attr:`Table.namespace`.
+        """
+        return f"index:{self.name.lower()}"
+
     def describe(self) -> str:
         cols = ", ".join(c.render() for c in self.columns)
         return f"{self.table}({cols})"
@@ -162,9 +171,13 @@ class Table:
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
 
-    @property
+    @cached_property
     def namespace(self) -> str:
-        """Key/value store namespace holding this table's records."""
+        """Key/value store namespace holding this table's records.
+
+        Computed on first use and kept: every request routes with this one
+        string, so the placement cache and the engines key on one object.
+        """
         return f"table:{self.name.lower()}"
 
     # ------------------------------------------------------------------

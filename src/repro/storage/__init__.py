@@ -6,7 +6,6 @@ from .rows import (
     deserialize_pk,
     deserialize_row,
     index_entries,
-    index_namespace,
     pk_key,
     record_key,
     serialize_pk,
@@ -18,7 +17,6 @@ __all__ = [
     "deserialize_pk",
     "deserialize_row",
     "index_entries",
-    "index_namespace",
     "pk_key",
     "query_token",
     "record_key",

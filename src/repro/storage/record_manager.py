@@ -34,7 +34,6 @@ from ..schema.keys import prefix_range
 from .rows import (
     deserialize_row,
     index_entries,
-    index_namespace,
     pk_key,
     record_key,
     serialize_row,
@@ -80,7 +79,7 @@ class RecordManager:
 
     def create_index_storage(self, index: IndexDefinition) -> None:
         """Create the namespace for a secondary index (idempotent)."""
-        self.client.cluster.create_namespace(index_namespace(index))
+        self.client.cluster.create_namespace(index.namespace)
 
     def constraint_index(self, table: Table, limit: CardinalityLimit) -> Optional[IndexDefinition]:
         """The index used to count rows for a cardinality constraint.
@@ -182,7 +181,7 @@ class RecordManager:
 
         # 1. Write the new secondary index entries first (Section 7.2).
         for index in indexes:
-            namespace = index_namespace(index)
+            namespace = index.namespace
             for entry_key, entry_value in index_entries(index, table, validated):
                 self.client.put(namespace, entry_key, entry_value)
 
@@ -255,7 +254,7 @@ class RecordManager:
 
         stale: List[tuple] = []
         for index in self.catalog.indexes_for_table(table.name):
-            namespace = index_namespace(index)
+            namespace = index.namespace
             new_entries = dict(index_entries(index, table, validated))
             old_keys = (
                 {k for k, _ in index_entries(index, table, old_row)}
@@ -325,7 +324,7 @@ class RecordManager:
                 table.namespace, record_key(table, validated), serialize_row(validated)
             )
             for index in indexes:
-                namespace = index_namespace(index)
+                namespace = index.namespace
                 for entry_key, entry_value in index_entries(index, table, validated):
                     cluster.load(namespace, entry_key, entry_value)
             if views is not None:
@@ -352,14 +351,14 @@ class RecordManager:
                     "create tables through PiqlDatabase so constraint indexes "
                     "are provisioned automatically"
                 )
-            namespace = index_namespace(index)
+            namespace = index.namespace
             start, end = prefix_range(values)
         count = self.client.count_range(namespace, start, end)
         return count <= limit.limit
 
     def _remove_index_entries(self, table: Table, row: Dict[str, Any]) -> None:
         for index in self.catalog.indexes_for_table(table.name):
-            namespace = index_namespace(index)
+            namespace = index.namespace
             for entry_key, _ in index_entries(index, table, row):
                 self.client.delete(namespace, entry_key)
 
@@ -367,7 +366,7 @@ class RecordManager:
         self, table: Table, old_row: Dict[str, Any], new_row: Dict[str, Any]
     ) -> None:
         for index in self.catalog.indexes_for_table(table.name):
-            namespace = index_namespace(index)
+            namespace = index.namespace
             new_keys = {key for key, _ in index_entries(index, table, new_row)}
             for entry_key, _ in index_entries(index, table, old_row):
                 if entry_key not in new_keys:

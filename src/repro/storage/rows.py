@@ -136,11 +136,6 @@ def pk_key(values: Sequence[Any]) -> bytes:
     return encode_key(list(values))
 
 
-def index_namespace(index: IndexDefinition) -> str:
-    """Key/value namespace holding the entries of a secondary index."""
-    return f"index:{index.name.lower()}"
-
-
 def index_entries(index: IndexDefinition, table: Table, row: Dict[str, Any]):
     """Yield ``(key, value)`` pairs this row contributes to ``index``.
 

@@ -42,7 +42,6 @@ from ..schema.keys import encode_key, prefix_range
 from ..storage.rows import (
     deserialize_row,
     index_entries,
-    index_namespace,
     pk_key,
     serialize_row,
 )
@@ -417,7 +416,7 @@ class ViewMaintenanceEngine:
         old_state: Optional[Dict[str, Any]],
         new_state: Optional[Dict[str, Any]],
     ) -> None:
-        namespace = index_namespace(view.order_index)
+        namespace = view.order_index.namespace
         old_entry = self._entry(view, old_state) if old_state is not None else None
         new_entry = self._entry(view, new_state) if new_state is not None else None
         if old_entry is not None and new_entry is not None and \

@@ -46,13 +46,9 @@ class ScriptedNetwork(NetworkModel):
     def __init__(self) -> None:
         super().__init__()
         self.script: List[bool] = []
-        self.armed = True
+        self.active = True
         self.asked: List[int] = []
         self.lost = 0
-
-    @property
-    def active(self) -> bool:
-        return self.armed
 
     def reachable(self, src: int, dst: int) -> bool:
         return True
@@ -64,7 +60,7 @@ class ScriptedNetwork(NetworkModel):
         return delivered
 
     def heal(self) -> None:
-        self.armed = False
+        self.active = False
         self.script = []
 
 

@@ -103,6 +103,7 @@ class TestDelay:
         assert net.delay_seconds(0, 1) == pytest.approx(0.3)
         assert net.delay_seconds(CLIENT, 2) == 0.0
         net.set_delay(0, 0.0)
+        assert net.active  # node 1's delay remains
         net.set_delay(1, 0.0)
         assert not net.active
 
@@ -110,6 +111,33 @@ class TestDelay:
         net = NetworkModel(seed=1)
         with pytest.raises(ValueError):
             net.set_delay(0, -0.1)
+
+
+class TestActiveFlag:
+    """``active`` is stored, so every change to the fault state must set it."""
+
+    def test_removing_the_last_flaky_link_turns_it_off(self):
+        net = NetworkModel(seed=1)
+        net.set_flaky(0, 0.5)
+        net.set_flaky(1, 0.5)
+        net.set_flaky(0, 0.0)
+        assert net.active
+        net.set_flaky(1, 0.0)
+        assert not net.active
+
+    def test_any_remaining_fault_keeps_it_on(self):
+        net = NetworkModel(seed=1)
+        net.partition([(0,)])
+        net.set_flaky(1, 0.5)
+        net.set_delay(2, 0.1)
+        net.set_flaky(1, 0.0)
+        net.set_delay(2, 0.0)
+        assert net.active  # the partition is still there
+        net.heal()
+        assert not net.active
+        net.set_delay(2, 0.1)
+        net.set_flaky(1, 0.0)
+        assert net.active  # clearing a flaky link leaves the delay on
 
 
 class TestHeal:

@@ -10,7 +10,6 @@ from repro.storage.rows import (
     deserialize_pk,
     deserialize_row,
     index_entries,
-    index_namespace,
     record_key,
     serialize_pk,
     serialize_row,
@@ -111,7 +110,7 @@ class TestInsertProtocol:
 class TestIndexMaintenance:
     def _entry_count(self, db, index_name):
         index = db.catalog.index(index_name)
-        return db.cluster.namespace_size(index_namespace(index))
+        return db.cluster.namespace_size(index.namespace)
 
     def test_secondary_index_updated_on_insert_and_delete(self, db):
         db.create_index(
@@ -134,7 +133,7 @@ class TestIndexMaintenance:
         db.update("users", {"username": "bob", "password": "x", "hometown": "la",
                             "created": 1})
         index = db.catalog.index("idx_hometown")
-        entries = list(db.cluster.iter_namespace(index_namespace(index)))
+        entries = list(db.cluster.iter_namespace(index.namespace))
         assert len(entries) == 1
         # The remaining entry is for the new value.
         row = db.get("users", ["bob"])
@@ -176,7 +175,7 @@ class TestIndexMaintenance:
         db.insert("users", {"username": "bob", "password": "x", "hometown": "la",
                             "created": 1}, upsert=True)
         index = db.catalog.index("idx_hometown")
-        entries = list(db.cluster.iter_namespace(index_namespace(index)))
+        entries = list(db.cluster.iter_namespace(index.namespace))
         # The overwrite deleted the old row's sf entry: no phantom match.
         assert len(entries) == 1
 
