@@ -90,7 +90,11 @@ def main() -> None:
     # --- critical path: where did the interaction's time go? --------------
     print("critical-path breakdown (exclusive segment classes):")
     for root in tracer.roots:
-        print(f"  {analyze_trace(root).describe()}")
+        breakdown = analyze_trace(root)
+        print(f"  {breakdown.describe()}")
+        assert abs(sum(breakdown.shares.values()) - 1.0) <= 1e-6, (
+            "a breakdown's shares do not partition its trace"
+        )
     print()
 
     # --- flight recorder: keep the traces worth explaining ----------------
@@ -109,6 +113,7 @@ def main() -> None:
         workload.run_plan(db, plan, session=db.session())
     db.auditor.recorder = None
     print(recorder.describe())
+    assert recorder.traces, "the flight recorder retained nothing"
     for trace in recorder.traces[:3]:
         reasons = ",".join(trace.reasons)
         print(
@@ -118,6 +123,9 @@ def main() -> None:
     print("\nper-query-class profiles (time-weighted mean shares):")
     for profile in aggregator.profiles()[:4]:
         print(f"  {profile.describe()}")
+        assert abs(sum(profile.mean_shares.values()) - 1.0) <= 1e-6, (
+            "a profile's mean shares do not sum to one"
+        )
     print()
 
     # --- Chrome trace-event export ----------------------------------------

@@ -26,14 +26,13 @@ compile-time guarantees into runtime observations:
 * :mod:`~repro.obs.drift` — prediction-drift detection: rolling per-class
   latency residuals checked against the model's own stated envelope.
 * :mod:`~repro.obs.dashboard` — the rendered ASCII fleet dashboard.
-* :mod:`~repro.obs.export` — JSON, Chrome-trace, Prometheus-text, and
-  telemetry-artifact export.
+* :mod:`~repro.obs.export` — Chrome-trace and telemetry-artifact export.
 * :mod:`~repro.obs.criticalpath` — critical-path analysis: every
   microsecond of a finished trace attributed to an exclusive segment
   class, aggregated into per-query-class breakdown profiles.
 * :mod:`~repro.obs.flightrec` — the tail-based flight recorder: bounded
-  retention of slow / errored / bound-violating / fault-window traces
-  with metric exemplars, plus breaker-transition synthesis.
+  retention of slow / errored / bound-violating / fault-window traces,
+  plus breaker-transition synthesis.
 * :mod:`~repro.obs.incident` — incident reports correlating fault
   windows, breaker transitions, SLO alerts, drift, and retained traces.
 """
@@ -62,7 +61,6 @@ from .incident import (
     fault_windows,
 )
 from .export import (
-    span_to_dict,
     telemetry_to_json,
     trace_to_chrome_events,
     write_chrome_trace,
@@ -111,7 +109,6 @@ __all__ = [
     "fault_windows",
     "render_dashboard",
     "render_span_tree",
-    "span_to_dict",
     "sparkline",
     "telemetry_to_json",
     "trace_to_chrome_events",

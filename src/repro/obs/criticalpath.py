@@ -31,15 +31,14 @@ on the ``rpc`` span, not among anyone's children, so the walk never meets
 it: one RPC span with forty logical reads is one RPC's worth of service.
 
 :class:`CriticalPathAggregator` folds breakdowns into per-query-class
-profiles — time-weighted mean shares plus a top-k-slowest tail profile,
-answering "this class's p99 is dominated by X" — and can scrape the shares
-into a :class:`~repro.obs.timeseries.TimeSeriesStore` for the dashboard.
+profiles — time-weighted mean shares, answering "this class's time goes to
+X" — and scrapes the shares into a
+:class:`~repro.obs.timeseries.TimeSeriesStore` for the dashboard.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -117,12 +116,6 @@ class CriticalPathBreakdown:
             }
         return {cls: self.segments[cls] / duration for cls in SEGMENT_CLASSES}
 
-    @property
-    def dominant(self) -> str:
-        """The segment class that owns the largest slice of the trace."""
-        shares = self.shares
-        return max(SEGMENT_CLASSES, key=lambda cls: shares[cls])
-
     def describe(self) -> str:
         parts = ", ".join(
             f"{cls} {share * 100.0:.1f}%"
@@ -135,18 +128,6 @@ class CriticalPathBreakdown:
             f"{self.root_name}: {self.duration_seconds * 1000.0:.2f} ms = "
             f"{parts or 'client_compute 100.0%'}"
         )
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "query_class": self.query_class,
-            "root_name": self.root_name,
-            "start": self.start,
-            "end": self.end,
-            "duration_seconds": self.duration_seconds,
-            "segments_seconds": dict(self.segments),
-            "shares": self.shares,
-            "dominant": self.dominant,
-        }
 
 
 def _split_rpc(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> None:
@@ -319,64 +300,30 @@ class BreakdownProfile:
 
     query_class: str
     traces: int
-    total_seconds: float
     #: Time-weighted mean share per segment class.
     mean_shares: Dict[str, float]
-    #: Share per segment class over the slowest retained traces only.
-    tail_shares: Dict[str, float]
-    #: Traces in the tail sample.
-    tail_traces: int
-    #: Duration of the slowest observed trace.
-    max_seconds: float
 
     @property
     def dominant(self) -> str:
         return max(SEGMENT_CLASSES, key=lambda cls: self.mean_shares[cls])
 
-    @property
-    def tail_dominant(self) -> str:
-        """What the slow tail of this class spends its time on."""
-        return max(SEGMENT_CLASSES, key=lambda cls: self.tail_shares[cls])
-
     def describe(self) -> str:
         return (
-            f"{self.query_class!r}: {self.traces} traces, tail dominated by "
-            f"{self.tail_dominant} "
-            f"({self.tail_shares[self.tail_dominant] * 100.0:.1f}% of the "
-            f"{self.tail_traces} slowest), overall {self.dominant} "
-            f"{self.mean_shares[self.dominant] * 100.0:.1f}%"
+            f"{self.query_class!r}: {self.traces} traces, dominated by "
+            f"{self.dominant} {self.mean_shares[self.dominant] * 100.0:.1f}%"
         )
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "query_class": self.query_class,
-            "traces": self.traces,
-            "total_seconds": self.total_seconds,
-            "max_seconds": self.max_seconds,
-            "mean_shares": dict(self.mean_shares),
-            "tail_shares": dict(self.tail_shares),
-            "tail_traces": self.tail_traces,
-            "dominant": self.dominant,
-            "tail_dominant": self.tail_dominant,
-        }
 
 
 class _ClassAccumulator:
-    __slots__ = ("count", "total_seconds", "max_seconds", "segment_totals", "slowest", "_seq")
+    __slots__ = ("count", "total_seconds", "segment_totals")
 
     def __init__(self) -> None:
         self.count = 0
         self.total_seconds = 0.0
-        self.max_seconds = 0.0
         self.segment_totals = {cls: 0.0 for cls in SEGMENT_CLASSES}
-        #: Min-heap of (duration, seq, segments) keeping the top-k slowest.
-        self.slowest: List[Tuple[float, int, Dict[str, float]]] = []
-        self._seq = 0
 
 
-#: Slowest traces an aggregated query class keeps, and how many classes
-#: the aggregator tracks.
-TAIL_K = 16
+#: Query classes the aggregator tracks.
 MAX_CLASSES = 64
 
 
@@ -384,9 +331,8 @@ class CriticalPathAggregator:
     """Folds per-trace breakdowns into per-query-class profiles.
 
     State is bounded: at most :data:`MAX_CLASSES` query classes, each
-    keeping running segment totals plus the :data:`TAIL_K` slowest traces'
-    segment dicts (the "p99 is dominated by X" sample).  Classes turned
-    away by the cap are counted in :attr:`dropped_classes` — no silent loss.
+    keeping running segment totals.  Classes turned away by the cap are
+    counted in :attr:`dropped_classes` — no silent loss.
     """
 
     def __init__(self) -> None:
@@ -403,25 +349,12 @@ class CriticalPathAggregator:
                 return
             state = _ClassAccumulator()
             self._classes[breakdown.query_class] = state
-        duration = breakdown.end - breakdown.start
         state.count += 1
-        state.total_seconds += duration
-        if duration > state.max_seconds:
-            state.max_seconds = duration
+        state.total_seconds += breakdown.end - breakdown.start
         totals = state.segment_totals
         for cls, seconds in breakdown.segments.items():
             if seconds:
                 totals[cls] += seconds
-        state._seq += 1
-        slowest = state.slowest
-        if len(slowest) < TAIL_K:
-            keep = heapq.heappush
-        elif duration > slowest[0][0]:
-            keep = heapq.heapreplace
-        else:
-            return
-        # The segment dict is copied only for an entry the tail keeps.
-        keep(slowest, (duration, state._seq, dict(breakdown.segments)))
 
     # ------------------------------------------------------------------
     # Reporting
@@ -440,48 +373,10 @@ class CriticalPathAggregator:
         }
 
     def profiles(self) -> List[BreakdownProfile]:
-        profiles: List[BreakdownProfile] = []
-        for query_class in sorted(self._classes):
-            state = self._classes[query_class]
-            total = state.total_seconds
-            mean = self._mean_shares(state)
-            tail_total = sum(entry[0] for entry in state.slowest)
-            if tail_total > 0.0:
-                tail = {
-                    cls: sum(entry[2][cls] for entry in state.slowest) / tail_total
-                    for cls in SEGMENT_CLASSES
-                }
-            else:
-                tail = dict(mean)
-            profiles.append(
-                BreakdownProfile(
-                    query_class=query_class,
-                    traces=state.count,
-                    total_seconds=total,
-                    mean_shares=mean,
-                    tail_shares=tail,
-                    tail_traces=len(state.slowest),
-                    max_seconds=state.max_seconds,
-                )
-            )
-        return profiles
-
-    def profile(self, query_class: str) -> Optional[BreakdownProfile]:
-        for candidate in self.profiles():
-            if candidate.query_class == query_class:
-                return candidate
-        return None
-
-    def describe(self) -> str:
-        lines = [profile.describe() for profile in self.profiles()]
-        return "\n".join(lines) if lines else "no traces analyzed yet"
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "observed": self.observed,
-            "dropped_classes": self.dropped_classes,
-            "profiles": [profile.payload() for profile in self.profiles()],
-        }
+        return [
+            BreakdownProfile(query_class, state.count, self._mean_shares(state))
+            for query_class, state in sorted(self._classes.items())
+        ]
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -493,7 +388,6 @@ class CriticalPathAggregator:
         (time-weighted running mean) — the feed behind the dashboard's
         LATENCY BREAKDOWN section.
         """
-        # Mean shares only: the tail profile is a report-time question.
         for query_class in sorted(self._classes):
             shares = self._mean_shares(self._classes[query_class])
             for cls, share in shares.items():

@@ -1,11 +1,10 @@
 """Observability export: traces and telemetry artifacts.
 
-``span_to_dict`` gives a faithful, nested dump of a span tree for
-programmatic consumption.  ``trace_to_chrome_events`` flattens the same
-tree into Chrome's trace-event format (``ph="X"`` complete events with
-microsecond timestamps), so a serving run's traces can be dropped straight
-into ``chrome://tracing`` or Perfetto.  Simulated seconds are exported as
-microseconds, the convention those viewers expect.
+``trace_to_chrome_events`` flattens span trees into Chrome's trace-event
+format (``ph="X"`` complete events with microsecond timestamps), so a
+serving run's traces can be dropped straight into ``chrome://tracing`` or
+Perfetto.  Simulated seconds are exported as microseconds, the convention
+those viewers expect.
 
 ``telemetry_to_json`` / ``write_telemetry_json`` render a
 :class:`~repro.obs.telemetry.FleetTelemetry` bundle as the
@@ -33,23 +32,6 @@ def _json_safe(value: object) -> object:
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     return repr(value)
-
-
-def span_to_dict(span: Span) -> Dict[str, object]:
-    """One span (and its subtree) as JSON-serialisable nested dicts."""
-    return {
-        "name": span.name,
-        "kind": span.kind,
-        "start": span.start,
-        "end": span.end,
-        "duration": span.duration,
-        "attributes": {
-            key: _json_safe(value) for key, value in span.attributes.items()
-        },
-        "children": [
-            span_to_dict(child) for child in span.expanded_children()
-        ],
-    }
 
 
 def trace_to_chrome_events(roots: Iterable[Span]) -> List[Dict[str, object]]:

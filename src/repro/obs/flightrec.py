@@ -26,11 +26,6 @@ the oldest unpinned trace; every eviction is counted (no silent caps).
 The first trace retained for each distinct window label is pinned so an
 incident report can always cite at least one trace per fault window.
 
-**Exemplars** link metrics to traces: every observation lands in a
-power-of-two latency band per query class, and each band remembers the id
-of the last *retained* trace that fell in it — the histogram bucket answers
-"how many", the exemplar answers "show me one".
-
 :class:`BreakerWatch` synthesises circuit-breaker *transitions* (the
 breaker state machine is derived from timestamps, so no transition events
 exist natively): polled each control tick, it diffs per-node states,
@@ -42,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .criticalpath import (
@@ -52,21 +47,12 @@ from .criticalpath import (
 )
 from .trace import Span
 
-#: Smallest / largest exemplar latency band upper edge, in milliseconds.
-_BAND_FLOOR_MS = 0.25
-_BAND_CEILING_MS = 16384.0
 #: Hard cap on concurrently retained traces.
 MAX_TRACES = 64
+#: Byte budget over estimated retained span-tree sizes (a hard bound).
+MEMORY_BUDGET_BYTES = 1_000_000
 #: A trace is ``slow`` when latency exceeds envelope.p_high * this factor.
 SLOW_GRACE_FACTOR = 1.0
-
-
-def _band_upper_ms(latency_ms: float) -> float:
-    """The power-of-two band upper edge a latency falls under."""
-    upper = _BAND_FLOOR_MS
-    while upper < latency_ms and upper < _BAND_CEILING_MS:
-        upper *= 2.0
-    return upper
 
 
 @dataclass(frozen=True)
@@ -75,14 +61,10 @@ class ForensicsConfig:
 
     #: Every Nth otherwise-unretained trace is kept as a healthy baseline.
     reservoir_interval: int = 97
-    #: Byte budget over estimated retained span-tree sizes.
-    memory_budget_bytes: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.reservoir_interval <= 0:
             raise ValueError("reservoir_interval must be positive")
-        if self.memory_budget_bytes <= 0:
-            raise ValueError("memory_budget_bytes must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,28 +98,6 @@ class RetainedTrace:
     #: Pinned traces (bound violations, first-per-window) resist eviction.
     pinned: bool = False
 
-    def payload(self, include_spans: bool = False) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "trace_id": self.trace_id,
-            "query_class": self.query_class,
-            "root_name": self.span.name,
-            "start": self.span.start,
-            "end": self.span.end,
-            "latency_seconds": self.latency_seconds,
-            "retained_at": self.retained_at,
-            "reasons": list(self.reasons),
-            "pinned": self.pinned,
-            "approx_bytes": self.approx_bytes,
-            "span_count": sum(1 for _ in self.span.walk()),
-        }
-        if self.breakdown is not None:
-            payload["critical_path"] = self.breakdown.payload()
-        if include_spans:
-            from .export import span_to_dict
-
-            payload["spans"] = span_to_dict(self.span)
-        return payload
-
 
 def _estimate_bytes(span: Span) -> int:
     """Rough retained-memory estimate of a span tree (budget accounting)."""
@@ -148,7 +108,7 @@ def _estimate_bytes(span: Span) -> int:
 
 
 class FlightRecorder:
-    """Bounded tail-based trace retention with exemplars.
+    """Bounded tail-based trace retention.
 
     Parameters
     ----------
@@ -177,10 +137,9 @@ class FlightRecorder:
         #: Retained traces by id, oldest first.
         self._retained: "OrderedDict[str, RetainedTrace]" = OrderedDict()
         self._retained_bytes = 0
-        #: Closed retention windows: (start, end, label), in noting order.
-        self.windows: List[Tuple[float, float, str]] = []
-        # The same windows as (end, noting order, start, label), sorted, so
-        # a lookup can skip every window that ended before the trace began.
+        # Closed retention windows as (end, noting order, start, label),
+        # sorted, so a lookup can skip every window that ended before the
+        # trace began.
         self._windows_by_end: List[Tuple[float, int, float, str]] = []
         #: Open-ended windows (breaker currently open): key -> (start, label).
         self._open_windows: Dict[object, Tuple[float, str]] = {}
@@ -193,10 +152,6 @@ class FlightRecorder:
         self.dropped = 0
         self.dropped_pinned = 0
         self.reasons_count: Dict[str, int] = {}
-        #: Latency histogram: (query_class, band_upper_ms) -> observations.
-        self.histogram: Dict[Tuple[str, float], int] = {}
-        #: Exemplar per histogram band: the last retained trace id in it.
-        self.exemplars: Dict[Tuple[str, float], str] = {}
 
     # ------------------------------------------------------------------
     # Windows (fault plane, circuit breakers)
@@ -205,8 +160,8 @@ class FlightRecorder:
         """Register a closed retention window (e.g. an injected fault)."""
         if end < start:
             raise ValueError("window end before start")
-        insort(self._windows_by_end, (end, len(self.windows), start, label))
-        self.windows.append((start, end, label))
+        by_end = self._windows_by_end
+        insort(by_end, (end, len(by_end), start, label))
 
     def begin_window(self, key: object, start: float, label: str) -> None:
         """Open a window whose end is not yet known (breaker just opened)."""
@@ -259,8 +214,6 @@ class FlightRecorder:
         if self.aggregator is not None:
             self.aggregator.observe(breakdown)
         query_class = breakdown.query_class
-        band = (query_class, _band_upper_ms(latency_seconds * 1000.0))
-        self.histogram[band] = self.histogram.get(band, 0) + 1
 
         reasons: List[str] = []
         pinned = False
@@ -296,7 +249,7 @@ class FlightRecorder:
             return None
         return self._retain(
             span, query_class, latency_seconds, tuple(reasons), breakdown,
-            pinned=pinned, band=band,
+            pinned=pinned,
         )
 
     def observe_error(self, query: Optional[object], span: Span) -> Optional[RetainedTrace]:
@@ -309,15 +262,13 @@ class FlightRecorder:
             self.aggregator.observe(breakdown)
         query_class = breakdown.query_class
         latency = span.duration
-        band = (query_class, _band_upper_ms(latency * 1000.0))
-        self.histogram[band] = self.histogram.get(band, 0) + 1
         reasons: List[str] = ["error"]
         label = self._overlapping_window(span.start, span.end)
         if label is not None:
             reasons.append(f"window:{label}")
         return self._retain(
             span, query_class, latency, tuple(reasons), breakdown,
-            pinned=False, band=band,
+            pinned=False,
         )
 
     def _envelope(self, query: Optional[object]):
@@ -339,7 +290,6 @@ class FlightRecorder:
         reasons: Tuple[str, ...],
         breakdown: Optional[CriticalPathBreakdown],
         pinned: bool,
-        band: Optional[Tuple[str, float]],
     ) -> RetainedTrace:
         self.retained_total += 1
         trace = RetainedTrace(
@@ -358,16 +308,13 @@ class FlightRecorder:
         for reason in reasons:
             key = reason.split(":", 1)[0]
             self.reasons_count[key] = self.reasons_count.get(key, 0) + 1
-        if band is not None:
-            self.exemplars[band] = trace.trace_id
         self._evict()
         return trace
 
     def _evict(self) -> None:
-        config = self.config
         while (
             len(self._retained) > MAX_TRACES
-            or self._retained_bytes > config.memory_budget_bytes
+            or self._retained_bytes > MEMORY_BUDGET_BYTES
         ):
             victim = self._pick_victim()
             if victim is None:
@@ -392,15 +339,12 @@ class FlightRecorder:
         return None
 
     # ------------------------------------------------------------------
-    # Access & export
+    # Access
     # ------------------------------------------------------------------
     @property
     def traces(self) -> List[RetainedTrace]:
         """Currently retained traces, oldest first."""
         return list(self._retained.values())
-
-    def trace(self, trace_id: str) -> Optional[RetainedTrace]:
-        return self._retained.get(trace_id)
 
     @property
     def memory_bytes(self) -> int:
@@ -418,49 +362,6 @@ class FlightRecorder:
             f"{self.dropped} evicted), {self._retained_bytes} bytes"
             + (f"; reasons: {reasons}" if reasons else "")
         )
-
-    def payload(self, include_spans: bool = False) -> Dict[str, object]:
-        """The ``flight-recorder/v1`` artifact (see docs/flight-recorder-v1.md)."""
-        return {
-            "schema": "flight-recorder/v1",
-            "config": {
-                "max_traces": MAX_TRACES,
-                "reservoir_interval": self.config.reservoir_interval,
-                "memory_budget_bytes": self.config.memory_budget_bytes,
-                "slow_grace_factor": SLOW_GRACE_FACTOR,
-            },
-            "seen": self.seen,
-            "retained": len(self._retained),
-            "retained_total": self.retained_total,
-            "dropped": self.dropped,
-            "dropped_pinned": self.dropped_pinned,
-            "memory_bytes": self._retained_bytes,
-            "reasons": dict(self.reasons_count),
-            "windows": [
-                {"start": start, "end": end, "label": label}
-                for start, end, label in self.windows
-            ]
-            + [
-                {"start": start, "end": None, "label": label}
-                for start, label in self._open_windows.values()
-            ],
-            "traces": [
-                trace.payload(include_spans=include_spans)
-                for trace in self._retained.values()
-            ],
-            "exemplars": [
-                {
-                    "query_class": query_class,
-                    "le_ms": upper,
-                    "count": self.histogram.get((query_class, upper), 0),
-                    "trace_id": trace_id,
-                    "retained": trace_id in self._retained,
-                }
-                for (query_class, upper), trace_id in sorted(
-                    self.exemplars.items()
-                )
-            ],
-        }
 
 
 #: Breaker transitions a watch keeps; later ones are counted as dropped.
@@ -535,14 +436,3 @@ class BreakerWatch:
             if isinstance(k, tuple) and k and k[0] == "breaker"
         ]:
             self.recorder.end_window(key, now)
-
-    def payload(self) -> List[Dict[str, object]]:
-        return [
-            {
-                "time": t.time,
-                "node_id": t.node_id,
-                "from": t.from_state,
-                "to": t.to_state,
-            }
-            for t in self.transitions
-        ]

@@ -18,7 +18,6 @@ the control loop and harvested into the serving report.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -222,11 +221,6 @@ class IncidentReport:
             ],
         }
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.payload(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
 
 def build_incident_report(
     title: str,
@@ -396,7 +390,14 @@ class LatencyForensics:
         self.aggregator.scrape(store, now)
         store.record("forensics.retained_traces", float(len(self.recorder.traces)), now)
         store.record("forensics.memory_bytes", float(self.recorder.memory_bytes), now)
-        store.record("forensics.dropped_traces", float(self.recorder.dropped), now)
+        # Every retention cap reports what it turned away.
+        for name, count in (
+            ("dropped_traces", self.recorder.dropped),
+            ("dropped_pinned", self.recorder.dropped_pinned),
+            ("dropped_classes", self.aggregator.dropped_classes),
+            ("dropped_transitions", self.watch.dropped_transitions),
+        ):
+            store.record(f"forensics.{name}", float(count), now)
         if self.tracers_fn is not None:
             store.record("obs.trace.dropped_roots", float(self.dropped_roots()), now)
 
@@ -427,21 +428,3 @@ class LatencyForensics:
             traces=self.recorder.traces,
             grace_seconds=grace_seconds,
         )
-
-    def payload(self) -> Dict[str, object]:
-        payload = self.recorder.payload()
-        payload["critical_path"] = self.aggregator.payload()
-        payload["breaker_transitions"] = self.watch.payload()
-        payload["breaker_dropped_transitions"] = self.watch.dropped_transitions
-        if self.tracers_fn is not None:
-            payload["tracer_dropped_roots"] = self.dropped_roots()
-        return payload
-
-    def describe(self) -> str:
-        lines = [self.recorder.describe()]
-        lines.append(self.aggregator.describe())
-        if self.watch.transitions:
-            lines.append(
-                f"breaker transitions: {len(self.watch.transitions)}"
-            )
-        return "\n".join(lines)

@@ -7,7 +7,6 @@ import pytest
 from repro.obs.criticalpath import (
     MAX_CLASSES,
     SEGMENT_CLASSES,
-    TAIL_K,
     CriticalPathAggregator,
     analyze_trace,
     query_class_of,
@@ -37,7 +36,7 @@ class TestLeafKinds:
         span("operator", "operator", 1.0, 2.0, parent=root)
         breakdown = analyze_trace(root)
         assert breakdown.segments["client_compute"] == pytest.approx(5.0)
-        assert breakdown.dominant == "client_compute"
+        assert breakdown.shares["client_compute"] == pytest.approx(1.0)
         assert_exact_partition(breakdown)
 
     def test_zero_duration_trace_shares_are_client_compute(self):
@@ -192,27 +191,13 @@ class TestAggregator:
         aggregator = CriticalPathAggregator()
         aggregator.observe(self._breakdown("Q", 0.0, 1.0))
         aggregator.observe(self._breakdown("Q", 0.0, 3.0, rpc_end=0.0))
-        profile = aggregator.profile("Q")
-        assert profile is not None
+        (profile,) = aggregator.profiles()
+        assert profile.query_class == "Q"
         assert profile.traces == 2
         # 1s rpc + 3s client over 4s total.
         assert profile.mean_shares["rpc_service"] == pytest.approx(0.25)
         assert profile.mean_shares["client_compute"] == pytest.approx(0.75)
         assert sum(profile.mean_shares.values()) == pytest.approx(1.0)
-
-    def test_tail_profile_keeps_only_the_slowest(self):
-        aggregator = CriticalPathAggregator()
-        # More fast all-rpc traces than the tail holds, then TAIL_K slower
-        # all-client ones that push every fast one out.
-        for _ in range(TAIL_K + 1):
-            aggregator.observe(self._breakdown("Q", 0.0, 1.0))
-        for _ in range(TAIL_K):
-            aggregator.observe(self._breakdown("Q", 0.0, 5.0, rpc_end=0.0))
-        profile = aggregator.profile("Q")
-        assert profile.traces == 2 * TAIL_K + 1
-        assert profile.tail_traces == TAIL_K
-        assert profile.tail_dominant == "client_compute"
-        assert profile.tail_shares["client_compute"] == pytest.approx(1.0)
 
     def test_class_cap_counts_dropped(self):
         aggregator = CriticalPathAggregator()

@@ -1,14 +1,10 @@
-"""Tests for trace export (JSON + Chrome trace-event format)."""
+"""Tests for trace export (Chrome trace-event format)."""
 
 from __future__ import annotations
 
 import json
 
-from repro.obs.export import (
-    span_to_dict,
-    trace_to_chrome_events,
-    write_chrome_trace,
-)
+from repro.obs.export import trace_to_chrome_events, write_chrome_trace
 from repro.obs.trace import Tracer
 
 
@@ -28,27 +24,6 @@ def sample_trace():
     clock.now = 0.002
     tracer.end_span(root)
     return tracer, root, rpc
-
-
-class TestSpanToDict:
-    def test_structure(self):
-        _, root, _ = sample_trace()
-        data = span_to_dict(root)
-        assert data["name"] == "query"
-        assert data["kind"] == "query"
-        assert data["start"] == 0.0
-        assert data["end"] == 0.002
-        assert data["duration"] == 0.002
-        assert data["attributes"] == {"sql": "SELECT 1"}
-        assert len(data["children"]) == 1
-        assert data["children"][0]["name"] == "get"
-
-    def test_bytes_attributes_become_json_safe(self):
-        _, root, _ = sample_trace()
-        text = json.dumps(span_to_dict(root))
-        parsed = json.loads(text)  # must not raise on the bytes payload
-        child = parsed["children"][0]
-        assert isinstance(child["attributes"]["payload"], str)
 
 
 class TestChromeTrace:

@@ -6,13 +6,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.obs import flightrec
 from repro.obs.flightrec import (
     BreakerWatch,
     FlightRecorder,
     ForensicsConfig,
     MAX_TRACES,
     MAX_TRANSITIONS,
-    _band_upper_ms,
 )
 from repro.obs.trace import Span
 
@@ -102,13 +102,14 @@ class TestRetentionReasons:
         # overlapping each other at the end of the timeline.
         order = list(range(1000))
         order[10], order[990] = order[990], order[10]
-        for i in order:
-            rec.note_window(2.0 * i, 2.0 * i + 1.0, f"fault {i}")
-        rec.note_window(1998.5, 1999.5, "late twin")
+        noted = [(2.0 * i, 2.0 * i + 1.0, f"fault {i}") for i in order]
+        noted.append((1998.5, 1999.5, "late twin"))
+        for window in noted:
+            rec.note_window(*window)
         rec.begin_window("breaker", 2100.0, "breaker-open node 3")
 
         def linear(start, end):
-            for w_start, w_end, label in rec.windows:
+            for w_start, w_end, label in noted:
                 if start < w_end and end > w_start:
                     return label
             for w_start, label in rec._open_windows.values():
@@ -132,9 +133,20 @@ class TestRetentionReasons:
         assert rec._overlapping_window(1998.6, 1998.9) == "fault 999"
         assert rec._overlapping_window(1999.2, 1999.4) == "late twin"
         assert rec._overlapping_window(2099.0, 2100.5) == "breaker-open node 3"
-        # Export order is noting order, whatever the lookup index does.
-        assert [label for _, _, label in rec.windows[:2]] == ["fault 0", "fault 1"]
-        assert rec.payload()["windows"][10]["label"] == "fault 990"
+
+    def test_windows_sharing_an_end_resolve_in_noting_order(self):
+        rec = recorder()
+        # Same end, labels noted against their sort order: the label must
+        # not break the tie, the noting order must.
+        rec.note_window(1.0, 5.0, "zeta")
+        rec.note_window(0.0, 5.0, "alpha")
+        rec.note_window(2.0, 5.0, "mid")
+        assert rec._overlapping_window(2.5, 3.0) == "zeta"
+        assert rec._overlapping_window(0.5, 0.8) == "alpha"
+        # A trace ending where the windows start overlaps none of them.
+        assert rec._overlapping_window(-1.0, 0.0) is None
+        kept = rec.observe_query(object(), finished(4.0, 4.5), 0.5)
+        assert kept.reasons == ("window:zeta",) and kept.pinned
 
     def test_reservoir_keeps_every_nth_healthy_trace(self):
         rec = recorder(reservoir_interval=3)
@@ -179,8 +191,9 @@ class TestBounds:
         assert baseline.trace_id not in ids
         assert all(trace.trace_id in ids for trace in slow_traces)
 
-    def test_memory_budget_is_a_hard_bound(self):
-        rec = recorder(memory_budget_bytes=400)
+    def test_memory_budget_is_a_hard_bound(self, monkeypatch):
+        monkeypatch.setattr(flightrec, "MEMORY_BUDGET_BYTES", 400)
+        rec = recorder()
         rec.note_window(0.0, 100.0, "w")
         for i in range(5):
             rec.observe_query(object(), finished(i, i + 0.01), 0.01)
@@ -198,28 +211,6 @@ class TestBounds:
         assert len(rec.traces) == MAX_TRACES
         assert rec.retained_total == MAX_TRACES + 3
         assert rec.dropped == 3
-        payload = rec.payload()
-        assert payload["dropped"] == 3
-        assert payload["schema"] == "flight-recorder/v1"
-
-
-class TestExemplars:
-    def test_bands_are_power_of_two(self):
-        assert _band_upper_ms(0.1) == 0.25
-        assert _band_upper_ms(0.3) == 0.5
-        assert _band_upper_ms(3.0) == 4.0
-
-    def test_histogram_counts_all_exemplar_links_retained(self):
-        rec = recorder()
-        rec.note_window(0.0, 0.5, "w")
-        kept = rec.observe_query(object(), finished(0.1, 0.102), 0.002)
-        rec.observe_query(object(), finished(1.0, 1.002), 0.002)  # healthy
-        band = (kept.query_class, _band_upper_ms(2.0))
-        assert rec.histogram[band] == 2
-        assert rec.exemplars[band] == kept.trace_id
-        exemplars = rec.payload()["exemplars"]
-        assert exemplars[0]["count"] == 2
-        assert exemplars[0]["trace_id"] == kept.trace_id
 
 
 class FakeBoard:
@@ -262,7 +253,9 @@ class TestBreakerWatch:
         watch.poll([board], 1.0)
         board.current = {2: "half_open"}
         watch.poll([board], 2.0)
-        assert rec.windows == [(1.0, 2.0, "breaker-open node 2")]
+        assert rec._open_windows == {}
+        assert rec._overlapping_window(1.9, 2.5) == "breaker-open node 2"
+        assert rec._overlapping_window(2.0, 2.5) is None
         after = rec.observe_query(object(), finished(3.0, 3.1), 0.1)
         assert after is None
 
@@ -273,7 +266,10 @@ class TestBreakerWatch:
         board.current = {0: "open"}
         watch.poll([board], 1.0)
         watch.finalize(4.0)
-        assert rec.windows == [(1.0, 4.0, "breaker-open node 0")]
+        assert rec._open_windows == {}
+        assert rec._overlapping_window(0.5, 1.1) == "breaker-open node 0"
+        assert rec._overlapping_window(3.9, 5.0) == "breaker-open node 0"
+        assert rec._overlapping_window(4.0, 5.0) is None
 
     def test_transition_cap_counts_drops(self):
         board = FakeBoard()

@@ -4,14 +4,15 @@ How spans are held in memory is free to change; what a reader is handed is
 not.  Two artifacts of a fixed-seed TPC-W replay are pinned byte for byte
 under ``fixtures/``:
 
-* ``tpcw_interaction_trace.json`` — ``span_to_dict`` of every root of one
-  pipelined web interaction whose gathers coalesce point reads, so the
+* ``tpcw_interaction_trace.json`` — :func:`span_to_dict` of every root of
+  one pipelined web interaction whose gathers coalesce point reads, so the
   trace holds ``logical-op`` spans of both kinds (the read that issued an
   RPC, and a read that joined one);
-* ``flight_recorder_v1.json`` — the ``flight-recorder/v1`` payload, spans
-  included, of a recorder fed by the same replay: retention reasons, the
-  per-trace ``approx_bytes`` and ``span_count``, critical-path breakdowns,
-  windows and exemplars.
+* ``forensics_replay.json`` — what a flight recorder fed by the same replay
+  decided: per retained trace its id, class, latency, retention time,
+  reasons, pin, ``approx_bytes`` and critical-path segments; the recorder's
+  ``seen`` / ``dropped`` / ``memory_bytes``; and each query class's
+  time-weighted mean shares.
 
 An ``operator`` span's ``node_id`` is the ``id()`` of its plan node, which
 differs from process to process; the exports are compared with those ids
@@ -33,16 +34,33 @@ import pytest
 
 from repro import ClusterConfig, PiqlDatabase
 from repro.obs.criticalpath import CriticalPathAggregator
-from repro.obs.export import span_to_dict
+from repro.obs.export import _json_safe
 from repro.obs.flightrec import FlightRecorder, ForensicsConfig
-from repro.obs.trace import Span
+from repro.obs.trace import Span, Tracer
 from repro.workloads import TpcwWorkload, WorkloadScale
 
 FIXTURES = Path(__file__).with_name("fixtures")
 TRACE_PATH = FIXTURES / "tpcw_interaction_trace.json"
-RECORDER_PATH = FIXTURES / "flight_recorder_v1.json"
+FORENSICS_PATH = FIXTURES / "forensics_replay.json"
 SEED = 11
 INTERACTIONS = 30
+
+
+def span_to_dict(span: Span) -> Dict[str, object]:
+    """One span (and its subtree) as JSON-serialisable nested dicts."""
+    return {
+        "name": span.name,
+        "kind": span.kind,
+        "start": span.start,
+        "end": span.end,
+        "duration": span.duration,
+        "attributes": {
+            key: _json_safe(value) for key, value in span.attributes.items()
+        },
+        "children": [
+            span_to_dict(child) for child in span.expanded_children()
+        ],
+    }
 
 
 def _coalescing_kinds(roots: List[Span]) -> set:
@@ -51,6 +69,38 @@ def _coalescing_kinds(roots: List[Span]) -> set:
         for root in roots
         for span in root.walk()
         if span.kind == "logical-op"
+    }
+
+
+def forensics_document(
+    recorder: FlightRecorder, aggregator: CriticalPathAggregator
+) -> Dict[str, object]:
+    """What the recorder retained and why, and the per-class mean shares."""
+    return {
+        "seen": recorder.seen,
+        "dropped": recorder.dropped,
+        "memory_bytes": recorder.memory_bytes,
+        "traces": [
+            {
+                "trace_id": trace.trace_id,
+                "query_class": trace.query_class,
+                "latency_seconds": trace.latency_seconds,
+                "retained_at": trace.retained_at,
+                "reasons": list(trace.reasons),
+                "pinned": trace.pinned,
+                "approx_bytes": trace.approx_bytes,
+                "segments": dict(trace.breakdown.segments),
+            }
+            for trace in recorder.traces
+        ],
+        "profiles": [
+            {
+                "query_class": profile.query_class,
+                "traces": profile.traces,
+                "mean_shares": dict(profile.mean_shares),
+            }
+            for profile in aggregator.profiles()
+        ],
     }
 
 
@@ -66,9 +116,9 @@ def replay() -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     )
     db.reset_measurements()
     tracer = db.enable_tracing()
+    aggregator = CriticalPathAggregator()
     recorder = FlightRecorder(
-        ForensicsConfig(reservoir_interval=30),
-        aggregator=CriticalPathAggregator(),
+        ForensicsConfig(reservoir_interval=30), aggregator=aggregator
     )
     recorder.note_window(0.030, 0.036, "scripted-fault")
     db.auditor.recorder = recorder
@@ -82,7 +132,7 @@ def replay() -> Tuple[List[Dict[str, object]], Dict[str, object]]:
         if not interaction and _coalescing_kinds(roots) == {True, False}:
             interaction = [span_to_dict(root) for root in roots]
     db.auditor.recorder = None
-    return interaction, recorder.payload(include_spans=True)
+    return interaction, forensics_document(recorder, aggregator)
 
 
 def _renumber_plan_nodes(node: object, seen: Dict[int, int]) -> None:
@@ -115,14 +165,18 @@ def test_interaction_trace_export_is_byte_identical(replayed):
     assert _render(interaction) == TRACE_PATH.read_text()
 
 
-def test_flight_recorder_payload_is_byte_identical(replayed):
-    _, payload = replayed
-    expected = json.loads(RECORDER_PATH.read_text())
-    assert [trace["approx_bytes"] for trace in payload["traces"]] == [
-        trace["approx_bytes"] for trace in expected["traces"]
+def test_forensics_decisions_are_byte_identical(replayed):
+    _, document = replayed
+    expected = json.loads(FORENSICS_PATH.read_text())
+    assert [
+        (trace["trace_id"], trace["reasons"], trace["approx_bytes"])
+        for trace in document["traces"]
+    ] == [
+        (trace["trace_id"], trace["reasons"], trace["approx_bytes"])
+        for trace in expected["traces"]
     ]
-    assert payload["memory_bytes"] == expected["memory_bytes"]
-    assert _render(payload) == RECORDER_PATH.read_text()
+    assert document["memory_bytes"] == expected["memory_bytes"]
+    assert _render(document) == FORENSICS_PATH.read_text()
 
 
 def test_fixture_covers_both_kinds_of_logical_read_and_a_window():
@@ -138,9 +192,46 @@ def test_fixture_covers_both_kinds_of_logical_read_and_a_window():
         if span["kind"] == "logical-op"
     }
     assert flags == {True, False}
-    recorded = json.loads(RECORDER_PATH.read_text())
+    recorded = json.loads(FORENSICS_PATH.read_text())
     reasons = {r for trace in recorded["traces"] for r in trace["reasons"]}
     assert {"baseline", "window:scripted-fault"} <= reasons
+    for profile in recorded["profiles"]:
+        assert sum(profile["mean_shares"].values()) == pytest.approx(1.0)
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+
+def sample_trace() -> Span:
+    clock = FakeClock()
+    tracer = Tracer(lambda: clock.now)
+    root = tracer.start_span("query", "query", sql="SELECT 1")
+    clock.now = 0.001
+    tracer.record("get", "rpc", 0.0005, 0.001, keys=1, payload=b"\x00bytes")
+    clock.now = 0.002
+    tracer.end_span(root)
+    return root
+
+
+class TestSpanToDict:
+    def test_structure(self):
+        data = span_to_dict(sample_trace())
+        assert data["name"] == "query"
+        assert data["kind"] == "query"
+        assert data["start"] == 0.0
+        assert data["end"] == 0.002
+        assert data["duration"] == 0.002
+        assert data["attributes"] == {"sql": "SELECT 1"}
+        assert len(data["children"]) == 1
+        assert data["children"][0]["name"] == "get"
+
+    def test_bytes_attributes_become_json_safe(self):
+        text = json.dumps(span_to_dict(sample_trace()))
+        parsed = json.loads(text)  # must not raise on the bytes payload
+        child = parsed["children"][0]
+        assert isinstance(child["attributes"]["payload"], str)
 
 
 if __name__ == "__main__":
@@ -148,5 +239,5 @@ if __name__ == "__main__":
     trace, recorded = replay()
     assert trace, "no interaction coalesced a point read"
     TRACE_PATH.write_text(_render(trace))
-    RECORDER_PATH.write_text(_render(recorded))
-    print(f"wrote {TRACE_PATH} and {RECORDER_PATH}")
+    FORENSICS_PATH.write_text(_render(recorded))
+    print(f"wrote {TRACE_PATH} and {FORENSICS_PATH}")

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-import json
 from types import SimpleNamespace
 
 import pytest
 
+from repro.obs import flightrec
+from repro.obs.criticalpath import MAX_CLASSES
 from repro.obs.flightrec import MAX_TRANSITIONS, BreakerTransition, RetainedTrace
 from repro.obs.incident import (
     LatencyForensics,
     build_incident_report,
     fault_windows,
 )
+from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.trace import Span
 from repro.replication.faults import FaultSpec
 
@@ -195,14 +197,10 @@ class TestRendering:
         assert "crash node 1 [4.00s – 8.00s]" in rendered
         assert "[ok ]" in rendered
 
-    def test_payload_schema_and_save(self, tmp_path):
-        report = self._report()
-        payload = report.payload()
+    def test_payload_schema(self):
+        payload = self._report().payload()
         assert payload["schema"] == "incident-report/v1"
         assert payload["reconstructs_schedule"] is True
-        target = tmp_path / "incident.json"
-        report.save(str(target))
-        assert json.loads(target.read_text())["schema"] == "incident-report/v1"
 
 
 class TestLatencyForensics:
@@ -212,7 +210,11 @@ class TestLatencyForensics:
             [event(2.0, "crash", 1), event(5.0, "recover", 1)], horizon=10.0
         )
         assert [w.label for w in windows] == ["crash node 1"]
-        assert forensics.recorder.windows == [(2.0, 5.0, "crash node 1")]
+        recorder = forensics.recorder
+        assert recorder._overlapping_window(1.0, 2.1) == "crash node 1"
+        assert recorder._overlapping_window(4.9, 6.0) == "crash node 1"
+        assert recorder._overlapping_window(1.0, 2.0) is None
+        assert recorder._overlapping_window(5.0, 6.0) is None
 
     def test_incident_report_uses_recorder_and_watch(self):
         forensics = LatencyForensics()
@@ -229,15 +231,53 @@ class TestLatencyForensics:
             fault_events=[event(2.0, "crash", 1), event(5.0, "recover", 1)],
         )
         assert report.reconstructs_schedule()
-        payload = forensics.payload()
-        assert payload["schema"] == "flight-recorder/v1"
-        assert len(payload["breaker_transitions"]) == 1
-        assert payload["breaker_dropped_transitions"] == 0
+        assert len(forensics.watch.transitions) == 1
+        assert forensics.watch.dropped_transitions == 0
 
-    def test_payload_reports_transitions_past_the_cap(self):
+    def test_tick_gauges_transitions_past_the_cap(self):
         forensics = LatencyForensics()
+        store = TimeSeriesStore()
         states = {node: "open" for node in range(MAX_TRANSITIONS + 1)}
-        forensics.tick(1.0, boards=[SimpleNamespace(states=lambda now: states)])
-        payload = forensics.payload()
-        assert len(payload["breaker_transitions"]) == MAX_TRANSITIONS
-        assert payload["breaker_dropped_transitions"] == 1
+        forensics.tick(
+            1.0,
+            boards=[SimpleNamespace(states=lambda now: states)],
+            store=store,
+        )
+        assert len(forensics.watch.transitions) == MAX_TRANSITIONS
+        assert store.latest_value("forensics.dropped_transitions") == 1.0
+        # Every retention cap reports what it turned away.
+        for gauge in ("dropped_traces", "dropped_pinned", "dropped_classes"):
+            assert store.latest_value(f"forensics.{gauge}") == 0.0
+
+    def test_tick_gauges_pinned_traces_lost_to_the_byte_budget(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(flightrec, "MEMORY_BUDGET_BYTES", 1)
+        forensics = LatencyForensics()
+        forensics.register_fault_windows(
+            [event(0.0, "crash", 1), event(5.0, "recover", 1)], horizon=10.0
+        )
+        span = Span("query", "query", 1.0, attributes={"sql": "Q"})
+        span.end = 1.1
+        kept = forensics.recorder.observe_query(None, span, 0.1)
+        assert kept.pinned
+        store = TimeSeriesStore()
+        forensics.tick(2.0, store=store)
+        assert forensics.recorder.traces == []
+        assert store.latest_value("forensics.dropped_traces") == 1.0
+        assert store.latest_value("forensics.dropped_pinned") == 1.0
+
+    def test_tick_gauges_query_classes_past_the_cap(self):
+        forensics = LatencyForensics()
+        for index in range(MAX_CLASSES + 1):
+            span = Span(
+                "query", "query", float(index),
+                attributes={"sql": f"Q{index:03d}"},
+            )
+            span.end = index + 0.5
+            forensics.recorder.observe_query(None, span, 0.5)
+        store = TimeSeriesStore()
+        forensics.tick(float(MAX_CLASSES + 1), store=store)
+        assert forensics.aggregator.observed == MAX_CLASSES + 1
+        assert store.latest_value("forensics.dropped_classes") == 1.0
+        assert store.latest_value("forensics.dropped_pinned") == 0.0

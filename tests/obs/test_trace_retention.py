@@ -103,7 +103,6 @@ def test_fleet_dropped_roots_are_reported():
     assert simulation.db.tracer.dropped_roots == 0
     assert dropped > 0
     assert report.forensics.dropped_roots() == dropped
-    assert report.forensics.payload()["tracer_dropped_roots"] == dropped
     store = report.telemetry.store
     assert store.latest_value("obs.trace.dropped_roots") == dropped
 

@@ -149,10 +149,6 @@ ALLOWED: Dict[str, str] = {
     "repro.errors.RetryBudgetExhaustedError.attempts": _ERROR_PAYLOAD,
     "repro.errors.RetryBudgetExhaustedError.operation": _ERROR_PAYLOAD,
     "repro.errors.RpcTimeoutError.operation": _ERROR_PAYLOAD,
-    "repro.obs.flightrec.ForensicsConfig.memory_budget_bytes": (
-        "tests shrink the byte budget to drive eviction; flight-recorder/v1 "
-        "prints it"
-    ),
     "repro.serving.autoscale.AutoscaleConfig.warmup_seconds": (
         "tests set it to reach scale-down and failover inside short runs"
     ),
