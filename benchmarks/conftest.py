@@ -12,8 +12,6 @@ writes its data to ``results/<name>.json``.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 
@@ -22,21 +20,6 @@ def pytest_configure(config):
     # round each is what we want from pytest-benchmark.
     config.option.benchmark_min_rounds = 1
     config.option.benchmark_warmup = False
-
-
-def pytest_sessionfinish(session, exitstatus):
-    # Normalise everything this run wrote under results/ into the unified
-    # bench-summary schema (git SHA + flattened headline metrics), so the
-    # perf trajectory accumulates one comparable record per benchmark run.
-    # See repro.bench.regression for the schema and the baseline diff.
-    results = Path("results")
-    if not results.is_dir():
-        return
-    from repro.bench.regression import summary_from_results_dir, write_summary
-
-    summary = summary_from_results_dir(str(results))
-    if summary.get("benches"):
-        write_summary(summary, str(results / "BENCH_summary.json"))
 
 
 @pytest.fixture

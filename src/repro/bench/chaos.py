@@ -377,7 +377,8 @@ class ChaosSoakResult:
         }
 
 
-#: Client-side counters totalled per arm for reports and regression.
+#: Client-side counters totalled per arm for the soak report; the quick
+#: suite's ``quick_chaos`` bench reads its retries and timeouts.
 _RESILIENCE_COUNTERS = (
     "resilience.retries",
     "resilience.failures",

@@ -1,193 +1,242 @@
-"""Tests for the bench-regression harness (summary schema + baseline diff)."""
+"""Tests for the bench-regression gate: the quick suite against its baseline."""
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+from pathlib import Path
 
 import pytest
 
-from repro.bench.regression import (
-    SCHEMA,
-    classify_metric,
-    compare_summaries,
-    flatten_numeric,
-    main,
-    make_summary,
-    summary_from_results_dir,
-    write_summary,
+from repro.bench import regression
+
+BASELINE = (
+    Path(__file__).resolve().parents[2]
+    / "benchmarks" / "baselines" / "BENCH_summary.json"
 )
 
 
-def summary(benches):
-    payload = make_summary(benches)
-    payload["timestamp"] = 0.0  # the diff must never read the clock
-    return payload
+def committed_baseline():
+    return json.loads(BASELINE.read_text(encoding="utf-8"))
 
 
-class TestClassifyMetric:
-    def test_latency_metrics_are_lower_is_better(self):
-        for name in ("p99_ms", "p50_ms", "mean_latency_ms", "queue_wait", "backlog_seconds"):
-            assert classify_metric(name).direction == "lower"
-
-    def test_throughput_metrics_are_higher_is_better(self):
-        for name in ("throughput_per_second", "completed", "availability", "overall_compliance"):
-            assert classify_metric(name).direction == "higher"
-
-    def test_operation_counts_are_tight(self):
-        rule = classify_metric("mean_operations")
-        assert rule.direction == "lower"
-        assert rule.tolerance == pytest.approx(0.10)
-
-    def test_unknown_metrics_are_informational(self):
-        rule = classify_metric("some_new_experimental_number")
-        assert rule.direction == "info"
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """One run of the real suite, with telemetry written as CI writes it."""
+    telemetry = tmp_path_factory.mktemp("quick") / "telemetry_quick.json"
+    return regression.run_quick_suite(telemetry_path=str(telemetry)), telemetry
 
 
-class TestFlattenNumeric:
-    def test_nested_dicts_become_dotted_paths(self):
-        flat = flatten_numeric({"a": {"b": 1, "c": 2.5}, "d": 3})
-        assert flat == {"a.b": 1.0, "a.c": 2.5, "d": 3.0}
-
-    def test_lists_index_numerically(self):
-        flat = flatten_numeric({"series": [{"p99": 5.0}, {"p99": 7.0}]})
-        assert flat == {"series.0.p99": 5.0, "series.1.p99": 7.0}
-
-    def test_booleans_and_strings_are_skipped(self):
-        flat = flatten_numeric({"ok": True, "label": "fast", "n": 2})
-        assert flat == {"n": 2.0}
-
-    def test_bare_number(self):
-        assert flatten_numeric(42) == {"value": 42.0}
+def test_quick_suite_reproduces_the_committed_baseline(quick_run):
+    # Simulated time and seeded RNG: on unchanged code every number repeats
+    # bit for bit, so the only accepted difference is none.
+    summary, _ = quick_run
+    differences = regression.diff(summary, committed_baseline())
+    assert differences == [], "\n".join(differences)
 
 
-class TestCompareSummaries:
-    def test_identical_summaries_have_no_regressions(self):
-        s = summary({"b": {"p99_ms": 10.0, "throughput": 100.0}})
-        assert compare_summaries(s, s) == []
-
-    def test_latency_regression_beyond_band_is_flagged(self):
-        base = summary({"b": {"p99_ms": 10.0}})
-        cur = summary({"b": {"p99_ms": 20.0}})  # +100% > 25% band
-        (regression,) = compare_summaries(cur, base)
-        assert regression.bench == "b"
-        assert regression.metric == "p99_ms"
-        assert regression.relative_change == pytest.approx(1.0)
-        assert "lower-is-better" in regression.describe()
-
-    def test_latency_within_band_passes(self):
-        base = summary({"b": {"p99_ms": 10.0}})
-        cur = summary({"b": {"p99_ms": 11.0}})  # +10% < 25% band
-        assert compare_summaries(cur, base) == []
-
-    def test_latency_improvement_never_fails(self):
-        base = summary({"b": {"p99_ms": 10.0}})
-        cur = summary({"b": {"p99_ms": 1.0}})
-        assert compare_summaries(cur, base) == []
-
-    def test_throughput_drop_is_flagged(self):
-        base = summary({"b": {"throughput_per_second": 100.0}})
-        cur = summary({"b": {"throughput_per_second": 50.0}})
-        (regression,) = compare_summaries(cur, base)
-        assert regression.direction == "higher"
-
-    def test_only_metrics_in_both_are_judged(self):
-        base = summary({"b": {"p99_ms": 10.0, "gone_ms": 1.0}, "removed": {"p99_ms": 1.0}})
-        cur = summary({"b": {"p99_ms": 10.0, "new_ms": 999.0}, "added": {"p99_ms": 999.0}})
-        assert compare_summaries(cur, base) == []
-
-    def test_info_metrics_never_fail(self):
-        base = summary({"b": {"telemetry_scrapes": 17.0}})
-        cur = summary({"b": {"telemetry_scrapes": 1.0}})
-        assert compare_summaries(cur, base) == []
-
-    def test_schema_mismatch_is_rejected(self):
-        good = summary({})
-        bad = dict(good, schema="bench-summary/v0")
-        with pytest.raises(ValueError, match="schema"):
-            compare_summaries(bad, good)
-        with pytest.raises(ValueError, match="baseline"):
-            compare_summaries(good, bad)
+def test_quick_suite_writes_its_telemetry_artifact(quick_run):
+    summary, telemetry = quick_run
+    artifact = json.loads(telemetry.read_text(encoding="utf-8"))
+    assert artifact["schema"] == "fleet-telemetry/v1"
+    assert float(artifact["scrapes"]) == (
+        summary["benches"]["quick_serving"]["telemetry_scrapes"]
+    )
 
 
-class TestSummaryFromResultsDir:
-    def test_flattens_each_results_file(self, tmp_path):
-        (tmp_path / "bench_a.json").write_text(json.dumps({"p99": 1.5}))
-        (tmp_path / "bench_b.json").write_text(json.dumps({"rows": [1, 2]}))
-        (tmp_path / "BENCH_summary.json").write_text(json.dumps({"p99": 9.9}))
-        (tmp_path / "broken.json").write_text("{not json")
-        result = summary_from_results_dir(str(tmp_path))
-        assert result["schema"] == SCHEMA
-        assert result["benches"] == {
-            "bench_a": {"p99": 1.5},
-            "bench_b": {"rows.0": 1.0, "rows.1": 2.0},
-        }
+def test_quick_suite_reports_only_floats(quick_run):
+    # Every metric is a float, so a written baseline reads back as the same
+    # type and an int/float or bool/float pair can never mask a change.
+    summary, _ = quick_run
+    for metrics in summary["benches"].values():
+        assert {type(value) for value in metrics.values()} == {float}
 
 
-class TestCli:
-    """The CI contract: nonzero exit on a doctored out-of-band summary."""
-
-    def write(self, tmp_path, name, benches):
-        path = tmp_path / name
-        write_summary(summary(benches), str(path))
-        return str(path)
-
-    def test_exits_nonzero_on_doctored_regression(self, tmp_path, capsys):
-        baseline = self.write(
-            tmp_path,
-            "baseline.json",
-            {"quick_serving": {"p99_ms": 80.0, "throughput_per_second": 35.0}},
-        )
-        doctored = self.write(
-            tmp_path,
-            "current.json",
-            {"quick_serving": {"p99_ms": 160.0, "throughput_per_second": 17.0}},
-        )
-        exit_code = main(["--summary", doctored, "--baseline", baseline])
-        assert exit_code == 1
-        out = capsys.readouterr().out
-        assert "PERF REGRESSION" in out
-        assert "p99_ms" in out and "throughput_per_second" in out
-
-    def test_exits_zero_within_tolerance(self, tmp_path, capsys):
-        baseline = self.write(
-            tmp_path, "baseline.json", {"quick_serving": {"p99_ms": 80.0}}
-        )
-        current = self.write(
-            tmp_path, "current.json", {"quick_serving": {"p99_ms": 85.0}}
-        )
-        assert main(["--summary", current, "--baseline", baseline]) == 0
-        assert "within tolerance" in capsys.readouterr().out
-
-    def test_emit_from_results_writes_summary(self, tmp_path):
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "bench_a.json").write_text(json.dumps({"p99": 2.0}))
-        out = tmp_path / "BENCH_summary.json"
-        assert main(["--emit-from-results", str(results), "--summary", str(out)]) == 0
-        written = json.loads(out.read_text())
-        assert written["schema"] == SCHEMA
-        assert written["benches"]["bench_a"] == {"p99": 2.0}
-
-    def test_committed_baseline_is_valid(self):
-        with open("benchmarks/baselines/BENCH_summary.json", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        assert baseline["schema"] == SCHEMA
+class TestCommittedBaseline:
+    def test_holds_schema_and_the_four_benches_only(self):
+        baseline = committed_baseline()
+        assert set(baseline) == {"schema", "benches"}
+        assert baseline["schema"] == regression.SCHEMA
         assert set(baseline["benches"]) == {
             "quick_query",
             "quick_serving",
             "quick_storage",
             "quick_chaos",
         }
-        # Self-diff of the committed baseline is trivially clean.
-        assert compare_summaries(baseline, baseline) == []
 
-    def test_trace_and_telemetry_artifacts_are_skipped(self, tmp_path):
-        (tmp_path / "bench_a.json").write_text(json.dumps({"p99": 1.5}))
-        (tmp_path / "serving_trace.json").write_text(
-            json.dumps({"traceEvents": [{"ts": 1, "dur": 2}]})
+    def test_every_value_is_a_finite_float(self):
+        # A NaN never equals itself, so one would fail the gate forever.
+        for metrics in committed_baseline()["benches"].values():
+            for value in metrics.values():
+                assert type(value) is float and math.isfinite(value)
+
+    def test_rewriting_it_changes_no_byte(self, tmp_path, monkeypatch):
+        # Re-baselining unchanged numbers must not churn the committed file.
+        monkeypatch.setattr(
+            regression, "run_quick_suite", lambda telemetry_path=None: committed_baseline()
         )
-        (tmp_path / "telemetry_fault.json").write_text(
-            json.dumps({"schema": "fleet-telemetry/v1", "scrapes": 33})
+        path = tmp_path / "baseline.json"
+        assert regression.main(["--write-baseline", str(path)]) == 0
+        assert path.read_bytes() == BASELINE.read_bytes()
+
+
+def summary_of(benches, schema=regression.SCHEMA):
+    return {"schema": schema, "benches": benches}
+
+
+class TestDiff:
+    def test_equal_summaries_have_no_difference(self):
+        summary = summary_of({"b": {"p99_ms": 10.0, "runs": 50.0}})
+        assert regression.diff(summary, copy.deepcopy(summary)) == []
+
+    def test_a_schema_change_is_a_difference(self):
+        current = summary_of({"b": {"p99_ms": 10.0}})
+        baseline = summary_of({"b": {"p99_ms": 10.0}}, schema="bench-summary/v0")
+        assert regression.diff(current, baseline) == [
+            "schema: baseline bench-summary/v0, current bench-summary/v1"
+        ]
+
+    def test_a_missing_bench_lists_each_of_its_metrics(self):
+        current = summary_of({})
+        baseline = summary_of({"gone": {"p99_ms": 1.5, "runs": 2.0}})
+        assert regression.diff(current, baseline) == [
+            "gone.p99_ms: baseline 1.5, current absent",
+            "gone.runs: baseline 2.0, current absent",
+        ]
+
+    def test_a_new_metric_is_a_difference(self):
+        current = summary_of({"b": {"p99_ms": 10.0, "fresh": 3.0}})
+        baseline = summary_of({"b": {"p99_ms": 10.0}})
+        assert regression.diff(current, baseline) == [
+            "b.fresh: baseline absent, current 3.0"
+        ]
+
+    def test_an_improvement_is_a_difference_too(self):
+        current = summary_of({"b": {"p99_ms": 1.0}})
+        baseline = summary_of({"b": {"p99_ms": 10.0}})
+        assert regression.diff(current, baseline) == [
+            "b.p99_ms: baseline 10.0, current 1.0"
+        ]
+
+    def test_differences_are_sorted_by_name(self):
+        current = summary_of({"z": {"a": 1.0}, "a": {"z": 1.0, "b": 1.0}})
+        baseline = summary_of({"z": {"a": 2.0}, "a": {"z": 2.0, "b": 2.0}})
+        names = [line.split(":")[0] for line in regression.diff(current, baseline)]
+        assert names == ["a.b", "a.z", "z.a"]
+
+    def test_a_json_round_trip_is_exact(self):
+        # The gate compares a live run against a JSON file, so every float
+        # must survive being written and read back to the last bit.
+        awkward = [0.1 + 0.2, 5e-324, 1e308, math.nextafter(1.6, math.inf), -0.0]
+        summary = summary_of({"b": {str(i): v for i, v in enumerate(awkward)}})
+        written = json.dumps(summary, indent=2, sort_keys=True)
+        assert regression.diff(summary, json.loads(written)) == []
+
+
+SUMMARY = {
+    "schema": regression.SCHEMA,
+    "benches": {
+        "quick_query": {"mean_latency_ms": 4.272902630721568, "runs": 50.0},
+        "quick_serving": {"p99_ms": 83.16462159618432},
+    },
+}
+
+
+def one_ulp_up(benches):
+    benches["quick_query"]["mean_latency_ms"] = math.nextafter(
+        benches["quick_query"]["mean_latency_ms"], math.inf
+    )
+
+
+def drop_metric(benches):
+    del benches["quick_serving"]["p99_ms"]
+
+
+def add_bench(benches):
+    benches["quick_extra"] = {"runs": 1.0}
+
+
+class TestCli:
+    """The CI contract, over a stubbed suite: exit 1 on any difference."""
+
+    @pytest.fixture(autouse=True)
+    def stub_suite(self, monkeypatch):
+        self.telemetry_paths = []
+
+        def suite(telemetry_path=None):
+            self.telemetry_paths.append(telemetry_path)
+            return copy.deepcopy(SUMMARY)
+
+        monkeypatch.setattr(regression, "run_quick_suite", suite)
+
+    def test_identical_baseline_exits_zero(self, tmp_path, capsys):
+        path = str(tmp_path / "baseline.json")
+        telemetry = str(tmp_path / "telemetry.json")
+        assert regression.main(["--write-baseline", path]) == 0
+        assert json.loads(Path(path).read_text(encoding="utf-8")) == SUMMARY
+        assert regression.main(["--baseline", path, "--telemetry-out", telemetry]) == 0
+        assert "ok: every metric equals" in capsys.readouterr().out
+        assert self.telemetry_paths == [None, telemetry]
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (one_ulp_up, "quick_query.mean_latency_ms"),
+            (drop_metric, "quick_serving.p99_ms"),
+            (add_bench, "quick_extra.runs"),
+        ],
+    )
+    def test_any_difference_exits_one_and_names_it(
+        self, tmp_path, capsys, edit, named
+    ):
+        baseline = copy.deepcopy(SUMMARY)
+        edit(baseline["benches"])
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline), encoding="utf-8")
+        assert regression.main(["--baseline", str(path)]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"{named}: baseline ")
+
+    def test_one_ulp_is_printed_with_both_values(self, tmp_path, capsys):
+        baseline = copy.deepcopy(SUMMARY)
+        one_ulp_up(baseline["benches"])
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline), encoding="utf-8")
+        assert regression.main(["--baseline", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "quick_query.mean_latency_ms: baseline 4.2729026307215685, "
+            "current 4.272902630721568\n"
         )
-        result = summary_from_results_dir(str(tmp_path))
-        assert set(result["benches"]) == {"bench_a"}
+
+    def test_every_difference_gets_its_own_line(self, tmp_path, capsys):
+        baseline = copy.deepcopy(SUMMARY)
+        for edit in (one_ulp_up, drop_metric, add_bench):
+            edit(baseline["benches"])
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline), encoding="utf-8")
+        assert regression.main(["--baseline", str(path)]) == 1
+        names = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert names == [
+            "quick_extra.runs",
+            "quick_query.mean_latency_ms",
+            "quick_serving.p99_ms",
+        ]
+
+    def test_write_baseline_forwards_the_telemetry_path(self, tmp_path):
+        telemetry = str(tmp_path / "telemetry.json")
+        path = str(tmp_path / "baseline.json")
+        assert regression.main(
+            ["--write-baseline", path, "--telemetry-out", telemetry]
+        ) == 0
+        assert self.telemetry_paths == [telemetry]
+
+    def test_a_mode_is_required(self):
+        with pytest.raises(SystemExit):
+            regression.main([])
+
+    def test_the_two_modes_exclude_each_other(self, tmp_path):
+        path = str(tmp_path / "baseline.json")
+        with pytest.raises(SystemExit):
+            regression.main(["--baseline", path, "--write-baseline", path])
+        assert self.telemetry_paths == []

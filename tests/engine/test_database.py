@@ -229,6 +229,28 @@ class TestClientViews:
         assert second.prepare(thoughtstream_sql).optimized is fresh.optimized
         assert scadr_db.prepare(thoughtstream_sql).optimized is fresh.optimized
 
+    def test_held_query_survives_ddl_through_a_sibling_view(
+        self, scadr_db, thoughtstream_sql
+    ):
+        held = scadr_db.prepare(thoughtstream_sql)
+        sibling = scadr_db.new_client()
+        sibling.execute_ddl("CREATE TABLE extra (id INT, PRIMARY KEY (id))")
+        sibling.execute_ddl("CREATE INDEX idx_users_created ON users (created)")
+        sibling.execute_ddl(
+            "INSERT INTO thoughts (owner, timestamp, text) "
+            "VALUES ('bob', 2000000, 'posted after prepare')"
+        )
+        sibling.execute_ddl(
+            "CREATE MATERIALIZED VIEW thought_counts AS "
+            "SELECT owner, COUNT(*) AS n FROM thoughts GROUP BY owner"
+        )
+        result = held.execute(uname="alice")
+        fresh = scadr_db.prepare(thoughtstream_sql)
+        assert fresh is not held
+        assert result.rows == fresh.execute(uname="alice").rows
+        assert result.rows[0]["text"] == "posted after prepare"
+        assert result.operations <= held.operation_bound
+
     def test_auto_created_index_serves_every_view(self, scadr_db):
         sql = "SELECT * FROM users WHERE hometown LIKE [1: town] LIMIT 5"
         first, second = scadr_db.new_client(), scadr_db.new_client()

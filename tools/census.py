@@ -5,7 +5,7 @@ syntax tree, so it errs towards "used": a method name shared with a live
 method of another class, or a keyword of a function passed as a value,
 counts as read.  This tool asks the interpreter instead.  It runs every
 entry point of the runnable set -- each example, each experiment with
-``--quick``, ``python -m repro.bench.regression --quick`` (against the
+``--quick``, ``python -m repro.bench.regression`` (against the
 committed baseline, as CI runs it) and each ledger workload of
 ``BENCHMARK.json`` for 2 host seconds -- in its own subprocess under the
 stdlib's ``python -m trace --count``, keeps the ``src/repro`` lines that
@@ -86,12 +86,11 @@ def runnable_set() -> List[Tuple[str, List[str]]]:
         (f"bench {name} --quick", ["--module", "repro.bench", name, "--quick"])
         for name in sorted(experiments())
     ]
-    # As CI runs it: the summary is diffed against the committed baseline.
+    # As CI runs it: the quick suite is diffed against the committed baseline.
     baseline = os.path.join(REPO, "benchmarks", "baselines", "BENCH_summary.json")
-    entries.append(("regression --quick", [
-        "--module", "repro.bench.regression", "--quick", "--summary",
-        "summary.json", "--telemetry-out", "telemetry.json",
-        "--baseline", baseline,
+    entries.append(("regression", [
+        "--module", "repro.bench.regression", "--telemetry-out",
+        "telemetry.json", "--baseline", baseline,
     ]))
     with open(os.path.join(REPO, "BENCHMARK.json"), encoding="utf-8") as handle:
         workloads = [w["name"] for w in json.load(handle)["workloads"]]
