@@ -29,6 +29,7 @@ from ..execution.context import ExecutionStrategy, QueryResult
 from ..execution.executor import QueryExecutor
 from ..kvstore.client import StorageClient
 from ..kvstore.cluster import ClusterConfig, KeyValueCluster
+from ..kvstore.engine.base import MAX_NAMESPACE_BYTES
 from ..kvstore.simtime import SimClock
 from ..obs.audit import BoundAuditor
 from ..obs.trace import Tracer
@@ -45,6 +46,20 @@ from ..views.definition import MaterializedView, analyze_view
 from ..views.maintenance import ViewMaintenanceEngine
 from .query import PreparedQuery
 from .session import Session
+
+
+def _check_namespaces(*holders: Union[None, Table, IndexDefinition]) -> None:
+    """Reject a name no storage engine can hold, before the catalog sees it."""
+    for holder in holders:
+        if holder is None:
+            continue
+        namespace = holder.namespace
+        size = len(namespace.encode("utf-8"))
+        if size > MAX_NAMESPACE_BYTES:
+            raise SchemaError(
+                f"namespace {namespace[:40]!r}... is {size} UTF-8 bytes; "
+                f"storage holds names of at most {MAX_NAMESPACE_BYTES}"
+            )
 
 
 class PiqlDatabase:
@@ -234,6 +249,10 @@ class PiqlDatabase:
 
     def create_table(self, table: Table) -> Table:
         """Register a table, provision its storage, and its constraint indexes."""
+        _check_namespaces(table, *(
+            self.records.constraint_index(table, limit)
+            for limit in table.cardinality_limits
+        ))
         self.catalog.add_table(table)
         self.records.create_table_storage(table)
         # Cardinality constraints whose columns are not a primary-key prefix
@@ -256,6 +275,7 @@ class PiqlDatabase:
         (Table 1's "additional indexes" column).  Re-registering an
         identical index is a no-op: its storage and entries already exist.
         """
+        _check_namespaces(index)
         fresh = not self.catalog.has_index(index.name)
         registered = self.catalog.add_index(index, auto_created=auto_created)
         if fresh:
@@ -284,6 +304,7 @@ class PiqlDatabase:
                 )
             statement = parsed
         view = analyze_view(statement, self.catalog)
+        _check_namespaces(view.backing_table, view.order_index)
         self.catalog.add_table(view.backing_table)
         self.records.create_table_storage(view.backing_table)
         if view.order_index is not None:

@@ -41,6 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+#: Longest namespace name, in UTF-8 bytes, that every engine holds: the
+#: write-ahead log (:mod:`repro.kvstore.engine.wal`) stores its length in
+#: 16 bits.
+MAX_NAMESPACE_BYTES = 0xFFFF
+
 
 @dataclass
 class EngineRecovery:

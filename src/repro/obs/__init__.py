@@ -18,7 +18,8 @@ compile-time guarantees into runtime observations:
 * :mod:`~repro.obs.explain` — ``EXPLAIN ANALYZE``: the annotated span tree
   rendered through the plan printer.
 * :mod:`~repro.obs.timeseries` — a fixed-memory ring-buffer time-series
-  store with tumbling-window downsampling, keyed by metric name + labels.
+  store keyed by metric name + labels, holding the last ``capacity ×
+  resolution_seconds`` of each series (64 s in a serving run).
 * :mod:`~repro.obs.telemetry` — the fleet scrape loop: cluster, node,
   replication, view-maintenance, and admission signals into the store.
 * :mod:`~repro.obs.slo` — multi-window SLO burn-rate alerting over the

@@ -8,9 +8,9 @@ those viewers expect.
 
 ``telemetry_to_json`` / ``write_telemetry_json`` render a
 :class:`~repro.obs.telemetry.FleetTelemetry` bundle as the
-``results/telemetry_*.json`` artifact — full downsampled history per series,
-what was dropped, the alert timeline and the drift report — that CI uploads
-and tests assert against.
+``results/telemetry_*.json`` artifact — the last ``capacity ×
+resolution_seconds`` (64 s) of each series, what was dropped, the alert
+timeline and the drift report — that CI uploads and tests assert against.
 """
 
 from __future__ import annotations

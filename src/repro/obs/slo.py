@@ -114,7 +114,10 @@ class BurnRateAlerter:
     slo:
         The objective whose error budget is being tracked.
     rules:
-        Fast/slow window pairs; defaults to :data:`DEFAULT_RULES`.
+        Fast/slow window pairs; defaults to :data:`DEFAULT_RULES`.  Each
+        slow window must fit in the store's ring: at most
+        ``(capacity - 1) * resolution_seconds`` (:class:`ValueError`
+        otherwise).
     admission:
         Optional admission controller to pre-arm (with
         :data:`PRE_ARM_PROBABILITY`) while burning.
@@ -135,6 +138,17 @@ class BurnRateAlerter:
         self.rules: List[BurnRateRule] = list(rules if rules is not None else DEFAULT_RULES)
         if not self.rules:
             raise ValueError("need at least one burn-rate rule")
+        # The ring holds the bucket ``now`` falls in and ``capacity - 1``
+        # before it; a window reaching further back could open in a bucket
+        # already wrapped over, and ``counter_delta`` would quietly read a
+        # shorter window from the oldest bucket left.
+        reach = (store.capacity - 1) * store.resolution_seconds
+        for rule in self.rules:
+            if rule.slow_seconds > reach:
+                raise ValueError(
+                    f"{rule.name}: a {rule.slow_seconds:g}s window reaches past "
+                    f"the {reach:g}s the telemetry store holds"
+                )
         self.admission = admission
         #: Every alert ever fired, in firing order (active ones included).
         self.alerts: List[SLOAlert] = []

@@ -113,12 +113,6 @@ class Span:
         """Every span of one kind in this subtree, depth-first order."""
         return [span for span in self.walk() if span.kind == kind]
 
-    def first(self, kind: str) -> Optional["Span"]:
-        for span in self.walk():
-            if span.kind == kind:
-                return span
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         window = f"{self.start:.6f}..{self.end:.6f}" if self.end is not None else "open"
         return f"Span({self.name!r}, kind={self.kind!r}, {window})"

@@ -274,3 +274,45 @@ class TestClientViews:
             scadr_db.cluster.config.storage_nodes * 4000 * 0.5
         )
         assert all(node.utilization == pytest.approx(0.5) for node in scadr_db.cluster.nodes)
+
+
+class TestOverLongNames:
+    """A namespace longer than the write-ahead log's 16-bit length field is
+    a DDL error under either engine, raised before the catalog changes."""
+
+    @pytest.mark.parametrize("engine", ["dict", "lsm"])
+    def test_rejected_before_the_catalog_changes(self, engine):
+        db = PiqlDatabase.simulated(
+            ClusterConfig(storage_nodes=2, seed=5, storage_engine=engine)
+        )
+        try:
+            db.execute_ddl("CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))")
+            catalog = db.catalog
+            before = (
+                catalog.version, catalog.tables(), catalog.indexes(),
+                db.cluster.namespaces(),
+            )
+            name = "x" * 70_000
+            # The table's own namespace fits; its constraint index's does not.
+            limited = "y" * 65_525
+            for ddl in (
+                f"CREATE TABLE {name} (id INT, PRIMARY KEY (id))",
+                f"CREATE TABLE {limited} (id INT, v INT, PRIMARY KEY (id), "
+                "CARDINALITY LIMIT 3 (v))",
+                f"CREATE INDEX {name} ON t (v)",
+                f"CREATE MATERIALIZED VIEW {name} AS "
+                "SELECT v, COUNT(*) AS n FROM t GROUP BY v",
+            ):
+                with pytest.raises(SchemaError, match="UTF-8 bytes"):
+                    db.execute_ddl(ddl)
+                assert (
+                    catalog.version, catalog.tables(), catalog.indexes(),
+                    db.cluster.namespaces(),
+                ) == before
+            # The longest name that fits ("table:" + 65 529) stores rows.
+            longest = "z" * 65_529
+            db.execute_ddl(f"CREATE TABLE {longest} (id INT, PRIMARY KEY (id))")
+            db.insert(longest, {"id": 1})
+            assert db.get(longest, [1]) == {"id": 1}
+        finally:
+            db.cluster.close()

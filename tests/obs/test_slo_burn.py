@@ -213,6 +213,15 @@ class TestRules:
         with pytest.raises(ValueError):
             BurnRateAlerter(TimeSeriesStore(), make_slo(), rules=[])
 
+    def test_window_longer_than_the_ring_rejected(self):
+        # 32 buckets of 0.5 s: a window may reach back 31 buckets, 15.5 s.
+        store = TimeSeriesStore(resolution_seconds=0.5, capacity=32)
+        with pytest.raises(ValueError, match="15.5s"):
+            BurnRateAlerter(store, make_slo(), rules=[BurnRateRule(5.0, 25.0, 4.0)])
+        with pytest.raises(ValueError):
+            BurnRateAlerter(store, make_slo(), rules=[BurnRateRule(2.0, 16.0, 4.0)])
+        BurnRateAlerter(store, make_slo(), rules=[BurnRateRule(2.0, 15.5, 4.0)])
+
     def test_alert_describe_active(self):
         alert = SLOAlert(
             rule=BurnRateRule(2.0, 6.0, 2.0),
@@ -241,12 +250,12 @@ _SILENCE = (240.0, 252.0)
 def scripted_timeline() -> Dict[str, object]:
     """300 simulated seconds of scrapes every 0.5 s, evaluated every tick.
 
-    The fine ring holds 16 s, so the 25 s window reads the 8x-coarser
-    level from t=16 on; the run has healthy traffic, four incidents of
-    different shapes, an idle stretch and a stretch with no scrapes.
+    The ring holds 32 s, room for the 25 s window; the run has healthy
+    traffic, four incidents of different shapes, an idle stretch and a
+    stretch with no scrapes.
     """
     rng = random.Random(7)
-    store = TimeSeriesStore(resolution_seconds=0.5, capacity=32)
+    store = TimeSeriesStore(resolution_seconds=0.5, capacity=64)
     alerter = BurnRateAlerter(store, make_slo(0.99))
     digest = hashlib.sha256()
     total = good = 0

@@ -105,11 +105,8 @@ class TestOutOfOrder:
         assert store.dropped_samples == 0
 
     def test_sample_older_than_every_ring_is_dropped(self):
-        store = TimeSeriesStore(
-            resolution_seconds=1.0, capacity=4, levels=2, downsample_factor=4
-        )
-        # Fill both levels so every slot holds recent history: the fine
-        # ring covers 97..100, the coarse ring covers 80..100.
+        store = TimeSeriesStore(resolution_seconds=1.0, capacity=4)
+        # Every slot holds recent history: the ring covers 97..100.
         for t in range(80, 101):
             store.record("m", 1.0, t=float(t))
         assert not store.record("m", 2.0, t=1.0)
@@ -117,74 +114,17 @@ class TestOutOfOrder:
         # The live data is untouched.
         assert all(p.min == 1.0 for p in store.points("m"))
 
-    def test_late_sample_lands_in_coarser_level(self):
-        store = TimeSeriesStore(
-            resolution_seconds=1.0, capacity=4, levels=2, downsample_factor=4
-        )
-        for t in range(12):
-            store.record("m", 1.0, t=float(t))
-        # t=2 has been recycled out of the fine ring (which now holds 8..11)
-        # but its 4-second coarse bucket [0, 4) is still live.
-        assert store.record("m", 1.0, t=2.0)
-        assert store.dropped_samples == 0
-        coarse = [p for p in store.points("m") if p.width_seconds == 4.0]
-        first = next(p for p in coarse if p.start_seconds == 0.0)
-        assert first.count == 5  # four original samples + the late one
 
-
-class TestWraparoundAndDownsampling:
-    def test_evicted_fine_buckets_fold_into_coarse(self):
-        store = TimeSeriesStore(
-            resolution_seconds=1.0, capacity=4, levels=2, downsample_factor=4
-        )
-        for t in range(12):
-            store.record("m", float(t), t=float(t))
-        points = store.points("m")
-        fine = [p for p in points if p.width_seconds == 1.0]
-        coarse = [p for p in points if p.width_seconds == 4.0]
-        # Fine ring keeps the newest 4 seconds; the evicted 0..7 live on as
-        # two 4-second coarse buckets.
-        assert [p.start_seconds for p in fine] == [8.0, 9.0, 10.0, 11.0]
-        assert [p.start_seconds for p in coarse] == [0.0, 4.0]
-        assert coarse[0].count == 4
-        assert coarse[0].sum == 0.0 + 1.0 + 2.0 + 3.0
-        assert coarse[0].min == 0.0 and coarse[0].max == 3.0
-
-    def test_points_prefer_fine_over_overlapping_coarse(self):
-        store = TimeSeriesStore(
-            resolution_seconds=1.0, capacity=4, levels=2, downsample_factor=4
-        )
-        for t in range(10):
-            store.record("m", 1.0, t=float(t))
-        points = store.points("m")
-        # The coarse bucket [4, 8) overlaps fine buckets 6 and 7; the query
-        # must not report the same seconds at two resolutions.
-        for fine in (p for p in points if p.width_seconds == 1.0):
-            for coarse in (p for p in points if p.width_seconds == 4.0):
-                overlap = not (
-                    fine.end_seconds <= coarse.start_seconds
-                    or coarse.end_seconds <= fine.start_seconds
-                )
-                assert not overlap
-
-    def test_history_beyond_coarsest_level_expires(self):
-        store = TimeSeriesStore(
-            resolution_seconds=1.0, capacity=2, levels=2, downsample_factor=2
-        )
-        for t in range(40):
-            store.record("m", 1.0, t=float(t))
-        points = store.points("m")
-        # Memory stays fixed: at most capacity buckets per level.
-        assert len(points) <= 4
-        assert points[0].start_seconds >= 32.0
-
+class TestWraparound:
     def test_total_memory_is_bounded(self):
-        store = TimeSeriesStore(
-            resolution_seconds=1.0, capacity=8, levels=3, downsample_factor=8
-        )
+        store = TimeSeriesStore(resolution_seconds=1.0, capacity=8)
         for t in range(100_000):
             store.record("m", float(t), t=float(t))
-        assert len(store.points("m")) <= 8 * 3
+        points = store.points("m")
+        # The ring keeps the newest 8 seconds; everything older is gone.
+        assert [p.start_seconds for p in points] == [
+            float(t) for t in range(99_992, 100_000)
+        ]
         assert store.latest("m").last == 99_999.0
 
 
@@ -214,8 +154,6 @@ class TestValidation:
         [
             {"resolution_seconds": 0.0},
             {"capacity": 1},
-            {"levels": 0},
-            {"downsample_factor": 1},
             {"max_series": 0},
         ],
     )
@@ -244,7 +182,7 @@ def reference_counter_delta(store: TimeSeriesStore, name: str, start: float, end
 
 #: A history is a list of (time step, value step) pairs: the clock mostly
 #: creeps forward by less than a bucket, sometimes jumps over many buckets
-#: (a gap, or far enough to wrap the ring into the coarser levels), and
+#: (a gap, or far enough to wrap the ring), and
 #: sometimes steps back (a sample from a slower client clock).
 _time_step = st.one_of(
     st.floats(min_value=0.0, max_value=1.5),
@@ -266,8 +204,6 @@ class TestCounterDeltaAgainstPoints:
         history=_history,
         resolution=st.sampled_from([1.0, 0.5, 0.1, 0.3]),
         capacity=st.integers(min_value=2, max_value=6),
-        levels=st.integers(min_value=1, max_value=3),
-        factor=st.sampled_from([2, 3, 8]),
         windows=st.lists(
             st.tuples(
                 st.floats(min_value=-5.0, max_value=400.0),
@@ -278,14 +214,9 @@ class TestCounterDeltaAgainstPoints:
         ),
     )
     def test_ring_lookup_equals_reference(
-        self, history, resolution, capacity, levels, factor, windows
+        self, history, resolution, capacity, windows
     ):
-        store = TimeSeriesStore(
-            resolution_seconds=resolution,
-            capacity=capacity,
-            levels=levels,
-            downsample_factor=factor,
-        )
+        store = TimeSeriesStore(resolution_seconds=resolution, capacity=capacity)
         t, value = 0.0, 0.0
         probes: List[Tuple[float, float]] = list(windows)
         for time_step, value_step in history:
@@ -308,7 +239,7 @@ class TestCounterDeltaAgainstPoints:
     def test_bucket_left_behind_by_a_gap_is_still_found(self):
         # Buckets 0..3 fill a 4-slot ring, then bucket 9 takes slot 1 only:
         # 0, 2 and 3 stay, more than a ring's length behind the newest.
-        store = TimeSeriesStore(resolution_seconds=1.0, capacity=4, levels=1)
+        store = TimeSeriesStore(resolution_seconds=1.0, capacity=4)
         for t in range(4):
             store.record("total", float(10 * t), t=float(t))
         store.record("total", 100.0, t=9.0)

@@ -111,7 +111,7 @@ class TestSpans:
         ]
         assert len(root.find("logical-op")) == 2
 
-    def test_walk_find_first(self):
+    def test_walk_and_find(self):
         _, tracer = make_tracer()
         root = tracer.start_span("query", "query")
         a = tracer.start_span("a", "operator")
@@ -123,8 +123,8 @@ class TestSpans:
 
         assert [s.name for s in root.walk()] == ["query", "a", "get", "b"]
         assert [s.name for s in root.find("operator")] == ["a", "b"]
-        assert root.first("rpc").name == "get"
-        assert root.first("missing") is None
+        assert root.find("rpc")[0].name == "get"
+        assert root.find("missing") == []
 
 
 class TestRootRetention:

@@ -240,8 +240,7 @@ class TestWriteAttribution:
         )
         root = tracer.last_root()
         assert root.kind == "write" and root.attributes["operation"] == "insert"
-        maintenance = root.first("view-maintenance")
-        assert maintenance is not None
+        maintenance = root.find("view-maintenance")[0]
         assert maintenance.attributes["view"] == "product_totals"
         # The delta's physical writes nest under the maintenance span.
         assert maintenance.find("rpc")
@@ -249,8 +248,8 @@ class TestWriteAttribution:
         db.delete("sales", [1])
         root = tracer.last_root()
         assert root.attributes["operation"] == "delete"
-        retraction = root.first("view-maintenance")
-        assert retraction is not None and retraction.find("rpc")
+        retraction = root.find("view-maintenance")[0]
+        assert retraction.find("rpc")
 
 
 class TestExplainAnalyze:

@@ -99,9 +99,9 @@ _ENGINE_FIXTURE = (
     "within its budget only at fanout 2"
 )
 _RINGS = (
-    "the hypothesis ring model needs rings that wrap within a few dozen "
-    "samples; at 128 buckets x 3 levels x 8 one wrap of the coarsest level "
-    "is ~10^5 samples per example"
+    "tests need a ring that wraps, and a series cap that fills, within a few "
+    "dozen samples; no serving run wraps the 128-bucket ring or fills the "
+    "512-series cap"
 )
 
 #: Kept although nothing outside tests reads, sets or passes it: qualified
@@ -164,8 +164,6 @@ ALLOWED: Dict[str, str] = {
         "no run at the default parameters shows either"
     ),
     "repro.obs.timeseries.TimeSeriesStore(capacity)": _RINGS,
-    "repro.obs.timeseries.TimeSeriesStore(levels)": _RINGS,
-    "repro.obs.timeseries.TimeSeriesStore(downsample_factor)": _RINGS,
     "repro.obs.timeseries.TimeSeriesStore(max_series)": _RINGS,
 }
 

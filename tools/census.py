@@ -32,7 +32,9 @@ faster, but ``trace`` caches that verdict by base file name, so
 stdlib file of that name was called first.
 
 Run from the repository root (stdlib only; two entry points at a time,
-about 13 minutes on a 2-core box, so not a CI step)::
+about 13 minutes on a 2-core box, so not a push or pull-request step:
+``.github/workflows/census.yml`` runs it weekly and on demand and uploads
+the report)::
 
     python tools/census.py
 """
