@@ -74,16 +74,18 @@ class _Ring:
 
     __slots__ = ("width", "capacity", "bucket_ids", "aggs", "newest")
 
-    _EMPTY = -1
+    #: Marks an empty slot; below every bucket index, negative ones included
+    #: (a sample before time zero falls in bucket -1).
+    _EMPTY = float("-inf")
 
     def __init__(self, width: float, capacity: int):
         self.width = width
         self.capacity = capacity
-        # Absolute bucket index stored in each slot (-1 = empty).
-        self.bucket_ids: List[int] = [self._EMPTY] * capacity
+        # Absolute bucket index stored in each slot (or ``_EMPTY``).
+        self.bucket_ids: List[float] = [self._EMPTY] * capacity
         # [count, sum, min, max, last] per slot.
         self.aggs: List[Optional[List[float]]] = [None] * capacity
-        #: Largest bucket index held (-1 while the ring is empty).
+        #: Largest bucket index held (``_EMPTY`` while the ring is empty).
         self.newest = self._EMPTY
 
     def offer(self, t: float, value: float) -> bool:
@@ -137,7 +139,7 @@ class _Ring:
         # holding exactly the bucket asked of it holds the answer, because a
         # slot passed without a match holds either a newer bucket or one
         # more than ``capacity`` behind the bucket asked of it.
-        for candidate in range(bucket, max(bucket - capacity, self._EMPTY), -1):
+        for candidate in range(bucket, bucket - capacity, -1):
             slot = candidate % capacity
             if bucket_ids[slot] == candidate:
                 return self.aggs[slot][4]  # type: ignore[index]
@@ -268,8 +270,8 @@ class TimeSeriesStore:
         self, name: str, labels: Optional[Dict[str, object]] = None
     ) -> Optional[TimeSeriesPoint]:
         ring = self._series.get((name, make_labels(labels)))
-        if ring is None or ring.newest == ring._EMPTY:
-            return None  # unknown, or every sample was older than the ring
+        if ring is None:
+            return None  # a ring exists only once a sample landed in it
         return ring.point(ring.newest)
 
     def latest_value(

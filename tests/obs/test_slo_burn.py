@@ -28,6 +28,7 @@ from repro.obs.slo import (
 from repro.obs.telemetry import SLO_GOOD_METRIC, SLO_TOTAL_METRIC
 from repro.obs.timeseries import TimeSeriesStore
 from repro.prediction.slo import ServiceLevelObjective
+from repro.serving.simulator import TELEMETRY_INTERVAL_SECONDS
 
 
 def make_slo(quantile=0.9):
@@ -221,6 +222,26 @@ class TestRules:
         with pytest.raises(ValueError):
             BurnRateAlerter(store, make_slo(), rules=[BurnRateRule(2.0, 16.0, 4.0)])
         BurnRateAlerter(store, make_slo(), rules=[BurnRateRule(2.0, 15.5, 4.0)])
+
+    def test_window_at_the_reach_reads_the_whole_increase(self):
+        # A counter rising 1 per 0.5 s scrape, long after the 8-slot ring
+        # first wrapped: a window of the ring's reach (3.5 s) still opens in
+        # a held bucket, one a bucket longer opens in a wrapped one and
+        # reads short, which is why the alerter rejects such a window.
+        store = TimeSeriesStore(resolution_seconds=0.5, capacity=8)
+        for tick in range(200):
+            store.record(SLO_TOTAL_METRIC, float(tick), t=tick * 0.5)
+        now = 199 * 0.5
+        assert store.counter_delta(SLO_TOTAL_METRIC, now - 3.5, now) == 7.0
+        # The counter rose 8 over the last 4 s.
+        assert store.counter_delta(SLO_TOTAL_METRIC, now - 4.0, now) == 7.0
+        BurnRateAlerter(store, make_slo(), rules=[BurnRateRule(1.0, 3.5, 4.0)])
+
+    def test_default_rules_fit_the_serving_store(self):
+        # The store the serving tier builds for its telemetry.
+        store = TimeSeriesStore(resolution_seconds=TELEMETRY_INTERVAL_SECONDS)
+        alerter = BurnRateAlerter(store, make_slo())
+        assert alerter.rules == list(DEFAULT_RULES)
 
     def test_alert_describe_active(self):
         alert = SLOAlert(

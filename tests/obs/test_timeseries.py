@@ -114,6 +114,29 @@ class TestOutOfOrder:
         # The live data is untouched.
         assert all(p.min == 1.0 for p in store.points("m"))
 
+    def test_late_sample_does_not_move_latest(self):
+        store = TimeSeriesStore(resolution_seconds=1.0, capacity=8)
+        store.record("m", 5.0, t=5.0)
+        assert store.record("m", 3.0, t=3.0)  # late, still inside the ring
+        # ``latest`` is the newest bucket, not the last sample to arrive.
+        assert store.latest("m").start_seconds == 5.0
+        assert store.latest_value("m") == 5.0
+
+    def test_sample_before_time_zero_keeps_its_bucket(self):
+        # t=-0.25 falls in bucket -1, which must not read as an empty slot.
+        store = TimeSeriesStore(resolution_seconds=0.5, capacity=4)
+        assert store.record("m", 1.0, t=-0.25)
+        assert store.record("m", 2.0, t=-0.4)
+        assert store.record("m", 7.0, t=-3.0)  # bucket -6: older, but its slot is empty
+        assert [(p.start_seconds, p.count, p.last) for p in store.points("m")] == [
+            (-3.0, 1, 7.0),
+            (-0.5, 2, 2.0),
+        ]
+        assert store.latest("m").start_seconds == -0.5
+        store.record("m", 10.0, t=0.0)
+        assert store.counter_delta("m", -0.3, 0.1) == 8.0  # 10 at t=0 minus 2
+        assert store.dropped_samples == 0
+
 
 class TestWraparound:
     def test_total_memory_is_bounded(self):
