@@ -7,8 +7,11 @@ Walks the serving subsystem end to end on the SCADr workload:
    offered load approaches the storage nodes' capacity;
 2. an open-loop overload with admission control — the controller sheds a
    fraction of arrivals and the admitted requests stay near the SLO;
-3. a saturated closed loop with the autoscaler — capacity is added instead
-   of work being refused, and throughput rises with it.
+3. a saturated closed loop, with and without the autoscaler — every node
+   serves range requests (a range is served by a replica of its key's
+   group), the hottest groups queue on one node, and the mean utilisation
+   stays under the autoscaler's scale-up mark, so it holds the cluster at
+   four nodes.  The headline is asserted, not assumed.
 
 Run with ``PYTHONPATH=src python examples/serving_sim.py``.
 """
@@ -106,10 +109,10 @@ def open_loop_overload() -> None:
 
 
 def closed_loop_autoscale() -> None:
-    print("== saturated closed loop: autoscaler adds storage nodes ==")
     scaling = AutoscaleConfig(
         high_utilization=0.7, low_utilization=0.15, cooldown_seconds=3.0
     )
+    runs = []
     for autoscale in (False, True):
         db, workload = fresh_database()
         report = run_serving_simulation(
@@ -125,6 +128,19 @@ def closed_loop_autoscale() -> None:
                 seed=2,
             ),
         )
+        runs.append((autoscale, db.cluster.nodes, report))
+    _, _, scaled = runs[1]
+    # What the autoscaler does here, stated as the headline and held.
+    assert not scaled.scaling_actions and scaled.final_nodes == 4, (
+        scaled.scaling_actions
+    )
+    assert scaled.mean_utilization < scaling.high_utilization
+    print(
+        "== saturated closed loop: the autoscaler holds 4 nodes (mean "
+        f"utilisation {scaled.mean_utilization:.2f} < "
+        f"{scaling.high_utilization:.2f}) =="
+    )
+    for autoscale, nodes, report in runs:
         label = "on " if autoscale else "off"
         print(
             f"  autoscale {label}: {report.throughput:5.0f} interactions/s, "
@@ -138,6 +154,24 @@ def closed_loop_autoscale() -> None:
                 f"{action.nodes_after} nodes "
                 f"(mean utilisation was {action.utilization:.2f})"
             )
+    _, nodes, _ = runs[0]
+    # Each range is served by one replica of its group: no idle node.
+    assert all(node.stats.range_requests > 0 for node in nodes)
+    print(
+        format_table(
+            ["node (autoscale off)", "range requests", "range rows",
+             "queue wait s"],
+            [
+                (
+                    node.node_id,
+                    node.stats.range_requests,
+                    node.stats.range_rows,
+                    round(node.stats.queue_wait_seconds),
+                )
+                for node in nodes
+            ],
+        )
+    )
 
 
 def main() -> None:

@@ -26,12 +26,15 @@ scatter-gather:
   identically; which of those replicas can serve is decided once per
   request — one serving set for a whole ``multi_get`` batch — and each
   observed record is unpacked once;
-* range requests merge every up node's slice of the range newest-wins.
-  A bounded range is charged as one range RPC to the last node of its
-  serving view, whichever replicas held the winning records (a known
-  defect, ROADMAP item 2); an unbounded scan visits every up node in turn.
-  An empty bounded range, like ``count_range``, is one probe RPC at the
-  node :meth:`KeyValueCluster.route` picks for the range's start key;
+* range requests merge replica slices newest-wins.  The ring places an
+  encoded key by its first value, so a bounded range inside one leading
+  value (an index scan's equality prefix) merges only that replica
+  group's live replicas and is one range RPC at the first of them in its
+  start key's read order.  A range across leading values merges every up
+  node and is billed to the last of them; an unbounded scan visits every
+  up node in turn.  An empty bounded range, like ``count_range``, is one
+  probe RPC at the node :meth:`KeyValueCluster.route` picks for the
+  range's start key;
 * topology changes (node added / removed / recovered) trigger
   **anti-entropy repair** that re-replicates under-replicated records.
 
@@ -446,7 +449,9 @@ class KeyValueCluster:
         the count could silently miss keys (same rule as range requests).
         """
         self._require(name)
-        return self.replication.live_key_count(name, self._range_view())
+        return self.replication.live_key_count(
+            name, self._range_view(self.live_ids())
+        )
 
     def iter_namespace(self, name: str) -> Iterator[KeyValue]:
         """Iterate a namespace's logical ``(key, value)`` content in key order.
@@ -458,7 +463,7 @@ class KeyValueCluster:
         permanently incomplete index.
         """
         self._require(name)
-        return self.replication.iter_live(name, self._range_view())
+        return self.replication.iter_live(name, self._range_view(self.live_ids()))
 
     def _require(self, name: str) -> None:
         if name not in self._namespace_names:
@@ -798,7 +803,8 @@ class KeyValueCluster:
         self._require(namespace)
         replication = self.replication
         pairs, _ = replication.merged_range(
-            namespace, replication.range_view(namespace, self._range_view()),
+            namespace,
+            replication.range_view(namespace, self._range_view(self.live_ids())),
             start, end, limit, ascending,
         )
         return pairs
@@ -1243,8 +1249,8 @@ class KeyValueCluster:
     # ------------------------------------------------------------------
     # Range operations
     # ------------------------------------------------------------------
-    def _range_view(self, seen_from: Optional[int] = None) -> List[int]:
-        """The nodes a range merge reads.
+    def _range_view(self, live: List[int]) -> List[int]:
+        """``live`` (a membership view), if a merge over it is complete.
 
         Every key lives on ``replication`` replicas, so as long as fewer
         nodes than that are missing from the view (:meth:`live_ids`: serving
@@ -1254,7 +1260,6 @@ class KeyValueCluster:
         result could silently lack keys, so the request raises before any
         node is charged.
         """
-        live = self.live_ids(seen_from)
         down = len(self.nodes) - len(live)
         if down >= self.config.replication:
             raise UnavailableError(
@@ -1263,6 +1268,45 @@ class KeyValueCluster:
                 "keys"
             )
         return live
+
+    def _range_nodes(
+        self,
+        namespace: str,
+        start: Optional[bytes],
+        end: Optional[bytes],
+        live: List[int],
+    ) -> Tuple[List[int], bool, Sequence[int]]:
+        """The nodes a range request merges, whether they are one replica
+        group, and the group's replicas skipped as down or unreachable.
+
+        A bounded range inside one leading value
+        (:meth:`ReplicationManager.range_group`) merges the live replicas of
+        that group, in ``start``'s read order, and the first of them serves
+        the range.  The replicas skipped as down or unreachable go back to
+        the client as breaker evidence, as a point read's do.  A group with no live
+        replica raises before any node is charged.  Any other range — unbounded, or across
+        leading values — merges every node of ``live``
+        (:meth:`_range_view`); a bounded one that is served counts as
+        ``replication.range_fallbacks``.
+        """
+        if start is not None and end is not None:
+            group = self.replication.range_group(namespace, start, end)
+            if group is not None:
+                if len(live) == len(self.nodes):
+                    # Every node serves: nothing to choose (as in
+                    # ``_read_replicas``).
+                    return group, True, ()
+                use, unavailable, _ = choose_replicas(group, set(live))
+                if not use:
+                    raise UnavailableError(
+                        f"all {len(group)} replicas of the range's group "
+                        "are down"
+                    )
+                return use, True, unavailable
+            nodes = self._range_view(live)
+            self.metrics.add("replication.range_fallbacks", 1)
+            return nodes, False, ()
+        return self._range_view(live), False, ()
 
     def get_range(
         self,
@@ -1276,17 +1320,16 @@ class KeyValueCluster:
     ) -> OpResult:
         """Return ``(key, value)`` pairs with ``start <= key < end``.
 
-        The logical result merges every up node's replica slice newest-wins
-        (tombstones suppress deleted keys).  Cost model (charged by
-        :meth:`_range_over`): a bounded range is one range RPC, and every
-        row it examines is billed to the last node of the serving view,
-        whichever replicas held the winning records (a known defect,
-        ROADMAP item 2), so its latency is one draw that stays flat as the
-        cluster grows.  An empty bounded range is one probe RPC at the node
-        :meth:`route` picks for ``start``.  An unbounded scan visits every
-        up node one after another (the rows are still billed to the last
-        one) and the latencies *sum*, which is what makes table scans
-        scale-dependent.
+        The logical result merges replica slices newest-wins (tombstones
+        suppress deleted keys).  A bounded range inside one leading value
+        merges only its replica group's live replicas and is one range RPC
+        at the first of them in ``start``'s read order
+        (:meth:`_range_nodes`), so its latency is one draw that stays flat
+        as the cluster grows; an empty one is a probe RPC at that replica.
+        A bounded range across leading values merges every up node and is
+        billed to the last of them.  An unbounded scan visits every up node
+        one after another (the rows are billed to the last one) and the
+        latencies *sum*, which is what makes table scans scale-dependent.
 
         ``record_filter`` is the server-side predicate-pushdown hook: each
         merged record is offered to the filter and only matching records
@@ -1296,20 +1339,24 @@ class KeyValueCluster:
         same bounded work as fetching the range and filtering client-side.
         """
         self._require(namespace)
-        view = self.replication.range_view(namespace, self._range_view(CLIENT))
+        nodes, group, unavailable = self._range_nodes(
+            namespace, start, end, self.live_ids(CLIENT)
+        )
         pairs, latency, node_id, examined, last_examined, nbytes = self._range_over(
-            namespace, view, start, end, limit, ascending, sim_time,
-            record_filter,
+            namespace, self.replication.range_view(namespace, nodes), group,
+            start, end, limit, ascending, sim_time, record_filter,
         )
         return OpResult(
             pairs, latency, node_id, keys_touched=examined,
             last_examined_key=last_examined, payload_bytes=nbytes,
+            unavailable_nodes=tuple(unavailable),
         )
 
     def _range_over(
         self,
         namespace: str,
         view: RangeView,
+        group: bool,
         start: Optional[bytes],
         end: Optional[bytes],
         limit: Optional[int],
@@ -1317,24 +1364,26 @@ class KeyValueCluster:
         sim_time: float,
         record_filter: Optional[RecordFilter] = None,
     ) -> _RangeAnswer:
-        """One range request over an already-resolved serving set.
+        """One range request over already-resolved replicas.
 
-        :meth:`get_range` resolves the serving nodes (and with them the
-        replicas' map versions the merge memo checks) per request,
-        :meth:`multi_get_range` once per batch.  A merge served from the
-        memo is charged exactly like one merged afresh: the merge hands
-        back its payload byte total, so an unfiltered range charges
-        without a pass over its rows.
+        ``view`` holds the nodes :meth:`_range_nodes` chose (and with them
+        the replicas' map versions the merge memo checks), ``group`` whether
+        they are one replica group.  A merge served from the memo is charged
+        exactly like one merged afresh: the merge hands back its payload
+        byte total, so an unfiltered range charges without a pass over its
+        rows.
         """
         rows, nbytes = self.replication.merged_range(
             namespace, view, start, end, limit, ascending
         )
         bounded = start is not None and end is not None
         if bounded and not rows:
-            # Empty range: one probe RPC at the node ``route`` picks for
-            # ``start`` -- the first serving replica in that key's rotated
-            # read order, not its primary (ROADMAP item 2).
-            probe = self.route(namespace, start, set(view.node_ids))
+            # Empty range: one probe RPC at the first serving replica in
+            # ``start``'s read order -- what ``route`` picks.
+            probe = (
+                self.nodes[view.node_ids[0]] if group
+                else self.route(namespace, start, set(view.node_ids))
+            )
             return [], probe.charge_range(0, 0, sim_time), probe.node_id, 0, None, 0
         examined = len(rows)
         if record_filter is None:
@@ -1342,13 +1391,10 @@ class KeyValueCluster:
         else:
             pairs = [(key, value) for key, value in rows if record_filter(key, value)]
             nbytes = sum([len(value) for _, value in pairs])
-        # Known defect, pinned by tests/kvstore/test_range_attribution.py:
-        # every row is attributed to the *last* node of the view, whichever
-        # replica supplied it, so all range work is charged to that node.
-        # Naming the replica that supplied each winning record moves the
-        # simulated latencies and needs re-baselined results (ROADMAP item
-        # 2).  This is the one place a range row's serving node is chosen.
-        serving = view.node_ids[-1] if rows else -1
+        # The one place a range row's serving node is chosen: a group's
+        # first live replica in read order; for an all-node merge, the last
+        # node it visits.
+        serving = (view.node_ids[0] if group else view.node_ids[-1]) if rows else -1
         # One range RPC per visited node: a bounded range visits the node
         # that served its rows; a full or half-open scan must visit every
         # partition, one after another.  Any lost slice voids the whole
@@ -1390,20 +1436,35 @@ class KeyValueCluster:
 
         Used by the SortedIndexJoin operator, which needs one range request
         per tuple of its child.  With ``parallel=True`` the overall latency
-        is the max over the individual requests, otherwise the sum.
+        is the max over the individual requests, otherwise the sum.  Each
+        range is served as :meth:`get_range` serves it; the membership view
+        is resolved once per batch, and one view per replica group.
         """
         if not ranges:
             return OpResult([], 0.0, -1, keys_touched=0)
         self._require(namespace)
-        # Nothing writes between the batch's requests: one view serves all.
-        view = self.replication.range_view(namespace, self._range_view(CLIENT))
+        live = self.live_ids(CLIENT)
+        # Nothing writes between the batch's requests: a group's view
+        # serves all of its ranges.
+        views: Dict[Tuple[int, ...], RangeView] = {}
+        range_view = self.replication.range_view
+        unavailable_seen: Dict[int, None] = {}
         results: List[List[KeyValue]] = []
         latencies: List[float] = []
         keys_touched = 0
         payload_bytes = 0
         for start, end, limit, ascending in ranges:
+            nodes, group, unavailable = self._range_nodes(
+                namespace, start, end, live
+            )
+            for node_id in unavailable:
+                unavailable_seen[node_id] = None
+            held = tuple(nodes)
+            view = views.get(held)
+            if view is None:
+                view = views[held] = range_view(namespace, nodes)
             pairs, latency, _, examined, _, nbytes = self._range_over(
-                namespace, view, start, end, limit, ascending, sim_time
+                namespace, view, group, start, end, limit, ascending, sim_time
             )
             results.append(pairs)
             latencies.append(latency)
@@ -1413,6 +1474,7 @@ class KeyValueCluster:
         return OpResult(
             results, latency, -1, keys_touched=keys_touched,
             payload_bytes=payload_bytes,
+            unavailable_nodes=tuple(unavailable_seen),
         )
 
     def count_range(
@@ -1424,27 +1486,32 @@ class KeyValueCluster:
     ) -> OpResult:
         """Count keys in a range (used by the cardinality insert protocol).
 
-        The count is resolved against the merged replica view; the cost is
-        one counter-probe RPC, whatever the count, matching the paper's
-        constant-cost cardinality check.  The probe goes to the node
-        :meth:`route` picks for the range's start key (``b""`` when
-        unbounded): the first serving replica in that key's rotated read
-        order (:meth:`ReplicationManager.read_preference`), not its primary
-        (ROADMAP item 2).
+        The count is resolved against the replicas :meth:`_range_nodes`
+        picks (a bounded range inside one leading value: its group's live
+        replicas); the cost is one counter-probe RPC, whatever the count,
+        matching the paper's constant-cost cardinality check.  The probe
+        goes to the node :meth:`route` picks for the range's start key
+        (``b""`` when unbounded): the first serving replica in that key's
+        read order (:meth:`ReplicationManager.read_preference`) — for a
+        group, the replica a range read would be served by.
         """
         self._require(namespace)
-        serving = self._range_view(CLIENT)
+        live = self.live_ids(CLIENT)
+        nodes, _, unavailable = self._range_nodes(namespace, start, end, live)
         pairs, _ = self.replication.merged_range(
-            namespace, self.replication.range_view(namespace, serving),
+            namespace, self.replication.range_view(namespace, nodes),
             start, end,
         )
         count = len(pairs)
         anchor = start if start is not None else b""
-        node = self.route(namespace, anchor, set(serving))
+        node = self.route(namespace, anchor, set(live))
         delay = 0.0
         if self.network.active:
             delay = self._deliver(
                 "count_range", namespace, (node.node_id,)
             )[node.node_id]
         latency = node.charge_range(1, 8, sim_time) + delay
-        return OpResult(count, latency, node.node_id, keys_touched=1)
+        return OpResult(
+            count, latency, node.node_id, keys_touched=1,
+            unavailable_nodes=tuple(unavailable),
+        )

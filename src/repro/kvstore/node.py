@@ -25,6 +25,7 @@ _NODE_COUNTERS: Tuple[Tuple[str, type], ...] = (
     ("puts", int),
     ("range_requests", int),
     ("keys_read", int),
+    ("range_rows", int),
     ("keys_written", int),
     ("keys_filtered", int),
     ("total_latency_seconds", float),
@@ -37,9 +38,10 @@ class NodeStats:
 
     ``keys_filtered`` counts keys examined by a server-side range filter but
     not shipped to the client (predicate pushdown; the examination is still
-    charged).  All fields are read-only views of ``node.*`` metrics in
-    :attr:`metrics`; :meth:`reset` and snapshots are generic over the
-    registry's names.
+    charged); ``range_rows`` counts the rows of the range RPCs this node
+    served (examined rows, for a filtered range).  All fields are read-only
+    views of ``node.*`` metrics in :attr:`metrics`; :meth:`reset` and
+    snapshots are generic over the registry's names.
     """
 
     __slots__ = ("metrics",)
@@ -152,13 +154,15 @@ class StorageNode:
         num_bytes: int,
         sim_time: float,
         filtered: Optional[int] = None,
+        range_rows: bool = False,
     ) -> float:
         """Charge one RPC: sample, queue, count; return its latency (s).
 
         ``num_keys`` is what the latency model is charged for and what
-        ``keys_counter`` grows by.  With a request queue installed the RPC
-        also waits behind in-flight requests; ``node.queue_wait_seconds``
-        exists only then, ``node.keys_filtered`` only after a filtered range.
+        ``keys_counter`` grows by (and, for a range RPC, ``node.range_rows``).
+        With a request queue installed the RPC also waits behind in-flight
+        requests; ``node.queue_wait_seconds`` exists only then,
+        ``node.keys_filtered`` only after a filtered range.
         """
         latency = self.latency_model.sample_seconds(
             num_keys, num_bytes, self.utilization, sim_time
@@ -176,6 +180,8 @@ class StorageNode:
                 (rpc_counter, 1),
                 (keys_counter, num_keys),
             ]
+        if range_rows:
+            counts.append(("node.range_rows", num_keys))
         if filtered is not None:
             counts.append(("node.keys_filtered", filtered))
         counts.append(("node.total_latency_seconds", latency))
@@ -191,7 +197,8 @@ class StorageNode:
     def charge_range(self, num_keys: int, num_bytes: int, sim_time: float) -> float:
         """Charge one range RPC returning ``num_keys`` keys; return latency (s)."""
         return self._charge(
-            "node.range_requests", "node.keys_read", num_keys, num_bytes, sim_time
+            "node.range_requests", "node.keys_read", num_keys, num_bytes,
+            sim_time, range_rows=True,
         )
 
     def charge_filtered_range(
@@ -211,6 +218,7 @@ class StorageNode:
         return self._charge(
             "node.range_requests", "node.keys_read", examined_keys,
             shipped_bytes, sim_time, filtered=examined_keys - shipped_keys,
+            range_rows=True,
         )
 
     def charge_write(self, num_keys: int, num_bytes: int, sim_time: float) -> float:

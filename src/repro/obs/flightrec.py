@@ -240,9 +240,7 @@ class FlightRecorder:
         )
         if label is not None:
             reasons.append(f"window:{label}")
-            if label not in self._pinned_windows:
-                self._pinned_windows.add(label)
-                pinned = True
+            pinned = self._first_in_window(label) or pinned
         if not reasons and self.seen % self.config.reservoir_interval == 0:
             reasons.append("baseline")
         if not reasons:
@@ -263,13 +261,23 @@ class FlightRecorder:
         query_class = breakdown.query_class
         latency = span.duration
         reasons: List[str] = ["error"]
+        pinned = False
         label = self._overlapping_window(span.start, span.end)
         if label is not None:
             reasons.append(f"window:{label}")
+            pinned = self._first_in_window(label)
         return self._retain(
             span, query_class, latency, tuple(reasons), breakdown,
-            pinned=False,
+            pinned=pinned,
         )
+
+    def _first_in_window(self, label: str) -> bool:
+        """Whether a trace in window ``label`` is its first, and so pinned:
+        a window whose only traces failed (a partition) still keeps one."""
+        if label in self._pinned_windows:
+            return False
+        self._pinned_windows.add(label)
+        return True
 
     def _envelope(self, query: Optional[object]):
         if query is None or self.drift is None:

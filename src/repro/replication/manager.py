@@ -39,7 +39,7 @@ from typing import (
 
 from ..kvstore.engine.base import StorageEngine
 from ..kvstore.memory import unchanged_since
-from .ring import HashRing, placement_token, read_rotation
+from .ring import HashRing, leading_length, placement_token, read_rotation
 from .store import (
     MISSING_SEQ,
     PAYLOAD_AT,
@@ -62,6 +62,11 @@ def _key_after(key: bytes) -> bytes:
 
 #: One placement-cache entry: ``(preference list, read rotation or None)``.
 _Placement = Tuple[List[int], Optional[List[int]]]
+#: A resolved range start: ``(first encoded value, the least bytes above
+#: every key extending it, the start's read preference)``.
+_RangeStart = Tuple[bytes, bytes, List[int]]
+#: ``_range_starts`` has not seen the start yet.
+_UNRESOLVED = object()
 
 
 class RangeView(NamedTuple):
@@ -236,6 +241,11 @@ class ReplicationManager:
         #: Both are dropped when the ring's epoch moves.
         self._preference_cache: Dict[str, Dict[bytes, _Placement]] = {}
         self._placements: Dict[Tuple[Tuple[int, ...], Optional[int]], _Placement] = {}
+        #: Range starts per namespace (:meth:`range_group`): start ->
+        #: ``(its first encoded value, that value + b"\\xff", its read
+        #: preference)``, or ``None`` for a start that is no encoded tuple.
+        #: Dropped with the placement cache.
+        self._range_starts: Dict[str, Dict[bytes, Optional[_RangeStart]]] = {}
         self._cache_epoch = -1
         #: Bounded-range merges per namespace (:meth:`merged_range`).
         self._range_memos: Dict[str, _RangeMemo] = {}
@@ -281,11 +291,16 @@ class ReplicationManager:
         self._seq += 1
         return self._seq
 
+    def _drop_placements(self) -> None:
+        """Forget every cached placement: the ring's topology moved."""
+        self._preference_cache = {}
+        self._placements = {}
+        self._range_starts = {}
+        self._cache_epoch = self.ring.epoch
+
     def _placement(self, namespace: str, key: bytes) -> _Placement:
         if self._cache_epoch != self.ring.epoch:
-            self._preference_cache = {}
-            self._placements = {}
-            self._cache_epoch = self.ring.epoch
+            self._drop_placements()
         placed = self._preference_cache.get(namespace)
         if placed is None:
             placed = self._preference_cache[namespace] = {}
@@ -325,6 +340,42 @@ class ReplicationManager:
             )
             self._preference_cache[namespace][key] = entry
         return entry[1]
+
+    def range_group(
+        self, namespace: str, start: bytes, end: bytes
+    ) -> Optional[List[int]]:
+        """The read preference of the one replica group that holds every
+        key of ``[start, end)``, or ``None`` when the range may span groups.
+
+        With ``lead`` the first encoded value of ``start``, every key from
+        ``start`` up to an ``end`` in ``[lead, lead + b"\\xff"]`` extends
+        ``lead`` — and, since a key's next byte is a type tag, never as
+        ``lead + b"\\xff..."``, which would read ``lead``'s terminator as
+        an escaped NUL and so a longer first value (``b"\\x00"`` lies
+        between ``b""`` and ``b"\\x00\\xff"``).  So every such key has
+        ``lead``'s placement (:func:`~repro.replication.ring.
+        placement_token`).  Only ``start`` is parsed: an upper bound such as
+        ``prefix_upper_bound(p)`` is not a key.  A start is resolved once
+        per topology; the list is its :meth:`read_preference`, shared: do
+        not mutate it.
+        """
+        if self._cache_epoch != self.ring.epoch:
+            self._drop_placements()
+        starts = self._range_starts.get(namespace)
+        if starts is None:
+            starts = self._range_starts[namespace] = {}
+        resolved = starts.get(start, _UNRESOLVED)
+        if resolved is _UNRESOLVED:
+            cut = leading_length(start)
+            resolved = starts[start] = (
+                (start[:cut], start[:cut] + b"\xff",
+                 self.read_preference(namespace, start))
+                if cut else None
+            )
+        if resolved is None:
+            return None
+        lead, upper, preference = resolved
+        return preference if lead <= end <= upper else None
 
     # ------------------------------------------------------------------
     # Hinted handoff

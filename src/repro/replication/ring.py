@@ -20,6 +20,11 @@ Properties the rest of the replication tier relies on:
   topology change rather than to the cluster size.
 * **Distinct replicas** — a preference list never names the same physical
   node twice, even though adjacent vnodes often belong to the same node.
+* **Leading-field groups** — a key encoded by :mod:`repro.schema.keys` is
+  placed by its first value alone (:func:`placement_token`), so every key
+  of a table or index that shares that value lives on one *replica group*
+  and a range inside it is one group's work (the data locality PIQL's
+  range requests assume, paper Section 3).
 """
 
 from __future__ import annotations
@@ -28,6 +33,12 @@ import bisect
 import hashlib
 import zlib
 from typing import Dict, List, Sequence, Tuple
+
+from ..schema.keys import KeyEncodingError, skip_value
+
+#: The highest type tag of the key codec (``schema.keys``: 0x00 null to
+#: 0x06 bytes).  A key starting with a higher byte is not an encoded tuple.
+_LAST_CODEC_TAG = 0x06
 
 
 def stable_hash64(data: bytes) -> int:
@@ -125,13 +136,29 @@ class HashRing:
         return fractions
 
 
+def leading_length(key: bytes) -> int:
+    """Length of ``key``'s first encoded value, or 0 when ``key`` is not an
+    encoded tuple (empty, a raw key, or a truncated value)."""
+    if not key or key[0] > _LAST_CODEC_TAG:
+        return 0
+    try:
+        return skip_value(key)
+    except KeyEncodingError:
+        return 0
+
+
 def placement_token(namespace: str, key: bytes) -> bytes:
     """The ring token for one key of one namespace.
 
-    Including the namespace spreads identically-keyed records of different
-    namespaces (e.g. a record and its index entry) over different replicas.
+    An encoded key is placed by its first value (:func:`leading_length`):
+    the rows of one owner, or the entries of one index value, share a
+    replica group, and a single-column key places by the whole key.  Any
+    other key places whole.  Including the namespace spreads
+    identically-keyed records of different namespaces (e.g. a record and
+    its index entry) over different replicas.
     """
-    return namespace.encode("utf-8") + b"\x00" + key
+    cut = leading_length(key)
+    return namespace.encode("utf-8") + b"\x00" + (key[:cut] if cut else key)
 
 
 def read_rotation(namespace: str, key: bytes, salt: int, replicas: int) -> int:
@@ -139,11 +166,13 @@ def read_rotation(namespace: str, key: bytes, salt: int, replicas: int) -> int:
 
     The rotation spreads *read* traffic over a key's replicas while staying
     a pure function of ``(key, salt)`` — no shared mutable state, so
-    interleaved clients route identically run to run.
+    interleaved clients route identically run to run.  It hashes the whole
+    key, not its placement token, so the ranges and keys of one replica
+    group spread their reads over the group.
     """
     if replicas <= 1:
         return 0
-    digest = zlib.crc32(placement_token(namespace, key))
+    digest = zlib.crc32(namespace.encode("utf-8") + b"\x00" + key)
     return zlib.crc32(key, digest ^ salt) % replicas
 
 

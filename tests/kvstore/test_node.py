@@ -36,16 +36,20 @@ def make_node(**overrides) -> StorageNode:
     return node
 
 
+#: ``method -> (arguments, RPC counter, keys counter, keys, other counters)``.
 CHARGES = {
-    "charge_read": ((3, 100, 5.0), "node.gets", "node.keys_read", 3),
-    "charge_range": ((3, 100, 5.0), "node.range_requests", "node.keys_read", 3),
-    "charge_write": ((3, 100, 5.0), "node.puts", "node.keys_written", 3),
+    "charge_read": ((3, 100, 5.0), "node.gets", "node.keys_read", 3, {}),
+    "charge_range": (
+        (3, 100, 5.0), "node.range_requests", "node.keys_read", 3,
+        {"node.range_rows": 3},
+    ),
+    "charge_write": ((3, 100, 5.0), "node.puts", "node.keys_written", 3, {}),
 }
 
 
 @pytest.mark.parametrize("method", sorted(CHARGES))
 def test_charge_without_a_queue(method):
-    arguments, rpc_counter, keys_counter, keys = CHARGES[method]
+    arguments, rpc_counter, keys_counter, keys, others = CHARGES[method]
     node = make_node(utilization=0.25, speed_factor=2.0)
     latency = getattr(node, method)(*arguments)
     assert latency == 0.004
@@ -54,6 +58,7 @@ def test_charge_without_a_queue(method):
     # No queue, no queue counter: reports enumerate names.
     assert node.stats.metrics.counters() == {
         rpc_counter: 1, keys_counter: keys, "node.total_latency_seconds": 0.004,
+        **others,
     }
 
 
@@ -84,9 +89,11 @@ def test_filtered_range_charges_examined_keys_and_shipped_bytes():
     assert node.stats.metrics.counters() == {
         "node.range_requests": 1,
         "node.keys_read": 10,
+        "node.range_rows": 10,
         "node.keys_filtered": 0,
         "node.total_latency_seconds": 0.002,
     }
     node.charge_filtered_range(10, 4, 160, 1.0)
     assert node.stats.keys_filtered == 6
     assert node.stats.keys_read == 20
+    assert node.stats.range_rows == 20

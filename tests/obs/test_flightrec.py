@@ -89,6 +89,21 @@ class TestRetentionReasons:
         assert second.reasons == ("window:crash node 1",) and not second.pinned
         assert outside is None
 
+    def test_a_failed_trace_pins_its_window_first(self):
+        """A window whose only traces raised keeps one through a flood of
+        later window traces."""
+        rec = recorder()
+        rec.note_window(1.0, 2.0, "partition (groups=0,1)")
+        rec.note_window(3.0, 100.0, "breaker-open node 4")
+        failed = rec.observe_error(object(), finished(1.1, 1.2, error=True))
+        again = rec.observe_error(object(), finished(1.3, 1.4, error=True))
+        assert failed.pinned and not again.pinned
+        for index in range(2 * MAX_TRACES):
+            rec.observe_query(
+                object(), finished(4.0 + index, 4.5 + index), 0.5
+            )
+        assert failed in rec.traces and again not in rec.traces
+
     def test_window_lookup_skips_the_windows_already_over(self):
         class CountingList(list):
             touched = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import tracemalloc
 
 from repro.replication.manager import ReplicationManager
+from repro.schema.keys import prefix_range
 
 KEYS = 20_000
 #: Bytes a cached key may keep alive.  A ``(namespace, key)`` tuple holding
@@ -70,3 +71,26 @@ def test_an_epoch_move_leaves_no_stale_placement():
 
     manager.forget_node(4)
     assert _answers(manager, keys) == _answers(_manager(range(4)), keys) == before
+
+
+def _groups(manager: ReplicationManager, owners):
+    answers = {}
+    for owner in owners:
+        start, end = prefix_range((owner,))
+        group = manager.range_group("index:by_owner", start, end)
+        answers[owner] = None if group is None else list(group)
+    return answers
+
+
+def test_an_epoch_move_leaves_no_stale_range_group():
+    """Range starts are resolved once per topology, like placements."""
+    owners = ["user%04d" % index for index in range(300)]
+    manager = _manager(range(4))
+    before = _groups(manager, owners)
+    assert _groups(manager, owners) == before  # now every start is held
+    manager.attach_node(4)
+    grown = _groups(manager, owners)
+    assert grown == _groups(_manager(range(5)), owners)
+    assert grown != before
+    manager.forget_node(4)
+    assert _groups(manager, owners) == before
