@@ -165,7 +165,7 @@ def _run_parity(config: StorageEngineConfig) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Phase 2: latency sweep across cardinalities
 # ----------------------------------------------------------------------
-def _run_sweep(config: StorageEngineConfig) -> List[Dict[str, Any]]:
+def _run_latency_by_size(config: StorageEngineConfig) -> List[Dict[str, Any]]:
     """Latency + engine state at each data cardinality."""
     points = []
     for size in config.sweep_sizes:
@@ -315,7 +315,7 @@ def run(config: StorageEngineConfig) -> Dict[str, Any]:
     Returns the summary that is saved: one section per phase.
     """
     parity = _run_parity(config)
-    sweep = _run_sweep(config)
+    sweep = _run_latency_by_size(config)
     return {
         "parity": parity,
         "sweep": sweep,

@@ -89,7 +89,6 @@ from ..errors import (
 )
 from ..obs.metrics import MetricsRegistry
 from ..replication.manager import (
-    RangeView,
     RepairReport,
     ReplicationManager,
     choose_replicas,
@@ -380,6 +379,7 @@ class KeyValueCluster:
         engine = self.engines.get(node_id)
         if engine is not None and engine.durable:
             engine.crash()
+            self.replication.clear_range_memo()
         return node
 
     def recover_node(self, node_id: int, sim_time: float = 0.0) -> RepairReport:
@@ -403,6 +403,7 @@ class KeyValueCluster:
         engine = self.engines.get(node_id)
         if engine is not None and engine.durable:
             info = engine.recover()
+            self.replication.clear_range_memo()
             self.last_engine_recovery = info
             self.metrics.add("engine.recoveries", 1)
             self.metrics.add("engine.segments_loaded", info.segments_loaded)
@@ -450,7 +451,7 @@ class KeyValueCluster:
         """
         self._require(name)
         return self.replication.live_key_count(
-            name, self._range_view(self.live_ids())
+            name, self._complete(self.live_ids())
         )
 
     def iter_namespace(self, name: str) -> Iterator[KeyValue]:
@@ -463,7 +464,7 @@ class KeyValueCluster:
         permanently incomplete index.
         """
         self._require(name)
-        return self.replication.iter_live(name, self._range_view(self.live_ids()))
+        return self.replication.iter_live(name, self._complete(self.live_ids()))
 
     def _require(self, name: str) -> None:
         if name not in self._namespace_names:
@@ -747,6 +748,9 @@ class KeyValueCluster:
                         namespace, pool.iter_namespace(partition)
                     )
             finally:
+                # The engines' loads change replica content past every
+                # ReplicaStore door.
+                self.replication.clear_range_memo()
                 pool.close()
         return count
 
@@ -801,10 +805,8 @@ class KeyValueCluster:
         incomplete state.
         """
         self._require(namespace)
-        replication = self.replication
-        pairs, _ = replication.merged_range(
-            namespace,
-            replication.range_view(namespace, self._range_view(self.live_ids())),
+        pairs, _ = self.replication.merged_range(
+            namespace, self._complete(self.live_ids()), None,
             start, end, limit, ascending,
         )
         return pairs
@@ -1249,7 +1251,7 @@ class KeyValueCluster:
     # ------------------------------------------------------------------
     # Range operations
     # ------------------------------------------------------------------
-    def _range_view(self, live: List[int]) -> List[int]:
+    def _complete(self, live: List[int]) -> List[int]:
         """``live`` (a membership view), if a merge over it is complete.
 
         Every key lives on ``replication`` replicas, so as long as fewer
@@ -1275,9 +1277,10 @@ class KeyValueCluster:
         start: Optional[bytes],
         end: Optional[bytes],
         live: List[int],
-    ) -> Tuple[List[int], bool, Sequence[int]]:
-        """The nodes a range request merges, whether they are one replica
-        group, and the group's replicas skipped as down or unreachable.
+    ) -> Tuple[List[int], Optional[bytes], Sequence[int]]:
+        """The nodes a range request merges, the leading value when they are
+        one replica group (else ``None``), and the group's replicas skipped
+        as down or unreachable.
 
         A bounded range inside one leading value
         (:meth:`ReplicationManager.range_group`) merges the live replicas of
@@ -1286,27 +1289,28 @@ class KeyValueCluster:
         the client as breaker evidence, as a point read's do.  A group with no live
         replica raises before any node is charged.  Any other range — unbounded, or across
         leading values — merges every node of ``live``
-        (:meth:`_range_view`); a bounded one that is served counts as
+        (:meth:`_complete`); a bounded one that is served counts as
         ``replication.range_fallbacks``.
         """
         if start is not None and end is not None:
-            group = self.replication.range_group(namespace, start, end)
-            if group is not None:
+            found = self.replication.range_group(namespace, start, end)
+            if found is not None:
+                lead, group = found
                 if len(live) == len(self.nodes):
                     # Every node serves: nothing to choose (as in
                     # ``_read_replicas``).
-                    return group, True, ()
+                    return group, lead, ()
                 use, unavailable, _ = choose_replicas(group, set(live))
                 if not use:
                     raise UnavailableError(
                         f"all {len(group)} replicas of the range's group "
                         "are down"
                     )
-                return use, True, unavailable
-            nodes = self._range_view(live)
+                return use, lead, unavailable
+            nodes = self._complete(live)
             self.metrics.add("replication.range_fallbacks", 1)
-            return nodes, False, ()
-        return self._range_view(live), False, ()
+            return nodes, None, ()
+        return self._complete(live), None, ()
 
     def get_range(
         self,
@@ -1339,12 +1343,12 @@ class KeyValueCluster:
         same bounded work as fetching the range and filtering client-side.
         """
         self._require(namespace)
-        nodes, group, unavailable = self._range_nodes(
+        nodes, lead, unavailable = self._range_nodes(
             namespace, start, end, self.live_ids(CLIENT)
         )
         pairs, latency, node_id, examined, last_examined, nbytes = self._range_over(
-            namespace, self.replication.range_view(namespace, nodes), group,
-            start, end, limit, ascending, sim_time, record_filter,
+            namespace, nodes, lead, start, end, limit, ascending, sim_time,
+            record_filter,
         )
         return OpResult(
             pairs, latency, node_id, keys_touched=examined,
@@ -1355,8 +1359,8 @@ class KeyValueCluster:
     def _range_over(
         self,
         namespace: str,
-        view: RangeView,
-        group: bool,
+        nodes: List[int],
+        lead: Optional[bytes],
         start: Optional[bytes],
         end: Optional[bytes],
         limit: Optional[int],
@@ -1366,23 +1370,23 @@ class KeyValueCluster:
     ) -> _RangeAnswer:
         """One range request over already-resolved replicas.
 
-        ``view`` holds the nodes :meth:`_range_nodes` chose (and with them
-        the replicas' map versions the merge memo checks), ``group`` whether
-        they are one replica group.  A merge served from the memo is charged
-        exactly like one merged afresh: the merge hands back its payload
-        byte total, so an unfiltered range charges without a pass over its
-        rows.
+        ``nodes`` and ``lead`` are what :meth:`_range_nodes` chose: the
+        replicas, and the leading value when they are one replica group.  A
+        merge served from the memo is charged exactly like one merged
+        afresh: the merge hands back its payload byte total, so an
+        unfiltered range charges without a pass over its rows.
         """
         rows, nbytes = self.replication.merged_range(
-            namespace, view, start, end, limit, ascending
+            namespace, nodes, lead, start, end, limit, ascending
         )
+        group = lead is not None
         bounded = start is not None and end is not None
         if bounded and not rows:
             # Empty range: one probe RPC at the first serving replica in
             # ``start``'s read order -- what ``route`` picks.
             probe = (
-                self.nodes[view.node_ids[0]] if group
-                else self.route(namespace, start, set(view.node_ids))
+                self.nodes[nodes[0]] if group
+                else self.route(namespace, start, set(nodes))
             )
             return [], probe.charge_range(0, 0, sim_time), probe.node_id, 0, None, 0
         examined = len(rows)
@@ -1394,13 +1398,13 @@ class KeyValueCluster:
         # The one place a range row's serving node is chosen: a group's
         # first live replica in read order; for an all-node merge, the last
         # node it visits.
-        serving = (view.node_ids[0] if group else view.node_ids[-1]) if rows else -1
+        serving = (nodes[0] if group else nodes[-1]) if rows else -1
         # One range RPC per visited node: a bounded range visits the node
         # that served its rows; a full or half-open scan must visit every
         # partition, one after another.  Any lost slice voids the whole
         # merged result (nothing has been charged yet, so no partial state
         # is left behind).
-        visited = (serving,) if bounded else view.node_ids
+        visited = (serving,) if bounded else nodes
         delays = (
             self._deliver("get_range", namespace, visited)
             if self.network.active
@@ -1438,33 +1442,25 @@ class KeyValueCluster:
         per tuple of its child.  With ``parallel=True`` the overall latency
         is the max over the individual requests, otherwise the sum.  Each
         range is served as :meth:`get_range` serves it; the membership view
-        is resolved once per batch, and one view per replica group.
+        is resolved once per batch.
         """
         if not ranges:
             return OpResult([], 0.0, -1, keys_touched=0)
         self._require(namespace)
         live = self.live_ids(CLIENT)
-        # Nothing writes between the batch's requests: a group's view
-        # serves all of its ranges.
-        views: Dict[Tuple[int, ...], RangeView] = {}
-        range_view = self.replication.range_view
         unavailable_seen: Dict[int, None] = {}
         results: List[List[KeyValue]] = []
         latencies: List[float] = []
         keys_touched = 0
         payload_bytes = 0
         for start, end, limit, ascending in ranges:
-            nodes, group, unavailable = self._range_nodes(
+            nodes, lead, unavailable = self._range_nodes(
                 namespace, start, end, live
             )
             for node_id in unavailable:
                 unavailable_seen[node_id] = None
-            held = tuple(nodes)
-            view = views.get(held)
-            if view is None:
-                view = views[held] = range_view(namespace, nodes)
             pairs, latency, _, examined, _, nbytes = self._range_over(
-                namespace, view, group, start, end, limit, ascending, sim_time
+                namespace, nodes, lead, start, end, limit, ascending, sim_time
             )
             results.append(pairs)
             latencies.append(latency)
@@ -1499,8 +1495,7 @@ class KeyValueCluster:
         live = self.live_ids(CLIENT)
         nodes, _, unavailable = self._range_nodes(namespace, start, end, live)
         pairs, _ = self.replication.merged_range(
-            namespace, self.replication.range_view(namespace, nodes),
-            start, end,
+            namespace, nodes, None, start, end
         )
         count = len(pairs)
         anchor = start if start is not None else b""

@@ -17,19 +17,14 @@ surface the replica store uses::
     iter_range(start, end) -> Iterator[Tuple[bytes, bytes]]
     iter_items() -> Iterator[Tuple[bytes, bytes]]
     __len__ / __contains__
-    version: int
-    write_log: List[Optional[bytes]]
 
-``version`` and ``write_log`` are a rule every map must keep, not optional
-extras: each change of what a read of the map can return advances
-``version`` by one and appends the changed key to ``write_log`` (``None``
-when the change may touch any key: a clear, a drop, a bulk install), with
-the log trimmed as :func:`repro.kvstore.memory.log_write` trims it; a new
-map starts at a version from :data:`repro.kvstore.memory.first_versions`.
-``ReplicationManager.merged_range`` hands back a bounded range's memoized
-answer — winning keys and payloads, merged once — while no map in the view
-has logged a key inside the range, so a change that skips the bookkeeping
-lets a range read return stale rows.
+A map knows nothing of the range memo one tier up
+(``ReplicationManager.merged_range``): the memo hears of every change the
+replication tier makes through the replica store's doors
+(:mod:`repro.replication.store`), and the cluster clears it after an engine
+call that changes content past them — :meth:`StorageEngine.bulk_load`, and
+:meth:`StorageEngine.crash` / :meth:`StorageEngine.recover` on a durable
+engine.  A new such call must clear it too, or range reads go stale.
 
 Everything beyond that — durability, crash recovery, background
 maintenance, gauges — goes through the engine object itself so the cluster

@@ -22,13 +22,12 @@ key's two filter hashes are computed once and handed to every segment, and
 a segment reads a block only when the key is inside its bounds and passes
 its filter (:meth:`Segment.get`).  A *limited* range — what every serving
 read is — is a chunked slice-and-resolve, the shape of the merge behind
-``ReplicationManager.merged_range`` one layer up (which memoizes its answer
-per bounded range): each segment and the memtable contribute at most
-``limit`` entries, a dict updated oldest to newest resolves newest-wins,
-live keys are emitted up to the *horizon* (the least-advanced last key
-among the runs that filled their chunk — past it some run has not been
-heard), and when delete markers leave the result short a further pass
-resumes just past the horizon.  Memory is bounded by
+``ReplicationManager.merged_range`` one layer up: each segment and the
+memtable contribute at most ``limit`` entries, a dict updated oldest to
+newest resolves newest-wins, live keys are emitted up to the *horizon* (the
+least-advanced last key among the runs that filled their chunk — past it
+some run has not been heard), and when delete markers leave the result
+short a further pass resumes just past the horizon.  Memory is bounded by
 ``limit`` times the run count.  Unlimited iteration (compaction, anti-entropy,
 ``len``) streams through :func:`_merged`, a ``heapq.merge`` over natively
 comparable ``(key, age tag, value)`` tuples that dedupes per key and holds
@@ -66,14 +65,12 @@ logged before its files go, and replay finishes the removal.  Under
 ``sync_writes`` a rename is also made durable (an fsync of the directory)
 before the log is reset or a merged run's inputs are removed.
 
-Each tree keeps the write version and recent-keys log of
-:mod:`repro.kvstore.memory` (``version``, ``write_log``), advanced by every
-change of its *logical* content: a put or delete (recovery replay
-included), and — logged as an unknown key — a clear, a namespace drop and a
-bulk load's segment install.  A flush or a compaction moves entries between
-runs without changing what any read returns, so it leaves the version
-alone; a crash drops the trees, and recovery builds new ones whose versions
-no earlier tree's match.
+A tree knows nothing of the range memo one tier up: every change of its
+content that the replication tier makes goes through a replica store's
+doors, which tell the memo (:mod:`repro.replication.store`), and the cluster
+clears the memo after the changes that bypass them — a bulk load's segment
+install and a crash and recovery.  A flush or a compaction moves entries
+between runs without changing what any read returns.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ import shutil
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..memory import WRITE_LOG, SortedKeys, first_versions, log_write
+from ..memory import SortedKeys
 from .base import EngineRecovery, StorageEngine
 from .external import SpillingSorter
 from .segment import Entry, Segment, SegmentError, filter_hashes, write_segment
@@ -145,9 +142,6 @@ class LsmTree:
         self.mem_bytes = 0
         #: Oldest -> newest; the memtable is newer than all of them.
         self.segments: List[Segment] = []
-        #: Content version and the keys of the last changes (module doc).
-        self.version = next(first_versions)
-        self.write_log: List[Optional[bytes]] = []
 
     # ------------------------------------------------------------------
     # Point operations
@@ -220,12 +214,6 @@ class LsmTree:
         mem[key] = value
         self.mem_bytes += delta  # _account, in place: every put comes through here
         self._engine._memtable_bytes += delta
-        # log_write, inline for the same reason.
-        self.version += 1
-        log = self.write_log
-        log.append(key)
-        if len(log) == WRITE_LOG:
-            del log[: WRITE_LOG // 2]
 
     def _apply_delete(self, key: bytes) -> None:
         if self.segments:
@@ -235,7 +223,6 @@ class LsmTree:
             value = self._mem.pop(key)
             self._mem_keys.remove(key)
             self._account(-(len(key) + len(value or b"") + _MEM_ENTRY_OVERHEAD))
-            log_write(self, key)
 
     def _reset_memtable(self) -> None:
         self._mem.clear()
@@ -445,7 +432,6 @@ class LsmEngine(StorageEngine):
                 pass
         tree.segments = []
         tree._reset_memtable()
-        log_write(tree, None)
 
     def _sync_dir(self) -> None:
         """Under ``sync_writes``, make the directory's renames durable."""
@@ -610,7 +596,6 @@ class LsmEngine(StorageEngine):
                 yield key, value
 
         self._add_run(tree, pairs(), sorter.items_added)
-        log_write(tree, None)
         self._sync_dir()
         self.bulk_spill_count += sorter.spill_count
         return stored

@@ -19,66 +19,17 @@ load).  A write followed by a range therefore costs a bisect and a memmove,
 not a pass over every key, bulk loading stays O(n log n), and point reads
 stay O(1).
 
-**Write version and recent keys.**  Every map keeps ``version``, advanced by
-one on each change of its content, and ``write_log``, the keys of its last
-few changes in order (at most :data:`WRITE_LOG`; when full the oldest half
-is dropped).  A change that may touch any key (``clear``) logs ``None``.  A
-map's first version is a base no other map shares, so a version also names
-its map: a dropped or rebuilt map never matches a version read from the old
-one.  :func:`unchanged_since` answers from the two whether a key range can
-have changed since a version was read — what
-``ReplicationManager.merged_range`` keeps each bounded range's finished
-answer (the winning keys, their payloads and the payload bytes) on.  The
-bookkeeping of a put is written out inline in :meth:`OrderedKVMap.put`
-(:func:`log_write` is the same steps for the rarer changes).
+A map knows nothing of who reads it.  The range memo one tier up
+(``ReplicationManager.merged_range``) learns of changes from the replica
+store's doors (:mod:`repro.replication.store`), not from the map, so a
+map's content changes only through them or through a path that clears that
+memo.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import count
 from typing import Dict, Iterator, List, Optional, Tuple
-
-#: Keys a map's ``write_log`` holds at most; when full it drops the oldest
-#: half, so it always vouches for at least the last ``WRITE_LOG // 2``
-#: changes.
-WRITE_LOG = 64
-
-#: Each new map's first ``version``: bases this far apart are never reached
-#: by another map's writes, so equal versions mean the same map.  Shared by
-#: the whole process on purpose — a version must not name two maps,
-#: whichever engine or cluster they belong to — and harmless to share:
-#: versions are only ever compared with each other.
-first_versions = count(0, 1 << 48)
-
-
-def log_write(kv_map, key: Optional[bytes]) -> None:
-    """Advance ``kv_map``'s version for one change of ``key`` (``None``:
-    any key).  The put paths of both engines repeat these steps inline."""
-    kv_map.version += 1
-    log = kv_map.write_log
-    log.append(key)
-    if len(log) == WRITE_LOG:
-        del log[: WRITE_LOG // 2]
-
-
-def unchanged_since(kv_map, version: int, start: bytes, end: bytes) -> bool:
-    """Whether no change since ``version`` touched a key in ``[start, end)``.
-
-    ``False`` also when the map cannot vouch for it: ``version`` was read
-    from another map, or more changes have happened since than its
-    ``write_log`` still holds, or one of them was to an unknown key.
-    """
-    behind = kv_map.version - version
-    if behind == 0:
-        return True
-    log = kv_map.write_log
-    if not 0 < behind <= len(log):
-        return False
-    for key in log[-behind:]:
-        if key is None or start <= key < end:
-            return False
-    return True
 
 
 class SortedKeys:
@@ -136,9 +87,6 @@ class OrderedKVMap:
     def __init__(self) -> None:
         self._data: Dict[bytes, bytes] = {}
         self._index = SortedKeys()
-        #: Content version and the keys of the last changes (module doc).
-        self.version = next(first_versions)
-        self.write_log: List[Optional[bytes]] = []
 
     # ------------------------------------------------------------------
     # Point operations
@@ -157,12 +105,6 @@ class OrderedKVMap:
         if key not in self._data:
             self._index.add(key)
         self._data[key] = bytes(value)
-        # log_write, inline: every write comes through here.
-        self.version += 1
-        log = self.write_log
-        log.append(key)
-        if len(log) == WRITE_LOG:
-            del log[: WRITE_LOG // 2]
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; return ``True`` if it existed."""
@@ -170,7 +112,6 @@ class OrderedKVMap:
         if key in self._data:
             del self._data[key]
             self._index.remove(key)
-            log_write(self, key)
             return True
         return False
 
@@ -259,4 +200,3 @@ class OrderedKVMap:
         """Remove every entry."""
         self._data.clear()
         self._index.clear()
-        log_write(self, None)

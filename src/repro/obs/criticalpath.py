@@ -201,7 +201,7 @@ def _attribute(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> 
             if end is None:
                 continue
             if child.start < covered:
-                _sweep(children, lo, hi, segments)
+                _attribute_overlapping(children, lo, hi, segments)
                 return
             if end > covered:
                 covered = end
@@ -229,7 +229,7 @@ def _attribute(span: Span, lo: float, hi: float, segments: Dict[str, float]) -> 
         segments[_CLIENT] += hi - cursor
 
 
-def _sweep(
+def _attribute_overlapping(
     children: List[Span], lo: float, hi: float, segments: Dict[str, float]
 ) -> None:
     """Attribute ``[lo, hi]`` among children that overlap (gather branches,

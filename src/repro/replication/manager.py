@@ -30,7 +30,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -38,7 +37,6 @@ from typing import (
 )
 
 from ..kvstore.engine.base import StorageEngine
-from ..kvstore.memory import unchanged_since
 from .ring import HashRing, leading_length, placement_token, read_rotation
 from .store import (
     MISSING_SEQ,
@@ -69,23 +67,9 @@ _RangeStart = Tuple[bytes, bytes, List[int]]
 _UNRESOLVED = object()
 
 
-class RangeView(NamedTuple):
-    """The replicas a range merge reads, as of one moment
-    (:meth:`ReplicationManager.range_view`)."""
-
-    node_ids: Tuple[int, ...]
-    #: Each node's map of the namespace, ``None`` where it holds none.
-    maps: List
-    #: The maps' ``version`` (``None`` for a missing map).
-    versions: Tuple[Optional[int], ...]
-
-
-#: Entries a namespace's range memo holds before its first sweep, and the
-#: least it waits for between sweeps (``ReplicationManager._sweep``).
-RANGE_MEMO_SWEEP = 64
-#: More valid entries than this after a sweep (a read-mostly workload over
-#: ever new ranges) and the namespace's memo starts empty again, so the memo
-#: stays bounded however long a run lasts.
+#: Entries one namespace's range memo holds at most: the next one and the
+#: namespace's memo starts empty again (a read-mostly workload over ever new
+#: ranges), so the memo stays bounded however long a run lasts.
 RANGE_MEMO_MAX = 4096
 
 
@@ -93,44 +77,12 @@ RANGE_MEMO_MAX = 4096
 #: total bytes of their values (:meth:`ReplicationManager.merged_range`).
 MergedRange = Tuple[List[Tuple[bytes, bytes]], int]
 
-#: One memo entry: ``(map versions merged at, pairs, payload bytes)``.
-_MemoEntry = Tuple[Tuple[Optional[int], ...], Tuple[Tuple[bytes, bytes], ...], int]
-
-
-class _RangeMemo:
-    """One namespace's memoized bounded-range merges."""
-
-    __slots__ = ("entries", "sweep_at")
-
-    def __init__(self) -> None:
-        #: ``(start, end, limit, ascending, node ids)`` -> ``(map versions
-        #: merged at, winning (key, payload) pairs, the payloads' total
-        #: bytes)``: the merge's finished answer, sliced once per merge.  A
-        #: tuple of pairs, copied into a list per hit: keys and payloads as
-        #: two flat tuples zipped per hit held ~0.6 MB less on
-        #: ``scadr_closed`` but served ~3% fewer interactions per core-second
-        #: (2-core x86-64, CPython 3.11).
-        self.entries: Dict[Tuple, _MemoEntry] = {}
-        self.sweep_at = RANGE_MEMO_SWEEP
-
-
-def _vouched(
-    maps: List,
-    merged_at: Tuple[Optional[int], ...],
-    versions: Tuple[Optional[int], ...],
-    start: bytes,
-    end: bytes,
-) -> bool:
-    """Whether a merge over ``maps`` at versions ``merged_at`` still holds
-    for ``[start, end)`` now that they are at ``versions``."""
-    for kv_map, then, now in zip(maps, merged_at, versions):
-        if then != now and (
-            then is None
-            or now is None
-            or not unchanged_since(kv_map, then, start, end)
-        ):
-            return False
-    return True
+#: One memo entry: the winning ``(key, payload)`` pairs and the payloads'
+#: total bytes.  A tuple of pairs, copied into a list per hit: keys and
+#: payloads as two flat tuples zipped per hit held ~0.6 MB less on
+#: ``scadr_closed`` but served ~3% fewer interactions per core-second
+#: (2-core x86-64, CPython 3.11).
+_MemoEntry = Tuple[Tuple[Tuple[bytes, bytes], ...], int]
 
 
 def choose_replicas(
@@ -247,8 +199,11 @@ class ReplicationManager:
         #: Dropped with the placement cache.
         self._range_starts: Dict[str, Dict[bytes, Optional[_RangeStart]]] = {}
         self._cache_epoch = -1
-        #: Bounded-range merges per namespace (:meth:`merged_range`).
-        self._range_memos: Dict[str, _RangeMemo] = {}
+        #: Bounded-range answers (:meth:`merged_range`): namespace ->
+        #: leading value -> ``(start, end, limit, ascending, node ids)`` ->
+        #: entry, and the entries each namespace holds.
+        self._range_memos: Dict[str, Dict[bytes, Dict[Tuple, _MemoEntry]]] = {}
+        self._memo_sizes: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -264,11 +219,12 @@ class ReplicationManager:
         past the highest of them, so the next write is newer than anything
         stored (what :meth:`ReplicaStore.write_fresh` relies on).
         """
-        store = ReplicaStore(engine)
+        store = ReplicaStore(engine, self._forget_lead)
         self._seq = max(self._seq, store.highest_seq())
         self.stores[node_id] = store
         self._hints.setdefault(node_id, {})
         self.ring.add_node(node_id)
+        self.clear_range_memo()
         return store
 
     def forget_node(self, node_id: int) -> None:
@@ -280,6 +236,7 @@ class ReplicationManager:
         self.ring.remove_node(node_id)
         self.stores.pop(node_id, None)
         self._hints.pop(node_id, None)
+        self.clear_range_memo()
 
     def store(self, node_id: int) -> ReplicaStore:
         return self.stores[node_id]
@@ -343,9 +300,10 @@ class ReplicationManager:
 
     def range_group(
         self, namespace: str, start: bytes, end: bytes
-    ) -> Optional[List[int]]:
-        """The read preference of the one replica group that holds every
-        key of ``[start, end)``, or ``None`` when the range may span groups.
+    ) -> Optional[Tuple[bytes, List[int]]]:
+        """``(lead, read preference)`` of the one replica group that holds
+        every key of ``[start, end)``, or ``None`` when the range may span
+        groups.
 
         With ``lead`` the first encoded value of ``start``, every key from
         ``start`` up to an ``end`` in ``[lead, lead + b"\\xff"]`` extends
@@ -354,10 +312,11 @@ class ReplicationManager:
         an escaped NUL and so a longer first value (``b"\\x00"`` lies
         between ``b""`` and ``b"\\x00\\xff"``).  So every such key has
         ``lead``'s placement (:func:`~repro.replication.ring.
-        placement_token`).  Only ``start`` is parsed: an upper bound such as
-        ``prefix_upper_bound(p)`` is not a key.  A start is resolved once
-        per topology; the list is its :meth:`read_preference`, shared: do
-        not mutate it.
+        placement_token`) and ``lead`` as its own first value, which is
+        what :meth:`merged_range` keys its memo by.  Only ``start`` is
+        parsed: an upper bound such as ``prefix_upper_bound(p)`` is not a
+        key.  A start is resolved once per topology; the list is its
+        :meth:`read_preference`, shared: do not mutate it.
         """
         if self._cache_epoch != self.ring.epoch:
             self._drop_placements()
@@ -375,7 +334,7 @@ class ReplicationManager:
         if resolved is None:
             return None
         lead, upper, preference = resolved
-        return preference if lead <= end <= upper else None
+        return (lead, preference) if lead <= end <= upper else None
 
     # ------------------------------------------------------------------
     # Hinted handoff
@@ -412,25 +371,11 @@ class ReplicationManager:
                 best_seq, best = seq, record
         return best_seq, best
 
-    def range_view(self, namespace: str, node_ids: Sequence[int]) -> RangeView:
-        """The replicas ``node_ids`` of ``namespace`` as a merge reads them.
-
-        The maps' versions are what :meth:`merged_range` memoizes against,
-        so a view is good until the next write: read one per request, or
-        one for a batch of range requests with no write between them
-        (``KeyValueCluster.multi_get_range``).
-        """
-        maps = [self.stores[node_id].engine.peek(namespace) for node_id in node_ids]
-        return RangeView(
-            tuple(node_ids),
-            maps,
-            tuple([None if kv_map is None else kv_map.version for kv_map in maps]),
-        )
-
     def merged_range(
         self,
         namespace: str,
-        view: RangeView,
+        node_ids: Sequence[int],
+        lead: Optional[bytes],
         start: Optional[bytes],
         end: Optional[bytes],
         limit: Optional[int] = None,
@@ -439,48 +384,76 @@ class ReplicationManager:
         """Newest live ``(key, value)`` pairs in a range, and their values'
         total bytes.
 
-        Each node of ``view`` contributes its replica's slice; per key the
-        newest record wins and tombstones suppress the key entirely
+        Each node of ``node_ids`` contributes its replica's slice; per key
+        the newest record wins and tombstones suppress the key entirely
         (:meth:`_merge`).
 
-        A *bounded* range (``start``, ``end`` and ``limit`` all given, as
-        every serving read is) is memoized: per namespace, the finished
-        answer — winning keys, their payloads and the payload byte total —
-        is kept under ``(start, end, limit, ascending, node ids)`` with the
-        versions of the maps it was merged from.  The entry answers again
-        for as long as no map of the view has changed a key inside
-        ``[start, end)`` since — each map's write log says so
-        (:func:`~repro.kvstore.memory.unchanged_since`) — and is merged
-        afresh otherwise.  Every call returns a fresh list, so a caller may
-        mutate it.  The memo saves host work only: whoever charges the
-        simulation (``KeyValueCluster._range_over``) names the serving node
-        and charges, draws and delivers per request, hit or not.  Unbounded
-        scans merge every time.
+        A range with a ``limit`` inside one leading value ``lead`` (what
+        :meth:`range_group` hands back for it; ``None`` for any other range)
+        is memoized: the finished answer — winning keys, their payloads and
+        the payload byte total — is kept under ``namespace``, ``lead`` and
+        ``(start, end, limit, ascending, node ids)``, and answers again
+        until some replica changes a key with that leading value.  Every
+        change of replica content either goes through a
+        :class:`~repro.replication.store.ReplicaStore` door, which drops the
+        lead's entries (:meth:`_forget_lead`), or clears the memo
+        (:meth:`clear_range_memo`).  Every call returns a fresh list, so a
+        caller may mutate it.  The memo saves host work only: whoever
+        charges the simulation (``KeyValueCluster._range_over``) names the
+        serving node and charges, draws and delivers per request, hit or
+        not.  Any other range merges every time.
         """
-        node_ids, maps, versions = view
-        if start is None or end is None or limit is None:
+        if lead is None or limit is None:
             stores = [self.stores[node_id] for node_id in node_ids]
             pairs = self._merge(namespace, stores, start, end, limit, ascending)
             return pairs, sum([len(value) for _, value in pairs])
-        memo = self._range_memos.get(namespace)
-        if memo is None:
-            memo = self._range_memos[namespace] = _RangeMemo()
-        entry_key = (start, end, limit, ascending, node_ids)
-        entry = memo.entries.get(entry_key)
-        if entry is not None:
-            merged_at, held, nbytes = entry
-            if merged_at == versions:
-                return list(held), nbytes
-            if _vouched(maps, merged_at, versions, start, end):
-                memo.entries[entry_key] = (versions, held, nbytes)
-                return list(held), nbytes
+        leads = self._range_memos.get(namespace)
+        if leads is None:
+            leads = self._range_memos[namespace] = {}
+        entries = leads.get(lead)
+        entry_key = (start, end, limit, ascending, tuple(node_ids))
+        if entries is not None:
+            entry = entries.get(entry_key)
+            if entry is not None:
+                return list(entry[0]), entry[1]
         stores = [self.stores[node_id] for node_id in node_ids]
         pairs = self._merge(namespace, stores, start, end, limit, ascending)
         nbytes = sum([len(value) for _, value in pairs])
-        memo.entries[entry_key] = (versions, tuple(pairs), nbytes)
-        if len(memo.entries) >= memo.sweep_at:
-            self._sweep(namespace, memo)
+        held = self._memo_sizes.get(namespace, 0)
+        if held >= RANGE_MEMO_MAX:
+            leads.clear()
+            held = 0
+            entries = None
+        if entries is None:
+            entries = leads[lead] = {}
+        entries[entry_key] = (tuple(pairs), nbytes)
+        self._memo_sizes[namespace] = held + 1
         return pairs, nbytes
+
+    def _forget_lead(self, namespace: str, key: bytes) -> None:
+        """Drop the memoized ranges of ``key``'s leading value: a replica
+        changed ``key`` (every :class:`ReplicaStore` door calls this).
+
+        A key in a memoized range extends the range's lead
+        (:meth:`range_group`), so its own first value is that lead; a key
+        with no first value lies in no memoized range.
+        """
+        leads = self._range_memos.get(namespace)
+        if leads:
+            dropped = leads.pop(key[:leading_length(key)], None)
+            if dropped:
+                self._memo_sizes[namespace] -= len(dropped)
+
+    def clear_range_memo(self) -> None:
+        """Forget every memoized range answer.
+
+        For the changes of replica content that no :class:`ReplicaStore`
+        door sees: a node attached or forgotten, an engine's bulk load
+        (``KeyValueCluster.bulk_load_many``) and a durable engine's crash
+        and recovery (``KeyValueCluster.crash_node`` / ``recover_node``).
+        """
+        self._range_memos = {}
+        self._memo_sizes = {}
 
     @staticmethod
     def _merge(
@@ -550,34 +523,6 @@ class ReplicationManager:
                 end = horizon
         return winners
 
-    def _sweep(self, namespace: str, memo: _RangeMemo) -> None:
-        """Drop every entry of ``memo`` the maps' logs no longer vouch for.
-
-        Run when the memo reaches ``memo.sweep_at`` entries; the next sweep
-        waits until it has doubled what survives (at least
-        :data:`RANGE_MEMO_SWEEP`), so sweeping is amortised O(1) per entry
-        and a namespace keeps only what its recent writes leave valid.
-        """
-        views: Dict[Tuple[int, ...], Optional[RangeView]] = {}
-        kept: Dict[Tuple, _MemoEntry] = {}
-        for entry_key, entry in memo.entries.items():
-            start, end, _, _, node_ids = entry_key
-            if node_ids not in views:
-                views[node_ids] = (
-                    self.range_view(namespace, node_ids)
-                    if all(node_id in self.stores for node_id in node_ids)
-                    else None
-                )
-            view = views[node_ids]
-            if view is not None and _vouched(
-                view.maps, entry[0], view.versions, start, end
-            ):
-                kept[entry_key] = entry
-        if len(kept) > RANGE_MEMO_MAX:
-            kept = {}
-        memo.entries = kept
-        memo.sweep_at = max(RANGE_MEMO_SWEEP, 2 * len(kept))
-
     def live_key_count(self, namespace: str, node_ids: Sequence[int]) -> int:
         """Number of distinct live (non-tombstone) keys across replicas."""
         return sum(1 for _ in self.iter_live(namespace, node_ids))
@@ -599,8 +544,7 @@ class ReplicationManager:
         start: Optional[bytes] = None
         while True:
             pairs, _ = self.merged_range(
-                namespace, self.range_view(namespace, node_ids), start, None,
-                limit=SCAN_CHUNK_KEYS,
+                namespace, node_ids, None, start, None, SCAN_CHUNK_KEYS
             )
             yield from pairs
             if len(pairs) < SCAN_CHUNK_KEYS:

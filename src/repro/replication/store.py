@@ -30,6 +30,16 @@ engine already stores when its node is attached.  Only the coordinator's
 own write sites (quorum writes and the latency-free loads) may use it, and
 only for the record they have just sequenced.
 
+These two and :meth:`ReplicaStore.discard` are the store's three doors:
+the only ways the replication tier changes what a replica holds.  Each
+tells the store's owner the key it changed (``changed``), and the
+:class:`~repro.replication.manager.ReplicationManager` drops the memoized
+range answers of that key's leading value.  Every change to replica content
+goes through a door or clears that memo
+(``ReplicationManager.clear_range_memo``): an engine's bulk load, a durable
+engine's crash and recovery, and a node attached or forgotten clear it, and
+a new path past the doors must too, or range reads go stale.
+
 The *physical* side — how those per-namespace ordered maps are actually
 held — is delegated to a pluggable
 :class:`~repro.kvstore.engine.base.StorageEngine` (the in-memory dict
@@ -43,7 +53,7 @@ either way, which the scatter-gather range path merges across replicas.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..kvstore.engine import DictEngine
 from ..kvstore.engine.base import StorageEngine
@@ -88,8 +98,16 @@ def record_seq(record: Optional[bytes]) -> int:
 class ReplicaStore:
     """One storage node's replica of every namespace it participates in."""
 
-    def __init__(self, engine: Optional[StorageEngine] = None) -> None:
+    def __init__(
+        self,
+        engine: Optional[StorageEngine],
+        changed: Callable[[str, bytes], None],
+    ) -> None:
+        """``engine`` holds the replica (``None``: the in-memory dict
+        engine); ``changed(namespace, key)`` is told of every key the doors
+        change (module docstring)."""
         self.engine: StorageEngine = engine if engine is not None else DictEngine()
+        self._changed = changed
 
     # ------------------------------------------------------------------
     # Namespaces
@@ -121,6 +139,7 @@ class ReplicaStore:
         if record_seq(record) <= self.seq_of(namespace, key):
             return False
         self.map(namespace).put(key, record)
+        self._changed(namespace, key)
         return True
 
     def write_fresh(self, namespace: str, key: bytes, record: bytes) -> None:
@@ -132,6 +151,7 @@ class ReplicaStore:
         copy from another replica.
         """
         self.engine.map(namespace).put(key, record)
+        self._changed(namespace, key)
 
     def highest_seq(self) -> int:
         """Highest sequence number stored in any namespace (``MISSING_SEQ``
@@ -148,7 +168,10 @@ class ReplicaStore:
     def discard(self, namespace: str, key: bytes) -> bool:
         """Physically remove a key (the node is no longer a replica for it)."""
         existing = self.engine.peek(namespace)
-        return existing.delete(key) if existing is not None else False
+        if existing is None or not existing.delete(key):
+            return False
+        self._changed(namespace, key)
+        return True
 
     def range_records(
         self,

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.kvstore import ClusterConfig, KeyValueCluster
 from repro.replication.manager import ReplicationManager
-from repro.replication.ring import placement_token
+from repro.replication.ring import leading_length, placement_token
 from repro.schema.keys import encode_key, prefix_range
 from repro.schema.types import VarcharType
 
@@ -76,12 +76,14 @@ MANAGER = _manager()
 @given(leading=leading_values, rest=st.lists(trailing_values, max_size=3))
 def test_a_prefix_range_resolves_to_the_group_of_every_key_inside_it(leading, rest):
     start, end = prefix_range((leading,))
-    assert MANAGER.range_group(NAMESPACE, start, end) == MANAGER.read_preference(
-        NAMESPACE, start
+    assert MANAGER.range_group(NAMESPACE, start, end) == (
+        encode_key((leading,)), MANAGER.read_preference(NAMESPACE, start)
     )
     key = encode_key((leading, *rest))
     assert start <= key < end
     assert placement_token(NAMESPACE, key) == placement_token(NAMESPACE, start)
+    # The range memo drops a lead's answers on a write to a key of it.
+    assert key[:leading_length(key)] == encode_key((leading,))
     assert placement_token(NAMESPACE, start) == (
         NAMESPACE.encode() + b"\x00" + start
     )
@@ -102,17 +104,21 @@ def test_a_range_between_leading_values_is_one_group_only_if_its_keys_are(
     """A range whose bounds hold different leading values is one group
     only when no other leading value fits between them (``b""`` up to
     ``b"\\x00"``: nothing encodes between ``06 00`` and ``06 00 ff 00``).
-    Sharing ``start``'s first value as a byte prefix is not enough."""
+    Sharing ``start``'s first value as a byte prefix is not enough.  Every
+    key inside has the group's lead as its own first value, which is what
+    the range memo drops a lead's answers by."""
     low, high = sorted([encode_key((values[0],)), encode_key((values[1],))])
-    group = MANAGER.range_group(NAMESPACE, low, high)
-    if group is None:
+    found = MANAGER.range_group(NAMESPACE, low, high)
+    if found is None:
         return
+    lead, _ = found
     for value in values:
         key = encode_key((value, *rest))
         if low <= key < high:
             assert placement_token(NAMESPACE, key) == placement_token(
                 NAMESPACE, low
             )
+            assert key[:leading_length(key)] == lead
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,11 +7,16 @@ replica contents, including the cases the chunking has to get right:
 replicas that disagree about a key, slices that lead with tombstones (the
 continuation pass), and keys just past the horizon.
 
-A bounded range is answered from a memo while no replica map in its view
-has changed a key inside it, so the oracle is also run over generated
-*histories* (:func:`test_history_matches_oracle`): every way a replica's
-content can change, interleaved with repeated reads of the same ranges over
-growing and shrinking views, each read checked against the oracle.
+A bounded range inside one leading value is answered from a memo until a
+key with that leading value changes, so the oracle is also run over
+generated *histories* of encoded keys
+(:func:`test_history_matches_oracle_on_dict_engine` and its LSM twin):
+every way a replica's content can change, interleaved with repeated reads
+of the same ranges over growing and shrinking views, each read checked
+against the oracle.  A change through a ``ReplicaStore`` door drops its
+lead's entries; any other (a clear, a dropped namespace, a bulk load, a
+crash and recovery) is followed by ``clear_range_memo``, as the cluster
+does after its bulk load and recovery.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kvstore.engine import LsmEngine
-from repro.kvstore.memory import WRITE_LOG
 from repro.replication.manager import RANGE_MEMO_MAX, ReplicationManager
 from repro.replication.store import encode_record
+from repro.schema.keys import encode_key
 
 NAMESPACE = "ns"
 
@@ -74,9 +79,15 @@ def _manager(replicas: List[Replica], lsm_dir: Optional[str]) -> ReplicationMana
 
 
 def _merged(manager, node_ids, start, end, limit, ascending):
-    view = manager.range_view(NAMESPACE, node_ids)
+    """The merge, memoized when ``[start, end)`` lies inside one leading
+    value (as ``KeyValueCluster`` asks for it)."""
+    found = (
+        manager.range_group(NAMESPACE, start, end)
+        if start is not None and end is not None else None
+    )
     pairs, nbytes = manager.merged_range(
-        NAMESPACE, view, start, end, limit, ascending
+        NAMESPACE, node_ids, None if found is None else found[0],
+        start, end, limit, ascending,
     )
     assert nbytes == sum(len(value) for _, value in pairs)
     return pairs
@@ -177,12 +188,28 @@ def test_key_past_the_horizon_waits_for_the_lagging_replica():
 #: single replica's view shows any change to it).
 _NODES = 3
 _VIEWS = ([0, 1, 2], [0, 1], [1, 2], [2, 0], [0], [1], [2], [2, 1, 0])
-#: Bounded ranges (what the memo serves): wide enough to see most writes,
-#: with the edges it must get right — descending, an empty range, limit 0,
-#: bounds that are keys themselves.
-_BOUNDED = st.tuples(
-    st.sampled_from([b"", b"\x00", b"a", b"ab", b"b"]),
-    st.sampled_from([b"a", b"b", b"b\xff", b"\xff", b"\xff\xff\xff"]),
+#: Leading values whose encodings nest (``"a"`` is a byte prefix of
+#: ``"a\x00"``'s) and a second field: few keys, so that a later step finds
+#: the key an earlier one wrote.
+_LEADS = ("", "a", "a\x00", "b")
+_KEY = st.builds(
+    lambda lead, rest: encode_key((lead, *rest)),
+    st.sampled_from(_LEADS),
+    st.sampled_from([(), (0,), (1,), ("x",)]),
+)
+#: Bounded ranges inside one leading value (what the memo serves), with
+#: the edges it must get right — descending, an empty or inverted range,
+#: limit 0, bounds that are keys themselves, the whole lead.
+_BOUNDED = st.builds(
+    lambda lead, low, high, limit, ascending: (
+        encode_key((lead, *low)),
+        encode_key((lead,)) + b"\xff" if high is None
+        else encode_key((lead, *high)),
+        limit, ascending,
+    ),
+    st.sampled_from(_LEADS),
+    st.sampled_from([(), (0,), (1,)]),
+    st.sampled_from([None, (), (1,), (2,), ("x",)]),
     st.sampled_from([0, 1, 3, 5, 5]),
     st.booleans(),
 )
@@ -191,9 +218,8 @@ _PROBES = st.lists(
     st.tuples(st.sampled_from(_VIEWS), _BOUNDED), min_size=1, max_size=3
 )
 _NODE = st.integers(min_value=0, max_value=_NODES - 1)
-#: Few keys, so that a later step finds the key an earlier one wrote.
-_KEY = st.sampled_from([b"\x00", b"a", b"a\x00", b"ab", b"b", b"\xff"])
 _VALUE = st.one_of(st.none(), st.binary(max_size=3))
+_ANY_BOUND = st.one_of(st.none(), _KEY)
 _STEP = st.one_of(
     st.tuples(st.just("write"), st.sets(_NODE, min_size=1), _KEY, _VALUE),
     st.tuples(st.just("write"), st.sets(_NODE, min_size=1), _KEY, _VALUE),
@@ -202,8 +228,7 @@ _STEP = st.one_of(
     st.tuples(st.just("copy"), _NODE, _NODE, st.integers(0, 5)),
     st.tuples(st.just("discard"), _NODE, st.integers(0, 5)),
     st.tuples(st.just("clear"), _NODE),
-    # Dropped and written again before anyone reads: a new map as far along
-    # as the old one.
+    # Dropped and written again before anyone reads.
     st.tuples(st.just("drop"), _NODE, st.lists(_KEY, max_size=3)),
     st.tuples(st.just("flush"), _NODE),
     st.tuples(st.just("compact"), _NODE),
@@ -212,12 +237,12 @@ _STEP = st.one_of(
         st.just("bulk_load"), _NODE,
         st.dictionaries(_KEY, _VALUE, min_size=1, max_size=4),
     ),
-    # One write and then more than the write log holds, all on one node.
-    st.tuples(st.just("burst"), _NODE, _KEY, _KEY),
+    # Any bounds: inside one lead (memoized), across leads, or open.
     st.tuples(
         st.just("read"), st.sampled_from(_VIEWS),
-        st.tuples(_BOUNDS, _BOUNDS, _LIMITS, st.booleans()),
+        st.tuples(_ANY_BOUND, _ANY_BOUND, _LIMITS, st.booleans()),
     ),
+    st.tuples(st.just("read"), st.sampled_from(_VIEWS), _BOUNDED),
 )
 
 
@@ -242,7 +267,7 @@ def _run_history(probes, steps, lsm_dir: Optional[str]) -> None:
         replicas[node_id][key] = (seq, value)
 
     def held(node_id: int, index: int) -> bytes:
-        keys = sorted(replicas[node_id]) or [b"a"]
+        keys = sorted(replicas[node_id]) or [encode_key(("a", 0))]
         return keys[index % len(keys)]
 
     def read(view, start, end, limit, ascending, step) -> None:
@@ -282,10 +307,12 @@ def _run_history(probes, steps, lsm_dir: Optional[str]) -> None:
                 replicas[node_id].pop(key, None)
             elif kind == "clear":
                 stores[args[0]].map(NAMESPACE).clear()
+                manager.clear_range_memo()
                 replicas[args[0]].clear()
             elif kind == "drop":
                 node_id, rewrites = args
                 stores[node_id].engine.drop_namespace(NAMESPACE)
+                manager.clear_range_memo()
                 replicas[node_id].clear()
                 for key in rewrites:
                     write(node_id, key, b"again")
@@ -296,6 +323,7 @@ def _run_history(probes, steps, lsm_dir: Optional[str]) -> None:
             elif kind == "crash":
                 stores[args[0]].engine.crash()
                 stores[args[0]].engine.recover()
+                manager.clear_range_memo()
             elif kind == "bulk_load":
                 node_id, items = args
                 records = []
@@ -304,11 +332,7 @@ def _run_history(probes, steps, lsm_dir: Optional[str]) -> None:
                     records.append((key, encode_record(seq, value)))
                     replicas[node_id][key] = (seq, value)
                 stores[node_id].engine.bulk_load(NAMESPACE, records)
-            elif kind == "burst":
-                node_id, key, pad = args
-                write(node_id, key, b"burst")
-                for _ in range(WRITE_LOG):
-                    write(node_id, pad, b"pad")
+                manager.clear_range_memo()
             else:
                 view, bounds = args
                 read(view, *bounds, step)
@@ -319,27 +343,30 @@ def _run_history(probes, steps, lsm_dir: Optional[str]) -> None:
             store.engine.close()
 
 
-#: One probe that sees every key, and histories that change what it sees
-#: through each path a map's content changes by (plus the write log running
-#: out, and a dropped map replaced by one with as many writes).
-_EVERYTHING = [([0], (b"", b"\xff\xff\xff", 5, True))]
-_WRITE = ("write", {0}, b"a", b"x")
+#: One probe that sees every key of lead ``"a"``, and histories that change
+#: what it sees through each path a replica's content changes by.
+_WHOLE_A = (encode_key(("a",)), encode_key(("a",)) + b"\xff", 5, True)
+_EVERYTHING = [([0], _WHOLE_A)]
+_WRITE = ("write", {0}, encode_key(("a", 0)), b"x")
 _BY_EVERY_PATH = (
     [_WRITE, ("discard", 0, 0)],
     [_WRITE, ("clear", 0)],
-    [_WRITE, ("drop", 0, [b"b"])],
-    [_WRITE, ("bulk_load", 0, {b"ab": b"z"})],
+    [_WRITE, ("drop", 0, [encode_key(("a", 1))])],
+    [_WRITE, ("bulk_load", 0, {encode_key(("a", 1)): b"z"})],
     [_WRITE, ("flush", 0), ("discard", 0, 0)],
     [_WRITE, ("flush", 0), ("clear", 0)],
+    [_WRITE, ("copy", 0, 1, 0)],
+    [_WRITE, ("crash", 0), ("write", {0}, encode_key(("a", 0)), None)],
 )
 
 
 @settings(max_examples=200, deadline=None)
 @given(_PROBES, st.lists(_STEP, min_size=4, max_size=40))
-@example([([0], (b"", b"b", 5, True))], [_WRITE, ("burst", 0, b"a", b"\xff")])
 @example(_EVERYTHING, _BY_EVERY_PATH[0])
 @example(_EVERYTHING, _BY_EVERY_PATH[1])
 @example(_EVERYTHING, _BY_EVERY_PATH[2])
+@example(_EVERYTHING, _BY_EVERY_PATH[3])
+@example([([1], _WHOLE_A)], _BY_EVERY_PATH[6])
 def test_history_matches_oracle_on_dict_engine(probes, steps):
     _run_history(probes, steps, lsm_dir=None)
 
@@ -352,27 +379,36 @@ def test_history_matches_oracle_on_dict_engine(probes, steps):
 @example(_EVERYTHING, _BY_EVERY_PATH[3])
 @example(_EVERYTHING, _BY_EVERY_PATH[4])
 @example(_EVERYTHING, _BY_EVERY_PATH[5])
+@example(_EVERYTHING, _BY_EVERY_PATH[7])
 def test_history_matches_oracle_on_lsm_engine(probes, steps):
     with tempfile.TemporaryDirectory() as lsm_dir:
         _run_history(probes, steps, lsm_dir)
 
 
+def _memo_entries(manager: ReplicationManager) -> int:
+    """Entries the memo holds, counted; must equal the count it keeps."""
+    held = sum(
+        len(entries)
+        for leads in manager._range_memos.values()
+        for entries in leads.values()
+    )
+    assert held == sum(manager._memo_sizes.values())
+    return held
+
+
 def test_memo_stays_bounded_under_interleaved_writes():
     """Flat in run length (ROADMAP item 11): through 10 000 rounds of a
-    random write and a never-repeated bounded range, fewer than 200 entries
-    are ever held, and every read is still right.  An entry outlives a
-    sweep only while every map of its view has logged fewer than
-    ``WRITE_LOG`` writes since it was merged; with two of three maps
-    written per round that is under 95 rounds, and the next sweep comes at
-    twice what survived.  A read-only run over ever new ranges is held to
-    ``2 * RANGE_MEMO_MAX``."""
+    random write and a bounded range of a random leading value, every read
+    is right and the memo holds at most one entry per lead read since its
+    last write, never more than ``RANGE_MEMO_MAX``.  A read-only run over
+    ever new ranges is held to ``RANGE_MEMO_MAX`` too."""
     rng = random.Random(7)
     manager = ReplicationManager(replication=3)
     stores = [manager.attach_node(node_id) for node_id in range(3)]
     newest: Dict[bytes, bytes] = {}
     ordered: List[bytes] = []
     for round_number in range(10_000):
-        key = b"k%05d" % rng.randrange(100_000)
+        key = encode_key(("u%03d" % rng.randrange(1000), rng.randrange(100)))
         value = b"v%d" % round_number
         record = encode_record(manager.next_seq(), value)
         for store in rng.sample(stores, 2):
@@ -380,21 +416,24 @@ def test_memo_stays_bounded_under_interleaved_writes():
         if key not in newest:
             bisect.insort(ordered, key)
         newest[key] = value
-        start = b"k%05d" % rng.randrange(100_000)
+        start = encode_key(("u%03d" % rng.randrange(1000),))
         end = start + b"\xff"
+        lead, _ = manager.range_group(NAMESPACE, start, end)
         pairs, _ = manager.merged_range(
-            NAMESPACE, manager.range_view(NAMESPACE, [0, 1, 2]), start, end, 4
+            NAMESPACE, [0, 1, 2], lead, start, end, 4
         )
         at = bisect.bisect_left(ordered, start)
         assert pairs == [
             (k, newest[k]) for k in ordered[at:at + 4] if k < end
         ]
-        held = sum(len(memo.entries) for memo in manager._range_memos.values())
-        assert held < 200, (round_number, held)
-    # Read-only, every range new: nothing goes stale, the cap still holds.
-    view = manager.range_view(NAMESPACE, [0, 1, 2])
-    for number in range(2 * RANGE_MEMO_MAX + 256):
-        start = b"k%05d" % number
-        manager.merged_range(NAMESPACE, view, start, start + b"\xff", 4)
-        held = len(manager._range_memos[NAMESPACE].entries)
-        assert held <= 2 * RANGE_MEMO_MAX, (number, held)
+        held = _memo_entries(manager)
+        assert held <= 1000, (round_number, held)
+    # Read-only, every range new: nothing is dropped, the cap still holds.
+    for number in range(RANGE_MEMO_MAX + 256):
+        start = encode_key(("w%05d" % number,))
+        lead, _ = manager.range_group(NAMESPACE, start, start + b"\xff")
+        manager.merged_range(
+            NAMESPACE, [0, 1, 2], lead, start, start + b"\xff", 4
+        )
+        held = _memo_entries(manager)
+        assert held <= RANGE_MEMO_MAX, (number, held)

@@ -78,7 +78,7 @@ def _groups(manager: ReplicationManager, owners):
     for owner in owners:
         start, end = prefix_range((owner,))
         group = manager.range_group("index:by_owner", start, end)
-        answers[owner] = None if group is None else list(group)
+        answers[owner] = None if group is None else (group[0], list(group[1]))
     return answers
 
 

@@ -35,16 +35,21 @@ class TestRecordEncoding:
             encode_record(-1, b"x")
 
 
+def _store() -> ReplicaStore:
+    """A store on the dict engine whose changes nobody watches."""
+    return ReplicaStore(None, lambda namespace, key: None)
+
+
 class TestReplicaStore:
     def test_newest_wins(self):
-        store = ReplicaStore()
+        store = _store()
         assert store.apply_record("ns", b"k", encode_record(2, b"new"))
         # An older record never overwrites a newer one.
         assert not store.apply_record("ns", b"k", encode_record(1, b"old"))
         assert decode_record(store.get_record("ns", b"k")) == (2, b"new")
 
     def test_tombstone_supersedes_value(self):
-        store = ReplicaStore()
+        store = _store()
         store.apply_record("ns", b"k", encode_record(1, b"v"))
         store.apply_record("ns", b"k", encode_record(2, None))
         seq, value = decode_record(store.get_record("ns", b"k"))
@@ -53,14 +58,14 @@ class TestReplicaStore:
         assert len(list(store.iter_records("ns"))) == 1
 
     def test_range_records_include_tombstones(self):
-        store = ReplicaStore()
+        store = _store()
         store.apply_record("ns", b"a", encode_record(1, b"v"))
         store.apply_record("ns", b"b", encode_record(2, None))
         keys = [key for key, _ in store.range_records("ns", None, None)]
         assert keys == [b"a", b"b"]
 
     def test_discard(self):
-        store = ReplicaStore()
+        store = _store()
         store.apply_record("ns", b"k", encode_record(1, b"v"))
         assert store.discard("ns", b"k")
         assert not store.discard("ns", b"k")
