@@ -422,15 +422,35 @@ class KeyValueCluster:
         # actually talk to: a partition that isolates it defers repair to
         # the next sync after heal.
         report = self.replication.sync_node(node_id, self.live_ids(node_id))
+        self._count_catch_up(node_id, report, sim_time)
+        return report
+
+    def replay_reachable_hints(self, sim_time: float) -> RepairReport:
+        """Replay the hint buffer of every up node (a healed network
+        reaches them all again): a write made while a replica was only
+        partitioned away, or its link dropped the message, was hinted for
+        it.  Counted and charged like :meth:`recover_node`'s replay."""
+        total = RepairReport()
+        for node_id in self.live_ids():
+            if self.replication.hint_count(node_id):
+                report = self.replication.replay_hints(node_id)
+                self._count_catch_up(node_id, report, sim_time)
+                total = total.merged_with(report)
+        return total
+
+    def _count_catch_up(
+        self, node_id: int, report: RepairReport, sim_time: float
+    ) -> None:
+        """Count one node's catch-up and charge it the records it received,
+        as one batched write stream at ``sim_time``."""
         self.metrics.add("replication.hints_replayed", report.hints_replayed)
         self.metrics.add("replication.repair_keys_copied", report.keys_copied)
         self.metrics.add("replication.repair_bytes_copied", report.bytes_copied)
         copies = report.per_node_copies.get(node_id, 0)
         if copies:
-            node.charge_write(
+            self.node(node_id).charge_write(
                 copies, report.per_node_bytes.get(node_id, 0), sim_time
             )
-        return report
 
     # ------------------------------------------------------------------
     # Namespace management

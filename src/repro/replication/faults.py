@@ -20,7 +20,10 @@ Supported fault kinds:
 * ``partition`` — split the network into link ``groups`` (message-level:
   nodes stay up but cannot exchange messages across groups; the client
   lands in the implicit remainder group unless listed).
-* ``heal`` — clear *all* network faults: partitions, flaky links, delays.
+* ``heal`` — clear *all* network faults: partitions, flaky links, delays;
+  every up node's hint buffer (writes hinted while the network hid it) is
+  replayed, and the event records the replay's
+  :class:`~repro.replication.manager.RepairReport`.
 * ``flaky`` — links touching the node drop each message with seeded
   ``probability``; a dropped message surfaces as a timeout, not a no-op.
 * ``delay`` — add ``delay_seconds`` of latency to every message touching
@@ -274,6 +277,7 @@ class FaultInjector:
         elif spec.kind == "heal":
             dropped = self.cluster.network.dropped_messages
             self.cluster.network.heal()
+            repair = self.cluster.replay_reachable_hints(at)
             detail = f"dropped={dropped}"
         elif spec.kind == "flaky":
             self.cluster.network.set_flaky(spec.node_id, spec.probability)
@@ -311,7 +315,7 @@ class FaultInjector:
     # Reporting
     # ------------------------------------------------------------------
     def total_repair(self) -> RepairReport:
-        """Aggregate repair work across every recovery processed so far."""
+        """Aggregate repair work across every recovery and heal so far."""
         total = RepairReport()
         for event in self.events:
             if event.repair is not None:

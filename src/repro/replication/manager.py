@@ -58,13 +58,11 @@ def _key_after(key: bytes) -> bytes:
     return key + b"\x00"
 
 
-#: One placement-cache entry: ``(preference list, read rotation or None)``.
-_Placement = Tuple[List[int], Optional[List[int]]]
-#: A resolved range start: ``(first encoded value, the least bytes above
-#: every key extending it, the start's read preference)``.
-_RangeStart = Tuple[bytes, bytes, List[int]]
-#: ``_range_starts`` has not seen the start yet.
-_UNRESOLVED = object()
+#: One placement-cache entry: ``(preference list, read order, cut)``, the
+#: cut being the length of the key's first encoded value
+#: (:func:`~repro.replication.ring.leading_length`).  Read order and cut are
+#: ``None`` until the key's first read.
+_Placement = Tuple[List[int], Optional[List[int]], Optional[int]]
 
 
 #: Entries one namespace's range memo holds at most: the next one and the
@@ -186,18 +184,13 @@ class ReplicationManager:
         self._seq = 0
         self._read_salt = seed & 0xFFFFFFFF
         #: Placement cache: namespace -> key -> ``(preference list, read
-        #: rotation)``, the rotation ``None`` until the key is first read.
-        #: Keys with the same placement and offset share one entry
+        #: order, cut)`` (:data:`_Placement`).  Keys with the same
+        #: placement, rotation offset and cut share one entry
         #: (``_placements``), and the namespace string is held once, so a
         #: cached key costs one dict slot and a lookup builds no tuple.
         #: Both are dropped when the ring's epoch moves.
         self._preference_cache: Dict[str, Dict[bytes, _Placement]] = {}
-        self._placements: Dict[Tuple[Tuple[int, ...], Optional[int]], _Placement] = {}
-        #: Range starts per namespace (:meth:`range_group`): start ->
-        #: ``(its first encoded value, that value + b"\\xff", its read
-        #: preference)``, or ``None`` for a start that is no encoded tuple.
-        #: Dropped with the placement cache.
-        self._range_starts: Dict[str, Dict[bytes, Optional[_RangeStart]]] = {}
+        self._placements: Dict[Tuple, _Placement] = {}
         self._cache_epoch = -1
         #: Bounded-range answers (:meth:`merged_range`): namespace ->
         #: leading value -> ``(start, end, limit, ascending, node ids)`` ->
@@ -238,9 +231,6 @@ class ReplicationManager:
         self._hints.pop(node_id, None)
         self.clear_range_memo()
 
-    def store(self, node_id: int) -> ReplicaStore:
-        return self.stores[node_id]
-
     # ------------------------------------------------------------------
     # Versioning / placement
     # ------------------------------------------------------------------
@@ -248,16 +238,18 @@ class ReplicationManager:
         self._seq += 1
         return self._seq
 
-    def _drop_placements(self) -> None:
-        """Forget every cached placement: the ring's topology moved."""
-        self._preference_cache = {}
-        self._placements = {}
-        self._range_starts = {}
-        self._cache_epoch = self.ring.epoch
-
     def _placement(self, namespace: str, key: bytes) -> _Placement:
+        """``key``'s placement-cache entry, placing the key on a miss.
+
+        A new entry holds the preference list only; :meth:`read_preference`
+        fills in read order and cut on the key's first read (loading places
+        every key and reads none).  The whole cache is dropped when the
+        ring's topology epoch moves (nodes added/removed).
+        """
         if self._cache_epoch != self.ring.epoch:
-            self._drop_placements()
+            self._preference_cache = {}
+            self._placements = {}
+            self._cache_epoch = self.ring.epoch
         placed = self._preference_cache.get(namespace)
         if placed is None:
             placed = self._preference_cache[namespace] = {}
@@ -267,33 +259,35 @@ class ReplicationManager:
                 placement_token(namespace, key), self.replication
             )
             cached = placed[key] = self._placements.setdefault(
-                (tuple(prefs), None), (prefs, None)
+                (tuple(prefs), None, None), (prefs, None, None)
             )
         return cached
 
     def preference_list(self, namespace: str, key: bytes) -> List[int]:
         """The ``replication`` node ids that own ``key``, primary first.
 
-        Cached per key; the cache is dropped whenever the ring's topology
-        epoch moves (nodes added/removed).  The list is shared between keys
-        with the same placement: do not mutate it.
+        Cached per key (:meth:`_placement`).  The list is shared between
+        keys with the same placement: do not mutate it.
         """
         return self._placement(namespace, key)[0]
 
     def read_preference(self, namespace: str, key: bytes) -> List[int]:
         """The preference list in the order reads try its replicas.
 
-        :func:`read_rotation` of the preference list, computed on the key's
-        first read and then served from the placement cache entry.  Shared
-        between keys like :meth:`preference_list`: do not mutate it.
+        :func:`read_rotation` of the preference list.  The key's first read
+        computes it together with the key's cut and replaces the key's
+        entry with one that holds all three; later reads are served from
+        it.  Shared between keys like :meth:`preference_list`: do not
+        mutate it.
         """
         entry = self._placement(namespace, key)
         if entry[1] is None:
             prefs = entry[0]
             offset = read_rotation(namespace, key, self._read_salt, len(prefs))
+            cut = leading_length(key)
             entry = self._placements.setdefault(
-                (tuple(prefs), offset),
-                (prefs, prefs[offset:] + prefs[:offset] if offset else prefs),
+                (tuple(prefs), offset, cut),
+                (prefs, prefs[offset:] + prefs[:offset] if offset else prefs, cut),
             )
             self._preference_cache[namespace][key] = entry
         return entry[1]
@@ -305,36 +299,27 @@ class ReplicationManager:
         every key of ``[start, end)``, or ``None`` when the range may span
         groups.
 
-        With ``lead`` the first encoded value of ``start``, every key from
-        ``start`` up to an ``end`` in ``[lead, lead + b"\\xff"]`` extends
-        ``lead`` — and, since a key's next byte is a type tag, never as
+        With ``lead`` the first encoded value of ``start`` (``start[:cut]``
+        from ``start``'s placement entry), every key from ``start`` up to
+        an ``end`` in ``[lead, lead + b"\\xff"]`` extends ``lead`` — and,
+        since a key's next byte is a type tag, never as
         ``lead + b"\\xff..."``, which would read ``lead``'s terminator as
         an escaped NUL and so a longer first value (``b"\\x00"`` lies
         between ``b""`` and ``b"\\x00\\xff"``).  So every such key has
         ``lead``'s placement (:func:`~repro.replication.ring.
         placement_token`) and ``lead`` as its own first value, which is
         what :meth:`merged_range` keys its memo by.  Only ``start`` is
-        parsed: an upper bound such as ``prefix_upper_bound(p)`` is not a
-        key.  A start is resolved once per topology; the list is its
+        parsed, on its first read: an upper bound such as
+        ``prefix_upper_bound(p)`` is not a key.  The list is ``start``'s
         :meth:`read_preference`, shared: do not mutate it.
         """
-        if self._cache_epoch != self.ring.epoch:
-            self._drop_placements()
-        starts = self._range_starts.get(namespace)
-        if starts is None:
-            starts = self._range_starts[namespace] = {}
-        resolved = starts.get(start, _UNRESOLVED)
-        if resolved is _UNRESOLVED:
-            cut = leading_length(start)
-            resolved = starts[start] = (
-                (start[:cut], start[:cut] + b"\xff",
-                 self.read_preference(namespace, start))
-                if cut else None
-            )
-        if resolved is None:
-            return None
-        lead, upper, preference = resolved
-        return (lead, preference) if lead <= end <= upper else None
+        entry = self._placement(namespace, start)
+        if entry[2] is None:
+            self.read_preference(namespace, start)
+            entry = self._placement(namespace, start)
+        cut = entry[2]
+        lead = start[:cut]
+        return (lead, entry[1]) if cut and lead <= end <= lead + b"\xff" else None
 
     # ------------------------------------------------------------------
     # Hinted handoff

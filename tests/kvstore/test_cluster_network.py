@@ -12,6 +12,7 @@ import pytest
 from repro.errors import QuorumNotMetError, RpcTimeoutError, UnavailableError
 from repro.kvstore import ClusterConfig, KeyValueCluster
 from repro.kvstore.network import CLIENT
+from repro.replication.faults import FaultInjector, FaultSpec
 
 
 def small_cluster(**overrides) -> KeyValueCluster:
@@ -59,9 +60,11 @@ class TestDroppedWrites:
         cluster.network.set_flaky(0, 1.0)
         cluster.put("data", b"key", b"value")
         assert cluster.replication.hint_count(0) == 1
-        cluster.network.heal()
-        cluster.replication.replay_hints(0)
+        event = FaultInjector(cluster).apply(FaultSpec(time=1.0, kind="heal"))
         assert cluster.replication.hint_count(0) == 0
+        assert event.repair.hints_replayed == 1
+        assert cluster.metrics.value("replication.hints_replayed") == 1
+        assert cluster.node(0).stats.keys_written == 1  # charged at the heal
 
 
 class TestDroppedReads:
@@ -111,6 +114,22 @@ class TestPartition:
             cluster.get("data", b"key")
         with pytest.raises(UnavailableError):
             cluster.put("data", b"key", b"v")
+
+    def test_heal_hands_a_hidden_replica_the_newest_record(self):
+        # A replica partitioned away is up: its missed write is hinted,
+        # and the heal (no crash, no recovery) replays the hint.
+        cluster = small_cluster()
+        cluster.put("data", b"key", b"old")
+        injector = FaultInjector(cluster)
+        injector.apply(FaultSpec(time=1.0, kind="partition", groups=((0,),)))
+        cluster.put("data", b"key", b"new")
+        assert cluster.replication.hint_count(0) == 1
+        injector.apply(FaultSpec(time=2.0, kind="heal"))
+        assert cluster.replication.hint_count(0) == 0
+        replication = cluster.replication
+        newest = replication.newest_record("data", b"key", cluster.live_ids())
+        assert replication.stores[0].get_record("data", b"key") == newest[1]
+        assert newest[1].endswith(b"new")
 
     def test_recovery_during_partition_skips_unreachable_sources(self):
         cluster = small_cluster(storage_nodes=4)

@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 from repro.errors import QuorumNotMetError, RpcTimeoutError
 from repro.kvstore.cluster import ClusterConfig, KeyValueCluster
 from repro.kvstore.network import CLIENT, NetworkModel
-from repro.replication.ring import placement_token
+from repro.replication.ring import leading_length, placement_token
 from repro.replication.store import decode_record, record_seq
+from repro.schema.keys import encode_key
 
 NAMESPACE = "data"
 KEYS = [b"key-%02d" % index for index in range(6)]
@@ -311,22 +312,45 @@ def test_flaky_link_draws_once_per_node_in_key_order(
     assert cluster.network.dropped_messages == shadow.dropped_messages
 
 
+#: Encoded keys of one to three fields: their first values (and so their
+#: cuts) vary in type and length.
+encoded_keys = st.lists(
+    st.one_of(st.text(max_size=6), st.integers(-(2**40), 2**40)),
+    min_size=1,
+    max_size=3,
+).map(encode_key)
+
+
 @settings(max_examples=40, deadline=None)
-@given(shape=cluster_shapes(), keys=st.lists(st.binary(max_size=12), max_size=30))
-def test_cached_rotation_equals_the_uncached_function(shape, keys):
+@given(
+    shape=cluster_shapes(),
+    raw=st.lists(st.binary(max_size=12), max_size=30),
+    encoded=st.lists(encoded_keys, max_size=20),
+)
+def test_cached_rotation_equals_the_uncached_function(shape, raw, encoded):
     cluster = KeyValueCluster(ClusterConfig(**shape))
     cluster.create_namespace(NAMESPACE)
+    replication = cluster.replication
+    keys = raw + encoded
 
     def check() -> None:
-        for key in keys:
+        for index, key in enumerate(keys):
             expected = reference_rotation(cluster, key)
+            cut = leading_length(key)
+            group = (key[:cut], expected) if cut else None
+            # Every other key is first read by ``range_group``; the rest
+            # are asked after their first read.  Keys of one placement and
+            # rotation but different cuts must not share a cut.
+            if index % 2:
+                assert replication.range_group(NAMESPACE, key, key + b"\xff") == group
             # First call fills the placement cache, the second is served
             # from it; the preference list shares the entry.
-            assert cluster.replication.read_preference(NAMESPACE, key) == expected
-            assert cluster.replication.read_preference(NAMESPACE, key) == expected
-            assert sorted(cluster.replication.preference_list(NAMESPACE, key)) == sorted(
+            assert replication.read_preference(NAMESPACE, key) == expected
+            assert replication.read_preference(NAMESPACE, key) == expected
+            assert sorted(replication.preference_list(NAMESPACE, key)) == sorted(
                 expected
             )
+            assert replication.range_group(NAMESPACE, key, key + b"\xff") == group
 
     check()
     cluster.add_node()

@@ -1,10 +1,11 @@
 """The placement cache costs one dict slot per key and follows the ring.
 
-``ReplicationManager`` caches each key's preference list and read rotation
-under ``namespace -> key``.  A cached key must not keep a copy of its
-namespace string or a per-key tuple (a loader that builds its namespace
-string per row would otherwise pay for both on every key it places), and a
-topology change must leave no stale answer behind.
+``ReplicationManager`` caches each key's preference list, read order and
+cut (the length of its first encoded value, which ``range_group`` reads for
+a range start) under ``namespace -> key``.  A cached key must not keep a
+copy of its namespace string or a per-key tuple (a loader that builds its
+namespace string per row would otherwise pay for both on every key it
+places), and a topology change must leave no stale answer behind.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def _groups(manager: ReplicationManager, owners):
 
 
 def test_an_epoch_move_leaves_no_stale_range_group():
-    """Range starts are resolved once per topology, like placements."""
+    """A range start's group comes from its placement entry, which an
+    epoch move drops like any other."""
     owners = ["user%04d" % index for index in range(300)]
     manager = _manager(range(4))
     before = _groups(manager, owners)
