@@ -114,6 +114,57 @@ _RangeAnswer = Tuple[List[KeyValue], float, int, int, Optional[bytes], int]
 RecordFilter = Callable[[bytes, bytes], bool]
 
 
+class _Backlogs(dict):
+    """One request's snapshot of the nodes' request-queue backlogs,
+    ``{node id: seconds booked at or after the request's simulated time}``.
+
+    A node's queue is asked on its first lookup and never again during the
+    request, however many keys or ranges the node could serve.  A node
+    without a queue has no backlog.
+    """
+
+    __slots__ = ("nodes", "sim_time")
+
+    def __init__(self, nodes: List[StorageNode], sim_time: float):
+        # Starts empty: ``dict.__new__`` made it so, no call needed.
+        self.nodes = nodes
+        self.sim_time = sim_time
+
+    def __missing__(self, node_id: int) -> float:
+        queue = self.nodes[node_id].request_queue
+        backlog = self[node_id] = (
+            0.0 if queue is None else queue.backlog_seconds(self.sim_time)
+        )
+        return backlog
+
+    def least(self, candidates: Sequence[int], needed: int) -> Sequence[int]:
+        """The ``needed`` of ``candidates`` (replicas in read order) with
+        the least backlog: where a read is served.
+
+        Ties go to read order, so a run without queues is served in read
+        order.  When the first ``needed`` replicas in read order have no
+        backlog, no other is asked.  The result may be ``candidates``
+        itself — do not mutate it.
+        """
+        if len(candidates) <= needed:
+            return candidates
+        if needed == 1:
+            best = candidates[0]
+            least = self[best]
+            if least:
+                for node_id in candidates:
+                    backlog = self[node_id]
+                    if backlog < least:  # strictly: ties keep read order
+                        best, least = node_id, backlog
+            return [best]
+        head = candidates[:needed]
+        for node_id in head:
+            if self[node_id]:
+                # ``sorted`` is stable: equal backlogs keep read order.
+                return sorted(candidates, key=self.__getitem__)[:needed]
+        return head
+
+
 @dataclass(frozen=True)
 class ClusterConfig:
     """Configuration of a simulated cluster.
@@ -127,10 +178,12 @@ class ClusterConfig:
     closest match to the seed simulator's behaviour) and must satisfy
     ``R + W > replication`` so read and write quorums always intersect.
 
-    ``seed`` also salts which replicas serve reads.  Routing is a pure
-    function of ``(key, seed, topology)``, so runs with many interleaved
-    clients pick the same replicas no matter the order in which their
-    requests arrive.
+    ``seed`` also salts each key's read order: the order in which a read
+    tries its replicas, a pure function of ``(key, seed, topology)``.  A
+    read is served at the replica whose request queue has the least
+    backlog, ties going to read order; with no queues installed every
+    replica ties, so a read is served in read order, whatever order
+    interleaved clients send it in.
 
     ``storage_engine`` selects each node's physical storage: ``"dict"``
     (in-memory, the seed behaviour — bit-identical results and operation
@@ -498,18 +551,22 @@ class KeyValueCluster:
         namespace: str,
         key: bytes,
         serving: Set[int],
+        backlogs: _Backlogs,
         suspects: Optional[Set[int]] = None,
-    ) -> Tuple[List[int], Sequence[int]]:
-        """The ``R`` replicas that serve a read of ``key``, in its read order.
+    ) -> Tuple[Sequence[int], Sequence[int]]:
+        """The ``R`` replicas that serve a read of ``key``.
 
         ``serving`` is the request's membership view (``live_ids(CLIENT)``
         as a set), resolved once however many keys the request carries.
-        Returns ``(chosen, unavailable)`` as
-        :func:`~repro.replication.manager.choose_replicas` picks them: the
-        quorum actually used plus the replicas skipped as down/unreachable —
-        the caller surfaces the latter so the client's breakers can fence
-        nodes its own traffic keeps observing unavailable.  Raises
-        :class:`QuorumNotMetError` when fewer than ``R`` are serving.
+        :func:`~repro.replication.manager.choose_replicas` leaves the
+        eligible replicas in the key's read order, and the read goes to the
+        ``R`` of them with the least queue backlog in the request's
+        ``backlogs`` snapshot (:meth:`_Backlogs.least`).  Returns ``(chosen,
+        unavailable)``: the quorum actually used plus the replicas skipped
+        as down/unreachable — the caller surfaces the latter so the
+        client's breakers can fence nodes its own traffic keeps observing
+        unavailable.  Raises :class:`QuorumNotMetError` when fewer than
+        ``R`` are serving.
         """
         needed = self._read_quorum
         preference = self.replication.read_preference(namespace, key)
@@ -517,13 +574,13 @@ class KeyValueCluster:
             # Every node serves and nobody is suspected: the chooser has
             # nothing to choose.  One call per key read is ~1% of
             # ``tpcw_closed``, so the fault-free case does not make it.
-            return preference[:needed], ()
+            return backlogs.least(preference, needed), ()
         chosen, unavailable, _ = choose_replicas(
             preference, serving, suspects, needed
         )
         if len(chosen) < needed:
             raise QuorumNotMetError("read", namespace, needed, len(chosen))
-        return chosen[:needed], unavailable
+        return backlogs.least(chosen, needed), unavailable
 
     def route(
         self,
@@ -960,12 +1017,14 @@ class KeyValueCluster:
         key: bytes,
         sim_time: float,
         serving: Set[int],
+        backlogs: _Backlogs,
         suspects: Optional[Set[int]] = None,
     ) -> Tuple[Optional[bytes], float, int, int, float, Tuple[int, ...]]:
         """Quorum read of one key: ``(live value, latency, serving node,
         repairs, critical queue wait, unavailable replicas observed)``.
 
-        Charges each of the ``R`` chosen replicas one read RPC (the client
+        Charges each of the ``R`` replicas :meth:`_read_replicas` chooses
+        (with the request's ``backlogs`` snapshot) one read RPC (the client
         waits for all of them, so the latency is their maximum), resolves
         newest-wins, and read-repairs any stale replica in the background
         (charged to the replica, not to the client); ``repairs`` counts the
@@ -977,7 +1036,7 @@ class KeyValueCluster:
         learned nothing.
         """
         chosen, unavailable = self._read_replicas(
-            namespace, key, serving, suspects
+            namespace, key, serving, backlogs, suspects
         )
         delays = (
             self._deliver("get", namespace, chosen)
@@ -1088,7 +1147,8 @@ class KeyValueCluster:
         self._require(namespace)
         value, latency, node_id, repaired, queue_wait, unavailable = (
             self._read_one(
-                namespace, key, sim_time, set(self.live_ids(CLIENT)), suspects
+                namespace, key, sim_time, set(self.live_ids(CLIENT)),
+                _Backlogs(self.nodes, sim_time), suspects,
             )
         )
         return OpResult(
@@ -1157,7 +1217,10 @@ class KeyValueCluster:
         self._require(namespace)
         serving = set(self.live_ids(CLIENT))
         current, read_latency, node_id, repaired, _, unavailable = (
-            self._read_one(namespace, key, sim_time, serving, suspects)
+            self._read_one(
+                namespace, key, sim_time, serving,
+                _Backlogs(self.nodes, sim_time), suspects,
+            )
         )
         if current != expected:
             return OpResult(
@@ -1187,11 +1250,12 @@ class KeyValueCluster:
     ) -> OpResult:
         """Read many keys in one logical request.
 
-        The serving set is resolved once for the batch; every key then
-        picks its ``R`` replicas from it exactly as a single :meth:`get`
-        would.  When ``parallel`` is true the replica reads are grouped by
-        serving node, each group is charged a single RPC, and the overall
-        latency is the maximum over groups (requests issued concurrently).
+        The serving set and the nodes' queue backlogs are read once for the
+        batch; every key then picks its ``R`` replicas from them exactly as
+        a single :meth:`get` would.  When ``parallel`` is true the replica
+        reads are grouped by serving node, each group is charged a single
+        RPC, and the overall latency is the maximum over groups (requests
+        issued concurrently).
         When false the keys are fetched one at a time and latencies add up —
         this is what the Lazy executor of Figure 12 does.
         """
@@ -1199,6 +1263,7 @@ class KeyValueCluster:
         if not keys:
             return OpResult([], 0.0, 0, keys_touched=0)
         serving = set(self.live_ids(CLIENT))
+        backlogs = _Backlogs(self.nodes, sim_time)
         values: List[Optional[bytes]] = []
         repaired = 0
         unavailable_seen: Dict[int, None] = {}
@@ -1206,7 +1271,9 @@ class KeyValueCluster:
             latency = 0.0
             for key in keys:
                 value, key_latency, _, key_repairs, _, key_unavail = (
-                    self._read_one(namespace, key, sim_time, serving, suspects)
+                    self._read_one(
+                        namespace, key, sim_time, serving, backlogs, suspects
+                    )
                 )
                 values.append(value)
                 latency += key_latency
@@ -1230,7 +1297,7 @@ class KeyValueCluster:
         lost: List[int] = []
         for key in keys:
             chosen, key_unavail = self._read_replicas(
-                namespace, key, serving, suspects
+                namespace, key, serving, backlogs, suspects
             )
             for nid in key_unavail:
                 unavailable_seen[nid] = None
@@ -1304,9 +1371,10 @@ class KeyValueCluster:
 
         A bounded range inside one leading value
         (:meth:`ReplicationManager.range_group`) merges the live replicas of
-        that group, in ``start``'s read order, and the first of them serves
-        the range.  The replicas skipped as down or unreachable go back to
-        the client as breaker evidence, as a point read's do.  A group with no live
+        that group, in ``start``'s read order, and :meth:`_range_over`
+        serves it at the one with the least queue backlog.  The replicas
+        skipped as down or unreachable go back to the client as breaker
+        evidence, as a point read's do.  A group with no live
         replica raises before any node is charged.  Any other range — unbounded, or across
         leading values — merges every node of ``live``
         (:meth:`_complete`); a bounded one that is served counts as
@@ -1346,10 +1414,11 @@ class KeyValueCluster:
 
         The logical result merges replica slices newest-wins (tombstones
         suppress deleted keys).  A bounded range inside one leading value
-        merges only its replica group's live replicas and is one range RPC
-        at the first of them in ``start``'s read order
-        (:meth:`_range_nodes`), so its latency is one draw that stays flat
-        as the cluster grows; an empty one is a probe RPC at that replica.
+        merges only its replica group's live replicas (:meth:`_range_nodes`)
+        and is one range RPC at the one of them with the least queue
+        backlog, ties going to ``start``'s read order (:meth:`_range_over`),
+        so its latency is one draw that stays flat as the cluster grows; an
+        empty one is a probe RPC at that replica.
         A bounded range across leading values merges every up node and is
         billed to the last of them.  An unbounded scan visits every up node
         one after another (the rows are billed to the last one) and the
@@ -1368,7 +1437,7 @@ class KeyValueCluster:
         )
         pairs, latency, node_id, examined, last_examined, nbytes = self._range_over(
             namespace, nodes, lead, start, end, limit, ascending, sim_time,
-            record_filter,
+            _Backlogs(self.nodes, sim_time), record_filter,
         )
         return OpResult(
             pairs, latency, node_id, keys_touched=examined,
@@ -1386,26 +1455,36 @@ class KeyValueCluster:
         limit: Optional[int],
         ascending: bool,
         sim_time: float,
+        backlogs: _Backlogs,
         record_filter: Optional[RecordFilter] = None,
     ) -> _RangeAnswer:
         """One range request over already-resolved replicas.
 
         ``nodes`` and ``lead`` are what :meth:`_range_nodes` chose: the
-        replicas, and the leading value when they are one replica group.  A
-        merge served from the memo is charged exactly like one merged
-        afresh: the merge hands back its payload byte total, so an
-        unfiltered range charges without a pass over its rows.
+        replicas in ``start``'s read order, and the leading value when they
+        are one replica group.  A group's range is served at its replica
+        with the least queue backlog in the request's ``backlogs`` snapshot
+        (:meth:`_Backlogs.least`), chosen after the merge so the memo keeps
+        one entry per group whichever replica serves.  A merge
+        served from the memo is charged exactly like one merged afresh: the
+        merge hands back its payload byte total, so an unfiltered range
+        charges without a pass over its rows.
         """
         rows, nbytes = self.replication.merged_range(
             namespace, nodes, lead, start, end, limit, ascending
         )
         group = lead is not None
         bounded = start is not None and end is not None
+        # The one place a range's serving node is chosen: a group's
+        # least-backlog live replica; for an all-node merge, the last node
+        # it visits.
+        server = backlogs.least(nodes, 1)[0] if group else nodes[-1]
         if bounded and not rows:
-            # Empty range: one probe RPC at the first serving replica in
+            # Empty range: one probe RPC at the replica that would serve
+            # its rows, or, across groups, the first serving replica in
             # ``start``'s read order -- what ``route`` picks.
             probe = (
-                self.nodes[nodes[0]] if group
+                self.nodes[server] if group
                 else self.route(namespace, start, set(nodes))
             )
             return [], probe.charge_range(0, 0, sim_time), probe.node_id, 0, None, 0
@@ -1415,10 +1494,7 @@ class KeyValueCluster:
         else:
             pairs = [(key, value) for key, value in rows if record_filter(key, value)]
             nbytes = sum([len(value) for _, value in pairs])
-        # The one place a range row's serving node is chosen: a group's
-        # first live replica in read order; for an all-node merge, the last
-        # node it visits.
-        serving = (nodes[0] if group else nodes[-1]) if rows else -1
+        serving = server if rows else -1
         # One range RPC per visited node: a bounded range visits the node
         # that served its rows; a full or half-open scan must visit every
         # partition, one after another.  Any lost slice voids the whole
@@ -1462,12 +1538,13 @@ class KeyValueCluster:
         per tuple of its child.  With ``parallel=True`` the overall latency
         is the max over the individual requests, otherwise the sum.  Each
         range is served as :meth:`get_range` serves it; the membership view
-        is resolved once per batch.
+        and the nodes' queue backlogs are read once per batch.
         """
         if not ranges:
             return OpResult([], 0.0, -1, keys_touched=0)
         self._require(namespace)
         live = self.live_ids(CLIENT)
+        backlogs = _Backlogs(self.nodes, sim_time)
         unavailable_seen: Dict[int, None] = {}
         results: List[List[KeyValue]] = []
         latencies: List[float] = []
@@ -1480,7 +1557,8 @@ class KeyValueCluster:
             for node_id in unavailable:
                 unavailable_seen[node_id] = None
             pairs, latency, _, examined, _, nbytes = self._range_over(
-                namespace, nodes, lead, start, end, limit, ascending, sim_time
+                namespace, nodes, lead, start, end, limit, ascending, sim_time,
+                backlogs,
             )
             results.append(pairs)
             latencies.append(latency)
@@ -1508,8 +1586,8 @@ class KeyValueCluster:
         matching the paper's constant-cost cardinality check.  The probe
         goes to the node :meth:`route` picks for the range's start key
         (``b""`` when unbounded): the first serving replica in that key's
-        read order (:meth:`ReplicationManager.read_preference`) — for a
-        group, the replica a range read would be served by.
+        read order (:meth:`ReplicationManager.read_preference`), whatever
+        its queue backlog.
         """
         self._require(namespace)
         live = self.live_ids(CLIENT)

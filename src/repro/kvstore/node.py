@@ -89,11 +89,13 @@ class StorageNode:
     speed_factor: float = 1.0
     stats: NodeStats = field(default_factory=NodeStats)
     #: Optional request queue (duck-typed: any object with
-    #: ``on_request(sim_time, service_seconds) -> wait_seconds``).  When set
-    #: — the serving tier installs a
+    #: ``on_request(sim_time, service_seconds) -> wait_seconds`` and
+    #: ``backlog_seconds(now)``).  When set — the serving tier installs a
     #: :class:`~repro.serving.queueing.NodeRequestQueue` — every charge also
     #: pays a first-come-first-served waiting time behind in-flight requests,
-    #: so contention between concurrent clients shows up as queueing delay.
+    #: so contention between concurrent clients shows up as queueing delay,
+    #: and the cluster serves each read at the replica whose queue holds the
+    #: least backlog.
     request_queue: Optional[object] = None
     #: Queue wait charged by the most recent RPC this node served; the
     #: cluster reads it back to attribute critical-replica queueing on the

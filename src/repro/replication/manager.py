@@ -274,7 +274,9 @@ class ReplicationManager:
     def read_preference(self, namespace: str, key: bytes) -> List[int]:
         """The preference list in the order reads try its replicas.
 
-        :func:`read_rotation` of the preference list.  The key's first read
+        :func:`read_rotation` of the preference list: the order in which a
+        read that finds equal queue backlogs picks its replicas
+        (``kvstore.cluster._Backlogs.least``).  The key's first read
         computes it together with the key's cut and replaces the key's
         entry with one that holds all three; later reads are served from
         it.  Shared between keys like :meth:`preference_list`: do not

@@ -168,7 +168,9 @@ def read_rotation(namespace: str, key: bytes, salt: int, replicas: int) -> int:
     a pure function of ``(key, salt)`` — no shared mutable state, so
     interleaved clients route identically run to run.  It hashes the whole
     key, not its placement token, so the ranges and keys of one replica
-    group spread their reads over the group.
+    group spread their reads over the group.  Once request queues are
+    installed the rotation only breaks ties: a read goes to the replica
+    with the least queue backlog (``kvstore.cluster._Backlogs.least``).
     """
     if replicas <= 1:
         return 0

@@ -12,6 +12,13 @@ As the merged arrival rate from all clients approaches the node's capacity,
 the backlog — and therefore the wait — grows without bound, which is exactly
 the saturation behaviour the PIQL paper's SLO methodology guards against.
 
+The queue's backlog (service seconds booked at or after a given time) is
+also a routing signal: the cluster serves every read, and every range
+inside one replica group, at the replica whose queue holds the least
+backlog, ties going to the key's read order.  A hot group's reads so
+spread over its replicas instead of queueing on one, and a cluster with no
+queues installed (every backlog zero) is served in read order.
+
 The queue also measures two load signals, sampled each control tick as
 counter deltas and smoothed with an exponential moving average (time
 constant ``smoothing_seconds``):
@@ -74,6 +81,9 @@ class NodeRequestQueue:
         self.smoothed_rate = 0.0
         self.smoothed_busy_fraction = 0.0
         self._buckets: Dict[int, float] = {}
+        #: No bucket above this one holds any charge: the end of the walk
+        #: :meth:`backlog_seconds` makes from the current bucket.
+        self._last_bucket = -1
         # Baseline for rate sampling: the installation time.  A queue the
         # autoscaler attaches mid-run must not average its first counters
         # over the whole simulation so far.
@@ -99,6 +109,8 @@ class NodeRequestQueue:
                 self._buckets[bucket] = used + take
                 remaining -= take
             bucket += 1
+        if bucket - 1 > self._last_bucket:
+            self._last_bucket = bucket - 1
         self.arrivals += 1
         self.service_seconds += service_seconds
         return max(0.0, start_time - sim_time)
@@ -107,15 +119,29 @@ class NodeRequestQueue:
     # Signals for the control loop
     # ------------------------------------------------------------------
     def backlog_seconds(self, now: float) -> float:
-        """Service seconds already committed at or after ``now``."""
-        width = BUCKET_SECONDS
-        horizon = int(now // width)
+        """Service seconds already committed at or after ``now``.
+
+        On the request path: the cluster serves each read at the replica
+        with the least backlog (``kvstore.cluster._Backlogs.least``).  So
+        it sums the buckets from ``now``'s up to the last charged one, in
+        bucket order, and a drained queue answers without a walk.
+        """
+        horizon = int(now // BUCKET_SECONDS)
+        last = self._last_bucket
+        if last < horizon:
+            return 0.0
+        buckets = self._buckets
+        used = buckets.get(horizon)
         total = 0.0
-        for bucket, used in self._buckets.items():
-            if bucket > horizon:
-                total += used
-            elif bucket == horizon:
-                total += max(0.0, bucket * width + used - now)
+        if used is not None:
+            left = horizon * BUCKET_SECONDS + used - now
+            if left > 0.0:
+                total = left
+        if last > horizon:
+            for bucket in range(horizon + 1, last + 1):
+                used = buckets.get(bucket)
+                if used is not None:
+                    total += used
         return total
 
     def sample(self, now: float) -> Tuple[float, float]:

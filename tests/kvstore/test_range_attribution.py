@@ -3,9 +3,10 @@
 The ring places an encoded key by its first value, so every key of one
 owner lives on one replica group.  A bounded range inside one leading
 value merges only that group's live replicas and is served and billed, row
-for row, at the first of them in the read order of the range's start key
-(``ReplicationManager.read_preference``); nodes outside the group see no
-range request.  The rows of a bounded range come from the merge memo after
+for row, at one of them: with no request queues installed, as here, the
+first of them in the read order of the range's start key
+(``ReplicationManager.read_preference``; ``test_least_backlog.py`` covers
+the queued case); nodes outside the group see no range request.  The rows of a bounded range come from the merge memo after
 the first read, so each request is made twice: once on a memo miss and
 once on a hit.
 """

@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, KeyValueCluster
+from repro.schema.keys import encode_key, prefix_range
 from repro.serving import NodeRequestQueue, install_queues, refresh_utilization, remove_queues
+from repro.serving.queueing import BUCKET_SECONDS
+
+
+def all_bucket_backlog(queue: NodeRequestQueue, now: float) -> float:
+    """``backlog_seconds`` as a walk over every bucket of the calendar,
+    summed in bucket order (the order is the one freedom float addition
+    leaves)."""
+    horizon = int(now // BUCKET_SECONDS)
+    total = 0.0
+    for bucket, used in sorted(queue._buckets.items()):
+        if bucket > horizon:
+            total += used
+        elif bucket == horizon:
+            total += max(0.0, bucket * BUCKET_SECONDS + used - now)
+    return total
 
 
 class TestNodeRequestQueue:
@@ -66,6 +86,39 @@ class TestNodeRequestQueue:
         first = queue.sample(1.0)
         assert queue.sample(1.0) == first
 
+    def test_backlog_is_what_lies_ahead_of_now(self):
+        queue = NodeRequestQueue()
+        assert queue.backlog_seconds(0.0) == 0.0
+        queue.on_request(0.0, 0.12)  # buckets 0 and 1 full, 2 in part
+        assert queue.backlog_seconds(0.0) == pytest.approx(0.12)
+        assert queue.backlog_seconds(0.02) == pytest.approx(0.10)
+        assert queue.backlog_seconds(0.2) == 0.0
+        # A later arrival queues behind the booked work.
+        assert queue.on_request(0.01, 0.01) == pytest.approx(0.09)
+        assert queue.backlog_seconds(0.0) == pytest.approx(0.13)
+        assert queue.backlog_seconds(0.2) == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), charges=st.integers(1, 120))
+    def test_span_sum_equals_the_all_bucket_walk(self, seed, charges):
+        """Charges arrive out of order (private client clocks), the control
+        tick samples and prunes, and ``backlog_seconds`` is asked in
+        between, at times before, inside and past the booked span."""
+        rng = random.Random(seed)
+        queue = NodeRequestQueue(smoothing_seconds=rng.choice([0.05, 0.5, 2.0]))
+        clock = 0.0
+        for _ in range(charges):
+            clock += rng.expovariate(50.0)
+            arrival = max(0.0, clock - rng.uniform(0.0, 0.5))
+            queue.on_request(arrival, rng.uniform(0.0, 0.08))
+            if rng.random() < 0.1:
+                queue.sample(clock)  # prunes what is long past
+            for now in (arrival, clock, clock + rng.uniform(-1.0, 3.0)):
+                assert queue.backlog_seconds(now) == all_bucket_backlog(queue, now)
+        queue.sample(clock + 60.0)
+        for now in (clock, clock + 30.0, clock + 60.0):
+            assert queue.backlog_seconds(now) == all_bucket_backlog(queue, now)
+
 
 class TestClusterIntegration:
     def test_install_and_remove_queues(self):
@@ -110,3 +163,44 @@ class TestClusterIntegration:
             cluster.total_capacity_ops_per_second() * 0.5
         )
         assert refresh_utilization(cluster, 1.0) == pytest.approx(0.5)
+
+
+class TestLeastBacklogReads:
+    """A read goes to the replica whose queue holds the least backlog."""
+
+    def cluster(self) -> KeyValueCluster:
+        cluster = KeyValueCluster(ClusterConfig(storage_nodes=4, seed=3))
+        cluster.create_namespace("ns")
+        for number in range(10):
+            cluster.load("ns", encode_key(("owner", number)), b"v")
+        return cluster
+
+    def test_a_hot_replica_hands_its_reads_to_the_idle_one(self):
+        cluster = self.cluster()
+        queues = install_queues(cluster)
+        start, end = prefix_range(("owner",))
+        key = encode_key(("owner", 3))
+        order = cluster.replication.read_preference("ns", start)
+        key_order = cluster.replication.read_preference("ns", key)
+        # Half a second of work booked at t=0 on both first replicas.
+        for node_id in {order[0], key_order[0]}:
+            for _ in range(10):
+                queues[node_id].on_request(0.0, 0.05)
+        ranged = cluster.get_range("ns", start, end, 5, sim_time=0.1)
+        assert ranged.node_id == order[1]
+        assert ranged.latency_seconds < 0.05
+        got = cluster.get("ns", key, sim_time=0.1)
+        assert got.node_id == key_order[1]
+        assert got.queue_wait_seconds == 0.0
+        # Once the backlog has drained, read order serves again.
+        assert cluster.get_range("ns", start, end, 5, sim_time=1.0).node_id == order[0]
+        assert cluster.get("ns", key, sim_time=1.0).node_id == key_order[0]
+
+    def test_without_queues_reads_keep_read_order(self):
+        cluster = self.cluster()
+        start, end = prefix_range(("owner",))
+        order = cluster.replication.read_preference("ns", start)
+        assert cluster.get_range("ns", start, end, 5).node_id == order[0]
+        install_queues(cluster)
+        remove_queues(cluster)
+        assert cluster.get_range("ns", start, end, 5).node_id == order[0]
