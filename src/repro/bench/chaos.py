@@ -40,7 +40,6 @@ the summary as the run's forensic artifact.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -232,37 +231,11 @@ def replica_divergence(cluster: KeyValueCluster) -> int:
         namespaces.update(store.namespaces())
     node_ids = sorted(replication.stores)
     for namespace in sorted(namespaces):
-        def tagged(node_id: int):
-            return (
-                (key, record, node_id)
-                for key, record in replication.stores[
-                    node_id
-                ].iter_range_records(namespace, None, None)
-            )
-
-        merged = heapq.merge(
-            *(tagged(node_id) for node_id in node_ids),
-            key=lambda entry: entry[0],
-        )
-        current: Optional[bytes] = None
-        copies: Dict[int, int] = {}
-
-        def judge() -> int:
-            if current is None:
-                return 0
-            owners = replication.preference_list(namespace, current)
-            newest = max(copies.values())
-            for owner in owners:
-                if copies.get(owner) != newest:
-                    return 1
-            return 0
-
-        for key, record, node_id in merged:
-            if key != current:
-                divergent += judge()
-                current, copies = key, {}
-            copies[node_id] = record_seq(record)
-        divergent += judge()
+        for key, held in replication.copies(namespace, node_ids, None):
+            seqs = {node_id: record_seq(record) for node_id, record in held}
+            newest = max(seqs.values())
+            owners = replication.preference_list(namespace, key)
+            divergent += any(seqs.get(owner) != newest for owner in owners)
     return divergent
 
 

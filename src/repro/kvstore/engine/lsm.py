@@ -21,17 +21,18 @@ A point read asks the memtable, then the segment stack newest-first; the
 key's two filter hashes are computed once and handed to every segment, and
 a segment reads a block only when the key is inside its bounds and passes
 its filter (:meth:`Segment.get`).  A *limited* range — what every serving
-read is — is a chunked slice-and-resolve, the shape of the merge behind
-``ReplicationManager.merged_range`` one layer up: each segment and the
-memtable contribute at most ``limit`` entries, a dict updated oldest to
-newest resolves newest-wins, live keys are emitted up to the *horizon* (the
-least-advanced last key among the runs that filled their chunk — past it
-some run has not been heard), and when delete markers leave the result
-short a further pass resumes just past the horizon.  Memory is bounded by
-``limit`` times the run count.  Unlimited iteration (compaction, anti-entropy,
-``len``) streams through :func:`_merged`, a ``heapq.merge`` over natively
-comparable ``(key, age tag, value)`` tuples that dedupes per key and holds
-one block of entries per run.
+read is — goes through :func:`~repro.kvstore.memory.merge_slices`, the
+chunked slice-and-resolve that also merges replicas one layer up
+(``ReplicationManager.merged_range``): each segment and the memtable
+contribute at most ``limit`` entries, a dict updated oldest to newest
+resolves newest-wins, and live keys are emitted up to the merge's
+*horizon*, with a further pass when delete markers leave the result
+short.  Memory is bounded by ``limit`` times the run count.  Unlimited
+iteration (compaction, anti-entropy, ``len``) streams through
+:func:`_merged`, a ``heapq.merge`` over natively comparable ``(key, age
+tag, value)`` tuples that dedupes per key and holds one block of entries
+per run: a per-key list of copies, as the chunked merge builds, would slow
+that path.
 
 **Size-tiered compaction** merges *age-contiguous* runs of ``fanout`` or
 more segments in the same size tier.  Age contiguity is a correctness
@@ -75,7 +76,6 @@ between runs without changing what any read returns.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import os
 import re
@@ -83,7 +83,7 @@ import shutil
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..memory import SortedKeys
+from ..memory import SortedKeys, merge_slices
 from .base import EngineRecovery, StorageEngine
 from .external import SpillingSorter
 from .segment import Entry, Segment, SegmentError, filter_hashes, write_segment
@@ -100,6 +100,12 @@ def _tagged(blocks: Iterable[List[Entry]], tag: int) -> Iterator[Tuple]:
     return chain.from_iterable(
         [(key, tag, value) for key, value in entries] for entries in blocks
     )
+
+
+def _newest(chunks: List[List[Entry]]) -> Dict[bytes, Optional[bytes]]:
+    """Each key's newest value across runs given oldest first, memtable last:
+    a later pair overwrites an earlier one."""
+    return dict(chain.from_iterable(chunks))
 
 
 def _merged(
@@ -280,57 +286,27 @@ class LsmTree:
     ) -> List[Tuple[bytes, bytes]]:
         """Live ``(key, value)`` pairs in a range, newest write per key winning.
 
-        With a ``limit`` this is the chunked slice-and-resolve the module
-        docstring describes; the limit applies after resolution, so runs
-        that lead with delete markers cannot starve the result.
+        With a ``limit`` this is :func:`~repro.kvstore.memory.merge_slices`
+        over the segments and the memtable; the limit applies after
+        resolution, so runs that lead with delete markers cannot starve
+        the result.
         """
         if limit is None:
             return list(self.iter_merged(start, end, ascending))
         if limit < 0:
             raise ValueError("limit must be non-negative")
-        out: List[Tuple[bytes, bytes]] = []
-        remaining = limit
-        while remaining > 0:
-            newest: Dict[bytes, Optional[bytes]] = {}
-            horizon: Optional[bytes] = None
-            # Oldest run first, memtable last: a later update overwrites.
+
+        def read(
+            start: Optional[bytes], end: Optional[bytes], remaining: int
+        ) -> List[List[Entry]]:
             chunks = [
                 segment.read_range(start, end, remaining, ascending)
                 for segment in self.segments
             ]
             chunks.append(self._mem_range(start, end, ascending, remaining))
-            for chunk in chunks:
-                newest.update(chunk)
-                if len(chunk) == remaining:
-                    last = chunk[-1][0]
-                    if horizon is None or (
-                        last < horizon if ascending else last > horizon
-                    ):
-                        horizon = last
-            keys = sorted(newest)
-            if horizon is not None:
-                # Past the horizon a truncated run may hold a newer write
-                # (or a delete marker) it has not shown yet.
-                if ascending:
-                    del keys[bisect.bisect_right(keys, horizon):]
-                else:
-                    del keys[: bisect.bisect_left(keys, horizon)]
-            if not ascending:
-                keys.reverse()
-            for key in keys:
-                value = newest[key]
-                if value is not None:
-                    out.append((key, value))
-                    if len(out) == limit:
-                        return out
-            if horizon is None:
-                break  # every run ended inside its chunk
-            remaining = limit - len(out)
-            if ascending:
-                start = horizon + b"\x00"
-            else:
-                end = horizon
-        return out
+            return chunks
+
+        return merge_slices(read, _newest, start, end, limit, ascending)
 
     iter_range = iter_merged  # the name ``OrderedKVMap`` gives it
 

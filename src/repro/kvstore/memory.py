@@ -19,6 +19,11 @@ load).  A write followed by a range therefore costs a bisect and a memmove,
 not a pass over every key, bulk loading stays O(n log n), and point reads
 stay O(1).
 
+:func:`merge_slices` is the one chunked range merge over several sources:
+the replicas of a range one tier up (``ReplicationManager.merged_range``)
+and the runs of one LSM tree (``LsmTree.range``) both answer a limited
+range through it.
+
 A map knows nothing of who reads it.  The range memo one tier up
 (``ReplicationManager.merged_range``) learns of changes from the replica
 store's doors (:mod:`repro.replication.store`), not from the map, so a
@@ -28,8 +33,11 @@ memo.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from typing import Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right, insort
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+#: One source's slice of a range: ``(key, stored value)`` pairs in scan order.
+Slice = List[Tuple[bytes, Any]]
 
 
 class SortedKeys:
@@ -74,6 +82,68 @@ class SortedKeys:
     def clear(self) -> None:
         self._keys.clear()
         self._pending.clear()
+
+
+def merge_slices(
+    read: Callable[[Optional[bytes], Optional[bytes], Optional[int]], List[Slice]],
+    resolve: Callable[[List[Slice]], Dict[bytes, Optional[bytes]]],
+    start: Optional[bytes],
+    end: Optional[bytes],
+    limit: Optional[int],
+    ascending: bool,
+) -> List[Tuple[bytes, bytes]]:
+    """The newest live ``(key, value)`` pairs of ``[start, end)`` across
+    several sources, in scan order, at most ``limit`` of them.
+
+    Chunked slice-and-resolve.  ``read(start, end, remaining)`` returns
+    every source's slice of a range — at most ``remaining`` entries each,
+    in scan order, deletes included — and ``resolve(slices)`` maps every key
+    they hold to its newest value, ``None`` for a delete: each caller keeps
+    its own rule for which copy is newest.  Keys are emitted up to the
+    *horizon* — the least-advanced last key among the sources that filled
+    their slice, past which some source has not been heard.  The limit
+    applies after resolution, never per source: when deletes leave a pass
+    short, the next one resumes just past the horizon with the remaining
+    limit, so a slice that leads with deletes cannot starve the result.
+    With ``limit=None`` one pass reads everything.
+    """
+    out: List[Tuple[bytes, bytes]] = []
+    remaining = limit
+    while remaining is None or remaining > 0:
+        slices = read(start, end, remaining)
+        newest = resolve(slices)
+        horizon: Optional[bytes] = None
+        for chunk in slices:
+            if len(chunk) == remaining:
+                last = chunk[-1][0]
+                if horizon is None or (
+                    last < horizon if ascending else last > horizon
+                ):
+                    horizon = last
+        keys = sorted(newest)
+        if horizon is not None:
+            # Past the horizon a source whose slice stopped short may hold
+            # a newer copy (or a delete) it has not shown yet.
+            if ascending:
+                del keys[bisect_right(keys, horizon):]
+            else:
+                del keys[: bisect_left(keys, horizon)]
+        if not ascending:
+            keys.reverse()
+        for key in keys:
+            value = newest[key]
+            if value is not None:
+                out.append((key, value))
+                if len(out) == limit:
+                    return out
+        if horizon is None:
+            break  # every source's slice ended inside its chunk
+        remaining = limit - len(out)
+        if ascending:
+            start = horizon + b"\x00"
+        else:
+            end = horizon
+    return out
 
 
 def _hashable(key: bytes) -> bytes:

@@ -1,9 +1,10 @@
 """Simulated storage node.
 
-A node does not own data in this simulator (the cluster keeps each
-namespace in a single logically-global ordered map so that range semantics
-are exact); a node exists to model the *performance* side of the system:
-it has a latency model, a capacity, a current utilisation, and counters.
+A node's data lives in its :class:`~repro.replication.store.ReplicaStore`
+(the replica of every namespace it owns a share of, kept by the
+replication manager); :class:`StorageNode` models the *performance* side
+only: it has a latency model, a capacity, a current utilisation, and
+counters.
 
 This split — exact data semantics, simulated performance — is the key
 substitution that lets a single Python process stand in for the paper's

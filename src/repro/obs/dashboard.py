@@ -19,6 +19,9 @@ from typing import List, Optional, Sequence
 from .telemetry import FleetTelemetry
 from .timeseries import TimeSeriesPoint
 
+#: Characters per line of the rendered dashboard.
+WIDTH = 72
+
 #: Eight-level block characters, lowest to highest.
 _SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -56,13 +59,13 @@ def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:
     return "  ".join(str(cell).ljust(width) for cell, width in zip(cells, widths)).rstrip()
 
 
-def render_dashboard(telemetry: FleetTelemetry, width: int = 72) -> str:
-    """Render the fleet dashboard as one multi-line string."""
+def render_dashboard(telemetry: FleetTelemetry) -> str:
+    """Render the fleet dashboard as one multi-line string, :data:`WIDTH` wide."""
     store = telemetry.store
     lines: List[str] = []
-    rule = "─" * width
+    rule = "─" * WIDTH
 
-    lines.append("FLEET TELEMETRY".center(width))
+    lines.append("FLEET TELEMETRY".center(WIDTH))
     lines.append(rule)
     scrapes = telemetry.collector.scrapes
     last = telemetry.collector.last_scrape_seconds
@@ -285,8 +288,8 @@ def render_dashboard(telemetry: FleetTelemetry, width: int = 72) -> str:
             by_class.setdefault(query_class, []).append((segment, label_dict))
         for query_class in sorted(by_class):
             name = query_class
-            if len(name) > width - 4:
-                name = name[: width - 7] + "..."
+            if len(name) > WIDTH - 4:
+                name = name[: WIDTH - 7] + "..."
             lines.append(f"  {name}")
             rows = []
             for segment, label_dict in by_class[query_class]:

@@ -30,6 +30,10 @@ from .flightrec import (
     RetainedTrace,
 )
 
+#: Correlation padding around each fault window: breaker reactions trail
+#: their cause, so one within this many seconds of a window counts toward it.
+GRACE_SECONDS = 2.0
+
 @dataclass(frozen=True)
 class FaultWindow:
     """One injected-fault interval: from the fault to its repair."""
@@ -171,7 +175,6 @@ class IncidentReport:
     entries: List[TimelineEntry]
     windows: List[WindowCorrelation]
     retained_traces: int
-    grace_seconds: float
 
     def reconstructs_schedule(self) -> bool:
         """True when every crash and partition window is fully correlated."""
@@ -185,7 +188,7 @@ class IncidentReport:
         lines.append(
             f"{len(self.windows)} fault window(s), "
             f"{self.retained_traces} retained trace(s), "
-            f"correlation grace ±{self.grace_seconds:g}s"
+            f"correlation grace ±{GRACE_SECONDS:g}s"
         )
         lines.append("-- windows --")
         for correlation in self.windows:
@@ -206,7 +209,7 @@ class IncidentReport:
             "schema": "incident-report/v1",
             "title": self.title,
             "horizon_seconds": self.horizon,
-            "grace_seconds": self.grace_seconds,
+            "grace_seconds": GRACE_SECONDS,
             "retained_traces": self.retained_traces,
             "reconstructs_schedule": self.reconstructs_schedule(),
             "windows": [c.payload() for c in self.windows],
@@ -230,7 +233,6 @@ def build_incident_report(
     alerts: Sequence[object] = (),
     drift_reports: Sequence[object] = (),
     traces: Sequence[RetainedTrace] = (),
-    grace_seconds: float = 2.0,
 ) -> IncidentReport:
     """Correlate everything one run observed into an :class:`IncidentReport`.
 
@@ -239,7 +241,7 @@ def build_incident_report(
     are end-of-run :class:`~repro.obs.drift.DriftReport`\\ s (summaries, so
     they enter the timeline at ``horizon``); ``traces`` come from the
     flight recorder.  Correlation: a trace counts toward a window when its
-    span overlaps it; breaker transitions count within ``grace_seconds``
+    span overlaps it; breaker transitions count within :data:`GRACE_SECONDS`
     of the window (reactions trail their cause); an alert counts while it
     is firing (its [fired, cleared] interval overlaps the padded window).
     """
@@ -312,8 +314,8 @@ def build_incident_report(
 
     correlations: List[WindowCorrelation] = []
     for window in windows:
-        lo = window.start - grace_seconds
-        hi = window.end + grace_seconds
+        lo = window.start - GRACE_SECONDS
+        hi = window.end + GRACE_SECONDS
         correlation = WindowCorrelation(window=window)
         for trace in traces:
             span = trace.span
@@ -339,7 +341,6 @@ def build_incident_report(
         entries=entries,
         windows=correlations,
         retained_traces=len(traces),
-        grace_seconds=grace_seconds,
     )
 
 
@@ -416,7 +417,6 @@ class LatencyForensics:
         fault_events: Sequence[object] = (),
         alerts: Sequence[object] = (),
         drift_reports: Sequence[object] = (),
-        grace_seconds: float = 2.0,
     ) -> IncidentReport:
         return build_incident_report(
             title=title,
@@ -426,5 +426,4 @@ class LatencyForensics:
             alerts=alerts,
             drift_reports=drift_reports,
             traces=self.recorder.traces,
-            grace_seconds=grace_seconds,
         )

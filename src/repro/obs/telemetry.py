@@ -234,10 +234,10 @@ class FleetTelemetry:
     def alerts(self) -> List[object]:
         return list(self.alerter.alerts) if self.alerter is not None else []
 
-    def dashboard(self, width: int = 72) -> str:
+    def dashboard(self) -> str:
         from .dashboard import render_dashboard
 
-        return render_dashboard(self, width=width)
+        return render_dashboard(self)
 
     def save(self, path: str) -> str:
         from .export import write_telemetry_json

@@ -21,9 +21,9 @@ up and charges the simulated cost of the work the manager reports.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 from typing import (
     AbstractSet,
     Dict,
@@ -37,6 +37,7 @@ from typing import (
 )
 
 from ..kvstore.engine.base import StorageEngine
+from ..kvstore.memory import merge_slices
 from .ring import HashRing, leading_length, placement_token, read_rotation
 from .store import (
     MISSING_SEQ,
@@ -56,6 +57,34 @@ SCAN_CHUNK_KEYS = 1024
 def _key_after(key: bytes) -> bytes:
     """The smallest byte string strictly greater than ``key``."""
     return key + b"\x00"
+
+
+def _copy_key(copy: Tuple[int, Tuple[bytes, bytes]]) -> bytes:
+    """The key of one ``(node id, (key, record))`` copy (:meth:`ReplicationManager.copies`)."""
+    return copy[1][0]
+
+
+def _newest_payloads(
+    slices: List[List[Tuple[bytes, bytes]]]
+) -> Dict[bytes, Optional[bytes]]:
+    """Each key's newest payload across replica slices, ``None`` for a
+    tombstone: the highest sequence wins."""
+    first, *others = slices or [[]]
+    newest = dict(first)
+    for chunk in others:
+        if chunk == first:
+            continue  # the first replica's writes again: nothing newer
+        for key, record in chunk:
+            held = newest.get(key)
+            # Equal bytes are the same write: nothing to unpack.
+            if held is None or (
+                held != record and record_seq(record) > record_seq(held)
+            ):
+                newest[key] = record
+    return {
+        key: None if is_tombstone(record) else record[PAYLOAD_AT:]
+        for key, record in newest.items()
+    }
 
 
 #: One placement-cache entry: ``(preference list, read order, cut)``, the
@@ -371,9 +400,10 @@ class ReplicationManager:
         """Newest live ``(key, value)`` pairs in a range, and their values'
         total bytes.
 
-        Each node of ``node_ids`` contributes its replica's slice; per key
-        the newest record wins and tombstones suppress the key entirely
-        (:meth:`_merge`).
+        Each node of ``node_ids`` contributes its replica's slice to the one
+        chunked range merge, :func:`~repro.kvstore.memory.merge_slices`
+        (:meth:`_merge`); per key the newest record wins and tombstones
+        suppress the key entirely.
 
         A range with a ``limit`` inside one leading value ``lead`` (what
         :meth:`range_group` hands back for it; ``None`` for any other range)
@@ -391,8 +421,7 @@ class ReplicationManager:
         not.  Any other range merges every time.
         """
         if lead is None or limit is None:
-            stores = [self.stores[node_id] for node_id in node_ids]
-            pairs = self._merge(namespace, stores, start, end, limit, ascending)
+            pairs = self._merge(namespace, node_ids, start, end, limit, ascending)
             return pairs, sum([len(value) for _, value in pairs])
         leads = self._range_memos.get(namespace)
         if leads is None:
@@ -403,8 +432,7 @@ class ReplicationManager:
             entry = entries.get(entry_key)
             if entry is not None:
                 return list(entry[0]), entry[1]
-        stores = [self.stores[node_id] for node_id in node_ids]
-        pairs = self._merge(namespace, stores, start, end, limit, ascending)
+        pairs = self._merge(namespace, node_ids, start, end, limit, ascending)
         nbytes = sum([len(value) for _, value in pairs])
         held = self._memo_sizes.get(namespace, 0)
         if held >= RANGE_MEMO_MAX:
@@ -442,73 +470,30 @@ class ReplicationManager:
         self._range_memos = {}
         self._memo_sizes = {}
 
-    @staticmethod
     def _merge(
+        self,
         namespace: str,
-        stores: List[ReplicaStore],
+        node_ids: Sequence[int],
         start: Optional[bytes],
         end: Optional[bytes],
         limit: Optional[int],
         ascending: bool,
     ) -> List[Tuple[bytes, bytes]]:
-        """The newest live keys across ``stores``, in scan order, each with
-        its payload (the winning record past its header).
+        """The newest live keys across the replicas of ``node_ids``, in scan
+        order, each with its payload: :func:`~repro.kvstore.memory.
+        merge_slices` over their :meth:`ReplicaStore.range_records`.  A memo
+        hit returns before this builds its store list and closure."""
+        stores = [self.stores[node_id] for node_id in node_ids]
 
-        Chunked slice-and-resolve: every replica returns at most ``limit``
-        records, the copies are resolved newest-wins in one pass, and keys
-        are emitted up to the *horizon* — the least-advanced last key among
-        the replicas that filled their chunk, past which some replica has
-        not been heard.  The limit applies after conflict resolution, never
-        per replica: when tombstones leave a pass short, the next one
-        resumes just past the horizon with the remaining limit, so a slice
-        that leads with tombstones cannot starve the result.
-        """
-        winners: List[Tuple[bytes, bytes]] = []
-        remaining = limit
-        while remaining is None or remaining > 0:
-            newest: Dict[bytes, bytes] = {}
-            horizon: Optional[bytes] = None
-            for store in stores:
-                chunk = store.range_records(
-                    namespace, start, end, remaining, ascending
-                )
-                for key, record in chunk:
-                    held = newest.get(key)
-                    # Equal bytes are the same write: nothing to unpack.
-                    if held is None or (
-                        held != record and record_seq(record) > record_seq(held)
-                    ):
-                        newest[key] = record
-                if len(chunk) == remaining:
-                    last = chunk[-1][0]
-                    if horizon is None or (
-                        last < horizon if ascending else last > horizon
-                    ):
-                        horizon = last
-            keys = sorted(newest)
-            if horizon is not None:
-                # A key past the horizon may have a newer copy on a replica
-                # whose chunk stopped short of it.
-                if ascending:
-                    del keys[bisect.bisect_right(keys, horizon):]
-                else:
-                    del keys[: bisect.bisect_left(keys, horizon)]
-            if not ascending:
-                keys.reverse()
-            for key in keys:
-                record = newest[key]
-                if not is_tombstone(record):
-                    winners.append((key, record[PAYLOAD_AT:]))
-                    if len(winners) == limit:
-                        return winners
-            if horizon is None:
-                break  # every replica's slice ended inside its chunk
-            remaining = limit - len(winners)
-            if ascending:
-                start = _key_after(horizon)
-            else:
-                end = horizon
-        return winners
+        def read(
+            start: Optional[bytes], end: Optional[bytes], remaining: Optional[int]
+        ) -> List[List[Tuple[bytes, bytes]]]:
+            return [
+                store.range_records(namespace, start, end, remaining, ascending)
+                for store in stores
+            ]
+
+        return merge_slices(read, _newest_payloads, start, end, limit, ascending)
 
     def live_key_count(self, namespace: str, node_ids: Sequence[int]) -> int:
         """Number of distinct live (non-tombstone) keys across replicas."""
@@ -604,53 +589,50 @@ class ReplicationManager:
     ) -> List[Tuple[bytes, bytes, List[int]]]:
         """Resolve up to ``chunk_keys`` keys after ``cursor`` for repair.
 
-        Returns ``(key, newest source record, holder node ids)`` per key
-        that at least one *source* holds (keys present only on
-        ``extra_holders`` are skipped — repair never trusts them as input);
-        holders span sources and extras.  All replica iterators are
-        exhausted or dropped before returning, so the caller may freely
-        mutate the stores afterwards.
+        Walks :meth:`copies` of sources and extras and returns ``(key,
+        newest source record, holder node ids)`` per key that at least one
+        *source* holds (keys present only on ``extra_holders`` are skipped —
+        repair never trusts them as input); holders span sources and
+        extras.  The walk is closed before returning, so the caller may
+        freely mutate the stores afterwards.
         """
         start = None if cursor is None else _key_after(cursor)
         trusted = set(source_ids)
-
-        def tagged(node_id: int):
-            # Binds node_id eagerly — a genexp here would close over the
-            # loop variable and tag every stream with the last node.
-            return (
-                (key, record, node_id)
-                for key, record in self.stores[node_id].iter_range_records(
-                    namespace, start, None
-                )
-            )
-
-        streams = [
-            tagged(node_id)
-            for node_id in list(source_ids) + list(extra_holders)
-        ]
-        merged = heapq.merge(*streams, key=lambda entry: entry[0])
         chunk: List[Tuple[bytes, bytes, List[int]]] = []
-        current_key: Optional[bytes] = None
-        best: Optional[bytes] = None
-        holders: List[int] = []
-
-        def flush() -> None:
-            if current_key is not None and best is not None:
-                chunk.append((current_key, best, holders))
-
-        for key, record, node_id in merged:
-            if key != current_key:
-                flush()
-                if len(chunk) >= chunk_keys:
-                    return chunk
-                current_key, best, holders = key, None, []
-            holders.append(node_id)
-            if node_id in trusted and (
-                best is None or record_seq(record) > record_seq(best)
-            ):
-                best = record
-        flush()
+        walk = self.copies(namespace, [*source_ids, *extra_holders], start)
+        for key, held in walk:
+            best: Optional[bytes] = None
+            for node_id, record in held:
+                if node_id in trusted and (
+                    best is None or record_seq(record) > record_seq(best)
+                ):
+                    best = record
+            if best is not None:
+                chunk.append((key, best, [node_id for node_id, _ in held]))
+                if len(chunk) == chunk_keys:
+                    break
+        walk.close()
         return chunk
+
+    def copies(
+        self, namespace: str, node_ids: Sequence[int], start: Optional[bytes]
+    ) -> Iterator[Tuple[bytes, List[Tuple[int, bytes]]]]:
+        """Every key the replicas of ``node_ids`` hold from ``start`` on, in
+        key order, with its ``(node id, record)`` copies in ``node_ids``
+        order (tombstones included).
+
+        Streams one lazy iterator per replica, so the stores must not change
+        while the walk is open: close it before writing.
+        """
+        streams = [
+            zip(repeat(node_id), self.stores[node_id].iter_range_records(
+                namespace, start, None
+            ))
+            for node_id in node_ids
+        ]
+        merged = heapq.merge(*streams, key=_copy_key)
+        for key, group in groupby(merged, key=_copy_key):
+            yield key, [(node_id, record) for node_id, (_, record) in group]
 
     def replay_hints(self, node_id: int) -> RepairReport:
         """Apply (and drain) the hint buffer for a recovered node."""

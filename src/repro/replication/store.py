@@ -85,7 +85,7 @@ def decode_record(record: bytes) -> Tuple[int, Optional[bytes]]:
 
 def is_tombstone(record: bytes) -> bool:
     """Whether an encoded record is a tombstone."""
-    return bool(record[PAYLOAD_AT - 1] & _TOMBSTONE)
+    return record[PAYLOAD_AT - 1] & _TOMBSTONE != 0
 
 
 def record_seq(record: Optional[bytes]) -> int:

@@ -45,6 +45,16 @@ from ..kvstore.node import StorageNode
 BUCKET_SECONDS = 0.05
 
 
+def _bucket(sim_time: float) -> int:
+    """The calendar bucket holding ``sim_time``.
+
+    ``sim_time // BUCKET_SECONDS`` floors a round time such as 1.0 into the
+    bucket that *ends* there (1.0 / 0.05 is 19.999...); the nudge puts it in
+    the bucket it starts.
+    """
+    return math.floor(sim_time / BUCKET_SECONDS + 1e-9)
+
+
 class NodeRequestQueue:
     """Single-server queue attached to one :class:`StorageNode`.
 
@@ -94,7 +104,7 @@ class NodeRequestQueue:
     def on_request(self, sim_time: float, service_seconds: float) -> float:
         """Admit one request; return the time it spends waiting in queue."""
         width = BUCKET_SECONDS
-        bucket = int(sim_time // width)
+        bucket = _bucket(sim_time)
         remaining = service_seconds
         start_time: float = sim_time
         started = False
@@ -126,7 +136,7 @@ class NodeRequestQueue:
         it sums the buckets from ``now``'s up to the last charged one, in
         bucket order, and a drained queue answers without a walk.
         """
-        horizon = int(now // BUCKET_SECONDS)
+        horizon = _bucket(now)
         last = self._last_bucket
         if last < horizon:
             return 0.0
@@ -168,7 +178,7 @@ class NodeRequestQueue:
 
     def _prune(self, now: float) -> None:
         """Forget calendar buckets far enough in the past to be immutable."""
-        horizon = int((now - 10.0 * self.smoothing_seconds) // BUCKET_SECONDS)
+        horizon = _bucket(now - 10.0 * self.smoothing_seconds)
         if horizon <= 0:
             return
         stale = [bucket for bucket in self._buckets if bucket < horizon]

@@ -136,9 +136,7 @@ class ServingReport:
     #: The run's forensics bundle (``None`` unless forensics was enabled).
     forensics: Optional[LatencyForensics] = None
 
-    def incident_report(
-        self, title: str = "serving run", grace_seconds: float = 2.0
-    ) -> IncidentReport:
+    def incident_report(self, title: str = "serving run") -> IncidentReport:
         """Correlate this run's faults/breakers/alerts/traces (requires
         ``ServingConfig.forensics``)."""
         if self.forensics is None:
@@ -156,17 +154,16 @@ class ServingReport:
             fault_events=self.fault_events,
             alerts=alerts,
             drift_reports=drift_reports,
-            grace_seconds=grace_seconds,
         )
 
-    def dashboard(self, width: int = 72) -> str:
+    def dashboard(self) -> str:
         """The rendered fleet dashboard (requires telemetry_enabled)."""
         if self.telemetry is None:
             raise ValueError(
                 "telemetry was not enabled for this run "
                 "(set ServingConfig.telemetry_enabled)"
             )
-        return self.telemetry.dashboard(width=width)
+        return self.telemetry.dashboard()
 
     @property
     def completed(self) -> int:

@@ -10,6 +10,7 @@ from repro.obs import flightrec
 from repro.obs.criticalpath import MAX_CLASSES
 from repro.obs.flightrec import MAX_TRANSITIONS, BreakerTransition, RetainedTrace
 from repro.obs.incident import (
+    GRACE_SECONDS,
     LatencyForensics,
     build_incident_report,
     fault_windows,
@@ -100,7 +101,6 @@ class TestCorrelation:
             title="t",
             horizon=20.0,
             fault_events=[event(4.0, "crash", 1), event(8.0, "recover", 1)],
-            grace_seconds=2.0,
         )
         defaults.update(kwargs)
         return build_incident_report(**defaults)
@@ -126,10 +126,15 @@ class TestCorrelation:
 
     def test_breaker_reaction_within_grace_counts(self):
         # Reactions trail their cause: a transition just after the window
-        # (within the grace) still correlates.
+        # (within the grace) still correlates; one past it does not.
         report = self._report(
             traces=[retained("t-1", 5.0, 5.1)],
-            transitions=[BreakerTransition(9.5, 1, "open", "half_open")],
+            transitions=[
+                BreakerTransition(9.5, 1, "open", "half_open"),
+                BreakerTransition(
+                    8.0 + GRACE_SECONDS + 0.5, 1, "half_open", "closed"
+                ),
+            ],
         )
         assert report.windows[0].breaker_transitions == 1
         assert report.windows[0].correlated

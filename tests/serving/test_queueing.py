@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from repro import ClusterConfig, KeyValueCluster
 from repro.schema.keys import encode_key, prefix_range
 from repro.serving import NodeRequestQueue, install_queues, refresh_utilization, remove_queues
-from repro.serving.queueing import BUCKET_SECONDS
+from repro.serving.queueing import BUCKET_SECONDS, _bucket
 
 
 def all_bucket_backlog(queue: NodeRequestQueue, now: float) -> float:
     """``backlog_seconds`` as a walk over every bucket of the calendar,
     summed in bucket order (the order is the one freedom float addition
     leaves)."""
-    horizon = int(now // BUCKET_SECONDS)
+    horizon = _bucket(now)
     total = 0.0
     for bucket, used in sorted(queue._buckets.items()):
         if bucket > horizon:
@@ -97,6 +97,15 @@ class TestNodeRequestQueue:
         assert queue.on_request(0.01, 0.01) == pytest.approx(0.09)
         assert queue.backlog_seconds(0.0) == pytest.approx(0.13)
         assert queue.backlog_seconds(0.2) == 0.0
+
+    @pytest.mark.parametrize("arrival", [0.3, 1.0])
+    def test_a_round_arrival_books_from_its_own_bucket(self, arrival):
+        # arrival / BUCKET_SECONDS lands a hair under a whole number here:
+        # a plain floor would book part of the charge into the bucket that
+        # ends at the arrival, where no backlog asked from then on sees it.
+        queue = NodeRequestQueue()
+        assert queue.on_request(arrival, 0.12) == pytest.approx(0.0, abs=1e-12)
+        assert queue.backlog_seconds(arrival) == pytest.approx(0.12)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), charges=st.integers(1, 120))
@@ -192,9 +201,10 @@ class TestLeastBacklogReads:
         got = cluster.get("ns", key, sim_time=0.1)
         assert got.node_id == key_order[1]
         assert got.queue_wait_seconds == 0.0
-        # Once the backlog has drained, read order serves again.
+        # Once the backlog has drained, read order serves again.  Each read
+        # at its own instant: a read's charge is backlog to one asked then.
         assert cluster.get_range("ns", start, end, 5, sim_time=1.0).node_id == order[0]
-        assert cluster.get("ns", key, sim_time=1.0).node_id == key_order[0]
+        assert cluster.get("ns", key, sim_time=1.5).node_id == key_order[0]
 
     def test_without_queues_reads_keep_read_order(self):
         cluster = self.cluster()
