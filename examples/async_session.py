@@ -12,13 +12,17 @@ them:
 2. ``session.gather(*futures)`` resolves them *concurrently* — every branch
    starts at the same simulated instant and the session clock advances by
    the slowest branch only, with duplicate point reads across branches
-   coalesced into one fetch;
+   coalesced into one fetch, and a range one branch scans again served
+   from the other branch's reply;
 3. results stream back as ``ResultCursor`` objects — pages of a PAGINATE
    query are fetched lazily as you iterate, ``fetch_all()`` materialises.
 
 This walkthrough renders the SCADr home page (Section 8.1.2) both ways and
 shows the pipelined render costing the max of its four queries instead of
-their sum.
+their sum, in one RPC fewer: ``thoughtstream`` scans the same subscriptions
+range ``users_followed`` fetched, so it waits for that reply instead of
+sending its own.  A shared reply saves work, not necessarily this page's
+time: the waiting branch is ready no sooner than the fetch it shares.
 
 Run with ``PYTHONPATH=src python examples/async_session.py``.
 """
@@ -55,11 +59,15 @@ def main() -> None:
         result = db.execute(sql, uname=uname)
         serial_latencies[name] = result.latency_seconds
     serial_total = db.client.clock.now
+    serial_rpcs = db.client.stats.rpcs
 
     print(f"SCADr home page for {uname!r}, rendered serially:")
     for name, latency in serial_latencies.items():
         print(f"  {name:<16} {latency * 1000:7.2f} ms")
-    print(f"  {'total':<16} {serial_total * 1000:7.2f} ms  (latencies add)\n")
+    print(
+        f"  {'total':<16} {serial_total * 1000:7.2f} ms  (latencies add; "
+        f"{serial_rpcs} RPCs)\n"
+    )
 
     # --- the same render through a session --------------------------------
     db, workload = fresh_scadr()
@@ -77,7 +85,8 @@ def main() -> None:
         print(f"  {future.label:<16} {future.latency_seconds * 1000:7.2f} ms")
     print(
         f"  {'total':<16} {pipelined_total * 1000:7.2f} ms  "
-        f"(= slowest branch; {serial_total / pipelined_total:.2f}x faster)\n"
+        f"(= slowest branch; {serial_total / pipelined_total:.2f}x faster; "
+        f"{db.client.stats.rpcs} RPCs)\n"
     )
 
     # --- the interaction plan does this for every page --------------------

@@ -19,7 +19,9 @@ on one simulated clock:
   :class:`~repro.kvstore.client.StorageClient` already applies to a parallel
   batch of key/value requests, lifted to whole queries.  While a gather is
   in flight the storage client additionally coalesces duplicate point reads
-  issued by different branches into one batched fetch.
+  issued by different branches into one batched fetch, and serves a range
+  a branch scans again — the same bounds, limit and direction, filtered or
+  not — from the first branch's reply.
 * results come back as a streaming :class:`ResultCursor` — pages of a
   ``PAGINATE`` query are fetched lazily as the cursor is iterated, with
   ``fetch_all()`` for callers that want the fully materialised rows.
@@ -421,9 +423,10 @@ class Session:
         time, and once all branches have run the session clock advances by
         the *maximum* branch latency — independent queries overlap instead
         of queueing behind one another.  Duplicate point reads issued by
-        different branches are coalesced by the storage client for the
-        duration of the gather (see
-        :meth:`~repro.kvstore.client.StorageClient.begin_gather_window`).
+        different branches, and a range scanned again by a later branch, are
+        coalesced by the storage client for the duration of the gather: the
+        later branch waits for the first reply instead of issuing an RPC
+        (see :meth:`~repro.kvstore.client.StorageClient.begin_gather_window`).
 
         Returns the branches' results in argument order.  If any branch
         failed, the remaining branches still run (and the clock still

@@ -21,7 +21,9 @@ into one accounted :class:`~repro.errors.RpcTimeoutError` — the only
 ``except`` of that error and the only place ``client.rpc_timeouts`` is
 counted — and accounts a completed RPC: clock, counters, breakers, span.
 A gather window's batched read goes through it like any other, differing
-only in when the clock moves.
+only in when the clock moves.  A range the window already holds sends no
+RPC at all: the later branch waits for the held reply (see
+:meth:`StorageClient.begin_gather_window`).
 
 Measurement
 -----------
@@ -72,10 +74,10 @@ class ClientStats:
 
     * ``operations`` / ``keys_touched`` / ``rpcs`` — logical operations,
       keys, and physical round trips.
-    * ``coalesced_reads`` — point reads served from a gather window's
-      coalescing buffer instead of a fresh RPC.  They still count as logical
-      ``operations`` (static bounds are about requested work) but issue no
-      RPC and charge no fresh latency.
+    * ``coalesced_reads`` — point reads and range reads served from a
+      gather window's coalescing buffer instead of a fresh RPC.  They still
+      count as logical ``operations`` and keys touched (static bounds are
+      about requested work) but issue no RPC and charge no fresh latency.
     * ``saved_reads`` — logical point reads that never became physical
       fetches: duplicate lookup keys deduplicated before a ``multi_get``,
       and index-entry dereferences pruned by a data stop or a pushed-down
@@ -136,6 +138,13 @@ class StorageClient:
     _gather_cache: Optional[
         Dict[Tuple[str, bytes], Tuple[Optional[bytes], float, Optional[Span]]]
     ] = field(default=None, repr=False, compare=False)
+    #: Unfiltered range replies completed during an open gather window:
+    #: ``(namespace, start, end, limit, ascending) -> (pairs, ready_at)``.
+    #: ``None`` outside a window.
+    _gather_ranges: Optional[Dict[
+        Tuple[str, Optional[bytes], Optional[bytes], Optional[int], bool],
+        Tuple[Tuple[KeyValue, ...], float],
+    ]] = field(default=None, repr=False, compare=False)
     _gather_depth: int = field(default=0, repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -327,12 +336,24 @@ class StorageClient:
         as ``(value, completion time)``; a later branch requesting the same
         key joins the outstanding batch instead of issuing a fresh RPC — it
         waits until the original fetch's completion time (if its own clock
-        is not already past it) and reuses the reply.  Writes inside the
-        window evict the written key so no branch reads a stale value.
+        is not already past it) and reuses the reply.
+
+        Unfiltered range replies are held the same way, keyed by
+        ``(namespace, start, end, limit, ascending)``: a later
+        :meth:`get_range` of that key, or a :meth:`filtered_range` of it
+        (which examines exactly the rows the unfiltered scan fetched and
+        filters them here), waits for the held reply instead of issuing an
+        RPC.  Filtered replies are not held — they lack the rows the filter
+        rejected.
+
+        Writes inside the window evict the written key, and every held
+        range of its namespace that contains it, so no branch reads a stale
+        value.
         """
         self._gather_depth += 1
         if self._gather_cache is None:
             self._gather_cache = {}
+            self._gather_ranges = {}
 
     def end_gather_window(self) -> None:
         """Close the window opened by :meth:`begin_gather_window`."""
@@ -341,10 +362,46 @@ class StorageClient:
         self._gather_depth -= 1
         if self._gather_depth == 0:
             self._gather_cache = None
+            self._gather_ranges = None
 
     def _invalidate(self, namespace: str, key: bytes) -> None:
         if self._gather_cache is not None:
             self._gather_cache.pop((namespace, key), None)
+            ranges = self._gather_ranges
+            if ranges:
+                # Every held range of the namespace whose [start, end)
+                # contains the written key.
+                for spec in [
+                    spec for spec in ranges
+                    if spec[0] == namespace
+                    and (spec[1] is None or spec[1] <= key)
+                    and (spec[2] is None or key < spec[2])
+                ]:
+                    del ranges[spec]
+
+    def _serve_held_range(
+        self, op: str, namespace: str,
+        held: Tuple[Tuple[KeyValue, ...], float],
+    ) -> Tuple[KeyValue, ...]:
+        """Account a range read served from a held reply and wait for it.
+
+        One logical operation touching every held row, no RPC, no node
+        charged; the branch waits until the reply's completion time.
+        """
+        rows, ready_at = held
+        self.stats.metrics.add_many((
+            ("client.operations", 1),
+            ("client.keys_touched", len(rows)),
+            ("client.coalesced_reads", 1),
+        ))
+        started = self.clock.now
+        self._coalesced_wait(ready_at)
+        if self.tracer is not None:
+            self.tracer.record(
+                op, "coalesced", started, self.clock.now,
+                namespace=namespace, keys=len(rows), coalesced=True,
+            )
+        return rows
 
     def _coalesced_wait(self, ready_at: float) -> None:
         """Wait (in simulated time) for the shared fetch's reply to arrive."""
@@ -525,12 +582,22 @@ class StorageClient:
 
         With as many nodes down as the replication factor the result could
         miss keys, so the request raises
-        :class:`~repro.errors.UnavailableError` instead.
+        :class:`~repro.errors.UnavailableError` instead.  Inside a gather
+        window the reply is held, and a range the window already holds is
+        served from it (:meth:`begin_gather_window`).
         """
+        ranges = self._gather_ranges
+        if ranges is not None:
+            spec = (namespace, start, end, limit, ascending)
+            held = ranges.get(spec)
+            if held is not None:
+                return list(self._serve_held_range("get_range", namespace, held))
         result, _ = self._call(
             "get_range", namespace, 1, self.cluster.get_range,
             start, end, limit, ascending, self.clock.now,
         )
+        if ranges is not None:
+            ranges[spec] = (tuple(result.value), self.clock.now)  # type: ignore[arg-type]
         return result.value  # type: ignore[return-value]
 
     def filtered_range(
@@ -548,8 +615,20 @@ class StorageClient:
         ``limit`` caps *examined* keys — the same entries an unfiltered scan
         of the range would have fetched — so pushdown never changes which
         section of the index a bounded scan covers, only how much of it is
-        shipped back and deserialised.
+        shipped back and deserialised.  Inside a gather window a range
+        :meth:`get_range` already fetched is filtered here from the held
+        reply instead (:meth:`begin_gather_window`).
         """
+        ranges = self._gather_ranges
+        if ranges is not None:
+            held = ranges.get((namespace, start, end, limit, ascending))
+            if held is not None:
+                rows = self._serve_held_range("filtered_range", namespace, held)
+                return (
+                    [(key, value) for key, value in rows if record_filter(key, value)],
+                    len(rows),
+                    rows[-1][0] if rows else None,
+                )
         result, _ = self._call(
             "filtered_range", namespace, 1, self.cluster.get_range,
             start, end, limit, ascending, self.clock.now, record_filter,

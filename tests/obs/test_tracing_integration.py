@@ -5,7 +5,8 @@ These tests pin the structural guarantees of the query-trace subsystem:
 * gather branches become sibling ``branch`` spans under one ``gather`` root,
 * duplicate point reads coalesced inside a gather window show up as a
   *single* RPC span with one logical read per requesting branch (a
-  ``logical-op`` span to every reader),
+  ``logical-op`` span to every reader), and a range scanned again inside
+  the window is one ``coalesced`` leaf span on the later branch,
 * LAZY and PARALLEL execution of the same query differ visibly in the
   trace (round structure and simulated latency),
 * work a write *triggers* — hinted handoff, read repair, view-maintenance
@@ -21,9 +22,11 @@ import pytest
 from repro import ClusterConfig, PiqlDatabase
 from repro.execution.context import ExecutionStrategy
 from repro.kvstore.cluster import KeyValueCluster
+from repro.obs.criticalpath import analyze_trace
 from repro.obs.explain import render_span_tree
 from repro.prediction.model import QueryLatencyModel
 from repro.prediction.training import OperatorModelTrainer, TrainingConfig
+from repro.workloads.scadr.queries import QUERIES as SCADR_PAGE
 from repro.workloads.tpcw.queries import NEW_PRODUCTS_WI
 
 USERS_BY_NAME = "SELECT * FROM users WHERE username = <u>"
@@ -131,6 +134,47 @@ class TestGatherTracing:
         ]
         # The client counted the saved read too.
         assert scadr_db.client.stats.coalesced_reads >= 1
+
+    def test_a_shared_range_is_one_coalesced_span_on_the_later_branch(
+        self, scadr_db
+    ):
+        # A SCADr home page: users_followed scans alice's subscriptions,
+        # and thoughtstream's filtered scan of the same range is served
+        # from that reply.
+        tracer = scadr_db.enable_tracing()
+        session = scadr_db.session()
+        session.gather(*[
+            session.submit(sql, uname="alice", label=name)
+            for name, sql in SCADR_PAGE.items()
+        ])
+        branches = {
+            branch.attributes["label"]: branch
+            for branch in tracer.last_root().children
+        }
+        fetched = [
+            span for span in branches["users_followed"].walk()
+            if span.name == "get_range"
+        ]
+        waited = [
+            span for span in branches["thoughtstream"].walk()
+            if span.kind == "coalesced"
+        ]
+        assert [span.kind for span in fetched] == ["rpc"]
+        assert [span.name for span in waited] == ["filtered_range"]
+        rpc, wait = fetched[0], waited[0]
+        assert not wait.children
+        assert wait.attributes["namespace"] == rpc.attributes["namespace"]
+        assert wait.attributes["keys"] == rpc.attributes["keys"]
+        # thoughtstream asked at the gather's start and had its rows when
+        # the users_followed reply arrived: the wait is that RPC's window.
+        assert wait.duration > 0
+        assert (wait.start, wait.end) == (rpc.start, rpc.end)
+        # The critical path charges the wait to the storage tier.
+        query = branches["thoughtstream"].find("query")[0]
+        breakdown = analyze_trace(query)
+        assert breakdown.segments["rpc_service"] >= wait.duration
+        assert breakdown.segments["client_compute"] == pytest.approx(0.0)
+        assert scadr_db.client.stats.coalesced_reads == 1
 
     def test_coalesced_reads_reported_on_client_stats(self, scadr_db):
         scadr_db.enable_tracing()
