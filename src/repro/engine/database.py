@@ -335,6 +335,12 @@ class PiqlDatabase:
         """Insert one row (index maintenance + constraint checks included)."""
         return self.records.insert(table, row, upsert=upsert)
 
+    def insert_many(
+        self, table: str, rows: Iterable[Dict[str, Any]], upsert: bool = False
+    ) -> List[Dict[str, Any]]:
+        """Insert rows of one table, one batched write per namespace."""
+        return self.records.insert_many(table, rows, upsert=upsert)
+
     def update(self, table: str, row: Dict[str, Any]) -> Dict[str, Any]:
         """Replace the row with the same primary key."""
         return self.records.update(table, row)
@@ -342,6 +348,13 @@ class PiqlDatabase:
     def delete(self, table: str, pk_values: Sequence[Any]) -> bool:
         """Delete one row by primary key."""
         return self.records.delete(table, pk_values)
+
+    def delete_many(
+        self, table: str, pk_values: Iterable[Sequence[Any]]
+    ) -> List[bool]:
+        """Delete rows of one table by primary key, one batched write per
+        namespace; returns per key whether it existed."""
+        return self.records.delete_many(table, pk_values)
 
     def get(self, table: str, pk_values: Sequence[Any]) -> Optional[Dict[str, Any]]:
         """Point lookup by primary key."""

@@ -21,7 +21,9 @@ into one accounted :class:`~repro.errors.RpcTimeoutError` — the only
 ``except`` of that error and the only place ``client.rpc_timeouts`` is
 counted — and accounts a completed RPC: clock, counters, breakers, span.
 A gather window's batched read goes through it like any other, differing
-only in when the clock moves.  A range the window already holds sends no
+only in when the clock moves; so does a batched write
+(:meth:`StorageClient.put_many`, :meth:`StorageClient.delete_many`), one
+RPC counting one operation per key.  A range the window already holds sends no
 RPC at all: the later branch waits for the held reply (see
 :meth:`StorageClient.begin_gather_window`).
 
@@ -454,6 +456,46 @@ class StorageClient:
         )
         self._invalidate(namespace, key)
         return bool(result.value)
+
+    def put_many(self, namespace: str, pairs: Sequence[KeyValue]) -> None:
+        """Write many keys of one namespace as one RPC (``len(pairs)``
+        operations).
+
+        Each replica node of the batch is charged one write RPC for all of
+        its keys, and the batch acks at its slowest key
+        (:meth:`KeyValueCluster.write_many`).  A one-pair batch is a
+        :meth:`put`; an empty one sends nothing.
+        """
+        if len(pairs) == 1:
+            self.put(namespace, *pairs[0])
+        elif pairs:
+            self._write_many("put_many", namespace, pairs)
+
+    def delete_many(self, namespace: str, keys: Sequence[bytes]) -> List[bool]:
+        """Delete many keys of one namespace as one RPC (``len(keys)``
+        operations); returns per key whether it existed.  A one-key batch
+        is a :meth:`delete`; an empty one sends nothing."""
+        if len(keys) == 1:
+            return [self.delete(namespace, keys[0])]
+        if not keys:
+            return []
+        return self._write_many(
+            "delete_many", namespace, [(key, None) for key in keys]
+        )
+
+    def _write_many(
+        self,
+        op: str,
+        namespace: str,
+        items: Sequence[Tuple[bytes, Optional[bytes]]],
+    ) -> List[bool]:
+        result, _ = self._call(
+            op, namespace, len(items), self.cluster.write_many, items,
+            self.clock.now, self._suspects(),
+        )
+        for key, _ in items:
+            self._invalidate(namespace, key)
+        return result.value  # type: ignore[return-value]
 
     def test_and_set(
         self, namespace: str, key: bytes, expected: Optional[bytes], new_value: bytes

@@ -18,7 +18,9 @@ scatter-gather:
 
 * writes go to every up replica and acknowledge once the ``W`` fastest have
   answered; replicas that are down get **hinted handoff** (the coordinator
-  buffers the write and replays it at recovery);
+  buffers the write and replays it at recovery).  A batched write
+  (:meth:`KeyValueCluster.write_many`) sends each replica node one RPC for
+  all of its keys and acks at its slowest key;
 * reads consult ``R`` replicas, resolve conflicts newest-sequence-wins, and
   **read-repair** stale replicas in the background.  A key's read order is
   a pure function of ``(key, seed, topology)`` kept in the
@@ -61,7 +63,8 @@ Between a client's call and a node's charge each decision is stated once
   :func:`repro.replication.manager.choose_replicas`: preference list x
   serving set x the client's suspects x quorum, under reads
   (:meth:`~KeyValueCluster._read_replicas`, which asks it only when a
-  node is missing or suspected), writes, ``route`` and ``delete``;
+  node is missing or suspected), writes (one body for a single key and a
+  batch, :meth:`~KeyValueCluster._quorum_write`) and ``route``;
 * *what the fault plane does to a message* —
   :meth:`KeyValueCluster._deliver`, the only function that asks
   ``network.delivers`` / ``network.delay_seconds`` or counts
@@ -108,6 +111,9 @@ KeyValue = Tuple[bytes, bytes]
 #: What :meth:`KeyValueCluster._range_over` answers: ``(pairs, latency,
 #: serving node or -1, keys examined, last key examined, payload bytes)``.
 _RangeAnswer = Tuple[List[KeyValue], float, int, int, Optional[bytes], int]
+
+#: The ack time of a copy whose message was lost: it never acks.
+_NEVER_ACKED = float("inf")
 
 #: Server-side range-filter hook: ``filter(key, value) -> keep?``.  Installed
 #: per-request by the execution engine's predicate pushdown.
@@ -894,76 +900,128 @@ class KeyValueCluster:
     def _quorum_write(
         self,
         namespace: str,
-        key: bytes,
-        value: Optional[bytes],
+        items: Sequence[Tuple[bytes, Optional[bytes]]],
         sim_time: float,
         operation: str,
         serving: Set[int],
         suspects: Optional[Set[int]] = None,
-    ) -> Tuple[float, int, int, Tuple[int, ...]]:
-        """Write a record (or tombstone) to a key's replicas.
+    ) -> Tuple[float, int, int, Tuple[int, ...], List[bool]]:
+        """Write records (``None``: a tombstone) to their keys' replicas.
 
-        Sends to every replica in ``serving``, the request's membership view
+        The one write body of :meth:`put`, :meth:`delete`,
+        :meth:`test_and_set` and :meth:`write_many`.  ``items`` are
+        ``(key, value)`` pairs of one namespace.  Each key goes to every
+        replica in ``serving``, the request's membership view
         (``live_ids(CLIENT)`` as a set; down or unreachable replicas get
-        hints), charges each destination, and returns ``(ack latency,
-        primary node id, hints, unavailable replicas observed)`` where the
-        ack latency is the ``W``-th fastest replica's — the coordinator
-        answers the client as soon as the write quorum is met — and
-        ``hints`` counts replicas whose copy was deferred.  The
-        unavailable list names only the replicas skipped as down or
+        hints), and each destination node is sent and charged **one** write
+        RPC for all the keys it stores.  A key acks at the ``W``-th fastest
+        of its replicas — the coordinator answers as soon as the write
+        quorum is met — and the batch at its slowest key.  Returns ``(ack
+        latency, node id, hints, unavailable replicas observed, existed)``:
+        the node id is the key's primary for a one-key write and ``-1``
+        otherwise, ``hints`` counts copies deferred, and ``existed[i]`` is
+        whether ``items[i]``'s key held a live value before a tombstone
+        (``True`` for a put) — an uncharged look at the available replicas.
+        The unavailable list names only the replicas skipped as down or
         unreachable (membership view) — suspect-skips and flaky drops are
         excluded, so a client feeding it into its breaker board can never
         keep a breaker open on its own suspicion.
 
-        Flaky links can drop individual replica messages; a dropped copy is
-        hinted (the coordinator's timeout fires and it falls back to the
-        hint queue) and does **not** count toward the quorum.  When drops
-        leave fewer than ``W`` acknowledged copies the write surfaces as an
-        :class:`~repro.errors.RpcTimeoutError` — the replicas that did
-        apply it are ahead, which is safe: the write was never acknowledged
-        and newest-wins convergence handles the remainder.
+        Every key's quorum is checked first: a key that cannot meet ``W``
+        raises :class:`~repro.errors.QuorumNotMetError` before anything is
+        hinted, written or charged.
+
+        Flaky links can drop a node's message; its copies are hinted (the
+        coordinator's timeout fires and it falls back to the hint queue) and
+        do **not** count toward the quorum.  When drops leave a key fewer
+        than ``W`` acknowledged copies the write surfaces as an
+        :class:`~repro.errors.RpcTimeoutError` — the replicas that did apply
+        it are ahead, which is safe: the write was never acknowledged and
+        newest-wins convergence handles the remainder.
 
         ``suspects`` (breaker-open nodes at the calling client) are hinted
         early *when the quorum is already met without them* — converting a
         probably-doomed RPC into deferred replay instead of a timeout.
         """
-        prefs = self.replication.preference_list(namespace, key)
         needed = self._write_quorum
-        send, unavailable, demoted = choose_replicas(
-            prefs, serving, suspects, needed
-        )
-        if len(send) < needed:
-            raise QuorumNotMetError(operation, namespace, needed, len(send))
-        record = encode_record(self.replication.next_seq(), value)
-        nbytes = len(value) if value is not None else 0
-        hints = 0
-        if unavailable or demoted:
-            hints = self._hint(
-                [*unavailable, *demoted], namespace, key, record
+        replication = self.replication
+        existed: List[bool] = []
+        sends: List[Sequence[int]] = []
+        deferred: List[Tuple[List[int], bytes, bytes]] = []
+        unavailable_seen: Tuple[int, ...] = ()
+        # Per destination node: its ``(key, record, value bytes)`` copies.
+        copies: Dict[int, List[Tuple[bytes, bytes, int]]] = {}
+        for key, value in items:
+            prefs = replication.preference_list(namespace, key)
+            send, unavailable, demoted = choose_replicas(
+                prefs, serving, suspects, needed
             )
+            if len(send) < needed:
+                raise QuorumNotMetError(operation, namespace, needed, len(send))
+            if value is None:
+                _, newest = replication.newest_record(
+                    namespace, key, (*send, *demoted)
+                )
+                existed.append(
+                    newest is not None and decode_record(newest)[1] is not None
+                )
+                copy = (key, encode_record(replication.next_seq(), None), 0)
+            else:
+                existed.append(True)
+                copy = (
+                    key, encode_record(replication.next_seq(), value), len(value)
+                )
+            if unavailable or demoted:
+                deferred.append(([*unavailable, *demoted], key, copy[1]))
+                unavailable_seen = tuple(
+                    dict.fromkeys((*unavailable_seen, *unavailable))
+                )
+            for node_id in send:
+                if node_id in copies:
+                    copies[node_id].append(copy)
+                else:
+                    copies[node_id] = [copy]
+            sends.append(send)
+        # Every key has its quorum: from here on the batch goes out.
+        hints = 0
+        for node_ids, key, record in deferred:
+            hints += self._hint(node_ids, namespace, key, record)
+        acked: Dict[int, float] = {}
         delays = None
         if self.network.active:
             # A lost message (or ack) fires the coordinator's per-replica
-            # timeout, which falls back to the hint queue.
+            # timeout, which falls back to the hint queue; the copies it
+            # carried never ack.
             lost: List[int] = []
-            delays = self._deliver(operation, namespace, send, lost)
-            hints += self._hint(lost, namespace, key, record)
-            send = [node_id for node_id in send if node_id in delays]
-        latencies: List[float] = []
-        for node_id in send:
-            # ``record`` was sequenced by this call: newer than anything
-            # the replica holds, so it is stored without the checked read.
-            self.replication.stores[node_id].write_fresh(
-                namespace, key, record
+            delays = self._deliver(operation, namespace, list(copies), lost)
+            for node_id in lost:
+                acked[node_id] = _NEVER_ACKED
+                for key, record, _ in copies.pop(node_id):
+                    hints += self._hint((node_id,), namespace, key, record)
+        stores = replication.stores
+        for node_id, node_copies in copies.items():
+            store = stores[node_id]
+            nbytes = 0
+            for key, record, size in node_copies:
+                # ``record`` was sequenced by this call: newer than anything
+                # the replica holds, so it is stored without the checked read.
+                store.write_fresh(namespace, key, record)
+                nbytes += size
+            latency = self.nodes[node_id].charge_write(
+                len(node_copies), nbytes, sim_time
             )
-            latency = self.nodes[node_id].charge_write(1, nbytes, sim_time)
             if delays:
                 latency += delays[node_id]
-            latencies.append(latency)
-        if len(latencies) < needed:
+            acked[node_id] = latency
+        latency = 0.0
+        for send in sends:
+            ack = sorted(map(acked.__getitem__, send))[needed - 1]
+            if ack > latency:
+                latency = ack
+        if latency == _NEVER_ACKED:
             raise RpcTimeoutError(operation, namespace)
-        latencies.sort()
-        return latencies[needed - 1], prefs[0], hints, unavailable
+        node_id = prefs[0] if len(sends) == 1 else -1
+        return latency, node_id, hints, unavailable_seen, existed
 
     def _resolve_newest(
         self, namespace: str, key: bytes, chosen: Sequence[int]
@@ -1167,9 +1225,9 @@ class KeyValueCluster:
     ) -> OpResult:
         """Write one key to its replica set; acks at the write quorum."""
         self._require(namespace)
-        latency, primary, hints, unavailable = self._quorum_write(
-            namespace, key, value, sim_time, "put", set(self.live_ids(CLIENT)),
-            suspects,
+        latency, primary, hints, unavailable, _ = self._quorum_write(
+            namespace, ((key, value),), sim_time, "put",
+            set(self.live_ids(CLIENT)), suspects,
         )
         return OpResult(
             True, latency, primary, keys_touched=1, hinted=hints,
@@ -1185,17 +1243,40 @@ class KeyValueCluster:
     ) -> OpResult:
         """Delete one key (a replicated tombstone); ``value`` is whether it existed."""
         self._require(namespace)
-        serving = set(self.live_ids(CLIENT))
-        available, _, _ = choose_replicas(
-            self.replication.preference_list(namespace, key), serving
-        )
-        _, newest = self.replication.newest_record(namespace, key, available)
-        existed = newest is not None and decode_record(newest)[1] is not None
-        latency, primary, hints, unavailable = self._quorum_write(
-            namespace, key, None, sim_time, "delete", serving, suspects
+        latency, primary, hints, unavailable, existed = self._quorum_write(
+            namespace, ((key, None),), sim_time, "delete",
+            set(self.live_ids(CLIENT)), suspects,
         )
         return OpResult(
-            existed, latency, primary, keys_touched=1, hinted=hints,
+            existed[0], latency, primary, keys_touched=1, hinted=hints,
+            unavailable_nodes=unavailable,
+        )
+
+    def write_many(
+        self,
+        namespace: str,
+        items: Sequence[Tuple[bytes, Optional[bytes]]],
+        sim_time: float,
+        suspects: Optional[Set[int]],
+    ) -> OpResult:
+        """Write many keys of one namespace in one logical request.
+
+        ``items`` are ``(key, value)`` pairs; a ``None`` value writes a
+        tombstone.  Every replica node of the batch is sent and charged one
+        write RPC for all its keys; each key acks at its write quorum and
+        the batch at its slowest key (:meth:`_quorum_write`).  ``value`` is
+        a list: per item, whether its key existed before a tombstone
+        (``True`` for a put).
+        """
+        self._require(namespace)
+        if not items:
+            return OpResult([], 0.0, -1, keys_touched=0)
+        latency, node_id, hints, unavailable, existed = self._quorum_write(
+            namespace, items, sim_time, "write_many",
+            set(self.live_ids(CLIENT)), suspects,
+        )
+        return OpResult(
+            existed, latency, node_id, keys_touched=len(items), hinted=hints,
             unavailable_nodes=unavailable,
         )
 
@@ -1227,9 +1308,9 @@ class KeyValueCluster:
                 False, read_latency, node_id, keys_touched=1,
                 repaired=repaired, unavailable_nodes=unavailable,
             )
-        write_latency, primary, hints, w_unavailable = self._quorum_write(
-            namespace, key, new_value, sim_time, "test_and_set", serving,
-            suspects,
+        write_latency, primary, hints, w_unavailable, _ = self._quorum_write(
+            namespace, ((key, new_value),), sim_time, "test_and_set",
+            serving, suspects,
         )
         return OpResult(
             True, read_latency + write_latency, primary, keys_touched=1,

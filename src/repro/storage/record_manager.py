@@ -1,28 +1,40 @@
 """Record manager: CRUD over base records plus index and constraint maintenance.
 
 PIQL uses the key/value store purely as a record manager (Section 3); all
-higher-level functionality lives in this client-side library.  The write
-protocols follow Section 7.2:
+higher-level functionality lives in this client-side library.  Writes come
+in batches of rows of one table (:meth:`RecordManager.insert_many`,
+:meth:`RecordManager.delete_many`; a single-row write is a batch of one),
+and each namespace a batch touches is written with one batched request
+(``StorageClient.put_many`` / ``delete_many``: one RPC per replica node).
+The write protocols follow Section 7.2, per batch:
 
-* **Secondary index maintenance** — new index entries are written *before*
-  the base record, and stale entries are deleted *after* it.  A crash can
-  therefore leave dangling index pointers (garbage-collectable) but never an
-  index that misses a live record.
-* **Cardinality constraints** — after inserting a record the library counts
-  the rows sharing the constrained column values with a ``count_range``
-  request; if the constraint is exceeded the record is removed again and the
-  insert fails.  Concurrent inserts may transiently overshoot, exactly as in
-  the paper's prototype.
-* **Uniqueness** (primary keys) — enforced with ``test_and_set``.
+* **Secondary index maintenance** — the batch's new index entries are
+  written *before* its base records, one batch per index namespace, and
+  stale entries are deleted *after* them.  A crash can therefore leave
+  dangling index pointers (garbage-collectable) but never an index that
+  misses a live record.
+* **Cardinality constraints** — after writing the records the library
+  counts the rows sharing each distinct constrained value of the batch with
+  one ``count_range`` request; if the constraint is exceeded that value's
+  rows of the batch are removed again and the insert fails.  Concurrent
+  inserts may transiently overshoot, exactly as in the paper's prototype.
+* **Uniqueness** (primary keys) — enforced with one ``test_and_set`` per
+  row.
+* **Deletes** read the old rows first (one ``multi_get``) only when the
+  table has an index or drives a materialized view, whose entries and
+  contributions must be retracted; otherwise the delete is one request.
+* **Views** — an upsert batch on a view-driving table reads its old rows
+  with one ``multi_get``; per-row view deltas follow the base writes.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
     CardinalityViolationError,
+    ExecutionError,
     SchemaError,
     UniquenessViolationError,
 )
@@ -151,84 +163,124 @@ class RecordManager:
     def insert(
         self, table_name: str, row: Dict[str, Any], upsert: bool = False
     ) -> Dict[str, Any]:
-        """Insert one row, maintaining indexes, views, and constraints."""
+        """Insert one row, maintaining indexes, views, and constraints: the
+        one-row case of :meth:`insert_many`."""
+        return self.insert_many(table_name, [row], upsert)[0]
+
+    def insert_many(
+        self, table_name: str, rows: Iterable[Dict[str, Any]], upsert: bool = False
+    ) -> List[Dict[str, Any]]:
+        """Insert rows of one table, writing each namespace once per batch.
+
+        Follows the module's write protocols per batch: the new index
+        entries as one batch per index namespace, then the base records
+        (one batch for an upsert, one ``test_and_set`` per row otherwise),
+        then stale entries, view deltas, and one cardinality count per
+        distinct constrained value.  A batch is not atomic: a row that
+        fails its uniqueness check leaves the rows before it inserted and
+        the rows from it on unwritten.  Returns the validated rows.
+        """
+        rows = list(rows)
+        if not rows:
+            return []
         with self._write_span("insert", table_name):
-            return self._insert(table_name, row, upsert)
+            return self._insert(table_name, rows, upsert)
 
     def _insert(
-        self, table_name: str, row: Dict[str, Any], upsert: bool
-    ) -> Dict[str, Any]:
+        self, table_name: str, rows: List[Dict[str, Any]], upsert: bool
+    ) -> List[Dict[str, Any]]:
         table = self.catalog.table(table_name)
         self._reject_view_backing_writes(table)
-        validated = table.validate_row(row)
-        key = record_key(table, validated)
-        payload = serialize_row(validated)
+        validated = [table.validate_row(row) for row in rows]
+        keys = [record_key(table, row) for row in validated]
+        self._require_distinct(table, keys)
 
         # 0. When this table drives materialized views, an overwriting put
-        #    must read the previous row to retract its view contribution;
-        #    with the old row in hand, stale index entries it left behind
+        #    must read the previous rows to retract their view contribution;
+        #    with the old rows in hand, stale index entries they left behind
         #    are cleaned up too.  Tables without views keep the legacy
         #    upsert behaviour — a changed indexed value leaves a dangling
         #    (garbage-collectable) entry, per Section 7.2's crash semantics
         #    — because reading the old row on every upsert would charge
         #    every existing write path for a rarely-needed cleanup.
         views = self._view_engine(table)
-        indexes = self.catalog.indexes_for_table(table.name)
-        old_row: Optional[Dict[str, Any]] = None
+        old_rows: List[Optional[Dict[str, Any]]] = [None] * len(keys)
         if upsert and views is not None:
-            old_payload = self.client.get(table.namespace, key)
-            old_row = deserialize_row(old_payload) if old_payload is not None else None
+            old_rows = [
+                deserialize_row(payload) if payload is not None else None
+                for payload in self._read(table.namespace, keys)
+            ]
 
         # 1. Write the new secondary index entries first (Section 7.2).
-        for index in indexes:
-            namespace = index.namespace
-            for entry_key, entry_value in index_entries(index, table, validated):
-                self.client.put(namespace, entry_key, entry_value)
+        for index in self.catalog.indexes_for_table(table.name):
+            self.client.put_many(index.namespace, [
+                entry for row in validated
+                for entry in index_entries(index, table, row)
+            ])
 
-        # 2. Write (or conditionally write) the base record.
+        # 2. Write (or conditionally write) the base records.
+        failure: Optional[UniquenessViolationError] = None
         if not upsert:
-            inserted = self.client.test_and_set(table.namespace, key, None, payload)
-            if not inserted:
-                # Undo the entries written in step 1 — but only those the
-                # surviving row does not share: when the duplicate's indexed
-                # values equal the survivor's, the entry keys coincide and a
-                # blind delete would strip the live row out of its indexes.
-                survivor_payload = self.client.get(table.namespace, key)
-                if survivor_payload is not None:
-                    self._delete_stale_entries(
-                        table, validated, deserialize_row(survivor_payload)
-                    )
-                else:
-                    self._remove_index_entries(table, validated)
-                raise UniquenessViolationError(
-                    f"primary key {tuple(table.primary_key_values(validated))!r} "
+            for position, (key, row) in enumerate(zip(keys, validated)):
+                if self.client.test_and_set(
+                    table.namespace, key, None, serialize_row(row)
+                ):
+                    continue
+                # Undo the entries written in step 1 for this row and the
+                # unwritten rows after it.
+                for unwritten_key, unwritten in zip(
+                    keys[position:], validated[position:]
+                ):
+                    self._undo_entries(table, unwritten_key, unwritten)
+                failure = UniquenessViolationError(
+                    f"primary key {tuple(table.primary_key_values(row))!r} "
                     f"already exists in table {table.name!r}"
                 )
+                del validated[position:]
+                break
         else:
-            self.client.put(table.namespace, key, payload)
-            if old_row is not None:
-                # Overwrote an existing row: its entries for changed indexed
-                # values are now stale (same ordering rule as update()).
-                self._delete_stale_entries(table, old_row, validated)
+            self.client.put_many(table.namespace, [
+                (key, serialize_row(row)) for key, row in zip(keys, validated)
+            ])
+            # Overwritten rows: their entries for changed indexed values are
+            # now stale (same ordering rule as update()).
+            self._delete_stale_entries(table, [
+                (old_row, row)
+                for old_row, row in zip(old_rows, validated)
+                if old_row is not None
+            ])
 
-        # 2b. Apply the delta to materialized views (before the constraint
-        #     check: a violation's undo path retracts it again via delete).
+        # 2b. Apply the deltas to materialized views (before the constraint
+        #     check: a violation's undo path retracts them again via delete).
         if views is not None:
-            if old_row is not None:
-                views.on_update(table.name, old_row, validated)
-            else:
-                views.on_insert(table.name, validated)
+            for old_row, row in zip(old_rows, validated):
+                if old_row is not None:
+                    views.on_update(table.name, old_row, row)
+                else:
+                    views.on_insert(table.name, row)
 
-        # 3. Check cardinality constraints; undo the insert on violation.
+        # 3. Check cardinality constraints once per distinct constrained
+        #    value; on a violation, undo that value's rows of the batch.
         for limit in table.cardinality_limits:
-            if not self._within_cardinality(table, limit, validated):
-                self.delete(table.name, table.primary_key_values(validated))
-                raise CardinalityViolationError(
-                    f"inserting into {table.name!r} would exceed "
-                    f"CARDINALITY LIMIT {limit.limit} on "
-                    f"({', '.join(limit.columns)})",
-                    constraint=",".join(limit.columns),
-                )
+            groups: Dict[tuple, List[Dict[str, Any]]] = {}
+            for row in validated:
+                groups.setdefault(
+                    tuple(row[c] for c in limit.columns), []
+                ).append(row)
+            for group in groups.values():
+                if not self._within_cardinality(table, limit, group[0]):
+                    self.delete_many(
+                        table.name,
+                        [table.primary_key_values(row) for row in group],
+                    )
+                    raise CardinalityViolationError(
+                        f"inserting into {table.name!r} would exceed "
+                        f"CARDINALITY LIMIT {limit.limit} on "
+                        f"({', '.join(limit.columns)})",
+                        constraint=",".join(limit.columns),
+                    )
+        if failure is not None:
+            raise failure
         return validated
 
     def update(self, table_name: str, row: Dict[str, Any]) -> Dict[str, Any]:
@@ -252,26 +304,19 @@ class RecordManager:
         old_payload = self.client.get(table.namespace, key)
         old_row = deserialize_row(old_payload) if old_payload is not None else None
 
-        stale: List[tuple] = []
         for index in self.catalog.indexes_for_table(table.name):
-            namespace = index.namespace
-            new_entries = dict(index_entries(index, table, validated))
             old_keys = (
                 {k for k, _ in index_entries(index, table, old_row)}
                 if old_row is not None
                 else set()
             )
-            for entry_key, entry_value in new_entries.items():
-                if entry_key not in old_keys:
-                    self.client.put(namespace, entry_key, entry_value)
-            stale.extend(
-                (namespace, entry_key)
-                for entry_key in old_keys
-                if entry_key not in new_entries
-            )
+            self.client.put_many(index.namespace, [
+                entry for entry in index_entries(index, table, validated)
+                if entry[0] not in old_keys
+            ])
         self.client.put(table.namespace, key, serialize_row(validated))
-        for namespace, entry_key in stale:
-            self.client.delete(namespace, entry_key)
+        if old_row is not None:
+            self._delete_stale_entries(table, [(old_row, validated)])
         views = self._view_engine(table)
         if views is not None:
             # The engine itself skips no-op deltas (unchanged grouped and
@@ -283,21 +328,43 @@ class RecordManager:
         return validated
 
     def delete(self, table_name: str, pk_values: Sequence[Any]) -> bool:
-        """Delete one record by primary key; returns whether it existed."""
-        with self._write_span("delete", table_name):
-            return self._delete(table_name, pk_values)
+        """Delete one record by primary key; returns whether it existed:
+        the one-row case of :meth:`delete_many`."""
+        return self.delete_many(table_name, [pk_values])[0]
 
-    def _delete(self, table_name: str, pk_values: Sequence[Any]) -> bool:
+    def delete_many(
+        self, table_name: str, pk_values: Iterable[Sequence[Any]]
+    ) -> List[bool]:
+        """Delete records of one table by primary key, writing each
+        namespace once per batch; returns per key whether it existed.
+
+        The old rows are read (one ``get``, or one ``multi_get`` for several
+        keys) only when the table has an index or drives a view — their
+        entries and view contributions must go too.  Otherwise the delete's
+        own reply says which keys existed, and the batch is one RPC.
+        """
+        keys = [pk_key(list(values)) for values in pk_values]
+        if not keys:
+            return []
+        with self._write_span("delete", table_name):
+            return self._delete(table_name, keys)
+
+    def _delete(self, table_name: str, keys: List[bytes]) -> List[bool]:
         table = self.catalog.table(table_name)
         self._reject_view_backing_writes(table)
-        key = pk_key(list(pk_values))
-        payload = self.client.get(table.namespace, key)
-        existed = self.client.delete(table.namespace, key)
-        if payload is not None:
-            row = deserialize_row(payload)
-            self._remove_index_entries(table, row)
-            views = self._view_engine(table)
-            if views is not None:
+        self._require_distinct(table, keys)
+        views = self._view_engine(table)
+        if views is None and not self.catalog.indexes_for_table(table.name):
+            return self.client.delete_many(table.namespace, keys)
+        rows = [
+            deserialize_row(payload)
+            for payload in self._read(table.namespace, keys)
+            if payload is not None
+        ]
+        existed = self.client.delete_many(table.namespace, keys)
+        self._delete_stale_entries(table, [(row, None) for row in rows])
+        if views is not None:
+            for row in rows:
                 views.on_delete(table.name, row)
         return existed
 
@@ -356,18 +423,55 @@ class RecordManager:
         count = self.client.count_range(namespace, start, end)
         return count <= limit.limit
 
-    def _remove_index_entries(self, table: Table, row: Dict[str, Any]) -> None:
-        for index in self.catalog.indexes_for_table(table.name):
-            namespace = index.namespace
-            for entry_key, _ in index_entries(index, table, row):
-                self.client.delete(namespace, entry_key)
+    def _read(self, namespace: str, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        """Old records of a batch: one ``multi_get``, or for one key the
+        ``get`` a single-row write always made (a one-key ``multi_get``
+        draws the fault plane differently and names another span)."""
+        if len(keys) == 1:
+            return [self.client.get(namespace, keys[0])]
+        return self.client.multi_get(namespace, keys)
+
+    @staticmethod
+    def _require_distinct(table: Table, keys: List[bytes]) -> None:
+        """Refuse a batch that names one record twice: its old row, view
+        delta and existence would each be read for the wrong write."""
+        if len(set(keys)) != len(keys):
+            raise ExecutionError(
+                f"a batch on table {table.name!r} repeats a primary key"
+            )
+
+    def _undo_entries(self, table: Table, key: bytes, row: Dict[str, Any]) -> None:
+        """Remove the index entries a row that was never written left
+        behind — but only those the surviving row at its key does not
+        share: when a duplicate's indexed values equal the survivor's, the
+        entry keys coincide and a blind delete would strip the live row out
+        of its indexes."""
+        survivor = self.client.get(table.namespace, key)
+        self._delete_stale_entries(table, [(
+            row, deserialize_row(survivor) if survivor is not None else None,
+        )])
 
     def _delete_stale_entries(
-        self, table: Table, old_row: Dict[str, Any], new_row: Dict[str, Any]
+        self,
+        table: Table,
+        changes: Sequence[Tuple[Dict[str, Any], Optional[Dict[str, Any]]]],
     ) -> None:
+        """Delete the index entries each ``(old row, new row)`` change leaves
+        stale — every entry of the old row that the new one (``None``: no
+        row) lacks — as one batch per index namespace."""
+        if not changes:
+            return
         for index in self.catalog.indexes_for_table(table.name):
-            namespace = index.namespace
-            new_keys = {key for key, _ in index_entries(index, table, new_row)}
-            for entry_key, _ in index_entries(index, table, old_row):
-                if entry_key not in new_keys:
-                    self.client.delete(namespace, entry_key)
+            stale: List[bytes] = []
+            for old_row, new_row in changes:
+                new_keys = (
+                    {key for key, _ in index_entries(index, table, new_row)}
+                    if new_row is not None
+                    else set()
+                )
+                stale.extend(
+                    entry_key
+                    for entry_key, _ in index_entries(index, table, old_row)
+                    if entry_key not in new_keys
+                )
+            self.client.delete_many(index.namespace, stale)

@@ -304,7 +304,11 @@ class TpcwWorkload(Workload):
         Stage 1 reads the cart; stage 2 — built once the cart rows are known
         — issues three independent write branches (the order row, its lines
         plus the payment record, and the cart cleanup TPC-W mandates once an
-        order is placed).
+        order is placed).  The lines are one ``insert_many`` and the cleanup
+        one ``delete_many``: however many lines the cart holds, the lines
+        cost one batched write of ``order_line`` and one cardinality count
+        of the order, and the cleanup one batched delete (the cart table
+        has no index or view, so nothing is read first).
         """
         uname = rng.choice(self._unames)
         order_id = next(self._order_counter)
@@ -337,9 +341,9 @@ class TpcwWorkload(Workload):
                 )
 
             def record_lines(db_: PiqlDatabase, _results) -> None:
-                for line_number, row in enumerate(cart_rows[:10], start=1):
-                    db_.insert(
-                        "order_line",
+                db_.insert_many(
+                    "order_line",
+                    [
                         {
                             "OL_O_ID": order_id,
                             "OL_ID": line_number,
@@ -347,9 +351,11 @@ class TpcwWorkload(Workload):
                             "OL_QTY": row.get("SCL_QTY", 1),
                             "OL_DISCOUNT": 0.0,
                             "OL_COMMENT": "",
-                        },
-                        upsert=True,
-                    )
+                        }
+                        for line_number, row in enumerate(cart_rows[:10], start=1)
+                    ],
+                    upsert=True,
+                )
                 db_.insert(
                     "cc_xacts",
                     {
@@ -370,9 +376,11 @@ class TpcwWorkload(Workload):
                 # this the cart grows with every SHOPPING_CART interaction
                 # and the per-interaction cost of reading it climbs for the
                 # whole run, destabilising long serving simulations.
-                for row in cart_rows:
-                    if "SCL_I_ID" in row:
-                        db_.delete("shopping_cart_line", [cart_id, row["SCL_I_ID"]])
+                db_.delete_many(
+                    "shopping_cart_line",
+                    [[cart_id, row["SCL_I_ID"]]
+                     for row in cart_rows if "SCL_I_ID" in row],
+                )
                 self._order_ids.append(order_id)
 
             return [

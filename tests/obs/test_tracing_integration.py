@@ -28,6 +28,7 @@ from repro.prediction.model import QueryLatencyModel
 from repro.prediction.training import OperatorModelTrainer, TrainingConfig
 from repro.workloads.scadr.queries import QUERIES as SCADR_PAGE
 from repro.workloads.tpcw.queries import NEW_PRODUCTS_WI
+from repro.workloads.tpcw.schema import TPCW_DDL
 
 USERS_BY_NAME = "SELECT * FROM users WHERE username = <u>"
 RECENT_THOUGHTS = (
@@ -294,6 +295,43 @@ class TestWriteAttribution:
         assert root.attributes["operation"] == "delete"
         retraction = root.find("view-maintenance")[0]
         assert retraction.find("rpc")
+
+
+    def test_a_batched_write_is_one_rpc_span_under_its_write(self):
+        db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=4, seed=5))
+        db.execute_ddl(TPCW_DDL)
+        tracer = db.enable_tracing()
+        db.insert_many("order_line", [
+            {"OL_O_ID": 1, "OL_ID": line, "OL_I_ID": line, "OL_QTY": 1,
+             "OL_DISCOUNT": 0.0, "OL_COMMENT": ""}
+            for line in (1, 2, 3)
+        ], upsert=True)
+        root = tracer.last_root()
+        assert root.name == "insert order_line" and root.kind == "write"
+        # The three rows are one write RPC, then one cardinality count of
+        # their order.
+        assert [(span.name, span.attributes["keys"]) for span in root.children] == [
+            ("put_many", 3), ("count_range", 1),
+        ]
+        write = root.children[0]
+        assert write.kind == "rpc" and write.attributes["rpcs"] == 1
+        assert write.attributes["operations"] == 3
+
+        db.insert_many("shopping_cart_line", [
+            {"SCL_SC_ID": 7, "SCL_I_ID": item, "SCL_QTY": 1}
+            for item in (1, 2, 3)
+        ], upsert=True)
+        db.delete_many("shopping_cart_line", [[7, 1], [7, 2], [7, 3]])
+        root = tracer.last_root()
+        assert root.name == "delete shopping_cart_line"
+        # No index, no view: nothing is read, the delete is the whole write.
+        [delete] = root.children
+        assert (delete.name, delete.kind) == ("delete_many", "rpc")
+        assert delete.attributes["keys"] == 3
+        assert (delete.start, delete.end) == (root.start, root.end)
+        breakdown = analyze_trace(root)
+        assert breakdown.segments["rpc_service"] == pytest.approx(root.duration)
+        assert breakdown.segments["client_compute"] == pytest.approx(0.0)
 
 
 class TestExplainAnalyze:

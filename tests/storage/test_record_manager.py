@@ -3,7 +3,11 @@
 import pytest
 
 from repro import ClusterConfig, PiqlDatabase
-from repro.errors import CardinalityViolationError, UniquenessViolationError
+from repro.errors import (
+    CardinalityViolationError,
+    ExecutionError,
+    UniquenessViolationError,
+)
 from repro.schema.ddl import IndexColumn, IndexDefinition
 from repro.storage.fulltext import query_token, tokenize
 from repro.storage.rows import (
@@ -105,6 +109,114 @@ class TestInsertProtocol:
         assert db.delete("users", ["bob"]) is True
         assert db.get("users", ["bob"]) is None
         assert db.delete("users", ["bob"]) is False
+
+
+class TestDeleteProtocol:
+    """A delete reads the old row only when its index entries or view
+    contributions must be retracted."""
+
+    def _user(self, db, name, hometown="sf"):
+        db.insert("users", {"username": name, "password": "x",
+                            "hometown": hometown, "created": 1})
+
+    def _rpcs(self, db, delete):
+        before = db.client.stats.snapshot()
+        existed = delete()
+        return existed, db.client.stats.delta(before).rpcs
+
+    def test_a_plain_table_delete_is_one_rpc(self, db):
+        self._user(db, "bob")
+        assert self._rpcs(db, lambda: db.delete("users", ["bob"])) == (True, 1)
+        assert db.get("users", ["bob"]) is None
+        assert self._rpcs(db, lambda: db.delete("users", ["bob"])) == (False, 1)
+        self._user(db, "carol")
+        assert self._rpcs(
+            db, lambda: db.delete_many("users", [["carol"], ["dave"]])
+        ) == ([True, False], 1)
+        assert db.records.count("users") == 0
+
+    def test_an_indexed_table_delete_removes_the_entries(self, db):
+        db.create_index(
+            IndexDefinition("idx_hometown", "users",
+                            (IndexColumn("hometown"), IndexColumn("username")))
+        )
+        index = db.catalog.index("idx_hometown")
+        for name in ("bob", "carol", "dave"):
+            self._user(db, name)
+        assert self._rpcs(db, lambda: db.delete("users", ["bob"])) == (True, 3)
+        assert db.cluster.namespace_size(index.namespace) == 2
+        # A batch: one multi_get, one delete of the records, one of the
+        # index entries.
+        assert self._rpcs(
+            db, lambda: db.delete_many("users", [["carol"], ["dave"], ["erin"]])
+        ) == ([True, True, False], 3)
+        assert db.cluster.namespace_size(index.namespace) == 0
+
+    def test_a_view_driving_table_delete_retracts_the_delta(self, db):
+        db.create_materialized_view(
+            "CREATE MATERIALIZED VIEW hometown_counts AS "
+            "SELECT hometown, COUNT(*) AS n FROM users GROUP BY hometown"
+        )
+        query = db.prepare(
+            "SELECT hometown, COUNT(*) AS n FROM users "
+            "WHERE hometown = <town> GROUP BY hometown"
+        )
+        for name in ("bob", "carol", "dave"):
+            self._user(db, name)
+        assert query.execute(town="sf").rows == [{"hometown": "sf", "n": 3}]
+        assert db.delete("users", ["bob"]) is True
+        assert query.execute(town="sf").rows == [{"hometown": "sf", "n": 2}]
+        assert db.delete_many("users", [["carol"], ["erin"]]) == [True, False]
+        assert query.execute(town="sf").rows == [{"hometown": "sf", "n": 1}]
+
+
+class TestBatchedInsert:
+    def test_a_batch_writes_each_namespace_once(self, db):
+        db.create_index(
+            IndexDefinition("idx_hometown", "users",
+                            (IndexColumn("hometown"), IndexColumn("username")))
+        )
+        before = db.client.stats.snapshot()
+        rows = db.insert_many("users", [
+            {"username": name, "password": "x", "hometown": "sf", "created": 1}
+            for name in ("bob", "carol", "dave")
+        ], upsert=True)
+        spent = db.client.stats.delta(before)
+        # The index entries, then the records: two RPCs, six operations.
+        assert (spent.rpcs, spent.operations) == (2, 6)
+        assert [row["username"] for row in rows] == ["bob", "carol", "dave"]
+        index = db.catalog.index("idx_hometown")
+        assert db.cluster.namespace_size(index.namespace) == 3
+
+    def test_a_duplicate_in_a_batch_stops_it_and_undoes_its_entries(self, db):
+        db.create_index(
+            IndexDefinition("idx_hometown", "users",
+                            (IndexColumn("hometown"), IndexColumn("username")))
+        )
+        db.insert("users", {"username": "carol", "password": "x",
+                            "hometown": "la", "created": 1})
+        with pytest.raises(UniquenessViolationError):
+            db.insert_many("users", [
+                {"username": name, "password": "x", "hometown": "sf",
+                 "created": 2}
+                for name in ("bob", "carol", "dave")
+            ])
+        # The rows before the duplicate are in, the duplicate and the rows
+        # after it are not, and only live rows keep index entries.
+        assert db.get("users", ["bob"]) is not None
+        assert db.get("users", ["carol"])["hometown"] == "la"
+        assert db.get("users", ["dave"]) is None
+        index = db.catalog.index("idx_hometown")
+        assert db.cluster.namespace_size(index.namespace) == 2
+
+    def test_a_batch_may_not_name_one_record_twice(self, db):
+        row = {"username": "bob", "password": "x", "hometown": "sf",
+               "created": 1}
+        with pytest.raises(ExecutionError):
+            db.insert_many("users", [row, dict(row)], upsert=True)
+        with pytest.raises(ExecutionError):
+            db.delete_many("users", [["bob"], ["bob"]])
+        assert db.records.count("users") == 0
 
 
 class TestIndexMaintenance:
