@@ -1,8 +1,10 @@
 """Pluggable per-node storage engines.
 
 Every :class:`~repro.replication.store.ReplicaStore` delegates its physical
-data to a :class:`~repro.kvstore.engine.base.StorageEngine`.  Two engines
-ship:
+data to a :class:`~repro.kvstore.engine.base.StorageEngine`, one ordered map
+per namespace.  A map offers what the replica store calls and nothing
+more — ``get``, ``put``, ``delete``, ``range`` and ``iter_range`` — and an
+engine never drops a namespace.  Two engines ship:
 
 * :class:`~repro.kvstore.engine.dict_engine.DictEngine` — the seed
   behaviour: one in-memory :class:`~repro.kvstore.memory.OrderedKVMap` per

@@ -7,16 +7,17 @@ actually held (in memory, or on disk behind a WAL and segment files).  The
 in :mod:`repro.replication.store` and is identical across engines, which is
 what keeps query results and operation counts engine-independent.
 
-A namespace map must provide the :class:`~repro.kvstore.memory.OrderedKVMap`
-surface the replica store uses::
+A namespace map provides exactly what the replica store calls, and no
+more::
 
     get(key) -> Optional[bytes]
     put(key, value) -> None
     delete(key) -> bool
     range(start, end, limit, ascending) -> List[Tuple[bytes, bytes]]
     iter_range(start, end) -> Iterator[Tuple[bytes, bytes]]
-    iter_items() -> Iterator[Tuple[bytes, bytes]]
-    __len__ / __contains__
+
+Test-and-set and range counts are cluster operations, built one tier up
+from quorum reads and writes and from merged ranges; no map serves them.
 
 A map knows nothing of the range memo one tier up
 (``ReplicationManager.merged_range``): the memo hears of every change the
@@ -33,7 +34,7 @@ and telemetry tiers can treat engines uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Longest namespace name, in UTF-8 bytes, that every engine holds: the
@@ -58,15 +59,6 @@ class EngineRecovery:
     partial_segments_discarded: int = 0
     wal_records_replayed: int = 0
     torn_tail_bytes_dropped: int = 0
-    namespaces: List[str] = field(default_factory=list)
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "segments_loaded": self.segments_loaded,
-            "partial_segments_discarded": self.partial_segments_discarded,
-            "wal_records_replayed": self.wal_records_replayed,
-            "torn_tail_bytes_dropped": self.torn_tail_bytes_dropped,
-        }
 
 
 class StorageEngine:
@@ -102,9 +94,6 @@ class StorageEngine:
         raise NotImplementedError
 
     def namespaces(self) -> List[str]:
-        raise NotImplementedError
-
-    def drop_namespace(self, namespace: str) -> None:
         raise NotImplementedError
 
     def bulk_load(

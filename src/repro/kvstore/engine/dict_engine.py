@@ -37,9 +37,6 @@ class DictEngine(StorageEngine):
     def namespaces(self) -> List[str]:
         return sorted(self._maps)
 
-    def drop_namespace(self, namespace: str) -> None:
-        self._maps.pop(namespace, None)
-
     def gauges(self) -> Dict[str, float]:
         keys = sum(len(m) for m in self._maps.values())
         return {"resident_keys": float(keys)}

@@ -28,7 +28,7 @@ contribute at most ``limit`` entries, a dict updated oldest to newest
 resolves newest-wins, and live keys are emitted up to the merge's
 *horizon*, with a further pass when delete markers leave the result
 short.  Memory is bounded by ``limit`` times the run count.  Unlimited
-iteration (compaction, anti-entropy, ``len``) streams through
+iteration (compaction, anti-entropy) streams through
 :func:`_merged`, a ``heapq.merge`` over natively comparable ``(key, age
 tag, value)`` tuples that dedupes per key and holds one block of entries
 per run: a per-key list of copies, as the chunked merge builds, would slow
@@ -61,8 +61,7 @@ the state after it (``tests/kvstore/test_crash_points.py`` stops at every
 write, rename, removal and truncation).  A frame torn mid-append was never
 acknowledged; a segment is renamed into place whole, and the log is reset
 only after that; a merged run goes in *beneath* the members it replaces, so
-one that outlives the crash shadows it with the same entries; a drop is
-logged before its files go, and replay finishes the removal.  Under
+one that outlives the crash shadows it with the same entries.  Under
 ``sync_writes`` a rename is also made durable (an fsync of the directory)
 before the log is reset or a merged run's inputs are removed.
 
@@ -135,9 +134,10 @@ def _merged(
 class LsmTree:
     """One namespace's view: a memtable over a stack of segments.
 
-    Presents the same surface as :class:`~repro.kvstore.memory.OrderedKVMap`
-    so the replication tier is engine-agnostic.  ``None`` memtable values
-    are delete markers shadowing older segment entries.
+    Presents the namespace-map surface of
+    :mod:`~repro.kvstore.engine.base` (``get``/``put``/``delete``/``range``/
+    ``iter_range``) so the replication tier is engine-agnostic.  ``None``
+    memtable values are delete markers shadowing older segment entries.
     """
 
     def __init__(self, namespace: str, engine: "LsmEngine"):
@@ -184,20 +184,6 @@ class LsmTree:
         if engine._memtable_bytes > engine.memtable_budget_bytes:
             engine.flush()
         return True
-
-    def test_and_set(
-        self, key: bytes, expected: Optional[bytes], new_value: bytes
-    ) -> bool:
-        if self.get(key) != expected:
-            return False
-        self.put(key, new_value)
-        return True
-
-    def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
-
-    def __len__(self) -> int:
-        return self.count_range()
 
     # ------------------------------------------------------------------
     # Memtable internals (WAL-free: also used by recovery replay)
@@ -257,7 +243,7 @@ class LsmTree:
     # ------------------------------------------------------------------
     # Merged iteration
     # ------------------------------------------------------------------
-    def iter_merged(
+    def iter_range(
         self,
         start: Optional[bytes] = None,
         end: Optional[bytes] = None,
@@ -292,7 +278,7 @@ class LsmTree:
         the result.
         """
         if limit is None:
-            return list(self.iter_merged(start, end, ascending))
+            return list(self.iter_range(start, end, ascending))
         if limit < 0:
             raise ValueError("limit must be non-negative")
 
@@ -308,18 +294,6 @@ class LsmTree:
 
         return merge_slices(read, _newest, start, end, limit, ascending)
 
-    iter_range = iter_merged  # the name ``OrderedKVMap`` gives it
-
-    def count_range(
-        self, start: Optional[bytes] = None, end: Optional[bytes] = None
-    ) -> int:
-        return sum(1 for _ in self.iter_merged(start, end))
-
-    def iter_items(self) -> Iterator[Tuple[bytes, bytes]]:
-        return self.iter_merged()
-
-    def clear(self) -> None:
-        self._engine._clear_tree(self)
 
 
 class LsmEngine(StorageEngine):
@@ -388,15 +362,6 @@ class LsmEngine(StorageEngine):
 
     def namespaces(self) -> List[str]:
         return sorted(self._trees)
-
-    def drop_namespace(self, namespace: str) -> None:
-        tree = self._trees.pop(namespace, None)
-        if tree is not None:
-            self._clear_tree(tree)
-
-    def _clear_tree(self, tree: LsmTree) -> None:
-        self.wal.append_drop_namespace(tree.namespace)
-        self._discard(tree)
 
     def _discard(self, tree: LsmTree) -> None:
         """Delete everything ``tree`` holds: its segment files, its memtable."""
@@ -633,13 +598,13 @@ class LsmEngine(StorageEngine):
             elif op == OP_DELETE:
                 tree._apply_delete(key)
             elif op == OP_DROP_NAMESPACE:
-                # Segments too: one still here outlived the drop's own
-                # removals, or comes from a flush whose log reset never
-                # happened — and then the rest of the log repeats it.
+                # Only an earlier engine's log holds this op.  Segments
+                # too: one still here outlived the drop's own removals, or
+                # comes from a flush whose log reset never happened — and
+                # then the rest of the log repeats it.
                 self._discard(tree)
         info.wal_records_replayed = len(replay.ops)
         info.torn_tail_bytes_dropped = replay.torn_bytes
-        info.namespaces = self.namespaces()
         self.wal_records_replayed += info.wal_records_replayed
         self.torn_tail_bytes_dropped += info.torn_tail_bytes_dropped
         self.partial_segments_discarded += info.partial_segments_discarded

@@ -8,9 +8,12 @@ records::
     record = crc32(payload) (4 bytes BE) | len(payload) (4 bytes BE) | payload
     payload = op (1 byte) | ns_len (2) | ns | key_len (4) | key [| val_len (4) | val]
 
-Ops: ``1`` put, ``2`` delete (an engine-level physical removal, e.g.
-anti-entropy pruning — *replication tombstones* are ordinary puts whose
-value encodes the tombstone flag), ``3`` drop-namespace.
+Ops: ``1`` put; ``2`` delete, an engine-level physical removal that only
+anti-entropy's discard writes (a key the node no longer replicates after a
+rebalance) — *replication tombstones* are ordinary puts whose value encodes
+the tombstone flag; ``3`` drop-namespace (``key_len`` 0, no key), which
+today's engine never writes but still replays, for the files of earlier
+engines.
 
 Replay reads records until the file ends or a frame fails its length or
 CRC check.  A bad frame is a **torn tail** — the crash interrupted the last
@@ -132,9 +135,6 @@ class WriteAheadLog:
 
     def append_delete(self, namespace: str, key: bytes) -> None:
         self._append(OP_DELETE, namespace, _KEY_LEN.pack(len(key)), key)
-
-    def append_drop_namespace(self, namespace: str) -> None:
-        self._append(OP_DROP_NAMESPACE, namespace, _KEY_LEN.pack(0))
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,15 +1,18 @@
 """In-memory ordered key/value map.
 
 This is the record store inside every simulated storage node.  Keys are
-arbitrary byte strings and the map supports the operations PIQL requires
-from the underlying key/value store (Section 3 of the paper):
+arbitrary byte strings and the map serves what a replica store asks of it
+(the namespace-map surface of :mod:`repro.kvstore.engine.base`):
 
-* point ``get`` / ``put`` / ``delete``,
-* ``test_and_set`` (compare-and-swap) for uniqueness constraints,
+* point ``get`` / ``put`` / ``delete``, and
 * **range requests** over the byte-ordered key space, which PIQL relies on
-  for index scans, and
-* ``count_range``, used by the cardinality-constraint insertion protocol
-  (Section 7.2).
+  for index scans — a materialised ``range`` and a lazy ``iter_range``.
+
+The other operations PIQL requires of the key/value store (Section 3 of the
+paper) — ``test_and_set`` for uniqueness constraints and ``count_range``
+for the cardinality-constraint insertion protocol (Section 7.2) — are
+cluster operations (:mod:`repro.kvstore.cluster`), built from quorum reads
+and writes and from merged ranges.
 
 The implementation keeps a plain ``dict`` for point operations beside a
 :class:`SortedKeys` index that stays sorted as keys come and go: a new key
@@ -185,23 +188,6 @@ class OrderedKVMap:
             return True
         return False
 
-    def test_and_set(
-        self, key: bytes, expected: Optional[bytes], new_value: bytes
-    ) -> bool:
-        """Atomically set ``key`` to ``new_value`` iff its current value is ``expected``.
-
-        ``expected=None`` means "the key must not exist" (insert-if-absent).
-        Returns ``True`` on success.
-        """
-        key = _hashable(key)
-        if self._data.get(key) != expected:
-            return False
-        self.put(key, new_value)
-        return True
-
-    def __contains__(self, key: bytes) -> bool:
-        return _hashable(key) in self._data
-
     def __len__(self) -> int:
         return len(self._data)
 
@@ -254,19 +240,3 @@ class OrderedKVMap:
         for index in range(lo, hi):
             key = keys[index]
             yield key, self._data[key]
-
-    def count_range(
-        self, start: Optional[bytes] = None, end: Optional[bytes] = None
-    ) -> int:
-        """Return the number of keys with ``start <= key < end``."""
-        _, lo, hi = self._index.span(start, end)
-        return max(0, hi - lo)
-
-    def iter_items(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Iterate all items in key order (used by tests and bulk export)."""
-        return self.iter_range()
-
-    def clear(self) -> None:
-        """Remove every entry."""
-        self._data.clear()
-        self._index.clear()

@@ -112,10 +112,6 @@ class ReplicaStore:
     # ------------------------------------------------------------------
     # Namespaces
     # ------------------------------------------------------------------
-    def map(self, namespace: str):
-        """The (created-on-demand) ordered map backing one namespace."""
-        return self.engine.map(namespace)
-
     def namespaces(self) -> List[str]:
         return self.engine.namespaces()
 
@@ -138,7 +134,7 @@ class ReplicaStore:
         """
         if record_seq(record) <= self.seq_of(namespace, key):
             return False
-        self.map(namespace).put(key, record)
+        self.engine.map(namespace).put(key, record)
         self._changed(namespace, key)
         return True
 
@@ -156,11 +152,12 @@ class ReplicaStore:
     def highest_seq(self) -> int:
         """Highest sequence number stored in any namespace (``MISSING_SEQ``
         when empty): what a reopened engine tells the write sequence."""
+        engine = self.engine
         return max(
             (
                 record_seq(record)
-                for namespace in self.engine.namespaces()
-                for _key, record in self.iter_records(namespace)
+                for namespace in engine.namespaces()
+                for _key, record in engine.map(namespace).iter_range()
             ),
             default=MISSING_SEQ,
         )
@@ -203,9 +200,3 @@ class ReplicaStore:
         if existing is None:
             return iter(())
         return existing.iter_range(start, end)
-
-    def iter_records(self, namespace: str) -> Iterator[Tuple[bytes, bytes]]:
-        existing = self.engine.peek(namespace)
-        if existing is None:
-            return iter(())
-        return existing.iter_items()

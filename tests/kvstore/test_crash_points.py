@@ -35,8 +35,8 @@ SEGMENT_FILE = re.compile(r"seg-\d{8}\.seg$")
 
 
 def history(seed: int) -> List[Tuple]:
-    """Puts, deletes of flushed keys, flushes, compactions from the bottom,
-    a bulk load, a clear and a drop — each where it has something to break."""
+    """Puts, deletes of flushed keys, flushes, compactions from the bottom
+    and a bulk load — each where it has something to break."""
     rng = random.Random(seed)
     keys = [b"k%02d" % index for index in range(12)]
 
@@ -57,12 +57,12 @@ def history(seed: int) -> List[Tuple]:
         if step % 6 == 0:
             ops.append(("compact",))
     # A second namespace with runs on disk and a dirty memtable, so one
-    # flush writes two segments and a drop has files to remove.
+    # flush writes two segments.
     ops += [put("side") for _ in range(4)] + [("flush",)]
     ops += [put("side"), put("side"), put(), ("flush",), put("side")]
     ops.append(("bulk", "data", [(key, b"bulk") for key in keys[6:]]))
-    ops += [put(), ("delete", "data", keys[7]), ("drop", "side")]
-    ops += [put("side"), put(), ("flush",), ("clear", "data"), put(), put("side")]
+    ops += [put(), ("delete", "data", keys[7])]
+    ops += [put("side"), put(), ("flush",), put(), put("side")]
     return ops
 
 
@@ -74,8 +74,6 @@ def apply_to_model(model: Model, op: Tuple) -> None:
         model.get(op[1], {}).pop(op[2], None)
     elif kind == "bulk":
         model.setdefault(op[1], {}).update(op[2])
-    elif kind in ("drop", "clear"):
-        model.pop(op[1], None)
 
 
 def apply_to_engine(engine: LsmEngine, op: Tuple) -> None:
@@ -90,10 +88,6 @@ def apply_to_engine(engine: LsmEngine, op: Tuple) -> None:
         engine.run_maintenance(1)
     elif kind == "bulk":
         engine.bulk_load(op[1], op[2])
-    elif kind == "drop":
-        engine.drop_namespace(op[1])
-    elif kind == "clear":
-        engine.map(op[1]).clear()
 
 
 def contents(engine: LsmEngine) -> Model:
@@ -101,7 +95,7 @@ def contents(engine: LsmEngine) -> Model:
     found: Model = {}
     for namespace in engine.namespaces():
         tree = engine.map(namespace)
-        pairs = dict(tree.iter_items())
+        pairs = dict(tree.iter_range())
         for index in range(12):
             key = b"k%02d" % index
             assert tree.get(key) == pairs.get(key), (namespace, key)
@@ -215,8 +209,6 @@ def test_every_crash_point_recovers_to_an_acknowledged_state(
     engine._compact_run = lambda tree, i, j: merged_from.append(i) or compact_run(tree, i, j)
     points.armed = True
     for op in ops:
-        if op[0] == "drop":
-            assert len(engine.peek(op[1]).segments) >= 2  # files to remove
         apply_to_engine(engine, op)
         apply_to_model(model, op)
         points.acked += 1

@@ -7,6 +7,11 @@ running on the commit *before* the engine went block-at-a-time (one
 (old files open and replay), and must write the very same bytes for the
 same history (so the old engine reads today's files: they are its own).
 
+The earlier engine could drop a namespace, which it logged as WAL op 3;
+today's engine only replays that op.  :func:`write_history` appends the
+fixture's op-3 frame itself, laid out as :mod:`repro.kvstore.engine.wal`
+documents a record.
+
 Regenerate (only when the format is meant to change)::
 
     PYTHONPATH=src python tests/kvstore/test_engine_format.py
@@ -16,11 +21,20 @@ from __future__ import annotations
 
 import os
 import shutil
+import struct
+import zlib
 
 from repro.kvstore.engine.lsm import LsmEngine
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "engine_v1")
 OPTIONS = dict(memtable_budget_bytes=1 << 20, fanout=4, sparse_index_every=4)
+
+
+def drop_namespace_frame(namespace: str) -> bytes:
+    """A WAL record of op 3: ``crc | len | op | ns_len | ns | key_len=0``."""
+    ns = namespace.encode("utf-8")
+    payload = b"\x03" + struct.pack(">H", len(ns)) + ns + struct.pack(">I", 0)
+    return struct.pack(">II", zlib.crc32(payload), len(payload)) + payload
 
 
 def write_history(data_dir: str) -> None:
@@ -43,8 +57,9 @@ def write_history(data_dir: str) -> None:
     data.put(b"k11", b"in the log")
     data.put(b"k00", b"overwritten in the log")
     data.delete(b"k01")
-    engine.drop_namespace("gone")
     engine.crash()  # no flush: the log keeps its records
+    with open(os.path.join(data_dir, "wal.log"), "ab") as log:
+        log.write(drop_namespace_frame("gone"))
 
 
 def expected() -> dict:
@@ -69,7 +84,7 @@ def test_files_of_the_earlier_engine_open_and_replay(tmp_path):
         assert engine.wal_records_replayed == 5
         assert engine.torn_tail_bytes_dropped == 0
         found = {
-            namespace: dict(engine.map(namespace).iter_items())
+            namespace: dict(engine.map(namespace).iter_range())
             for namespace in engine.namespaces()
         }
         assert found == {**expected(), "gone": {}}

@@ -2,8 +2,9 @@
 
 Every test runs in a pytest tmp directory; nothing is written inside the
 repository.  The in-memory :class:`OrderedKVMap` is the behavioural oracle —
-an LSM tree must be observationally identical through the whole map surface
-no matter how its state is split between memtable, WAL, and segments.
+an LSM tree must be observationally identical through the whole namespace-map
+surface (``get``/``put``/``delete``/``range``/``iter_range``) no matter how
+its state is split between memtable, WAL, and segments.
 """
 
 import os
@@ -67,7 +68,6 @@ class TestOracleParity:
                 assert tree.delete(key) == oracle.delete(key)
             elif action < 0.85:
                 assert tree.get(key) == oracle.get(key)
-                assert (key in tree) == (key in oracle)
             else:
                 lo, hi = sorted(rng.sample(range(len(keys)), 2))
                 start, end = keys[lo], keys[hi]
@@ -76,11 +76,11 @@ class TestOracleParity:
                 assert tree.range(start, end, limit, ascending) == oracle.range(
                     start, end, limit, ascending
                 )
-                assert tree.count_range(start, end) == oracle.count_range(start, end)
+                assert len(tree.range(start, end)) == len(oracle.range(start, end))
             if step % 500 == 250:
                 engine.run_maintenance()
-        assert list(tree.iter_items()) == list(oracle.iter_items())
-        assert len(tree) == len(oracle)
+        assert list(tree.iter_range()) == list(oracle.iter_range())
+        assert len(tree.range()) == len(oracle)
 
     def test_type_errors_match_ordered_map(self, engine):
         tree = engine.map("data")
@@ -90,13 +90,6 @@ class TestOracleParity:
             tree.put(b"k", 42)
         with pytest.raises(ValueError):
             tree.range(limit=-1)
-
-    def test_test_and_set_semantics(self, engine):
-        tree = engine.map("data")
-        assert tree.test_and_set(b"k", None, b"v1")
-        assert not tree.test_and_set(b"k", None, b"v2")
-        assert tree.test_and_set(b"k", b"v1", b"v2")
-        assert tree.get(b"k") == b"v2"
 
 
 class TestFlushAndCompaction:
@@ -116,7 +109,7 @@ class TestFlushAndCompaction:
         assert engine.wal.size_bytes() == 0
         assert engine.memtable_bytes() == 0
         assert tree.get(b"k0000") == b"v0"
-        assert len(tree) == 40
+        assert len(tree.range()) == 40
 
     def test_delete_of_flushed_key_needs_a_marker(self, engine):
         tree = engine.map("data")
@@ -124,10 +117,9 @@ class TestFlushAndCompaction:
         engine.flush()
         assert tree.delete(b"k")
         assert tree.get(b"k") is None
-        assert b"k" not in tree
         engine.flush()  # the marker must survive its own flush
         assert tree.get(b"k") is None
-        assert list(tree.iter_items()) == []
+        assert list(tree.iter_range()) == []
 
     def test_delete_with_no_segments_pops_the_key(self, engine):
         """Nothing beneath the memtable to shadow: no marker, the key goes —
@@ -146,11 +138,11 @@ class TestFlushAndCompaction:
             expected = live if ascending else live[::-1]
             assert tree.range(ascending=ascending) == expected
             assert tree.range(limit=2, ascending=ascending) == expected[:2]
-        assert len(tree) == 3
+        assert len(tree.range()) == 3
         engine.crash()
         engine.recover()  # WAL replay pops the same keys, segment-free still
         tree = engine.map("data")
-        assert list(tree.iter_items()) == live
+        assert list(tree.iter_range()) == live
         engine.flush()  # and no marker was left behind to write
         assert tree.segments[0].entry_count == 3
 
@@ -167,7 +159,7 @@ class TestFlushAndCompaction:
         ran = engine.run_maintenance()
         assert ran > 0
         assert len(tree.segments) < before
-        assert len(tree) == 120
+        assert len(tree.range()) == 120
 
     def test_hard_cap_backstops_segment_growth(self, tmp_path):
         engine = LsmEngine(
@@ -202,7 +194,7 @@ class TestFlushAndCompaction:
                 engine.flush()
         while engine.run_maintenance():
             pass
-        assert list(tree.iter_items()) == list(oracle.iter_items())
+        assert list(tree.iter_range()) == list(oracle.iter_range())
 
 
 class TestCrashRecovery:
@@ -218,7 +210,7 @@ class TestCrashRecovery:
             engine.map("data")
         info = engine.recover()
         assert info.segments_loaded + (1 if info.wal_records_replayed else 0) > 0
-        assert list(engine.map("data").iter_items()) == expected
+        assert list(engine.map("data").iter_range()) == expected
 
     def test_fresh_engine_restores_from_directory(self, tmp_path):
         path = str(tmp_path / "node")
@@ -232,7 +224,7 @@ class TestCrashRecovery:
             assert reborn.gauges()["segment_count"] > 0
             assert reborn.wal_records_replayed == 0
             assert sorted(reborn.namespaces()) == ["data", "idx"]
-            assert len(reborn.map("data")) == 100
+            assert len(reborn.map("data").range()) == 100
             assert reborn.map("idx").get(b"i1") == b"x"
         finally:
             reborn.close()
@@ -261,7 +253,7 @@ class TestCrashRecovery:
         assert not os.path.exists(
             os.path.join(engine.data_dir, "seg-00000099.seg")
         )
-        assert len(engine.map("data")) == 10
+        assert len(engine.map("data").range()) == 10
 
     def test_foreign_segment_namespace_is_recovered(self, tmp_path):
         # A valid segment present on disk (e.g. from a bulk load) is adopted
@@ -278,15 +270,6 @@ class TestCrashRecovery:
             assert reborn.map("loaded").get(b"a") == b"1"
         finally:
             reborn.close()
-
-    def test_drop_namespace_survives_crash_replay(self, engine):
-        tree = engine.map("data")
-        tree.put(b"k", b"v")
-        tree.clear()
-        tree.put(b"after", b"1")
-        engine.crash()
-        engine.recover()
-        assert list(engine.map("data").iter_items()) == [(b"after", b"1")]
 
     def test_recovered_engine_keeps_generation_monotonic(self, engine):
         _fill(engine.map("data"), 60)
@@ -408,7 +391,7 @@ class TestBulkLoad:
         assert stored == len(expected)
         assert engine.bulk_spill_count > 0
         tree = engine.map("data")
-        assert list(tree.iter_items()) == sorted(expected.items())
+        assert list(tree.iter_range()) == sorted(expected.items())
         # Scratch runs are cleaned up.
         spill_dir = os.path.join(engine.data_dir, "spill")
         assert not os.path.isdir(spill_dir) or not os.listdir(spill_dir)
@@ -420,7 +403,7 @@ class TestBulkLoad:
         assert WriteAheadLog.replay(engine.wal.path).ops == []
         engine.crash()
         engine.recover()
-        assert list(engine.map("data").iter_items()) == [(b"a", b"1"), (b"b", b"2")]
+        assert list(engine.map("data").iter_range()) == [(b"a", b"1"), (b"b", b"2")]
         engine.close()
 
     def test_bulk_load_lands_newest(self, engine):

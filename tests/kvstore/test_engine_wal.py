@@ -23,7 +23,9 @@ class TestAppendReplay:
         wal = WriteAheadLog(wal_path)
         wal.append_put("data", b"k1", b"v1")
         wal.append_delete("data", b"k2")
-        wal.append_drop_namespace("other")
+        # Op 3 (a namespace drop) is only ever read from an earlier
+        # engine's log; this one frames it the same way.
+        wal._append(OP_DROP_NAMESPACE, "other", (0).to_bytes(4, "big"))
         wal.append_put("data", b"k1", b"v2")
         wal.close()
 

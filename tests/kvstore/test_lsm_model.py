@@ -79,9 +79,8 @@ def expected_range(
 def check_everything(tree, model: Dict[bytes, bytes]) -> None:
     for k in KEYS:
         assert tree.get(k) == model.get(k), k
-        assert (k in tree) == (k in model), k
-    assert list(tree.iter_items()) == sorted(model.items())
-    assert len(tree) == len(model)
+    assert list(tree.iter_range()) == sorted(model.items())
+    assert len(tree.range()) == len(model)
     for ascending in (True, False):
         for limit in LIMITS:
             assert tree.range(None, None, limit, ascending) == expected_range(

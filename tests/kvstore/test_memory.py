@@ -37,10 +37,6 @@ class TestPointOperations:
     def test_delete_missing(self, populated):
         assert populated.delete(b"nope") is False
 
-    def test_contains(self, populated):
-        assert b"key00" in populated
-        assert b"zzz" not in populated
-
     def test_rejects_non_bytes_keys(self):
         store = OrderedKVMap()
         with pytest.raises(TypeError):
@@ -51,32 +47,12 @@ class TestPointOperations:
     def test_bytearray_keys_are_stored_as_bytes(self):
         store = OrderedKVMap()
         store.put(bytearray(b"k1"), bytearray(b"v1"))
-        assert store.test_and_set(bytearray(b"k2"), None, b"v2") is True
-        assert store.test_and_set(bytearray(b"k2"), None, b"again") is False
-        assert bytearray(b"k1") in store and bytearray(b"zz") not in store
+        store.put(bytearray(b"k2"), b"v2")
         assert store.range() == [(b"k1", b"v1"), (b"k2", b"v2")]
         assert all(type(k) is bytes and type(v) is bytes for k, v in store.range())
         assert store.delete(bytearray(b"k1")) is True
         assert store.delete(bytearray(b"k1")) is False
         assert store.range() == [(b"k2", b"v2")]
-
-
-class TestTestAndSet:
-    def test_insert_if_absent_succeeds(self):
-        store = OrderedKVMap()
-        assert store.test_and_set(b"a", None, b"1") is True
-        assert store.get(b"a") == b"1"
-
-    def test_insert_if_absent_fails_when_present(self, populated):
-        assert populated.test_and_set(b"key00", None, b"x") is False
-        assert populated.get(b"key00") == b"value0"
-
-    def test_swap_with_expected_value(self, populated):
-        assert populated.test_and_set(b"key00", b"value0", b"next") is True
-        assert populated.get(b"key00") == b"next"
-
-    def test_swap_with_wrong_expected_value(self, populated):
-        assert populated.test_and_set(b"key00", b"wrong", b"next") is False
 
 
 class TestRangeOperations:
@@ -139,18 +115,13 @@ class TestRangeOperations:
         assert keys == [b"key03", b"key035"]
 
     def test_count_range(self, populated):
-        assert populated.count_range(b"key02", b"key05") == 3
-        assert populated.count_range() == 10
-        assert populated.count_range(b"zzz", None) == 0
+        assert len(populated.range(b"key02", b"key05")) == 3
+        assert len(populated.range()) == 10
+        assert len(populated.range(b"zzz", None)) == 0
 
-    def test_iter_items_sorted(self, populated):
-        keys = [k for k, _ in populated.iter_items()]
+    def test_iter_range_sorted(self, populated):
+        keys = [k for k, _ in populated.iter_range()]
         assert keys == sorted(keys)
-
-    def test_clear(self, populated):
-        populated.clear()
-        assert len(populated) == 0
-        assert populated.range() == []
 
 
 # ----------------------------------------------------------------------
@@ -173,14 +144,14 @@ _LIMITS = (None, 0, 1, 3, 100)
 def _assert_reads_match(store: OrderedKVMap, model: dict, bounds=_FINAL_BOUNDS) -> None:
     ordered = sorted(model.items())
     assert len(store) == len(ordered)
-    assert list(store.iter_items()) == ordered
+    assert list(store.iter_range()) == ordered
     for start, end in itertools.product(bounds, repeat=2):
         inside = [
             (k, v)
             for k, v in ordered
             if (start is None or k >= start) and (end is None or k < end)
         ]
-        assert store.count_range(start, end) == len(inside)
+        assert len(store.range(start, end)) == len(inside)
         assert list(store.iter_range(start, end)) == inside
         for ascending in (True, False):
             expected = inside if ascending else inside[::-1]
@@ -194,8 +165,6 @@ _step = st.one_of(
     st.tuples(st.just("put"), _key, _value),
     st.tuples(st.just("put"), _key, _value),
     st.tuples(st.just("delete"), _key),
-    st.tuples(st.just("test_and_set"), _key, st.none() | _value, _value),
-    st.tuples(st.just("clear")),
     # A read between writes folds the buffer at that point in the history.
     st.tuples(st.just("read"), st.sampled_from(_BOUNDS), st.sampled_from(_BOUNDS)),
 )
@@ -212,15 +181,6 @@ def test_history_matches_dict_and_sorted(steps):
             model[step[1]] = step[2]
         elif kind == "delete":
             assert store.delete(step[1]) is (model.pop(step[1], None) is not None)
-        elif kind == "test_and_set":
-            _, key, expected, new_value = step
-            swapped = model.get(key) == expected
-            assert store.test_and_set(key, expected, new_value) is swapped
-            if swapped:
-                model[key] = new_value
-        elif kind == "clear":
-            store.clear()
-            model.clear()
         else:
             _assert_reads_match(store, model, bounds=step[1:])
     _assert_reads_match(store, model)
@@ -267,7 +227,7 @@ class TestIndexStaysSorted:
         store, model = OrderedKVMap(), {b"d": b"d", b"f": b"f"}
         store.put(b"d", b"d")
         store.put(b"f", b"f")
-        assert store.count_range() == 2  # d, f are in the list; the rest buffer
+        assert len(store.range()) == 2  # d, f are in the list; the rest buffer
         for key in (b"b", b"e", b"z", b"a"):  # below, between, past the tail, below
             store.put(key, key)
             model[key] = key

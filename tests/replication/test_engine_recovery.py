@@ -18,6 +18,7 @@ import pytest
 
 from repro.kvstore import ClusterConfig, KeyValueCluster
 from repro.replication.store import MISSING_SEQ, decode_record, record_seq
+from repro.schema.keys import encode_key
 
 
 def _make_cluster(engine: str, tmp_path, **engine_options) -> KeyValueCluster:
@@ -333,5 +334,94 @@ class TestBudgetedBulkLoad:
             assert cluster.metrics.counters()["replication.hints_added"] > 0
             cluster.recover_node(3)
             assert dict(cluster.iter_namespace("data")) == dict(rows)
+        finally:
+            cluster.close()
+
+
+class TestRebalanceRemovesData:
+    """A rebalance removes what a node no longer replicates, on disk too.
+
+    ``add_node``'s anti-entropy pass discards each key from the old owners
+    that lost it (``ReplicaStore.discard``: an engine delete, WAL op 2 or a
+    segment marker), and ``remove_node`` destroys the leaving node's
+    engine with its directory.
+    """
+
+    def test_discards_survive_the_engine_crash_and_remove_node_deletes_files(
+        self, tmp_path, monkeypatch
+    ):
+        data_dir = tmp_path / "lsm"
+        cluster = KeyValueCluster(
+            ClusterConfig(
+                storage_nodes=3,
+                replication=2,
+                seed=11,
+                storage_engine="lsm",
+                # Small: every node's namespace spans several segments.
+                engine_options=dict(
+                    data_dir=str(data_dir), memtable_budget_bytes=2048
+                ),
+            )
+        )
+        try:
+            cluster.create_namespace("data")
+            rows = {
+                encode_key((f"user{lead:02d}", index)): b"v%d-%d" % (lead, index)
+                for lead in range(20)
+                for index in range(20)
+            }
+            for key, value in rows.items():
+                cluster.load("data", key, value)
+            stores = cluster.replication.stores
+            old_ids = sorted(stores)
+            held = {
+                node_id: {
+                    key for key in rows
+                    if stores[node_id].get_record("data", key) is not None
+                }
+                for node_id in old_ids
+            }
+            for node_id in old_ids:
+                assert cluster.engine(node_id).gauges()["segment_count"] > 1
+
+            reports = []
+            rebalance = cluster.replication.rebalance
+            monkeypatch.setattr(
+                cluster.replication, "rebalance",
+                lambda *args: reports.append(rebalance(*args)) or reports[-1],
+            )
+            joined = cluster.add_node().node_id
+            lost = {
+                node_id: {
+                    key for key in held[node_id]
+                    if node_id not in cluster.replication.preference_list("data", key)
+                }
+                for node_id in old_ids
+            }
+            assert reports[-1].keys_removed == sum(map(len, lost.values())) > 0
+
+            def check_discarded() -> None:
+                for node_id in old_ids:
+                    for key in held[node_id]:
+                        record = stores[node_id].get_record("data", key)
+                        assert (record is None) == (key in lost[node_id]), (
+                            node_id, key,
+                        )
+
+            check_discarded()
+            # The engine's own crash and recovery, with no anti-entropy
+            # after it: the discards come back from the log and the runs.
+            for node_id in old_ids:
+                cluster.engine(node_id).crash()
+                cluster.engine(node_id).recover()
+            check_discarded()
+            for key, value in rows.items():
+                assert cluster.get("data", key).value == value
+
+            assert (data_dir / f"node-{joined}").is_dir()
+            cluster.remove_node()
+            assert not (data_dir / f"node-{joined}").exists()
+            for key, value in rows.items():
+                assert cluster.get("data", key).value == value
         finally:
             cluster.close()

@@ -287,7 +287,7 @@ class TestAntiEntropyRebalance:
         for index in range(50):
             cluster.load("data", f"k{index:03d}".encode(), f"v{index}".encode())
         joined = cluster.add_node().node_id
-        assert cluster.engine(joined).map("data").count_range() > 0
+        assert len(cluster.engine(joined).map("data").range()) > 0
         # Every key is fully replicated on its (new) preference list.
         for index in range(50):
             key = f"k{index:03d}".encode()

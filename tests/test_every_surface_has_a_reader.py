@@ -107,16 +107,6 @@ _RINGS = (
 #: Kept although nothing outside tests reads, sets or passes it: qualified
 #: name (a parameter as ``function(parameter)``) -> reason.
 ALLOWED: Dict[str, str] = {
-    "repro.kvstore.engine.base.StorageEngine.drop_namespace": (
-        "on-disk format: WAL op 3, replayed by the engine_v1 fixture and the "
-        "crash-point enumeration"
-    ),
-    "repro.kvstore.engine.dict_engine.DictEngine.drop_namespace": (
-        "the in-memory side of StorageEngine.drop_namespace"
-    ),
-    "repro.kvstore.engine.lsm.LsmEngine.drop_namespace": (
-        "writes WAL op 3 (see StorageEngine.drop_namespace)"
-    ),
     "repro.kvstore.latency.LatencyModel.median_ms": _REFERENCE,
     "repro.kvstore.latency.LatencyModel.queueing_factor": _REFERENCE,
     "repro.kvstore.engine.segment.Segment.maybe_contains": _REFERENCE,
