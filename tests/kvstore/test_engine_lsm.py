@@ -16,7 +16,7 @@ import pytest
 from repro.kvstore.engine import create_engine
 from repro.kvstore.engine.lsm import LsmEngine
 from repro.kvstore.engine.segment import write_segment
-from repro.kvstore.engine.wal import WriteAheadLog
+from repro.kvstore.engine.wal import OP_DROP_NAMESPACE, WriteAheadLog
 from repro.kvstore.memory import OrderedKVMap
 
 
@@ -270,6 +270,26 @@ class TestCrashRecovery:
             assert reborn.map("loaded").get(b"a") == b"1"
         finally:
             reborn.close()
+
+    def test_drop_namespace_survives_crash_replay(self, engine):
+        # Only an earlier engine's log holds a drop (op 3), framed here the
+        # same way.  Replaying it discards the namespace's runs and memtable;
+        # the log's later records land on the emptied tree, and other
+        # namespaces keep theirs.
+        tree = engine.map("data")
+        _fill(tree, 60)
+        engine.flush()
+        runs = [segment.path for segment in tree.segments]
+        assert runs
+        tree.put(b"k", b"v")
+        engine.wal._append(OP_DROP_NAMESPACE, "data", (0).to_bytes(4, "big"))
+        tree.put(b"after", b"1")
+        engine.map("idx").put(b"i", b"x")
+        engine.crash()
+        engine.recover()
+        assert list(engine.map("data").iter_range()) == [(b"after", b"1")]
+        assert engine.map("idx").get(b"i") == b"x"
+        assert not any(os.path.exists(path) for path in runs)
 
     def test_recovered_engine_keeps_generation_monotonic(self, engine):
         _fill(engine.map("data"), 60)

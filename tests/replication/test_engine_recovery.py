@@ -83,6 +83,43 @@ def _mirrored_run(cluster: KeyValueCluster, crash_at: int, recover_at: int):
     return observations, final, metrics
 
 
+@pytest.fixture(params=["dict", "lsm"])
+def keyed_cluster(request, tmp_path):
+    cluster = _make_cluster(request.param, tmp_path)
+    cluster.create_namespace("data")
+    for index in range(10):
+        cluster.put("data", b"key%02d" % index, b"value%d" % index)
+    yield cluster
+    cluster.close()
+
+
+class TestTestAndSet:
+    """Test-and-set is the cluster's (a quorum read, then on a match a
+    quorum write), the same on either engine."""
+
+    def test_insert_if_absent_succeeds(self, keyed_cluster):
+        assert keyed_cluster.test_and_set("data", b"a", None, b"1").value is True
+        assert keyed_cluster.get("data", b"a").value == b"1"
+
+    def test_insert_if_absent_fails_when_present(self, keyed_cluster):
+        assert keyed_cluster.test_and_set("data", b"key00", None, b"x").value is False
+        assert keyed_cluster.get("data", b"key00").value == b"value0"
+
+    def test_swap_with_expected_value(self, keyed_cluster):
+        assert (
+            keyed_cluster.test_and_set("data", b"key00", b"value0", b"next").value
+            is True
+        )
+        assert keyed_cluster.get("data", b"key00").value == b"next"
+
+    def test_swap_with_wrong_expected_value(self, keyed_cluster):
+        assert (
+            keyed_cluster.test_and_set("data", b"key00", b"wrong", b"next").value
+            is False
+        )
+        assert keyed_cluster.get("data", b"key00").value == b"value0"
+
+
 class TestDictLsmParity:
     def test_mirrored_workload_is_bit_identical(self, tmp_path):
         dict_cluster = _make_cluster("dict", tmp_path)
