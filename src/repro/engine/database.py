@@ -342,7 +342,9 @@ class PiqlDatabase:
         return self.records.insert_many(table, rows, upsert=upsert)
 
     def update(self, table: str, row: Dict[str, Any]) -> Dict[str, Any]:
-        """Replace the row with the same primary key."""
+        """Replace the row with the same primary key, maintaining indexes
+        and views and enforcing every ``CARDINALITY LIMIT`` the new row could
+        grow: an update over a limit is refused and the old row restored."""
         return self.records.update(table, row)
 
     def delete(self, table: str, pk_values: Sequence[Any]) -> bool:

@@ -136,7 +136,7 @@ class ConstraintViolationError(ExecutionError):
 
 
 class CardinalityViolationError(ConstraintViolationError):
-    """Raised when an insert would exceed a ``CARDINALITY LIMIT``."""
+    """Raised when an insert or update would exceed a ``CARDINALITY LIMIT``."""
 
 
 class UniquenessViolationError(ConstraintViolationError):

@@ -511,6 +511,12 @@ class KeyValueCluster:
                 copies, report.per_node_bytes.get(node_id, 0), sim_time
             )
 
+    def _count_rebalance(self, report: RepairReport) -> None:
+        """Count what a topology change's rebalance moved and removed."""
+        self.metrics.add("replication.rebalance_keys_copied", report.keys_copied)
+        self.metrics.add("replication.rebalance_keys_removed", report.keys_removed)
+        self.metrics.add("replication.rebalance_bytes_copied", report.bytes_copied)
+
     # ------------------------------------------------------------------
     # Namespace management
     # ------------------------------------------------------------------
@@ -654,9 +660,9 @@ class KeyValueCluster:
             node.node_id, self._create_engine(node.node_id)
         )
         live = self.live_ids()
-        self.replication.rebalance(
+        self._count_rebalance(self.replication.rebalance(
             [nid for nid in live if nid != node.node_id], set(live)
-        )
+        ))
         self._respread_static_load()
         return node
 
@@ -692,7 +698,9 @@ class KeyValueCluster:
         manager = self.replication
         manager.ring.remove_node(node.node_id)
         sources = self.live_ids()  # still includes the tail if it is up
-        manager.rebalance(sources, set(sources) - {node.node_id})
+        self._count_rebalance(
+            manager.rebalance(sources, set(sources) - {node.node_id})
+        )
         manager.forget_node(node.node_id)
         departing = self.engines.pop(node.node_id, None)
         if departing is not None:

@@ -16,6 +16,10 @@ more::
     range(start, end, limit, ascending) -> List[Tuple[bytes, bytes]]
     iter_range(start, end) -> Iterator[Tuple[bytes, bytes]]
 
+Keys are ``bytes`` and nothing else: ``put`` refuses any other key type (a
+``bytearray`` too), so ``get`` and ``delete``, which sit on every read and
+write, convert nothing.
+
 Test-and-set and range counts are cluster operations, built one tier up
 from quorum reads and writes and from merged ranges; no map serves them.
 

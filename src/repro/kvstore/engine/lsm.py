@@ -164,11 +164,11 @@ class LsmTree:
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        if not isinstance(key, (bytes, bytearray)):
+        if not isinstance(key, bytes):
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"values must be bytes, got {type(value).__name__}")
-        key, value = bytes(key), bytes(value)
+        value = bytes(value)
         engine = self._engine
         engine.wal.append_put(self.namespace, key, value)
         self._apply_put(key, value)

@@ -149,11 +149,6 @@ def merge_slices(
     return out
 
 
-def _hashable(key: bytes) -> bytes:
-    """A ``bytearray`` key as the ``bytes`` it is stored under."""
-    return bytes(key) if isinstance(key, bytearray) else key
-
-
 class OrderedKVMap:
     """A byte-keyed map ordered by key, supporting range scans."""
 
@@ -170,18 +165,16 @@ class OrderedKVMap:
 
     def put(self, key: bytes, value: bytes) -> None:
         """Insert or overwrite the value stored under ``key``."""
-        if not isinstance(key, (bytes, bytearray)):
+        if not isinstance(key, bytes):
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"values must be bytes, got {type(value).__name__}")
-        key = bytes(key)
         if key not in self._data:
             self._index.add(key)
         self._data[key] = bytes(value)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; return ``True`` if it existed."""
-        key = _hashable(key)
         if key in self._data:
             del self._data[key]
             self._index.remove(key)

@@ -133,13 +133,16 @@ def write_operation_bound(catalog, table_name: str) -> int:
     drives materialized views — the statically bounded view-maintenance
     delta (:func:`repro.views.maintenance.maintenance_operation_bound`).
     Like read bounds, this is independent of table cardinality, which is
-    exactly what keeps writes scale-independent as views are added.
+    exactly what keeps writes scale-independent as views are added.  It
+    prices a write that is accepted: one refused by a limit runs its
+    changes back through the same write body, at most as much again.
     """
     from ..views.maintenance import maintenance_operation_bound
 
     table = catalog.table(table_name)
-    # Base record put / test_and_set, plus the old-row read an update (or an
-    # overwriting upsert on a view-driving table) performs first.
+    # Base record put / test_and_set / delete, plus the old-row read an
+    # update (and an upsert on a view-driving table, or a delete on an
+    # indexed or view-driving one) performs first.
     operations = 2
     for index in catalog.indexes_for_table(table.name):
         # An update that changes the indexed value both writes the new

@@ -6,25 +6,34 @@ in batches of rows of one table (:meth:`RecordManager.insert_many`,
 :meth:`RecordManager.delete_many`; a single-row write is a batch of one),
 and each namespace a batch touches is written with one batched request
 (``StorageClient.put_many`` / ``delete_many``: one RPC per replica node).
-The write protocols follow Section 7.2, per batch:
 
-* **Secondary index maintenance** — the batch's new index entries are
-  written *before* its base records, one batch per index namespace, and
-  stale entries are deleted *after* them.  A crash can therefore leave
-  dangling index pointers (garbage-collectable) but never an index that
-  misses a live record.
-* **Cardinality constraints** — after writing the records the library
-  counts the rows sharing each distinct constrained value of the batch with
-  one ``count_range`` request; if the constraint is exceeded that value's
-  rows of the batch are removed again and the insert fails.  Concurrent
-  inserts may transiently overshoot, exactly as in the paper's prototype.
-* **Uniqueness** (primary keys) — enforced with one ``test_and_set`` per
-  row.
-* **Deletes** read the old rows first (one ``multi_get``) only when the
-  table has an index or drives a materialized view, whose entries and
-  contributions must be retracted; otherwise the delete is one request.
-* **Views** — an upsert batch on a view-driving table reads its old rows
-  with one ``multi_get``; per-row view deltas follow the base writes.
+Every DML call — insert, upsert, update, delete, and the undo of a refused
+one — is a list of ``(old row, new row)`` changes run through one body,
+:meth:`RecordManager._write`, in Section 7.2's order:
+
+* **Secondary index maintenance** — the entries a change's new row has and
+  its old row lacks are written *before* the base records, one batch per
+  index namespace, and the entries the old row has and the new one lacks
+  are deleted *after* them.  A crash can therefore leave dangling index
+  pointers (garbage-collectable) but never an index that misses a live
+  record.
+* **Uniqueness** (primary keys) — a plain insert writes its records with
+  one ``test_and_set`` per row; an upsert or update with one ``put_many``,
+  a delete with one ``delete_many``.
+* **Views** — each change's delta follows the base writes.
+* **Cardinality constraints** — after the body, an insert or update counts
+  the rows of each distinct constrained value it adds a row to with one
+  ``count_range``; if the constraint is exceeded, the call's changes are
+  run back through the body reversed (a known old row is restored, a new
+  row deleted) and the write fails.  Concurrent writes may transiently
+  overshoot, exactly as in the paper's prototype.
+
+The old rows are read by the caller, and only where something needs them:
+a delete reads (one ``multi_get``) when the table has an index or drives a
+materialized view, an upsert when the table drives a view, and an update
+always (one ``get``).  A plain upsert on a table without a view reads
+nothing: its old rows are unknown, so a changed indexed value leaves a
+dangling entry and a refused overwrite deletes the row.
 """
 
 from __future__ import annotations
@@ -51,6 +60,11 @@ from .rows import (
     serialize_row,
 )
 
+Row = Dict[str, Any]
+#: One record's write: ``(old row, new row)``, ``None`` for no row (or, as
+#: an old row, one the caller did not read).
+Change = Tuple[Optional[Row], Optional[Row]]
+
 
 class RecordManager:
     """Client-side CRUD layer over the simulated key/value store."""
@@ -70,17 +84,19 @@ class RecordManager:
             return self.views
         return None
 
-    @staticmethod
-    def _reject_view_backing_writes(table: Table) -> None:
-        """Backing tables hold derived state with hidden merge fields; only
-        the maintenance engine may write them — direct DML would corrupt
-        the aggregates and crash later deltas."""
+    def _writable(self, table_name: str) -> Table:
+        """The table a DML call names.  Backing tables hold derived state
+        with hidden merge fields; only the maintenance engine may write
+        them — direct DML would corrupt the aggregates and crash later
+        deltas."""
+        table = self.catalog.table(table_name)
         if table.backing_view is not None:
             raise SchemaError(
                 f"table {table.name!r} backs materialized view "
                 f"{table.backing_view!r} and cannot be written directly; "
                 "write to the view's driving table instead"
             )
+        return table
 
     # ------------------------------------------------------------------
     # Namespace / index setup
@@ -172,160 +188,55 @@ class RecordManager:
     ) -> List[Dict[str, Any]]:
         """Insert rows of one table, writing each namespace once per batch.
 
-        Follows the module's write protocols per batch: the new index
-        entries as one batch per index namespace, then the base records
-        (one batch for an upsert, one ``test_and_set`` per row otherwise),
-        then stale entries, view deltas, and one cardinality count per
-        distinct constrained value.  A batch is not atomic: a row that
-        fails its uniqueness check leaves the rows before it inserted and
-        the rows from it on unwritten.  Returns the validated rows.
+        The records go out as one ``test_and_set`` per row, or for an upsert
+        as one ``put_many``; then one cardinality count per distinct
+        constrained value the batch adds a row to.  An upsert reads the rows
+        it overwrites only when the table drives a view.  A batch is not
+        atomic: a row that fails its uniqueness check leaves the rows before
+        it inserted and the rows from it on unwritten.  Returns the
+        validated rows.
         """
         rows = list(rows)
         if not rows:
             return []
         with self._write_span("insert", table_name):
-            return self._insert(table_name, rows, upsert)
-
-    def _insert(
-        self, table_name: str, rows: List[Dict[str, Any]], upsert: bool
-    ) -> List[Dict[str, Any]]:
-        table = self.catalog.table(table_name)
-        self._reject_view_backing_writes(table)
-        validated = [table.validate_row(row) for row in rows]
-        keys = [record_key(table, row) for row in validated]
-        self._require_distinct(table, keys)
-
-        # 0. When this table drives materialized views, an overwriting put
-        #    must read the previous rows to retract their view contribution;
-        #    with the old rows in hand, stale index entries they left behind
-        #    are cleaned up too.  Tables without views keep the legacy
-        #    upsert behaviour — a changed indexed value leaves a dangling
-        #    (garbage-collectable) entry, per Section 7.2's crash semantics
-        #    — because reading the old row on every upsert would charge
-        #    every existing write path for a rarely-needed cleanup.
-        views = self._view_engine(table)
-        old_rows: List[Optional[Dict[str, Any]]] = [None] * len(keys)
-        if upsert and views is not None:
-            old_rows = [
-                deserialize_row(payload) if payload is not None else None
-                for payload in self._read(table.namespace, keys)
-            ]
-
-        # 1. Write the new secondary index entries first (Section 7.2).
-        for index in self.catalog.indexes_for_table(table.name):
-            self.client.put_many(index.namespace, [
-                entry for row in validated
-                for entry in index_entries(index, table, row)
-            ])
-
-        # 2. Write (or conditionally write) the base records.
-        failure: Optional[UniquenessViolationError] = None
-        if not upsert:
-            for position, (key, row) in enumerate(zip(keys, validated)):
-                if self.client.test_and_set(
-                    table.namespace, key, None, serialize_row(row)
-                ):
-                    continue
-                # Undo the entries written in step 1 for this row and the
-                # unwritten rows after it.
-                for unwritten_key, unwritten in zip(
-                    keys[position:], validated[position:]
-                ):
-                    self._undo_entries(table, unwritten_key, unwritten)
-                failure = UniquenessViolationError(
-                    f"primary key {tuple(table.primary_key_values(row))!r} "
+            table = self._writable(table_name)
+            validated = [table.validate_row(row) for row in rows]
+            keys = [record_key(table, row) for row in validated]
+            self._require_distinct(table, keys)
+            old_rows: List[Optional[Row]] = [None] * len(keys)
+            if upsert and self._view_engine(table) is not None:
+                old_rows = self._old_rows(table, keys)
+            changes = list(zip(old_rows, validated))
+            written = len(self._write(
+                table, keys, changes, "put_many" if upsert else "test_and_set"
+            ))
+            self._enforce_limits(table, keys[:written], changes[:written])
+            if written < len(validated):
+                raise UniquenessViolationError(
+                    f"primary key "
+                    f"{tuple(table.primary_key_values(validated[written]))!r} "
                     f"already exists in table {table.name!r}"
                 )
-                del validated[position:]
-                break
-        else:
-            self.client.put_many(table.namespace, [
-                (key, serialize_row(row)) for key, row in zip(keys, validated)
-            ])
-            # Overwritten rows: their entries for changed indexed values are
-            # now stale (same ordering rule as update()).
-            self._delete_stale_entries(table, [
-                (old_row, row)
-                for old_row, row in zip(old_rows, validated)
-                if old_row is not None
-            ])
-
-        # 2b. Apply the deltas to materialized views (before the constraint
-        #     check: a violation's undo path retracts them again via delete).
-        if views is not None:
-            for old_row, row in zip(old_rows, validated):
-                if old_row is not None:
-                    views.on_update(table.name, old_row, row)
-                else:
-                    views.on_insert(table.name, row)
-
-        # 3. Check cardinality constraints once per distinct constrained
-        #    value; on a violation, undo that value's rows of the batch.
-        for limit in table.cardinality_limits:
-            groups: Dict[tuple, List[Dict[str, Any]]] = {}
-            for row in validated:
-                groups.setdefault(
-                    tuple(row[c] for c in limit.columns), []
-                ).append(row)
-            for group in groups.values():
-                if not self._within_cardinality(table, limit, group[0]):
-                    self.delete_many(
-                        table.name,
-                        [table.primary_key_values(row) for row in group],
-                    )
-                    raise CardinalityViolationError(
-                        f"inserting into {table.name!r} would exceed "
-                        f"CARDINALITY LIMIT {limit.limit} on "
-                        f"({', '.join(limit.columns)})",
-                        constraint=",".join(limit.columns),
-                    )
-        if failure is not None:
-            raise failure
-        return validated
+            return validated
 
     def update(self, table_name: str, row: Dict[str, Any]) -> Dict[str, Any]:
         """Replace the record with the same primary key as ``row``.
 
-        Index entries whose key is unchanged by the update are neither
-        rewritten nor deleted — an update that leaves every indexed value
-        alone costs no index RPCs at all.  (The entry *value* is the
-        serialised primary key, which an update cannot change.)  The write
-        order for genuinely changed entries stays crash-safe: new entries
-        before the base record, stale entries deleted after it.
+        Reads the old row (one ``get``), so index entries whose key is
+        unchanged are neither rewritten nor deleted — an update that leaves
+        every indexed value alone costs the ``get`` and the ``put`` — and
+        enforces every ``CARDINALITY LIMIT`` the new row could grow,
+        restoring the old row when one is exceeded.
         """
         with self._write_span("update", table_name):
-            return self._update(table_name, row)
-
-    def _update(self, table_name: str, row: Dict[str, Any]) -> Dict[str, Any]:
-        table = self.catalog.table(table_name)
-        self._reject_view_backing_writes(table)
-        validated = table.validate_row(row)
-        key = record_key(table, validated)
-        old_payload = self.client.get(table.namespace, key)
-        old_row = deserialize_row(old_payload) if old_payload is not None else None
-
-        for index in self.catalog.indexes_for_table(table.name):
-            old_keys = (
-                {k for k, _ in index_entries(index, table, old_row)}
-                if old_row is not None
-                else set()
-            )
-            self.client.put_many(index.namespace, [
-                entry for entry in index_entries(index, table, validated)
-                if entry[0] not in old_keys
-            ])
-        self.client.put(table.namespace, key, serialize_row(validated))
-        if old_row is not None:
-            self._delete_stale_entries(table, [(old_row, validated)])
-        views = self._view_engine(table)
-        if views is not None:
-            # The engine itself skips no-op deltas (unchanged grouped and
-            # aggregated values contribute nothing).
-            if old_row is not None:
-                views.on_update(table.name, old_row, validated)
-            else:
-                views.on_insert(table.name, validated)
-        return validated
+            table = self._writable(table_name)
+            validated = table.validate_row(row)
+            keys = [record_key(table, validated)]
+            changes = list(zip(self._old_rows(table, keys), [validated]))
+            self._write(table, keys, changes, "put_many")
+            self._enforce_limits(table, keys, changes)
+            return validated
 
     def delete(self, table_name: str, pk_values: Sequence[Any]) -> bool:
         """Delete one record by primary key; returns whether it existed:
@@ -347,26 +258,100 @@ class RecordManager:
         if not keys:
             return []
         with self._write_span("delete", table_name):
-            return self._delete(table_name, keys)
+            table = self._writable(table_name)
+            self._require_distinct(table, keys)
+            old_rows: List[Optional[Row]] = [None] * len(keys)
+            if self._view_engine(table) is not None or \
+                    self.catalog.indexes_for_table(table.name):
+                old_rows = self._old_rows(table, keys)
+            return self._write(
+                table, keys, [(old, None) for old in old_rows], "delete_many"
+            )
 
-    def _delete(self, table_name: str, keys: List[bytes]) -> List[bool]:
-        table = self.catalog.table(table_name)
-        self._reject_view_backing_writes(table)
-        self._require_distinct(table, keys)
+    def _write(
+        self, table: Table, keys: List[bytes], changes: List[Change], verb: str
+    ) -> List[bool]:
+        """The write body: apply ``changes`` (one per record key) in
+        Section 7.2's order.
+
+        ``verb`` names the record request: ``"test_and_set"`` (one per row,
+        expecting no record), ``"put_many"`` or ``"delete_many"``.  Returns
+        one flag per record written: whether it existed (``delete_many``),
+        else ``True``.  A refused ``test_and_set`` stops the batch there:
+        the refused row and the rows after it are not written, their index
+        entries are undone, and they get no flag.
+        """
+        indexes = self.catalog.indexes_for_table(table.name)
+        # 1. The entries the new rows gain, before the records.
+        for index in indexes:
+            self.client.put_many(index.namespace, [
+                entry for old, new in changes
+                for entry in _entries_only_in(index, table, new, old)
+            ])
+        # 2. The records.
+        if verb == "delete_many":
+            written = self.client.delete_many(table.namespace, keys)
+        elif verb == "put_many":
+            self.client.put_many(table.namespace, [
+                (key, serialize_row(new)) for key, (_, new) in zip(keys, changes)
+            ])
+            written = [True] * len(keys)
+        else:
+            written = []
+            for key, (_, new) in zip(keys, changes):
+                if not self.client.test_and_set(
+                    table.namespace, key, None, serialize_row(new)
+                ):
+                    for unwritten_key, (_, unwritten) in zip(
+                        keys[len(written):], changes[len(written):]
+                    ):
+                        self._undo_entries(table, unwritten_key, unwritten)
+                    changes = changes[:len(written)]
+                    break
+                written.append(True)
+        # 3. The entries the old rows lose, after the records.
+        self._delete_stale_entries(table, changes)
+        # 4. The view deltas.
         views = self._view_engine(table)
-        if views is None and not self.catalog.indexes_for_table(table.name):
-            return self.client.delete_many(table.namespace, keys)
-        rows = [
-            deserialize_row(payload)
-            for payload in self._read(table.namespace, keys)
-            if payload is not None
-        ]
-        existed = self.client.delete_many(table.namespace, keys)
-        self._delete_stale_entries(table, [(row, None) for row in rows])
         if views is not None:
-            for row in rows:
-                views.on_delete(table.name, row)
-        return existed
+            for old, new in changes:
+                if old is not None or new is not None:
+                    views.apply(table.name, old, new)
+        return written
+
+    def _enforce_limits(
+        self, table: Table, keys: List[bytes], changes: List[Change]
+    ) -> None:
+        """Count every distinct constrained value that some change adds a
+        row to (its old row is unknown, or held another value), once each.
+        At the first value over its limit, every change runs back through
+        the body reversed — a known old row is put back, a new row deleted —
+        and the write fails.  Undoing only that value's changes would not
+        do: a row put back returns to a value already counted, which it can
+        push over the limit."""
+        for limit in table.cardinality_limits:
+            groups: Dict[tuple, Row] = {}
+            for old, new in changes:
+                value = tuple(new[c] for c in limit.columns)
+                if old is None or tuple(old[c] for c in limit.columns) != value:
+                    groups.setdefault(value, new)
+            for new in groups.values():
+                if self._within_cardinality(table, limit, new):
+                    continue
+                restore = [i for i, (old, _) in enumerate(changes) if old is not None]
+                delete = [i for i, (old, _) in enumerate(changes) if old is None]
+                for verb, undo in (("put_many", restore), ("delete_many", delete)):
+                    if undo:
+                        self._write(
+                            table, [keys[i] for i in undo],
+                            [changes[i][::-1] for i in undo], verb,
+                        )
+                raise CardinalityViolationError(
+                    f"writing {table.name!r} would exceed "
+                    f"CARDINALITY LIMIT {limit.limit} on "
+                    f"({', '.join(limit.columns)})",
+                    constraint=",".join(limit.columns),
+                )
 
     # ------------------------------------------------------------------
     # Bulk loading
@@ -379,8 +364,7 @@ class RecordManager:
         loaded.  Views the table drives are maintained row by row, on the
         latency-free load path.
         """
-        table = self.catalog.table(table_name)
-        self._reject_view_backing_writes(table)
+        table = self._writable(table_name)
         cluster: KeyValueCluster = self.client.cluster
         indexes = self.catalog.indexes_for_table(table.name)
         views = self._view_engine(table)
@@ -395,7 +379,7 @@ class RecordManager:
                 for entry_key, entry_value in index_entries(index, table, validated):
                     cluster.load(namespace, entry_key, entry_value)
             if views is not None:
-                views.on_insert(table.name, validated, billed=False)
+                views.apply(table.name, None, validated, billed=False)
             count += 1
         return count
 
@@ -405,12 +389,9 @@ class RecordManager:
     def _within_cardinality(
         self, table: Table, limit: CardinalityLimit, row: Dict[str, Any]
     ) -> bool:
-        values = [row[c] for c in limit.columns]
+        namespace = table.namespace
         index = self.constraint_index(table, limit)
-        if index is None:
-            namespace = table.namespace
-            start, end = prefix_range(values)
-        else:
+        if index is not None:
             if not self.catalog.has_index(index.name):
                 raise SchemaError(
                     f"cardinality constraint on {table.name}"
@@ -419,17 +400,21 @@ class RecordManager:
                     "are provisioned automatically"
                 )
             namespace = index.namespace
-            start, end = prefix_range(values)
-        count = self.client.count_range(namespace, start, end)
-        return count <= limit.limit
+        start, end = prefix_range([row[c] for c in limit.columns])
+        return self.client.count_range(namespace, start, end) <= limit.limit
 
-    def _read(self, namespace: str, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Old records of a batch: one ``multi_get``, or for one key the
+    def _old_rows(self, table: Table, keys: Sequence[bytes]) -> List[Optional[Row]]:
+        """The rows a write replaces: one ``multi_get``, or for one key the
         ``get`` a single-row write always made (a one-key ``multi_get``
         draws the fault plane differently and names another span)."""
-        if len(keys) == 1:
-            return [self.client.get(namespace, keys[0])]
-        return self.client.multi_get(namespace, keys)
+        payloads = (
+            [self.client.get(table.namespace, keys[0])] if len(keys) == 1
+            else self.client.multi_get(table.namespace, keys)
+        )
+        return [
+            deserialize_row(payload) if payload is not None else None
+            for payload in payloads
+        ]
 
     @staticmethod
     def _require_distinct(table: Table, keys: List[bytes]) -> None:
@@ -451,27 +436,31 @@ class RecordManager:
             row, deserialize_row(survivor) if survivor is not None else None,
         )])
 
-    def _delete_stale_entries(
-        self,
-        table: Table,
-        changes: Sequence[Tuple[Dict[str, Any], Optional[Dict[str, Any]]]],
-    ) -> None:
-        """Delete the index entries each ``(old row, new row)`` change leaves
-        stale — every entry of the old row that the new one (``None``: no
-        row) lacks — as one batch per index namespace."""
+    def _delete_stale_entries(self, table: Table, changes: Sequence[Change]) -> None:
+        """Delete the index entries each change leaves stale — every entry
+        of the old row that the new one (``None``: no row) lacks — as one
+        batch per index namespace."""
+        changes = [change for change in changes if change[0] is not None]
         if not changes:
             return
         for index in self.catalog.indexes_for_table(table.name):
-            stale: List[bytes] = []
-            for old_row, new_row in changes:
-                new_keys = (
-                    {key for key, _ in index_entries(index, table, new_row)}
-                    if new_row is not None
-                    else set()
-                )
-                stale.extend(
-                    entry_key
-                    for entry_key, _ in index_entries(index, table, old_row)
-                    if entry_key not in new_keys
-                )
-            self.client.delete_many(index.namespace, stale)
+            self.client.delete_many(index.namespace, [
+                key for old, new in changes
+                for key, _ in _entries_only_in(index, table, old, new)
+            ])
+
+
+def _entries_only_in(
+    index: IndexDefinition, table: Table, row: Optional[Row], other: Optional[Row]
+) -> List[Tuple[bytes, bytes]]:
+    """The entries ``row`` puts in ``index`` that ``other`` does not
+    (``None`` for either: no row)."""
+    if row is None:
+        return []
+    if other is None:
+        return list(index_entries(index, table, row))
+    other_keys = {key for key, _ in index_entries(index, table, other)}
+    return [
+        entry for entry in index_entries(index, table, row)
+        if entry[0] not in other_keys
+    ]

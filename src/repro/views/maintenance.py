@@ -221,43 +221,40 @@ class _LoadIO:
 # The engine
 # ----------------------------------------------------------------------
 class ViewMaintenanceEngine:
-    """Applies base-table write deltas to every affected materialized view."""
+    """Applies base-table write deltas to every affected materialized view.
+
+    One hook, :meth:`apply`, takes every change as an ``(old row, new
+    row)`` pair: the record manager's write body calls it once per written
+    record (a refused write's undo too, with the pair reversed), bulk
+    loading with ``billed=False``.  Backfill folds existing rows into the
+    one new view only.
+    """
 
     def __init__(self, catalog: Catalog, client: StorageClient):
         self.catalog = catalog
         self.client = client
 
     # ------------------------------------------------------------------
-    # Write hooks (called by the RecordManager after the base write)
+    # The write hook (called by the RecordManager's write body)
     # ------------------------------------------------------------------
     def relevant_views(self, table_name: str) -> List[MaterializedView]:
         return self.catalog.views_for_table(table_name)
 
-    def on_insert(
-        self, table_name: str, row: Dict[str, Any], billed: bool = True
-    ) -> None:
-        for view in self.relevant_views(table_name):
-            io = self._io(billed)
-            with self._maintenance_span(view, billed):
-                self._apply(view, io, old=None, new=row)
-
-    def on_delete(self, table_name: str, row: Dict[str, Any]) -> None:
-        for view in self.relevant_views(table_name):
-            with self._maintenance_span(view, True):
-                self._apply(view, _BilledIO(self.client), old=row, new=None)
-
-    def on_update(
+    def apply(
         self,
         table_name: str,
-        old_row: Optional[Dict[str, Any]],
-        new_row: Dict[str, Any],
+        old: Optional[Dict[str, Any]],
+        new: Optional[Dict[str, Any]],
+        billed: bool = True,
     ) -> None:
+        """Apply one driving-table change — ``old`` row to ``new`` row,
+        ``None`` for no row: an insert, update or delete — to every view
+        ``table_name`` drives; ``billed=False`` takes the latency-free load
+        path."""
         for view in self.relevant_views(table_name):
-            with self._maintenance_span(view, True):
-                self._apply(view, _BilledIO(self.client), old=old_row, new=new_row)
-
-    def _io(self, billed: bool):
-        return _BilledIO(self.client) if billed else _LoadIO(self.client.cluster)
+            io = _BilledIO(self.client) if billed else _LoadIO(self.client.cluster)
+            with self._maintenance_span(view, billed):
+                self._apply(view, io, old, new)
 
     @contextmanager
     def _maintenance_span(
@@ -468,8 +465,9 @@ class ViewMaintenanceEngine:
         cluster = self.client.cluster
         driving = self.catalog.table(view.driving_table)
         count = 0
+        io = _LoadIO(cluster)
         for _, payload in cluster.iter_namespace(driving.namespace):
-            self.on_insert(view.driving_table, deserialize_row(payload), billed=False)
+            self._apply(view, io, None, deserialize_row(payload))
             count += 1
         return count
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.kvstore.engine import create_engine
 from repro.kvstore.memory import OrderedKVMap
 
 
@@ -44,15 +45,22 @@ class TestPointOperations:
         with pytest.raises(TypeError):
             store.put(b"x", 42)
 
-    def test_bytearray_keys_are_stored_as_bytes(self):
-        store = OrderedKVMap()
-        store.put(bytearray(b"k1"), bytearray(b"v1"))
-        store.put(bytearray(b"k2"), b"v2")
-        assert store.range() == [(b"k1", b"v1"), (b"k2", b"v2")]
-        assert all(type(k) is bytes and type(v) is bytes for k, v in store.range())
-        assert store.delete(bytearray(b"k1")) is True
-        assert store.delete(bytearray(b"k1")) is False
-        assert store.range() == [(b"k2", b"v2")]
+    @pytest.mark.parametrize("kind", ["dict", "lsm"])
+    def test_bytearray_keys_are_rejected(self, kind, tmp_path):
+        """Keys are ``bytes`` at every door of both engines: ``put`` refuses
+        a ``bytearray`` key as it refuses a ``str``, so ``get`` and
+        ``delete`` never need to convert one.  A ``bytearray`` value is
+        still stored as ``bytes``."""
+        engine = create_engine(kind, 0, data_dir=str(tmp_path))
+        try:
+            store = engine.map("data")
+            with pytest.raises(TypeError):
+                store.put(bytearray(b"k1"), b"v1")
+            store.put(b"k2", bytearray(b"v2"))
+            assert store.range() == [(b"k2", b"v2")]
+            assert type(store.get(b"k2")) is bytes
+        finally:
+            engine.close()
 
 
 class TestRangeOperations:

@@ -18,6 +18,7 @@ from repro.storage.rows import (
     serialize_pk,
     serialize_row,
 )
+from repro.views.maintenance import recompute_view, visible_row
 from repro.workloads.scadr.schema import scadr_ddl
 
 
@@ -109,6 +110,78 @@ class TestInsertProtocol:
         assert db.delete("users", ["bob"]) is True
         assert db.get("users", ["bob"]) is None
         assert db.delete("users", ["bob"]) is False
+
+
+CAPPED_DDL = (
+    "CREATE TABLE users (username VARCHAR(20), hometown VARCHAR(20), "
+    "PRIMARY KEY (username), CARDINALITY LIMIT 2 (hometown))"
+)
+HOMETOWN_COUNTS = (
+    "CREATE MATERIALIZED VIEW hometown_counts AS "
+    "SELECT hometown, COUNT(*) AS n FROM users GROUP BY hometown"
+)
+
+
+class TestCardinalityUndo:
+    """Every write that can grow a group counts it, and a refused one puts
+    back what it overwrote: ``sf`` is full (a, b) and ``c`` lives in ``la``."""
+
+    @pytest.fixture
+    def capped(self) -> PiqlDatabase:
+        db = PiqlDatabase.simulated(ClusterConfig(storage_nodes=3, seed=11))
+        db.execute_ddl(CAPPED_DDL)
+        db.create_materialized_view(HOMETOWN_COUNTS)
+        for name, hometown in (("a", "sf"), ("b", "sf"), ("c", "la")):
+            db.insert("users", {"username": name, "hometown": hometown})
+        return db
+
+    @staticmethod
+    def _state(db):
+        """Every stored row, every index entry and the materialized view."""
+        view = db.catalog.view("hometown_counts")
+        entries = {
+            index.name: list(db.cluster.iter_namespace(index.namespace))
+            for index in db.catalog.indexes_for_table("users")
+        }
+        materialized = {
+            (row["hometown"],): visible_row(view, row)
+            for row in db.records.scan(view.backing_table.name)
+        }
+        assert materialized == recompute_view(view, db.catalog, db.cluster)
+        return db.records.scan("users"), entries, materialized
+
+    def _refused(self, db, write):
+        before = self._state(db)
+        assert before[1] and all(before[1].values())
+        with pytest.raises(CardinalityViolationError):
+            write()
+        assert self._state(db) == before
+        assert db.get("users", ["c"]) == {"username": "c", "hometown": "la"}
+        rows = db.execute("SELECT * FROM users WHERE hometown = 'sf'").rows
+        assert sorted(row["username"] for row in rows) == ["a", "b"]
+
+    def test_an_update_into_a_full_group_is_refused(self, capped):
+        self._refused(capped, lambda: capped.update(
+            "users", {"username": "c", "hometown": "sf"}
+        ))
+
+    def test_a_refused_overwriting_upsert_keeps_the_old_row(self, capped):
+        self._refused(capped, lambda: capped.insert(
+            "users", {"username": "c", "hometown": "sf"}, upsert=True
+        ))
+        self._refused(capped, lambda: capped.insert_many("users", [
+            {"username": "c", "hometown": "sf"},
+            {"username": "d", "hometown": "sf"},
+        ], upsert=True))
+        assert capped.get("users", ["d"]) is None
+
+    def test_a_write_that_keeps_its_group_is_not_counted(self, capped):
+        before = capped.client.stats.operations
+        capped.update("users", {"username": "a", "hometown": "sf"})
+        # The get and the put; the view skips a delta that changes nothing.
+        assert capped.client.stats.operations - before == 2
+        capped.update("users", {"username": "c", "hometown": "ny"})
+        assert self._state(capped)[2][("ny",)] == {"hometown": "ny", "n": 1}
 
 
 class TestDeleteProtocol:

@@ -12,6 +12,7 @@ from repro.views.maintenance import (
     maintenance_operation_bound,
     recompute_top_k,
     recompute_view,
+    visible_row,
 )
 
 DDL = """
@@ -218,6 +219,21 @@ class TestBackfillAndBounds:
         ]
         assert query.execute(shop="sf").rows == expected
 
+    def test_backfilling_a_second_view_leaves_the_first_alone(self, db):
+        """Backfill folds the existing rows into the new view only: a view
+        already maintained over the same table keeps its counts."""
+        db.create_materialized_view(COUNT_VIEW)
+        for sale_id in range(6):
+            sale(db, sale_id, "sf", f"p{sale_id % 2}", 1 + sale_id)
+        db.create_materialized_view(TOP_K_VIEW)
+        for name in ("product_counts", "product_totals"):
+            view = db.catalog.view(name)
+            assert {
+                tuple(state[c] for c in view.group_column_names):
+                    visible_row(view, state)
+                for state in db.records.scan(view.backing_table.name)
+            } == recompute_view(view, db.catalog, db.cluster), name
+
     def test_static_write_bound_covers_measured_cost(self, db):
         db.create_materialized_view(TOP_K_VIEW)
         bound = write_operation_bound(db.catalog, "sales")
@@ -253,12 +269,12 @@ class TestBackfillAndBounds:
         assert worst <= bound
 
     def test_mixed_delta_on_missing_group_record_applies_add_only(self, db):
-        """An on_update whose group record is absent (lost, or never
+        """An update delta whose group record is absent (lost, or never
         materialized) must not drive counters negative or crash — the
         retraction is dropped and the addition materializes the group."""
         db.create_materialized_view(TOP_K_VIEW)
         query = db.prepare(TOP_K_QUERY)
-        db.views.on_update(
+        db.views.apply(
             "sales",
             {"sale_id": 9, "shop": "sf", "product": "ghost", "amount": 4},
             {"sale_id": 9, "shop": "sf", "product": "ghost", "amount": 7},
